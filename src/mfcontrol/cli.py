@@ -399,3 +399,7 @@ def _command_extras(args) -> dict:
 
 def console_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

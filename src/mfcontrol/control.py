@@ -24,6 +24,7 @@ under its own matched flow.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,11 +176,13 @@ def hamiltonian(scenario: Scenario, t: float, state, sup, stats_row: dict,
 
 
 def minimized_hamiltonian(scenario: Scenario, t: float, state, sup,
-                          stats_row: dict, z, grid: ActionGrid) -> tuple[np.ndarray, np.ndarray]:
+                          stats_row: dict, z, grid: ActionGrid,
+                          indices: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(min_u H, argmin actions) over the admissible grid, vectorized.
 
     Ties resolve to the lexicographically smallest action because the grid is
-    sorted and argmin takes the first minimizer.
+    sorted and argmin takes the first minimizer.  With indices=True the second
+    item is the argmin's row in grid.array() instead of the action.
     """
     if scenario.kind == "game":
         raise TypeError("use game envelopes for two-player scenarios")
@@ -194,7 +197,34 @@ def minimized_hamiltonian(scenario: Scenario, t: float, state, sup,
     hams = h + (z0 * inv)[None, :] * f  # (n, particles)
     idx = np.argmin(hams, axis=0)
     values = hams[idx, np.arange(hams.shape[1])]
-    return values, arr[idx]
+    return values, (idx if indices else arr[idx])
+
+
+def grid_index_dtype(grid: ActionGrid) -> np.dtype:
+    """Smallest unsigned dtype that holds every row index of the grid."""
+    return np.min_scalar_type(grid.size - 1)
+
+
+class EnsembleMemo:
+    """Per-step results computed on one ensemble, reused until another comes.
+
+    The key is the ensemble's identity, never equality: a different
+    PathEnsemble, even an equal one, drops the stored steps and recomputes.  A
+    weak reference keeps a dead ensemble's recycled id from matching.
+    """
+
+    def __init__(self):
+        self._paths = None
+        self._steps: dict = {}
+
+    def lookup(self, paths: PathEnsemble, t_index: int, compute):
+        if self._paths is None or self._paths() is not paths:
+            self._paths = weakref.ref(paths)
+            self._steps = {}
+        hit = self._steps.get(t_index)
+        if hit is None:
+            hit = self._steps[t_index] = compute()
+        return hit
 
 
 class BsdeFeedbackControl:
@@ -203,7 +233,9 @@ class BsdeFeedbackControl:
     Actions are the pointwise Hamiltonian minimizers at the regression
     estimate z(t, x) rebuilt from the stored per-step coefficients; the
     statistic trajectories are frozen at synthesis time, so the rule is a
-    plain deterministic function of (t, current state, running sup).
+    plain deterministic function of (t, current state, running sup).  Each
+    step's argmin is therefore computed once per ensemble and kept as grid
+    row indices; every call returns a fresh action array.
     """
 
     kind = "bsde-feedback"
@@ -217,6 +249,7 @@ class BsdeFeedbackControl:
         self.z_coefficients = np.asarray(z_coefficients, dtype=float)
         self.stat_series = {k: np.asarray(v, dtype=float) for k, v in stat_series.items()}
         self.label = label
+        self._memo = EnsembleMemo()
 
     def z_at(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
         k = min(t_index, self.z_coefficients.shape[0] - 1)
@@ -227,12 +260,16 @@ class BsdeFeedbackControl:
         return {name: float(series[t_index]) for name, series in self.stat_series.items()}
 
     def actions(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
+        idx = self._memo.lookup(paths, t_index, lambda: self._argmin(paths, t_index))
+        return self.grid.array()[idx]
+
+    def _argmin(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
         z = self.z_at(paths, t_index)
         t = paths.grid.times[t_index]
-        _, acts = minimized_hamiltonian(
+        _, idx = minimized_hamiltonian(
             self.scenario, t, paths.state(t_index), paths.sup(t_index),
-            self.stats_at(t_index), z[:, 0], self.grid)
-        return acts
+            self.stats_at(t_index), z[:, 0], self.grid, indices=True)
+        return idx.astype(grid_index_dtype(self.grid))
 
 
 # ---------------------------------------------------------------------------

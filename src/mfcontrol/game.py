@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import BasisSpec, BsdeSolution, features_at, solve_driver_bsde, terminal_values
-from .control import _particle_column, constant_control, evaluate_payoff
+from .control import (EnsembleMemo, _particle_column, constant_control, evaluate_payoff,
+                      grid_index_dtype)
 from .core import PathEnsemble
 from .girsanov import DensityProcess, FixpointResult, fixpoint_measure_flow
 from .measure import MeasureFlow, reference_flow, tv_pathspace
@@ -60,6 +61,7 @@ class EnvelopeValues:
     lower_u / lower_v achieve max_v min_u (v's choice with u's best reply);
     upper_u / upper_v achieve min_u max_v.  The candidate saddle pair is
     (upper_u, lower_v): each side plays its own guaranteed-value strategy.
+    upper_u_index / lower_v_index are the pair's rows in the grid arrays.
     """
 
     lower: np.ndarray
@@ -68,6 +70,8 @@ class EnvelopeValues:
     lower_v: np.ndarray
     upper_u: np.ndarray
     upper_v: np.ndarray
+    upper_u_index: np.ndarray
+    lower_v_index: np.ndarray
 
     @property
     def gap(self) -> np.ndarray:
@@ -93,26 +97,32 @@ def envelopes(scenario: GameScenario, t: float, state, sup, stats_row: dict,
     h = scenario.running_cost.evaluate(xb, stats_row, u_axis, v_axis)
     inv = scenario.sigma.inv_scalar_values(t, x0, sup)
     hams = h + (z0 * inv)[None, None, :] * f  # (nu, nv, particles)
+    return envelope_extremes(hams, u_arr, v_arr)
 
-    m = hams.shape[2]
-    cols = np.arange(m)
 
-    min_u = np.min(hams, axis=0)            # (nv, m)
-    argmin_u = np.argmin(hams, axis=0)
-    idx_v_lower = np.argmax(min_u, axis=0)  # (m,)
-    lower = min_u[idx_v_lower, cols]
-    lower_v = v_arr[idx_v_lower]
-    lower_u = u_arr[argmin_u[idx_v_lower, cols]]
+def envelope_extremes(hams: np.ndarray, u_arr: np.ndarray,
+                      v_arr: np.ndarray) -> EnvelopeValues:
+    """Envelopes of a (nu, nv, particles) Hamiltonian array over its grids.
 
-    max_v = np.max(hams, axis=1)            # (nu, m)
-    argmax_v = np.argmax(hams, axis=1)
-    idx_u_upper = np.argmin(max_v, axis=0)  # (m,)
-    upper = max_v[idx_u_upper, cols]
-    upper_u = u_arr[idx_u_upper]
-    upper_v = v_arr[argmax_v[idx_u_upper, cols]]
+    Each argmin / argmax is taken once and its extreme read back with
+    take_along_axis, so every value is the Hamiltonian at the reported
+    (first) extremizer.
+    """
+    cols = np.arange(hams.shape[2])
 
-    return EnvelopeValues(lower=lower, upper=upper, lower_u=lower_u,
-                          lower_v=lower_v, upper_u=upper_u, upper_v=upper_v)
+    argmin_u = np.argmin(hams, axis=0)                                 # (nv, m)
+    min_u = np.take_along_axis(hams, argmin_u[None], axis=0)[0]
+    idx_v_lower = np.argmax(min_u, axis=0)                             # (m,)
+
+    argmax_v = np.argmax(hams, axis=1)                                 # (nu, m)
+    max_v = np.take_along_axis(hams, argmax_v[:, None], axis=1)[:, 0]
+    idx_u_upper = np.argmin(max_v, axis=0)                             # (m,)
+
+    return EnvelopeValues(
+        lower=min_u[idx_v_lower, cols], upper=max_v[idx_u_upper, cols],
+        lower_u=u_arr[argmin_u[idx_v_lower, cols]], lower_v=v_arr[idx_v_lower],
+        upper_u=u_arr[idx_u_upper], upper_v=v_arr[argmax_v[idx_u_upper, cols]],
+        upper_u_index=idx_u_upper, lower_v_index=idx_v_lower)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +204,9 @@ class PairFeedbackControl:
 
     u plays the upper-envelope minimizer, v the lower-envelope maximizer, both
     read at the regression estimate z(t, x).  Statistic trajectories are
-    frozen at synthesis time.
+    frozen at synthesis time, so one envelope evaluation per step and
+    ensemble serves both sides; it is kept as grid row indices and every
+    call returns fresh action arrays.
     """
 
     kind = "pair-feedback"
@@ -207,6 +219,7 @@ class PairFeedbackControl:
         self.z_coefficients = np.asarray(z_coefficients, dtype=float)
         self.stat_series = {k: np.asarray(v, dtype=float) for k, v in stat_series.items()}
         self.label = label
+        self._memo = EnsembleMemo()
 
     def z_at(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
         k = min(t_index, self.z_coefficients.shape[0] - 1)
@@ -217,11 +230,17 @@ class PairFeedbackControl:
         return {name: float(series[t_index]) for name, series in self.stat_series.items()}
 
     def actions_pair(self, paths: PathEnsemble, t_index: int) -> tuple[np.ndarray, np.ndarray]:
+        iu, iv = self._memo.lookup(paths, t_index,
+                                   lambda: self._saddle_indices(paths, t_index))
+        return self.scenario.actions_u.array()[iu], self.scenario.actions_v.array()[iv]
+
+    def _saddle_indices(self, paths: PathEnsemble, t_index: int):
         z = self.z_at(paths, t_index)
         t = paths.grid.times[t_index]
         env = envelopes(self.scenario, t, paths.state(t_index), paths.sup(t_index),
                         self.stats_at(t_index), z[:, 0])
-        return env.upper_u, env.lower_v
+        return (env.upper_u_index.astype(grid_index_dtype(self.scenario.actions_u)),
+                env.lower_v_index.astype(grid_index_dtype(self.scenario.actions_v)))
 
     @property
     def u_control(self) -> PairSideControl:

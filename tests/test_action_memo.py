@@ -1,0 +1,162 @@
+"""Feedback actions are computed once per (ensemble, step) and reused.
+
+The synthesized feedbacks freeze their statistics at synthesis, so their
+actions depend only on the ensemble they are read on.  The memo is keyed by
+the ensemble's identity: these tests check it against the uncached formula
+across ensemble switches, against callers that write to returned arrays, and
+by counting the minimization kernels it calls.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import mfcontrol.control as control_mod
+import mfcontrol.game as game_mod
+from mfcontrol import (
+    ActionGrid,
+    BasisSpec,
+    BsdeFeedbackControl,
+    PairFeedbackControl,
+    envelopes,
+    minimized_hamiltonian,
+    simulate_for_scenario,
+)
+from mfcontrol.control import grid_index_dtype
+
+STEPS = 8
+
+
+def _coefficients(basis, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(scale=1.5, size=(STEPS, basis.width(1), 1))
+
+
+@pytest.fixture(scope="module")
+def ensembles(mean_field):
+    a = simulate_for_scenario(mean_field, particles=300, steps=STEPS, seed=1)
+    b = simulate_for_scenario(mean_field, particles=300, steps=STEPS, seed=2)
+    return a, b
+
+
+@pytest.fixture
+def feedback(mean_field):
+    basis = BasisSpec()
+    stats = {"mean": np.linspace(0.0, 0.4, STEPS + 1)}
+    return BsdeFeedbackControl(mean_field, mean_field.actions, basis,
+                               _coefficients(basis, 21), stats)
+
+
+@pytest.fixture
+def pair(separated_game):
+    basis = BasisSpec()
+    stats = {"mean": np.zeros(STEPS + 1)}
+    return PairFeedbackControl(separated_game, basis, _coefficients(basis, 22), stats)
+
+
+def uncached_actions(control, paths, k):
+    z = control.z_at(paths, k)
+    _, acts = minimized_hamiltonian(control.scenario, paths.grid.times[k],
+                                    paths.state(k), paths.sup(k),
+                                    control.stats_at(k), z[:, 0], control.grid)
+    return acts
+
+
+def uncached_pair(pair, paths, k):
+    z = pair.z_at(paths, k)
+    env = envelopes(pair.scenario, paths.grid.times[k], paths.state(k),
+                    paths.sup(k), pair.stats_at(k), z[:, 0])
+    return env.upper_u, env.lower_v
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_feedback_actions_match_uncached_across_ensemble_switches(feedback, ensembles):
+    a, b = ensembles
+    ref = {id(p): [uncached_actions(feedback, p, k) for k in range(STEPS + 1)]
+           for p in (a, b)}
+    # the actions must vary, or equality would not show which ensemble was read
+    assert len(np.unique(np.concatenate(ref[id(a)]))) > 2
+    assert any(not np.array_equal(x, y) for x, y in zip(ref[id(a)], ref[id(b)]))
+    for paths in (a, b, a, a, b):
+        for k in range(STEPS + 1):
+            np.testing.assert_array_equal(feedback.actions(paths, k), ref[id(paths)][k])
+
+
+def test_pair_actions_match_uncached_across_ensemble_switches(pair, ensembles):
+    a, b = ensembles
+    ref = {id(p): [uncached_pair(pair, p, k) for k in range(STEPS + 1)] for p in (a, b)}
+    assert len(np.unique(np.concatenate([u for u, _ in ref[id(a)]]))) > 2
+    for paths in (a, b, a, a, b):
+        for k in range(STEPS + 1):
+            u, v = pair.actions_pair(paths, k)
+            np.testing.assert_array_equal(u, ref[id(paths)][k][0])
+            np.testing.assert_array_equal(v, ref[id(paths)][k][1])
+            np.testing.assert_array_equal(pair.u_control.actions(paths, k), u)
+            np.testing.assert_array_equal(pair.v_control.actions(paths, k), v)
+
+
+def test_returned_arrays_do_not_alias_the_memo(feedback, pair, ensembles):
+    a, _ = ensembles
+    for k in range(STEPS + 1):
+        expected = uncached_actions(feedback, a, k)
+        feedback.actions(a, k)[:] = 1e9
+        np.testing.assert_array_equal(feedback.actions(a, k), expected)
+
+        eu, ev = uncached_pair(pair, a, k)
+        u, v = pair.actions_pair(a, k)
+        u[:] = 1e9
+        v[:] = -1e9
+        pair.u_control.actions(a, k)[:] = 1e9
+        pair.v_control.actions(a, k)[:] = -1e9
+        u, v = pair.actions_pair(a, k)
+        np.testing.assert_array_equal(u, eu)
+        np.testing.assert_array_equal(v, ev)
+
+
+def test_feedback_minimizes_once_per_step_and_ensemble(feedback, ensembles, monkeypatch):
+    a, _ = ensembles
+    calls = counting(monkeypatch, control_mod, "minimized_hamiltonian")
+    for _ in range(3):
+        for k in range(STEPS + 1):
+            feedback.actions(a, k)
+    assert len(calls) == STEPS + 1
+    # an equal but distinct ensemble is another key: identity, not equality
+    twin = dataclasses.replace(a)
+    assert twin is not a
+    for k in range(STEPS + 1):
+        np.testing.assert_array_equal(feedback.actions(twin, k), feedback.actions(a, k))
+    assert len(calls) == 3 * (STEPS + 1)
+
+
+def test_pair_sides_share_one_envelope_call_per_step(pair, ensembles, monkeypatch):
+    a, b = ensembles
+    calls = counting(monkeypatch, game_mod, "envelopes")
+    u_side, v_side = pair.u_control, pair.v_control
+    for k in range(STEPS + 1):
+        u_side.actions(a, k)
+        v_side.actions(a, k)
+    assert len(calls) == STEPS + 1
+    for k in range(STEPS + 1):
+        v_side.actions(b, k)
+        u_side.actions(b, k)
+        pair.actions_pair(b, k)
+    assert len(calls) == 2 * (STEPS + 1)
+
+
+@pytest.mark.parametrize("count,dtype", [(1, np.uint8), (11, np.uint8), (256, np.uint8),
+                                         (257, np.uint16), (70000, np.uint32)])
+def test_grid_index_dtype_is_the_smallest_unsigned_fit(count, dtype):
+    grid = ActionGrid(points=tuple((float(i),) for i in range(count)))
+    assert grid_index_dtype(grid) == dtype

@@ -6,10 +6,15 @@ output can be parsed and compared byte-for-byte across identical runs.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mfcontrol import main
+import mfcontrol
+from mfcontrol import builtin_scenarios, main
 
 FAST = ["--seed", "3", "--particles", "400", "--steps", "10"]
 
@@ -66,6 +71,30 @@ def test_list_scenarios(capsys):
     assert len(lines) == 6
     assert any(line.startswith("linear-quadratic") for line in lines)
     assert any("game" in line for line in lines)
+
+
+def run_module(*argv):
+    src = str(Path(mfcontrol.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["mfcontrol", "mfcontrol.cli"])
+def test_module_entry_points_list_scenarios(module):
+    proc = run_module(module, "list-scenarios")
+    assert proc.returncode == 0, proc.stderr
+    names = [line.split()[0] for line in proc.stdout.strip().splitlines()]
+    assert names == list(builtin_scenarios())
+
+
+@pytest.mark.parametrize("module", ["mfcontrol", "mfcontrol.cli"])
+def test_module_entry_points_exit_2_on_bad_flag(module):
+    proc = run_module(module, "simulate", "--scenario", "zero-drift", "--seed", "1",
+                      "--frobnicate")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -31,6 +31,7 @@ from mfcontrol import (
     solve_game,
     verify_saddle,
 )
+from mfcontrol.game import envelope_extremes
 
 
 def _game_config(**overrides):
@@ -141,6 +142,69 @@ def test_envelope_gap_ignores_action_free_cost_terms(bilinear_game):
     moved = envelopes(shifted, 0.0, x, np.abs(x), {"mean": 0.0}, z)
     np.testing.assert_allclose(moved.gap, base.gap, rtol=1e-12)
     np.testing.assert_allclose(moved.upper, base.upper + 0.7, rtol=1e-12)
+
+
+def brute_force_envelopes(hams):
+    """Per-particle max-min and min-max by explicit loops, first extremizer
+    winning every tie (strict comparisons in grid order)."""
+    nu, nv, m = hams.shape
+    out = {key: np.empty(m, dtype=hams.dtype) for key in ("lower", "upper")}
+    out.update({key: np.empty(m, dtype=int) for key in ("lu", "lv", "uu", "uv")})
+    for i in range(m):
+        best_v, best_u, best = 0, 0, None
+        for j in range(nv):
+            ju = 0
+            for a in range(1, nu):
+                if hams[a, j, i] < hams[ju, j, i]:
+                    ju = a
+            if best is None or hams[ju, j, i] > best:
+                best, best_v, best_u = hams[ju, j, i], j, ju
+        out["lower"][i], out["lv"][i], out["lu"][i] = best, best_v, best_u
+        best_u, best_v, best = 0, 0, None
+        for a in range(nu):
+            av = 0
+            for j in range(1, nv):
+                if hams[a, j, i] > hams[a, av, i]:
+                    av = j
+            if best is None or hams[a, av, i] < best:
+                best, best_u, best_v = hams[a, av, i], a, av
+        out["upper"][i], out["uu"][i], out["uv"][i] = best, best_u, best_v
+    return out
+
+
+@pytest.mark.parametrize("shape,levels", [((5, 4, 300), 3), ((3, 6, 200), 2),
+                                          ((7, 7, 100), 1000), ((1, 5, 50), 3),
+                                          ((4, 1, 50), 3)])
+def test_envelope_extremes_match_brute_force_with_ties(shape, levels):
+    rng = np.random.default_rng(sum(shape) + levels)
+    # few distinct levels force ties on both axes; the float offset keeps
+    # the values non-integer so no exact-arithmetic shortcut applies
+    hams = rng.integers(0, levels, size=shape) * 0.37 - 0.11
+    u_arr = np.linspace(-1.0, 1.0, shape[0])[:, None]
+    v_arr = np.linspace(-2.0, 2.0, shape[1])[:, None]
+    env = envelope_extremes(hams, u_arr, v_arr)
+    ref = brute_force_envelopes(hams)
+    np.testing.assert_array_equal(env.lower, ref["lower"])
+    np.testing.assert_array_equal(env.upper, ref["upper"])
+    np.testing.assert_array_equal(env.upper_u_index, ref["uu"])
+    np.testing.assert_array_equal(env.lower_v_index, ref["lv"])
+    np.testing.assert_array_equal(env.lower_u, u_arr[ref["lu"]])
+    np.testing.assert_array_equal(env.lower_v, v_arr[ref["lv"]])
+    np.testing.assert_array_equal(env.upper_u, u_arr[ref["uu"]])
+    np.testing.assert_array_equal(env.upper_v, v_arr[ref["uv"]])
+    assert np.all(env.gap >= 0.0)
+
+
+def test_envelope_extremes_equal_separate_min_and_argmin_passes():
+    rng = np.random.default_rng(3)
+    hams = rng.integers(0, 4, size=(11, 11, 500)) * 0.1 + rng.normal(size=(1, 1, 500))
+    arr = np.linspace(-1.0, 1.0, 11)[:, None]
+    env = envelope_extremes(hams, arr, arr)
+    cols = np.arange(500)
+    min_u = np.min(hams, axis=0)
+    np.testing.assert_array_equal(env.lower, min_u[np.argmax(min_u, axis=0), cols])
+    max_v = np.max(hams, axis=1)
+    np.testing.assert_array_equal(env.upper, max_v[np.argmin(max_v, axis=0), cols])
 
 
 # ---------------------------------------------------------------------------
