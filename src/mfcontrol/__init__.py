@@ -112,7 +112,6 @@ from .game import (
     verify_saddle,
 )
 from .verify import AcceptanceContext, CheckResult, run_battery
-from .cli import main
 
 __all__ = [
     "__version__",
@@ -153,3 +152,12 @@ __all__ = [
     # acceptance battery and CLI
     "AcceptanceContext", "CheckResult", "run_battery", "main",
 ]
+
+
+def __getattr__(name: str):
+    # main is imported on first use, so that `python -m mfcontrol.cli` does not
+    # find the CLI module already imported by the package
+    if name == "main":
+        from .cli import main
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

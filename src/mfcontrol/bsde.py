@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PathEnsemble
-from .girsanov import drift_evaluator
+from .girsanov import control_actions, drift_evaluator
 from .measure import MeasureFlow
 from .scenario import GameScenario, Scenario
 
@@ -224,23 +224,10 @@ def linear_driver(scenario: Scenario | GameScenario, flow: MeasureFlow, control)
     series = {name: flow.statistic_series(name) for name in names}
     times = paths.grid.times
 
-    def row(k: int) -> dict[str, float]:
-        return {name: series[name][k] for name in names}
-
-    if scenario.kind == "game":
-        def driver_at(k: int, z: np.ndarray) -> np.ndarray:
-            if hasattr(control, "actions_pair"):
-                u, v = control.actions_pair(paths, k)
-            else:
-                u, v = control[0].actions(paths, k), control[1].actions(paths, k)
-            h = scenario.running_cost.evaluate(paths.values[:, k, 0], row(k), u[:, 0], v[:, 0])
-            theta = scenario.sigma.inv_apply(times[k], paths.state(k), paths.sup(k), drift_at(k))
-            return h + np.sum(z * theta, axis=1)
-        return driver_at
-
     def driver_at(k: int, z: np.ndarray) -> np.ndarray:
-        u = control.actions(paths, k)
-        h = scenario.running_cost.evaluate(paths.values[:, k, 0], row(k), u[:, 0])
+        row = {name: series[name][k] for name in names}
+        acts = (a[:, 0] for a in control_actions(control, paths, slice(None), slice(k, k + 1)))
+        h = scenario.running_cost.evaluate(paths.values[:, k, 0], row, *acts)
         theta = scenario.sigma.inv_apply(times[k], paths.state(k), paths.sup(k), drift_at(k))
         return h + np.sum(z * theta, axis=1)
 

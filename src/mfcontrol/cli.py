@@ -129,23 +129,39 @@ def _config_echo(args, extra: dict | None = None) -> dict:
     return echo
 
 
-def _parse_controls(args, scen, specs: list) -> list:
-    """Decode control specs; for games, consecutive entries pair up as (u, v)."""
+def _parse_controls(scen, specs: list, path: str = "control") -> list:
+    """Decode control specs; for games, consecutive entries pair up as (u, v).
+    A malformed spec is a ConfigError at path."""
     try:
         if scen.kind == "game":
             if len(specs) % 2 != 0:
-                raise ConfigError("control", "games take controls in u,v pairs")
-            out = []
-            for i in range(0, len(specs), 2):
-                cu = parse_control(specs[i], scen.actions_u)
-                cv = parse_control(specs[i + 1], scen.actions_v)
-                out.append((cu, cv))
-            return out
+                raise ConfigError(path, "games take controls in u,v pairs")
+            return [(parse_control(specs[i], scen.actions_u),
+                     parse_control(specs[i + 1], scen.actions_v))
+                    for i in range(0, len(specs), 2)]
         return [parse_control(s, scen.actions) for s in specs]
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
-        raise ConfigError("control", str(exc)) from exc
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _file_controls(scen, doc) -> list:
+    """Decode a controls file: a list of specs, or for games of objects with
+    u and v entries.  Errors name the entry as controls-file[i]."""
+    if not isinstance(doc, list):
+        raise ConfigError("controls-file", "expected a JSON list of control specs")
+    out = []
+    for i, entry in enumerate(doc):
+        path = f"controls-file[{i}]"
+        if scen.kind == "game":
+            if not isinstance(entry, dict) or not {"u", "v"} <= entry.keys():
+                raise ConfigError(path, "a game entry is an object with u and v entries")
+            entry = [entry["u"], entry["v"]]
+        else:
+            entry = [entry]
+        out.extend(_parse_controls(scen, entry, path))
+    return out
 
 
 def _pair_label(entry) -> str:
@@ -181,7 +197,7 @@ def _run_fixpoint(args, scen):
     if len(specs) != want:
         raise ConfigError("control", f"fixpoint needs exactly {want} --control "
                                      f"spec(s) for this scenario")
-    control = _parse_controls(args, scen, specs)[0]
+    control = _parse_controls(scen, specs)[0]
     paths = simulate_for_scenario(scen, args.particles, args.steps, args.seed)
     try:
         fix = fixpoint_measure_flow(scen, control, paths, tol=args.tol)
@@ -214,19 +230,11 @@ def _run_fixpoint(args, scen):
 
 
 def _run_evaluate(args, scen):
-    specs = list(args.control or [])
+    controls = _parse_controls(scen, list(args.control or []))
     if args.controls_file:
-        doc = json.loads(Path(args.controls_file).read_text())
-        if not isinstance(doc, list):
-            raise ConfigError("controls-file", "expected a JSON list of control specs")
-        if scen.kind == "game":
-            for entry in doc:
-                specs.extend([entry["u"], entry["v"]])
-        else:
-            specs.extend(doc)
-    if not specs:
+        controls += _file_controls(scen, json.loads(Path(args.controls_file).read_text()))
+    if not controls:
         raise ConfigError("control", "evaluate needs --control or --controls-file")
-    controls = _parse_controls(args, scen, specs)
     paths = simulate_for_scenario(scen, args.particles, args.steps, args.seed)
     rows = []
     for entry in controls:

@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import BasisSpec, BsdeSolution, features_at, solve_driver_bsde, solve_linear_bsde, terminal_values
-from .core import PathEnsemble
-from .girsanov import DensityProcess, FixpointDiagnostics, FixpointResult, fixpoint_measure_flow
+from .core import PathEnsemble, particle_blocks
+from .girsanov import (DensityProcess, FixpointDiagnostics, FixpointResult, control_actions,
+                       fixpoint_measure_flow)
 from .measure import MeasureFlow, reference_flow, tv_pathspace
 from .scenario import ActionGrid, GameScenario, Scenario
 
@@ -68,25 +69,31 @@ class Control:
             return len(self.value)
         return 1
 
-    def actions(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
-        m = paths.particles
+    def actions_over(self, paths: PathEnsemble, rows: slice, steps: slice) -> np.ndarray:
+        """Fresh (rows, steps, dim) actions on a block of particles and grid
+        times (slices of the ensemble's axes)."""
+        x0 = paths.values[rows, steps, 0]
         if self.kind == "constant":
-            return np.tile(np.asarray(self.value, dtype=float), (m, 1))
-        x0 = paths.values[:, t_index, 0]
+            return np.full((*x0.shape, len(self.value)), self.value)
         if self.kind == "parametric":
             a, b, c = self.coeffs
-            raw = a + b * x0 + c * paths.running_sup[:, t_index]
+            raw = a + b * x0 + c * paths.running_sup[rows, steps]
         elif self.kind == "table":
             vals = np.asarray(self.table_values, dtype=float)
-            row = vals[min(t_index, vals.shape[0] - 1)]
+            t_index = np.arange(paths.grid.steps + 1)[steps]
+            row = vals[np.minimum(t_index, vals.shape[0] - 1)]
             idx = np.clip(np.searchsorted(self.table_edges, x0, side="right") - 1,
-                          0, len(row) - 1)
-            raw = row[idx]
+                          0, row.shape[1] - 1)
+            raw = row[np.arange(len(t_index)), idx]
         else:
             raise ValueError(f"unknown control kind {self.kind!r}")
         if self.box_lo:
             raw = np.clip(raw, self.box_lo[0], self.box_hi[0])
-        return raw[:, None]
+        return raw[..., None]
+
+    def actions(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
+        """Fresh (particles, dim) actions at one grid time."""
+        return self.actions_over(paths, slice(None), slice(t_index, t_index + 1))[:, 0]
 
 
 def _grid_box(grid: ActionGrid | None) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -98,6 +105,8 @@ def _grid_box(grid: ActionGrid | None) -> tuple[tuple[float, ...], tuple[float, 
 
 def constant_control(value, grid: ActionGrid | None = None, label: str = "") -> Control:
     value = tuple(float(v) for v in np.atleast_1d(value))
+    if not value:
+        raise ValueError("a constant control needs at least one value")
     lo, hi = _grid_box(grid)
     if lo:
         value = tuple(float(np.clip(v, l, h)) for v, l, h in zip(value, lo, hi))
@@ -115,9 +124,12 @@ def parametric_control(a: float, b: float, c: float, grid: ActionGrid | None = N
 
 def table_control(edges, values, grid: ActionGrid | None = None, label: str = "") -> Control:
     lo, hi = _grid_box(grid)
+    values = tuple(tuple(float(v) for v in row) for row in values)
+    if not values or not values[0] or len({len(row) for row in values}) != 1:
+        raise ValueError("a table control needs equal, non-empty rows of values")
     return Control(kind="table",
                    table_edges=tuple(float(e) for e in edges),
-                   table_values=tuple(tuple(float(v) for v in row) for row in values),
+                   table_values=values,
                    box_lo=lo, box_hi=hi, label=label or "table")
 
 
@@ -133,15 +145,22 @@ def parse_control(spec: dict | str, grid: ActionGrid) -> Control:
                 raise ValueError("parametric control needs three coefficients a,b,c")
             return parametric_control(*vals, grid=grid)
         raise ValueError(f"cannot parse control spec {spec!r}")
+    if not isinstance(spec, dict):
+        raise ValueError(f"a control spec is a string or an object, not {type(spec).__name__}")
     kind = spec.get("kind")
-    if kind == "constant":
-        return constant_control(spec["value"], grid, label=spec.get("label", ""))
-    if kind == "parametric":
-        a, b, c = spec["coeffs"]
-        return parametric_control(a, b, c, grid, label=spec.get("label", ""))
-    if kind == "table":
-        return table_control(spec["edges"], spec["values"], grid,
-                             label=spec.get("label", ""))
+    try:
+        if kind == "constant":
+            return constant_control(spec["value"], grid, label=spec.get("label", ""))
+        if kind == "parametric":
+            a, b, c = spec["coeffs"]
+            return parametric_control(a, b, c, grid, label=spec.get("label", ""))
+        if kind == "table":
+            return table_control(spec["edges"], spec["values"], grid,
+                                 label=spec.get("label", ""))
+    except KeyError as exc:
+        raise ValueError(f"{kind} control needs a {exc.args[0]!r} entry") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed {kind} control: {exc}") from exc
     raise ValueError(f"unknown control kind {kind!r}")
 
 
@@ -259,9 +278,15 @@ class BsdeFeedbackControl:
     def stats_at(self, t_index: int) -> dict[str, float]:
         return {name: float(series[t_index]) for name, series in self.stat_series.items()}
 
-    def actions(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
-        idx = self._memo.lookup(paths, t_index, lambda: self._argmin(paths, t_index))
+    def actions_over(self, paths: PathEnsemble, rows: slice, steps: slice) -> np.ndarray:
+        """Fresh (rows, steps, d_u) actions gathered from the memoized grid
+        rows of each step."""
+        idx = np.stack([self._memo.lookup(paths, k, lambda k=k: self._argmin(paths, k))[rows]
+                        for k in range(paths.grid.steps + 1)[steps]], axis=1)
         return self.grid.array()[idx]
+
+    def actions(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
+        return self.actions_over(paths, slice(None), slice(t_index, t_index + 1))[:, 0]
 
     def _argmin(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
         z = self.z_at(paths, t_index)
@@ -304,25 +329,17 @@ def evaluate_payoff(scenario: Scenario | GameScenario, control, paths: PathEnsem
         fixpoint = fixpoint_measure_flow(scenario, control, paths, tol=tol, max_iter=max_iter)
     flow, density = fixpoint.flow, fixpoint.density
     n = paths.grid.steps
-    names = tuple(dict.fromkeys((*scenario.running_cost.stat_names(),
-                                 *scenario.terminal_cost.stat_names())))
-    series = {name: flow.statistic_series(name) for name in names}
+    series = {name: flow.statistic_series(name)
+              for name in scenario.running_cost.stat_names()}
 
-    h_mat = np.empty((paths.particles, n + 1))
-    for k in range(n + 1):
-        row = {name: series[name][k] for name in names}
-        x0 = paths.values[:, k, 0]
-        if scenario.kind == "game":
-            if hasattr(control, "actions_pair"):
-                u, v = control.actions_pair(paths, k)
-            else:
-                u, v = control[0].actions(paths, k), control[1].actions(paths, k)
-            h_mat[:, k] = scenario.running_cost.evaluate(x0, row, u[:, 0], v[:, 0])
-        else:
-            u = control.actions(paths, k)
-            h_mat[:, k] = scenario.running_cost.evaluate(x0, row, u[:, 0])
-
-    running = np.trapezoid(flow.weights * h_mat, dx=paths.grid.dt, axis=1)
+    # each block's weighted running costs are integrated in place; the rows of
+    # a block sum exactly as the rows of the whole matrix would
+    running = np.empty(paths.particles)
+    steps = slice(0, n + 1)
+    for rows in particle_blocks(paths.particles, n + 1):
+        h = scenario.running_cost.evaluate(
+            paths.values[rows, :, 0], series, *control_actions(control, paths, rows, steps))
+        running[rows] = np.trapezoid(flow.weights[rows] * h, dx=paths.grid.dt, axis=1)
     terminal = flow.weights[:, n] * terminal_values(scenario, flow)
     per_particle = running + terminal
     value = float(np.mean(per_particle))
@@ -563,18 +580,12 @@ def ekeland_distance(a, b, paths: PathEnsemble) -> float:
     the time mass (out of the horizon) on which their actions differ,
     averaged over particles.  A metric with values in [0, horizon]."""
     n = paths.grid.steps
-    dt = paths.grid.dt
-    total = 0
-    for k in range(n):
-        ua = a.actions(paths, k)
-        ub = b.actions(paths, k)
-        width = max(ua.shape[1], ub.shape[1])
-        pa = np.zeros((paths.particles, width))
-        pb = np.zeros((paths.particles, width))
-        pa[:, :ua.shape[1]] = ua
-        pb[:, :ub.shape[1]] = ub
-        total += int(np.count_nonzero(np.linalg.norm(pa - pb, axis=1) > 0))
-    return dt * total / paths.particles
+    ua = a.actions_over(paths, slice(None), slice(0, n))
+    ub = b.actions_over(paths, slice(None), slice(0, n))
+    width = max(ua.shape[2], ub.shape[2])
+    pad = lambda u: np.pad(u, ((0, 0), (0, 0), (0, width - u.shape[2])))
+    total = int(np.count_nonzero(np.linalg.norm(pad(ua) - pad(ub), axis=2) > 0))
+    return paths.grid.dt * total / paths.particles
 
 
 def envelope_bsde(scenario: Scenario, paths: PathEnsemble, controls,

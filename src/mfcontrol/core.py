@@ -137,6 +137,20 @@ def simulate_for_scenario(scenario: Scenario | GameScenario, particles: int,
     return simulate_reference(grid, brownian, scenario.sigma, scenario.initial_array)
 
 
+# Whole-path passes walk the ensemble in blocks of particles, each block over
+# all the steps it needs and about this many (particle, step) entries: a
+# block's rows are contiguous in memory, its temporaries stay in cache, and no
+# whole-ensemble intermediate is ever held.
+BLOCK_ENTRIES = 1 << 15
+
+
+def particle_blocks(particles: int, steps: int) -> list[slice]:
+    """Row slices that cover the particles in order, sized for blocks that
+    span the given number of steps."""
+    width = max(1, BLOCK_ENTRIES // max(steps, 1))
+    return [slice(i, min(i + width, particles)) for i in range(0, particles, width)]
+
+
 def path_statistic(paths: PathEnsemble, t_index: int, kind: str) -> np.ndarray:
     """Per-particle path functional at a grid time.
 

@@ -195,6 +195,9 @@ class PairSideControl:
         self._side = side
         self.label = label
 
+    def actions_over(self, paths: PathEnsemble, rows: slice, steps: slice) -> np.ndarray:
+        return self._pair.actions_pair_over(paths, rows, steps)[self._side]
+
     def actions(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
         return self._pair.actions_pair(paths, t_index)[self._side]
 
@@ -229,10 +232,19 @@ class PairFeedbackControl:
     def stats_at(self, t_index: int) -> dict[str, float]:
         return {name: float(series[t_index]) for name, series in self.stat_series.items()}
 
-    def actions_pair(self, paths: PathEnsemble, t_index: int) -> tuple[np.ndarray, np.ndarray]:
-        iu, iv = self._memo.lookup(paths, t_index,
-                                   lambda: self._saddle_indices(paths, t_index))
+    def actions_pair_over(self, paths: PathEnsemble, rows: slice,
+                          steps: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh (rows, steps, d) u and v actions gathered from the memoized
+        grid rows of each step."""
+        memo = [self._memo.lookup(paths, k, lambda k=k: self._saddle_indices(paths, k))
+                for k in range(paths.grid.steps + 1)[steps]]
+        iu = np.stack([u[rows] for u, _ in memo], axis=1)
+        iv = np.stack([v[rows] for _, v in memo], axis=1)
         return self.scenario.actions_u.array()[iu], self.scenario.actions_v.array()[iv]
+
+    def actions_pair(self, paths: PathEnsemble, t_index: int) -> tuple[np.ndarray, np.ndarray]:
+        u, v = self.actions_pair_over(paths, slice(None), slice(t_index, t_index + 1))
+        return u[:, 0], v[:, 0]
 
     def _saddle_indices(self, paths: PathEnsemble, t_index: int):
         z = self.z_at(paths, t_index)

@@ -21,12 +21,13 @@ zero with no Monte Carlo floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import BrownianEnsemble, PathEnsemble
-from .measure import MeasureFlow, reference_flow, tv_pathspace
-from .scenario import GameScenario, Scenario
+from .measure import MeasureFlow, drift_block, drift_rows, reference_flow, tv_pathspace
+from .scenario import GameScenario, Scenario, SingularDiffusionError
 
 
 class FixpointConvergenceError(RuntimeError):
@@ -46,9 +47,13 @@ class DensityProcess:
 
     log_weights: np.ndarray  # (particles, steps + 1), first column zero
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
+        """exp(log_weights), taken once and read-only: the measure flow built
+        from this density shares the array."""
+        w = np.exp(self.log_weights)
+        w.flags.writeable = False
+        return w
 
     def normalization(self) -> tuple[np.ndarray, np.ndarray]:
         """(E[L_t], stderr) at every grid time; should straddle one."""
@@ -65,69 +70,118 @@ class DensityProcess:
         }
 
 
-def drift_evaluator(scenario: Scenario | GameScenario, flow: MeasureFlow, control):
-    """Closure t_index -> (particles, dim) drift values along the flow's ensemble.
+def control_actions(control, paths: PathEnsemble, rows: slice,
+                    steps: slice) -> tuple[np.ndarray, ...]:
+    """Coordinate 0 of the actions on the particles `rows` at the grid times
+    `steps`, each shaped (rows, steps): (u,) for a single control, (u, v) for
+    a game pair given as a (u, v) tuple of controls or an object with
+    actions_pair_over.  The drift and cost registries take them as trailing
+    arguments."""
+    if hasattr(control, "actions_pair_over"):
+        sides = control.actions_pair_over(paths, rows, steps)
+    elif isinstance(control, (tuple, list)):
+        sides = [c.actions_over(paths, rows, steps) for c in control]
+    else:
+        sides = [control.actions_over(paths, rows, steps)]
+    return tuple(a[..., 0] for a in sides)
+
+
+class DriftEvaluator:
+    """Drift values of a control (or pair) along the flow's ensemble.
+
+    evaluator(t_index) gives the (particles, dim) drift at one grid time and
+    evaluator.over(rows, steps) the (rows, steps, dim) drift on a block of
+    particles and grid times, from one registry call with each statistic
+    series broadcast along time.  Only the statistic series are held; nothing
+    the size of the ensemble is kept between calls.
+    """
+
+    def __init__(self, scenario: Scenario | GameScenario, flow: MeasureFlow, control):
+        self.scenario = scenario
+        self.paths = flow.paths
+        self.control = control
+        self.series = {name: flow.statistic_series(name)
+                       for name in scenario.drift.stat_names()}
+
+    def over(self, rows: slice, steps: slice) -> np.ndarray:
+        paths = self.paths
+        x0 = paths.values[rows, steps, 0]
+        row = {name: series[steps] for name, series in self.series.items()}
+        f0 = self.scenario.drift.evaluate(x0, row,
+                                          *control_actions(self.control, paths, rows, steps))
+        if paths.dim == 1:
+            return f0.reshape(*x0.shape, 1)
+        out = np.zeros((*x0.shape, paths.dim))
+        out[..., 0] = f0
+        return out
+
+    def __call__(self, t_index: int) -> np.ndarray:
+        return self.over(slice(None), slice(t_index, t_index + 1))[:, 0]
+
+
+def drift_evaluator(scenario: Scenario | GameScenario, flow: MeasureFlow,
+                    control) -> DriftEvaluator:
+    """Drift of control along the flow's ensemble: callable t_index ->
+    (particles, dim), with a block form over(rows, steps).
 
     control is a single control for Scenario or a pair for GameScenario
     (either a (u, v) tuple or an object with actions_pair).  Statistic
     trajectories are read off the flow once, so repeated evaluation during the
     Picard loop stays cheap.
     """
-    paths = flow.paths
-    names = scenario.drift.stat_names()
-    series = {name: flow.statistic_series(name) for name in names}
-    dim = paths.dim
-
-    def row(k: int) -> dict[str, float]:
-        return {name: series[name][k] for name in names}
-
-    if scenario.kind == "game":
-        def drift_at(k: int) -> np.ndarray:
-            if hasattr(control, "actions_pair"):
-                u, v = control.actions_pair(paths, k)
-            else:
-                u, v = control[0].actions(paths, k), control[1].actions(paths, k)
-            f0 = scenario.drift.evaluate(paths.values[:, k, 0], row(k), u[:, 0], v[:, 0])
-            out = np.zeros((paths.particles, dim))
-            out[:, 0] = f0
-            return out
-        return drift_at
-
-    def drift_at(k: int) -> np.ndarray:
-        u = control.actions(paths, k)
-        f0 = scenario.drift.evaluate(paths.values[:, k, 0], row(k), u[:, 0])
-        out = np.zeros((paths.particles, dim))
-        out[:, 0] = f0
-        return out
-
-    return drift_at
+    return DriftEvaluator(scenario, flow, control)
 
 
 def density_process(paths: PathEnsemble, drift_at,
                     sigma, brownian: BrownianEnsemble | None = None) -> DensityProcess:
     """Accumulate the log density of the drift_at reweighting.
 
-    drift_at: callable t_index -> (particles, dim).  The increments default to
-    the ones the ensemble was simulated from.
+    drift_at: callable t_index -> (particles, dim); a DriftEvaluator is read
+    a block of particles at a time (see drift_rows).  The increments default
+    to the ones the ensemble was simulated from.  theta and the log
+    increments of a block are formed for all its steps at once and written
+    into the output, which one cumsum then accumulates in step order, the
+    order of the step-by-step recursion.  A non-finite theta or a
+    singular sigma raises for the first bad step, as that recursion does.
     """
     if brownian is None:
         brownian = paths.driver
     if brownian is None:
         raise ValueError("no Brownian increments attached to the ensemble")
     dw = brownian.increments
-    m, n, _ = dw.shape
+    m, n, d = dw.shape
     if paths.values.shape[0] != m or paths.grid.steps != n:
         raise ValueError("paths and increments disagree on ensemble shape")
     dt = paths.grid.dt
     times = paths.grid.times
-    log_w = np.zeros((m, n + 1))
-    for k in range(n):
-        f = np.asarray(drift_at(k), dtype=float)
-        theta = sigma.inv_apply(times[k], paths.state(k), paths.sup(k), f)
+
+    def increments(rows: slice, steps: slice, out: np.ndarray | None = None) -> np.ndarray:
+        theta = sigma.inv_apply(times[steps], paths.values[rows, steps],
+                                paths.running_sup[rows, steps],
+                                drift_block(drift_at, rows, steps))
         if not np.all(np.isfinite(theta)):
-            raise FloatingPointError(f"non-finite drift-to-noise ratio at t_index {k}")
-        incr = np.sum(theta * dw[:, k, :], axis=1) - 0.5 * dt * np.sum(theta * theta, axis=1)
-        log_w[:, k + 1] = log_w[:, k] + incr
+            bad = int(np.argmin(np.all(np.isfinite(theta), axis=(0, 2))))
+            raise FloatingPointError(f"non-finite drift-to-noise ratio at t_index "
+                                     f"{steps.start + bad}")
+        step_dw = dw[rows, steps]
+        if d == 1:
+            theta, step_dw = theta[..., 0], step_dw[..., 0]
+            drive, square = theta * step_dw, theta * theta
+        else:
+            drive = np.sum(theta * step_dw, axis=2)
+            square = np.sum(theta * theta, axis=2)
+        square *= 0.5 * dt
+        return np.subtract(drive, square, out=out)
+
+    log_w = np.zeros((m, n + 1))
+    try:
+        for rows in drift_rows(m, n + 1, drift_at):
+            increments(rows, slice(0, n), out=log_w[rows, 1:])
+    except (FloatingPointError, SingularDiffusionError):
+        for k in range(n):   # the first failing step raises its own error
+            increments(slice(None), slice(k, k + 1))
+        raise
+    np.cumsum(log_w, axis=1, out=log_w)
     return DensityProcess(log_weights=log_w)
 
 
@@ -202,7 +256,6 @@ def fixpoint_measure_flow(scenario: Scenario | GameScenario, control,
         raise ValueError("tol must be positive and max_iter >= 1")
     stats = scenario.statistic_map
     flow = reference_flow(paths, stats)
-    density = DensityProcess(log_weights=np.zeros_like(flow.weights))
     distances: list[float] = []
     stderrs: list[float] = []
     for _ in range(max_iter):

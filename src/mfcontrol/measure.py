@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PathEnsemble, TimeGrid
+from .core import PathEnsemble, TimeGrid, particle_blocks
 from .scenario import DiffusionSpec, StatisticSpec
 
 
@@ -159,13 +159,39 @@ def tv_marginal(a: MeasureFlow, b: MeasureFlow, t_index: int, bins: int = 64) ->
     return TVEstimate(value=min(value, 2.0), stderr=stderr, kind="marginal", bin_width=width)
 
 
+def drift_rows(particles: int, steps: int, *drifts) -> list[slice]:
+    """Particle blocks to read the drifts in: the ensemble's blocks when every
+    drift has the block form, otherwise all particles at once, so a plain
+    callable is called once per step."""
+    if all(hasattr(f, "over") for f in drifts):
+        return particle_blocks(particles, steps)
+    return [slice(None)]
+
+
+def drift_block(drift_at, rows: slice, steps: slice) -> np.ndarray:
+    """(rows, steps, dim) drift values on a block of particles and grid times.
+
+    steps is a slice with explicit start and stop.  Reads
+    drift_at.over(rows, steps) when the callable has that block form (a
+    DriftEvaluator does); otherwise calls it step by step.  A (particles,)
+    step value counts as dimension one.
+    """
+    over = getattr(drift_at, "over", None)
+    if over is not None:
+        return np.asarray(over(rows, steps), dtype=float)
+    f = np.stack([np.asarray(drift_at(k), dtype=float)[rows]
+                  for k in range(steps.start, steps.stop)], axis=1)
+    return f[..., None] if f.ndim == 2 else f
+
+
 def hellinger_bound(flow_a: MeasureFlow, drift_a, drift_b,
                     sigma: DiffusionSpec, grid: TimeGrid) -> tuple[float, float, float]:
     """Hellinger-process bound on the path-space TV between two reweightings.
 
     drift_a / drift_b are callables t_index -> (particles, dim) drift values
-    along the common ensemble.  Returns (gamma_hat, bound, stderr_of_gamma)
-    where gamma_hat is the weighted trapezoid estimate of
+    along the common ensemble, read a block of particles at a time (see
+    drift_block).  Returns (gamma_hat, bound, stderr_of_gamma) where
+    gamma_hat is the weighted trapezoid estimate of
 
         E_A[ (1/8) int_0^T (bA - bB)^T (sigma sigma^T)^{-1} (bA - bB) dt ]
 
@@ -173,14 +199,13 @@ def hellinger_bound(flow_a: MeasureFlow, drift_a, drift_b,
     """
     paths = flow_a.paths
     n = grid.steps
-    times = grid.times
-    integrand = np.empty((paths.particles, n + 1))
-    for k in range(n + 1):
-        diff = np.asarray(drift_a(k), dtype=float) - np.asarray(drift_b(k), dtype=float)
-        if diff.ndim == 1:
-            diff = diff[:, None]
-        integrand[:, k] = sigma.inv_quadform(times[k], paths.state(k), paths.sup(k), diff)
-    gamma_paths = np.trapezoid(integrand, dx=grid.dt, axis=1) / 8.0
+    steps = slice(0, n + 1)
+    gamma_paths = np.empty(paths.particles)
+    for rows in drift_rows(paths.particles, n + 1, drift_a, drift_b):
+        diff = drift_block(drift_a, rows, steps) - drift_block(drift_b, rows, steps)
+        integrand = sigma.inv_quadform(grid.times, paths.values[rows],
+                                       paths.running_sup[rows], diff)
+        gamma_paths[rows] = np.trapezoid(integrand, dx=grid.dt, axis=1) / 8.0
     weighted = flow_a.weights[:, n] * gamma_paths
     gamma_hat = float(np.mean(weighted))
     stderr = float(np.std(weighted) / np.sqrt(paths.particles))

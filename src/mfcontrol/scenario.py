@@ -169,9 +169,16 @@ class DiffusionSpec:
             vals = self.base + self.slope * sup
         return np.asarray(vals, dtype=float)
 
-    def _guard(self, vals: np.ndarray, t: float):
+    def _guard(self, vals: np.ndarray, t):
+        """Raise on a (near-)zero sigma value.  t is one grid time or, for a
+        block of steps, the times along the last axis of vals; the message
+        names the first singular time and its particle count."""
         bad = np.abs(vals) < _SIGMA_FLOOR
         if np.any(bad):
+            if np.ndim(t):
+                bad = bad.reshape(-1, np.size(t))
+                first = int(np.argmax(np.any(bad, axis=0)))
+                t, bad = np.ravel(t)[first], bad[:, first]
             raise SingularDiffusionError(
                 f"sigma is singular at t={t:g} for {int(np.count_nonzero(bad))} particle(s)"
             )
@@ -196,29 +203,39 @@ class DiffusionSpec:
         self._guard(vals, t)
         return 1.0 / vals
 
-    def inv_apply(self, t: float, state: np.ndarray, sup: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """sigma^{-1}(t, path) @ vec."""
+    def inv_apply(self, t, state: np.ndarray, sup: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """sigma^{-1}(t, path) @ vec.
+
+        One grid time with state (M, d), sup (M,), vec (M, d), or a block of
+        steps: t (B,), state (M, B, d), sup (M, B), vec (M, B, d)."""
         m = self.matrix_array()
         if m is not None:
             if abs(float(np.linalg.det(m))) < _SIGMA_FLOOR:
                 raise SingularDiffusionError("constant sigma matrix is singular")
-            return np.linalg.solve(m, vec.T).T
+            flat = vec.reshape(-1, vec.shape[-1])
+            return np.linalg.solve(m, flat.T).T.reshape(vec.shape)
         if state.shape[-1] == 1:
+            if self.kind == "constant":
+                if abs(self.base) < _SIGMA_FLOOR:
+                    self._guard(self.scalar_values(t, state[..., 0], sup), t)
+                return (1.0 / self.base) * vec
             return self.inv_scalar_values(t, state[..., 0], sup)[..., None] * vec
-        self._guard(np.asarray([self.base]), t)
+        self._guard(np.asarray([self.base]), np.ravel(t)[0])
         return vec / self.base
 
-    def inv_quadform(self, t: float, state: np.ndarray, sup: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """vec^T (sigma sigma^T)^{-1} vec per particle, for the Hellinger integrand."""
+    def inv_quadform(self, t, state: np.ndarray, sup: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """vec^T (sigma sigma^T)^{-1} vec per particle, for the Hellinger
+        integrand; one grid time or a block of steps, as in inv_apply."""
         m = self.matrix_array()
         if m is not None:
             a = m @ m.T
-            sol = np.linalg.solve(a, vec.T).T
-            return np.einsum("ij,ij->i", vec, sol)
+            flat = vec.reshape(-1, vec.shape[-1])
+            sol = np.linalg.solve(a, flat.T).T
+            return np.einsum("ij,ij->i", flat, sol).reshape(vec.shape[:-1])
         if state.shape[-1] == 1:
             inv = self.inv_scalar_values(t, state[..., 0], sup)
             return (vec[..., 0] * inv) ** 2
-        self._guard(np.asarray([self.base]), t)
+        self._guard(np.asarray([self.base]), np.ravel(t)[0])
         return np.sum(vec * vec, axis=-1) / self.base**2
 
 

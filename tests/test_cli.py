@@ -87,6 +87,7 @@ def test_module_entry_points_list_scenarios(module):
     assert proc.returncode == 0, proc.stderr
     names = [line.split()[0] for line in proc.stdout.strip().splitlines()]
     assert names == list(builtin_scenarios())
+    assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("module", ["mfcontrol", "mfcontrol.cli"])
@@ -292,6 +293,24 @@ def test_evaluate_game_rejects_odd_control_count(capsys):
 def test_evaluate_bad_control_spec_exits_2(capsys):
     assert main(["evaluate", "--scenario", "linear-quadratic", *FAST,
                  "--control", "banana:1"]) == 2
+
+
+@pytest.mark.parametrize("scenario,entries,message", [
+    ("separated-game", ["constant:0"], "an object with u and v"),
+    ("linear-quadratic", ["constant:0", 1], "a string or an object"),
+    ("linear-quadratic", [{"kind": "constant"}], "'value'"),
+])
+def test_evaluate_malformed_controls_file_entry_exits_2(capsys, tmp_path, scenario,
+                                                        entries, message):
+    listing = tmp_path / "controls.json"
+    listing.write_text(json.dumps(entries))
+    code, out, err = run_cli(capsys, ["evaluate", "--scenario", scenario, *FAST,
+                                      "--controls-file", str(listing)])
+    assert code == 2
+    assert out == ""
+    index = len(entries) - 1
+    assert f"configuration error: controls-file[{index}]: " in err
+    assert message in err
 
 
 # ---------------------------------------------------------------------------

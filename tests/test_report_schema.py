@@ -1,7 +1,7 @@
 """docs/report-schema.md lists exactly the keys the CLI emits.
 
-The fixpoint and game sections document `results` as a table of dotted key
-paths (list entries as `name[].field`).  Each test runs the subcommand at a
+The simulate, fixpoint, evaluate and game sections document `results` as a
+table of dotted key paths (list entries as `name[].field`).  Each test runs the subcommand at a
 tiny scale and compares the flattened keys of its `results` with the table,
 so a key added, renamed or dropped on either side fails here.
 """
@@ -43,6 +43,30 @@ def emitted_keys(obj, prefix: str = "") -> set[str]:
 def run_results(capsys, argv):
     code = main([*argv, *TINY])
     return code, json.loads(capsys.readouterr().out)["results"]
+
+
+def test_simulate_keys_match_schema(capsys):
+    code, results = run_results(capsys, ["simulate", "--scenario", "zero-drift"])
+    assert code == 0
+    assert emitted_keys(results) == documented_keys("simulate")
+
+
+def test_evaluate_keys_match_schema(capsys):
+    code, results = run_results(capsys, ["evaluate", "--scenario", "linear-quadratic",
+                                         "--control", "constant:0.5",
+                                         "--control", "parametric:0,1,0"])
+    assert code == 0
+    assert len(results["controls"]) == 2
+    assert emitted_keys(results) == documented_keys("evaluate")
+
+
+def test_evaluate_game_keys_match_schema(capsys):
+    code, results = run_results(capsys, ["evaluate", "--scenario", "separated-game",
+                                         "--control", "constant:-1",
+                                         "--control", "constant:1"])
+    assert code == 0
+    assert results["controls"][0]["label"] == "(const[-1], const[1])"
+    assert emitted_keys(results) == documented_keys("evaluate")
 
 
 def test_fixpoint_keys_match_schema(capsys):
