@@ -215,17 +215,21 @@ def solve_driver_bsde(paths: PathEnsemble, terminal: np.ndarray, driver_at,
     return _backward(paths, terminal, driver_at, basis)
 
 
+def _stat_series(scenario: Scenario | GameScenario, flow: MeasureFlow) -> dict[str, np.ndarray]:
+    """The flow's series of every statistic the running cost or the drift reads."""
+    names = dict.fromkeys((*scenario.running_cost.stat_names(), *scenario.drift.stat_names()))
+    return {name: flow.statistic_series(name) for name in names}
+
+
 def linear_driver(scenario: Scenario | GameScenario, flow: MeasureFlow, control):
     """Driver (t_index, z) -> h + z . sigma^{-1} f for a fixed control (or pair)."""
     paths = flow.paths
     drift_at = drift_evaluator(scenario, flow, control)
-    names = tuple(dict.fromkeys((*scenario.running_cost.stat_names(),
-                                 *scenario.drift.stat_names())))
-    series = {name: flow.statistic_series(name) for name in names}
+    series = _stat_series(scenario, flow)
     times = paths.grid.times
 
     def driver_at(k: int, z: np.ndarray) -> np.ndarray:
-        row = {name: series[name][k] for name in names}
+        row = {name: s[k] for name, s in series.items()}
         acts = (a[:, 0] for a in control_actions(control, paths, slice(None), slice(k, k + 1)))
         h = scenario.running_cost.evaluate(paths.values[:, k, 0], row, *acts)
         theta = scenario.sigma.inv_apply(times[k], paths.state(k), paths.sup(k), drift_at(k))

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import BasisSpec, BsdeSolution, features_at, solve_driver_bsde, solve_linear_bsde, terminal_values
+from .bsde import (BasisSpec, BsdeSolution, _stat_series, features_at, solve_driver_bsde,
+                   solve_linear_bsde, terminal_values)
 from .core import PathEnsemble, particle_blocks
 from .girsanov import (DensityProcess, FixpointDiagnostics, FixpointResult, control_actions,
                        fixpoint_measure_flow)
@@ -174,24 +175,33 @@ def _particle_column(arr) -> np.ndarray:
     return out[:, 0] if out.ndim == 2 else out
 
 
-def hamiltonian(scenario: Scenario, t: float, state, sup, stats_row: dict,
-                z, actions) -> np.ndarray:
+def _hamiltonian_values(scenario: Scenario | GameScenario, t: float, state, sup,
+                        stats_row: dict, z, actions) -> np.ndarray:
+    """H = h + z . sigma^{-1} f at each particle, the last axis.  The actions
+    (u, or u and v) are particle columns or action-grid axes that broadcast
+    against the particles."""
+    x0 = _particle_column(state)
+    f = scenario.drift.evaluate(x0, stats_row, *actions)
+    inv = scenario.sigma.inv_scalar_values(t, x0, np.asarray(sup, dtype=float))
+    h = scenario.running_cost.evaluate(x0, stats_row, *actions)
+    return h + _particle_column(z) * inv * f
+
+
+def hamiltonian(scenario: Scenario | GameScenario, t: float, state, sup, stats_row: dict,
+                z, *actions) -> np.ndarray:
     """Per-particle H = h + z . sigma^{-1} f, one value per particle.
 
-    state, z, actions may come as (m, d) arrays; the registry reads
+    actions is u for a single-controller scenario and u, v for a game.
+    state, z and each action may come as (m, d) arrays; the registry reads
     coordinate 0 of each.  stats_row maps statistic names to their values at
     time t under the measure flow being priced.
     """
-    if scenario.kind == "game":
+    if scenario.kind == "game" and len(actions) != 2:
         raise TypeError("use game_hamiltonian for two-player scenarios")
-    x0 = _particle_column(state)
-    z0 = _particle_column(z)
-    u0 = _particle_column(actions)
-    sup = np.asarray(sup, dtype=float)
-    f = scenario.drift.evaluate(x0, stats_row, u0)
-    inv = scenario.sigma.inv_scalar_values(t, x0, sup)
-    h = scenario.running_cost.evaluate(x0, stats_row, u0)
-    return h + z0 * inv * f
+    if scenario.kind != "game" and len(actions) != 1:
+        raise TypeError("game_hamiltonian needs a two-player scenario")
+    return _hamiltonian_values(scenario, t, state, sup, stats_row, z,
+                               [_particle_column(a) for a in actions])
 
 
 def minimized_hamiltonian(scenario: Scenario, t: float, state, sup,
@@ -205,15 +215,9 @@ def minimized_hamiltonian(scenario: Scenario, t: float, state, sup,
     """
     if scenario.kind == "game":
         raise TypeError("use game envelopes for two-player scenarios")
-    x0 = _particle_column(state)
-    z0 = _particle_column(z)
-    sup = np.asarray(sup, dtype=float)
-    arr = grid.array()  # (n, d_u), sorted
-    u_axis = arr[:, 0][:, None]  # dynamics and costs read action coordinate 0
-    f = scenario.drift.evaluate(x0[None, :], stats_row, u_axis)
-    inv = scenario.sigma.inv_scalar_values(t, x0, sup)
-    h = scenario.running_cost.evaluate(x0[None, :], stats_row, u_axis)
-    hams = h + (z0 * inv)[None, :] * f  # (n, particles)
+    arr = grid.array()  # (n, d_u), sorted; dynamics and costs read coordinate 0
+    hams = _hamiltonian_values(scenario, t, state, sup, stats_row, z,
+                               [arr[:, 0][:, None]])  # (n, particles)
     idx = np.argmin(hams, axis=0)
     values = hams[idx, np.arange(hams.shape[1])]
     return values, (idx if indices else arr[idx])
@@ -246,28 +250,28 @@ class EnsembleMemo:
         return hit
 
 
-class BsdeFeedbackControl:
+class _GridFeedback:
     """Feedback synthesized from a backward solution.
 
-    Actions are the pointwise Hamiltonian minimizers at the regression
-    estimate z(t, x) rebuilt from the stored per-step coefficients; the
-    statistic trajectories are frozen at synthesis time, so the rule is a
-    plain deterministic function of (t, current state, running sup).  Each
-    step's argmin is therefore computed once per ensemble and kept as grid
-    row indices; every call returns a fresh action array.
+    Actions are extremizers of the Hamiltonian over finite action grids at
+    the regression estimate z(t, x) rebuilt from the stored per-step
+    coefficients; the statistic trajectories are frozen at synthesis time,
+    so the rule is a plain deterministic function of (t, current state,
+    running sup).  Each step's extremizers are therefore computed once per
+    ensemble and kept as grid row indices; every call returns fresh action
+    arrays.  A subclass names its grids and its per-step extremizer,
+    _extremizer_rows(t, state, sup, stats_row, z) -> one index array per grid.
     """
 
-    kind = "bsde-feedback"
-
-    def __init__(self, scenario: Scenario, grid: ActionGrid, basis: BasisSpec,
-                 z_coefficients: np.ndarray, stat_series: dict[str, np.ndarray],
-                 label: str = "bsde-feedback"):
+    def __init__(self, scenario: Scenario | GameScenario, grids: tuple[ActionGrid, ...],
+                 basis: BasisSpec, z_coefficients: np.ndarray,
+                 stat_series: dict[str, np.ndarray], label: str):
         self.scenario = scenario
-        self.grid = grid
         self.basis = basis
         self.z_coefficients = np.asarray(z_coefficients, dtype=float)
         self.stat_series = {k: np.asarray(v, dtype=float) for k, v in stat_series.items()}
         self.label = label
+        self._grids = grids
         self._memo = EnsembleMemo()
 
     def z_at(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
@@ -278,23 +282,46 @@ class BsdeFeedbackControl:
     def stats_at(self, t_index: int) -> dict[str, float]:
         return {name: float(series[t_index]) for name, series in self.stat_series.items()}
 
+    def _gather(self, paths: PathEnsemble, rows: slice, steps: slice) -> tuple[np.ndarray, ...]:
+        """Fresh (rows, steps, d) actions on each grid, gathered from the
+        memoized grid rows of each step."""
+        memo = [self._memo.lookup(paths, k, lambda k=k: self._step_rows(paths, k))
+                for k in range(paths.grid.steps + 1)[steps]]
+        return tuple(grid.array()[np.stack([step[i][rows] for step in memo], axis=1)]
+                     for i, grid in enumerate(self._grids))
+
+    def _step_rows(self, paths: PathEnsemble, t_index: int) -> tuple[np.ndarray, ...]:
+        z = self.z_at(paths, t_index)
+        found = self._extremizer_rows(paths.grid.times[t_index], paths.state(t_index),
+                                      paths.sup(t_index), self.stats_at(t_index), z[:, 0])
+        return tuple(idx.astype(grid_index_dtype(grid))
+                     for idx, grid in zip(found, self._grids))
+
+
+class BsdeFeedbackControl(_GridFeedback):
+    """Feedback of the control problem: the pointwise Hamiltonian minimizer
+    over its action grid."""
+
+    kind = "bsde-feedback"
+
+    def __init__(self, scenario: Scenario, grid: ActionGrid, basis: BasisSpec,
+                 z_coefficients: np.ndarray, stat_series: dict[str, np.ndarray],
+                 label: str = "bsde-feedback"):
+        super().__init__(scenario, (grid,), basis, z_coefficients, stat_series, label)
+        self.grid = grid
+
+    def _extremizer_rows(self, t, state, sup, stats_row, z) -> tuple[np.ndarray]:
+        _, idx = minimized_hamiltonian(self.scenario, t, state, sup, stats_row, z,
+                                       self.grid, indices=True)
+        return (idx,)
+
     def actions_over(self, paths: PathEnsemble, rows: slice, steps: slice) -> np.ndarray:
-        """Fresh (rows, steps, d_u) actions gathered from the memoized grid
-        rows of each step."""
-        idx = np.stack([self._memo.lookup(paths, k, lambda k=k: self._argmin(paths, k))[rows]
-                        for k in range(paths.grid.steps + 1)[steps]], axis=1)
-        return self.grid.array()[idx]
+        """Fresh (rows, steps, d_u) actions on a block of particles and grid
+        times."""
+        return self._gather(paths, rows, steps)[0]
 
     def actions(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
         return self.actions_over(paths, slice(None), slice(t_index, t_index + 1))[:, 0]
-
-    def _argmin(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
-        z = self.z_at(paths, t_index)
-        t = paths.grid.times[t_index]
-        _, idx = minimized_hamiltonian(
-            self.scenario, t, paths.state(t_index), paths.sup(t_index),
-            self.stats_at(t_index), z[:, 0], self.grid, indices=True)
-        return idx.astype(grid_index_dtype(self.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -407,26 +434,52 @@ class OptimizationReport:
         }
 
 
-def _minimized_driver(scenario: Scenario, flow: MeasureFlow, grid: ActionGrid):
+def _extremal_solve(scenario: Scenario | GameScenario, flow: MeasureFlow, extreme_h,
+                    basis: BasisSpec) -> BsdeSolution:
+    """Backward solve at the flow whose driver is the extremal Hamiltonian
+    extreme_h(t, state, sup, stats_row, z) -> one value per particle."""
     paths = flow.paths
-    names = tuple(dict.fromkeys((*scenario.running_cost.stat_names(),
-                                 *scenario.drift.stat_names())))
-    series = {name: flow.statistic_series(name) for name in names}
+    terminal = terminal_values(scenario, flow)
+    series = _stat_series(scenario, flow)
     times = paths.grid.times
 
     def driver_at(k: int, z: np.ndarray) -> np.ndarray:
-        row = {name: series[name][k] for name in names}
-        values, _ = minimized_hamiltonian(
-            scenario, times[k], paths.state(k), paths.sup(k), row, z[:, 0], grid)
-        return values
+        row = {name: s[k] for name, s in series.items()}
+        return extreme_h(times[k], paths.state(k), paths.sup(k), row, z[:, 0])
 
-    return driver_at
+    return solve_driver_bsde(paths, terminal, driver_at, basis)
 
 
-def _stat_snapshot(scenario: Scenario, flow: MeasureFlow) -> dict[str, np.ndarray]:
-    names = tuple(dict.fromkeys((*scenario.running_cost.stat_names(),
-                                 *scenario.drift.stat_names())))
-    return {name: flow.statistic_series(name).copy() for name in names}
+def _synthesize(scenario: Scenario | GameScenario, paths: PathEnsemble, basis: BasisSpec,
+                extreme_h, feedback, tol: float, max_outer: int, fixpoint_tol: float,
+                fixpoint_max_iter: int):
+    """The synthesis loop of the control problem and of the game.
+
+    Starting from the reference flow: solve the backward equation driven by
+    extreme_h (min over u of H, or its lower envelope) on the current flow,
+    synthesize feedback(z_coefficients, frozen statistic series) from it,
+    rematch the flow to that feedback, and stop once the horizon TV between
+    successive flows drops below tol.  The backward value is then solved
+    again on the matched flow and the feedback priced there.  Returns
+    (feedback, fixpoint result, final solution, payoff, trace, converged).
+    """
+    flow = reference_flow(paths, scenario.statistic_map)
+    trace: list[tuple[int, float, float]] = []
+    for it in range(1, max_outer + 1):
+        sol = _extremal_solve(scenario, flow, extreme_h, basis)
+        control = feedback(sol.z_coefficients,
+                           {name: s.copy() for name, s in _stat_series(scenario, flow).items()})
+        fixres = fixpoint_measure_flow(scenario, control, paths,
+                                       tol=fixpoint_tol, max_iter=fixpoint_max_iter)
+        est = tv_pathspace(flow, fixres.flow, paths.grid.steps)
+        trace.append((it, est.value, est.stderr))
+        flow = fixres.flow
+        if est.value < tol:
+            break
+
+    final_sol = _extremal_solve(scenario, flow, extreme_h, basis)
+    payoff = evaluate_payoff(scenario, control, paths, fixpoint=fixres)
+    return control, fixres, final_sol, payoff, tuple(trace), trace[-1][1] < tol
 
 
 def policy_iteration(scenario: Scenario, paths: PathEnsemble,
@@ -451,38 +504,20 @@ def policy_iteration(scenario: Scenario, paths: PathEnsemble,
     if basis is None:
         basis = BasisSpec()
 
-    flow = reference_flow(paths, scenario.statistic_map)
-    trace: list[tuple[int, float, float]] = []
-    converged = False
-    control: BsdeFeedbackControl | None = None
-    fixres: FixpointResult | None = None
-    for it in range(1, max_outer + 1):
-        terminal = terminal_values(scenario, flow)
-        sol = solve_driver_bsde(paths, terminal, _minimized_driver(scenario, flow, grid), basis)
-        control = BsdeFeedbackControl(scenario, grid, basis, sol.z_coefficients,
-                                      _stat_snapshot(scenario, flow))
-        fixres = fixpoint_measure_flow(scenario, control, paths,
-                                       tol=fixpoint_tol, max_iter=fixpoint_max_iter)
-        est = tv_pathspace(flow, fixres.flow, paths.grid.steps)
-        trace.append((it, est.value, est.stderr))
-        flow = fixres.flow
-        if est.value < tol:
-            converged = True
-            break
-
-    # report the backward value on the matched flow
-    terminal = terminal_values(scenario, flow)
-    final_sol = solve_driver_bsde(paths, terminal, _minimized_driver(scenario, flow, grid), basis)
-
-    payoff = evaluate_payoff(scenario, control, paths, fixpoint=fixres)
-    h_res = _argmin_residual(scenario, control, final_sol, flow, grid,
+    control, fixres, final_sol, payoff, trace, converged = _synthesize(
+        scenario, paths, basis,
+        lambda t, state, sup, row, z: minimized_hamiltonian(
+            scenario, t, state, sup, row, z, grid)[0],
+        lambda coef, stats: BsdeFeedbackControl(scenario, grid, basis, coef, stats),
+        tol, max_outer, fixpoint_tol, fixpoint_max_iter)
+    h_res = _argmin_residual(scenario, control, final_sol, fixres.flow, grid,
                              residual_samples, seed)
     return OptimizationReport(
-        control=control, flow=flow, density=fixres.density,
+        control=control, flow=fixres.flow, density=fixres.density,
         y0=final_sol.y0, y0_stderr=final_sol.y0_stderr,
         j_hat=payoff.value, j_stderr=payoff.stderr,
         matching_residual=trace[-1][1], h_residual=h_res,
-        trace=tuple(trace), tol=tol, converged=converged, solution=final_sol)
+        trace=trace, tol=tol, converged=converged, solution=final_sol)
 
 
 def _argmin_residual(scenario: Scenario, control, sol: BsdeSolution,
@@ -495,13 +530,11 @@ def _argmin_residual(scenario: Scenario, control, sol: BsdeSolution,
     rng = np.random.default_rng(seed)
     m = paths.particles
     take = min(samples, m)
-    names = tuple(dict.fromkeys((*scenario.running_cost.stat_names(),
-                                 *scenario.drift.stat_names())))
-    series = {name: flow.statistic_series(name) for name in names}
+    series = _stat_series(scenario, flow)
     worst = 0.0
     for k in sorted({0, n // 4, n // 2, (3 * n) // 4, n - 1}):
         idx = rng.choice(m, size=take, replace=False)
-        row = {name: float(series[name][k]) for name in names}
+        row = {name: float(s[k]) for name, s in series.items()}
         t = paths.grid.times[k]
         x0 = paths.values[idx, k, 0]
         sup = paths.running_sup[idx, k]
@@ -622,16 +655,14 @@ def envelope_bsde(scenario: Scenario, paths: PathEnsemble, controls,
         raise ValueError("flows must pair up with controls")
 
     terminal = np.min([terminal_values(scenario, f) for f in flows], axis=0)
-    names = tuple(dict.fromkeys((*scenario.running_cost.stat_names(),
-                                 *scenario.drift.stat_names())))
-    series = [{name: f.statistic_series(name) for name in names} for f in flows]
+    series = [_stat_series(scenario, f) for f in flows]
     times = paths.grid.times
 
     def driver_at(k: int, z: np.ndarray) -> np.ndarray:
         state, sup = paths.state(k), paths.sup(k)
         values = None
         for control, ser in zip(controls, series):
-            row = {name: ser[name][k] for name in names}
+            row = {name: s[k] for name, s in ser.items()}
             h = hamiltonian(scenario, times[k], state, sup, row, z[:, 0],
                             control.actions(paths, k))
             values = h if values is None else np.minimum(values, h)

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import BasisSpec, BsdeSolution, features_at, solve_driver_bsde, terminal_values
-from .control import (EnsembleMemo, _particle_column, constant_control, evaluate_payoff,
-                      grid_index_dtype)
+from .bsde import BasisSpec, BsdeSolution
+from .control import (_GridFeedback, _hamiltonian_values, _synthesize, constant_control,
+                      evaluate_payoff, hamiltonian)
 from .core import PathEnsemble
-from .girsanov import DensityProcess, FixpointResult, fixpoint_measure_flow
-from .measure import MeasureFlow, reference_flow, tv_pathspace
+from .girsanov import DensityProcess
+from .measure import MeasureFlow
 from .scenario import ActionGrid, GameScenario
 
 
@@ -38,20 +38,8 @@ class IsaacsError(RuntimeError):
         self.report = report
 
 
-def game_hamiltonian(scenario: GameScenario, t: float, state, sup,
-                     stats_row: dict, z, actions_u, actions_v) -> np.ndarray:
-    """Per-particle H = h(u, v) + z . sigma^{-1} f(u, v)."""
-    if scenario.kind != "game":
-        raise TypeError("game_hamiltonian needs a two-player scenario")
-    x0 = _particle_column(state)
-    z0 = _particle_column(z)
-    u0 = _particle_column(actions_u)
-    v0 = _particle_column(actions_v)
-    sup = np.asarray(sup, dtype=float)
-    f = scenario.drift.evaluate(x0, stats_row, u0, v0)
-    inv = scenario.sigma.inv_scalar_values(t, x0, sup)
-    h = scenario.running_cost.evaluate(x0, stats_row, u0, v0)
-    return h + z0 * inv * f
+# H of a (u, v) pair: hamiltonian checks the action count against the scenario
+game_hamiltonian = hamiltonian
 
 
 @dataclass(frozen=True)
@@ -85,18 +73,11 @@ def envelopes(scenario: GameScenario, t: float, state, sup, stats_row: dict,
     Ties resolve to the lexicographically smallest action on both axes (the
     grids are sorted and argmin / argmax take the first extremizer).
     """
-    x0 = _particle_column(state)
-    z0 = _particle_column(z)
-    sup = np.asarray(sup, dtype=float)
     u_arr = scenario.actions_u.array()
     v_arr = scenario.actions_v.array()
-    u_axis = u_arr[:, 0][:, None, None]   # (nu, 1, 1)
-    v_axis = v_arr[:, 0][None, :, None]   # (1, nv, 1)
-    xb = x0[None, None, :]
-    f = scenario.drift.evaluate(xb, stats_row, u_axis, v_axis)
-    h = scenario.running_cost.evaluate(xb, stats_row, u_axis, v_axis)
-    inv = scenario.sigma.inv_scalar_values(t, x0, sup)
-    hams = h + (z0 * inv)[None, None, :] * f  # (nu, nv, particles)
+    hams = _hamiltonian_values(scenario, t, state, sup, stats_row, z,
+                               [u_arr[:, 0][:, None, None],     # (nu, 1, 1)
+                                v_arr[:, 0][None, :, None]])    # (1, nv, 1)
     return envelope_extremes(hams, u_arr, v_arr)
 
 
@@ -202,14 +183,12 @@ class PairSideControl:
         return self._pair.actions_pair(paths, t_index)[self._side]
 
 
-class PairFeedbackControl:
+class PairFeedbackControl(_GridFeedback):
     """Saddle candidate synthesized from a backward solution.
 
     u plays the upper-envelope minimizer, v the lower-envelope maximizer, both
-    read at the regression estimate z(t, x).  Statistic trajectories are
-    frozen at synthesis time, so one envelope evaluation per step and
-    ensemble serves both sides; it is kept as grid row indices and every
-    call returns fresh action arrays.
+    read at the regression estimate z(t, x); one envelope evaluation per step
+    and ensemble serves both sides.
     """
 
     kind = "pair-feedback"
@@ -217,42 +196,22 @@ class PairFeedbackControl:
     def __init__(self, scenario: GameScenario, basis: BasisSpec,
                  z_coefficients: np.ndarray, stat_series: dict[str, np.ndarray],
                  label: str = "saddle-feedback"):
-        self.scenario = scenario
-        self.basis = basis
-        self.z_coefficients = np.asarray(z_coefficients, dtype=float)
-        self.stat_series = {k: np.asarray(v, dtype=float) for k, v in stat_series.items()}
-        self.label = label
-        self._memo = EnsembleMemo()
+        super().__init__(scenario, (scenario.actions_u, scenario.actions_v), basis,
+                         z_coefficients, stat_series, label)
 
-    def z_at(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
-        k = min(t_index, self.z_coefficients.shape[0] - 1)
-        feats = features_at(paths, t_index, self.basis)
-        return feats @ self.z_coefficients[k]
-
-    def stats_at(self, t_index: int) -> dict[str, float]:
-        return {name: float(series[t_index]) for name, series in self.stat_series.items()}
+    def _extremizer_rows(self, t, state, sup, stats_row, z) -> tuple[np.ndarray, np.ndarray]:
+        env = envelopes(self.scenario, t, state, sup, stats_row, z)
+        return env.upper_u_index, env.lower_v_index
 
     def actions_pair_over(self, paths: PathEnsemble, rows: slice,
                           steps: slice) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh (rows, steps, d) u and v actions gathered from the memoized
-        grid rows of each step."""
-        memo = [self._memo.lookup(paths, k, lambda k=k: self._saddle_indices(paths, k))
-                for k in range(paths.grid.steps + 1)[steps]]
-        iu = np.stack([u[rows] for u, _ in memo], axis=1)
-        iv = np.stack([v[rows] for _, v in memo], axis=1)
-        return self.scenario.actions_u.array()[iu], self.scenario.actions_v.array()[iv]
+        """Fresh (rows, steps, d) u and v actions on a block of particles and
+        grid times."""
+        return self._gather(paths, rows, steps)
 
     def actions_pair(self, paths: PathEnsemble, t_index: int) -> tuple[np.ndarray, np.ndarray]:
         u, v = self.actions_pair_over(paths, slice(None), slice(t_index, t_index + 1))
         return u[:, 0], v[:, 0]
-
-    def _saddle_indices(self, paths: PathEnsemble, t_index: int):
-        z = self.z_at(paths, t_index)
-        t = paths.grid.times[t_index]
-        env = envelopes(self.scenario, t, paths.state(t_index), paths.sup(t_index),
-                        self.stats_at(t_index), z[:, 0])
-        return (env.upper_u_index.astype(grid_index_dtype(self.scenario.actions_u)),
-                env.lower_v_index.astype(grid_index_dtype(self.scenario.actions_v)))
 
     @property
     def u_control(self) -> PairSideControl:
@@ -315,26 +274,6 @@ class SaddleReport:
         }
 
 
-def _envelope_driver(scenario: GameScenario, flow: MeasureFlow):
-    paths = flow.paths
-    names = tuple(dict.fromkeys((*scenario.running_cost.stat_names(),
-                                 *scenario.drift.stat_names())))
-    series = {name: flow.statistic_series(name) for name in names}
-    times = paths.grid.times
-
-    def driver_at(k: int, z: np.ndarray) -> np.ndarray:
-        row = {name: series[name][k] for name in names}
-        env = envelopes(scenario, times[k], paths.state(k), paths.sup(k), row, z[:, 0])
-        return env.lower
-    return driver_at
-
-
-def _stat_snapshot(scenario: GameScenario, flow: MeasureFlow) -> dict[str, np.ndarray]:
-    names = tuple(dict.fromkeys((*scenario.running_cost.stat_names(),
-                                 *scenario.drift.stat_names())))
-    return {name: flow.statistic_series(name).copy() for name in names}
-
-
 def solve_game(scenario: GameScenario, paths: PathEnsemble,
                basis: BasisSpec | None = None, tol: float = 1e-3,
                max_outer: int = 20, fixpoint_tol: float = 1e-3,
@@ -357,34 +296,17 @@ def solve_game(scenario: GameScenario, paths: PathEnsemble,
     if not isaacs.holds:
         raise IsaacsError(isaacs)
 
-    flow = reference_flow(paths, scenario.statistic_map)
-    trace: list[tuple[int, float, float]] = []
-    converged = False
-    pair: PairFeedbackControl | None = None
-    fixres: FixpointResult | None = None
-    for it in range(1, max_outer + 1):
-        terminal = terminal_values(scenario, flow)
-        sol = solve_driver_bsde(paths, terminal, _envelope_driver(scenario, flow), basis)
-        pair = PairFeedbackControl(scenario, basis, sol.z_coefficients,
-                                   _stat_snapshot(scenario, flow))
-        fixres = fixpoint_measure_flow(scenario, pair, paths,
-                                       tol=fixpoint_tol, max_iter=fixpoint_max_iter)
-        est = tv_pathspace(flow, fixres.flow, paths.grid.steps)
-        trace.append((it, est.value, est.stderr))
-        flow = fixres.flow
-        if est.value < tol:
-            converged = True
-            break
-
-    terminal = terminal_values(scenario, flow)
-    final_sol = solve_driver_bsde(paths, terminal, _envelope_driver(scenario, flow), basis)
-    payoff = evaluate_payoff(scenario, pair, paths, fixpoint=fixres)
+    pair, fixres, final_sol, payoff, trace, converged = _synthesize(
+        scenario, paths, basis,
+        lambda t, state, sup, row, z: envelopes(scenario, t, state, sup, row, z).lower,
+        lambda coef, stats: PairFeedbackControl(scenario, basis, coef, stats),
+        tol, max_outer, fixpoint_tol, fixpoint_max_iter)
     return SaddleReport(
-        pair=pair, flow=flow, density=fixres.density,
+        pair=pair, flow=fixres.flow, density=fixres.density,
         value=final_sol.y0, value_stderr=final_sol.y0_stderr,
         j_hat=payoff.value, j_stderr=payoff.stderr,
         matching_residual=trace[-1][1], isaacs=isaacs,
-        trace=tuple(trace), tol=tol, converged=converged, solution=final_sol)
+        trace=trace, tol=tol, converged=converged, solution=final_sol)
 
 
 # ---------------------------------------------------------------------------
@@ -430,23 +352,17 @@ def verify_saddle(scenario: GameScenario, paths: PathEnsemble,
         v_deviations = _grid_constants(scenario.actions_v)
     pair = report.pair
     j0, se0 = report.j_hat, report.j_stderr
-    u_rows, v_rows = [], []
+    rows = {"u": [], "v": []}
     passed = True
-    for c in u_deviations:
-        res = evaluate_payoff(scenario, (c, pair.v_control), paths)
-        slack = res.value - j0
-        tol3 = 3.0 * float(np.hypot(res.stderr, se0))
-        ok = bool(slack >= -tol3)
-        passed = passed and ok
-        u_rows.append({"label": getattr(c, "label", "u-dev"), "payoff": res.value,
-                       "stderr": res.stderr, "slack": slack, "tol": tol3, "ok": ok})
-    for c in v_deviations:
-        res = evaluate_payoff(scenario, (pair.u_control, c), paths)
-        slack = j0 - res.value
-        tol3 = 3.0 * float(np.hypot(res.stderr, se0))
-        ok = bool(slack >= -tol3)
-        passed = passed and ok
-        v_rows.append({"label": getattr(c, "label", "v-dev"), "payoff": res.value,
-                       "stderr": res.stderr, "slack": slack, "tol": tol3, "ok": ok})
-    return SaddleCheckReport(u_rows=tuple(u_rows), v_rows=tuple(v_rows),
+    for side, deviations in (("u", u_deviations), ("v", v_deviations)):
+        for c in deviations:
+            played = (c, pair.v_control) if side == "u" else (pair.u_control, c)
+            res = evaluate_payoff(scenario, played, paths)
+            slack = res.value - j0 if side == "u" else j0 - res.value
+            tol3 = 3.0 * float(np.hypot(res.stderr, se0))
+            ok = bool(slack >= -tol3)
+            passed = passed and ok
+            rows[side].append({"label": getattr(c, "label", f"{side}-dev"), "payoff": res.value,
+                               "stderr": res.stderr, "slack": slack, "tol": tol3, "ok": ok})
+    return SaddleCheckReport(u_rows=tuple(rows["u"]), v_rows=tuple(rows["v"]),
                              j_pair=j0, j_pair_stderr=se0, passed=passed)

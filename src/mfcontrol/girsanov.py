@@ -125,9 +125,9 @@ def drift_evaluator(scenario: Scenario | GameScenario, flow: MeasureFlow,
     (particles, dim), with a block form over(rows, steps).
 
     control is a single control for Scenario or a pair for GameScenario
-    (either a (u, v) tuple or an object with actions_pair).  Statistic
-    trajectories are read off the flow once, so repeated evaluation during the
-    Picard loop stays cheap.
+    (either a (u, v) tuple or an object with actions_pair_over; see
+    control_actions).  Statistic trajectories are read off the flow once,
+    so repeated evaluation during the Picard loop stays cheap.
     """
     return DriftEvaluator(scenario, flow, control)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -243,8 +244,28 @@ class DiffusionSpec:
 # drift
 
 
+class _AffineDrift:
+    """What the two affine drift registries share: the bound-scale check, the
+    statistic names, and the statistic terms with the optional tanh clip."""
+
+    def __post_init__(self):
+        if self.bound_scale is not None and self.bound_scale <= 0:
+            raise ConfigError("drift.bound_scale", "bound scale must be positive")
+
+    def stat_names(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self.stats)
+
+    def _with_stats(self, out, stats_row):
+        for name, coeff in self.stats:
+            if coeff != 0.0:
+                out = out + coeff * stats_row[name]
+        if self.bound_scale is not None:
+            out = self.bound_scale * np.tanh(out / self.bound_scale)
+        return out
+
+
 @dataclass(frozen=True)
-class DriftSpec:
+class DriftSpec(_AffineDrift):
     """Controlled drift f(t, x, mu, u) = A x + sum B_j m_j + C u + c0.
 
     stats maps statistic names to coefficients B_j; m_j(t) is the flow's value
@@ -259,10 +280,6 @@ class DriftSpec:
     const: float = 0.0
     bound_scale: float | None = None
 
-    def __post_init__(self):
-        if self.bound_scale is not None and self.bound_scale <= 0:
-            raise ConfigError("drift.bound_scale", "bound scale must be positive")
-
     @property
     def trivially_zero(self) -> bool:
         return (
@@ -272,30 +289,13 @@ class DriftSpec:
             and all(c == 0.0 for _, c in self.stats)
         )
 
-    @property
-    def measure_dependent(self) -> bool:
-        return any(c != 0.0 for _, c in self.stats)
-
-    def stat_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.stats)
-
-    def raw(self, x0, stats_row, u):
-        out = self.state * x0 + self.control * u + self.const
-        for name, coeff in self.stats:
-            if coeff != 0.0:
-                out = out + coeff * stats_row[name]
-        return out
-
     def evaluate(self, x0, stats_row, u):
         """Scalar drift (coordinate 0), broadcasting over any leading shape."""
-        out = self.raw(x0, stats_row, u)
-        if self.bound_scale is not None:
-            out = self.bound_scale * np.tanh(out / self.bound_scale)
-        return out
+        return self._with_stats(self.state * x0 + self.control * u + self.const, stats_row)
 
 
 @dataclass(frozen=True)
-class GameDriftSpec:
+class GameDriftSpec(_AffineDrift):
     """Two-player drift f = A x + sum B_j m_j + Cu u + Cv v + c0."""
 
     state: float = 0.0
@@ -304,10 +304,6 @@ class GameDriftSpec:
     control_v: float = 0.0
     const: float = 0.0
     bound_scale: float | None = None
-
-    def __post_init__(self):
-        if self.bound_scale is not None and self.bound_scale <= 0:
-            raise ConfigError("drift.bound_scale", "bound scale must be positive")
 
     @property
     def trivially_zero(self) -> bool:
@@ -319,21 +315,9 @@ class GameDriftSpec:
             and all(c == 0.0 for _, c in self.stats)
         )
 
-    @property
-    def measure_dependent(self) -> bool:
-        return any(c != 0.0 for _, c in self.stats)
-
-    def stat_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.stats)
-
     def evaluate(self, x0, stats_row, u, v):
-        out = self.state * x0 + self.control_u * u + self.control_v * v + self.const
-        for name, coeff in self.stats:
-            if coeff != 0.0:
-                out = out + coeff * stats_row[name]
-        if self.bound_scale is not None:
-            out = self.bound_scale * np.tanh(out / self.bound_scale)
-        return out
+        return self._with_stats(
+            self.state * x0 + self.control_u * u + self.control_v * v + self.const, stats_row)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +484,8 @@ class ActionGrid:
         if len(self.points) == 0:
             raise ConfigError("actions", "action grid is empty")
         dims = {len(p) for p in self.points}
-        if len(dims) != 1:
-            raise ConfigError("actions", "action points have mixed dimensions")
+        if len(dims) != 1 or 0 in dims:
+            raise ConfigError("actions", "action points need one common dimension >= 1")
         if tuple(sorted(self.points)) != self.points:
             raise ConfigError("actions", "action points must be lexicographically sorted")
 
@@ -550,8 +534,24 @@ class ActionGrid:
 # scenarios
 
 
+class _ScenarioViews:
+    """Views shared by the single-controller and the two-player scenario."""
+
+    @property
+    def initial_array(self) -> np.ndarray:
+        return np.asarray(self.initial, dtype=float)
+
+    @property
+    def statistic_map(self) -> dict[str, StatisticSpec]:
+        return dict(self.statistics)
+
+    def referenced_statistics(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys((*self.drift.stat_names(), *self.running_cost.stat_names(),
+                                    *self.terminal_cost.stat_names())))
+
+
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(_ScenarioViews):
     """Immutable single-controller problem description."""
 
     name: str
@@ -567,25 +567,9 @@ class Scenario:
 
     kind = "control"
 
-    @property
-    def initial_array(self) -> np.ndarray:
-        return np.asarray(self.initial, dtype=float)
-
-    @property
-    def statistic_map(self) -> dict[str, StatisticSpec]:
-        return dict(self.statistics)
-
-    def referenced_statistics(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for n in (*self.drift.stat_names(), *self.running_cost.stat_names(),
-                  *self.terminal_cost.stat_names()):
-            if n not in names:
-                names.append(n)
-        return tuple(names)
-
 
 @dataclass(frozen=True)
-class GameScenario:
+class GameScenario(_ScenarioViews):
     """Immutable zero-sum two-player problem description.  Player u minimizes
     the payoff, player v maximizes."""
 
@@ -603,22 +587,6 @@ class GameScenario:
 
     kind = "game"
 
-    @property
-    def initial_array(self) -> np.ndarray:
-        return np.asarray(self.initial, dtype=float)
-
-    @property
-    def statistic_map(self) -> dict[str, StatisticSpec]:
-        return dict(self.statistics)
-
-    def referenced_statistics(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for n in (*self.drift.stat_names(), *self.running_cost.stat_names(),
-                  *self.terminal_cost.stat_names()):
-            if n not in names:
-                names.append(n)
-        return tuple(names)
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -631,9 +599,20 @@ def _require(doc: dict, key: str, path: str):
 
 
 def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
+    # not <= also rejects NaN, and the int comparison is exact (no overflow)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     return float(value)
+
+
+_TYPE_NAMES = {dict: "a mapping", list: "a list", str: "a string"}
+
+
+def _expect(value, kind: type, path: str):
+    if not isinstance(value, kind):
+        raise ConfigError(path, f"expected {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 def _parse_statistics(doc, path) -> tuple[tuple[str, StatisticSpec], ...]:
@@ -671,6 +650,7 @@ def _parse_stat_coeffs(doc, path, registered) -> tuple[tuple[str, float], ...]:
 def _parse_state_term(doc, path) -> StateTermSpec:
     if doc is None:
         return StateTermSpec()
+    doc = _expect(doc, dict, path)
     return StateTermSpec(
         kind=doc.get("kind", "none"),
         coeff=_as_float(doc.get("coeff", 0.0), f"{path}.coeff"),
@@ -679,10 +659,12 @@ def _parse_state_term(doc, path) -> StateTermSpec:
 
 
 def _parse_actions(doc, path) -> ActionGrid:
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "actions must be a mapping")
+    doc = _expect(doc, dict, path)
     if "points" in doc:
-        return ActionGrid.explicit(doc["points"])
+        points = _expect(doc["points"], list, f"{path}.points")
+        return ActionGrid.explicit(
+            [[_as_float(c, f"{path}.points[{i}]") for c in (p if isinstance(p, list) else [p])]
+             for i, p in enumerate(points)])
     lo = _as_float(_require(doc, "lo", path), f"{path}.lo")
     hi = _as_float(_require(doc, "hi", path), f"{path}.hi")
     count = _require(doc, "count", path)
@@ -692,15 +674,14 @@ def _parse_actions(doc, path) -> ActionGrid:
 
 
 def _parse_terminal(doc, path, registered) -> TerminalSpec:
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "terminal_cost must be a mapping")
+    doc = _expect(doc, dict, path)
     kind = doc.get("kind", "linear")
     spec = TerminalSpec(
         kind=kind,
         coeff=_as_float(doc.get("coeff", 1.0), f"{path}.coeff"),
         const=_as_float(doc.get("const", 0.0), f"{path}.const"),
         scale=_as_float(doc.get("scale", 1.0), f"{path}.scale"),
-        stat=doc.get("stat", ""),
+        stat=_expect(doc.get("stat", ""), str, f"{path}.stat"),
     )
     if spec.kind == "variance" and spec.stat not in registered:
         raise ConfigError(f"{path}.stat", f"statistic {spec.stat!r} is not registered")
@@ -742,12 +723,13 @@ def parse_scenario(text: str | dict) -> Scenario | GameScenario:
     if horizon <= 0:
         raise ConfigError("horizon", "horizon must be positive")
 
-    sdoc = doc.get("diffusion", {"kind": "constant", "base": 1.0})
+    sdoc = _expect(doc.get("diffusion", {"kind": "constant", "base": 1.0}), dict, "diffusion")
     sigma = DiffusionSpec(
         kind=sdoc.get("kind", "constant"),
         base=_as_float(sdoc.get("base", 1.0), "diffusion.base"),
         slope=_as_float(sdoc.get("slope", 0.0), "diffusion.slope"),
-        matrix=tuple(tuple(_as_float(v, "diffusion.matrix") for v in row) for row in sdoc["matrix"]) if sdoc.get("matrix") is not None else None,
+        matrix=tuple(tuple(_as_float(v, "diffusion.matrix") for v in _expect(row, list, "diffusion.matrix"))
+                     for row in _expect(sdoc["matrix"], list, "diffusion.matrix")) if sdoc.get("matrix") is not None else None,
         alpha=_as_float(sdoc.get("alpha", 0.0), "diffusion.alpha"),
     )
     if sigma.kind != "constant" and dim != 1:
@@ -758,14 +740,13 @@ def parse_scenario(text: str | dict) -> Scenario | GameScenario:
     statistics = _parse_statistics(doc.get("statistics", {}), "statistics")
     registered = {name for name, _ in statistics}
 
-    ddoc = doc.get("drift", {})
-    if not isinstance(ddoc, dict):
-        raise ConfigError("drift", "drift must be a mapping")
+    ddoc = _expect(doc.get("drift", {}), dict, "drift")
     bound_scale = ddoc.get("bound_scale")
     if bound_scale is not None:
         bound_scale = _as_float(bound_scale, "drift.bound_scale")
 
-    name = doc.get("name", "custom")
+    name = _expect(doc.get("name", "custom"), str, "name")
+    hdoc = _expect(doc.get("running_cost", {}), dict, "running_cost")
 
     if kind == "control":
         drift = DriftSpec(
@@ -775,9 +756,6 @@ def parse_scenario(text: str | dict) -> Scenario | GameScenario:
             const=_as_float(ddoc.get("const", 0.0), "drift.const"),
             bound_scale=bound_scale,
         )
-        hdoc = doc.get("running_cost", {})
-        if not isinstance(hdoc, dict):
-            raise ConfigError("running_cost", "running_cost must be a mapping")
         stat = hdoc.get("stat")
         if stat is not None:
             if not isinstance(stat, list) or len(stat) != 2:
@@ -811,9 +789,6 @@ def parse_scenario(text: str | dict) -> Scenario | GameScenario:
         const=_as_float(ddoc.get("const", 0.0), "drift.const"),
         bound_scale=bound_scale,
     )
-    hdoc = doc.get("running_cost", {})
-    if not isinstance(hdoc, dict):
-        raise ConfigError("running_cost", "running_cost must be a mapping")
     running_g = GameCostSpec(
         quad_u=_as_float(hdoc.get("quad_u", 0.0), "running_cost.quad_u"),
         quad_v=_as_float(hdoc.get("quad_v", 0.0), "running_cost.quad_v"),

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import mfcontrol
-from mfcontrol import builtin_scenarios, main
+from mfcontrol import builtin_config, builtin_scenarios, main
 
 FAST = ["--seed", "3", "--particles", "400", "--steps", "10"]
 
@@ -149,6 +149,57 @@ def test_blocked_validation_exits_2_unless_overridden(capsys, tmp_path):
     assert code == 1
     assert "computation failed" in err
     assert "singular" in err
+
+
+@pytest.mark.parametrize("base,key,value,path", [
+    ("linear-quadratic", "diffusion", 5, "diffusion"),
+    ("linear-quadratic", "diffusion", [1], "diffusion"),
+    ("linear-quadratic", "running_cost", {"quad": 1.0, "state": "x"}, "running_cost.state"),
+    ("linear-quadratic", "running_cost", {"quad": 1.0, "state": [1]}, "running_cost.state"),
+    ("separated-game", "running_cost", {"quad_u": 1.0, "state": "x"}, "running_cost.state"),
+    ("separated-game", "running_cost", {"quad_u": 1.0, "state": [1]}, "running_cost.state"),
+    ("linear-quadratic", "actions", {"points": "ab"}, "actions.points"),
+    ("linear-quadratic", "actions", {"points": [[0.0], ["ab"]]}, "actions.points[1]"),
+    ("separated-game", "actions_v", {"points": "ab"}, "actions_v.points"),
+    ("separated-game", "actions_v", {"points": ["ab"]}, "actions_v.points[0]"),
+    ("linear-quadratic", "horizon", float("inf"), "horizon"),
+    ("linear-quadratic", "initial", [float("nan")], "initial"),
+    ("linear-quadratic", "actions", {"lo": float("nan"), "hi": 1.0, "count": 3}, "actions.lo"),
+    ("linear-quadratic", "running_cost", {"quad": float("nan")}, "running_cost.quad"),
+    ("linear-quadratic", "actions", {"points": [[]]}, "actions"),
+    ("linear-quadratic", "diffusion", {"kind": "constant", "matrix": 3}, "diffusion.matrix"),
+    ("variance", "terminal_cost", {"kind": "variance", "stat": [1]}, "terminal_cost.stat"),
+    ("linear-quadratic", "name", float("nan"), "name"),
+])
+def test_malformed_config_exits_2_without_traceback(capsys, tmp_path, base, key, value, path):
+    doc = builtin_config(base)
+    doc[key] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))   # non-finite floats become Infinity / NaN
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg), *FAST])
+    assert code == 2
+    assert out == ""
+    assert f"configuration error: {path}: " in err
+    assert "Traceback" not in err
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the commands in the README's command-line block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text[text.index("## Command line"):].split("```")[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("mfcontrol ")]
+
+
+@pytest.mark.parametrize("argv", [a for a in readme_commands() if a[0] != "verify"],
+                         ids=lambda argv: argv[0])
+def test_readme_commands_run(capsys, tmp_path, argv):
+    scale = {"--particles": "200", "--steps": "5", "--out": str(tmp_path)}
+    if argv[0] != "list-scenarios":
+        kept = [a for i, a in enumerate(argv)
+                if a not in scale and (i == 0 or argv[i - 1] not in scale)]
+        argv = [*kept, *(x for item in scale.items() for x in item)]
+    code, _, err = run_cli(capsys, argv)
+    assert code != 2, err
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """docs/report-schema.md lists exactly the keys the CLI emits.
 
-The simulate, fixpoint, evaluate and game sections document `results` as a
-table of dotted key paths (list entries as `name[].field`).  Each test runs the subcommand at a
+Every subcommand's section documents `results` as a table of dotted key
+paths (list entries as `name[].field`).  Each test runs the subcommand at a
 tiny scale and compares the flattened keys of its `results` with the table,
 so a key added, renamed or dropped on either side fails here.
 """
@@ -97,3 +97,19 @@ def test_aborted_game_keys_match_schema(capsys):
                   if k == "aborted" or k.split(".")[0] == "isaacs"}
     assert emitted_keys(results) == documented
 
+
+
+def test_optimize_keys_match_schema(capsys):
+    code, results = run_results(capsys, ["optimize", "--scenario", "linear-quadratic"])
+    assert code in (0, 1)
+    assert results["trace"]
+    assert emitted_keys(results) == documented_keys("optimize")
+
+
+def test_verify_keys_match_schema(capsys):
+    code, results = run_results(capsys, ["verify"])
+    assert code in (0, 1)
+    assert len(results["criteria"]) == 10
+    # each criterion's details has its own keys; the table pins the rest
+    emitted = {k for k in emitted_keys(results) if not k.startswith("criteria[].details.")}
+    assert emitted == documented_keys("verify")
