@@ -11,6 +11,18 @@ polynomial basis in (x_t, running sup |x|).  Centering the increment before
 the Z regression removes the 1/dt variance blowup of the plain estimator
 without changing the estimand (the projection of E[Y|F_k] dW vanishes).
 
+Each step's design F_k depends only on (ensemble, basis, step), so its
+factorization is taken once per ensemble: the R factor of the
+ridge-augmented design [F_k; sqrt(ridge) I] gives G_k = (F_k'F_k + ridge I)^{-1}
+= S S' with S = R^{-1}, kept read-only in a weakly keyed per-ensemble holder.
+Every projection (both regressions of every solve, and regress_conditional)
+is then c = G F'y followed by one refinement step, the corrected semi-normal
+equations (Bjorck 1996, sec. 6.6).  G is applied as S (S' v), never formed:
+at t_1 the running sup makes sup^2 = x^2, an exact null direction that G
+weights by 1/ridge, and there the formed product moves z about a hundred
+times further from the lstsq solution than the factored one.  Only the
+q x q factors are kept; the features are rebuilt at each step.
+
 The reported Y_0 stderr comes from the pathwise representation
 Y_0 = E[g + sum_k driver dt - sum_k Z dW]: the Z increments act as a
 martingale control variate, so the stderr is comparable to (and correlated
@@ -24,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PathEnsemble
+from .core import EnsembleMemo, PathEnsemble
 from .girsanov import control_actions, drift_evaluator
 from .measure import MeasureFlow
 from .scenario import GameScenario, Scenario
@@ -88,6 +100,38 @@ def features_at(paths: PathEnsemble, t_index: int, spec: BasisSpec) -> np.ndarra
     return build_features(paths.state(t_index), paths.sup(t_index), spec)
 
 
+def _gram_factor(features: np.ndarray, ridge: float) -> np.ndarray:
+    """S = R^{-1}, read-only, with R the triangular factor of the
+    ridge-augmented design [F; sqrt(ridge) I], so that
+    (F'F + ridge I)^{-1} = S S'.
+
+    With ridge == 0 a design whose rank, counted from R's singular values
+    with lstsq's default cutoff (eps * max(M, q) times the largest), falls
+    short of q raises RankDeficientError; with ridge > 0 the augmented
+    design always has full rank.
+    """
+    m, q = features.shape
+    r = np.linalg.qr(np.vstack([features, np.sqrt(ridge) * np.eye(q)]), mode="r")
+    if ridge == 0.0:
+        sv = np.linalg.svd(r, compute_uv=False)
+        rank = int(np.count_nonzero(sv > np.finfo(float).eps * max(m, q) * sv[0]))
+        if rank < q:
+            raise RankDeficientError(
+                f"design matrix has rank {rank} < {q}; set ridge > 0 to regularize")
+    factor = np.linalg.solve(r, np.eye(q))
+    factor.flags.writeable = False
+    return factor
+
+
+def _project(features: np.ndarray, values: np.ndarray, factor: np.ndarray,
+             ridge: float) -> np.ndarray:
+    """Ridge coefficients (q, p) of the columns of values (M, p): c = G F'y,
+    then one refinement c += G (F'(y - F c) - ridge c), with G = S S'."""
+    coef = factor @ (factor.T @ (features.T @ values))
+    coef += factor @ (factor.T @ (features.T @ (values - features @ coef) - ridge * coef))
+    return coef
+
+
 def regress_conditional(values: np.ndarray, features: np.ndarray,
                         ridge: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Least-squares projection of values on the feature columns.
@@ -98,21 +142,10 @@ def regress_conditional(values: np.ndarray, features: np.ndarray,
     """
     values = np.asarray(values, dtype=float)
     features = np.asarray(features, dtype=float)
-    m, q = features.shape
-    if values.ndim == 1:
+    squeeze = values.ndim == 1
+    if squeeze:
         values = values[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    if ridge == 0.0:
-        coef, _, rank, _ = np.linalg.lstsq(features, values, rcond=None)
-        if rank < q:
-            raise RankDeficientError(
-                f"design matrix has rank {rank} < {q}; set ridge > 0 to regularize")
-    else:
-        aug = np.vstack([features, np.sqrt(ridge) * np.eye(q)])
-        rhs = np.vstack([values, np.zeros((q, values.shape[1]))])
-        coef = np.linalg.lstsq(aug, rhs, rcond=None)[0]
+    coef = _project(features, values, _gram_factor(features, ridge), ridge)
     fitted = features @ coef
     resid = float(np.sqrt(np.mean((values - fitted) ** 2)))
     if squeeze:
@@ -128,9 +161,12 @@ class BsdeSolution:
     exactly in the last column; z has shape (particles, steps, dim).
     z_coefficients holds the per-step regression coefficients of Z so a
     feedback rule can re-evaluate z at states that are not ensemble points;
-    z_gram_inv and z_resid_rms carry the matching (X'X + ridge I)^{-1} and
-    residual scales so the pointwise sampling noise of that estimate is
-    quantifiable wherever the feedback is questioned.
+    z_gram_factors and z_resid_rms carry the matching (X'X + ridge I)^{-1}
+    = S S' and residual scales so the pointwise sampling noise of that
+    estimate is quantifiable wherever the feedback is questioned.
+    z_gram_factors holds each step's read-only q x q factor S, shared with
+    every other solution on the same ensemble and basis, never a copy of its
+    own.
     """
 
     y: np.ndarray
@@ -139,17 +175,17 @@ class BsdeSolution:
     y0_stderr: float
     y_residuals: np.ndarray
     z_coefficients: np.ndarray
-    z_gram_inv: np.ndarray
+    z_gram_factors: tuple[np.ndarray, ...]
     z_resid_rms: np.ndarray
     basis: BasisSpec
 
     def z_stderr(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
         """Prediction standard error of the regressed z at the ensemble's
-        time-t_index states, shape (particles, dim): s_d sqrt(phi' G^{-1} phi)."""
+        time-t_index states, shape (particles, dim): s_d sqrt(phi' G phi)
+        with G = (X'X + ridge I)^{-1} = S S', so phi' G phi = |S' phi|^2."""
         k = min(t_index, self.z_coefficients.shape[0] - 1)
         feats = features_at(paths, t_index, self.basis)
-        lev = np.sqrt(np.maximum(np.einsum("mq,qr,mr->m", feats,
-                                           self.z_gram_inv[k], feats), 0.0))
+        lev = np.sqrt(np.sum((feats @ self.z_gram_factors[k]) ** 2, axis=1))
         return lev[:, None] * self.z_resid_rms[k][None, :]
 
     def to_dict(self) -> dict:
@@ -163,30 +199,39 @@ class BsdeSolution:
         }
 
 
+# (ensemble, (basis, step)) -> the factor S of that step's design.  Keyed by the
+# ensemble's identity through a weak reference; holds q x q arrays only, no
+# particle axis.
+_GRAM_FACTORS = EnsembleMemo()
+
+
 def _backward(paths: PathEnsemble, terminal: np.ndarray, driver_at,
               basis: BasisSpec) -> BsdeSolution:
     dw = paths.driver.increments
     m, n, d = dw.shape
     dt = paths.grid.dt
+    ridge = basis.ridge
     q = basis.width(paths.dim)
     y = np.empty((m, n + 1))
     z = np.empty((m, n, d))
     z_coef = np.empty((n, q, d))
-    z_ginv = np.empty((n, q, q))
+    z_factors = [None] * n
     z_rms = np.empty((n, d))
     resid = np.empty(n)
     y[:, n] = np.asarray(terminal, dtype=float)
     value_paths = y[:, n].copy()  # pathwise Y_0 representation for the stderr
     for k in range(n - 1, -1, -1):
         feats = features_at(paths, k, basis)
-        _, fitted, r = regress_conditional(y[:, k + 1], feats, basis.ridge)
-        resid[k] = r
-        centered = y[:, k + 1] - fitted
-        rhs = centered[:, None] * dw[:, k, :] / dt
-        coef, zk, _ = regress_conditional(rhs, feats, basis.ridge)
+        # a miss factors first and then projects like a hit, so both give the same bits
+        factor = z_factors[k] = _GRAM_FACTORS.lookup(paths, (basis, k),
+                                                     lambda: _gram_factor(feats, ridge))
+        fitted = (feats @ _project(feats, y[:, k + 1, None], factor, ridge))[:, 0]
+        resid[k] = np.sqrt(np.mean((y[:, k + 1] - fitted) ** 2))
+        rhs = (y[:, k + 1] - fitted)[:, None] * dw[:, k, :] / dt
+        z_coef[k] = _project(feats, rhs, factor, ridge)
+        # the feedback's z_at expression, so a driver's extremizers are the feedback's own
+        zk = feats @ z_coef[k]
         z[:, k, :] = zk
-        z_coef[k] = coef
-        z_ginv[k] = np.linalg.inv(feats.T @ feats + basis.ridge * np.eye(q))
         z_rms[k] = np.sqrt(np.mean((rhs - zk) ** 2, axis=0))
         hvals = np.asarray(driver_at(k, zk), dtype=float)
         if not np.all(np.isfinite(hvals)):
@@ -196,7 +241,7 @@ def _backward(paths: PathEnsemble, terminal: np.ndarray, driver_at,
     y0 = float(np.mean(y[:, 0]))
     y0_se = float(np.std(value_paths) / np.sqrt(m))
     return BsdeSolution(y=y, z=z, y0=y0, y0_stderr=y0_se, y_residuals=resid,
-                        z_coefficients=z_coef, z_gram_inv=z_ginv,
+                        z_coefficients=z_coef, z_gram_factors=tuple(z_factors),
                         z_resid_rms=z_rms, basis=basis)
 
 

@@ -229,6 +229,17 @@ def _run_fixpoint(args, scen):
     return 0, results, tables
 
 
+def _column_normalization(weights: np.ndarray) -> tuple[float, float]:
+    """(mean, stderr) of one density column, as DensityProcess.normalization
+    gives them for every column.  The sums run in row order, the order in
+    which numpy's axis-0 reduction adds the rows of the row-major weights, so
+    the bits are the same."""
+    m = weights.shape[0]
+    mean = np.cumsum(weights)[-1] / m
+    dev = weights - mean
+    return float(mean), float(np.sqrt(np.cumsum(dev * dev)[-1] / m) / np.sqrt(m))
+
+
 def _run_evaluate(args, scen):
     controls = _parse_controls(scen, list(args.control or []))
     if args.controls_file:
@@ -239,13 +250,13 @@ def _run_evaluate(args, scen):
     rows = []
     for entry in controls:
         res = evaluate_payoff(scen, entry, paths, tol=args.tol)
-        norm, norm_se = res.density.normalization()
+        norm, norm_se = _column_normalization(res.density.weights[:, args.steps])
         rows.append({
             "label": _pair_label(entry),
             "payoff": res.value, "stderr": res.stderr,
             "fixpoint_iterations": res.diagnostics.iterations,
-            "normalization_horizon": float(norm[args.steps]),
-            "normalization_stderr": float(norm_se[args.steps]),
+            "normalization_horizon": norm,
+            "normalization_stderr": norm_se,
         })
     results = {"controls": rows}
     table_rows = [(r["label"], r["payoff"], r["stderr"],

@@ -24,14 +24,14 @@ under its own matched flow.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .bsde import (BasisSpec, BsdeSolution, _stat_series, features_at, solve_driver_bsde,
                    solve_linear_bsde, terminal_values)
-from .core import PathEnsemble, particle_blocks
+from .core import EnsembleMemo, PathEnsemble, particle_blocks
 from .girsanov import (DensityProcess, FixpointDiagnostics, FixpointResult, control_actions,
                        fixpoint_measure_flow)
 from .measure import MeasureFlow, reference_flow, tv_pathspace
@@ -228,26 +228,13 @@ def grid_index_dtype(grid: ActionGrid) -> np.dtype:
     return np.min_scalar_type(grid.size - 1)
 
 
-class EnsembleMemo:
-    """Per-step results computed on one ensemble, reused until another comes.
-
-    The key is the ensemble's identity, never equality: a different
-    PathEnsemble, even an equal one, drops the stored steps and recomputes.  A
-    weak reference keeps a dead ensemble's recycled id from matching.
-    """
-
-    def __init__(self):
-        self._paths = None
-        self._steps: dict = {}
-
-    def lookup(self, paths: PathEnsemble, t_index: int, compute):
-        if self._paths is None or self._paths() is not paths:
-            self._paths = weakref.ref(paths)
-            self._steps = {}
-        hit = self._steps.get(t_index)
-        if hit is None:
-            hit = self._steps[t_index] = compute()
-        return hit
+def _argmin_extremes(scenario: Scenario, grid: ActionGrid, t: float, state, sup,
+                     stats_row: dict, z) -> tuple[np.ndarray, tuple[np.ndarray]]:
+    """(min_u H, (argmin rows,)): the control problem's extremal driver and
+    its feedback's extremizer, rows stored in grid_index_dtype."""
+    values, idx = minimized_hamiltonian(scenario, t, state, sup, stats_row, z, grid,
+                                        indices=True)
+    return values, (idx.astype(grid_index_dtype(grid)),)
 
 
 class _GridFeedback:
@@ -259,8 +246,9 @@ class _GridFeedback:
     so the rule is a plain deterministic function of (t, current state,
     running sup).  Each step's extremizers are therefore computed once per
     ensemble and kept as grid row indices; every call returns fresh action
-    arrays.  A subclass names its grids and its per-step extremizer,
-    _extremizer_rows(t, state, sup, stats_row, z) -> one index array per grid.
+    arrays.  A subclass names its grids and its per-step extremes,
+    _extremes(t, state, sup, stats_row, z) -> (extremal H, one index array per
+    grid), the same function that drives the backward solve it comes from.
     """
 
     def __init__(self, scenario: Scenario | GameScenario, grids: tuple[ActionGrid, ...],
@@ -292,10 +280,8 @@ class _GridFeedback:
 
     def _step_rows(self, paths: PathEnsemble, t_index: int) -> tuple[np.ndarray, ...]:
         z = self.z_at(paths, t_index)
-        found = self._extremizer_rows(paths.grid.times[t_index], paths.state(t_index),
-                                      paths.sup(t_index), self.stats_at(t_index), z[:, 0])
-        return tuple(idx.astype(grid_index_dtype(grid))
-                     for idx, grid in zip(found, self._grids))
+        return self._extremes(paths.grid.times[t_index], paths.state(t_index),
+                              paths.sup(t_index), self.stats_at(t_index), z[:, 0])[1]
 
 
 class BsdeFeedbackControl(_GridFeedback):
@@ -310,10 +296,8 @@ class BsdeFeedbackControl(_GridFeedback):
         super().__init__(scenario, (grid,), basis, z_coefficients, stat_series, label)
         self.grid = grid
 
-    def _extremizer_rows(self, t, state, sup, stats_row, z) -> tuple[np.ndarray]:
-        _, idx = minimized_hamiltonian(self.scenario, t, state, sup, stats_row, z,
-                                       self.grid, indices=True)
-        return (idx,)
+    def _extremes(self, t, state, sup, stats_row, z):
+        return _argmin_extremes(self.scenario, self.grid, t, state, sup, stats_row, z)
 
     def actions_over(self, paths: PathEnsemble, rows: slice, steps: slice) -> np.ndarray:
         """Fresh (rows, steps, d_u) actions on a block of particles and grid
@@ -434,41 +418,49 @@ class OptimizationReport:
         }
 
 
-def _extremal_solve(scenario: Scenario | GameScenario, flow: MeasureFlow, extreme_h,
-                    basis: BasisSpec) -> BsdeSolution:
+def _extremal_solve(scenario: Scenario | GameScenario, flow: MeasureFlow, extremes,
+                    basis: BasisSpec) -> tuple[BsdeSolution, dict[int, tuple]]:
     """Backward solve at the flow whose driver is the extremal Hamiltonian
-    extreme_h(t, state, sup, stats_row, z) -> one value per particle."""
+    extremes(t, state, sup, stats_row, z) -> (one value per particle,
+    extremizer rows).  Returns the solution and each step's rows."""
     paths = flow.paths
     terminal = terminal_values(scenario, flow)
     series = _stat_series(scenario, flow)
     times = paths.grid.times
+    rows = {}
 
     def driver_at(k: int, z: np.ndarray) -> np.ndarray:
         row = {name: s[k] for name, s in series.items()}
-        return extreme_h(times[k], paths.state(k), paths.sup(k), row, z[:, 0])
+        values, rows[k] = extremes(times[k], paths.state(k), paths.sup(k), row, z[:, 0])
+        return values
 
-    return solve_driver_bsde(paths, terminal, driver_at, basis)
+    return solve_driver_bsde(paths, terminal, driver_at, basis), rows
 
 
 def _synthesize(scenario: Scenario | GameScenario, paths: PathEnsemble, basis: BasisSpec,
-                extreme_h, feedback, tol: float, max_outer: int, fixpoint_tol: float,
+                extremes, feedback, tol: float, max_outer: int, fixpoint_tol: float,
                 fixpoint_max_iter: int):
     """The synthesis loop of the control problem and of the game.
 
     Starting from the reference flow: solve the backward equation driven by
-    extreme_h (min over u of H, or its lower envelope) on the current flow,
-    synthesize feedback(z_coefficients, frozen statistic series) from it,
-    rematch the flow to that feedback, and stop once the horizon TV between
-    successive flows drops below tol.  The backward value is then solved
+    extremes (min over u of H, or its lower envelope, with the extremizer
+    rows) on the current flow, synthesize feedback(z_coefficients, frozen
+    statistic series) from it, rematch the flow to that feedback, and stop
+    once the horizon TV between successive flows drops below tol.  The
+    feedback's memo starts with the rows the solve's driver found at every
+    step it visited: the driver's z is the feedback's own z_at, so they are
+    the rows the feedback would compute.  The backward value is then solved
     again on the matched flow and the feedback priced there.  Returns
     (feedback, fixpoint result, final solution, payoff, trace, converged).
     """
     flow = reference_flow(paths, scenario.statistic_map)
     trace: list[tuple[int, float, float]] = []
     for it in range(1, max_outer + 1):
-        sol = _extremal_solve(scenario, flow, extreme_h, basis)
+        sol, found = _extremal_solve(scenario, flow, extremes, basis)
         control = feedback(sol.z_coefficients,
                            {name: s.copy() for name, s in _stat_series(scenario, flow).items()})
+        for k, rows in found.items():
+            control._memo.store(paths, k, rows)
         fixres = fixpoint_measure_flow(scenario, control, paths,
                                        tol=fixpoint_tol, max_iter=fixpoint_max_iter)
         est = tv_pathspace(flow, fixres.flow, paths.grid.steps)
@@ -477,7 +469,7 @@ def _synthesize(scenario: Scenario | GameScenario, paths: PathEnsemble, basis: B
         if est.value < tol:
             break
 
-    final_sol = _extremal_solve(scenario, flow, extreme_h, basis)
+    final_sol, _ = _extremal_solve(scenario, flow, extremes, basis)
     payoff = evaluate_payoff(scenario, control, paths, fixpoint=fixres)
     return control, fixres, final_sol, payoff, tuple(trace), trace[-1][1] < tol
 
@@ -506,8 +498,7 @@ def policy_iteration(scenario: Scenario, paths: PathEnsemble,
 
     control, fixres, final_sol, payoff, trace, converged = _synthesize(
         scenario, paths, basis,
-        lambda t, state, sup, row, z: minimized_hamiltonian(
-            scenario, t, state, sup, row, z, grid)[0],
+        partial(_argmin_extremes, scenario, grid),
         lambda coef, stats: BsdeFeedbackControl(scenario, grid, basis, coef, stats),
         tol, max_outer, fixpoint_tol, fixpoint_max_iter)
     h_res = _argmin_residual(scenario, control, final_sol, fixres.flow, grid,

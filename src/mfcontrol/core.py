@@ -14,6 +14,7 @@ a given numpy version.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,6 +150,38 @@ def particle_blocks(particles: int, steps: int) -> list[slice]:
     span the given number of steps."""
     width = max(1, BLOCK_ENTRIES // max(steps, 1))
     return [slice(i, min(i + width, particles)) for i in range(0, particles, width)]
+
+
+class EnsembleMemo:
+    """Results computed on one ensemble, reused until another comes.
+
+    The key is the ensemble's identity, never equality: a different
+    PathEnsemble, even an equal one, drops the stored results and recomputes.
+    A weak reference keeps a dead ensemble's recycled id from matching and
+    never keeps the ensemble alive.
+    """
+
+    def __init__(self):
+        self._paths = None
+        self._results: dict = {}
+
+    def _on(self, paths: PathEnsemble) -> dict:
+        if self._paths is None or self._paths() is not paths:
+            self._paths = weakref.ref(paths)
+            self._results = {}
+        return self._results
+
+    def lookup(self, paths: PathEnsemble, key, compute):
+        """The result stored under key for this ensemble, compute() on a miss."""
+        results = self._on(paths)
+        hit = results.get(key)
+        if hit is None:
+            hit = results[key] = compute()
+        return hit
+
+    def store(self, paths: PathEnsemble, key, value):
+        """Hand in a result already computed on this ensemble."""
+        self._on(paths)[key] = value
 
 
 def path_statistic(paths: PathEnsemble, t_index: int, kind: str) -> np.ndarray:

@@ -15,12 +15,13 @@ rather than returning a number that means nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .bsde import BasisSpec, BsdeSolution
 from .control import (_GridFeedback, _hamiltonian_values, _synthesize, constant_control,
-                      evaluate_payoff, hamiltonian)
+                      evaluate_payoff, grid_index_dtype, hamiltonian)
 from .core import PathEnsemble
 from .girsanov import DensityProcess
 from .measure import MeasureFlow
@@ -104,6 +105,15 @@ def envelope_extremes(hams: np.ndarray, u_arr: np.ndarray,
         lower_u=u_arr[argmin_u[idx_v_lower, cols]], lower_v=v_arr[idx_v_lower],
         upper_u=u_arr[idx_u_upper], upper_v=v_arr[argmax_v[idx_u_upper, cols]],
         upper_u_index=idx_u_upper, lower_v_index=idx_v_lower)
+
+
+def _saddle_extremes(scenario: GameScenario, t: float, state, sup, stats_row: dict,
+                     z) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """(lower envelope, (upper_u rows, lower_v rows)): the game's extremal
+    driver and its pair feedback's extremizers, rows in grid_index_dtype."""
+    env = envelopes(scenario, t, state, sup, stats_row, z)
+    return env.lower, (env.upper_u_index.astype(grid_index_dtype(scenario.actions_u)),
+                       env.lower_v_index.astype(grid_index_dtype(scenario.actions_v)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +209,8 @@ class PairFeedbackControl(_GridFeedback):
         super().__init__(scenario, (scenario.actions_u, scenario.actions_v), basis,
                          z_coefficients, stat_series, label)
 
-    def _extremizer_rows(self, t, state, sup, stats_row, z) -> tuple[np.ndarray, np.ndarray]:
-        env = envelopes(self.scenario, t, state, sup, stats_row, z)
-        return env.upper_u_index, env.lower_v_index
+    def _extremes(self, t, state, sup, stats_row, z):
+        return _saddle_extremes(self.scenario, t, state, sup, stats_row, z)
 
     def actions_pair_over(self, paths: PathEnsemble, rows: slice,
                           steps: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -298,7 +307,7 @@ def solve_game(scenario: GameScenario, paths: PathEnsemble,
 
     pair, fixres, final_sol, payoff, trace, converged = _synthesize(
         scenario, paths, basis,
-        lambda t, state, sup, row, z: envelopes(scenario, t, state, sup, row, z).lower,
+        partial(_saddle_extremes, scenario),
         lambda coef, stats: PairFeedbackControl(scenario, basis, coef, stats),
         tol, max_outer, fixpoint_tol, fixpoint_max_iter)
     return SaddleReport(

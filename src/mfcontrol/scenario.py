@@ -161,9 +161,12 @@ class DiffusionSpec:
         return NOT_CERTIFIED, "affine sigma has a zero crossing; guarded at runtime"
 
     def scalar_values(self, t: float, x0: np.ndarray, sup: np.ndarray) -> np.ndarray:
-        """Pointwise sigma values for d = 1 kinds, broadcast over particles."""
+        """Pointwise sigma values for d = 1 kinds, broadcast over particles;
+        a constant 1 x 1 matrix is the value."""
         if self.kind == "constant":
-            return np.broadcast_to(np.asarray(self.base, dtype=float), np.shape(x0)).copy()
+            value = self.matrix[0][0] if self.matrix is not None and len(self.matrix) == 1 \
+                else self.base
+            return np.broadcast_to(np.asarray(value, dtype=float), np.shape(x0)).copy()
         if self.kind == "affine_state":
             vals = self.base + self.slope * x0
         else:

@@ -4,7 +4,9 @@ The synthesized feedbacks freeze their statistics at synthesis, so their
 actions depend only on the ensemble they are read on.  The memo is keyed by
 the ensemble's identity: these tests check it against the uncached formula
 across ensemble switches, against callers that write to returned arrays, and
-by counting the minimization kernels it calls.
+by counting the minimization kernels it calls.  A feedback built by the
+synthesis loop starts with the extremizer rows its backward solve found;
+those must be the rows it would compute itself.
 """
 
 import dataclasses
@@ -21,7 +23,9 @@ from mfcontrol import (
     PairFeedbackControl,
     envelopes,
     minimized_hamiltonian,
+    policy_iteration,
     simulate_for_scenario,
+    solve_game,
 )
 from mfcontrol.control import grid_index_dtype
 
@@ -160,3 +164,78 @@ def test_pair_sides_share_one_envelope_call_per_step(pair, ensembles, monkeypatc
 def test_grid_index_dtype_is_the_smallest_unsigned_fit(count, dtype):
     grid = ActionGrid(points=tuple((float(i),) for i in range(count)))
     assert grid_index_dtype(grid) == dtype
+
+
+# ---------------------------------------------------------------------------
+# feedbacks seeded with the extremizers of their own backward solve
+
+
+def fresh_feedback(control):
+    """A feedback with the same coefficients and statistics and an empty memo."""
+    if isinstance(control, PairFeedbackControl):
+        return PairFeedbackControl(control.scenario, control.basis, control.z_coefficients,
+                                   control.stat_series)
+    return BsdeFeedbackControl(control.scenario, control.grid, control.basis,
+                               control.z_coefficients, control.stat_series)
+
+
+def synthesize(name, paths, scenarios):
+    scen = scenarios[name]
+    if scen.kind == "game":
+        return solve_game(scen, paths).pair
+    return policy_iteration(scen, paths).control
+
+
+@pytest.fixture(scope="module")
+def scenarios(lq, mean_field, separated_game):
+    return {s.name: s for s in (lq, mean_field, separated_game)}
+
+
+@pytest.mark.parametrize("name", ["linear-quadratic", "mean-field-mean-reversion",
+                                  "separated-game"])
+def test_seeded_rows_are_the_feedbacks_own(name, scenarios):
+    scen = scenarios[name]
+    paths = simulate_for_scenario(scen, particles=1000, steps=STEPS, seed=41)
+    control = synthesize(name, paths, scenarios)
+    fresh = fresh_feedback(control)
+
+    def not_seeded():
+        raise AssertionError("step missing from the memo")
+
+    for k in range(STEPS + 1):
+        seeded = control._memo.lookup(paths, k, not_seeded)
+        own = fresh._step_rows(paths, k)
+        assert len(seeded) == len(own) == len(control._grids)
+        for rows, expected, grid in zip(seeded, own, control._grids):
+            assert rows.dtype == grid_index_dtype(grid)
+            np.testing.assert_array_equal(rows, expected)
+
+
+def test_policy_iteration_repeats_bit_for_bit_on_one_ensemble(mean_field):
+    # the first run factors every step's design (misses), the second reads
+    # the stored factors (hits); the two must not differ in any bit
+    paths = simulate_for_scenario(mean_field, particles=1000, steps=STEPS, seed=42)
+    first, second = (policy_iteration(mean_field, paths) for _ in range(2))
+    assert first.y0 == second.y0 and first.j_hat == second.j_hat
+    np.testing.assert_array_equal(first.solution.z, second.solution.z)
+    np.testing.assert_array_equal(first.solution.y, second.solution.y)
+    for k in range(STEPS + 1):
+        np.testing.assert_array_equal(first.control.actions(paths, k),
+                                      second.control.actions(paths, k))
+
+
+@pytest.mark.parametrize("name", ["linear-quadratic", "mean-field-mean-reversion"])
+def test_each_outer_iteration_saves_one_minimization_per_step(name, scenarios, monkeypatch):
+    scen = scenarios[name]
+    paths = simulate_for_scenario(scen, particles=1000, steps=STEPS, seed=43)
+    calls = counting(monkeypatch, control_mod, "minimized_hamiltonian")
+    seeded = policy_iteration(scen, paths)
+    seeded_calls = len(calls)
+    # the same loop with the seeding switched off: every feedback computes
+    # all of its extremizers itself
+    monkeypatch.setattr(control_mod.EnsembleMemo, "store", lambda self, paths, key, value: None)
+    calls.clear()
+    unseeded = policy_iteration(scen, paths)
+    assert seeded.y0 == unseeded.y0 and seeded.j_hat == unseeded.j_hat
+    # the backward driver visits steps 0..N-1; step N is the feedback's own
+    assert len(calls) - seeded_calls == len(seeded.trace) * STEPS

@@ -17,9 +17,12 @@ double the whole solution up to rounding; and solve_linear_bsde is just
 solve_driver_bsde with the linear driver, so the two must agree bit for bit.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import mfcontrol.bsde as bsde_mod
 from mfcontrol import (
     BasisSpec,
     RankDeficientError,
@@ -34,6 +37,7 @@ from mfcontrol import (
     terminal_values,
 )
 from mfcontrol.bsde import build_features, features_at, linear_driver
+from mfcontrol.core import EnsembleMemo
 
 
 def zero_driver(k, z):
@@ -268,3 +272,137 @@ def test_z_stderr_pointwise_shape(paths4k):
     x = paths4k.values[:, k, 0]
     edge = int(np.argmax(np.abs(x)))
     assert se[edge, 0] >= np.median(se[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# the per-ensemble factor
+
+
+def lstsq_backward(paths, terminal, driver_at, basis):
+    """The backward solve with two ridge-augmented lstsq per step, and each
+    step's (F'F + ridge I)^{-1} from the SVD of the augmented design (the
+    factorization lstsq itself uses).  Returns y, z, y0, y0_stderr, the
+    coefficients, the inverse Gram matrices and the residual scales of z."""
+    dw = paths.driver.increments
+    m, n, d = dw.shape
+    dt = paths.grid.dt
+    q = basis.width(paths.dim)
+    y = np.empty((m, n + 1))
+    z = np.empty((m, n, d))
+    coef, gram_inv, rms = [None] * n, [None] * n, [None] * n
+    y[:, n] = terminal
+    value_paths = y[:, n].copy()
+    for k in range(n - 1, -1, -1):
+        feats = features_at(paths, k, basis)
+        aug = np.vstack([feats, np.sqrt(basis.ridge) * np.eye(q)])
+
+        def solve(v):
+            return np.linalg.lstsq(aug, np.vstack([v, np.zeros((q, v.shape[1]))]),
+                                   rcond=None)[0]
+
+        fitted = (feats @ solve(y[:, k + 1, None]))[:, 0]
+        rhs = (y[:, k + 1] - fitted)[:, None] * dw[:, k, :] / dt
+        coef[k] = solve(rhs)
+        zk = feats @ coef[k]
+        _, sv, vt = np.linalg.svd(aug, full_matrices=False)
+        gram_inv[k] = (vt.T / sv ** 2) @ vt
+        rms[k] = np.sqrt(np.mean((rhs - zk) ** 2, axis=0))
+        z[:, k, :] = zk
+        h = driver_at(k, zk)
+        y[:, k] = fitted + h * dt
+        value_paths += h * dt - np.sum(zk * dw[:, k, :], axis=1)
+    return (y, z, float(np.mean(y[:, 0])), float(np.std(value_paths) / np.sqrt(m)),
+            coef, gram_inv, rms)
+
+
+def assert_relative(actual, reference, rel):
+    actual, reference = np.asarray(actual), np.asarray(reference)
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    assert float(np.max(np.abs(actual - reference))) <= rel * scale
+
+
+@pytest.mark.parametrize("basis", [BasisSpec(), BasisSpec(degree=3, tanh_scale=0.5)])
+@pytest.mark.parametrize("particles", [2000, 10_000])
+@pytest.mark.parametrize("name", ["linear-quadratic", "mean-field-mean-reversion"])
+def test_factored_solve_matches_lstsq_reference(name, particles, basis):
+    from mfcontrol import get_builtin, parametric_control
+
+    scen = get_builtin(name)
+    paths = simulate_for_scenario(scen, particles=particles, steps=20, seed=2)
+    control = parametric_control(0.3, -0.4, 0.2, scen.actions)
+    flow = fixpoint_measure_flow(scen, control, paths).flow
+    sol = solve_linear_bsde(scen, control, flow, basis)
+    y, z, y0, y0_se, coef, gram_inv, rms = lstsq_backward(
+        paths, terminal_values(scen, flow), linear_driver(scen, flow, control), sol.basis)
+
+    assert_relative(sol.y, y, 1e-12)
+    assert_relative(sol.z, z, 1e-12)
+    assert abs(sol.y0 - y0) <= 1e-12 * max(1.0, abs(y0))
+    assert abs(sol.y0_stderr - y0_se) <= 1e-12 * y0_se
+    n = paths.grid.steps
+    for k in range(n):
+        # coefficients along the design's null directions are set by the
+        # ridge alone, so they are compared through their predictions
+        feats = features_at(paths, k, sol.basis)
+        assert_relative(feats @ sol.z_coefficients[k], feats @ coef[k], 1e-12)
+    for t_index in range(n + 1):
+        k = min(t_index, n - 1)
+        feats = features_at(paths, t_index, sol.basis)
+        ref = np.sqrt(np.einsum("mq,qr,mr->m", feats, gram_inv[k], feats))[:, None] * rms[k]
+        # at t_1 the running sup gives sup^2 = x^2 exactly: G weights that null
+        # direction by 1/ridge = 1e8, and any two factorizations of the design
+        # (the SVD here, QR, an explicit inverse) agree only to about 1e-8
+        assert_relative(sol.z_stderr(paths, t_index), ref, 1e-6 if t_index == 1 else 1e-12)
+
+
+def solve_uncached(monkeypatch, paths, basis):
+    """The solve with an empty factor holder: every factor is a miss."""
+    monkeypatch.setattr(bsde_mod, "_GRAM_FACTORS", EnsembleMemo())
+    sol = solve_driver_bsde(paths, paths.values[:, -1, 0] ** 2, zero_driver, basis=basis)
+    monkeypatch.undo()
+    return sol
+
+
+def assert_same_solution(a, b):
+    for field in ("y", "z", "z_coefficients", "z_resid_rms", "y_residuals"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+    assert a.y0 == b.y0 and a.y0_stderr == b.y0_stderr
+    for fa, fb in zip(a.z_gram_factors, b.z_gram_factors, strict=True):
+        np.testing.assert_array_equal(fa, fb)
+
+
+def test_cached_factors_give_the_uncached_bits(lq, monkeypatch):
+    a = simulate_for_scenario(lq, particles=600, steps=6, seed=31)
+    b = simulate_for_scenario(lq, particles=600, steps=6, seed=32)
+    twin = dataclasses.replace(a)
+    wide, narrow = BasisSpec(), BasisSpec(degree=1, tanh_scale=0.5)
+    ref = {(id(p), basis): solve_uncached(monkeypatch, p, basis)
+           for p in (a, b, twin) for basis in (wide, narrow)}
+    # the two ensembles and the two bases must give different solutions
+    assert ref[id(a), wide].y0 != ref[id(b), wide].y0
+    assert ref[id(a), wide].y0 != ref[id(a), narrow].y0
+    for paths, basis in [(a, wide), (b, wide), (a, wide), (twin, wide), (a, wide),
+                         (a, narrow), (a, wide), (a, narrow), (b, narrow)]:
+        sol = solve_driver_bsde(paths, paths.values[:, -1, 0] ** 2, zero_driver, basis=basis)
+        assert_same_solution(sol, ref[id(paths), basis])
+
+
+def test_factor_holder_keeps_no_particle_axis_nor_a_dead_ensemble(lq):
+    import gc
+    import weakref
+
+    paths = simulate_for_scenario(lq, particles=500, steps=5, seed=33)
+    basis = BasisSpec()
+    sol = solve_driver_bsde(paths, paths.values[:, -1, 0], zero_driver, basis=basis)
+    q = basis.width(paths.dim)
+    held = list(bsde_mod._GRAM_FACTORS._results.values())
+    assert len(held) == paths.grid.steps
+    for factor in held:
+        assert factor.shape == (q, q)
+        assert not factor.flags.writeable
+    # the solution shares the held factors instead of copying them
+    assert all(any(f is h for h in held) for f in sol.z_gram_factors)
+    alive = weakref.ref(paths)
+    del paths
+    gc.collect()
+    assert alive() is None

@@ -308,6 +308,23 @@ def test_evaluate_lists_control_payoffs(capsys):
     assert all(abs(r["normalization_horizon"] - 1.0) < 0.2 for r in rows)
 
 
+@pytest.mark.parametrize("particles", [1, 7, 400, 3001])
+def test_evaluate_horizon_normalization_has_the_bits_of_every_column(particles):
+    # evaluate reduces only the horizon column of the weights; the report
+    # must keep the bits DensityProcess.normalization gives that column
+    from mfcontrol import get_builtin, parse_control, simulate_for_scenario
+    from mfcontrol.cli import _column_normalization
+    from mfcontrol.girsanov import fixpoint_measure_flow
+
+    scen = get_builtin("mean-field-mean-reversion")
+    paths = simulate_for_scenario(scen, particles, 12, 5)
+    for spec in ("constant:0.7", "parametric:0.3,-0.8,0.2"):
+        density = fixpoint_measure_flow(scen, parse_control(spec, scen.actions), paths).density
+        mean, se = density.normalization()
+        for k in (12, 5):
+            assert _column_normalization(density.weights[:, k]) == (float(mean[k]), float(se[k]))
+
+
 def test_evaluate_requires_controls(capsys):
     assert main(["evaluate", "--scenario", "linear-quadratic", *FAST]) == 2
 

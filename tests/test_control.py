@@ -198,6 +198,43 @@ def test_hamiltonian_rejects_game_scenarios(separated_game):
                               separated_game.actions_u)
 
 
+@pytest.mark.parametrize("diffusion", [
+    {"kind": "constant", "base": 1.5},
+    {"kind": "affine_state", "base": 1.0, "slope": 0.2},
+    {"kind": "sup_modulated", "base": 1.0, "slope": 0.5},
+    {"kind": "constant", "matrix": [[2.0]]},
+])
+def test_hamiltonian_matches_the_linear_driver_for_every_scalar_sigma(mean_field, diffusion):
+    from mfcontrol import serialize_scenario, simulate_for_scenario
+    from mfcontrol.bsde import linear_driver
+
+    doc = serialize_scenario(mean_field)
+    doc["diffusion"] = diffusion
+    scen = parse_scenario(doc)
+    paths = simulate_for_scenario(scen, particles=300, steps=6, seed=17)
+    control = parametric_control(0.2, -0.5, 0.3, scen.actions)
+    flow = fixpoint_measure_flow(scen, control, paths).flow
+    driver = linear_driver(scen, flow, control)
+    z = np.random.default_rng(3).normal(size=(paths.particles, 1))
+    for k in range(paths.grid.steps):
+        row = {name: flow.statistic_series(name)[k] for name in scen.statistic_map}
+        h = hamiltonian(scen, paths.grid.times[k], paths.state(k), paths.sup(k), row, z,
+                        control.actions(paths, k))
+        np.testing.assert_allclose(h, driver(k, z), rtol=1e-13, atol=1e-13)
+
+
+def test_hamiltonian_reads_a_one_by_one_sigma_matrix(lq):
+    from mfcontrol import serialize_scenario
+
+    doc = serialize_scenario(lq)
+    doc["diffusion"] = {"kind": "constant", "matrix": [[2.0]]}
+    x = np.array([0.0, 1.0])
+    h = hamiltonian(parse_scenario(doc), 0.0, x, np.abs(x), {"mean": 0.0},
+                    np.ones(2), np.ones(2))
+    # H = u^2/2 + z sigma^{-1} u = 1/2 + 1/2
+    np.testing.assert_allclose(h, [1.0, 1.0], rtol=1e-15)
+
+
 def _lq_grid_minimum(grid, z):
     # independent enumeration of min_u (u^2/2 + z u) over the action grid
     cands = [0.5 * u * u + z * u for u in grid.array()[:, 0]]
