@@ -27,8 +27,6 @@ from .scenario import (
     CostSpec,
     DiffusionSpec,
     DriftSpec,
-    GameCostSpec,
-    GameDriftSpec,
     GameScenario,
     Scenario,
     SingularDiffusionError,
@@ -121,8 +119,8 @@ __all__ = [
     "simulate_for_scenario", "simulate_reference",
     # scenario registry
     "ActionGrid", "AssumptionStatus", "ConfigError", "CostSpec",
-    "DiffusionSpec", "DriftSpec", "GameCostSpec", "GameDriftSpec",
-    "GameScenario", "Scenario", "SingularDiffusionError", "StatisticSpec",
+    "DiffusionSpec", "DriftSpec", "GameScenario", "Scenario",
+    "SingularDiffusionError", "StatisticSpec",
     "StateTermSpec", "TerminalSpec", "UnknownScenarioError",
     "ValidationBlockedError", "ValidationReport", "assert_runnable",
     "builtin_config", "builtin_scenarios", "get_builtin", "parse_scenario",

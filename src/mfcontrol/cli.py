@@ -132,18 +132,16 @@ def _config_echo(args, extra: dict | None = None) -> dict:
 def _parse_controls(scen, specs: list, path: str = "control") -> list:
     """Decode control specs; for games, consecutive entries pair up as (u, v).
     A malformed spec is a ConfigError at path."""
+    players = len(scen.grids)
+    if len(specs) % players != 0:
+        raise ConfigError(path, "games take controls in u,v pairs")
     try:
-        if scen.kind == "game":
-            if len(specs) % 2 != 0:
-                raise ConfigError(path, "games take controls in u,v pairs")
-            return [(parse_control(specs[i], scen.actions_u),
-                     parse_control(specs[i + 1], scen.actions_v))
-                    for i in range(0, len(specs), 2)]
-        return [parse_control(s, scen.actions) for s in specs]
+        parsed = [parse_control(s, scen.grids[i % players]) for i, s in enumerate(specs)]
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(path, str(exc)) from exc
+    if players == 1:
+        return parsed
+    return [tuple(parsed[i:i + players]) for i in range(0, len(parsed), players)]
 
 
 def _file_controls(scen, doc) -> list:
@@ -193,7 +191,7 @@ def _run_simulate(args, scen):
 
 def _run_fixpoint(args, scen):
     specs = args.control or []
-    want = 2 if scen.kind == "game" else 1
+    want = len(scen.grids)
     if len(specs) != want:
         raise ConfigError("control", f"fixpoint needs exactly {want} --control "
                                      f"spec(s) for this scenario")

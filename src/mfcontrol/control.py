@@ -175,16 +175,26 @@ def _particle_column(arr) -> np.ndarray:
     return out[:, 0] if out.ndim == 2 else out
 
 
+def _particle_rows(arr) -> np.ndarray:
+    """Coerce (m,) or (m, d) input to (m, d) rows; (m,) is d = 1."""
+    out = np.asarray(arr, dtype=float)
+    return out[:, None] if out.ndim == 1 else out
+
+
 def _hamiltonian_values(scenario: Scenario | GameScenario, t: float, state, sup,
                         stats_row: dict, z, actions) -> np.ndarray:
     """H = h + z . sigma^{-1} f at each particle, the last axis.  The actions
     (u, or u and v) are particle columns or action-grid axes that broadcast
-    against the particles."""
-    x0 = _particle_column(state)
+    against the particles.  The registry drift f moves coordinate 0 only, so
+    z . sigma^{-1} f = (z . sigma^{-1} e_0) f."""
+    state, z = _particle_rows(state), _particle_rows(z)
+    x0 = state[:, 0]
     f = scenario.drift.evaluate(x0, stats_row, *actions)
-    inv = scenario.sigma.inv_scalar_values(t, x0, np.asarray(sup, dtype=float))
+    e0 = np.zeros_like(state)
+    e0[:, 0] = 1.0
+    c = scenario.sigma.inv_apply(t, state, np.asarray(sup, dtype=float), e0)
     h = scenario.running_cost.evaluate(x0, stats_row, *actions)
-    return h + _particle_column(z) * inv * f
+    return h + np.sum(z * c, axis=1) * f
 
 
 def hamiltonian(scenario: Scenario | GameScenario, t: float, state, sup, stats_row: dict,
@@ -192,14 +202,14 @@ def hamiltonian(scenario: Scenario | GameScenario, t: float, state, sup, stats_r
     """Per-particle H = h + z . sigma^{-1} f, one value per particle.
 
     actions is u for a single-controller scenario and u, v for a game.
-    state, z and each action may come as (m, d) arrays; the registry reads
-    coordinate 0 of each.  stats_row maps statistic names to their values at
-    time t under the measure flow being priced.
+    state and z come as (m, d) arrays, or as (m,) when d = 1; each action may
+    come as an (m, d_u) array, of which the registry reads coordinate 0.
+    stats_row maps statistic names to their values at time t under the
+    measure flow being priced.
     """
-    if scenario.kind == "game" and len(actions) != 2:
-        raise TypeError("use game_hamiltonian for two-player scenarios")
-    if scenario.kind != "game" and len(actions) != 1:
-        raise TypeError("game_hamiltonian needs a two-player scenario")
+    if len(actions) != len(scenario.grids):
+        raise TypeError("use game_hamiltonian for two-player scenarios" if len(scenario.grids) == 2
+                        else "game_hamiltonian needs a two-player scenario")
     return _hamiltonian_values(scenario, t, state, sup, stats_row, z,
                                [_particle_column(a) for a in actions])
 
@@ -281,7 +291,7 @@ class _GridFeedback:
     def _step_rows(self, paths: PathEnsemble, t_index: int) -> tuple[np.ndarray, ...]:
         z = self.z_at(paths, t_index)
         return self._extremes(paths.grid.times[t_index], paths.state(t_index),
-                              paths.sup(t_index), self.stats_at(t_index), z[:, 0])[1]
+                              paths.sup(t_index), self.stats_at(t_index), z)[1]
 
 
 class BsdeFeedbackControl(_GridFeedback):
@@ -431,7 +441,7 @@ def _extremal_solve(scenario: Scenario | GameScenario, flow: MeasureFlow, extrem
 
     def driver_at(k: int, z: np.ndarray) -> np.ndarray:
         row = {name: s[k] for name, s in series.items()}
-        values, rows[k] = extremes(times[k], paths.state(k), paths.sup(k), row, z[:, 0])
+        values, rows[k] = extremes(times[k], paths.state(k), paths.sup(k), row, z)
         return values
 
     return solve_driver_bsde(paths, terminal, driver_at, basis), rows
@@ -527,12 +537,12 @@ def _argmin_residual(scenario: Scenario, control, sol: BsdeSolution,
         idx = rng.choice(m, size=take, replace=False)
         row = {name: float(s[k]) for name, s in series.items()}
         t = paths.grid.times[k]
-        x0 = paths.values[idx, k, 0]
+        state = paths.values[idx, k]
         sup = paths.running_sup[idx, k]
-        z = sol.z[idx, k, 0]
+        z = sol.z[idx, k]
         acts = control.actions(paths, k)[idx, 0]
-        h_at = hamiltonian(scenario, t, x0, sup, row, z, acts)
-        h_min, _ = minimized_hamiltonian(scenario, t, x0, sup, row, z, grid)
+        h_at = hamiltonian(scenario, t, state, sup, row, z, acts)
+        h_min, _ = minimized_hamiltonian(scenario, t, state, sup, row, z, grid)
         worst = max(worst, float(np.max(h_at - h_min)))
     return worst
 
@@ -654,7 +664,7 @@ def envelope_bsde(scenario: Scenario, paths: PathEnsemble, controls,
         values = None
         for control, ser in zip(controls, series):
             row = {name: s[k] for name, s in ser.items()}
-            h = hamiltonian(scenario, times[k], state, sup, row, z[:, 0],
+            h = hamiltonian(scenario, times[k], state, sup, row, z,
                             control.actions(paths, k))
             values = h if values is None else np.minimum(values, h)
         return values

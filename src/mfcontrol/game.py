@@ -147,7 +147,9 @@ def isaacs_gap(scenario: GameScenario, z_points=None, x_points=None,
     """Sample upper - lower over a (state, z) grid.
 
     Defaults: z on [-3, 3], states around the initial point at the diffusive
-    scale, statistics at their initial-condition values.  The gap is always
+    scale, statistics at their initial-condition values.  x and z points
+    move coordinate 0; the other coordinates of the state stay at the
+    initial point and those of z at 0.  The gap is always
     >= 0; a positive max beyond tol means min and max do not commute for this
     Hamiltonian and no saddle certificate is possible on these grids.
     """
@@ -162,11 +164,14 @@ def isaacs_gap(scenario: GameScenario, z_points=None, x_points=None,
         init = scenario.initial_array[None, :]
         stats_row = {name: float(spec.evaluate(init)[0])
                      for name, spec in scenario.statistic_map.items()}
+    state = np.tile(scenario.initial_array, (len(x_points), 1))
+    state[:, 0] = x_points
     sup = np.abs(x_points)
     gaps = []
     for zv in z_points:
-        z = np.full(x_points.shape, float(zv))
-        env = envelopes(scenario, t, x_points, sup, stats_row, z)
+        z = np.zeros_like(state)
+        z[:, 0] = zv
+        env = envelopes(scenario, t, state, sup, stats_row, z)
         gaps.append(float(np.max(env.gap)))
     max_gap = max(gaps)
     return IsaacsReport(max_gap=max_gap, tol=tol,
@@ -206,8 +211,7 @@ class PairFeedbackControl(_GridFeedback):
     def __init__(self, scenario: GameScenario, basis: BasisSpec,
                  z_coefficients: np.ndarray, stat_series: dict[str, np.ndarray],
                  label: str = "saddle-feedback"):
-        super().__init__(scenario, (scenario.actions_u, scenario.actions_v), basis,
-                         z_coefficients, stat_series, label)
+        super().__init__(scenario, scenario.grids, basis, z_coefficients, stat_series, label)
 
     def _extremes(self, t, state, sup, stats_row, z):
         return _saddle_extremes(self.scenario, t, state, sup, stats_row, z)

@@ -13,12 +13,15 @@ Registered functional forms (d = 1 unless stated otherwise):
     diffusion   constant s0 (any d, optionally a full matrix),
                 affine_state  s0 + s1 * x,
                 sup_modulated s0 + s1 * sup_{r<=t} |x_r|
-    drift       A * x + sum_j B_j * m_j(t) + C * u + c0, optional tanh clip
-    run cost    0.5 * q * u^2 + l * u + state term + stat term + const
+    drift       A * x + sum_j B_j * m_j(t) + C * u [+ Cv * v] + c0,
+                optional tanh clip
+    run cost    0.5 * q * u^2 [+ 0.5 * qv * v^2 + b * u * v] + l * u [+ lv * v]
+                + const + state term + stat term
     terminal    linear | tanh | variance  (variance: phi(x)^2 - mean(phi)^2)
     statistic   identity | square | tanh | indicator_bin
 
-Game variants carry two action grids and drift/cost terms for both players.
+A game carries a second action grid for its maximizer v, which alone reads
+the bracketed terms: a control problem is the game without a maximizer.
 """
 
 from __future__ import annotations
@@ -131,10 +134,6 @@ class DiffusionSpec:
         return np.asarray(self.matrix, dtype=float)
 
     @property
-    def state_dependent(self) -> bool:
-        return self.kind != "constant" and self.slope != 0.0
-
-    @property
     def bounded(self) -> bool:
         return self.kind == "constant" or self.slope == 0.0
 
@@ -161,12 +160,9 @@ class DiffusionSpec:
         return NOT_CERTIFIED, "affine sigma has a zero crossing; guarded at runtime"
 
     def scalar_values(self, t: float, x0: np.ndarray, sup: np.ndarray) -> np.ndarray:
-        """Pointwise sigma values for d = 1 kinds, broadcast over particles;
-        a constant 1 x 1 matrix is the value."""
+        """Pointwise sigma values for d = 1 kinds, broadcast over particles."""
         if self.kind == "constant":
-            value = self.matrix[0][0] if self.matrix is not None and len(self.matrix) == 1 \
-                else self.base
-            return np.broadcast_to(np.asarray(value, dtype=float), np.shape(x0)).copy()
+            return np.broadcast_to(np.asarray(self.base, dtype=float), np.shape(x0)).copy()
         if self.kind == "affine_state":
             vals = self.base + self.slope * x0
         else:
@@ -202,11 +198,6 @@ class DiffusionSpec:
         self._guard(np.asarray([self.base]), t)
         return self.base * vec
 
-    def inv_scalar_values(self, t: float, x0: np.ndarray, sup: np.ndarray) -> np.ndarray:
-        vals = self.scalar_values(t, x0, sup)
-        self._guard(vals, t)
-        return 1.0 / vals
-
     def inv_apply(self, t, state: np.ndarray, sup: np.ndarray, vec: np.ndarray) -> np.ndarray:
         """sigma^{-1}(t, path) @ vec.
 
@@ -223,7 +214,9 @@ class DiffusionSpec:
                 if abs(self.base) < _SIGMA_FLOOR:
                     self._guard(self.scalar_values(t, state[..., 0], sup), t)
                 return (1.0 / self.base) * vec
-            return self.inv_scalar_values(t, state[..., 0], sup)[..., None] * vec
+            vals = self.scalar_values(t, state[..., 0], sup)
+            self._guard(vals, t)
+            return (1.0 / vals)[..., None] * vec
         self._guard(np.asarray([self.base]), np.ravel(t)[0])
         return vec / self.base
 
@@ -237,8 +230,7 @@ class DiffusionSpec:
             sol = np.linalg.solve(a, flat.T).T
             return np.einsum("ij,ij->i", flat, sol).reshape(vec.shape[:-1])
         if state.shape[-1] == 1:
-            inv = self.inv_scalar_values(t, state[..., 0], sup)
-            return (vec[..., 0] * inv) ** 2
+            return self.inv_apply(t, state, sup, vec)[..., 0] ** 2
         self._guard(np.asarray([self.base]), np.ravel(t)[0])
         return np.sum(vec * vec, axis=-1) / self.base**2
 
@@ -247,9 +239,23 @@ class DiffusionSpec:
 # drift
 
 
-class _AffineDrift:
-    """What the two affine drift registries share: the bound-scale check, the
-    statistic names, and the statistic terms with the optional tanh clip."""
+@dataclass(frozen=True)
+class DriftSpec:
+    """Controlled drift f(t, x, mu, u, v) = A x + sum B_j m_j + C u + Cv v + c0.
+
+    stats maps statistic names to coefficients B_j; m_j(t) is the flow's value
+    of that statistic.  A control problem has no maximizer v, so control_v is
+    read only when a v is passed.  bound_scale, when set, clips the affine
+    form through scale * tanh(raw / scale), preserving Lipschitz constants
+    while making f bounded.
+    """
+
+    state: float = 0.0
+    stats: tuple[tuple[str, float], ...] = ()
+    control: float = 0.0
+    control_v: float = 0.0
+    const: float = 0.0
+    bound_scale: float | None = None
 
     def __post_init__(self):
         if self.bound_scale is not None and self.bound_scale <= 0:
@@ -258,69 +264,28 @@ class _AffineDrift:
     def stat_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.stats)
 
-    def _with_stats(self, out, stats_row):
+    @property
+    def trivially_zero(self) -> bool:
+        return (
+            self.state == 0.0
+            and self.control == 0.0
+            and self.control_v == 0.0
+            and self.const == 0.0
+            and all(c == 0.0 for _, c in self.stats)
+        )
+
+    def evaluate(self, x0, stats_row, u, v=None):
+        """Scalar drift (coordinate 0), broadcasting over any leading shape."""
+        out = self.state * x0 + self.control * u
+        if v is not None:
+            out = out + self.control_v * v
+        out = out + self.const
         for name, coeff in self.stats:
             if coeff != 0.0:
                 out = out + coeff * stats_row[name]
         if self.bound_scale is not None:
             out = self.bound_scale * np.tanh(out / self.bound_scale)
         return out
-
-
-@dataclass(frozen=True)
-class DriftSpec(_AffineDrift):
-    """Controlled drift f(t, x, mu, u) = A x + sum B_j m_j + C u + c0.
-
-    stats maps statistic names to coefficients B_j; m_j(t) is the flow's value
-    of that statistic.  bound_scale, when set, clips the affine form through
-    scale * tanh(raw / scale), preserving Lipschitz constants while making f
-    bounded.
-    """
-
-    state: float = 0.0
-    stats: tuple[tuple[str, float], ...] = ()
-    control: float = 0.0
-    const: float = 0.0
-    bound_scale: float | None = None
-
-    @property
-    def trivially_zero(self) -> bool:
-        return (
-            self.state == 0.0
-            and self.control == 0.0
-            and self.const == 0.0
-            and all(c == 0.0 for _, c in self.stats)
-        )
-
-    def evaluate(self, x0, stats_row, u):
-        """Scalar drift (coordinate 0), broadcasting over any leading shape."""
-        return self._with_stats(self.state * x0 + self.control * u + self.const, stats_row)
-
-
-@dataclass(frozen=True)
-class GameDriftSpec(_AffineDrift):
-    """Two-player drift f = A x + sum B_j m_j + Cu u + Cv v + c0."""
-
-    state: float = 0.0
-    stats: tuple[tuple[str, float], ...] = ()
-    control_u: float = 0.0
-    control_v: float = 0.0
-    const: float = 0.0
-    bound_scale: float | None = None
-
-    @property
-    def trivially_zero(self) -> bool:
-        return (
-            self.state == 0.0
-            and self.control_u == 0.0
-            and self.control_v == 0.0
-            and self.const == 0.0
-            and all(c == 0.0 for _, c in self.stats)
-        )
-
-    def evaluate(self, x0, stats_row, u, v):
-        return self._with_stats(
-            self.state * x0 + self.control_u * u + self.control_v * v + self.const, stats_row)
 
 
 # ---------------------------------------------------------------------------
@@ -355,69 +320,37 @@ class StateTermSpec:
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Running cost h(t, x, mu, u) = 0.5 q u^2 + l u + state + stat + const."""
+    """Running cost h(t, x, mu, u, v) = 0.5 q u^2 + 0.5 qv v^2 + b u v + l u
+    + lv v + state + stat + const; the v terms are read only when a v is
+    passed."""
 
     quad: float = 0.0
     lin: float = 0.0
     const: float = 0.0
     state_term: StateTermSpec = StateTermSpec()
     stat: tuple[str, float] | None = None
+    quad_v: float = 0.0
+    bilinear: float = 0.0
+    lin_v: float = 0.0
 
     def stat_names(self) -> tuple[str, ...]:
         return (self.stat[0],) if self.stat is not None else ()
 
-    @property
-    def trivially_zero(self) -> bool:
-        return (
-            self.quad == 0.0
-            and self.lin == 0.0
-            and self.const == 0.0
-            and (self.state_term.kind == "none" or self.state_term.coeff == 0.0)
-            and (self.stat is None or self.stat[1] == 0.0)
-        )
-
-    def evaluate(self, x0, stats_row, u):
-        out = 0.5 * self.quad * u * u + self.lin * u + self.const
-        out = out + self.state_term.evaluate(x0)
+    def evaluate(self, x0, stats_row, u, v=None):
+        out = 0.5 * self.quad * u * u
+        if v is not None:
+            out = out + 0.5 * self.quad_v * v * v + self.bilinear * u * v
+        out = out + self.lin * u
+        if v is not None:
+            out = out + self.lin_v * v
+        out = out + self.const + self.state_term.evaluate(x0)
         if self.stat is not None and self.stat[1] != 0.0:
             out = out + self.stat[1] * stats_row[self.stat[0]]
         out = np.asarray(out, dtype=float)
         if out.ndim == 0:
             # all coefficients vanished; keep per-particle shape for reductions
-            out = np.broadcast_to(out, np.broadcast_shapes(np.shape(x0), np.shape(u)))
-        return out
-
-
-@dataclass(frozen=True)
-class GameCostSpec:
-    """Two-player running cost
-    0.5 qu u^2 + 0.5 qv v^2 + b u v + lu u + lv v + state + const."""
-
-    quad_u: float = 0.0
-    quad_v: float = 0.0
-    bilinear: float = 0.0
-    lin_u: float = 0.0
-    lin_v: float = 0.0
-    const: float = 0.0
-    state_term: StateTermSpec = StateTermSpec()
-
-    def stat_names(self) -> tuple[str, ...]:
-        return ()
-
-    def evaluate(self, x0, stats_row, u, v):
-        out = (
-            0.5 * self.quad_u * u * u
-            + 0.5 * self.quad_v * v * v
-            + self.bilinear * u * v
-            + self.lin_u * u
-            + self.lin_v * v
-            + self.const
-        )
-        out = out + self.state_term.evaluate(x0)
-        out = np.asarray(out, dtype=float)
-        if out.ndim == 0:
-            shape = np.broadcast_shapes(np.shape(x0), np.shape(u), np.shape(v))
-            out = np.broadcast_to(out, shape)
+            out = np.broadcast_to(out, np.broadcast_shapes(
+                *(np.shape(a) for a in (x0, u, v) if a is not None)))
         return out
 
 
@@ -446,10 +379,6 @@ class TerminalSpec:
 
     def stat_names(self) -> tuple[str, ...]:
         return (self.stat,) if self.kind == "variance" else ()
-
-    @property
-    def law_dependent(self) -> bool:
-        return self.kind == "variance"
 
     def bounded(self, statistics: dict[str, StatisticSpec]) -> bool:
         if self.kind == "tanh":
@@ -570,6 +499,10 @@ class Scenario(_ScenarioViews):
 
     kind = "control"
 
+    @property
+    def grids(self) -> tuple[ActionGrid]:
+        return (self.actions,)
+
 
 @dataclass(frozen=True)
 class GameScenario(_ScenarioViews):
@@ -581,14 +514,18 @@ class GameScenario(_ScenarioViews):
     initial: tuple[float, ...]
     horizon: float
     sigma: DiffusionSpec
-    drift: GameDriftSpec
-    running_cost: GameCostSpec
+    drift: DriftSpec
+    running_cost: CostSpec
     terminal_cost: TerminalSpec
     statistics: tuple[tuple[str, StatisticSpec], ...]
     actions_u: ActionGrid
     actions_v: ActionGrid
 
     kind = "game"
+
+    @property
+    def grids(self) -> tuple[ActionGrid, ActionGrid]:
+        return (self.actions_u, self.actions_v)
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +628,37 @@ def _parse_terminal(doc, path, registered) -> TerminalSpec:
     return spec
 
 
+# The keys each scenario kind accepts in its drift and running_cost mappings.
+# A game spells its u-side coefficients with a _u suffix; the registry field
+# drops it.
+_DRIFT_KEYS = {
+    "control": ("state", "stats", "control", "const", "bound_scale"),
+    "game": ("state", "stats", "control_u", "control_v", "const", "bound_scale"),
+}
+_COST_KEYS = {
+    "control": ("quad", "lin", "const", "state", "stat"),
+    "game": ("quad_u", "quad_v", "bilinear", "lin_u", "lin_v", "const", "state", "stat"),
+}
+_DRIFT_PARSED = ("stats", "bound_scale")   # every other drift key is a number
+_COST_PARSED = ("state", "stat")           # every other cost key is a number
+_GRID_KEYS = {"control": ("actions",), "game": ("actions_u", "actions_v")}
+
+
+def _keyed(doc, path: str, keys: tuple[str, ...], kind: str) -> dict:
+    doc = _expect(doc, dict, path)
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}", f"unknown key for a {kind} scenario; "
+                                               f"expected one of {', '.join(keys)}")
+    return doc
+
+
+def _coefficients(doc: dict, path: str, keys: tuple[str, ...], parsed: tuple[str, ...]) -> dict:
+    """Registry field -> number for the numeric keys of a drift or cost mapping."""
+    return {key.removesuffix("_u"): _as_float(doc.get(key, 0.0), f"{path}.{key}")
+            for key in keys if key not in parsed}
+
+
 def parse_scenario(text: str | dict) -> Scenario | GameScenario:
     """Parse a config document (JSON text or an already-decoded mapping).
 
@@ -743,75 +711,40 @@ def parse_scenario(text: str | dict) -> Scenario | GameScenario:
     statistics = _parse_statistics(doc.get("statistics", {}), "statistics")
     registered = {name for name, _ in statistics}
 
-    ddoc = _expect(doc.get("drift", {}), dict, "drift")
+    ddoc = _keyed(doc.get("drift", {}), "drift", _DRIFT_KEYS[kind], kind)
     bound_scale = ddoc.get("bound_scale")
     if bound_scale is not None:
         bound_scale = _as_float(bound_scale, "drift.bound_scale")
 
     name = _expect(doc.get("name", "custom"), str, "name")
-    hdoc = _expect(doc.get("running_cost", {}), dict, "running_cost")
+    hdoc = _keyed(doc.get("running_cost", {}), "running_cost", _COST_KEYS[kind], kind)
 
-    if kind == "control":
-        drift = DriftSpec(
-            state=_as_float(ddoc.get("state", 0.0), "drift.state"),
-            stats=_parse_stat_coeffs(ddoc.get("stats"), "drift.stats", registered),
-            control=_as_float(ddoc.get("control", 0.0), "drift.control"),
-            const=_as_float(ddoc.get("const", 0.0), "drift.const"),
-            bound_scale=bound_scale,
-        )
-        stat = hdoc.get("stat")
-        if stat is not None:
-            if not isinstance(stat, list) or len(stat) != 2:
-                raise ConfigError("running_cost.stat", "expected [name, coeff]")
-            if stat[0] not in registered:
-                raise ConfigError("running_cost.stat", f"statistic {stat[0]!r} is not registered")
-            stat = (stat[0], _as_float(stat[1], "running_cost.stat"))
-        running = CostSpec(
-            quad=_as_float(hdoc.get("quad", 0.0), "running_cost.quad"),
-            lin=_as_float(hdoc.get("lin", 0.0), "running_cost.lin"),
-            const=_as_float(hdoc.get("const", 0.0), "running_cost.const"),
-            state_term=_parse_state_term(hdoc.get("state"), "running_cost.state"),
-            stat=stat,
-        )
-        terminal = _parse_terminal(doc.get("terminal_cost", {"kind": "linear"}),
-                                   "terminal_cost", registered)
-        actions = _parse_actions(_require(doc, "actions", ""), "actions")
-        if dim > 1 and not drift.trivially_zero:
-            raise ConfigError("drift", "nonzero drift registry requires dimension 1")
-        return Scenario(
-            name=name, dim=dim, initial=initial_t, horizon=horizon, sigma=sigma,
-            drift=drift, running_cost=running, terminal_cost=terminal,
-            statistics=statistics, actions=actions,
-        )
-
-    drift_g = GameDriftSpec(
-        state=_as_float(ddoc.get("state", 0.0), "drift.state"),
+    drift = DriftSpec(
+        **_coefficients(ddoc, "drift", _DRIFT_KEYS[kind], _DRIFT_PARSED),
         stats=_parse_stat_coeffs(ddoc.get("stats"), "drift.stats", registered),
-        control_u=_as_float(ddoc.get("control_u", 0.0), "drift.control_u"),
-        control_v=_as_float(ddoc.get("control_v", 0.0), "drift.control_v"),
-        const=_as_float(ddoc.get("const", 0.0), "drift.const"),
         bound_scale=bound_scale,
     )
-    running_g = GameCostSpec(
-        quad_u=_as_float(hdoc.get("quad_u", 0.0), "running_cost.quad_u"),
-        quad_v=_as_float(hdoc.get("quad_v", 0.0), "running_cost.quad_v"),
-        bilinear=_as_float(hdoc.get("bilinear", 0.0), "running_cost.bilinear"),
-        lin_u=_as_float(hdoc.get("lin_u", 0.0), "running_cost.lin_u"),
-        lin_v=_as_float(hdoc.get("lin_v", 0.0), "running_cost.lin_v"),
-        const=_as_float(hdoc.get("const", 0.0), "running_cost.const"),
+    stat = hdoc.get("stat")
+    if stat is not None:
+        if not isinstance(stat, list) or len(stat) != 2:
+            raise ConfigError("running_cost.stat", "expected [name, coeff]")
+        if stat[0] not in registered:
+            raise ConfigError("running_cost.stat", f"statistic {stat[0]!r} is not registered")
+        stat = (stat[0], _as_float(stat[1], "running_cost.stat"))
+    running = CostSpec(
+        **_coefficients(hdoc, "running_cost", _COST_KEYS[kind], _COST_PARSED),
         state_term=_parse_state_term(hdoc.get("state"), "running_cost.state"),
+        stat=stat,
     )
     terminal = _parse_terminal(doc.get("terminal_cost", {"kind": "linear"}),
                                "terminal_cost", registered)
-    actions_u = _parse_actions(_require(doc, "actions_u", ""), "actions_u")
-    actions_v = _parse_actions(_require(doc, "actions_v", ""), "actions_v")
-    if dim > 1 and not drift_g.trivially_zero:
+    grids = {key: _parse_actions(_require(doc, key, ""), key) for key in _GRID_KEYS[kind]}
+    if dim > 1 and not drift.trivially_zero:
         raise ConfigError("drift", "nonzero drift registry requires dimension 1")
-    return GameScenario(
-        name=name, dim=dim, initial=initial_t, horizon=horizon, sigma=sigma,
-        drift=drift_g, running_cost=running_g, terminal_cost=terminal,
-        statistics=statistics, actions_u=actions_u, actions_v=actions_v,
-    )
+    cls = Scenario if kind == "control" else GameScenario
+    return cls(name=name, dim=dim, initial=initial_t, horizon=horizon, sigma=sigma,
+               drift=drift, running_cost=running, terminal_cost=terminal,
+               statistics=statistics, **grids)
 
 
 def serialize_scenario(s: Scenario | GameScenario) -> dict:
@@ -836,59 +769,27 @@ def serialize_scenario(s: Scenario | GameScenario) -> dict:
     if s.sigma.matrix is not None:
         doc["diffusion"]["matrix"] = [list(row) for row in s.sigma.matrix]
 
-    def _actions_doc(grid: ActionGrid) -> dict:
-        if grid.lo is not None:
-            return {"lo": grid.lo, "hi": grid.hi, "count": grid.count}
-        return {"points": [list(p) for p in grid.points]}
-
     term = {"kind": s.terminal_cost.kind, "coeff": s.terminal_cost.coeff,
             "const": s.terminal_cost.const, "scale": s.terminal_cost.scale}
     if s.terminal_cost.kind == "variance":
         term["stat"] = s.terminal_cost.stat
     doc["terminal_cost"] = term
 
-    state_doc = None
-    if s.running_cost.state_term.kind != "none":
-        state_doc = {"kind": s.running_cost.state_term.kind,
-                     "coeff": s.running_cost.state_term.coeff,
-                     "scale": s.running_cost.state_term.scale}
+    doc["drift"] = {key: getattr(s.drift, key.removesuffix("_u")) for key in _DRIFT_KEYS[s.kind]}
+    doc["drift"]["stats"] = dict(s.drift.stats)
+    cost = s.running_cost
+    doc["running_cost"] = {key: getattr(cost, key.removesuffix("_u"))
+                           for key in _COST_KEYS[s.kind] if key not in _COST_PARSED}
+    if cost.state_term.kind != "none":
+        doc["running_cost"]["state"] = {"kind": cost.state_term.kind,
+                                        "coeff": cost.state_term.coeff,
+                                        "scale": cost.state_term.scale}
+    if cost.stat is not None:
+        doc["running_cost"]["stat"] = [cost.stat[0], cost.stat[1]]
 
-    if s.kind == "control":
-        doc["drift"] = {
-            "state": s.drift.state,
-            "stats": {name: coeff for name, coeff in s.drift.stats},
-            "control": s.drift.control,
-            "const": s.drift.const,
-            "bound_scale": s.drift.bound_scale,
-        }
-        doc["running_cost"] = {
-            "quad": s.running_cost.quad, "lin": s.running_cost.lin,
-            "const": s.running_cost.const,
-        }
-        if state_doc:
-            doc["running_cost"]["state"] = state_doc
-        if s.running_cost.stat is not None:
-            doc["running_cost"]["stat"] = [s.running_cost.stat[0], s.running_cost.stat[1]]
-        doc["actions"] = _actions_doc(s.actions)
-    else:
-        doc["drift"] = {
-            "state": s.drift.state,
-            "stats": {name: coeff for name, coeff in s.drift.stats},
-            "control_u": s.drift.control_u,
-            "control_v": s.drift.control_v,
-            "const": s.drift.const,
-            "bound_scale": s.drift.bound_scale,
-        }
-        doc["running_cost"] = {
-            "quad_u": s.running_cost.quad_u, "quad_v": s.running_cost.quad_v,
-            "bilinear": s.running_cost.bilinear,
-            "lin_u": s.running_cost.lin_u, "lin_v": s.running_cost.lin_v,
-            "const": s.running_cost.const,
-        }
-        if state_doc:
-            doc["running_cost"]["state"] = state_doc
-        doc["actions_u"] = _actions_doc(s.actions_u)
-        doc["actions_v"] = _actions_doc(s.actions_v)
+    for key, grid in zip(_GRID_KEYS[s.kind], s.grids):
+        doc[key] = ({"lo": grid.lo, "hi": grid.hi, "count": grid.count} if grid.lo is not None
+                    else {"points": [list(p) for p in grid.points]})
     return doc
 
 

@@ -170,6 +170,11 @@ def test_blocked_validation_exits_2_unless_overridden(capsys, tmp_path):
     ("linear-quadratic", "diffusion", {"kind": "constant", "matrix": 3}, "diffusion.matrix"),
     ("variance", "terminal_cost", {"kind": "variance", "stat": [1]}, "terminal_cost.stat"),
     ("linear-quadratic", "name", float("nan"), "name"),
+    ("linear-quadratic", "drift", {"control_u": 1.0}, "drift.control_u"),
+    ("linear-quadratic", "running_cost", {"quad_u": 1.0}, "running_cost.quad_u"),
+    ("separated-game", "drift", {"control": 1.0}, "drift.control"),
+    ("separated-game", "running_cost", {"quad": 1.0}, "running_cost.quad"),
+    ("linear-quadratic", "running_cost", {"qaud": 1.0}, "running_cost.qaud"),
 ])
 def test_malformed_config_exits_2_without_traceback(capsys, tmp_path, base, key, value, path):
     doc = builtin_config(base)

@@ -235,6 +235,40 @@ def test_hamiltonian_reads_a_one_by_one_sigma_matrix(lq):
     np.testing.assert_allclose(h, [1.0, 1.0], rtol=1e-15)
 
 
+@pytest.mark.parametrize("kind", ["control", "game"])
+def test_hamiltonian_reads_a_d2_sigma_matrix(tmp_path, kind):
+    import json
+
+    from mfcontrol import main, simulate_for_scenario
+    from mfcontrol.bsde import linear_driver
+
+    # sigma is the identity matrix; base 0.0 would be singular, and is not read
+    doc = {"kind": kind, "dimension": 2, "initial": [0.0, 0.0], "horizon": 1.0,
+           "diffusion": {"kind": "constant", "base": 0.0, "matrix": [[1, 0], [0, 1]]},
+           "drift": {}}
+    grid = {"lo": -1.0, "hi": 1.0, "count": 5}
+    if kind == "control":
+        doc.update(running_cost={"quad": 1.0}, actions=grid)
+    else:
+        doc.update(running_cost={"quad_u": 1.0, "quad_v": -1.0}, actions_u=grid, actions_v=grid)
+    cfg = tmp_path / "d2.json"
+    cfg.write_text(json.dumps(doc))
+    command = "optimize" if kind == "control" else "game"
+    assert main([command, "--config", str(cfg), "--seed", "1", "--particles", "200",
+                 "--steps", "5", "--out", str(tmp_path / "out")]) == 0
+
+    scen = parse_scenario(doc)
+    paths = simulate_for_scenario(scen, particles=200, steps=5, seed=1)
+    controls = tuple(constant_control(0.5, g) for g in scen.grids)
+    played = controls[0] if kind == "control" else controls
+    driver = linear_driver(scen, fixpoint_measure_flow(scen, played, paths).flow, played)
+    z = np.random.default_rng(3).normal(size=(paths.particles, 2))
+    for k in range(paths.grid.steps):
+        h = hamiltonian(scen, paths.grid.times[k], paths.state(k), paths.sup(k), {}, z,
+                        *(c.actions(paths, k) for c in controls))
+        np.testing.assert_array_equal(h, driver(k, z))
+
+
 def _lq_grid_minimum(grid, z):
     # independent enumeration of min_u (u^2/2 + z u) over the action grid
     cands = [0.5 * u * u + z * u for u in grid.array()[:, 0]]

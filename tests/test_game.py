@@ -365,3 +365,23 @@ def test_trivial_game_payoffs_are_sample_means(paths1k):
             constant_control(1.0, game.actions_v))
     res = evaluate_payoff(game, pair, paths1k)
     assert res.value == report.j_hat
+
+
+def test_game_running_cost_stat_is_priced(separated_game, paths1k):
+    from mfcontrol import serialize_scenario, validate_scenario
+
+    c = 0.7
+    doc = serialize_scenario(separated_game)
+    doc["running_cost"]["stat"] = ["mean", c]
+    priced = parse_scenario(doc)
+    assert priced.running_cost.stat == ("mean", c)
+    assert parse_scenario(serialize_scenario(priced)) == priced
+    c2 = validate_scenario(priced).status_of("C2")
+    assert c2.status == "not-certified" and "mean" in c2.reason
+    # the pair (0, 0) moves nothing: every weight is exactly 1
+    pair = tuple(constant_control(0.0, grid) for grid in separated_game.grids)
+    base = evaluate_payoff(separated_game, pair, paths1k)
+    res = evaluate_payoff(priced, pair, paths1k)
+    assert np.all(res.flow.weights == 1.0)
+    term = c * np.trapezoid(res.flow.statistic_series("mean"), dx=paths1k.grid.dt)
+    assert abs(res.value - base.value - term) <= 1e-12
