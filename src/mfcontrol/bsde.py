@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EnsembleMemo, PathEnsemble
-from .girsanov import control_actions, drift_evaluator
+from .girsanov import control_actions
 from .measure import MeasureFlow
 from .scenario import GameScenario, Scenario
 
@@ -266,19 +266,39 @@ def _stat_series(scenario: Scenario | GameScenario, flow: MeasureFlow) -> dict[s
     return {name: flow.statistic_series(name) for name in names}
 
 
+def _particle_rows(arr) -> np.ndarray:
+    """Coerce (m,) or (m, d) input to (m, d) rows; (m,) is d = 1."""
+    out = np.asarray(arr, dtype=float)
+    return out[:, None] if out.ndim == 1 else out
+
+
+def _hamiltonian_values(scenario: Scenario | GameScenario, t: float, state, sup,
+                        stats_row: dict, z, actions) -> np.ndarray:
+    """H = h + z . sigma^{-1} f at each particle, the last axis.  The actions
+    (u, or u and v) are particle columns or action-grid axes that broadcast
+    against the particles.  The registry drift f moves coordinate 0 only, so
+    z . sigma^{-1} f = (z . sigma^{-1} e_0) f."""
+    state, z = _particle_rows(state), _particle_rows(z)
+    x0 = state[:, 0]
+    f = scenario.drift.evaluate(x0, stats_row, *actions)
+    e0 = np.zeros_like(state)
+    e0[:, 0] = 1.0
+    c = scenario.sigma.inv_apply(t, state, np.asarray(sup, dtype=float), e0)
+    h = scenario.running_cost.evaluate(x0, stats_row, *actions)
+    return h + np.sum(z * c, axis=1) * f
+
+
 def linear_driver(scenario: Scenario | GameScenario, flow: MeasureFlow, control):
-    """Driver (t_index, z) -> h + z . sigma^{-1} f for a fixed control (or pair)."""
+    """Driver (t_index, z) -> H = h + z . sigma^{-1} f for a fixed control (or
+    pair), reading its actions once per step."""
     paths = flow.paths
-    drift_at = drift_evaluator(scenario, flow, control)
     series = _stat_series(scenario, flow)
     times = paths.grid.times
 
     def driver_at(k: int, z: np.ndarray) -> np.ndarray:
         row = {name: s[k] for name, s in series.items()}
-        acts = (a[:, 0] for a in control_actions(control, paths, slice(None), slice(k, k + 1)))
-        h = scenario.running_cost.evaluate(paths.values[:, k, 0], row, *acts)
-        theta = scenario.sigma.inv_apply(times[k], paths.state(k), paths.sup(k), drift_at(k))
-        return h + np.sum(z * theta, axis=1)
+        acts = [a[:, 0] for a in control_actions(control, paths, slice(None), slice(k, k + 1))]
+        return _hamiltonian_values(scenario, times[k], paths.state(k), paths.sup(k), row, z, acts)
 
     return driver_at
 

@@ -29,8 +29,8 @@ from functools import partial
 
 import numpy as np
 
-from .bsde import (BasisSpec, BsdeSolution, _stat_series, features_at, solve_driver_bsde,
-                   solve_linear_bsde, terminal_values)
+from .bsde import (BasisSpec, BsdeSolution, _hamiltonian_values, _stat_series, features_at,
+                   solve_driver_bsde, solve_linear_bsde, terminal_values)
 from .core import EnsembleMemo, PathEnsemble, particle_blocks
 from .girsanov import (DensityProcess, FixpointDiagnostics, FixpointResult, control_actions,
                        fixpoint_measure_flow)
@@ -173,28 +173,6 @@ def _particle_column(arr) -> np.ndarray:
     """Coerce (m,) or (m, d) input to the scalar column read by the registry."""
     out = np.asarray(arr, dtype=float)
     return out[:, 0] if out.ndim == 2 else out
-
-
-def _particle_rows(arr) -> np.ndarray:
-    """Coerce (m,) or (m, d) input to (m, d) rows; (m,) is d = 1."""
-    out = np.asarray(arr, dtype=float)
-    return out[:, None] if out.ndim == 1 else out
-
-
-def _hamiltonian_values(scenario: Scenario | GameScenario, t: float, state, sup,
-                        stats_row: dict, z, actions) -> np.ndarray:
-    """H = h + z . sigma^{-1} f at each particle, the last axis.  The actions
-    (u, or u and v) are particle columns or action-grid axes that broadcast
-    against the particles.  The registry drift f moves coordinate 0 only, so
-    z . sigma^{-1} f = (z . sigma^{-1} e_0) f."""
-    state, z = _particle_rows(state), _particle_rows(z)
-    x0 = state[:, 0]
-    f = scenario.drift.evaluate(x0, stats_row, *actions)
-    e0 = np.zeros_like(state)
-    e0[:, 0] = 1.0
-    c = scenario.sigma.inv_apply(t, state, np.asarray(sup, dtype=float), e0)
-    h = scenario.running_cost.evaluate(x0, stats_row, *actions)
-    return h + np.sum(z * c, axis=1) * f
 
 
 def hamiltonian(scenario: Scenario | GameScenario, t: float, state, sup, stats_row: dict,

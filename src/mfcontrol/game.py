@@ -19,9 +19,9 @@ from functools import partial
 
 import numpy as np
 
-from .bsde import BasisSpec, BsdeSolution
-from .control import (_GridFeedback, _hamiltonian_values, _synthesize, constant_control,
-                      evaluate_payoff, grid_index_dtype, hamiltonian)
+from .bsde import BasisSpec, BsdeSolution, _hamiltonian_values
+from .control import (_GridFeedback, _synthesize, constant_control, evaluate_payoff,
+                      grid_index_dtype, hamiltonian)
 from .core import PathEnsemble
 from .girsanov import DensityProcess
 from .measure import MeasureFlow

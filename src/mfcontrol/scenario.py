@@ -41,6 +41,7 @@ VIOLATED = "violated"
 _STAT_KINDS = ("identity", "square", "tanh", "indicator_bin")
 _SIGMA_KINDS = ("constant", "affine_state", "sup_modulated")
 _TERMINAL_KINDS = ("linear", "tanh", "variance")
+_STATE_KINDS = ("none", "identity", "tanh")
 
 
 class ConfigError(ValueError):
@@ -301,10 +302,10 @@ class StateTermSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "identity", "tanh"):
-            raise ConfigError("cost.state.kind", f"unknown state term kind {self.kind!r}")
+        if self.kind not in _STATE_KINDS:
+            raise ConfigError("running_cost.state.kind", f"unknown state term kind {self.kind!r}")
         if self.kind == "tanh" and self.scale <= 0:
-            raise ConfigError("cost.state.scale", "tanh scale must be positive")
+            raise ConfigError("running_cost.state.scale", "tanh scale must be positive")
 
     @property
     def bounded(self) -> bool:
@@ -482,19 +483,19 @@ class _ScenarioViews:
                                     *self.terminal_cost.stat_names())))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario(_ScenarioViews):
     """Immutable single-controller problem description."""
 
-    name: str
-    dim: int
+    name: str = "custom"
+    dim: int = 1
     initial: tuple[float, ...]
     horizon: float
-    sigma: DiffusionSpec
-    drift: DriftSpec
-    running_cost: CostSpec
-    terminal_cost: TerminalSpec
-    statistics: tuple[tuple[str, StatisticSpec], ...]
+    sigma: DiffusionSpec = DiffusionSpec()
+    drift: DriftSpec = DriftSpec()
+    running_cost: CostSpec = CostSpec()
+    terminal_cost: TerminalSpec = TerminalSpec()
+    statistics: tuple[tuple[str, StatisticSpec], ...] = ()
     actions: ActionGrid
 
     kind = "control"
@@ -504,20 +505,20 @@ class Scenario(_ScenarioViews):
         return (self.actions,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GameScenario(_ScenarioViews):
     """Immutable zero-sum two-player problem description.  Player u minimizes
     the payoff, player v maximizes."""
 
-    name: str
-    dim: int
+    name: str = "custom"
+    dim: int = 1
     initial: tuple[float, ...]
     horizon: float
-    sigma: DiffusionSpec
-    drift: DriftSpec
-    running_cost: CostSpec
-    terminal_cost: TerminalSpec
-    statistics: tuple[tuple[str, StatisticSpec], ...]
+    sigma: DiffusionSpec = DiffusionSpec()
+    drift: DriftSpec = DriftSpec()
+    running_cost: CostSpec = CostSpec()
+    terminal_cost: TerminalSpec = TerminalSpec()
+    statistics: tuple[tuple[str, StatisticSpec], ...] = ()
     actions_u: ActionGrid
     actions_v: ActionGrid
 
@@ -530,12 +531,33 @@ class GameScenario(_ScenarioViews):
 
 # ---------------------------------------------------------------------------
 # parsing
+#
+# Every mapping of a config document is read through one key table,
+# {document key: (registry field, reader)}.  A reader takes (value, dotted
+# path) and returns the field's value or raises ConfigError at that path.
+# Only the keys a document sets are passed on, so every default is the
+# registry dataclass's own; a key outside its table is an error.
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
-    return doc[key]
+def _at(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _fields(doc, path: str, table: dict) -> dict:
+    """Registry field -> read value for each key the mapping doc sets."""
+    out = {}
+    for key, value in _expect(doc, dict, path).items():
+        if key not in table:
+            raise ConfigError(_at(path, key), f"unknown key; expected one of {', '.join(table)}")
+        field, read = table[key]
+        out[field] = read(value, _at(path, key))
+    return out
+
+
+def _require(fields: dict, path: str, keys: tuple[str, ...]):
+    for key in keys:
+        if key not in fields:
+            raise ConfigError(_at(path, key), "missing required field")
 
 
 def _as_float(value, path: str) -> float:
@@ -546,117 +568,127 @@ def _as_float(value, path: str) -> float:
     return float(value)
 
 
+def _positive_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(path, f"expected a positive integer, got {value!r}")
+    return value
+
+
 _TYPE_NAMES = {dict: "a mapping", list: "a list", str: "a string"}
 
 
 def _expect(value, kind: type, path: str):
     if not isinstance(value, kind):
-        raise ConfigError(path, f"expected {_TYPE_NAMES[kind]}, got {value!r}")
+        raise ConfigError(path or "<document>", f"expected {_TYPE_NAMES[kind]}, got {value!r}")
     return value
 
 
-def _parse_statistics(doc, path) -> tuple[tuple[str, StatisticSpec], ...]:
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "statistics must be a mapping of name -> spec")
+def _string(value, path: str) -> str:
+    return _expect(value, str, path)
+
+
+def _numbers(value, path: str) -> tuple[float, ...]:
+    """A number or a list of numbers."""
+    return tuple(_as_float(v, path) for v in (value if isinstance(value, list) else [value]))
+
+
+def _matrix(value, path: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(_as_float(v, path) for v in _expect(row, list, path))
+                 for row in _expect(value, list, path))
+
+
+def _points(value, path: str) -> list[tuple[float, ...]]:
+    return [_numbers(p, f"{path}[{i}]") for i, p in enumerate(_expect(value, list, path))]
+
+
+def _stat_weights(value, path: str) -> tuple[tuple[str, float], ...]:
+    return tuple((name, _as_float(w, _at(path, name)))
+                 for name, w in _expect(value, dict, path).items())
+
+
+def _stat_term(value, path: str) -> tuple[str, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(path, "expected [name, coeff]")
+    return _string(value[0], path), _as_float(value[1], path)
+
+
+def _one_of(kinds: tuple[str, ...], what: str):
+    """Reader of a registry kind."""
+    def read(value, path: str) -> str:
+        if value not in kinds:
+            raise ConfigError(path, f"unknown {what} kind {value!r}")
+        return value
+    return read
+
+
+def _optional(read):
+    """Reader that takes null for a field whose default is None."""
+    return lambda value, path: None if value is None else read(value, path)
+
+
+def _spec(cls, table: dict):
+    """Reader of a mapping into the registry class cls."""
+    return lambda value, path: cls(**_fields(value, path, table))
+
+
+def _numeric(*keys: str) -> dict:
+    # a game spells its u-side coefficients with a _u suffix; the field drops it
+    return {key: (key.removesuffix("_u"), _as_float) for key in keys}
+
+
+def _statistics(value, path: str) -> tuple[tuple[str, StatisticSpec], ...]:
     out = []
-    for name, spec in doc.items():
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ConfigError(f"{path}.{name}", "statistic spec needs a kind")
-        kind = spec["kind"]
-        if kind not in _STAT_KINDS:
-            raise ConfigError(f"{path}.{name}.kind", f"unknown statistic kind {kind!r}")
-        out.append((name, StatisticSpec(
-            kind=kind,
-            scale=_as_float(spec.get("scale", 1.0), f"{path}.{name}.scale"),
-            lo=_as_float(spec.get("lo", 0.0), f"{path}.{name}.lo"),
-            hi=_as_float(spec.get("hi", 1.0), f"{path}.{name}.hi"),
-        )))
+    for name, doc in _expect(value, dict, path).items():
+        fields = _fields(doc, _at(path, name), _STATISTIC_KEYS)
+        _require(fields, _at(path, name), ("kind",))
+        out.append((name, StatisticSpec(**fields)))
     return tuple(out)
 
 
-def _parse_stat_coeffs(doc, path, registered) -> tuple[tuple[str, float], ...]:
-    if doc is None:
-        return ()
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "stat coefficients must be a mapping name -> number")
-    out = []
-    for name, coeff in doc.items():
-        if name not in registered:
-            raise ConfigError(f"{path}.{name}", f"statistic {name!r} is not registered")
-        out.append((name, _as_float(coeff, f"{path}.{name}")))
-    return tuple(out)
+def _action_grid(value, path: str) -> ActionGrid:
+    """Explicit points, or count points evenly spaced on [lo, hi]."""
+    fields = _fields(value, path, _ACTION_KEYS)
+    if "points" in fields:
+        if len(fields) > 1:
+            raise ConfigError(path, "a grid sets either points or lo, hi and count, not both")
+        return ActionGrid.explicit(fields["points"])
+    _require(fields, path, ("lo", "hi", "count"))
+    return ActionGrid.box(**fields)
 
 
-def _parse_state_term(doc, path) -> StateTermSpec:
-    if doc is None:
-        return StateTermSpec()
-    doc = _expect(doc, dict, path)
-    return StateTermSpec(
-        kind=doc.get("kind", "none"),
-        coeff=_as_float(doc.get("coeff", 0.0), f"{path}.coeff"),
-        scale=_as_float(doc.get("scale", 1.0), f"{path}.scale"),
-    )
-
-
-def _parse_actions(doc, path) -> ActionGrid:
-    doc = _expect(doc, dict, path)
-    if "points" in doc:
-        points = _expect(doc["points"], list, f"{path}.points")
-        return ActionGrid.explicit(
-            [[_as_float(c, f"{path}.points[{i}]") for c in (p if isinstance(p, list) else [p])]
-             for i, p in enumerate(points)])
-    lo = _as_float(_require(doc, "lo", path), f"{path}.lo")
-    hi = _as_float(_require(doc, "hi", path), f"{path}.hi")
-    count = _require(doc, "count", path)
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise ConfigError(f"{path}.count", "count must be an integer")
-    return ActionGrid.box(lo, hi, count)
-
-
-def _parse_terminal(doc, path, registered) -> TerminalSpec:
-    doc = _expect(doc, dict, path)
-    kind = doc.get("kind", "linear")
-    spec = TerminalSpec(
-        kind=kind,
-        coeff=_as_float(doc.get("coeff", 1.0), f"{path}.coeff"),
-        const=_as_float(doc.get("const", 0.0), f"{path}.const"),
-        scale=_as_float(doc.get("scale", 1.0), f"{path}.scale"),
-        stat=_expect(doc.get("stat", ""), str, f"{path}.stat"),
-    )
-    if spec.kind == "variance" and spec.stat not in registered:
-        raise ConfigError(f"{path}.stat", f"statistic {spec.stat!r} is not registered")
-    return spec
-
-
-# The keys each scenario kind accepts in its drift and running_cost mappings.
-# A game spells its u-side coefficients with a _u suffix; the registry field
-# drops it.
-_DRIFT_KEYS = {
-    "control": ("state", "stats", "control", "const", "bound_scale"),
-    "game": ("state", "stats", "control_u", "control_v", "const", "bound_scale"),
-}
-_COST_KEYS = {
-    "control": ("quad", "lin", "const", "state", "stat"),
-    "game": ("quad_u", "quad_v", "bilinear", "lin_u", "lin_v", "const", "state", "stat"),
-}
-_DRIFT_PARSED = ("stats", "bound_scale")   # every other drift key is a number
-_COST_PARSED = ("state", "stat")           # every other cost key is a number
-_GRID_KEYS = {"control": ("actions",), "game": ("actions_u", "actions_v")}
-
-
-def _keyed(doc, path: str, keys: tuple[str, ...], kind: str) -> dict:
-    doc = _expect(doc, dict, path)
-    for key in doc:
-        if key not in keys:
-            raise ConfigError(f"{path}.{key}", f"unknown key for a {kind} scenario; "
-                                               f"expected one of {', '.join(keys)}")
-    return doc
-
-
-def _coefficients(doc: dict, path: str, keys: tuple[str, ...], parsed: tuple[str, ...]) -> dict:
-    """Registry field -> number for the numeric keys of a drift or cost mapping."""
-    return {key.removesuffix("_u"): _as_float(doc.get(key, 0.0), f"{path}.{key}")
-            for key in keys if key not in parsed}
+_STATISTIC_KEYS = {"kind": ("kind", _one_of(_STAT_KINDS, "statistic")),
+                   **_numeric("scale", "lo", "hi")}
+_DIFFUSION_KEYS = {"kind": ("kind", _one_of(_SIGMA_KINDS, "diffusion")),
+                   **_numeric("base", "slope", "alpha"),
+                   "matrix": ("matrix", _optional(_matrix))}
+_DRIFT_KEYS = {kind: {**_numeric("state"), "stats": ("stats", _stat_weights),
+                      **_numeric(*controls, "const"),
+                      "bound_scale": ("bound_scale", _optional(_as_float))}
+               for kind, controls in (("control", ("control",)),
+                                      ("game", ("control_u", "control_v")))}
+_STATE_KEYS = {"kind": ("kind", _one_of(_STATE_KINDS, "state term")),
+               **_numeric("coeff", "scale")}
+_COST_KEYS = {kind: {**_numeric(*actions, "const"),
+                     "state": ("state_term", _spec(StateTermSpec, _STATE_KEYS)),
+                     "stat": ("stat", _optional(_stat_term))}
+              for kind, actions in (("control", ("quad", "lin")),
+                                    ("game", ("quad_u", "quad_v", "bilinear", "lin_u", "lin_v")))}
+_TERMINAL_KEYS = {"kind": ("kind", _one_of(_TERMINAL_KINDS, "terminal")),
+                  **_numeric("coeff", "const", "scale"), "stat": ("stat", _string)}
+_ACTION_KEYS = {"points": ("points", _points), **_numeric("lo", "hi"),
+                "count": ("count", _positive_int)}
+_GRIDS = {"control": ("actions",), "game": ("actions_u", "actions_v")}
+_SCENARIO_KIND = _one_of(tuple(_GRIDS), "scenario")
+_SCENARIO_KEYS = {kind: {"kind": ("kind", _SCENARIO_KIND), "name": ("name", _string),
+                         "dimension": ("dim", _positive_int), "initial": ("initial", _numbers),
+                         "horizon": ("horizon", _as_float),
+                         "diffusion": ("sigma", _spec(DiffusionSpec, _DIFFUSION_KEYS)),
+                         "statistics": ("statistics", _statistics),
+                         "drift": ("drift", _spec(DriftSpec, _DRIFT_KEYS[kind])),
+                         "running_cost": ("running_cost", _spec(CostSpec, _COST_KEYS[kind])),
+                         "terminal_cost": ("terminal_cost", _spec(TerminalSpec, _TERMINAL_KEYS)),
+                         **{key: (key, _action_grid) for key in grids}}
+                  for kind, grids in _GRIDS.items()}
 
 
 def parse_scenario(text: str | dict) -> Scenario | GameScenario:
@@ -672,79 +704,34 @@ def parse_scenario(text: str | dict) -> Scenario | GameScenario:
             raise ConfigError("<document>", f"invalid JSON: {exc}") from exc
     else:
         doc = text
-    if not isinstance(doc, dict):
-        raise ConfigError("<document>", "top level must be a mapping")
+    kind = _SCENARIO_KIND(_expect(doc, dict, "").get("kind", "control"), "kind")
+    fields = _fields(doc, "", _SCENARIO_KEYS[kind])
+    fields.pop("kind", None)   # a class attribute of the scenario, not a field
+    _require(fields, "", ("initial", "horizon", *_GRIDS[kind]))
+    s = (Scenario if kind == "control" else GameScenario)(**fields)
 
-    kind = doc.get("kind", "control")
-    if kind not in ("control", "game"):
-        raise ConfigError("kind", f"unknown scenario kind {kind!r}")
-
-    dim = doc.get("dimension", 1)
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ConfigError("dimension", "dimension must be a positive integer")
-
-    initial = _require(doc, "initial", "")
-    if isinstance(initial, (int, float)) and not isinstance(initial, bool):
-        initial = [initial]
-    if not isinstance(initial, list) or len(initial) != dim:
-        raise ConfigError("initial", f"initial state must list {dim} coordinate(s)")
-    initial_t = tuple(_as_float(v, "initial") for v in initial)
-
-    horizon = _as_float(_require(doc, "horizon", ""), "horizon")
-    if horizon <= 0:
+    if len(s.initial) != s.dim:
+        raise ConfigError("initial", f"initial state must list {s.dim} coordinate(s)")
+    if s.horizon <= 0:
         raise ConfigError("horizon", "horizon must be positive")
-
-    sdoc = _expect(doc.get("diffusion", {"kind": "constant", "base": 1.0}), dict, "diffusion")
-    sigma = DiffusionSpec(
-        kind=sdoc.get("kind", "constant"),
-        base=_as_float(sdoc.get("base", 1.0), "diffusion.base"),
-        slope=_as_float(sdoc.get("slope", 0.0), "diffusion.slope"),
-        matrix=tuple(tuple(_as_float(v, "diffusion.matrix") for v in _expect(row, list, "diffusion.matrix"))
-                     for row in _expect(sdoc["matrix"], list, "diffusion.matrix")) if sdoc.get("matrix") is not None else None,
-        alpha=_as_float(sdoc.get("alpha", 0.0), "diffusion.alpha"),
-    )
-    if sigma.kind != "constant" and dim != 1:
+    if s.sigma.kind != "constant" and s.dim != 1:
         raise ConfigError("diffusion.kind", "state-dependent sigma requires dimension 1")
-    if sigma.matrix is not None and (len(sigma.matrix) != dim or any(len(r) != dim for r in sigma.matrix)):
-        raise ConfigError("diffusion.matrix", f"matrix must be {dim} x {dim}")
-
-    statistics = _parse_statistics(doc.get("statistics", {}), "statistics")
-    registered = {name for name, _ in statistics}
-
-    ddoc = _keyed(doc.get("drift", {}), "drift", _DRIFT_KEYS[kind], kind)
-    bound_scale = ddoc.get("bound_scale")
-    if bound_scale is not None:
-        bound_scale = _as_float(bound_scale, "drift.bound_scale")
-
-    name = _expect(doc.get("name", "custom"), str, "name")
-    hdoc = _keyed(doc.get("running_cost", {}), "running_cost", _COST_KEYS[kind], kind)
-
-    drift = DriftSpec(
-        **_coefficients(ddoc, "drift", _DRIFT_KEYS[kind], _DRIFT_PARSED),
-        stats=_parse_stat_coeffs(ddoc.get("stats"), "drift.stats", registered),
-        bound_scale=bound_scale,
-    )
-    stat = hdoc.get("stat")
-    if stat is not None:
-        if not isinstance(stat, list) or len(stat) != 2:
-            raise ConfigError("running_cost.stat", "expected [name, coeff]")
-        if stat[0] not in registered:
-            raise ConfigError("running_cost.stat", f"statistic {stat[0]!r} is not registered")
-        stat = (stat[0], _as_float(stat[1], "running_cost.stat"))
-    running = CostSpec(
-        **_coefficients(hdoc, "running_cost", _COST_KEYS[kind], _COST_PARSED),
-        state_term=_parse_state_term(hdoc.get("state"), "running_cost.state"),
-        stat=stat,
-    )
-    terminal = _parse_terminal(doc.get("terminal_cost", {"kind": "linear"}),
-                               "terminal_cost", registered)
-    grids = {key: _parse_actions(_require(doc, key, ""), key) for key in _GRID_KEYS[kind]}
-    if dim > 1 and not drift.trivially_zero:
+    if s.sigma.matrix is not None and (len(s.sigma.matrix) != s.dim
+                                       or any(len(r) != s.dim for r in s.sigma.matrix)):
+        raise ConfigError("diffusion.matrix", f"matrix must be {s.dim} x {s.dim}")
+    if s.dim > 1 and not s.drift.trivially_zero:
         raise ConfigError("drift", "nonzero drift registry requires dimension 1")
-    cls = Scenario if kind == "control" else GameScenario
-    return cls(name=name, dim=dim, initial=initial_t, horizon=horizon, sigma=sigma,
-               drift=drift, running_cost=running, terminal_cost=terminal,
-               statistics=statistics, **grids)
+    for path, spec in (("drift.stats.{}", s.drift), ("running_cost.stat", s.running_cost),
+                       ("terminal_cost.stat", s.terminal_cost)):
+        for name in spec.stat_names():
+            if name not in s.statistic_map:
+                raise ConfigError(path.format(name), f"statistic {name!r} is not registered")
+    return s
+
+
+def _emit(spec, table: dict, omit: tuple[str, ...] = ()) -> dict:
+    """Document key -> spec's registry field, for each key of table."""
+    return {key: getattr(spec, field) for key, (field, _) in table.items() if key not in omit}
 
 
 def serialize_scenario(s: Scenario | GameScenario) -> dict:
@@ -755,40 +742,22 @@ def serialize_scenario(s: Scenario | GameScenario) -> dict:
         "dimension": s.dim,
         "initial": list(s.initial),
         "horizon": s.horizon,
-        "diffusion": {
-            "kind": s.sigma.kind,
-            "base": s.sigma.base,
-            "slope": s.sigma.slope,
-            "alpha": s.sigma.alpha,
-        },
-        "statistics": {
-            name: {"kind": spec.kind, "scale": spec.scale, "lo": spec.lo, "hi": spec.hi}
-            for name, spec in s.statistics
-        },
+        "diffusion": _emit(s.sigma, _DIFFUSION_KEYS, omit=("matrix",)),
+        "statistics": {name: _emit(spec, _STATISTIC_KEYS) for name, spec in s.statistics},
+        "terminal_cost": _emit(s.terminal_cost, _TERMINAL_KEYS,
+                               omit=() if s.terminal_cost.kind == "variance" else ("stat",)),
+        "drift": {**_emit(s.drift, _DRIFT_KEYS[s.kind]), "stats": dict(s.drift.stats)},
+        "running_cost": _emit(s.running_cost, _COST_KEYS[s.kind], omit=("state", "stat")),
     }
     if s.sigma.matrix is not None:
         doc["diffusion"]["matrix"] = [list(row) for row in s.sigma.matrix]
-
-    term = {"kind": s.terminal_cost.kind, "coeff": s.terminal_cost.coeff,
-            "const": s.terminal_cost.const, "scale": s.terminal_cost.scale}
-    if s.terminal_cost.kind == "variance":
-        term["stat"] = s.terminal_cost.stat
-    doc["terminal_cost"] = term
-
-    doc["drift"] = {key: getattr(s.drift, key.removesuffix("_u")) for key in _DRIFT_KEYS[s.kind]}
-    doc["drift"]["stats"] = dict(s.drift.stats)
     cost = s.running_cost
-    doc["running_cost"] = {key: getattr(cost, key.removesuffix("_u"))
-                           for key in _COST_KEYS[s.kind] if key not in _COST_PARSED}
     if cost.state_term.kind != "none":
-        doc["running_cost"]["state"] = {"kind": cost.state_term.kind,
-                                        "coeff": cost.state_term.coeff,
-                                        "scale": cost.state_term.scale}
+        doc["running_cost"]["state"] = _emit(cost.state_term, _STATE_KEYS)
     if cost.stat is not None:
-        doc["running_cost"]["stat"] = [cost.stat[0], cost.stat[1]]
-
-    for key, grid in zip(_GRID_KEYS[s.kind], s.grids):
-        doc[key] = ({"lo": grid.lo, "hi": grid.hi, "count": grid.count} if grid.lo is not None
+        doc["running_cost"]["stat"] = list(cost.stat)
+    for key, grid in zip(_GRIDS[s.kind], s.grids):
+        doc[key] = (_emit(grid, _ACTION_KEYS, omit=("points",)) if grid.lo is not None
                     else {"points": [list(p) for p in grid.points]})
     return doc
 

@@ -175,6 +175,16 @@ def test_blocked_validation_exits_2_unless_overridden(capsys, tmp_path):
     ("separated-game", "drift", {"control": 1.0}, "drift.control"),
     ("separated-game", "running_cost", {"quad": 1.0}, "running_cost.quad"),
     ("linear-quadratic", "running_cost", {"qaud": 1.0}, "running_cost.qaud"),
+    ("linear-quadratic", "diffusion", {"kind": "affine_state", "slpoe": 0.5}, "diffusion.slpoe"),
+    ("linear-quadratic", "terminal_cost", {"kind": "linear", "cof": 3.0}, "terminal_cost.cof"),
+    ("linear-quadratic", "actions", {"lo": -1.0, "hi": 1.0, "cuont": 21}, "actions.cuont"),
+    ("linear-quadratic", "statistics", {"mean": {"kind": "tanh", "scael": 2.0}},
+     "statistics.mean.scael"),
+    ("linear-quadratic", "running_cost", {"quad": 1.0, "state": {"kind": "tanh", "coef": 0.5}},
+     "running_cost.state.coef"),
+    ("linear-quadratic", "terminal_cst", {"kind": "linear", "coeff": 3.0}, "terminal_cst"),
+    ("linear-quadratic", "actions_u", {"lo": -1.0, "hi": 1.0, "count": 3}, "actions_u"),
+    ("linear-quadratic", "actions", {"points": [[0.0], [1.0]], "lo": -1.0}, "actions"),
 ])
 def test_malformed_config_exits_2_without_traceback(capsys, tmp_path, base, key, value, path):
     doc = builtin_config(base)

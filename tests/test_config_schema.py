@@ -1,11 +1,13 @@
-"""docs/config-schema.md lists exactly the drift and running_cost keys the
-parser accepts for each scenario kind.
+"""docs/config-schema.md lists exactly the keys the parser accepts in each
+mapping of a config document.
 
-Each of the two sections documents its keys as a table whose first column
-names the keys and whose second column says which kind reads them
-(`control`, `game` or `both`).  The documented set must equal the parser's
-key table for that kind, and a document setting any one documented key must
-parse, so a key added, renamed or dropped on either side fails here.
+Each section documents its mapping's keys as a table whose first column
+names the keys.  The top level, drift and running_cost tables have a second
+column that says which kind reads each key (`control`, `game` or `both`).
+The documented set must equal the parser's key table for that mapping (and
+kind), and for drift and running_cost a document setting any one documented
+key must parse, so a key added, renamed or dropped on either side fails
+here.
 """
 
 import re
@@ -14,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from mfcontrol import builtin_config, parse_scenario
-from mfcontrol.scenario import _COST_KEYS, _DRIFT_KEYS
+from mfcontrol.scenario import (_ACTION_KEYS, _COST_KEYS, _DIFFUSION_KEYS, _DRIFT_KEYS,
+                                _SCENARIO_KEYS, _STATE_KEYS, _STATISTIC_KEYS, _TERMINAL_KEYS)
 
 DOC = Path(__file__).resolve().parent.parent / "docs" / "config-schema.md"
 BASE = {"control": "linear-quadratic", "game": "separated-game"}
@@ -23,13 +26,16 @@ VALUES = {"drift": {"stats": {"mean": 0.5}},
           "running_cost": {"state": {"kind": "tanh", "coeff": 0.5}, "stat": ["mean", 0.5]}}
 
 
-def documented_keys(section: str, kind: str) -> set[str]:
+def documented_keys(section: str, kind: str | None = None) -> set[str]:
+    """Keys in the table of a mapping's section: section is the mapping's
+    dotted path, or "" for the top level.  With kind, only the rows whose
+    kind column reads that kind or both."""
     text = DOC.read_text()
-    start = text.index(f"## `{section}`")
+    start = text.index(f"\n## `{section}`" if section else "\n## Top level\n")
     end = text.find("\n## ", start + 1)
-    rows = re.findall(r"^\| (`[^|]+) \| (\w+) \|", text[start:end], flags=re.MULTILINE)
-    assert rows, f"no key table in the {section} section"
-    return {key for cell, reads in rows if reads in (kind, "both")
+    rows = re.findall(r"^\| (`[^|]+) \| (\S+)", text[start:end], flags=re.MULTILINE)
+    assert rows, f"no key table in the {section or 'top level'} section"
+    return {key for cell, reads in rows if kind is None or reads in (kind, "both")
             for key in re.findall(r"`([^`]+)`", cell)}
 
 
@@ -42,3 +48,19 @@ def test_documented_keys_are_the_parsed_keys(section, table, kind):
         doc = builtin_config(BASE[kind])
         doc[section] = {key: VALUES[section].get(key, 0.5)}
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize("kind", ["control", "game"])
+def test_documented_top_level_keys_are_the_parsed_keys(kind):
+    assert documented_keys("", kind) == set(_SCENARIO_KEYS[kind])
+
+
+@pytest.mark.parametrize("section,table", [
+    ("diffusion", _DIFFUSION_KEYS),
+    ("statistics", _STATISTIC_KEYS),
+    ("terminal_cost", _TERMINAL_KEYS),
+    ("running_cost.state", _STATE_KEYS),
+    ("actions", _ACTION_KEYS),
+])
+def test_documented_mapping_keys_are_the_parsed_keys(section, table):
+    assert documented_keys(section) == set(table)
