@@ -658,7 +658,7 @@ def _action_grid(value, path: str) -> ActionGrid:
 
 _STATISTIC_KEYS = {"kind": ("kind", _one_of(_STAT_KINDS, "statistic")),
                    **_numeric("scale", "lo", "hi")}
-_DIFFUSION_KEYS = {"kind": ("kind", _one_of(_SIGMA_KINDS, "diffusion")),
+_DIFFUSION_KEYS = {"kind": ("kind", _string),
                    **_numeric("base", "slope", "alpha"),
                    "matrix": ("matrix", _optional(_matrix))}
 _DRIFT_KEYS = {kind: {**_numeric("state"), "stats": ("stats", _stat_weights),
@@ -666,20 +666,21 @@ _DRIFT_KEYS = {kind: {**_numeric("state"), "stats": ("stats", _stat_weights),
                       "bound_scale": ("bound_scale", _optional(_as_float))}
                for kind, controls in (("control", ("control",)),
                                       ("game", ("control_u", "control_v")))}
-_STATE_KEYS = {"kind": ("kind", _one_of(_STATE_KINDS, "state term")),
+_STATE_KEYS = {"kind": ("kind", _string),
                **_numeric("coeff", "scale")}
 _COST_KEYS = {kind: {**_numeric(*actions, "const"),
                      "state": ("state_term", _spec(StateTermSpec, _STATE_KEYS)),
                      "stat": ("stat", _optional(_stat_term))}
               for kind, actions in (("control", ("quad", "lin")),
                                     ("game", ("quad_u", "quad_v", "bilinear", "lin_u", "lin_v")))}
-_TERMINAL_KEYS = {"kind": ("kind", _one_of(_TERMINAL_KINDS, "terminal")),
+_TERMINAL_KEYS = {"kind": ("kind", _string),
                   **_numeric("coeff", "const", "scale"), "stat": ("stat", _string)}
 _ACTION_KEYS = {"points": ("points", _points), **_numeric("lo", "hi"),
                 "count": ("count", _positive_int)}
 _GRIDS = {"control": ("actions",), "game": ("actions_u", "actions_v")}
 _SCENARIO_KIND = _one_of(tuple(_GRIDS), "scenario")
-_SCENARIO_KEYS = {kind: {"kind": ("kind", _SCENARIO_KIND), "name": ("name", _string),
+# parse_scenario checks the kind before it picks the table, so its entry only passes it on
+_SCENARIO_KEYS = {kind: {"kind": ("kind", _string), "name": ("name", _string),
                          "dimension": ("dim", _positive_int), "initial": ("initial", _numbers),
                          "horizon": ("horizon", _as_float),
                          "diffusion": ("sigma", _spec(DiffusionSpec, _DIFFUSION_KEYS)),
@@ -704,7 +705,7 @@ def parse_scenario(text: str | dict) -> Scenario | GameScenario:
             raise ConfigError("<document>", f"invalid JSON: {exc}") from exc
     else:
         doc = text
-    kind = _SCENARIO_KIND(_expect(doc, dict, "").get("kind", "control"), "kind")
+    kind = _SCENARIO_KIND(_expect(doc, dict, "").get("kind", Scenario.kind), "kind")
     fields = _fields(doc, "", _SCENARIO_KEYS[kind])
     fields.pop("kind", None)   # a class attribute of the scenario, not a field
     _require(fields, "", ("initial", "horizon", *_GRIDS[kind]))

@@ -95,18 +95,22 @@ class AcceptanceContext:
 
 def _family(scenario, count: int = 5):
     """(label, control-or-pair) test family: evenly indexed grid constants,
-    the second player's indices reversed so both players move."""
-    grids = scenario.grids
-    ends = [(0, g.size - 1) if p == 0 else (g.size - 1, 0) for p, g in enumerate(grids)]
-    rows = zip(*(np.round(np.linspace(a, b, count)).astype(int) for a, b in ends))
-    out = []
-    for row in dict.fromkeys(rows):
-        points = [g.points[i] for g, i in zip(grids, row)]
-        controls = tuple(constant_control(p, g) for p, g in zip(points, grids))
-        label = ",".join(f"{p[0]:g}" for p in points)
-        out.append((f"const[{label}]", controls[0]) if len(grids) == 1
-                   else (f"pair[{label}]", controls))
-    return out
+    reversed-index pairs for games so both players move."""
+    if scenario.kind == "game":
+        pu = scenario.actions_u.points
+        pv = scenario.actions_v.points
+        iu = np.round(np.linspace(0, len(pu) - 1, count)).astype(int)
+        iv = np.round(np.linspace(len(pv) - 1, 0, count)).astype(int)
+        out = []
+        for i, j in dict.fromkeys(zip(iu, iv)):
+            cu = constant_control(pu[i], scenario.actions_u)
+            cv = constant_control(pv[j], scenario.actions_v)
+            out.append((f"pair[{pu[i][0]:g},{pv[j][0]:g}]", (cu, cv)))
+        return out
+    pts = scenario.actions.points
+    idx = np.unique(np.round(np.linspace(0, len(pts) - 1, count)).astype(int))
+    return [(f"const[{pts[i][0]:g}]", constant_control(pts[i], scenario.actions))
+            for i in idx]
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,44 @@ def test_hamiltonian_reads_a_d2_sigma_matrix(tmp_path, kind):
         np.testing.assert_array_equal(h, driver(k, z))
 
 
+@pytest.mark.parametrize("kind, diffusion", [
+    ("control", {"kind": "constant", "base": 1.5}),
+    ("control", {"kind": "affine_state", "base": 1.0, "slope": 0.2}),
+    ("control", {"kind": "sup_modulated", "base": 1.0, "slope": 0.5}),
+    ("control", {"kind": "constant", "matrix": [[2.0]]}),
+    ("game", {"kind": "sup_modulated", "base": 1.0, "slope": 0.5}),
+    ("game", {"kind": "constant", "matrix": [[2.0]]}),
+])
+def test_hamiltonian_matches_sigma_inverse_of_the_simulated_drift(mean_field, separated_game,
+                                                                 kind, diffusion):
+    from mfcontrol import serialize_scenario, simulate_for_scenario
+    from mfcontrol.bsde import linear_driver
+    from mfcontrol.girsanov import drift_evaluator
+
+    # the reference h + z . sigma^{-1} b is formed here from the drift vector b
+    # the simulation uses, not through the kernel hamiltonian and linear_driver
+    # share (a registry drift needs d = 1, so a d = 2 sigma would only check h)
+    doc = serialize_scenario(mean_field if kind == "control" else separated_game)
+    doc["diffusion"] = diffusion
+    scen = parse_scenario(doc)
+    paths = simulate_for_scenario(scen, particles=300, steps=6, seed=17)
+    controls = tuple(parametric_control(0.2, -0.5, 0.3, g) for g in scen.grids)
+    played = controls[0] if kind == "control" else controls
+    flow = fixpoint_measure_flow(scen, played, paths).flow
+    drift_at = drift_evaluator(scen, flow, played)
+    driver = linear_driver(scen, flow, played)
+    z = np.random.default_rng(3).normal(size=(paths.particles, 1))
+    for k in range(paths.grid.steps):
+        t, state, sup = paths.grid.times[k], paths.state(k), paths.sup(k)
+        row = {name: flow.statistic_series(name)[k] for name in scen.statistic_map}
+        acts = [np.asarray(c.actions(paths, k)).reshape(paths.particles, -1) for c in controls]
+        h = scen.running_cost.evaluate(state[:, 0], row, *(a[:, 0] for a in acts))
+        expected = h + np.sum(z * scen.sigma.inv_apply(t, state, sup, drift_at(k)), axis=1)
+        np.testing.assert_allclose(hamiltonian(scen, t, state, sup, row, z, *acts), expected,
+                                   rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(driver(k, z), expected, rtol=1e-13, atol=1e-13)
+
+
 def _lq_grid_minimum(grid, z):
     # independent enumeration of min_u (u^2/2 + z u) over the action grid
     cands = [0.5 * u * u + z * u for u in grid.array()[:, 0]]
