@@ -74,6 +74,7 @@ from .bsde import (
     regress_conditional,
     solve_driver_bsde,
     solve_linear_bsde,
+    solve_linear_family,
     terminal_values,
 )
 from .control import (
@@ -104,7 +105,6 @@ from .game import (
     SaddleCheckReport,
     SaddleReport,
     envelopes,
-    game_hamiltonian,
     isaacs_gap,
     solve_game,
     verify_saddle,
@@ -136,7 +136,7 @@ __all__ = [
     # backward solver
     "BasisSpec", "BsdeSolution", "RankDeficientError", "build_features",
     "regress_conditional", "solve_driver_bsde", "solve_linear_bsde",
-    "terminal_values",
+    "solve_linear_family", "terminal_values",
     # control
     "BsdeFeedbackControl", "ComparisonReport", "Control",
     "OptimizationReport", "PayoffResult", "SearchReport", "constant_control",
@@ -145,8 +145,8 @@ __all__ = [
     "parse_control", "policy_iteration", "table_control", "verify_comparison",
     # games
     "EnvelopeValues", "IsaacsError", "IsaacsReport", "PairFeedbackControl",
-    "SaddleCheckReport", "SaddleReport", "envelopes", "game_hamiltonian",
-    "isaacs_gap", "solve_game", "verify_saddle",
+    "SaddleCheckReport", "SaddleReport", "envelopes", "isaacs_gap",
+    "solve_game", "verify_saddle",
     # acceptance battery and CLI
     "AcceptanceContext", "CheckResult", "run_battery", "main",
 ]

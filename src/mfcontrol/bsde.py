@@ -21,7 +21,14 @@ equations (Bjorck 1996, sec. 6.6).  G is applied as S (S' v), never formed:
 at t_1 the running sup makes sup^2 = x^2, an exact null direction that G
 weights by 1/ridge, and there the formed product moves z about a hundred
 times further from the lstsq solution than the factored one.  Only the
-q x q factors are kept; the features are rebuilt at each step.
+q x q factors are kept; a sweep builds each step's features once.
+
+One sweep solves K equations on the same ensemble at once, one column each
+(solve_linear_family: the payoff equations of a control family, after
+Gobet, Lemor and Warin 2005).  Each step builds the features and looks up
+the factor once for all members and projects their K columns as one
+right-hand side; only the drivers differ, and one registry call evaluates
+them all.  A single solve is the K = 1 sweep.
 
 The reported Y_0 stderr comes from the pathwise representation
 Y_0 = E[g + sum_k driver dt - sum_k Z dW]: the Z increments act as a
@@ -38,7 +45,7 @@ import numpy as np
 
 from .core import EnsembleMemo, PathEnsemble
 from .girsanov import control_actions
-from .measure import MeasureFlow
+from .measure import EnsembleMismatchError, MeasureFlow
 from .scenario import GameScenario, Scenario
 
 
@@ -206,43 +213,57 @@ _GRAM_FACTORS = EnsembleMemo()
 
 
 def _backward(paths: PathEnsemble, terminal: np.ndarray, driver_at,
-              basis: BasisSpec) -> BsdeSolution:
+              basis: BasisSpec) -> list[BsdeSolution]:
+    """K backward solves in one sweep, one member per column of terminal (M, K).
+
+    driver_at(k, z) takes each member's z as an (M, K, d) array and returns
+    the (M, K) driver values.  Each step builds the features once, looks up
+    one factor and projects all K members in one right-hand side per
+    regression; every per-member reduction runs over that member's particles
+    alone, in the order a solo solve uses.
+    """
     dw = paths.driver.increments
     m, n, d = dw.shape
+    members = terminal.shape[1]
     dt = paths.grid.dt
     ridge = basis.ridge
     q = basis.width(paths.dim)
-    y = np.empty((m, n + 1))
-    z = np.empty((m, n, d))
-    z_coef = np.empty((n, q, d))
+    y = np.empty((m, n + 1, members))
+    z = np.empty((m, n, members, d))
+    z_coef = np.empty((members, n, q, d))
     z_factors = [None] * n
-    z_rms = np.empty((n, d))
-    resid = np.empty(n)
-    y[:, n] = np.asarray(terminal, dtype=float)
-    value_paths = y[:, n].copy()  # pathwise Y_0 representation for the stderr
+    z_rms = np.empty((n, members, d))
+    resid = np.empty((n, members))
+    y[:, n] = terminal
+    value_paths = y[:, n].T.copy()  # pathwise Y_0 representation for the stderr, (K, M)
     for k in range(n - 1, -1, -1):
         feats = features_at(paths, k, basis)
         # a miss factors first and then projects like a hit, so both give the same bits
         factor = z_factors[k] = _GRAM_FACTORS.lookup(paths, (basis, k),
                                                      lambda: _gram_factor(feats, ridge))
-        fitted = (feats @ _project(feats, y[:, k + 1, None], factor, ridge))[:, 0]
-        resid[k] = np.sqrt(np.mean((y[:, k + 1] - fitted) ** 2))
-        rhs = (y[:, k + 1] - fitted)[:, None] * dw[:, k, :] / dt
-        z_coef[k] = _project(feats, rhs, factor, ridge)
+        fitted = feats @ _project(feats, y[:, k + 1], factor, ridge)
+        dev = y[:, k + 1] - fitted
+        # one contiguous row per member: each mean sums like a solo solve's
+        resid[k] = np.sqrt(np.mean(np.square(dev.T, order="C"), axis=1))
+        rhs = (dev[:, :, None] * dw[:, k, None, :] / dt).reshape(m, members * d)
+        coef = _project(feats, rhs, factor, ridge)
         # the feedback's z_at expression, so a driver's extremizers are the feedback's own
-        zk = feats @ z_coef[k]
-        z[:, k, :] = zk
-        z_rms[k] = np.sqrt(np.mean((rhs - zk) ** 2, axis=0))
+        zk = feats @ coef
+        z_rms[k] = np.sqrt(np.mean((rhs - zk) ** 2, axis=0)).reshape(members, d)
+        zk = zk.reshape(m, members, d)
+        z[:, k] = zk
+        z_coef[:, k] = coef.reshape(q, members, d).transpose(1, 0, 2)
         hvals = np.asarray(driver_at(k, zk), dtype=float)
         if not np.all(np.isfinite(hvals)):
             raise FloatingPointError(f"non-finite driver value at t_index {k}")
         y[:, k] = fitted + hvals * dt
-        value_paths += hvals * dt - np.sum(zk * dw[:, k, :], axis=1)
-    y0 = float(np.mean(y[:, 0]))
-    y0_se = float(np.std(value_paths) / np.sqrt(m))
-    return BsdeSolution(y=y, z=z, y0=y0, y0_stderr=y0_se, y_residuals=resid,
-                        z_coefficients=z_coef, z_gram_factors=tuple(z_factors),
-                        z_resid_rms=z_rms, basis=basis)
+        value_paths += (hvals * dt - np.sum(zk * dw[:, k, None, :], axis=2)).T
+    factors = tuple(z_factors)
+    return [BsdeSolution(y=y[:, :, j], z=z[:, :, j], y0=float(np.mean(y[:, 0, j])),
+                         y0_stderr=float(np.std(value_paths[j]) / np.sqrt(m)),
+                         y_residuals=resid[:, j], z_coefficients=z_coef[j],
+                         z_gram_factors=factors, z_resid_rms=z_rms[:, j], basis=basis)
+            for j in range(members)]
 
 
 def solve_driver_bsde(paths: PathEnsemble, terminal: np.ndarray, driver_at,
@@ -257,7 +278,9 @@ def solve_driver_bsde(paths: PathEnsemble, terminal: np.ndarray, driver_at,
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (paths.particles,):
         raise ValueError("terminal values must be one scalar per particle")
-    return _backward(paths, terminal, driver_at, basis)
+    return _backward(paths, terminal[:, None],
+                     lambda k, z: np.asarray(driver_at(k, z[:, 0]), dtype=float)[..., None],
+                     basis)[0]
 
 
 def _stat_series(scenario: Scenario | GameScenario, flow: MeasureFlow) -> dict[str, np.ndarray]:
@@ -275,9 +298,10 @@ def _particle_rows(arr) -> np.ndarray:
 def _hamiltonian_values(scenario: Scenario | GameScenario, t: float, state, sup,
                         stats_row: dict, z, actions) -> np.ndarray:
     """H = h + z . sigma^{-1} f at each particle, the last axis.  The actions
-    (u, or u and v) are particle columns or action-grid axes that broadcast
-    against the particles.  The registry drift f moves coordinate 0 only, so
-    z . sigma^{-1} f = (z . sigma^{-1} e_0) f."""
+    (u, or u and v) and the statistic values are particle columns or axes
+    that broadcast against the particles.  z is (m, d), or (K, m, d) with one
+    z per member of a family.  The registry drift f moves coordinate 0 only,
+    so z . sigma^{-1} f = (z . sigma^{-1} e_0) f."""
     state, z = _particle_rows(state), _particle_rows(z)
     x0 = state[:, 0]
     f = scenario.drift.evaluate(x0, stats_row, *actions)
@@ -285,22 +309,36 @@ def _hamiltonian_values(scenario: Scenario | GameScenario, t: float, state, sup,
     e0[:, 0] = 1.0
     c = scenario.sigma.inv_apply(t, state, np.asarray(sup, dtype=float), e0)
     h = scenario.running_cost.evaluate(x0, stats_row, *actions)
-    return h + np.sum(z * c, axis=1) * f
+    return h + np.sum(z * c, axis=-1) * f
+
+
+def _family_hamiltonian(scenario: Scenario | GameScenario, paths: PathEnsemble,
+                        controls, flows):
+    """(t_index, z) -> (K, M) values of H for K fixed controls (or pairs), the
+    i-th read under its own flow flows[i].  Each step reads every member's
+    actions as a (K, M) array and its statistic rows as (K, 1), then makes
+    one registry call.  z is (M, d), shared by the members, or (K, M, d)."""
+    if any(f.paths is not paths for f in flows):
+        raise EnsembleMismatchError("every member's flow must live on the solve's ensemble")
+    per_flow = [_stat_series(scenario, f) for f in flows]
+    series = {name: np.stack([s[name] for s in per_flow]) for name in per_flow[0]}
+    times = paths.grid.times
+
+    def hamiltonian_at(k: int, z: np.ndarray) -> np.ndarray:
+        row = {name: s[:, k, None] for name, s in series.items()}
+        sides = zip(*(control_actions(c, paths, slice(None), slice(k, k + 1)) for c in controls))
+        acts = [np.stack([a[:, 0] for a in side]) for side in sides]
+        return _hamiltonian_values(scenario, times[k], paths.state(k), paths.sup(k), row, z, acts)
+
+    return hamiltonian_at
 
 
 def linear_driver(scenario: Scenario | GameScenario, flow: MeasureFlow, control):
-    """Driver (t_index, z) -> H = h + z . sigma^{-1} f for a fixed control (or
-    pair), reading its actions once per step."""
-    paths = flow.paths
-    series = _stat_series(scenario, flow)
-    times = paths.grid.times
-
-    def driver_at(k: int, z: np.ndarray) -> np.ndarray:
-        row = {name: s[k] for name, s in series.items()}
-        acts = [a[:, 0] for a in control_actions(control, paths, slice(None), slice(k, k + 1))]
-        return _hamiltonian_values(scenario, times[k], paths.state(k), paths.sup(k), row, z, acts)
-
-    return driver_at
+    """Driver (t_index, z) -> H = h + z . sigma^{-1} f per particle for one
+    fixed control (or pair) at the flow, z of shape (particles, dim): the
+    driver solve_linear_bsde uses, in the form solve_driver_bsde takes."""
+    hamiltonian_at = _family_hamiltonian(scenario, flow.paths, [control], [flow])
+    return lambda k, z: hamiltonian_at(k, z)[0]
 
 
 def terminal_values(scenario: Scenario | GameScenario, flow: MeasureFlow) -> np.ndarray:
@@ -312,6 +350,29 @@ def terminal_values(scenario: Scenario | GameScenario, flow: MeasureFlow) -> np.
     return scenario.terminal_cost.evaluate(paths.state(n), row, scenario.statistic_map)
 
 
+def solve_linear_family(scenario: Scenario | GameScenario, controls, flows,
+                        basis: BasisSpec | None = None) -> list[BsdeSolution]:
+    """Backward solves of the payoff equations of K fixed controls (or pairs),
+    one BsdeSolution per member, in one backward sweep.
+
+    flows[i] supplies every law argument of member i (drift statistics, cost
+    statistics, terminal marginal); all flows live on one ensemble.  The
+    members share each step's features, factor and projection, so a member
+    agrees with its solo solve_linear_bsde to rounding (about 1e-15 relative)
+    and is that solve, bit for bit, when K = 1.
+    """
+    controls, flows = list(controls), list(flows)
+    if not controls or len(flows) != len(controls):
+        raise ValueError("a family needs at least one control and one flow per control")
+    if basis is None:
+        basis = BasisSpec()
+    paths = flows[0].paths
+    hamiltonian_at = _family_hamiltonian(scenario, paths, controls, flows)
+    terminal = np.stack([terminal_values(scenario, f) for f in flows], axis=1)
+    return _backward(paths, terminal, lambda k, z: hamiltonian_at(k, z.transpose(1, 0, 2)).T,
+                     basis)
+
+
 def solve_linear_bsde(scenario: Scenario | GameScenario, control, flow: MeasureFlow,
                       basis: BasisSpec | None = None) -> BsdeSolution:
     """Backward solve of the payoff equation for a fixed control.
@@ -319,9 +380,6 @@ def solve_linear_bsde(scenario: Scenario | GameScenario, control, flow: MeasureF
     The measure flow supplies every law argument (drift statistics, cost
     statistics, terminal marginal).  With the flow matched to the control this
     yields Y_0 equal to the reweighted payoff J(control) up to Monte Carlo
-    and regression error.
+    and regression error.  It is the one-member solve_linear_family.
     """
-    if basis is None:
-        basis = BasisSpec()
-    terminal = terminal_values(scenario, flow)
-    return _backward(flow.paths, terminal, linear_driver(scenario, flow, control), basis)
+    return solve_linear_family(scenario, [control], [flow], basis)[0]

@@ -29,8 +29,9 @@ from functools import partial
 
 import numpy as np
 
-from .bsde import (BasisSpec, BsdeSolution, _hamiltonian_values, _stat_series, features_at,
-                   solve_driver_bsde, solve_linear_bsde, terminal_values)
+from .bsde import (BasisSpec, BsdeSolution, _family_hamiltonian, _hamiltonian_values,
+                   _stat_series, features_at, solve_driver_bsde, solve_linear_family,
+                   terminal_values)
 from .core import EnsembleMemo, PathEnsemble, particle_blocks
 from .girsanov import (DensityProcess, FixpointDiagnostics, FixpointResult, control_actions,
                        fixpoint_measure_flow)
@@ -186,8 +187,8 @@ def hamiltonian(scenario: Scenario | GameScenario, t: float, state, sup, stats_r
     measure flow being priced.
     """
     if len(actions) != len(scenario.grids):
-        raise TypeError("use game_hamiltonian for two-player scenarios" if len(scenario.grids) == 2
-                        else "game_hamiltonian needs a two-player scenario")
+        raise TypeError("a two-player game takes actions u and v" if len(scenario.grids) == 2
+                        else "actions u and v need a two-player scenario")
     return _hamiltonian_values(scenario, t, state, sup, stats_row, z,
                                [_particle_column(a) for a in actions])
 
@@ -634,20 +635,10 @@ def envelope_bsde(scenario: Scenario, paths: PathEnsemble, controls,
         raise ValueError("flows must pair up with controls")
 
     terminal = np.min([terminal_values(scenario, f) for f in flows], axis=0)
-    series = [_stat_series(scenario, f) for f in flows]
-    times = paths.grid.times
-
-    def driver_at(k: int, z: np.ndarray) -> np.ndarray:
-        state, sup = paths.state(k), paths.sup(k)
-        values = None
-        for control, ser in zip(controls, series):
-            row = {name: s[k] for name, s in ser.items()}
-            h = hamiltonian(scenario, times[k], state, sup, row, z,
-                            control.actions(paths, k))
-            values = h if values is None else np.minimum(values, h)
-        return values
-
-    return solve_driver_bsde(paths, terminal, driver_at, basis)
+    # every candidate's H in one (K, M) array per step; the minimum is exact
+    candidates_at = _family_hamiltonian(scenario, paths, controls, flows)
+    return solve_driver_bsde(paths, terminal,
+                             lambda k, z: np.min(candidates_at(k, z), axis=0), basis)
 
 
 @dataclass(frozen=True)
@@ -671,16 +662,13 @@ def verify_comparison(scenario: Scenario, paths: PathEnsemble, controls,
     lower-envelope backward value.
     """
     controls = list(controls)
-    scored = []
-    for i, c in enumerate(controls):
-        payoff = evaluate_payoff(scenario, c, paths)
-        sol = solve_linear_bsde(scenario, c, payoff.flow, basis)
-        scored.append((c, payoff, sol))
-    env = envelope_bsde(scenario, paths, controls,
-                        flows=[p.flow for _, p, _ in scored], basis=basis)
+    payoffs = [evaluate_payoff(scenario, c, paths) for c in controls]
+    flows = [p.flow for p in payoffs]
+    sols = solve_linear_family(scenario, controls, flows, basis)
+    env = envelope_bsde(scenario, paths, controls, flows=flows, basis=basis)
     rows = []
     ok = True
-    for i, (c, payoff, sol) in enumerate(scored):
+    for i, (c, payoff, sol) in enumerate(zip(controls, payoffs, sols)):
         gap = sol.y0 - payoff.value
         gap_tol = 3.0 * float(np.hypot(sol.y0_stderr, payoff.stderr))
         slack = sol.y0 - env.y0

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bsde import BasisSpec, BsdeSolution, _hamiltonian_values
 from .control import (_GridFeedback, _synthesize, constant_control, evaluate_payoff,
-                      grid_index_dtype, hamiltonian)
+                      grid_index_dtype)
 from .core import PathEnsemble
 from .girsanov import DensityProcess
 from .measure import MeasureFlow
@@ -37,10 +37,6 @@ class IsaacsError(RuntimeError):
             f"{report.max_gap:.6g} on the sampled grid; the game value is "
             f"not certified")
         self.report = report
-
-
-# H of a (u, v) pair: hamiltonian checks the action count against the scenario
-game_hamiltonian = hamiltonian
 
 
 @dataclass(frozen=True)

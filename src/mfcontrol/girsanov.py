@@ -140,8 +140,8 @@ def density_process(paths: PathEnsemble, drift_at,
     a block of particles at a time (see drift_rows).  The increments default
     to the ones the ensemble was simulated from.  theta and the log
     increments of a block are formed for all its steps at once and written
-    into the output, which one cumsum then accumulates in step order, the
-    order of the step-by-step recursion.  A non-finite theta or a
+    into the output, which is then accumulated column by column in step
+    order, the order of the step-by-step recursion.  A non-finite theta or a
     singular sigma raises for the first bad step, as that recursion does.
     """
     if brownian is None:
@@ -181,7 +181,10 @@ def density_process(paths: PathEnsemble, drift_at,
         for k in range(n):   # the first failing step raises its own error
             increments(slice(None), slice(k, k + 1))
         raise
-    np.cumsum(log_w, axis=1, out=log_w)
+    # column by column: the sums of a cumsum along each row, in the same order,
+    # without numpy's slower accumulate over the short rows of this layout
+    for k in range(1, n + 1):
+        np.add(log_w[:, k - 1], log_w[:, k], out=log_w[:, k])
     return DensityProcess(log_weights=log_w)
 
 

@@ -49,6 +49,7 @@ class ConfigError(ValueError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
 
 
@@ -641,19 +642,25 @@ def _statistics(value, path: str) -> tuple[tuple[str, StatisticSpec], ...]:
     for name, doc in _expect(value, dict, path).items():
         fields = _fields(doc, _at(path, name), _STATISTIC_KEYS)
         _require(fields, _at(path, name), ("kind",))
-        out.append((name, StatisticSpec(**fields)))
+        try:
+            out.append((name, StatisticSpec(**fields)))
+        except ConfigError as exc:   # its own checks say "statistics", not which one
+            raise ConfigError(_at(path, name), exc.message) from None
     return tuple(out)
 
 
 def _action_grid(value, path: str) -> ActionGrid:
     """Explicit points, or count points evenly spaced on [lo, hi]."""
     fields = _fields(value, path, _ACTION_KEYS)
-    if "points" in fields:
-        if len(fields) > 1:
-            raise ConfigError(path, "a grid sets either points or lo, hi and count, not both")
-        return ActionGrid.explicit(fields["points"])
-    _require(fields, path, ("lo", "hi", "count"))
-    return ActionGrid.box(**fields)
+    explicit = "points" in fields
+    if explicit and len(fields) > 1:
+        raise ConfigError(path, "a grid sets either points or lo, hi and count, not both")
+    if not explicit:
+        _require(fields, path, ("lo", "hi", "count"))
+    try:
+        return ActionGrid.explicit(fields["points"]) if explicit else ActionGrid.box(**fields)
+    except ConfigError as exc:   # its own checks say "actions", not which grid
+        raise ConfigError(path, exc.message) from None
 
 
 _STATISTIC_KEYS = {"kind": ("kind", _one_of(_STAT_KINDS, "statistic")),

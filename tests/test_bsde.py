@@ -15,6 +15,9 @@ Closed forms used as oracles:
 The equation is linear in (terminal, running cost), so doubling both must
 double the whole solution up to rounding; and solve_linear_bsde is just
 solve_driver_bsde with the linear driver, so the two must agree bit for bit.
+A family solve shares each step's projection among its members, so each
+member agrees with its solo solve to rounding, and the one-member family is
+the solo solve.
 """
 
 import dataclasses
@@ -25,15 +28,23 @@ import pytest
 import mfcontrol.bsde as bsde_mod
 from mfcontrol import (
     BasisSpec,
+    EnsembleMismatchError,
     RankDeficientError,
     constant_control,
+    envelope_bsde,
     fixpoint_measure_flow,
+    get_builtin,
+    hamiltonian,
     minimized_hamiltonian,
+    parametric_control,
+    parse_scenario,
     reference_flow,
     regress_conditional,
     simulate_for_scenario,
     solve_driver_bsde,
     solve_linear_bsde,
+    solve_linear_family,
+    table_control,
     terminal_values,
 )
 from mfcontrol.bsde import build_features, features_at, linear_driver
@@ -406,3 +417,130 @@ def test_factor_holder_keeps_no_particle_axis_nor_a_dead_ensemble(lq):
     del paths
     gc.collect()
     assert alive() is None
+
+
+# ---------------------------------------------------------------------------
+# families: K payoff equations in one backward sweep
+
+
+def family_case(name):
+    """A scenario and a family of its controls: constant, parametric and table
+    controls, or (u, v) pairs of them for the game."""
+    if name == "d2-matrix":
+        scen = parse_scenario({
+            "kind": "control", "dimension": 2, "initial": [0.0, 0.0], "horizon": 1.0,
+            "diffusion": {"kind": "constant", "matrix": [[1.0, 0.3], [0.0, 0.8]]},
+            "drift": {}, "running_cost": {"quad": 1.0, "lin": 0.3,
+                                          "state": {"kind": "tanh", "coeff": 0.5}},
+            "terminal_cost": {"kind": "linear", "coeff": 1.0},
+            "actions": {"lo": -1.0, "hi": 1.0, "count": 5}})
+    else:
+        scen = get_builtin(name)
+    table = ([-0.5, 0.0, 0.5], [[-1.0, -0.5, 0.5, 1.0], [1.0, 0.5, -0.5, -1.0]])
+    if scen.kind == "game":
+        gu, gv = scen.grids
+        return scen, [(constant_control(0.5, gu), constant_control(-0.5, gv)),
+                      (parametric_control(0.2, -0.3, 0.1, gu), table_control(*table, gv))]
+    grid = scen.actions
+    return scen, [constant_control(-1.0, grid), parametric_control(0.3, -0.4, 0.2, grid),
+                  table_control(*table, grid)]
+
+
+@pytest.fixture(scope="module", params=["linear-quadratic", "mean-field-mean-reversion",
+                                        "separated-game", "d2-matrix"])
+def family(request):
+    scen, controls = family_case(request.param)
+    paths = simulate_for_scenario(scen, particles=2000, steps=20, seed=3)
+    flows = [fixpoint_measure_flow(scen, c, paths).flow for c in controls]
+    return scen, paths, controls, flows
+
+
+def test_family_members_match_their_solo_solves(family):
+    scen, paths, controls, flows = family
+    members = solve_linear_family(scen, controls, flows)
+    assert len(members) == len(controls)
+    for control, flow, member in zip(controls, flows, members):
+        solo = solve_linear_bsde(scen, control, flow)
+        assert abs(member.y0 - solo.y0) <= 1e-12 * max(1.0, abs(solo.y0))
+        assert abs(member.y0_stderr - solo.y0_stderr) <= 1e-12 * max(1.0, solo.y0_stderr)
+        assert_relative(member.y_residuals, solo.y_residuals, 1e-12)
+        for k in range(paths.grid.steps):
+            if k == 1:
+                # sup^2 = x^2 at t_1, a null direction of the design that only the
+                # ridge sets (about 1e-7 apart here), so compare predictions
+                feats = features_at(paths, k, solo.basis)
+                assert_relative(feats @ member.z_coefficients[k],
+                                feats @ solo.z_coefficients[k], 1e-12)
+            else:
+                assert_relative(member.z_coefficients[k], solo.z_coefficients[k], 1e-12)
+
+
+def test_one_member_family_gives_the_solo_bits(family):
+    scen, paths, controls, flows = family
+    for control, flow in zip(controls, flows):
+        [member] = solve_linear_family(scen, [control], [flow])
+        solo = solve_driver_bsde(paths, terminal_values(scen, flow),
+                                 linear_driver(scen, flow, control))
+        assert_same_solution(member, solo)
+
+
+def test_members_keep_their_own_statistic_rows(mean_field):
+    # one control under two matched flows whose mean series differ: member i
+    # must read flow i in its drift, running cost and terminal law
+    paths = simulate_for_scenario(mean_field, particles=2000, steps=20, seed=3)
+    control = constant_control(0.0, mean_field.actions)
+    flows = [fixpoint_measure_flow(mean_field, constant_control(u, mean_field.actions),
+                                   paths).flow for u in (-1.0, 1.0)]
+    solos = [solve_linear_bsde(mean_field, control, flow) for flow in flows]
+    assert abs(solos[0].y0 - solos[1].y0) > 0.1
+    for member, solo in zip(solve_linear_family(mean_field, [control, control], flows), solos):
+        assert abs(member.y0 - solo.y0) <= 1e-12 * max(1.0, abs(solo.y0))
+        assert_relative(member.y, solo.y, 1e-12)
+
+
+def test_family_arguments_are_checked(lq, paths1k):
+    control = constant_control(0.0, lq.actions)
+    flow = reference_flow(paths1k, lq.statistic_map)
+    other = simulate_for_scenario(lq, particles=paths1k.particles, steps=paths1k.grid.steps,
+                                  seed=6)
+    with pytest.raises(ValueError):
+        solve_linear_family(lq, [], [])
+    with pytest.raises(ValueError):
+        solve_linear_family(lq, [control, control], [flow])
+    with pytest.raises(EnsembleMismatchError):
+        solve_linear_family(lq, [control, control],
+                            [flow, reference_flow(other, lq.statistic_map)])
+
+
+def test_envelope_is_the_candidate_minimum_bit_for_bit(mean_field):
+    paths = simulate_for_scenario(mean_field, particles=2000, steps=20, seed=3)
+    grid = mean_field.actions
+    controls = [constant_control(-1.0, grid), constant_control(-0.5, grid),
+                parametric_control(-0.8, 0.6, 0.0, grid), parametric_control(-0.8, -0.6, 0.0, grid),
+                parametric_control(-1.0, 0.0, 0.4, grid), table_control([0.0], [[-0.6, -1.0]], grid)]
+    flows = [fixpoint_measure_flow(mean_field, c, paths).flow for c in controls]
+    env = envelope_bsde(mean_field, paths, controls, flows=flows)
+
+    # the envelope's driver as a loop over candidates, one H call each
+    series = [{name: f.statistic_series(name) for name in f.statistics} for f in flows]
+    times = paths.grid.times
+    strict_wins = np.zeros(len(controls), dtype=int)
+
+    def driver(k, z):
+        hams = []
+        for control, stats in zip(controls, series):
+            row = {name: s[k] for name, s in stats.items()}
+            hams.append(hamiltonian(mean_field, times[k], paths.state(k), paths.sup(k), row, z,
+                                    control.actions(paths, k)))
+        values = hams[0]
+        for h in hams[1:]:
+            values = np.minimum(values, h)
+        ordered = np.sort(hams, axis=0)
+        strict = ordered[1] > ordered[0]
+        strict_wins[:] += np.bincount(np.argmin(hams, axis=0)[strict], minlength=len(controls))
+        return values
+
+    terminal = np.min([terminal_values(mean_field, f) for f in flows], axis=0)
+    assert_same_solution(env, solve_driver_bsde(paths, terminal, driver))
+    # every candidate is the strict minimum somewhere, so each one is checked
+    assert np.all(strict_wins > 0)

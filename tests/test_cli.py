@@ -185,6 +185,8 @@ def test_blocked_validation_exits_2_unless_overridden(capsys, tmp_path):
     ("linear-quadratic", "terminal_cst", {"kind": "linear", "coeff": 3.0}, "terminal_cst"),
     ("linear-quadratic", "actions_u", {"lo": -1.0, "hi": 1.0, "count": 3}, "actions_u"),
     ("linear-quadratic", "actions", {"points": [[0.0], [1.0]], "lo": -1.0}, "actions"),
+    ("separated-game", "actions_v", {"lo": 1.0, "hi": -1.0, "count": 3}, "actions_v"),
+    ("linear-quadratic", "statistics", {"mean": {"kind": "tanh", "scale": 0}}, "statistics.mean"),
 ])
 def test_malformed_config_exits_2_without_traceback(capsys, tmp_path, base, key, value, path):
     doc = builtin_config(base)

@@ -25,7 +25,7 @@ from mfcontrol import (
     constant_control,
     envelopes,
     evaluate_payoff,
-    game_hamiltonian,
+    hamiltonian,
     isaacs_gap,
     parse_scenario,
     solve_game,
@@ -84,7 +84,7 @@ def test_game_hamiltonian_by_hand(separated_game):
     z = np.array([1.0, 0.0, 2.0])
     u = np.array([-1.0, -1.0, -1.0])
     v = np.array([1.0, 0.0, 0.0])
-    h = game_hamiltonian(separated_game, 0.0, x, x, {"mean": 0.0}, z, u, v)
+    h = hamiltonian(separated_game, 0.0, x, x, {"mean": 0.0}, z, u, v)
     # H = u^2/2 - v^2/2 + z (u + v)
     np.testing.assert_allclose(h, [0.0, 0.5, -1.5], rtol=1e-15)
 
@@ -92,7 +92,7 @@ def test_game_hamiltonian_by_hand(separated_game):
 def test_game_hamiltonian_rejects_single_player(lq):
     x = np.zeros(2)
     with pytest.raises(TypeError, match="two-player"):
-        game_hamiltonian(lq, 0.0, x, x, {}, x, x, x)
+        hamiltonian(lq, 0.0, x, x, {}, x, x, x)
 
 
 def test_envelopes_coincide_for_separated_game(separated_game):
