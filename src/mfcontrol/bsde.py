@@ -39,11 +39,12 @@ with) a direct reweighted payoff estimate on the same paths.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EnsembleMemo, PathEnsemble
+from .core import PathEnsemble
 from .girsanov import control_actions
 from .measure import EnsembleMismatchError, MeasureFlow
 from .scenario import GameScenario, Scenario
@@ -195,21 +196,10 @@ class BsdeSolution:
         lev = np.sqrt(np.sum((feats @ self.z_gram_factors[k]) ** 2, axis=1))
         return lev[:, None] * self.z_resid_rms[k][None, :]
 
-    def to_dict(self) -> dict:
-        return {
-            "y0": self.y0,
-            "y0_stderr": self.y0_stderr,
-            "mean_abs_z": float(np.mean(np.abs(self.z))),
-            "max_y_residual": float(np.max(self.y_residuals)) if len(self.y_residuals) else 0.0,
-            "basis_degree": self.basis.degree,
-            "ridge": self.basis.ridge,
-        }
 
-
-# (ensemble, (basis, step)) -> the factor S of that step's design.  Keyed by the
-# ensemble's identity through a weak reference; holds q x q arrays only, no
-# particle axis.
-_GRAM_FACTORS = EnsembleMemo()
+# ensemble -> {(basis, step): the factor S of that step's design}.  Weakly
+# keyed, so an ensemble's factors go with it; q x q arrays only, no particle axis.
+_GRAM_FACTORS = weakref.WeakKeyDictionary()
 
 
 def _backward(paths: PathEnsemble, terminal: np.ndarray, driver_at,
@@ -234,13 +224,16 @@ def _backward(paths: PathEnsemble, terminal: np.ndarray, driver_at,
     z_factors = [None] * n
     z_rms = np.empty((n, members, d))
     resid = np.empty((n, members))
+    held = _GRAM_FACTORS.setdefault(paths, {})
     y[:, n] = terminal
     value_paths = y[:, n].T.copy()  # pathwise Y_0 representation for the stderr, (K, M)
     for k in range(n - 1, -1, -1):
         feats = features_at(paths, k, basis)
         # a miss factors first and then projects like a hit, so both give the same bits
-        factor = z_factors[k] = _GRAM_FACTORS.lookup(paths, (basis, k),
-                                                     lambda: _gram_factor(feats, ridge))
+        factor = held.get((basis, k))
+        if factor is None:
+            factor = held[basis, k] = _gram_factor(feats, ridge)
+        z_factors[k] = factor
         fitted = feats @ _project(feats, y[:, k + 1], factor, ridge)
         dev = y[:, k + 1] - fitted
         # one contiguous row per member: each mean sums like a solo solve's

@@ -203,12 +203,12 @@ def _run_fixpoint(args, scen):
         stderr_note(f"fixed point did not converge: {exc}")
         return 1, {"diagnostics": exc.diagnostics.to_dict(), "converged": False}, {}
     diag = fix.diagnostics
-    norm, norm_se = fix.density.normalization()
     n = args.steps
+    norm, norm_se = map(float, fix.density.normalization(n))
     results = {
         "converged": True,
         "diagnostics": diag.to_dict(),
-        "normalization_horizon": {"mean": float(norm[n]), "stderr": float(norm_se[n])},
+        "normalization_horizon": {"mean": norm, "stderr": norm_se},
         "statistics_horizon": {name: float(fix.flow.statistic_series(name)[n])
                                for name in scen.statistic_map},
     }
@@ -227,17 +227,6 @@ def _run_fixpoint(args, scen):
     return 0, results, tables
 
 
-def _column_normalization(weights: np.ndarray) -> tuple[float, float]:
-    """(mean, stderr) of one density column, as DensityProcess.normalization
-    gives them for every column.  The sums run in row order, the order in
-    which numpy's axis-0 reduction adds the rows of the row-major weights, so
-    the bits are the same."""
-    m = weights.shape[0]
-    mean = np.cumsum(weights)[-1] / m
-    dev = weights - mean
-    return float(mean), float(np.sqrt(np.cumsum(dev * dev)[-1] / m) / np.sqrt(m))
-
-
 def _run_evaluate(args, scen):
     controls = _parse_controls(scen, list(args.control or []))
     if args.controls_file:
@@ -248,7 +237,7 @@ def _run_evaluate(args, scen):
     rows = []
     for entry in controls:
         res = evaluate_payoff(scen, entry, paths, tol=args.tol)
-        norm, norm_se = _column_normalization(res.density.weights[:, args.steps])
+        norm, norm_se = map(float, res.density.normalization(args.steps))
         rows.append({
             "label": _pair_label(entry),
             "payoff": res.value, "stderr": res.stderr,

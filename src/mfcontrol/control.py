@@ -24,6 +24,7 @@ under its own matched flow.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import partial
 
@@ -32,7 +33,7 @@ import numpy as np
 from .bsde import (BasisSpec, BsdeSolution, _family_hamiltonian, _hamiltonian_values,
                    _stat_series, features_at, solve_driver_bsde, solve_linear_family,
                    terminal_values)
-from .core import EnsembleMemo, PathEnsemble, particle_blocks
+from .core import PathEnsemble, particle_blocks
 from .girsanov import (DensityProcess, FixpointDiagnostics, FixpointResult, control_actions,
                        fixpoint_measure_flow)
 from .measure import MeasureFlow, reference_flow, tv_pathspace
@@ -234,10 +235,11 @@ class _GridFeedback:
     coefficients; the statistic trajectories are frozen at synthesis time,
     so the rule is a plain deterministic function of (t, current state,
     running sup).  Each step's extremizers are therefore computed once per
-    ensemble and kept as grid row indices; every call returns fresh action
-    arrays.  A subclass names its grids and its per-step extremes,
-    _extremes(t, state, sup, stats_row, z) -> (extremal H, one index array per
-    grid), the same function that drives the backward solve it comes from.
+    ensemble and kept as grid row indices, weakly keyed by the ensemble so
+    they go with it; every call returns fresh action arrays.  A subclass
+    names its grids and its per-step extremes, _extremes(t, state, sup,
+    stats_row, z) -> (extremal H, one index array per grid), the same
+    function that drives the backward solve it comes from.
     """
 
     def __init__(self, scenario: Scenario | GameScenario, grids: tuple[ActionGrid, ...],
@@ -249,7 +251,7 @@ class _GridFeedback:
         self.stat_series = {k: np.asarray(v, dtype=float) for k, v in stat_series.items()}
         self.label = label
         self._grids = grids
-        self._memo = EnsembleMemo()
+        self._rows = weakref.WeakKeyDictionary()  # ensemble -> {step: grid rows}
 
     def z_at(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
         k = min(t_index, self.z_coefficients.shape[0] - 1)
@@ -261,10 +263,14 @@ class _GridFeedback:
 
     def _gather(self, paths: PathEnsemble, rows: slice, steps: slice) -> tuple[np.ndarray, ...]:
         """Fresh (rows, steps, d) actions on each grid, gathered from the
-        memoized grid rows of each step."""
-        memo = [self._memo.lookup(paths, k, lambda k=k: self._step_rows(paths, k))
-                for k in range(paths.grid.steps + 1)[steps]]
-        return tuple(grid.array()[np.stack([step[i][rows] for step in memo], axis=1)]
+        held grid rows of each step."""
+        held = self._rows.setdefault(paths, {})
+        per_step = []
+        for k in range(paths.grid.steps + 1)[steps]:
+            if k not in held:
+                held[k] = self._step_rows(paths, k)
+            per_step.append(held[k])
+        return tuple(grid.array()[np.stack([step[i][rows] for step in per_step], axis=1)]
                      for i, grid in enumerate(self._grids))
 
     def _step_rows(self, paths: PathEnsemble, t_index: int) -> tuple[np.ndarray, ...]:
@@ -436,8 +442,8 @@ def _synthesize(scenario: Scenario | GameScenario, paths: PathEnsemble, basis: B
     rows) on the current flow, synthesize feedback(z_coefficients, frozen
     statistic series) from it, rematch the flow to that feedback, and stop
     once the horizon TV between successive flows drops below tol.  The
-    feedback's memo starts with the rows the solve's driver found at every
-    step it visited: the driver's z is the feedback's own z_at, so they are
+    feedback is handed the rows the solve's driver found at every step it
+    visited: the driver's z is the feedback's own z_at, so they are
     the rows the feedback would compute.  The backward value is then solved
     again on the matched flow and the feedback priced there.  Returns
     (feedback, fixpoint result, final solution, payoff, trace, converged).
@@ -448,8 +454,7 @@ def _synthesize(scenario: Scenario | GameScenario, paths: PathEnsemble, basis: B
         sol, found = _extremal_solve(scenario, flow, extremes, basis)
         control = feedback(sol.z_coefficients,
                            {name: s.copy() for name, s in _stat_series(scenario, flow).items()})
-        for k, rows in found.items():
-            control._memo.store(paths, k, rows)
+        control._rows[paths] = found
         fixres = fixpoint_measure_flow(scenario, control, paths,
                                        tol=fixpoint_tol, max_iter=fixpoint_max_iter)
         est = tv_pathspace(flow, fixres.flow, paths.grid.steps)

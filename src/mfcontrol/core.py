@@ -14,7 +14,6 @@ a given numpy version.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,20 +73,24 @@ def sample_brownian(grid: TimeGrid, particles: int, dim: int, seed: int) -> Brow
     return BrownianEnsemble(grid=grid, increments=dw, seed=seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """Simulated reference paths.
 
     values has shape (particles, steps + 1, dim).  running_sup[i, k] is the
     running supremum of |x_i| (Euclidean norm) up to t_k; it is the one path
     functional the coefficient registries may read besides the current state.
+
+    An ensemble compares and hashes by identity, so results that depend only
+    on it are held in weakref.WeakKeyDictionary holders keyed by it: an equal
+    but distinct ensemble is another key, and a dead one drops its entries.
     """
 
     grid: TimeGrid
     values: np.ndarray
     initial: np.ndarray
     running_sup: np.ndarray
-    driver: BrownianEnsemble = field(repr=False, compare=False, default=None)
+    driver: BrownianEnsemble = field(repr=False, default=None)
 
     @property
     def particles(self) -> int:
@@ -150,38 +153,6 @@ def particle_blocks(particles: int, steps: int) -> list[slice]:
     span the given number of steps."""
     width = max(1, BLOCK_ENTRIES // max(steps, 1))
     return [slice(i, min(i + width, particles)) for i in range(0, particles, width)]
-
-
-class EnsembleMemo:
-    """Results computed on one ensemble, reused until another comes.
-
-    The key is the ensemble's identity, never equality: a different
-    PathEnsemble, even an equal one, drops the stored results and recomputes.
-    A weak reference keeps a dead ensemble's recycled id from matching and
-    never keeps the ensemble alive.
-    """
-
-    def __init__(self):
-        self._paths = None
-        self._results: dict = {}
-
-    def _on(self, paths: PathEnsemble) -> dict:
-        if self._paths is None or self._paths() is not paths:
-            self._paths = weakref.ref(paths)
-            self._results = {}
-        return self._results
-
-    def lookup(self, paths: PathEnsemble, key, compute):
-        """The result stored under key for this ensemble, compute() on a miss."""
-        results = self._on(paths)
-        hit = results.get(key)
-        if hit is None:
-            hit = results[key] = compute()
-        return hit
-
-    def store(self, paths: PathEnsemble, key, value):
-        """Hand in a result already computed on this ensemble."""
-        self._on(paths)[key] = value
 
 
 def path_statistic(paths: PathEnsemble, t_index: int, kind: str) -> np.ndarray:

@@ -55,11 +55,17 @@ class DensityProcess:
         w.flags.writeable = False
         return w
 
-    def normalization(self) -> tuple[np.ndarray, np.ndarray]:
-        """(E[L_t], stderr) at every grid time; should straddle one."""
-        w = self.weights
+    def normalization(self, column: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(E[L_t], stderr) at every grid time, or at grid index column alone;
+        should straddle one.  The sums run in row order, the order in which
+        numpy's axis-0 reduction adds the rows of the row-major weights (at
+        least two columns), so each column keeps np.mean's and np.std's bits
+        whether it is reduced alone or with the others."""
+        w = self.weights if column is None else self.weights[:, column]
         m = w.shape[0]
-        return np.mean(w, axis=0), np.std(w, axis=0) / np.sqrt(m)
+        mean = np.cumsum(w, axis=0)[-1] / m
+        dev = w - mean
+        return mean, np.sqrt(np.cumsum(dev * dev, axis=0)[-1] / m) / np.sqrt(m)
 
     def moments(self) -> dict[str, np.ndarray]:
         w = self.weights

@@ -10,6 +10,8 @@ those must be the rows it would compute itself.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -141,7 +143,23 @@ def test_feedback_minimizes_once_per_step_and_ensemble(feedback, ensembles, monk
     assert twin is not a
     for k in range(STEPS + 1):
         np.testing.assert_array_equal(feedback.actions(twin, k), feedback.actions(a, k))
-    assert len(calls) == 3 * (STEPS + 1)
+    # and a's rows are still held after the twin's: no switch refreshes them
+    for k in range(STEPS + 1):
+        feedback.actions(a, k)
+    assert len(calls) == 2 * (STEPS + 1)
+
+
+def test_feedback_rows_go_with_their_ensemble(feedback, mean_field):
+    paths = simulate_for_scenario(mean_field, particles=200, steps=STEPS, seed=3)
+    for k in range(STEPS + 1):
+        feedback.actions(paths, k)
+    rows = [weakref.ref(step[0]) for step in feedback._rows[paths].values()]
+    assert len(rows) == STEPS + 1
+    alive = weakref.ref(paths)
+    del paths
+    gc.collect()
+    assert alive() is None
+    assert all(r() is None for r in rows)
 
 
 def test_pair_sides_share_one_envelope_call_per_step(pair, ensembles, monkeypatch):
@@ -171,7 +189,7 @@ def test_grid_index_dtype_is_the_smallest_unsigned_fit(count, dtype):
 
 
 def fresh_feedback(control):
-    """A feedback with the same coefficients and statistics and an empty memo."""
+    """A feedback with the same coefficients and statistics and no held rows."""
     if isinstance(control, PairFeedbackControl):
         return PairFeedbackControl(control.scenario, control.basis, control.z_coefficients,
                                    control.stat_series)
@@ -199,11 +217,10 @@ def test_seeded_rows_are_the_feedbacks_own(name, scenarios):
     control = synthesize(name, paths, scenarios)
     fresh = fresh_feedback(control)
 
-    def not_seeded():
-        raise AssertionError("step missing from the memo")
-
+    held = control._rows[paths]
     for k in range(STEPS + 1):
-        seeded = control._memo.lookup(paths, k, not_seeded)
+        assert k in held, "step missing from the held rows"
+        seeded = held[k]
         own = fresh._step_rows(paths, k)
         assert len(seeded) == len(own) == len(control._grids)
         for rows, expected, grid in zip(seeded, own, control._grids):
@@ -233,7 +250,8 @@ def test_each_outer_iteration_saves_one_minimization_per_step(name, scenarios, m
     seeded_calls = len(calls)
     # the same loop with the seeding switched off: every feedback computes
     # all of its extremizers itself
-    monkeypatch.setattr(control_mod.EnsembleMemo, "store", lambda self, paths, key, value: None)
+    solve = control_mod._extremal_solve
+    monkeypatch.setattr(control_mod, "_extremal_solve", lambda *args: (solve(*args)[0], {}))
     calls.clear()
     unseeded = policy_iteration(scen, paths)
     assert seeded.y0 == unseeded.y0 and seeded.j_hat == unseeded.j_hat

@@ -21,6 +21,8 @@ the solo solve.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -48,7 +50,6 @@ from mfcontrol import (
     terminal_values,
 )
 from mfcontrol.bsde import build_features, features_at, linear_driver
-from mfcontrol.core import EnsembleMemo
 
 
 def zero_driver(k, z):
@@ -368,7 +369,7 @@ def test_factored_solve_matches_lstsq_reference(name, particles, basis):
 
 def solve_uncached(monkeypatch, paths, basis):
     """The solve with an empty factor holder: every factor is a miss."""
-    monkeypatch.setattr(bsde_mod, "_GRAM_FACTORS", EnsembleMemo())
+    monkeypatch.setattr(bsde_mod, "_GRAM_FACTORS", weakref.WeakKeyDictionary())
     sol = solve_driver_bsde(paths, paths.values[:, -1, 0] ** 2, zero_driver, basis=basis)
     monkeypatch.undo()
     return sol
@@ -399,14 +400,11 @@ def test_cached_factors_give_the_uncached_bits(lq, monkeypatch):
 
 
 def test_factor_holder_keeps_no_particle_axis_nor_a_dead_ensemble(lq):
-    import gc
-    import weakref
-
     paths = simulate_for_scenario(lq, particles=500, steps=5, seed=33)
     basis = BasisSpec()
     sol = solve_driver_bsde(paths, paths.values[:, -1, 0], zero_driver, basis=basis)
     q = basis.width(paths.dim)
-    held = list(bsde_mod._GRAM_FACTORS._results.values())
+    held = list(bsde_mod._GRAM_FACTORS[paths].values())
     assert len(held) == paths.grid.steps
     for factor in held:
         assert factor.shape == (q, q)
@@ -414,9 +412,34 @@ def test_factor_holder_keeps_no_particle_axis_nor_a_dead_ensemble(lq):
     # the solution shares the held factors instead of copying them
     assert all(any(f is h for h in held) for f in sol.z_gram_factors)
     alive = weakref.ref(paths)
-    del paths
+    factors = [weakref.ref(f) for f in held]
+    del paths, sol, held, factor
     gc.collect()
     assert alive() is None
+    # the dead ensemble's entry went with it, and no factor outlives it
+    assert all(f() is None for f in factors)
+
+
+def test_ensembles_compare_and_hash_by_identity(lq):
+    paths = simulate_for_scenario(lq, particles=50, steps=3, seed=34)
+    twin = dataclasses.replace(paths)
+    assert twin != paths and twin.values is paths.values
+    assert hash(paths) == hash(paths)
+    assert len({paths, twin, paths}) == 2
+
+
+def test_each_ensemble_keeps_its_factors_across_switches(lq, monkeypatch):
+    # solves on A, B, A factor each ensemble's steps once: the holder keeps
+    # every live ensemble, not only the last one seen
+    a = simulate_for_scenario(lq, particles=300, steps=6, seed=35)
+    b = simulate_for_scenario(lq, particles=300, steps=6, seed=36)
+    calls = []
+    factor = bsde_mod._gram_factor
+    monkeypatch.setattr(bsde_mod, "_gram_factor",
+                        lambda *args: calls.append(1) or factor(*args))
+    for paths in (a, b, a):
+        solve_driver_bsde(paths, paths.values[:, -1, 0], zero_driver, basis=BasisSpec())
+    assert len(calls) == 2 * a.grid.steps
 
 
 # ---------------------------------------------------------------------------

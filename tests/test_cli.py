@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mfcontrol
@@ -328,9 +329,9 @@ def test_evaluate_lists_control_payoffs(capsys):
 @pytest.mark.parametrize("particles", [1, 7, 400, 3001])
 def test_evaluate_horizon_normalization_has_the_bits_of_every_column(particles):
     # evaluate reduces only the horizon column of the weights; the report
-    # must keep the bits DensityProcess.normalization gives that column
+    # must keep the bits the whole-matrix reduction gives that column, which
+    # are np.mean's and np.std's
     from mfcontrol import get_builtin, parse_control, simulate_for_scenario
-    from mfcontrol.cli import _column_normalization
     from mfcontrol.girsanov import fixpoint_measure_flow
 
     scen = get_builtin("mean-field-mean-reversion")
@@ -338,8 +339,11 @@ def test_evaluate_horizon_normalization_has_the_bits_of_every_column(particles):
     for spec in ("constant:0.7", "parametric:0.3,-0.8,0.2"):
         density = fixpoint_measure_flow(scen, parse_control(spec, scen.actions), paths).density
         mean, se = density.normalization()
+        w = density.weights
+        np.testing.assert_array_equal(mean, np.mean(w, axis=0))
+        np.testing.assert_array_equal(se, np.std(w, axis=0) / np.sqrt(particles))
         for k in (12, 5):
-            assert _column_normalization(density.weights[:, k]) == (float(mean[k]), float(se[k]))
+            assert density.normalization(k) == (mean[k], se[k])
 
 
 def test_evaluate_requires_controls(capsys):

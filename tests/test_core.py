@@ -169,3 +169,12 @@ def test_simulate_for_scenario_wires_geometry(lq):
     assert paths.grid.steps == 6
     assert paths.values.shape == (32, 7, 1)
     np.testing.assert_array_equal(paths.initial, lq.initial_array)
+
+
+def test_every_public_name_resolves_on_the_package():
+    # a name deleted from the package must leave __all__ with it
+    import mfcontrol
+
+    assert len(set(mfcontrol.__all__)) == len(mfcontrol.__all__)
+    missing = [name for name in mfcontrol.__all__ if not hasattr(mfcontrol, name)]
+    assert missing == []
