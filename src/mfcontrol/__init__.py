@@ -15,7 +15,6 @@ from .core import (
     TimeGrid,
     ensemble_moments,
     make_time_grid,
-    path_statistic,
     sample_brownian,
     simulate_for_scenario,
     simulate_reference,
@@ -49,6 +48,7 @@ from .measure import (
     MeasureFlow,
     TVEstimate,
     hellinger_bound,
+    mean_stderr,
     reference_flow,
     tv_marginal,
     tv_pathspace,
@@ -64,7 +64,6 @@ from .girsanov import (
     density_process,
     drift_evaluator,
     fixpoint_measure_flow,
-    reweighted_expectation,
 )
 from .bsde import (
     BasisSpec,
@@ -115,7 +114,7 @@ __all__ = [
     "__version__",
     # core
     "BrownianEnsemble", "PathEnsemble", "TimeGrid", "ensemble_moments",
-    "make_time_grid", "path_statistic", "sample_brownian",
+    "make_time_grid", "sample_brownian",
     "simulate_for_scenario", "simulate_reference",
     # scenario registry
     "ActionGrid", "AssumptionStatus", "ConfigError", "CostSpec",
@@ -127,12 +126,12 @@ __all__ = [
     "serialize_scenario", "validate_scenario",
     # measures
     "EnsembleMismatchError", "MeasureFlow", "TVEstimate", "hellinger_bound",
-    "reference_flow", "tv_marginal", "tv_pathspace", "weighted_statistic",
+    "mean_stderr", "reference_flow", "tv_marginal", "tv_pathspace",
+    "weighted_statistic",
     # densities and fixed points
     "ContractionReport", "DensityProcess", "FixpointConvergenceError",
     "FixpointDiagnostics", "FixpointResult", "contraction_report",
     "density_process", "drift_evaluator", "fixpoint_measure_flow",
-    "reweighted_expectation",
     # backward solver
     "BasisSpec", "BsdeSolution", "RankDeficientError", "build_features",
     "regress_conditional", "solve_driver_bsde", "solve_linear_bsde",

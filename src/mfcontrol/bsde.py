@@ -34,6 +34,11 @@ The reported Y_0 stderr comes from the pathwise representation
 Y_0 = E[g + sum_k driver dt - sum_k Z dW]: the Z increments act as a
 martingale control variate, so the stderr is comparable to (and correlated
 with) a direct reweighted payoff estimate on the same paths.
+
+A solution keeps no particle paths.  The sweep carries only the current Y
+column, and Z lives on as its per-step coefficients: BsdeSolution.z_at is
+the one evaluation of z, on the ensemble or at any other states, and the
+synthesized feedbacks read z through it.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import numpy as np
 
 from .core import PathEnsemble
 from .girsanov import control_actions
-from .measure import EnsembleMismatchError, MeasureFlow
+from .measure import EnsembleMismatchError, MeasureFlow, mean_stderr
 from .scenario import GameScenario, Scenario
 
 
@@ -163,22 +168,20 @@ def regress_conditional(values: np.ndarray, features: np.ndarray,
 
 @dataclass(frozen=True)
 class BsdeSolution:
-    """Backward solution along the ensemble.
+    """Backward solution along the ensemble, kept as its coefficients.
 
-    y has shape (particles, steps + 1) and matches the terminal values
-    exactly in the last column; z has shape (particles, steps, dim).
-    z_coefficients holds the per-step regression coefficients of Z so a
-    feedback rule can re-evaluate z at states that are not ensemble points;
-    z_gram_factors and z_resid_rms carry the matching (X'X + ridge I)^{-1}
-    = S S' and residual scales so the pointwise sampling noise of that
-    estimate is quantifiable wherever the feedback is questioned.
-    z_gram_factors holds each step's read-only q x q factor S, shared with
-    every other solution on the same ensemble and basis, never a copy of its
-    own.
+    y0 and y0_stderr are the value and its stderr, y_residuals[k] the rms
+    residual of the step-k projection of Y_{k+1}.  No particle paths are
+    kept: z_coefficients holds the per-step regression coefficients of Z,
+    and z_at evaluates z from them at the ensemble's states or at any other
+    ensemble's.  z_gram_factors and z_resid_rms carry the matching
+    (X'X + ridge I)^{-1} = S S' and residual scales so the pointwise sampling
+    noise of that estimate is quantifiable wherever the feedback is
+    questioned.  z_gram_factors holds each step's read-only q x q factor S,
+    shared with every other solution on the same ensemble and basis, never a
+    copy of its own.
     """
 
-    y: np.ndarray
-    z: np.ndarray
     y0: float
     y0_stderr: float
     y_residuals: np.ndarray
@@ -186,6 +189,12 @@ class BsdeSolution:
     z_gram_factors: tuple[np.ndarray, ...]
     z_resid_rms: np.ndarray
     basis: BasisSpec
+
+    def z_at(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
+        """The regressed z at the ensemble's time-t_index states, shape
+        (particles, dim); the horizon reads the last step's coefficients."""
+        k = min(t_index, self.z_coefficients.shape[0] - 1)
+        return features_at(paths, t_index, self.basis) @ self.z_coefficients[k]
 
     def z_stderr(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
         """Prediction standard error of the regressed z at the ensemble's
@@ -218,15 +227,13 @@ def _backward(paths: PathEnsemble, terminal: np.ndarray, driver_at,
     dt = paths.grid.dt
     ridge = basis.ridge
     q = basis.width(paths.dim)
-    y = np.empty((m, n + 1, members))
-    z = np.empty((m, n, members, d))
     z_coef = np.empty((members, n, q, d))
     z_factors = [None] * n
     z_rms = np.empty((n, members, d))
     resid = np.empty((n, members))
     held = _GRAM_FACTORS.setdefault(paths, {})
-    y[:, n] = terminal
-    value_paths = y[:, n].T.copy()  # pathwise Y_0 representation for the stderr, (K, M)
+    y = terminal  # the current column Y_{k+1}, (M, K)
+    value_paths = terminal.T.copy()  # pathwise Y_0 representation for the stderr, (K, M)
     for k in range(n - 1, -1, -1):
         feats = features_at(paths, k, basis)
         # a miss factors first and then projects like a hit, so both give the same bits
@@ -234,26 +241,24 @@ def _backward(paths: PathEnsemble, terminal: np.ndarray, driver_at,
         if factor is None:
             factor = held[basis, k] = _gram_factor(feats, ridge)
         z_factors[k] = factor
-        fitted = feats @ _project(feats, y[:, k + 1], factor, ridge)
-        dev = y[:, k + 1] - fitted
+        fitted = feats @ _project(feats, y, factor, ridge)
+        dev = y - fitted
         # one contiguous row per member: each mean sums like a solo solve's
         resid[k] = np.sqrt(np.mean(np.square(dev.T, order="C"), axis=1))
         rhs = (dev[:, :, None] * dw[:, k, None, :] / dt).reshape(m, members * d)
         coef = _project(feats, rhs, factor, ridge)
-        # the feedback's z_at expression, so a driver's extremizers are the feedback's own
+        # z_at's expression, so a driver's extremizers are the feedback's own
         zk = feats @ coef
         z_rms[k] = np.sqrt(np.mean((rhs - zk) ** 2, axis=0)).reshape(members, d)
         zk = zk.reshape(m, members, d)
-        z[:, k] = zk
         z_coef[:, k] = coef.reshape(q, members, d).transpose(1, 0, 2)
         hvals = np.asarray(driver_at(k, zk), dtype=float)
         if not np.all(np.isfinite(hvals)):
             raise FloatingPointError(f"non-finite driver value at t_index {k}")
-        y[:, k] = fitted + hvals * dt
+        y = fitted + hvals * dt
         value_paths += (hvals * dt - np.sum(zk * dw[:, k, None, :], axis=2)).T
     factors = tuple(z_factors)
-    return [BsdeSolution(y=y[:, :, j], z=z[:, :, j], y0=float(np.mean(y[:, 0, j])),
-                         y0_stderr=float(np.std(value_paths[j]) / np.sqrt(m)),
+    return [BsdeSolution(y0=float(np.mean(y[:, j])), y0_stderr=mean_stderr(value_paths[j])[1],
                          y_residuals=resid[:, j], z_coefficients=z_coef[j],
                          z_gram_factors=factors, z_resid_rms=z_rms[:, j], basis=basis)
             for j in range(members)]
@@ -324,14 +329,6 @@ def _family_hamiltonian(scenario: Scenario | GameScenario, paths: PathEnsemble,
         return _hamiltonian_values(scenario, times[k], paths.state(k), paths.sup(k), row, z, acts)
 
     return hamiltonian_at
-
-
-def linear_driver(scenario: Scenario | GameScenario, flow: MeasureFlow, control):
-    """Driver (t_index, z) -> H = h + z . sigma^{-1} f per particle for one
-    fixed control (or pair) at the flow, z of shape (particles, dim): the
-    driver solve_linear_bsde uses, in the form solve_driver_bsde takes."""
-    hamiltonian_at = _family_hamiltonian(scenario, flow.paths, [control], [flow])
-    return lambda k, z: hamiltonian_at(k, z)[0]
 
 
 def terminal_values(scenario: Scenario | GameScenario, flow: MeasureFlow) -> np.ndarray:

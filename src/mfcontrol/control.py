@@ -31,12 +31,12 @@ from functools import partial
 import numpy as np
 
 from .bsde import (BasisSpec, BsdeSolution, _family_hamiltonian, _hamiltonian_values,
-                   _stat_series, features_at, solve_driver_bsde, solve_linear_family,
+                   _stat_series, solve_driver_bsde, solve_linear_family,
                    terminal_values)
 from .core import PathEnsemble, particle_blocks
 from .girsanov import (DensityProcess, FixpointDiagnostics, FixpointResult, control_actions,
                        fixpoint_measure_flow)
-from .measure import MeasureFlow, reference_flow, tv_pathspace
+from .measure import MeasureFlow, mean_stderr, reference_flow, tv_pathspace
 from .scenario import ActionGrid, GameScenario, Scenario
 
 
@@ -231,32 +231,25 @@ class _GridFeedback:
     """Feedback synthesized from a backward solution.
 
     Actions are extremizers of the Hamiltonian over finite action grids at
-    the regression estimate z(t, x) rebuilt from the stored per-step
-    coefficients; the statistic trajectories are frozen at synthesis time,
-    so the rule is a plain deterministic function of (t, current state,
-    running sup).  Each step's extremizers are therefore computed once per
-    ensemble and kept as grid row indices, weakly keyed by the ensemble so
-    they go with it; every call returns fresh action arrays.  A subclass
+    the regression estimate z(t, x), read through the held solution's z_at;
+    the statistic trajectories are frozen at synthesis time, so the rule is
+    a plain deterministic function of (t, current state, running sup).
+    Each step's extremizers are therefore computed once per ensemble and
+    kept as grid row indices, weakly keyed by the ensemble so they go with
+    it; every call returns fresh action arrays.  A subclass
     names its grids and its per-step extremes, _extremes(t, state, sup,
     stats_row, z) -> (extremal H, one index array per grid), the same
     function that drives the backward solve it comes from.
     """
 
     def __init__(self, scenario: Scenario | GameScenario, grids: tuple[ActionGrid, ...],
-                 basis: BasisSpec, z_coefficients: np.ndarray,
-                 stat_series: dict[str, np.ndarray], label: str):
+                 solution: BsdeSolution, stat_series: dict[str, np.ndarray], label: str):
         self.scenario = scenario
-        self.basis = basis
-        self.z_coefficients = np.asarray(z_coefficients, dtype=float)
+        self.solution = solution
         self.stat_series = {k: np.asarray(v, dtype=float) for k, v in stat_series.items()}
         self.label = label
         self._grids = grids
         self._rows = weakref.WeakKeyDictionary()  # ensemble -> {step: grid rows}
-
-    def z_at(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
-        k = min(t_index, self.z_coefficients.shape[0] - 1)
-        feats = features_at(paths, t_index, self.basis)
-        return feats @ self.z_coefficients[k]
 
     def stats_at(self, t_index: int) -> dict[str, float]:
         return {name: float(series[t_index]) for name, series in self.stat_series.items()}
@@ -274,7 +267,7 @@ class _GridFeedback:
                      for i, grid in enumerate(self._grids))
 
     def _step_rows(self, paths: PathEnsemble, t_index: int) -> tuple[np.ndarray, ...]:
-        z = self.z_at(paths, t_index)
+        z = self.solution.z_at(paths, t_index)
         return self._extremes(paths.grid.times[t_index], paths.state(t_index),
                               paths.sup(t_index), self.stats_at(t_index), z)[1]
 
@@ -285,10 +278,9 @@ class BsdeFeedbackControl(_GridFeedback):
 
     kind = "bsde-feedback"
 
-    def __init__(self, scenario: Scenario, grid: ActionGrid, basis: BasisSpec,
-                 z_coefficients: np.ndarray, stat_series: dict[str, np.ndarray],
-                 label: str = "bsde-feedback"):
-        super().__init__(scenario, (grid,), basis, z_coefficients, stat_series, label)
+    def __init__(self, scenario: Scenario, grid: ActionGrid, solution: BsdeSolution,
+                 stat_series: dict[str, np.ndarray], label: str = "bsde-feedback"):
+        super().__init__(scenario, (grid,), solution, stat_series, label)
         self.grid = grid
 
     def _extremes(self, t, state, sup, stats_row, z):
@@ -348,8 +340,7 @@ def evaluate_payoff(scenario: Scenario | GameScenario, control, paths: PathEnsem
         running[rows] = np.trapezoid(flow.weights[rows] * h, dx=paths.grid.dt, axis=1)
     terminal = flow.weights[:, n] * terminal_values(scenario, flow)
     per_particle = running + terminal
-    value = float(np.mean(per_particle))
-    stderr = float(np.std(per_particle) / np.sqrt(paths.particles))
+    value, stderr = mean_stderr(per_particle)
     return PayoffResult(value=value, stderr=stderr, flow=flow, density=density,
                         diagnostics=fixpoint.diagnostics, per_particle=per_particle)
 
@@ -439,21 +430,21 @@ def _synthesize(scenario: Scenario | GameScenario, paths: PathEnsemble, basis: B
 
     Starting from the reference flow: solve the backward equation driven by
     extremes (min over u of H, or its lower envelope, with the extremizer
-    rows) on the current flow, synthesize feedback(z_coefficients, frozen
+    rows) on the current flow, synthesize feedback(solution, frozen
     statistic series) from it, rematch the flow to that feedback, and stop
     once the horizon TV between successive flows drops below tol.  The
     feedback is handed the rows the solve's driver found at every step it
-    visited: the driver's z is the feedback's own z_at, so they are
-    the rows the feedback would compute.  The backward value is then solved
-    again on the matched flow and the feedback priced there.  Returns
+    visited: the driver's z is the solution's z_at, the feedback's own z,
+    so they are the rows the feedback would compute.  The backward value is
+    then solved again on the matched flow and the feedback priced there.  Returns
     (feedback, fixpoint result, final solution, payoff, trace, converged).
     """
     flow = reference_flow(paths, scenario.statistic_map)
     trace: list[tuple[int, float, float]] = []
     for it in range(1, max_outer + 1):
         sol, found = _extremal_solve(scenario, flow, extremes, basis)
-        control = feedback(sol.z_coefficients,
-                           {name: s.copy() for name, s in _stat_series(scenario, flow).items()})
+        control = feedback(sol, {name: s.copy()
+                                 for name, s in _stat_series(scenario, flow).items()})
         control._rows[paths] = found
         fixres = fixpoint_measure_flow(scenario, control, paths,
                                        tol=fixpoint_tol, max_iter=fixpoint_max_iter)
@@ -493,7 +484,7 @@ def policy_iteration(scenario: Scenario, paths: PathEnsemble,
     control, fixres, final_sol, payoff, trace, converged = _synthesize(
         scenario, paths, basis,
         partial(_argmin_extremes, scenario, grid),
-        lambda coef, stats: BsdeFeedbackControl(scenario, grid, basis, coef, stats),
+        lambda sol, stats: BsdeFeedbackControl(scenario, grid, sol, stats),
         tol, max_outer, fixpoint_tol, fixpoint_max_iter)
     h_res = _argmin_residual(scenario, control, final_sol, fixres.flow, grid,
                              residual_samples, seed)
@@ -523,7 +514,7 @@ def _argmin_residual(scenario: Scenario, control, sol: BsdeSolution,
         t = paths.grid.times[k]
         state = paths.values[idx, k]
         sup = paths.running_sup[idx, k]
-        z = sol.z[idx, k]
+        z = sol.z_at(paths, k)[idx]
         acts = control.actions(paths, k)[idx, 0]
         h_at = hamiltonian(scenario, t, state, sup, row, z, acts)
         h_min, _ = minimized_hamiltonian(scenario, t, state, sup, row, z, grid)

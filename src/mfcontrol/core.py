@@ -155,22 +155,6 @@ def particle_blocks(particles: int, steps: int) -> list[slice]:
     return [slice(i, min(i + width, particles)) for i in range(0, particles, width)]
 
 
-def path_statistic(paths: PathEnsemble, t_index: int, kind: str) -> np.ndarray:
-    """Per-particle path functional at a grid time.
-
-    kind "current_value" returns the state, shape (particles, dim);
-    kind "running_sup" returns the running supremum of |x|, shape (particles,).
-    """
-    n = paths.grid.steps
-    if not 0 <= t_index <= n:
-        raise IndexError(f"t_index {t_index} outside 0..{n}")
-    if kind == "current_value":
-        return paths.values[:, t_index, :]
-    if kind == "running_sup":
-        return paths.running_sup[:, t_index]
-    raise ValueError(f"unknown path statistic {kind!r}")
-
-
 def ensemble_moments(paths: PathEnsemble, orders=(1, 2, 4)) -> dict[int, float]:
     """Empirical E[|x_T|^p] at the horizon, a cheap stability diagnostic."""
     norms = np.linalg.norm(paths.values[:, -1, :], axis=1)

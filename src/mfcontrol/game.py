@@ -204,10 +204,9 @@ class PairFeedbackControl(_GridFeedback):
 
     kind = "pair-feedback"
 
-    def __init__(self, scenario: GameScenario, basis: BasisSpec,
-                 z_coefficients: np.ndarray, stat_series: dict[str, np.ndarray],
-                 label: str = "saddle-feedback"):
-        super().__init__(scenario, scenario.grids, basis, z_coefficients, stat_series, label)
+    def __init__(self, scenario: GameScenario, solution: BsdeSolution,
+                 stat_series: dict[str, np.ndarray], label: str = "saddle-feedback"):
+        super().__init__(scenario, scenario.grids, solution, stat_series, label)
 
     def _extremes(self, t, state, sup, stats_row, z):
         return _saddle_extremes(self.scenario, t, state, sup, stats_row, z)
@@ -308,7 +307,7 @@ def solve_game(scenario: GameScenario, paths: PathEnsemble,
     pair, fixres, final_sol, payoff, trace, converged = _synthesize(
         scenario, paths, basis,
         partial(_saddle_extremes, scenario),
-        lambda coef, stats: PairFeedbackControl(scenario, basis, coef, stats),
+        lambda sol, stats: PairFeedbackControl(scenario, sol, stats),
         tol, max_outer, fixpoint_tol, fixpoint_max_iter)
     return SaddleReport(
         pair=pair, flow=fixres.flow, density=fixres.density,

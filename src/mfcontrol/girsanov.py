@@ -67,14 +67,6 @@ class DensityProcess:
         dev = w - mean
         return mean, np.sqrt(np.cumsum(dev * dev, axis=0)[-1] / m) / np.sqrt(m)
 
-    def moments(self) -> dict[str, np.ndarray]:
-        w = self.weights
-        return {
-            "mean": np.mean(w, axis=0),
-            "second": np.mean(w * w, axis=0),
-            "fourth": np.mean(w ** 4, axis=0),
-        }
-
 
 def control_actions(control, paths: PathEnsemble, rows: slice,
                     steps: slice) -> tuple[np.ndarray, ...]:
@@ -192,17 +184,6 @@ def density_process(paths: PathEnsemble, drift_at,
     for k in range(1, n + 1):
         np.add(log_w[:, k - 1], log_w[:, k], out=log_w[:, k])
     return DensityProcess(log_weights=log_w)
-
-
-def reweighted_expectation(weights: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """(estimate, stderr) of E[L * value] over the ensemble."""
-    weights = np.asarray(weights, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if weights.shape != values.shape:
-        raise ValueError("weights and values must have matching shapes")
-    prod = weights * values
-    m = prod.shape[0]
-    return float(np.mean(prod)), float(np.std(prod) / np.sqrt(m))
 
 
 @dataclass(frozen=True)

@@ -82,8 +82,11 @@ class MeasureFlow:
             self._stat_cache[name] = np.mean(self.weights * vals, axis=0)
         return self._stat_cache[name]
 
-    def stats_at(self, t_index: int) -> dict[str, float]:
-        return {name: float(self.statistic_series(name)[t_index]) for name in self.statistics}
+
+def mean_stderr(samples: np.ndarray) -> tuple[float, float]:
+    """(mean, stderr of the mean) of one sample per particle: the sample
+    mean and the population sd over sqrt(count)."""
+    return float(np.mean(samples)), float(np.std(samples) / np.sqrt(len(samples)))
 
 
 def reference_flow(paths: PathEnsemble, statistics=()) -> MeasureFlow:
@@ -101,9 +104,7 @@ def weighted_statistic(flow: MeasureFlow, t_index: int, name: str) -> tuple[floa
     if name not in flow.statistics:
         raise KeyError(f"statistic {name!r} is not registered with this flow")
     spec = flow.statistics[name]
-    vals = flow.weights[:, t_index] * spec.evaluate(flow.paths.state(t_index))
-    m = flow.particles
-    return float(np.mean(vals)), float(np.std(vals) / np.sqrt(m))
+    return mean_stderr(flow.weights[:, t_index] * spec.evaluate(flow.paths.state(t_index)))
 
 
 def _check_common_ensemble(a: MeasureFlow, b: MeasureFlow):
@@ -116,10 +117,7 @@ def _check_common_ensemble(a: MeasureFlow, b: MeasureFlow):
 def tv_pathspace(a: MeasureFlow, b: MeasureFlow, t_index: int) -> TVEstimate:
     """Exact-on-the-ensemble total variation up to t_k (factor-2 convention)."""
     _check_common_ensemble(a, b)
-    diff = np.abs(a.weights[:, t_index] - b.weights[:, t_index])
-    m = a.particles
-    value = float(np.mean(diff))
-    stderr = float(np.std(diff) / np.sqrt(m))
+    value, stderr = mean_stderr(np.abs(a.weights[:, t_index] - b.weights[:, t_index]))
     return TVEstimate(value=min(value, 2.0), stderr=stderr, kind="pathspace")
 
 
@@ -206,8 +204,6 @@ def hellinger_bound(flow_a: MeasureFlow, drift_a, drift_b,
         integrand = sigma.inv_quadform(grid.times, paths.values[rows],
                                        paths.running_sup[rows], diff)
         gamma_paths[rows] = np.trapezoid(integrand, dx=grid.dt, axis=1) / 8.0
-    weighted = flow_a.weights[:, n] * gamma_paths
-    gamma_hat = float(np.mean(weighted))
-    stderr = float(np.std(weighted) / np.sqrt(paths.particles))
+    gamma_hat, stderr = mean_stderr(flow_a.weights[:, n] * gamma_paths)
     gamma_hat = max(gamma_hat, 0.0)
     return gamma_hat, 8.0 * np.sqrt(gamma_hat), stderr

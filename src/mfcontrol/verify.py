@@ -28,7 +28,8 @@ from .control import (constant_control, envelope_bsde, evaluate_payoff,
 from .core import simulate_for_scenario
 from .game import isaacs_gap, solve_game, verify_saddle
 from .girsanov import drift_evaluator, fixpoint_measure_flow
-from .measure import hellinger_bound, reference_flow, tv_marginal, tv_pathspace, weighted_statistic
+from .measure import (hellinger_bound, mean_stderr, reference_flow, tv_marginal, tv_pathspace,
+                      weighted_statistic)
 from .scenario import GameScenario, builtin_scenarios, get_builtin
 
 _CRITERIA = {}
@@ -126,16 +127,15 @@ def check_payoff_identity(ctx: AcceptanceContext) -> CheckResult:
         paths = ctx.paths_for(scen)
         family = _family(scen)
         fixes = [ctx.fixpoint(scen, control, label) for label, control in family]
-        # keep only the values, so no family outlives its own solve
-        values = [(sol.y0, sol.y0_stderr) for sol in solve_linear_family(
-            scen, [control for _, control in family], [fix.flow for fix in fixes])]
-        for (label, control), fix, (y0, y0_stderr) in zip(family, fixes, values):
+        sols = solve_linear_family(scen, [control for _, control in family],
+                                   [fix.flow for fix in fixes])
+        for (label, control), fix, sol in zip(family, fixes, sols):
             pay = evaluate_payoff(scen, control, paths, fixpoint=fix)
-            gap = y0 - pay.value
-            tol3 = 3.0 * float(np.hypot(y0_stderr, pay.stderr))
+            gap = sol.y0 - pay.value
+            tol3 = 3.0 * float(np.hypot(sol.y0_stderr, pay.stderr))
             ok = bool(abs(gap) <= tol3)
             passed = passed and ok
-            rows.append({"scenario": name, "control": label, "y0": y0,
+            rows.append({"scenario": name, "control": label, "y0": sol.y0,
                          "payoff": pay.value, "gap": gap, "tol": tol3, "ok": ok})
     elapsed = time.perf_counter() - start
     print(f"criterion 1 runtime: {elapsed:.1f}s (budget 30s)", file=sys.stderr)
@@ -336,8 +336,8 @@ def check_comparison(ctx: AcceptanceContext) -> CheckResult:
 
 
 def _comparison_row(ctx: AcceptanceContext, sname: str) -> dict:
-    """Criterion 7 on one scenario; its family's solutions are released on
-    return, before the next scenario's are built."""
+    """Criterion 7 on one scenario: its 20 sampled controls' backward values
+    against the lower-envelope value Y*_0."""
     scen = ctx.scenarios[sname]
     paths = ctx.paths_for(scen)
     rng = np.random.default_rng(ctx.seed + 701)
@@ -388,7 +388,6 @@ def check_variance(ctx: AcceptanceContext) -> CheckResult:
         pay = evaluate_payoff(scen, control, paths, fixpoint=fix)
         w = fix.flow.weights[:, n]
         vals = phi.evaluate(paths.state(n))
-        m = paths.particles
         a2 = float(np.mean(w * vals * vals))
         b = float(np.mean(w * vals))
         wbar = float(np.mean(w))
@@ -396,12 +395,12 @@ def check_variance(ctx: AcceptanceContext) -> CheckResult:
         # identity gap J - direct = b^2 (1 - wbar); delta-method stderr
         infl_gap = -b * b * (w - wbar) + 2.0 * b * (1.0 - wbar) * (w * vals - b)
         gap = pay.value - direct
-        gap_se = float(np.std(infl_gap) / np.sqrt(m))
+        gap_se = mean_stderr(infl_gap)[1]
         gap_ok = bool(abs(gap) <= 3.0 * gap_se + 1e-12)
         # J - horizon with the full linearization of a2 - b^2 wbar
         infl_j = (w * vals * vals - a2) - 2.0 * b * wbar * (w * vals - b) \
             - b * b * (w - wbar)
-        j_se = float(np.std(infl_j) / np.sqrt(m))
+        j_se = mean_stderr(infl_j)[1]
         flat_ok = bool(abs(pay.value - horizon) <= 3.0 * j_se + 1e-12)
         ok = gap_ok and flat_ok
         passed = passed and ok

@@ -30,13 +30,14 @@ from mfcontrol import (
     solve_game,
 )
 from mfcontrol.control import grid_index_dtype
+from reference import coefficient_solution
 
 STEPS = 8
 
 
-def _coefficients(basis, seed):
+def _solution(basis, seed):
     rng = np.random.default_rng(seed)
-    return rng.normal(scale=1.5, size=(STEPS, basis.width(1), 1))
+    return coefficient_solution(basis, rng.normal(scale=1.5, size=(STEPS, basis.width(1), 1)))
 
 
 @pytest.fixture(scope="module")
@@ -50,19 +51,18 @@ def ensembles(mean_field):
 def feedback(mean_field):
     basis = BasisSpec()
     stats = {"mean": np.linspace(0.0, 0.4, STEPS + 1)}
-    return BsdeFeedbackControl(mean_field, mean_field.actions, basis,
-                               _coefficients(basis, 21), stats)
+    return BsdeFeedbackControl(mean_field, mean_field.actions, _solution(basis, 21), stats)
 
 
 @pytest.fixture
 def pair(separated_game):
     basis = BasisSpec()
     stats = {"mean": np.zeros(STEPS + 1)}
-    return PairFeedbackControl(separated_game, basis, _coefficients(basis, 22), stats)
+    return PairFeedbackControl(separated_game, _solution(basis, 22), stats)
 
 
 def uncached_actions(control, paths, k):
-    z = control.z_at(paths, k)
+    z = control.solution.z_at(paths, k)
     _, acts = minimized_hamiltonian(control.scenario, paths.grid.times[k],
                                     paths.state(k), paths.sup(k),
                                     control.stats_at(k), z[:, 0], control.grid)
@@ -70,7 +70,7 @@ def uncached_actions(control, paths, k):
 
 
 def uncached_pair(pair, paths, k):
-    z = pair.z_at(paths, k)
+    z = pair.solution.z_at(paths, k)
     env = envelopes(pair.scenario, paths.grid.times[k], paths.state(k),
                     paths.sup(k), pair.stats_at(k), z[:, 0])
     return env.upper_u, env.lower_v
@@ -189,12 +189,11 @@ def test_grid_index_dtype_is_the_smallest_unsigned_fit(count, dtype):
 
 
 def fresh_feedback(control):
-    """A feedback with the same coefficients and statistics and no held rows."""
+    """A feedback with the same solution and statistics and no held rows."""
     if isinstance(control, PairFeedbackControl):
-        return PairFeedbackControl(control.scenario, control.basis, control.z_coefficients,
-                                   control.stat_series)
-    return BsdeFeedbackControl(control.scenario, control.grid, control.basis,
-                               control.z_coefficients, control.stat_series)
+        return PairFeedbackControl(control.scenario, control.solution, control.stat_series)
+    return BsdeFeedbackControl(control.scenario, control.grid, control.solution,
+                               control.stat_series)
 
 
 def synthesize(name, paths, scenarios):
@@ -234,9 +233,10 @@ def test_policy_iteration_repeats_bit_for_bit_on_one_ensemble(mean_field):
     paths = simulate_for_scenario(mean_field, particles=1000, steps=STEPS, seed=42)
     first, second = (policy_iteration(mean_field, paths) for _ in range(2))
     assert first.y0 == second.y0 and first.j_hat == second.j_hat
-    np.testing.assert_array_equal(first.solution.z, second.solution.z)
-    np.testing.assert_array_equal(first.solution.y, second.solution.y)
+    np.testing.assert_array_equal(first.solution.y_residuals, second.solution.y_residuals)
     for k in range(STEPS + 1):
+        np.testing.assert_array_equal(first.solution.z_at(paths, k),
+                                      second.solution.z_at(paths, k))
         np.testing.assert_array_equal(first.control.actions(paths, k),
                                       second.control.actions(paths, k))
 

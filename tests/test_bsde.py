@@ -3,7 +3,8 @@
 Closed forms used as oracles:
 
   * driver 0, terminal c            -> Y identically c, Z identically 0
-  * driver 0, terminal x_T          -> Y_k = x_k, Z = 1 (martingale)
+  * driver 0, terminal x_T          -> Y_k = x_k, Z = 1 (martingale), so
+    each step's projection of Y_{k+1} leaves the increment, rms sqrt(dt)
   * conditional second moment       E[x_T^2 | x_t] = x_t^2 + (T - t),
     inside the degree-2 monomial span but not the degree-1 span, which
     makes it a basis-quality ladder
@@ -14,7 +15,9 @@ Closed forms used as oracles:
 
 The equation is linear in (terminal, running cost), so doubling both must
 double the whole solution up to rounding; and solve_linear_bsde is just
-solve_driver_bsde with the linear driver, so the two must agree bit for bit.
+solve_driver_bsde with the linear driver (tests/reference.py), so the two
+must agree bit for bit.  A solution keeps no paths: intermediate Y is seen
+through the per-step residuals y_residuals, and Z through z_at.
 A family solve shares each step's projection among its members, so each
 member agrees with its solo solve to rounding, and the one-member family is
 the solo solve.
@@ -22,6 +25,7 @@ the solo solve.
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -49,7 +53,8 @@ from mfcontrol import (
     table_control,
     terminal_values,
 )
-from mfcontrol.bsde import build_features, features_at, linear_driver
+from mfcontrol.bsde import build_features, features_at
+from reference import linear_driver
 
 
 def zero_driver(k, z):
@@ -144,8 +149,9 @@ def test_constant_terminal_constant_solution(paths4k):
     c = 3.25
     terminal = np.full(paths4k.particles, c)
     sol = solve_driver_bsde(paths4k, terminal, zero_driver)
-    np.testing.assert_allclose(sol.y, c, atol=1e-8)
-    np.testing.assert_allclose(sol.z, 0.0, atol=1e-8)
+    np.testing.assert_allclose(sol.y_residuals, 0.0, atol=1e-8)
+    for k in range(paths4k.grid.steps + 1):
+        np.testing.assert_allclose(sol.z_at(paths4k, k), 0.0, atol=1e-8)
     assert sol.y0 == pytest.approx(c, abs=1e-8)
     assert sol.y0_stderr == pytest.approx(0.0, abs=1e-6)
 
@@ -160,22 +166,14 @@ def test_unridged_solve_hits_collinear_sup_column(paths4k):
                           basis=BasisSpec(ridge=0.0))
 
 
-def test_terminal_column_is_exact(paths1k, zero_drift):
-    flow = reference_flow(paths1k, zero_drift.statistic_map)
-    terminal = terminal_values(zero_drift, flow)
-    sol = solve_driver_bsde(paths1k, terminal, zero_driver)
-    np.testing.assert_array_equal(sol.y[:, -1], terminal)
-
-
 def test_martingale_case_y_tracks_state(paths4k):
-    # driver 0, g = x_T: Y_k = E[x_T | F_k] = x_k and Z = 1
+    # driver 0, g = x_T: Y_k = E[x_T | F_k] = x_k and Z = 1, so projecting
+    # Y_{k+1} = x_{k+1} on F_k leaves the increment dW_k, rms sqrt(dt)
     terminal = paths4k.values[:, -1, 0]
     sol = solve_driver_bsde(paths4k, terminal, zero_driver)
-    n = paths4k.grid.steps
-    for k in (0, n // 2, n - 1):
-        err = np.sqrt(np.mean((sol.y[:, k] - paths4k.values[:, k, 0]) ** 2))
-        assert err < 0.05, k
-    assert abs(np.mean(sol.z) - 1.0) <= 0.05
+    np.testing.assert_allclose(sol.y_residuals, np.sqrt(paths4k.grid.dt), rtol=0.1)
+    for k in range(paths4k.grid.steps + 1):
+        assert abs(np.mean(sol.z_at(paths4k, k)) - 1.0) <= 0.05, k
     # y0 carries basis-projection drift beyond the martingale-representation
     # stderr (~0.015 at this scale); allow for it explicitly
     assert abs(sol.y0 - 0.0) <= 3.0 * sol.y0_stderr + 0.05
@@ -221,9 +219,7 @@ def test_two_code_paths_agree_exactly(lq, paths4k):
     a = solve_linear_bsde(lq, control, flow)
     b = solve_driver_bsde(paths4k, terminal_values(lq, flow),
                           linear_driver(lq, flow, control))
-    np.testing.assert_array_equal(a.y, b.y)
-    np.testing.assert_array_equal(a.z, b.z)
-    assert a.y0 == b.y0
+    assert_same_solution(a, b)
 
 
 def test_solution_is_linear_in_costs(lq, paths4k):
@@ -239,7 +235,10 @@ def test_solution_is_linear_in_costs(lq, paths4k):
     doubled_scenario = parse_scenario(doc)
     doubled = solve_linear_bsde(doubled_scenario, control, flow)
     assert doubled.y0 == pytest.approx(2.0 * base.y0, rel=1e-9)
-    np.testing.assert_allclose(doubled.y, 2.0 * base.y, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(doubled.y_residuals, 2.0 * base.y_residuals, rtol=1e-9)
+    for k in range(paths4k.grid.steps + 1):
+        np.testing.assert_allclose(doubled.z_at(paths4k, k), 2.0 * base.z_at(paths4k, k),
+                                   rtol=0, atol=1e-9)
 
 
 def test_minimized_driver_reaches_optimal_value(lq, paths4k):
@@ -293,15 +292,16 @@ def test_z_stderr_pointwise_shape(paths4k):
 def lstsq_backward(paths, terminal, driver_at, basis):
     """The backward solve with two ridge-augmented lstsq per step, and each
     step's (F'F + ridge I)^{-1} from the SVD of the augmented design (the
-    factorization lstsq itself uses).  Returns y, z, y0, y0_stderr, the
-    coefficients, the inverse Gram matrices and the residual scales of z."""
+    factorization lstsq itself uses).  Returns the residuals of Y's
+    projections, z on the ensemble, y0, y0_stderr, the inverse Gram matrices
+    and the residual scales of z."""
     dw = paths.driver.increments
     m, n, d = dw.shape
     dt = paths.grid.dt
     q = basis.width(paths.dim)
     y = np.empty((m, n + 1))
     z = np.empty((m, n, d))
-    coef, gram_inv, rms = [None] * n, [None] * n, [None] * n
+    resid, gram_inv, rms = np.empty(n), [None] * n, [None] * n
     y[:, n] = terminal
     value_paths = y[:, n].copy()
     for k in range(n - 1, -1, -1):
@@ -313,9 +313,9 @@ def lstsq_backward(paths, terminal, driver_at, basis):
                                    rcond=None)[0]
 
         fitted = (feats @ solve(y[:, k + 1, None]))[:, 0]
+        resid[k] = np.sqrt(np.mean((y[:, k + 1] - fitted) ** 2))
         rhs = (y[:, k + 1] - fitted)[:, None] * dw[:, k, :] / dt
-        coef[k] = solve(rhs)
-        zk = feats @ coef[k]
+        zk = feats @ solve(rhs)
         _, sv, vt = np.linalg.svd(aug, full_matrices=False)
         gram_inv[k] = (vt.T / sv ** 2) @ vt
         rms[k] = np.sqrt(np.mean((rhs - zk) ** 2, axis=0))
@@ -323,8 +323,8 @@ def lstsq_backward(paths, terminal, driver_at, basis):
         h = driver_at(k, zk)
         y[:, k] = fitted + h * dt
         value_paths += h * dt - np.sum(zk * dw[:, k, :], axis=1)
-    return (y, z, float(np.mean(y[:, 0])), float(np.std(value_paths) / np.sqrt(m)),
-            coef, gram_inv, rms)
+    return (resid, z, float(np.mean(y[:, 0])), float(np.std(value_paths) / np.sqrt(m)),
+            gram_inv, rms)
 
 
 def assert_relative(actual, reference, rel):
@@ -344,19 +344,17 @@ def test_factored_solve_matches_lstsq_reference(name, particles, basis):
     control = parametric_control(0.3, -0.4, 0.2, scen.actions)
     flow = fixpoint_measure_flow(scen, control, paths).flow
     sol = solve_linear_bsde(scen, control, flow, basis)
-    y, z, y0, y0_se, coef, gram_inv, rms = lstsq_backward(
+    resid, z, y0, y0_se, gram_inv, rms = lstsq_backward(
         paths, terminal_values(scen, flow), linear_driver(scen, flow, control), sol.basis)
 
-    assert_relative(sol.y, y, 1e-12)
-    assert_relative(sol.z, z, 1e-12)
+    assert_relative(sol.y_residuals, resid, 1e-12)
     assert abs(sol.y0 - y0) <= 1e-12 * max(1.0, abs(y0))
     assert abs(sol.y0_stderr - y0_se) <= 1e-12 * y0_se
     n = paths.grid.steps
     for k in range(n):
         # coefficients along the design's null directions are set by the
         # ridge alone, so they are compared through their predictions
-        feats = features_at(paths, k, sol.basis)
-        assert_relative(feats @ sol.z_coefficients[k], feats @ coef[k], 1e-12)
+        assert_relative(sol.z_at(paths, k), z[:, k], 1e-12)
     for t_index in range(n + 1):
         k = min(t_index, n - 1)
         feats = features_at(paths, t_index, sol.basis)
@@ -376,7 +374,7 @@ def solve_uncached(monkeypatch, paths, basis):
 
 
 def assert_same_solution(a, b):
-    for field in ("y", "z", "z_coefficients", "z_resid_rms", "y_residuals"):
+    for field in ("z_coefficients", "z_resid_rms", "y_residuals"):
         np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
     assert a.y0 == b.y0 and a.y0_stderr == b.y0_stderr
     for fa, fb in zip(a.z_gram_factors, b.z_gram_factors, strict=True):
@@ -487,15 +485,11 @@ def test_family_members_match_their_solo_solves(family):
         assert abs(member.y0 - solo.y0) <= 1e-12 * max(1.0, abs(solo.y0))
         assert abs(member.y0_stderr - solo.y0_stderr) <= 1e-12 * max(1.0, solo.y0_stderr)
         assert_relative(member.y_residuals, solo.y_residuals, 1e-12)
-        for k in range(paths.grid.steps):
-            if k == 1:
-                # sup^2 = x^2 at t_1, a null direction of the design that only the
-                # ridge sets (about 1e-7 apart here), so compare predictions
-                feats = features_at(paths, k, solo.basis)
-                assert_relative(feats @ member.z_coefficients[k],
-                                feats @ solo.z_coefficients[k], 1e-12)
-            else:
-                assert_relative(member.z_coefficients[k], solo.z_coefficients[k], 1e-12)
+        # compared through z_at: at t_1, sup^2 = x^2 is a null direction of
+        # the design that only the ridge sets, and there the coefficients
+        # differ by about 1e-7
+        for k in range(paths.grid.steps + 1):
+            assert_relative(member.z_at(paths, k), solo.z_at(paths, k), 1e-12)
 
 
 def test_one_member_family_gives_the_solo_bits(family):
@@ -518,7 +512,31 @@ def test_members_keep_their_own_statistic_rows(mean_field):
     assert abs(solos[0].y0 - solos[1].y0) > 0.1
     for member, solo in zip(solve_linear_family(mean_field, [control, control], flows), solos):
         assert abs(member.y0 - solo.y0) <= 1e-12 * max(1.0, abs(solo.y0))
-        assert_relative(member.y, solo.y, 1e-12)
+        assert_relative(member.y_residuals, solo.y_residuals, 1e-12)
+        for k in range(paths.grid.steps + 1):
+            assert_relative(member.z_at(paths, k), solo.z_at(paths, k), 1e-12)
+
+
+def test_family_solve_holds_no_particle_paths(lq):
+    # a solution is its coefficients: after a 20-member sweep at 2000 x 50
+    # nothing with a particle axis stays alive, and the sweep itself holds
+    # only a few step-sized columns at a time (a stored Y and Z path per
+    # member would be 31 MB here)
+    paths = simulate_for_scenario(lq, particles=2000, steps=50, seed=37)
+    rng = np.random.default_rng(38)
+    controls = [parametric_control(rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5),
+                                   rng.uniform(-0.3, 0.3), lq.actions) for _ in range(20)]
+    flows = [fixpoint_measure_flow(lq, c, paths).flow for c in controls]
+    solve_linear_family(lq, controls[:1], flows[:1])  # the factors are held from here on
+    tracemalloc.start()
+    try:
+        sols = solve_linear_family(lq, controls, flows)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sols) == 20
+    assert held < 1 << 20, held
+    assert peak < 8 << 20, peak
 
 
 def test_family_arguments_are_checked(lq, paths1k):

@@ -206,7 +206,7 @@ def test_hamiltonian_rejects_game_scenarios(separated_game):
 ])
 def test_hamiltonian_matches_the_linear_driver_for_every_scalar_sigma(mean_field, diffusion):
     from mfcontrol import serialize_scenario, simulate_for_scenario
-    from mfcontrol.bsde import linear_driver
+    from reference import linear_driver
 
     doc = serialize_scenario(mean_field)
     doc["diffusion"] = diffusion
@@ -240,7 +240,7 @@ def test_hamiltonian_reads_a_d2_sigma_matrix(tmp_path, kind):
     import json
 
     from mfcontrol import main, simulate_for_scenario
-    from mfcontrol.bsde import linear_driver
+    from reference import linear_driver
 
     # sigma is the identity matrix; base 0.0 would be singular, and is not read
     doc = {"kind": kind, "dimension": 2, "initial": [0.0, 0.0], "horizon": 1.0,
@@ -280,7 +280,7 @@ def test_hamiltonian_reads_a_d2_sigma_matrix(tmp_path, kind):
 def test_hamiltonian_matches_sigma_inverse_of_the_simulated_drift(mean_field, separated_game,
                                                                  kind, diffusion):
     from mfcontrol import serialize_scenario, simulate_for_scenario
-    from mfcontrol.bsde import linear_driver
+    from reference import linear_driver
     from mfcontrol.girsanov import drift_evaluator
 
     # the reference h + z . sigma^{-1} b is formed here from the drift vector b

@@ -16,7 +16,6 @@ from mfcontrol import (
     DiffusionSpec,
     ensemble_moments,
     make_time_grid,
-    path_statistic,
     sample_brownian,
     simulate_for_scenario,
     simulate_reference,
@@ -128,18 +127,6 @@ def test_running_sup_by_inspection():
     paths = simulate_reference(grid, brownian, sigma, [0.0])
     np.testing.assert_array_equal(paths.values[0, :, 0], [0.0, 3.0, -5.0])
     np.testing.assert_array_equal(paths.running_sup[0], [0.0, 3.0, 5.0])
-    np.testing.assert_array_equal(path_statistic(paths, 2, "running_sup"), [5.0])
-    np.testing.assert_array_equal(path_statistic(paths, 1, "current_value"),
-                                  [[3.0]])
-
-
-def test_path_statistic_rejects_bad_requests(paths1k):
-    with pytest.raises(IndexError):
-        path_statistic(paths1k, paths1k.grid.steps + 1, "current_value")
-    with pytest.raises(IndexError):
-        path_statistic(paths1k, -1, "running_sup")
-    with pytest.raises(ValueError):
-        path_statistic(paths1k, 0, "terminal_value")
 
 
 def test_state_and_sup_accessors(paths4k):

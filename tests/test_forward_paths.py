@@ -40,6 +40,7 @@ from mfcontrol import (
     terminal_values,
     tv_pathspace,
 )
+from reference import coefficient_solution
 
 STEPS = 12
 PARTICLES = 601
@@ -109,22 +110,22 @@ def formula_actions(control: Control, paths, k):
 
 
 def uncached_feedback(control: BsdeFeedbackControl, paths, k):
-    z = control.z_at(paths, k)
+    z = control.solution.z_at(paths, k)
     _, acts = minimized_hamiltonian(control.scenario, paths.grid.times[k], paths.state(k),
                                     paths.sup(k), control.stats_at(k), z[:, 0], control.grid)
     return acts
 
 
 def uncached_pair(pair: PairFeedbackControl, paths, k):
-    z = pair.z_at(paths, k)
+    z = pair.solution.z_at(paths, k)
     env = envelopes(pair.scenario, paths.grid.times[k], paths.state(k), paths.sup(k),
                     pair.stats_at(k), z[:, 0])
     return env.upper_u, env.lower_v
 
 
-def coefficients(basis, seed):
+def solution(basis, seed):
     rng = np.random.default_rng(seed)
-    return rng.normal(scale=1.5, size=(STEPS, basis.width(1), 1))
+    return coefficient_solution(basis, rng.normal(scale=1.5, size=(STEPS, basis.width(1), 1)))
 
 
 def controls_for(scenario):
@@ -137,7 +138,7 @@ def controls_for(scenario):
         cv = constant_control(0.6, gv)
         pu = parametric_control(0.1, -0.8, 0.4, gu)
         tv = table_control([-0.5, 0.0, 0.5], [[-1.0, -0.2, 0.2, 1.0], [0.5, 0.0, -0.5, 0.3]], gv)
-        pair = PairFeedbackControl(scenario, BasisSpec(), coefficients(BasisSpec(), 5), stats)
+        pair = PairFeedbackControl(scenario, solution(BasisSpec(), 5), stats)
         return [
             ("constants", (cu, cv),
              lambda p, k: (formula_actions(cu, p, k), formula_actions(cv, p, k))),
@@ -153,8 +154,7 @@ def controls_for(scenario):
     table = table_control([-0.5, 0.0, 0.5],
                           [[-1.0, -0.3, 0.3, 1.0], [0.8, 0.1, -0.1, -0.8], [0.0, 0.5, 0.5, 0.0]],
                           grid)
-    feedback = BsdeFeedbackControl(scenario, grid, BasisSpec(),
-                                   coefficients(BasisSpec(), 4), stats)
+    feedback = BsdeFeedbackControl(scenario, grid, solution(BasisSpec(), 4), stats)
     return [
         ("constant", const, lambda p, k: (formula_actions(const, p, k),)),
         ("parametric", param, lambda p, k: (formula_actions(param, p, k),)),

@@ -31,6 +31,7 @@ from mfcontrol import (
     drift_evaluator,
     hellinger_bound,
     make_time_grid,
+    mean_stderr,
     reference_flow,
     simulate_reference,
     tv_marginal,
@@ -76,6 +77,14 @@ def test_weighted_statistic_by_hand():
     assert se == pytest.approx(np.std([0.0, 3.0]) / np.sqrt(2))
 
 
+def test_mean_stderr_by_hand():
+    # the sample mean and the population sd over sqrt(count)
+    assert mean_stderr(np.array([1.0, 3.0])) == (2.0, 1.0 / np.sqrt(2.0))
+    est, se = mean_stderr(np.array([1.0, 2.0, 3.0, 4.0]))
+    assert est == 2.5
+    assert se == pytest.approx(np.sqrt(1.25) / 2.0, rel=1e-15)
+
+
 def test_statistic_series_matches_pointwise(paths4k):
     flow = reference_flow(paths4k, STATS)
     series = flow.statistic_series("mean")
@@ -83,7 +92,7 @@ def test_statistic_series_matches_pointwise(paths4k):
     for k in (0, 7, paths4k.grid.steps):
         est, _ = weighted_statistic(flow, k, "mean")
         assert series[k] == pytest.approx(est)
-    assert flow.stats_at(0)["mean"] == pytest.approx(0.0)
+    assert series[0] == pytest.approx(0.0)
 
 
 def test_unregistered_statistic_raises(paths4k):
