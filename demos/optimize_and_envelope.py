@@ -32,7 +32,7 @@ M, N, SEED = 4000, 25, 7
 # --- part 1: law-free scenario, policy iteration is the whole story --------
 lq = get_builtin("linear-quadratic")
 paths = simulate_for_scenario(lq, M, N, SEED)
-report = policy_iteration(lq, paths, seed=SEED)
+report = policy_iteration(lq, paths)
 
 print("linear-quadratic (exact optimum y0 = -0.5 at u = -1):")
 print(f"  converged: {report.converged}, outer steps: {report.outer_iterations}")
@@ -46,7 +46,7 @@ print(f"  synthesized feedback at t = 0.5: mean {np.mean(acts):+.3f},"
 # --- part 2: law coupling, the envelope is the honest baseline -------------
 mf = get_builtin("mean-field-mean-reversion")
 paths = simulate_for_scenario(mf, M, N, SEED)
-frozen = policy_iteration(mf, paths, seed=SEED)
+frozen = policy_iteration(mf, paths)
 
 family = [
     constant_control(-1.0),
@@ -55,7 +55,7 @@ family = [
     constant_control(0.0),
 ]
 payoffs = [evaluate_payoff(mf, c, paths) for c in family]
-env = envelope_bsde(mf, paths, family, flows=[p.flow for p in payoffs])
+env = envelope_bsde(mf, family, [p.flow for p in payoffs])
 
 print("\nmean-field mean-reversion (running cost reads the population mean):")
 print(f"  frozen-flow equilibrium value: {frozen.y0:+.5f} +/- {frozen.y0_stderr:.5f}")

@@ -259,7 +259,7 @@ def _run_optimize(args, scen):
                                       "scenario; use the game command")
     paths = simulate_for_scenario(scen, args.particles, args.steps, args.seed)
     report = policy_iteration(scen, paths, basis=BasisSpec(degree=args.basis_degree),
-                              tol=args.tol, fixpoint_tol=args.tol)
+                              tol=args.tol)
     results = report.to_dict()
     trace_rows = [(i, d, s) for i, d, s in report.trace]
     tables = {"trace.csv": (["iteration", "distance", "stderr"], trace_rows)}
@@ -273,10 +273,9 @@ def _run_game(args, scen):
     if scen.kind != "game":
         raise ConfigError("scenario", "game needs a two-player scenario")
     paths = simulate_for_scenario(scen, args.particles, args.steps, args.seed)
-    basis = BasisSpec(degree=args.basis_degree)
     try:
-        report = solve_game(scen, paths, basis=basis, tol=args.tol,
-                            fixpoint_tol=args.tol)
+        report = solve_game(scen, paths, basis=BasisSpec(degree=args.basis_degree),
+                            tol=args.tol)
     except IsaacsError as exc:
         stderr_note(f"aborted: {exc}")
         return 1, {"aborted": True, "isaacs": exc.report.to_dict()}, {}
@@ -299,8 +298,8 @@ def _run_game(args, scen):
 
 def _run_verify(args):
     # stdout must stay a single JSON document; echo the lines to stderr
-    criteria = run_battery(seed=args.seed, particles=args.particles,
-                           steps=args.steps, tol=args.tol, echo=False)
+    criteria = run_battery(seed=args.seed, particles=args.particles, steps=args.steps,
+                           tol=args.tol, basis=BasisSpec(degree=args.basis_degree))
     for c in criteria:
         stderr_note(c.line())
     all_passed = all(c.passed for c in criteria)

@@ -314,17 +314,17 @@ class PayoffResult:
 
 
 def evaluate_payoff(scenario: Scenario | GameScenario, control, paths: PathEnsemble,
-                    tol: float = 1e-3, max_iter: int = 50,
-                    fixpoint: FixpointResult | None = None) -> PayoffResult:
+                    tol: float = 1e-3, fixpoint: FixpointResult | None = None) -> PayoffResult:
     """Reweighted payoff J(control) on the control's matched measure flow.
 
     J = E[ int_0^T L_t h(t) dt + L_T g ], the time integral by the trapezoid
     rule with the density at time t weighting the cost at time t.  For a
-    GameScenario pass a (u, v) pair or a pair feedback.  A precomputed
-    FixpointResult skips the Picard loop (it must belong to this control).
+    GameScenario pass a (u, v) pair or a pair feedback.  The flow is matched
+    to tol; a precomputed FixpointResult skips the Picard loop (it must
+    belong to this control).
     """
     if fixpoint is None:
-        fixpoint = fixpoint_measure_flow(scenario, control, paths, tol=tol, max_iter=max_iter)
+        fixpoint = fixpoint_measure_flow(scenario, control, paths, tol=tol)
     flow, density = fixpoint.flow, fixpoint.density
     n = paths.grid.steps
     series = {name: flow.statistic_series(name)
@@ -423,16 +423,24 @@ def _extremal_solve(scenario: Scenario | GameScenario, flow: MeasureFlow, extrem
     return solve_driver_bsde(paths, terminal, driver_at, basis), rows
 
 
+# Outer synthesis passes before a run is reported as not converged.
+_MAX_OUTER = 20
+# The argmin residual samples this many particles at each of its times, drawn
+# with this seed.
+_RESIDUAL_SAMPLES = 200
+_RESIDUAL_SEED = 7
+
+
 def _synthesize(scenario: Scenario | GameScenario, paths: PathEnsemble, basis: BasisSpec,
-                extremes, feedback, tol: float, max_outer: int, fixpoint_tol: float,
-                fixpoint_max_iter: int):
+                extremes, feedback, tol: float):
     """The synthesis loop of the control problem and of the game.
 
     Starting from the reference flow: solve the backward equation driven by
     extremes (min over u of H, or its lower envelope, with the extremizer
     rows) on the current flow, synthesize feedback(solution, frozen
-    statistic series) from it, rematch the flow to that feedback, and stop
-    once the horizon TV between successive flows drops below tol.  The
+    statistic series) from it, rematch the flow to that feedback (a measure
+    fixed point to tol), and stop once the horizon TV between successive
+    flows drops below tol, or after _MAX_OUTER passes.  The
     feedback is handed the rows the solve's driver found at every step it
     visited: the driver's z is the solution's z_at, the feedback's own z,
     so they are the rows the feedback would compute.  The backward value is
@@ -441,13 +449,12 @@ def _synthesize(scenario: Scenario | GameScenario, paths: PathEnsemble, basis: B
     """
     flow = reference_flow(paths, scenario.statistic_map)
     trace: list[tuple[int, float, float]] = []
-    for it in range(1, max_outer + 1):
+    for it in range(1, _MAX_OUTER + 1):
         sol, found = _extremal_solve(scenario, flow, extremes, basis)
         control = feedback(sol, {name: s.copy()
                                  for name, s in _stat_series(scenario, flow).items()})
         control._rows[paths] = found
-        fixres = fixpoint_measure_flow(scenario, control, paths,
-                                       tol=fixpoint_tol, max_iter=fixpoint_max_iter)
+        fixres = fixpoint_measure_flow(scenario, control, paths, tol=tol)
         est = tv_pathspace(flow, fixres.flow, paths.grid.steps)
         trace.append((it, est.value, est.stderr))
         flow = fixres.flow
@@ -459,35 +466,30 @@ def _synthesize(scenario: Scenario | GameScenario, paths: PathEnsemble, basis: B
     return control, fixres, final_sol, payoff, tuple(trace), trace[-1][1] < tol
 
 
-def policy_iteration(scenario: Scenario, paths: PathEnsemble,
-                     grid: ActionGrid | None = None, basis: BasisSpec | None = None,
-                     tol: float = 1e-3, max_outer: int = 20,
-                     fixpoint_tol: float = 1e-3, fixpoint_max_iter: int = 50,
-                     residual_samples: int = 200, seed: int = 7) -> OptimizationReport:
+def policy_iteration(scenario: Scenario, paths: PathEnsemble, basis: BasisSpec | None = None,
+                     tol: float = 1e-3) -> OptimizationReport:
     """Alternate minimized-Hamiltonian backward solves with measure matching.
 
-    Starting from the reference flow: synthesize the argmin feedback from the
-    backward solution on the current flow, rematch the flow to that feedback,
-    and stop once the horizon TV between successive flows drops below tol.
-    Non-convergence is reported through converged=False with the full trace,
-    not raised, so the partial certificate remains inspectable.
+    Starting from the reference flow: synthesize the argmin feedback over the
+    scenario's action grid from the backward solution on the current flow,
+    rematch the flow to that feedback, and stop once the horizon TV between
+    successive flows drops below tol; tol is also every measure fixed
+    point's tolerance.  Non-convergence is reported through converged=False
+    with the full trace, not raised, so the partial certificate remains
+    inspectable.
     """
     if scenario.kind == "game":
         raise TypeError("policy_iteration takes a single-controller scenario")
-    if max_outer < 1:
-        raise ValueError("max_outer must be >= 1")
-    if grid is None:
-        grid = scenario.actions
     if basis is None:
         basis = BasisSpec()
+    grid = scenario.actions
 
     control, fixres, final_sol, payoff, trace, converged = _synthesize(
         scenario, paths, basis,
         partial(_argmin_extremes, scenario, grid),
         lambda sol, stats: BsdeFeedbackControl(scenario, grid, sol, stats),
-        tol, max_outer, fixpoint_tol, fixpoint_max_iter)
-    h_res = _argmin_residual(scenario, control, final_sol, fixres.flow, grid,
-                             residual_samples, seed)
+        tol)
+    h_res = _argmin_residual(scenario, control, final_sol, fixres.flow, grid)
     return OptimizationReport(
         control=control, flow=fixres.flow, density=fixres.density,
         y0=final_sol.y0, y0_stderr=final_sol.y0_stderr,
@@ -497,15 +499,14 @@ def policy_iteration(scenario: Scenario, paths: PathEnsemble,
 
 
 def _argmin_residual(scenario: Scenario, control, sol: BsdeSolution,
-                     flow: MeasureFlow, grid: ActionGrid,
-                     samples: int, seed: int) -> float:
+                     flow: MeasureFlow, grid: ActionGrid) -> float:
     """max over a sampled (t, particle) set of H(., u_hat) - min_u H at the
     matched flow; zero means the feedback is pointwise optimal there."""
     paths = flow.paths
     n = paths.grid.steps
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_RESIDUAL_SEED)
     m = paths.particles
-    take = min(samples, m)
+    take = min(_RESIDUAL_SAMPLES, m)
     series = _stat_series(scenario, flow)
     worst = 0.0
     for k in sorted({0, n // 4, n // 2, (3 * n) // 4, n - 1}):
@@ -567,14 +568,14 @@ def near_optimal_search(scenario: Scenario, paths: PathEnsemble, family,
 
     eps_hat = best payoff - baseline y0; achieved when within eps_target up
     to noise.  The baseline policy iteration runs on demand when not
-    supplied.
+    supplied; every member is priced at the baseline's tolerance.
     """
     if baseline is None:
         baseline = policy_iteration(scenario, paths, basis=basis)
     rows = []
     best_idx, best_val, best_se = 0, np.inf, 0.0
     for i, c in enumerate(family):
-        res = evaluate_payoff(scenario, c, paths)
+        res = evaluate_payoff(scenario, c, paths, tol=baseline.tol)
         label = getattr(c, "label", f"control-{i}")
         rows.append((label, res.value, res.stderr))
         if res.value < best_val:
@@ -597,10 +598,8 @@ def ekeland_distance(a, b, paths: PathEnsemble) -> float:
     return paths.grid.dt * total / paths.particles
 
 
-def envelope_bsde(scenario: Scenario, paths: PathEnsemble, controls,
-                  flows=None, basis: BasisSpec | None = None,
-                  fixpoint_tol: float = 1e-3,
-                  fixpoint_max_iter: int = 50) -> BsdeSolution:
+def envelope_bsde(scenario: Scenario, controls, flows,
+                  basis: BasisSpec | None = None) -> BsdeSolution:
     """Backward solve of the lower-envelope equation of a control family.
 
     Terminal and driver are the pointwise minima over the family, each
@@ -613,22 +612,16 @@ def envelope_bsde(scenario: Scenario, paths: PathEnsemble, controls,
     noise.  The law argument moves with the candidate instead of staying
     frozen at one flow, which is what makes the value a lower bound even when
     costs or dynamics read the law.  Enlarging the family can only lower the
-    value.  flows, when given, must be the members' matched flows
-    (MeasureFlow or FixpointResult, ordered like controls); otherwise each
-    member's fixed point is computed here.
+    value.  flows are the members' matched MeasureFlows, ordered like
+    controls, and the solve runs on their ensemble, as in
+    solve_linear_family.
     """
     if scenario.kind == "game":
         raise TypeError("envelope_bsde takes a single-controller scenario")
-    controls = list(controls)
-    if not controls:
-        raise ValueError("envelope needs at least one control")
-    if flows is None:
-        flows = [fixpoint_measure_flow(scenario, c, paths, tol=fixpoint_tol,
-                                       max_iter=fixpoint_max_iter)
-                 for c in controls]
-    flows = [f.flow if hasattr(f, "flow") else f for f in flows]
-    if len(flows) != len(controls):
-        raise ValueError("flows must pair up with controls")
+    controls, flows = list(controls), list(flows)
+    if not controls or len(flows) != len(controls):
+        raise ValueError("an envelope needs at least one control and one flow per control")
+    paths = flows[0].paths
 
     terminal = np.min([terminal_values(scenario, f) for f in flows], axis=0)
     # every candidate's H in one (K, M) array per step; the minimum is exact
@@ -661,7 +654,7 @@ def verify_comparison(scenario: Scenario, paths: PathEnsemble, controls,
     payoffs = [evaluate_payoff(scenario, c, paths) for c in controls]
     flows = [p.flow for p in payoffs]
     sols = solve_linear_family(scenario, controls, flows, basis)
-    env = envelope_bsde(scenario, paths, controls, flows=flows, basis=basis)
+    env = envelope_bsde(scenario, controls, flows, basis)
     rows = []
     ok = True
     for i, (c, payoff, sol) in enumerate(zip(controls, payoffs, sols)):

@@ -137,9 +137,13 @@ class IsaacsReport:
         }
 
 
+# The envelope gap beyond which solve_game refuses to certify a value.
+_ISAACS_TOL = 1e-9
+
+
 def isaacs_gap(scenario: GameScenario, z_points=None, x_points=None,
                stats_row: dict | None = None, t: float = 0.0,
-               tol: float = 1e-9) -> IsaacsReport:
+               tol: float = _ISAACS_TOL) -> IsaacsReport:
     """Sample upper - lower over a (state, z) grid.
 
     Defaults: z on [-3, 3], states around the initial point at the diffusive
@@ -283,24 +287,21 @@ class SaddleReport:
 
 
 def solve_game(scenario: GameScenario, paths: PathEnsemble,
-               basis: BasisSpec | None = None, tol: float = 1e-3,
-               max_outer: int = 20, fixpoint_tol: float = 1e-3,
-               fixpoint_max_iter: int = 50, isaacs_tol: float = 1e-9) -> SaddleReport:
+               basis: BasisSpec | None = None, tol: float = 1e-3) -> SaddleReport:
     """Synthesize a saddle candidate and certify the game value.
 
     Aborts with IsaacsError before any heavy work when the sampled envelope
-    gap exceeds isaacs_tol.  Otherwise runs the same alternation as the
+    gap exceeds _ISAACS_TOL.  Otherwise runs the same alternation as the
     single-controller synthesis with the lower envelope as backward driver,
-    and prices the resulting pair on its matched flow.
+    and prices the resulting pair on its matched flow; tol is the outer
+    stopping distance and every measure fixed point's tolerance.
     """
     if scenario.kind != "game":
         raise TypeError("solve_game needs a two-player scenario")
-    if max_outer < 1:
-        raise ValueError("max_outer must be >= 1")
     if basis is None:
         basis = BasisSpec()
 
-    isaacs = isaacs_gap(scenario, tol=isaacs_tol)
+    isaacs = isaacs_gap(scenario)
     if not isaacs.holds:
         raise IsaacsError(isaacs)
 
@@ -308,7 +309,7 @@ def solve_game(scenario: GameScenario, paths: PathEnsemble,
         scenario, paths, basis,
         partial(_saddle_extremes, scenario),
         lambda sol, stats: PairFeedbackControl(scenario, sol, stats),
-        tol, max_outer, fixpoint_tol, fixpoint_max_iter)
+        tol)
     return SaddleReport(
         pair=pair, flow=fixres.flow, density=fixres.density,
         value=final_sol.y0, value_stderr=final_sol.y0_stderr,
@@ -352,7 +353,8 @@ def verify_saddle(scenario: GameScenario, paths: PathEnsemble,
 
     Defaults to every constant control on each grid.  Each deviation fixes
     the opponent's feedback side and replaces one side only; all payoffs are
-    reweightings of the same ensemble.
+    reweightings of the same ensemble, each matched at the report's tol, the
+    tolerance the pair itself was priced at.
     """
     if u_deviations is None:
         u_deviations = _grid_constants(scenario.actions_u)
@@ -365,7 +367,7 @@ def verify_saddle(scenario: GameScenario, paths: PathEnsemble,
     for side, deviations in (("u", u_deviations), ("v", v_deviations)):
         for c in deviations:
             played = (c, pair.v_control) if side == "u" else (pair.u_control, c)
-            res = evaluate_payoff(scenario, played, paths)
+            res = evaluate_payoff(scenario, played, paths, tol=report.tol)
             slack = res.value - j0 if side == "u" else j0 - res.value
             tol3 = 3.0 * float(np.hypot(res.stderr, se0))
             ok = bool(slack >= -tol3)

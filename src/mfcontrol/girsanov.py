@@ -232,9 +232,13 @@ class FixpointResult:
     diagnostics: FixpointDiagnostics
 
 
+# Picard applications before a fixed point is reported as not converged.
+_PICARD_MAX_ITER = 50
+
+
 def fixpoint_measure_flow(scenario: Scenario | GameScenario, control,
                           paths: PathEnsemble, tol: float = 1e-3,
-                          max_iter: int = 50) -> FixpointResult:
+                          max_iter: int = _PICARD_MAX_ITER) -> FixpointResult:
     """Iterate flow -> reweighted flow until the weights stop moving.
 
     Starts from the reference flow (weights one).  Raises

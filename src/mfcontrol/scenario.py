@@ -223,18 +223,10 @@ class DiffusionSpec:
         return vec / self.base
 
     def inv_quadform(self, t, state: np.ndarray, sup: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """vec^T (sigma sigma^T)^{-1} vec per particle, for the Hellinger
-        integrand; one grid time or a block of steps, as in inv_apply."""
-        m = self.matrix_array()
-        if m is not None:
-            a = m @ m.T
-            flat = vec.reshape(-1, vec.shape[-1])
-            sol = np.linalg.solve(a, flat.T).T
-            return np.einsum("ij,ij->i", flat, sol).reshape(vec.shape[:-1])
-        if state.shape[-1] == 1:
-            return self.inv_apply(t, state, sup, vec)[..., 0] ** 2
-        self._guard(np.asarray([self.base]), np.ravel(t)[0])
-        return np.sum(vec * vec, axis=-1) / self.base**2
+        """vec^T (sigma sigma^T)^{-1} vec = |sigma^{-1} vec|^2 per particle, for
+        the Hellinger integrand; one grid time or a block of steps, as in
+        inv_apply, whose singularity checks it shares."""
+        return np.sum(self.inv_apply(t, state, sup, vec) ** 2, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import solve_linear_family
+from .bsde import BasisSpec, solve_linear_family
 from .control import (constant_control, envelope_bsde, evaluate_payoff,
                       parametric_control, policy_iteration)
 from .core import simulate_for_scenario
@@ -61,20 +61,21 @@ class CheckResult:
 
 
 class AcceptanceContext:
-    """Shared ensembles and matched flows for one battery run.
+    """Shared ensembles, matched flows and settings for one battery run.
 
     All built-in scenarios ride the same reference ensemble (they share the
     diffusion, initial point, and horizon), so fixpoint results are cached by
-    (scenario, control label) and reused across criteria.
+    (scenario, control label) and reused across criteria.  tol is every
+    measure fixed point's tolerance and basis every backward solve's basis.
     """
 
     def __init__(self, seed: int = 7, particles: int = 10_000, steps: int = 50,
-                 tol: float = 1e-3, bins: int = 64):
+                 tol: float = 1e-3, basis: BasisSpec | None = None):
         self.seed = int(seed)
         self.particles = int(particles)
         self.steps = int(steps)
         self.tol = float(tol)
-        self.bins = int(bins)
+        self.basis = BasisSpec() if basis is None else basis
         self.scenarios = {name: get_builtin(name) for name in builtin_scenarios()}
         self._paths = {}
         self._fix = {}
@@ -128,7 +129,7 @@ def check_payoff_identity(ctx: AcceptanceContext) -> CheckResult:
         family = _family(scen)
         fixes = [ctx.fixpoint(scen, control, label) for label, control in family]
         sols = solve_linear_family(scen, [control for _, control in family],
-                                   [fix.flow for fix in fixes])
+                                   [fix.flow for fix in fixes], ctx.basis)
         for (label, control), fix, sol in zip(family, fixes, sols):
             pay = evaluate_payoff(scen, control, paths, fixpoint=fix)
             gap = sol.y0 - pay.value
@@ -269,7 +270,7 @@ def check_marginal_domination(ctx: AcceptanceContext) -> CheckResult:
         worst = None
         ok_all = True
         for k in range(ctx.steps + 1):
-            marg = tv_marginal(fix.flow, ref, k, bins=ctx.bins)
+            marg = tv_marginal(fix.flow, ref, k)
             path = tv_pathspace(fix.flow, ref, k)
             se = float(np.hypot(marg.stderr, path.stderr))
             slack = path.value + 5.0 * se + marg.bin_width - marg.value
@@ -288,7 +289,7 @@ def check_marginal_domination(ctx: AcceptanceContext) -> CheckResult:
 def check_lq_optimum(ctx: AcceptanceContext) -> CheckResult:
     scen = ctx.scenarios["linear-quadratic"]
     paths = ctx.paths_for(scen)
-    report = policy_iteration(scen, paths, tol=ctx.tol)
+    report = policy_iteration(scen, paths, basis=ctx.basis, tol=ctx.tol)
     res = scen.actions.resolution
 
     # Pointwise check: the synthesized action may differ from the analytic
@@ -310,7 +311,7 @@ def check_lq_optimum(ctx: AcceptanceContext) -> CheckResult:
     value_ok = bool(value_dev <= 3.0 * report.y0_stderr + res)
 
     analytic = constant_control([-1.0], scen.actions, label="analytic-optimum")
-    pay = evaluate_payoff(scen, analytic, paths)
+    pay = evaluate_payoff(scen, analytic, paths, tol=ctx.tol)
     eps = pay.value - report.y0
     eps_se = float(np.hypot(pay.stderr, report.y0_stderr))
     eps_ok = bool(abs(eps) <= 3.0 * eps_se + res)
@@ -347,8 +348,9 @@ def _comparison_row(ctx: AcceptanceContext, sname: str) -> dict:
         b = float(rng.uniform(-0.5, 0.5))
         c = float(rng.uniform(-0.3, 0.3))
         sampled.append(parametric_control(a, b, c, scen.actions))
-    sampled_flows = [evaluate_payoff(scen, control, paths).flow for control in sampled]
-    sols = solve_linear_family(scen, sampled, sampled_flows)
+    sampled_flows = [evaluate_payoff(scen, control, paths, tol=ctx.tol).flow
+                     for control in sampled]
+    sols = solve_linear_family(scen, sampled, sampled_flows, ctx.basis)
 
     # Y* is the lower-envelope backward value: each candidate enters the
     # driver and terminal minima under its own matched flow.  The cached
@@ -356,7 +358,7 @@ def _comparison_row(ctx: AcceptanceContext, sname: str) -> dict:
     extras = _family(scen)
     candidates = sampled + [c for _, c in extras]
     flows = sampled_flows + [ctx.fixpoint(scen, c, label).flow for label, c in extras]
-    star = envelope_bsde(scen, paths, candidates, flows=flows)
+    star = envelope_bsde(scen, candidates, flows, ctx.basis)
 
     worst = None
     ok_all = True
@@ -417,7 +419,7 @@ def check_game(ctx: AcceptanceContext) -> CheckResult:
     scen = ctx.scenarios["separated-game"]
     assert isinstance(scen, GameScenario)
     paths = ctx.paths_for(scen)
-    report = solve_game(scen, paths, tol=ctx.tol)
+    report = solve_game(scen, paths, basis=ctx.basis, tol=ctx.tol)
     gap_zero = bool(report.isaacs.max_gap == 0.0)
     res_u = scen.actions_u.resolution
     res_v = scen.actions_v.resolution
@@ -459,7 +461,7 @@ def check_determinism(ctx: AcceptanceContext) -> CheckResult:
     docs = []
     for _ in range(2):
         sub = run_battery(seed=ctx.seed, particles=particles, steps=steps,
-                          indices=indices, echo=False)
+                          tol=ctx.tol, basis=ctx.basis, indices=indices)
         docs.append(canonical_json({"criteria": [c.to_dict() for c in sub]}).encode())
     identical = bool(docs[0] == docs[1])
     return CheckResult(10, check_determinism.name, identical,
@@ -473,19 +475,11 @@ def check_determinism(ctx: AcceptanceContext) -> CheckResult:
 
 
 def run_battery(seed: int = 7, particles: int = 10_000, steps: int = 50,
-                tol: float = 1e-3, indices=None, echo: bool = True) -> list[CheckResult]:
-    """Run the acceptance criteria in order, one CheckResult each.
-
-    indices selects a subset (default all).  With echo, each criterion prints
-    its pass/fail line to stdout as it completes.
-    """
-    ctx = AcceptanceContext(seed=seed, particles=particles, steps=steps, tol=tol)
+                tol: float = 1e-3, basis: BasisSpec | None = None,
+                indices=None) -> list[CheckResult]:
+    """Run the acceptance criteria in order, one CheckResult each, on one
+    AcceptanceContext; indices selects a subset (default all)."""
+    ctx = AcceptanceContext(seed=seed, particles=particles, steps=steps, tol=tol, basis=basis)
     if indices is None:
         indices = sorted(_CRITERIA)
-    results = []
-    for i in indices:
-        result = _CRITERIA[i](ctx)
-        results.append(result)
-        if echo:
-            print(result.line())
-    return results
+    return [_CRITERIA[i](ctx) for i in indices]

@@ -22,7 +22,7 @@ STEPS = 50
 
 @pytest.fixture(scope="module")
 def battery():
-    results = run_battery(seed=SEED, particles=PARTICLES, steps=STEPS, echo=False)
+    results = run_battery(seed=SEED, particles=PARTICLES, steps=STEPS)
     return {r.index: r for r in results}
 
 

@@ -560,7 +560,7 @@ def test_envelope_is_the_candidate_minimum_bit_for_bit(mean_field):
                 parametric_control(-0.8, 0.6, 0.0, grid), parametric_control(-0.8, -0.6, 0.0, grid),
                 parametric_control(-1.0, 0.0, 0.4, grid), table_control([0.0], [[-0.6, -1.0]], grid)]
     flows = [fixpoint_measure_flow(mean_field, c, paths).flow for c in controls]
-    env = envelope_bsde(mean_field, paths, controls, flows=flows)
+    env = envelope_bsde(mean_field, controls, flows)
 
     # the envelope's driver as a loop over candidates, one H call each
     series = [{name: f.statistic_series(name) for name in f.statistics} for f in flows]

@@ -475,8 +475,6 @@ def test_policy_iteration_converges_immediately_without_drift(paths1k):
 def test_policy_iteration_rejects_bad_arguments(lq, separated_game, paths1k):
     with pytest.raises(TypeError, match="single-controller"):
         policy_iteration(separated_game, paths1k)
-    with pytest.raises(ValueError, match="max_outer"):
-        policy_iteration(lq, paths1k, max_outer=0)
 
 
 def test_optimization_report_serializes(lq, paths1k):
@@ -529,7 +527,8 @@ def test_verify_comparison_accepts_admissible_controls(lq, paths4k):
 
 def test_envelope_follows_best_member_value(lq, paths4k):
     controls = [constant_control(u, lq.actions) for u in (0.0, 1.0, -1.0)]
-    env = envelope_bsde(lq, paths4k, controls)
+    flows = [fixpoint_measure_flow(lq, c, paths4k).flow for c in controls]
+    env = envelope_bsde(lq, controls, flows)
     # J(u) = u T + u^2 T / 2 is smallest at u = -1 and the regressed z stays
     # near 1, where the -1 member minimizes the driver pointwise
     assert abs(env.y0 + 0.5) <= 3.0 * env.y0_stderr + 0.05
@@ -538,7 +537,7 @@ def test_envelope_follows_best_member_value(lq, paths4k):
 def test_envelope_of_single_control_matches_linear_solve(lq, paths4k):
     control = constant_control(-1.0, lq.actions)
     pay = evaluate_payoff(lq, control, paths4k)
-    env = envelope_bsde(lq, paths4k, [control], flows=[pay.flow])
+    env = envelope_bsde(lq, [control], [pay.flow])
     lin = solve_linear_bsde(lq, control, pay.flow)
     assert env.y0 == pytest.approx(lin.y0, rel=1e-9, abs=1e-9)
     assert env.y0_stderr == pytest.approx(lin.y0_stderr, rel=1e-6, abs=1e-9)
@@ -551,19 +550,18 @@ def test_envelope_lower_bounds_members_under_law_coupling(mean_field, paths4k):
                 parametric_control(-0.74, 0.14, -0.3, mean_field.actions),
                 constant_control(0.5, mean_field.actions)]
     payoffs = [evaluate_payoff(mean_field, c, paths4k) for c in controls]
-    env = envelope_bsde(mean_field, paths4k, controls,
-                        flows=[p.flow for p in payoffs])
+    env = envelope_bsde(mean_field, controls, [p.flow for p in payoffs])
     for c, pay in zip(controls, payoffs):
         sol = solve_linear_bsde(mean_field, c, pay.flow)
         slack = sol.y0 - env.y0
         assert slack >= -3.0 * float(np.hypot(sol.y0_stderr, env.y0_stderr)), c.label
 
 
-def test_envelope_rejects_games_and_empty_families(lq, paths1k, separated_game):
+def test_envelope_rejects_games_and_empty_families(lq, separated_game):
     with pytest.raises(TypeError):
-        envelope_bsde(separated_game, paths1k, [])
+        envelope_bsde(separated_game, [], [])
     with pytest.raises(ValueError):
-        envelope_bsde(lq, paths1k, [])
+        envelope_bsde(lq, [], [])
     control = constant_control(0.0, lq.actions)
     with pytest.raises(ValueError):
-        envelope_bsde(lq, paths1k, [control], flows=[])
+        envelope_bsde(lq, [control], [])

@@ -271,11 +271,9 @@ def test_solve_game_refuses_bilinear(bilinear_game, paths1k):
     assert not excinfo.value.report.holds
 
 
-def test_solve_game_rejects_bad_arguments(lq, bilinear_game, paths1k):
+def test_solve_game_rejects_bad_arguments(lq, paths1k):
     with pytest.raises(TypeError, match="two-player"):
         solve_game(lq, paths1k)
-    with pytest.raises(ValueError, match="max_outer"):
-        solve_game(bilinear_game, paths1k, max_outer=0)
 
 
 def test_v_singleton_game_reduces_to_control_problem(paths4k):

@@ -100,6 +100,29 @@ def test_matrix_diffusion_round_trip():
         singular.apply(0.0, state, sup, vec)
 
 
+def test_matrix_diffusion_quadform_is_the_squared_inverse():
+    m = np.array([[2.0, 0.0], [1.0, 3.0]])
+    sigma = DiffusionSpec(kind="constant", matrix=tuple(map(tuple, m)))
+    vec = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, -1.0]])
+    state, sup = np.zeros((3, 2)), np.zeros(3)
+    # v' (sigma sigma')^{-1} v from the definition, and |sigma^{-1} v|^2 with
+    # the lower-triangular inverse written out
+    by_definition = np.einsum("ij,jk,ik->i", vec, np.linalg.inv(m @ m.T), vec)
+    by_inverse = (vec[:, 0] / 2.0) ** 2 + ((vec[:, 1] - vec[:, 0] / 2.0) / 3.0) ** 2
+    got = sigma.inv_quadform(0.0, state, sup, vec)
+    np.testing.assert_allclose(got, by_definition, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, by_inverse, rtol=0, atol=1e-12)
+    # a block of steps: (M, B, d) in, (M, B) out
+    block = np.stack([vec, 2.0 * vec], axis=1)
+    np.testing.assert_allclose(
+        sigma.inv_quadform(np.array([0.0, 0.5]), np.zeros((3, 2, 2)), np.zeros((3, 2)), block),
+        np.stack([by_inverse, 4.0 * by_inverse], axis=1), rtol=0, atol=1e-12)
+
+    for singular in (((1.0, 1.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, 1.0 + 1e-13))):
+        with pytest.raises(SingularDiffusionError):
+            DiffusionSpec(kind="constant", matrix=singular).inv_quadform(0.0, state, sup, vec)
+
+
 def test_matrix_requires_constant_kind():
     with pytest.raises(ConfigError):
         DiffusionSpec(kind="affine_state", matrix=((1.0,),))
