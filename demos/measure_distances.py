@@ -35,8 +35,7 @@ sigma = DiffusionSpec()
 
 
 def drifted_flow(u: float) -> MeasureFlow:
-    density = density_process(paths, lambda k: np.full((M, 1), u), sigma)
-    return MeasureFlow(paths, density.weights)
+    return MeasureFlow(paths, density_process(paths, lambda k: np.full((M, 1), u), sigma))
 
 
 print(f"ensemble: {M} particles, {N} steps, seed {SEED}")

@@ -27,7 +27,7 @@ for u in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0):
     payoff = evaluate_payoff(scenario, constant_control(u), paths)
     exact = u * T + 0.5 * u * u * T
     z = (payoff.value - exact) / payoff.stderr
-    mass, mass_se = payoff.density.normalization()
+    mass, mass_se = payoff.flow.normalization()
     print(f"{u:>6.2f}  {payoff.value:>10.5f}  {exact:>10.5f}  {z:>8.2f}"
           f"  {mass[-1]:>8.4f}")
 

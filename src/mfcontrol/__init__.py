@@ -56,13 +56,12 @@ from .measure import (
 )
 from .girsanov import (
     ContractionReport,
-    DensityProcess,
+    DriftEvaluator,
     FixpointConvergenceError,
     FixpointDiagnostics,
     FixpointResult,
     contraction_report,
     density_process,
-    drift_evaluator,
     fixpoint_measure_flow,
 )
 from .bsde import (
@@ -129,9 +128,9 @@ __all__ = [
     "mean_stderr", "reference_flow", "tv_marginal", "tv_pathspace",
     "weighted_statistic",
     # densities and fixed points
-    "ContractionReport", "DensityProcess", "FixpointConvergenceError",
+    "ContractionReport", "DriftEvaluator", "FixpointConvergenceError",
     "FixpointDiagnostics", "FixpointResult", "contraction_report",
-    "density_process", "drift_evaluator", "fixpoint_measure_flow",
+    "density_process", "fixpoint_measure_flow",
     # backward solver
     "BasisSpec", "BsdeSolution", "RankDeficientError", "build_features",
     "regress_conditional", "solve_driver_bsde", "solve_linear_bsde",

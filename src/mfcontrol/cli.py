@@ -204,7 +204,7 @@ def _run_fixpoint(args, scen):
         return 1, {"diagnostics": exc.diagnostics.to_dict(), "converged": False}, {}
     diag = fix.diagnostics
     n = args.steps
-    norm, norm_se = map(float, fix.density.normalization(n))
+    norm, norm_se = map(float, fix.flow.normalization(n))
     results = {
         "converged": True,
         "diagnostics": diag.to_dict(),
@@ -237,7 +237,7 @@ def _run_evaluate(args, scen):
     rows = []
     for entry in controls:
         res = evaluate_payoff(scen, entry, paths, tol=args.tol)
-        norm, norm_se = map(float, res.density.normalization(args.steps))
+        norm, norm_se = map(float, res.flow.normalization(args.steps))
         rows.append({
             "label": _pair_label(entry),
             "payoff": res.value, "stderr": res.stderr,

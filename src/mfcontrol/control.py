@@ -34,7 +34,7 @@ from .bsde import (BasisSpec, BsdeSolution, _family_hamiltonian, _hamiltonian_va
                    _stat_series, solve_driver_bsde, solve_linear_family,
                    terminal_values)
 from .core import PathEnsemble, particle_blocks
-from .girsanov import (DensityProcess, FixpointDiagnostics, FixpointResult, control_actions,
+from .girsanov import (FixpointDiagnostics, FixpointResult, control_actions,
                        fixpoint_measure_flow)
 from .measure import MeasureFlow, mean_stderr, reference_flow, tv_pathspace
 from .scenario import ActionGrid, GameScenario, Scenario
@@ -304,7 +304,6 @@ class PayoffResult:
     value: float
     stderr: float
     flow: MeasureFlow
-    density: DensityProcess
     diagnostics: FixpointDiagnostics
     per_particle: np.ndarray
 
@@ -325,7 +324,7 @@ def evaluate_payoff(scenario: Scenario | GameScenario, control, paths: PathEnsem
     """
     if fixpoint is None:
         fixpoint = fixpoint_measure_flow(scenario, control, paths, tol=tol)
-    flow, density = fixpoint.flow, fixpoint.density
+    flow = fixpoint.flow
     n = paths.grid.steps
     series = {name: flow.statistic_series(name)
               for name in scenario.running_cost.stat_names()}
@@ -341,7 +340,7 @@ def evaluate_payoff(scenario: Scenario | GameScenario, control, paths: PathEnsem
     terminal = flow.weights[:, n] * terminal_values(scenario, flow)
     per_particle = running + terminal
     value, stderr = mean_stderr(per_particle)
-    return PayoffResult(value=value, stderr=stderr, flow=flow, density=density,
+    return PayoffResult(value=value, stderr=stderr, flow=flow,
                         diagnostics=fixpoint.diagnostics, per_particle=per_particle)
 
 
@@ -362,7 +361,6 @@ class OptimizationReport:
 
     control: BsdeFeedbackControl
     flow: MeasureFlow
-    density: DensityProcess
     y0: float
     y0_stderr: float
     j_hat: float
@@ -491,7 +489,7 @@ def policy_iteration(scenario: Scenario, paths: PathEnsemble, basis: BasisSpec |
         tol)
     h_res = _argmin_residual(scenario, control, final_sol, fixres.flow, grid)
     return OptimizationReport(
-        control=control, flow=fixres.flow, density=fixres.density,
+        control=control, flow=fixres.flow,
         y0=final_sol.y0, y0_stderr=final_sol.y0_stderr,
         j_hat=payoff.value, j_stderr=payoff.stderr,
         matching_residual=trace[-1][1], h_residual=h_res,

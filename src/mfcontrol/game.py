@@ -23,7 +23,6 @@ from .bsde import BasisSpec, BsdeSolution, _hamiltonian_values
 from .control import (_GridFeedback, _synthesize, constant_control, evaluate_payoff,
                       grid_index_dtype)
 from .core import PathEnsemble
-from .girsanov import DensityProcess
 from .measure import MeasureFlow
 from .scenario import ActionGrid, GameScenario
 
@@ -249,7 +248,6 @@ class SaddleReport:
 
     pair: PairFeedbackControl
     flow: MeasureFlow
-    density: DensityProcess
     value: float
     value_stderr: float
     j_hat: float
@@ -311,7 +309,7 @@ def solve_game(scenario: GameScenario, paths: PathEnsemble,
         lambda sol, stats: PairFeedbackControl(scenario, sol, stats),
         tol)
     return SaddleReport(
-        pair=pair, flow=fixres.flow, density=fixres.density,
+        pair=pair, flow=fixres.flow,
         value=final_sol.y0, value_stderr=final_sol.y0_stderr,
         j_hat=payoff.value, j_stderr=payoff.stderr,
         matching_residual=trace[-1][1], isaacs=isaacs,

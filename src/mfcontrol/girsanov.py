@@ -7,8 +7,9 @@ the reference law is accumulated in log space along each path,
     theta_k[i] = sigma^{-1}(t_k, path_i) f(t_k, path_i, mu_k, actions),
 
 with everything evaluated at the left endpoint.  exp(l) is the discrete
-Doleans exponential of the reweighting; its expectation stays at one up to
-Monte Carlo error, which the diagnostics record at every grid time.
+Doleans exponential of the reweighting, and density_process returns it as the
+weight matrix of the reweighted law; its expectation stays at one up to Monte
+Carlo error, which MeasureFlow.normalization records at every grid time.
 
 The measure flow entering f is itself the unknown of a fixed-point problem:
 flow -> density -> reweighted flow.  fixpoint_measure_flow iterates that map
@@ -21,11 +22,10 @@ zero with no Monte Carlo floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core import BrownianEnsemble, PathEnsemble
+from .core import PathEnsemble
 from .measure import MeasureFlow, drift_block, drift_rows, reference_flow, tv_pathspace
 from .scenario import GameScenario, Scenario, SingularDiffusionError
 
@@ -39,33 +39,6 @@ class FixpointConvergenceError(RuntimeError):
         super().__init__(
             f"fixed-point iteration did not converge: {diagnostics.applications} "
             f"applications, tol {diagnostics.tol:g}, last distances [{dists}]")
-
-
-@dataclass(frozen=True)
-class DensityProcess:
-    """Log-space density of a reweighted law against the reference law."""
-
-    log_weights: np.ndarray  # (particles, steps + 1), first column zero
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """exp(log_weights), taken once and read-only: the measure flow built
-        from this density shares the array."""
-        w = np.exp(self.log_weights)
-        w.flags.writeable = False
-        return w
-
-    def normalization(self, column: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(E[L_t], stderr) at every grid time, or at grid index column alone;
-        should straddle one.  The sums run in row order, the order in which
-        numpy's axis-0 reduction adds the rows of the row-major weights (at
-        least two columns), so each column keeps np.mean's and np.std's bits
-        whether it is reduced alone or with the others."""
-        w = self.weights if column is None else self.weights[:, column]
-        m = w.shape[0]
-        mean = np.cumsum(w, axis=0)[-1] / m
-        dev = w - mean
-        return mean, np.sqrt(np.cumsum(dev * dev, axis=0)[-1] / m) / np.sqrt(m)
 
 
 def control_actions(control, paths: PathEnsemble, rows: slice,
@@ -87,11 +60,13 @@ def control_actions(control, paths: PathEnsemble, rows: slice,
 class DriftEvaluator:
     """Drift values of a control (or pair) along the flow's ensemble.
 
-    evaluator(t_index) gives the (particles, dim) drift at one grid time and
-    evaluator.over(rows, steps) the (rows, steps, dim) drift on a block of
-    particles and grid times, from one registry call with each statistic
-    series broadcast along time.  Only the statistic series are held; nothing
-    the size of the ensemble is kept between calls.
+    control is a single control for a Scenario and a pair for a GameScenario
+    (see control_actions).  evaluator(t_index) gives the (particles, dim)
+    drift at one grid time and evaluator.over(rows, steps) the
+    (rows, steps, dim) drift on a block of particles and grid times, from one
+    registry call with each statistic series broadcast along time.  Only the
+    statistic series, read off the flow once, are held; nothing the size of
+    the ensemble is kept between calls.
     """
 
     def __init__(self, scenario: Scenario | GameScenario, flow: MeasureFlow, control):
@@ -117,36 +92,22 @@ class DriftEvaluator:
         return self.over(slice(None), slice(t_index, t_index + 1))[:, 0]
 
 
-def drift_evaluator(scenario: Scenario | GameScenario, flow: MeasureFlow,
-                    control) -> DriftEvaluator:
-    """Drift of control along the flow's ensemble: callable t_index ->
-    (particles, dim), with a block form over(rows, steps).
-
-    control is a single control for Scenario or a pair for GameScenario
-    (either a (u, v) tuple or an object with actions_pair_over; see
-    control_actions).  Statistic trajectories are read off the flow once,
-    so repeated evaluation during the Picard loop stays cheap.
-    """
-    return DriftEvaluator(scenario, flow, control)
-
-
-def density_process(paths: PathEnsemble, drift_at,
-                    sigma, brownian: BrownianEnsemble | None = None) -> DensityProcess:
-    """Accumulate the log density of the drift_at reweighting.
+def density_process(paths: PathEnsemble, drift_at, sigma) -> np.ndarray:
+    """Read-only (particles, steps + 1) weights L_t of the drift_at
+    reweighting against the increments the ensemble was simulated from;
+    column 0 is one.
 
     drift_at: callable t_index -> (particles, dim); a DriftEvaluator is read
-    a block of particles at a time (see drift_rows).  The increments default
-    to the ones the ensemble was simulated from.  theta and the log
+    a block of particles at a time (see drift_rows).  theta and the log
     increments of a block are formed for all its steps at once and written
     into the output, which is then accumulated column by column in step
-    order, the order of the step-by-step recursion.  A non-finite theta or a
-    singular sigma raises for the first bad step, as that recursion does.
+    order, the order of the step-by-step recursion, and exponentiated in
+    place.  A non-finite theta or a singular sigma raises for the first bad
+    step, as that recursion does.
     """
-    if brownian is None:
-        brownian = paths.driver
-    if brownian is None:
+    if paths.driver is None:
         raise ValueError("no Brownian increments attached to the ensemble")
-    dw = brownian.increments
+    dw = paths.driver.increments
     m, n, d = dw.shape
     if paths.values.shape[0] != m or paths.grid.steps != n:
         raise ValueError("paths and increments disagree on ensemble shape")
@@ -183,7 +144,9 @@ def density_process(paths: PathEnsemble, drift_at,
     # without numpy's slower accumulate over the short rows of this layout
     for k in range(1, n + 1):
         np.add(log_w[:, k - 1], log_w[:, k], out=log_w[:, k])
-    return DensityProcess(log_weights=log_w)
+    weights = np.exp(log_w, out=log_w)
+    weights.flags.writeable = False
+    return weights
 
 
 @dataclass(frozen=True)
@@ -228,7 +191,6 @@ class FixpointDiagnostics:
 @dataclass(frozen=True)
 class FixpointResult:
     flow: MeasureFlow
-    density: DensityProcess
     diagnostics: FixpointDiagnostics
 
 
@@ -253,16 +215,15 @@ def fixpoint_measure_flow(scenario: Scenario | GameScenario, control,
     distances: list[float] = []
     stderrs: list[float] = []
     for _ in range(max_iter):
-        drift_at = drift_evaluator(scenario, flow, control)
-        density = density_process(paths, drift_at, scenario.sigma)
-        new_flow = MeasureFlow(paths, density.weights, stats)
+        drift_at = DriftEvaluator(scenario, flow, control)
+        new_flow = MeasureFlow(paths, density_process(paths, drift_at, scenario.sigma), stats)
         est = tv_pathspace(flow, new_flow, paths.grid.steps)
         distances.append(est.value)
         stderrs.append(est.stderr)
         flow = new_flow
         if est.value < tol:
             diag = FixpointDiagnostics(tuple(distances), tuple(stderrs), tol, True)
-            return FixpointResult(flow=flow, density=density, diagnostics=diag)
+            return FixpointResult(flow=flow, diagnostics=diag)
     diag = FixpointDiagnostics(tuple(distances), tuple(stderrs), tol, False)
     raise FixpointConvergenceError(diag)
 

@@ -82,6 +82,18 @@ class MeasureFlow:
             self._stat_cache[name] = np.mean(self.weights * vals, axis=0)
         return self._stat_cache[name]
 
+    def normalization(self, column: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(E[L_t], stderr) at every grid time, or at grid index column alone;
+        should straddle one.  The sums run in row order, the order in which
+        numpy's axis-0 reduction adds the rows of the row-major weights (at
+        least two columns), so each column keeps np.mean's and np.std's bits
+        whether it is reduced alone or with the others."""
+        w = self.weights if column is None else self.weights[:, column]
+        m = w.shape[0]
+        mean = np.cumsum(w, axis=0)[-1] / m
+        dev = w - mean
+        return mean, np.sqrt(np.cumsum(dev * dev, axis=0)[-1] / m) / np.sqrt(m)
+
 
 def mean_stderr(samples: np.ndarray) -> tuple[float, float]:
     """(mean, stderr of the mean) of one sample per particle: the sample

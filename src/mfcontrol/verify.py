@@ -27,7 +27,7 @@ from .control import (constant_control, envelope_bsde, evaluate_payoff,
                       parametric_control, policy_iteration)
 from .core import simulate_for_scenario
 from .game import isaacs_gap, solve_game, verify_saddle
-from .girsanov import drift_evaluator, fixpoint_measure_flow
+from .girsanov import DriftEvaluator, fixpoint_measure_flow
 from .measure import (hellinger_bound, mean_stderr, reference_flow, tv_marginal, tv_pathspace,
                       weighted_statistic)
 from .scenario import GameScenario, builtin_scenarios, get_builtin
@@ -152,7 +152,7 @@ def check_normalization(ctx: AcceptanceContext) -> CheckResult:
     for name, scen in ctx.scenarios.items():
         for label, control in _family(scen):
             fix = ctx.fixpoint(scen, control, label)
-            mean, se = fix.density.normalization()
+            mean, se = fix.flow.normalization()
             dev = np.abs(mean - 1.0)
             ok = bool(np.all(dev <= 4.0 * se + 1e-12))
             passed = passed and ok
@@ -190,7 +190,7 @@ def check_fixed_point(ctx: AcceptanceContext) -> CheckResult:
         d = fix.diagnostics
         monotone = bool(all(b < a or (a < d.tol and b < d.tol)
                             for a, b in zip(d.distances, d.distances[1:])))
-        final_ok = bool(d.final_distance < 1e-3 + 4.0 * d.stderrs[-1])
+        final_ok = bool(d.final_distance < d.tol + 4.0 * d.stderrs[-1])
         within = bool(d.applications <= 20)
         u = float(control.value[0])
         times = paths.grid.times
@@ -224,7 +224,7 @@ def check_hellinger(ctx: AcceptanceContext) -> CheckResult:
         control = constant_control([u], scen.actions)
         fix = ctx.fixpoint(scen, control, f"const[{u:g}]")
         flows[u] = fix.flow
-        drifts[u] = drift_evaluator(scen, fix.flow, control)
+        drifts[u] = DriftEvaluator(scen, fix.flow, control)
     horizon = scen.horizon
     worst_bound = None
     worst_gamma = None

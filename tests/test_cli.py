@@ -337,13 +337,13 @@ def test_evaluate_horizon_normalization_has_the_bits_of_every_column(particles):
     scen = get_builtin("mean-field-mean-reversion")
     paths = simulate_for_scenario(scen, particles, 12, 5)
     for spec in ("constant:0.7", "parametric:0.3,-0.8,0.2"):
-        density = fixpoint_measure_flow(scen, parse_control(spec, scen.actions), paths).density
-        mean, se = density.normalization()
-        w = density.weights
+        flow = fixpoint_measure_flow(scen, parse_control(spec, scen.actions), paths).flow
+        mean, se = flow.normalization()
+        w = flow.weights
         np.testing.assert_array_equal(mean, np.mean(w, axis=0))
         np.testing.assert_array_equal(se, np.std(w, axis=0) / np.sqrt(particles))
         for k in (12, 5):
-            assert density.normalization(k) == (mean[k], se[k])
+            assert flow.normalization(k) == (mean[k], se[k])
 
 
 def test_evaluate_requires_controls(capsys):

@@ -281,7 +281,7 @@ def test_hamiltonian_matches_sigma_inverse_of_the_simulated_drift(mean_field, se
                                                                  kind, diffusion):
     from mfcontrol import serialize_scenario, simulate_for_scenario
     from reference import linear_driver
-    from mfcontrol.girsanov import drift_evaluator
+    from mfcontrol.girsanov import DriftEvaluator
 
     # the reference h + z . sigma^{-1} b is formed here from the drift vector b
     # the simulation uses, not through the kernel hamiltonian and linear_driver
@@ -293,7 +293,7 @@ def test_hamiltonian_matches_sigma_inverse_of_the_simulated_drift(mean_field, se
     controls = tuple(parametric_control(0.2, -0.5, 0.3, g) for g in scen.grids)
     played = controls[0] if kind == "control" else controls
     flow = fixpoint_measure_flow(scen, played, paths).flow
-    drift_at = drift_evaluator(scen, flow, played)
+    drift_at = DriftEvaluator(scen, flow, played)
     driver = linear_driver(scen, flow, played)
     z = np.random.default_rng(3).normal(size=(paths.particles, 1))
     for k in range(paths.grid.steps):

@@ -18,13 +18,13 @@ from mfcontrol import (
     BsdeFeedbackControl,
     Control,
     DiffusionSpec,
+    DriftEvaluator,
     MeasureFlow,
     PairFeedbackControl,
     SingularDiffusionError,
     builtin_config,
     constant_control,
     density_process,
-    drift_evaluator,
     ekeland_distance,
     envelopes,
     evaluate_payoff,
@@ -204,7 +204,7 @@ def reference_fixpoint(scenario, paths, reference, tol=1e-3, max_iter=50):
         distances.append(tv_pathspace(flow, new_flow, paths.grid.steps).value)
         flow = new_flow
         if distances[-1] < tol:
-            return log_w, flow, distances
+            return flow, distances
     raise AssertionError("reference fixed point did not converge")
 
 
@@ -232,22 +232,19 @@ def test_density_matches_step_recursion(setting, blocks):
     # a reweighted flow, so the drift's statistic series vary along time
     start = fixpoint_measure_flow(scenario, controls_for(scenario)[0][1], paths).flow
     for label, control, reference in controls_for(scenario):
-        density = density_process(paths, drift_evaluator(scenario, start, control),
+        weights = density_process(paths, DriftEvaluator(scenario, start, control),
                                   scenario.sigma)
         expected = reference_log_weights(paths, reference_drift(scenario, start, reference),
                                          scenario.sigma)
-        np.testing.assert_array_equal(density.log_weights, expected, err_msg=label)
-        np.testing.assert_array_equal(density.weights, np.exp(expected), err_msg=label)
+        np.testing.assert_array_equal(weights, np.exp(expected), err_msg=label)
 
 
 def test_fixpoint_and_payoff_match_step_recursion(setting, blocks):
     scenario, paths, _ = setting
     for label, control, reference in controls_for(scenario):
         res = evaluate_payoff(scenario, control, paths)
-        log_w, flow, distances = reference_fixpoint(scenario, paths, reference)
-        np.testing.assert_array_equal(res.density.log_weights, log_w, err_msg=label)
+        flow, distances = reference_fixpoint(scenario, paths, reference)
         np.testing.assert_array_equal(res.flow.weights, flow.weights, err_msg=label)
-        assert res.flow.weights is res.density.weights
         assert list(res.diagnostics.distances) == distances, label
         np.testing.assert_array_equal(res.per_particle,
                                       reference_payoff(scenario, flow, reference),
@@ -258,8 +255,8 @@ def test_hellinger_integrand_matches_step_recursion(setting, blocks):
     scenario, paths, _ = setting
     flow = fixpoint_measure_flow(scenario, controls_for(scenario)[0][1], paths).flow
     (_, ca, ra), (_, cb, rb) = controls_for(scenario)[1:3]
-    gamma = hellinger_bound(flow, drift_evaluator(scenario, flow, ca),
-                            drift_evaluator(scenario, flow, cb), scenario.sigma, paths.grid)
+    gamma = hellinger_bound(flow, DriftEvaluator(scenario, flow, ca),
+                            DriftEvaluator(scenario, flow, cb), scenario.sigma, paths.grid)
     fa, fb = reference_drift(scenario, flow, ra), reference_drift(scenario, flow, rb)
     n = paths.grid.steps
     integrand = np.empty((paths.particles, n + 1))
@@ -316,9 +313,9 @@ def test_ensembles_a_b_a_never_serve_stale_arrays(setting, blocks):
             for got, want in zip(action_blocks(control, paths), acts):
                 np.testing.assert_array_equal(got, want, err_msg=label)
             flow = reference_flow(paths, scenario.statistic_map)
-            density = density_process(paths, drift_evaluator(scenario, flow, control),
+            weights = density_process(paths, DriftEvaluator(scenario, flow, control),
                                       scenario.sigma)
-            np.testing.assert_array_equal(density.log_weights, log_w, err_msg=label)
+            np.testing.assert_array_equal(weights, np.exp(log_w), err_msg=label)
 
 
 def test_writing_into_returned_actions_changes_nothing(setting):

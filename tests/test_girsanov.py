@@ -2,7 +2,7 @@
 
 For a constant drift u with unit sigma the discrete Doleans sum telescopes
 exactly: log L_T = u W_T - u^2 T / 2, with W_T the summed increments, so the
-log weights can be compared bit-for-bit against a hand computation.  The
+log of the weights can be compared against a hand computation to 1e-12.  The
 martingale property E[L_t] = 1 and the reweighted mean E^u[x_T] = xi + uT
 are then Monte Carlo facts with explicit standard errors.
 
@@ -11,17 +11,19 @@ flow moves the weights once (one productive update, then a sub-tolerance
 verification pass), and a zero drift never moves them at all.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mfcontrol import (
-    DensityProcess,
     DiffusionSpec,
+    DriftEvaluator,
     FixpointConvergenceError,
+    MeasureFlow,
     constant_control,
     contraction_report,
     density_process,
-    drift_evaluator,
     fixpoint_measure_flow,
     mean_stderr,
     simulate_for_scenario,
@@ -43,31 +45,28 @@ def constant_drift(paths, u):
 
 
 def test_zero_drift_gives_unit_weights(paths1k):
-    density = density_process(paths1k, constant_drift(paths1k, 0.0), SIGMA)
-    np.testing.assert_array_equal(density.log_weights,
-                                  np.zeros_like(density.log_weights))
-    np.testing.assert_array_equal(density.weights,
-                                  np.ones_like(density.weights))
+    weights = density_process(paths1k, constant_drift(paths1k, 0.0), SIGMA)
+    np.testing.assert_array_equal(weights, np.ones_like(weights))
+    assert not weights.flags.writeable
 
 
 def test_constant_drift_log_weight_closed_form(paths4k):
     # log L_T = u W_T - u^2 T / 2 exactly: the quadratic term is
     # -u^2/2 * dt summed over N steps and the linear term telescopes
     u = 0.7
-    density = density_process(paths4k, constant_drift(paths4k, u), SIGMA)
+    weights = density_process(paths4k, constant_drift(paths4k, u), SIGMA)
     w_t = np.cumsum(paths4k.driver.increments[:, :, 0], axis=1)
     times = paths4k.grid.times[1:]
     expected = u * w_t - 0.5 * u * u * times
-    np.testing.assert_allclose(density.log_weights[:, 1:], expected,
+    np.testing.assert_allclose(np.log(weights[:, 1:]), expected,
                                rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(density.log_weights[:, 0],
-                                  np.zeros(paths4k.particles))
+    np.testing.assert_array_equal(weights[:, 0], np.ones(paths4k.particles))
 
 
 def test_density_is_a_positive_martingale(paths4k):
-    density = density_process(paths4k, constant_drift(paths4k, 1.0), SIGMA)
-    assert np.all(density.weights > 0)
-    mean, se = density.normalization()
+    weights = density_process(paths4k, constant_drift(paths4k, 1.0), SIGMA)
+    assert np.all(weights > 0)
+    mean, se = MeasureFlow(paths4k, weights).normalization()
     assert mean.shape == (paths4k.grid.steps + 1,)
     assert mean[0] == 1.0
     for k in range(paths4k.grid.steps + 1):
@@ -78,8 +77,8 @@ def test_density_moments_stable_across_seeds(lq):
     vals = []
     for seed in (3, 4):
         paths = simulate_for_scenario(lq, particles=10_000, steps=20, seed=seed)
-        density = density_process(paths, constant_drift(paths, 1.0), SIGMA)
-        vals.append(np.mean(density.weights[:, -1] ** 2))
+        weights = density_process(paths, constant_drift(paths, 1.0), SIGMA)
+        vals.append(np.mean(weights[:, -1] ** 2))
     # E[L_T^2] = exp(u^2 T); two seeds agree within 20%
     assert abs(vals[0] - vals[1]) <= 0.2 * max(vals)
     assert vals[0] == pytest.approx(np.exp(1.0), rel=0.2)
@@ -87,9 +86,9 @@ def test_density_moments_stable_across_seeds(lq):
 
 def test_reweighted_mean_shifts_by_drift(paths4k):
     u = 0.5
-    density = density_process(paths4k, constant_drift(paths4k, u), SIGMA)
+    weights = density_process(paths4k, constant_drift(paths4k, u), SIGMA)
     x_t = paths4k.values[:, -1, 0]
-    est, se = mean_stderr(density.weights[:, -1] * x_t)
+    est, se = mean_stderr(weights[:, -1] * x_t)
     assert abs(est - u * paths4k.grid.horizon) <= 3.0 * se
 
 
@@ -127,7 +126,7 @@ def test_measure_independent_drift_converges_in_one_iteration(lq, paths4k):
     assert diag.final_distance < diag.tol
     # the converged weights are the plain constant-drift reweighting
     direct = density_process(paths4k, constant_drift(paths4k, 1.0), SIGMA)
-    np.testing.assert_allclose(result.flow.weights, direct.weights, rtol=1e-12)
+    np.testing.assert_allclose(result.flow.weights, direct, rtol=1e-12)
 
 
 def test_zero_drift_converges_in_zero_iterations(zero_drift, paths4k):
@@ -159,10 +158,27 @@ def test_fixed_point_is_self_consistent(mean_field, paths4k):
     control = constant_control([0.5], mean_field.actions)
     result = fixpoint_measure_flow(mean_field, control, paths4k)
     # one more application of the Picard map must not move the weights
-    drift_at = drift_evaluator(mean_field, result.flow, control)
-    density = density_process(paths4k, drift_at, SIGMA)
-    moved = np.mean(np.abs(density.weights[:, -1] - result.flow.weights[:, -1]))
+    drift_at = DriftEvaluator(mean_field, result.flow, control)
+    weights = density_process(paths4k, drift_at, SIGMA)
+    moved = np.mean(np.abs(weights[:, -1] - result.flow.weights[:, -1]))
     assert moved < result.diagnostics.tol
+
+
+def test_fixed_point_holds_one_weight_matrix(mean_field):
+    # a reweighted law is its weights: the result keeps the flow's
+    # (particles, steps + 1) matrix and no second copy in log space
+    paths = simulate_for_scenario(mean_field, particles=2000, steps=50, seed=11)
+    control = constant_control([0.5], mean_field.actions)
+    fixpoint_measure_flow(mean_field, control, paths)
+    tracemalloc.start()
+    try:
+        result = fixpoint_measure_flow(mean_field, control, paths)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix = paths.particles * (paths.grid.steps + 1) * 8
+    assert result.diagnostics.iterations >= 1
+    assert held < 1.5 * matrix, held / matrix
 
 
 def test_unattainable_tolerance_raises_with_diagnostics(mean_field, paths1k):

@@ -27,8 +27,8 @@ from mfcontrol import (
     EnsembleMismatchError,
     MeasureFlow,
     StatisticSpec,
+    DriftEvaluator,
     density_process,
-    drift_evaluator,
     hellinger_bound,
     make_time_grid,
     mean_stderr,
@@ -60,8 +60,7 @@ def drifted_flow(paths, u: float):
     def drift_at(k):
         return np.full((paths.particles, 1), u)
 
-    density = density_process(paths, drift_at, DiffusionSpec())
-    return MeasureFlow(paths, density.weights, STATS)
+    return MeasureFlow(paths, density_process(paths, drift_at, DiffusionSpec()), STATS)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """A run's --tol and --basis-degree reach every computation it makes.
 
-Each test wraps one internal function in every mfcontrol module that holds
-it by name, runs commands at a tiny scale through main(argv), and checks the
-setting that every recorded call received.
+Each spy test wraps one internal function in every mfcontrol module that
+holds it by name, runs commands at a tiny scale through main(argv), and checks
+the setting that every recorded call received.  A gate that reads a setting
+is checked at a setting away from its default.
 """
 
 import inspect
 import json
 import sys
 
-from mfcontrol import main
+from mfcontrol import main, run_battery
 
 TINY = ["--seed", "3", "--particles", "200", "--steps", "6"]
 
@@ -63,3 +64,13 @@ def test_basis_degree_reaches_every_backward_solve(monkeypatch, capsys, tmp_path
         code = run(capsys, tmp_path / name, [*command, *TINY, "--basis-degree", "3"])
         assert code in (0, 1), name
     assert degrees and set(degrees) == {3}
+
+
+def test_criterion_3_gates_the_final_distance_at_the_run_tol():
+    # a converged Picard run stops below its own tol, so the gate on its
+    # final distance is that tol, not the default one
+    (result,) = run_battery(seed=3, particles=400, steps=10, tol=0.05, indices=(3,))
+    rows = result.details["mean_field"]
+    assert any(row["final_distance"] > 1e-3 for row in rows)
+    assert all(row["final_ok"] for row in rows), rows
+    assert result.passed, result.details
