@@ -136,12 +136,20 @@ def table_control(edges, values, grid: ActionGrid | None = None, label: str = ""
                    box_lo=lo, box_hi=hi, label=label or "table")
 
 
+def _one_constant(value, grid: ActionGrid, label: str = "") -> Control:
+    """A config constant: one number (or a list of one), since the dynamics
+    read one action coordinate."""
+    if np.size(value) != 1:
+        raise ValueError(f"a constant control takes one number, not {np.size(value)}")
+    return constant_control(value, grid, label=label)
+
+
 def parse_control(spec: dict | str, grid: ActionGrid) -> Control:
     """Decode a control from a config entry like "constant:-0.5" or a mapping."""
     if isinstance(spec, str):
         kind, _, rest = spec.partition(":")
         if kind == "constant":
-            return constant_control([float(v) for v in rest.split(",")], grid)
+            return _one_constant([float(v) for v in rest.split(",")], grid)
         if kind == "parametric":
             vals = [float(v) for v in rest.split(",")]
             if len(vals) != 3:
@@ -153,7 +161,7 @@ def parse_control(spec: dict | str, grid: ActionGrid) -> Control:
     kind = spec.get("kind")
     try:
         if kind == "constant":
-            return constant_control(spec["value"], grid, label=spec.get("label", ""))
+            return _one_constant(spec["value"], grid, label=spec.get("label", ""))
         if kind == "parametric":
             a, b, c = spec["coeffs"]
             return parametric_control(a, b, c, grid, label=spec.get("label", ""))

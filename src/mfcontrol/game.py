@@ -10,6 +10,12 @@ When the two envelopes agree on a sampled z grid (the Isaacs condition) the
 game has a value and the backward equation driven by the envelope yields it;
 when they disagree beyond tolerance the solver refuses to certify a value
 rather than returning a number that means nothing.
+
+A separable game (GameScenario.separable: no u v cost term and an unclipped
+affine drift) has H(u, v) = A(u) + B(v) + C, so min and max commute by
+structure (Isaacs 1965): the saddle rows are argmin_u A and argmax_v B, found
+in nu + 2 nv evaluations instead of nu nv (see envelopes), and both envelopes
+are H at that pair.  Every other game evaluates the full array.
 """
 
 from __future__ import annotations
@@ -68,13 +74,35 @@ def envelopes(scenario: GameScenario, t: float, state, sup, stats_row: dict,
 
     Ties resolve to the lexicographically smallest action on both axes (the
     grids are sorted and argmin / argmax take the first extremizer).
+
+    A separable game reads three (n, particles) arrays instead of the full
+    one: v's first maximizer against the first u, u's first minimizer
+    against that v row, and v's first maximizer against that u row.  In exact
+    arithmetic any opponent row gives the same extremizer, but an exact tie
+    on one axis (the continuous extremizer at a grid midpoint) is broken by
+    rounding that depends on the opponent's action; the full array breaks it
+    at the opponent's saddle row, and so does this order, as long as the two
+    axes do not tie at once.  lower_u = upper_u, lower_v = upper_v, and
+    lower = upper is H at that pair.
     """
     u_arr = scenario.actions_u.array()
     v_arr = scenario.actions_v.array()
-    hams = _hamiltonian_values(scenario, t, state, sup, stats_row, z,
-                               [u_arr[:, 0][:, None, None],     # (nu, 1, 1)
-                                v_arr[:, 0][None, :, None]])    # (1, nv, 1)
-    return envelope_extremes(hams, u_arr, v_arr)
+    u_col, v_col = u_arr[:, 0], v_arr[:, 0]
+
+    def ham(u, v):
+        return _hamiltonian_values(scenario, t, state, sup, stats_row, z, [u, v])
+
+    if not scenario.separable:
+        return envelope_extremes(ham(u_col[:, None, None], v_col[None, :, None]),
+                                 u_arr, v_arr)
+    jv = np.argmax(ham(u_col[0], v_col[:, None]), axis=0)              # (m,)
+    iu = np.argmin(ham(u_col[:, None], v_col[jv]), axis=0)
+    against_u = ham(u_col[iu], v_col[:, None])                         # (nv, m)
+    jv = np.argmax(against_u, axis=0)
+    value = np.take_along_axis(against_u, jv[None], axis=0)[0]
+    u, v = u_arr[iu], v_arr[jv]
+    return EnvelopeValues(lower=value, upper=value, lower_u=u, lower_v=v,
+                          upper_u=u, upper_v=v, upper_u_index=iu, lower_v_index=jv)
 
 
 def envelope_extremes(hams: np.ndarray, u_arr: np.ndarray,

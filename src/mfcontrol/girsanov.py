@@ -16,7 +16,9 @@ flow -> density -> reweighted flow.  fixpoint_measure_flow iterates that map
 from the reference flow, monitoring the exact-on-the-ensemble TV distance
 between successive weight columns at the horizon.  Because consecutive
 iterates share paths, the distance estimate is pathwise coupled and decays to
-zero with no Monte Carlo floor.
+zero with no Monte Carlo floor; an iterate whose drift statistics repeat bit
+for bit is a fixed point already, and its zero distance is recorded without
+another application.
 """
 
 from __future__ import annotations
@@ -157,7 +159,10 @@ class FixpointDiagnostics:
     application j+1 and the previous ones.  iterations counts productive
     updates (distance >= tol); the final sub-tolerance verification pass is
     recorded but not counted, so a measure-independent drift converges in
-    exactly one iteration and zero drift in zero.
+    exactly one iteration and zero drift in zero.  When an application's
+    input repeats (the drift's statistic series equal the previous ones bit
+    for bit) the verification pass is not run: its distance and stderr are
+    recorded as the exact 0.0 and 0.0 it would give.
     """
 
     distances: tuple[float, ...]
@@ -203,29 +208,50 @@ def fixpoint_measure_flow(scenario: Scenario | GameScenario, control,
                           max_iter: int = _PICARD_MAX_ITER) -> FixpointResult:
     """Iterate flow -> reweighted flow until the weights stop moving.
 
-    Starts from the reference flow (weights one).  Raises
-    FixpointConvergenceError with full diagnostics if max_iter applications
-    do not bring the horizon TV update below tol; partial results are on the
-    exception's diagnostics for inspection.
+    Starts from the reference flow (weights one).  The map reads a flow only
+    through the drift's statistic series (DriftEvaluator.series), so once an
+    update at or above tol leaves those series bit for bit unchanged, the next
+    application would rebuild the same weights: it is skipped and recorded as
+    distance 0.0 with stderr 0.0, which is what it would measure.  A drift
+    that reads no statistic therefore takes one density application.  The
+    skip needs room for one more application, so max_iter still bounds the
+    recorded distances.  Raises FixpointConvergenceError with full
+    diagnostics if max_iter applications do not bring the horizon TV update
+    below tol; partial results are on the exception's diagnostics for
+    inspection.
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
     stats = scenario.statistic_map
     flow = reference_flow(paths, stats)
+    drift_at = DriftEvaluator(scenario, flow, control)
     distances: list[float] = []
     stderrs: list[float] = []
-    for _ in range(max_iter):
-        drift_at = DriftEvaluator(scenario, flow, control)
+    while True:
         new_flow = MeasureFlow(paths, density_process(paths, drift_at, scenario.sigma), stats)
         est = tv_pathspace(flow, new_flow, paths.grid.steps)
         distances.append(est.value)
         stderrs.append(est.stderr)
         flow = new_flow
         if est.value < tol:
-            diag = FixpointDiagnostics(tuple(distances), tuple(stderrs), tol, True)
-            return FixpointResult(flow=flow, diagnostics=diag)
-    diag = FixpointDiagnostics(tuple(distances), tuple(stderrs), tol, False)
-    raise FixpointConvergenceError(diag)
+            break
+        if len(distances) == max_iter:
+            raise FixpointConvergenceError(
+                FixpointDiagnostics(tuple(distances), tuple(stderrs), tol, False))
+        next_at = DriftEvaluator(scenario, flow, control)
+        if _same_series(next_at.series, drift_at.series):
+            # the next application would rebuild these weights bit for bit
+            distances.append(0.0)
+            stderrs.append(0.0)
+            break
+        drift_at = next_at
+    diag = FixpointDiagnostics(tuple(distances), tuple(stderrs), tol, True)
+    return FixpointResult(flow=flow, diagnostics=diag)
+
+
+def _same_series(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> bool:
+    """Bit-for-bit equal statistic series (0.0 and -0.0 differ)."""
+    return a.keys() == b.keys() and all(a[name].tobytes() == b[name].tobytes() for name in a)
 
 
 @dataclass(frozen=True)

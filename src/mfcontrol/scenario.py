@@ -521,6 +521,13 @@ class GameScenario(_ScenarioViews):
     def grids(self) -> tuple[ActionGrid, ActionGrid]:
         return (self.actions_u, self.actions_v)
 
+    @property
+    def separable(self) -> bool:
+        """H(u, v) = A(u) + B(v) + C: no u v cost term and an affine (unclipped)
+        drift, so min over u and max over v commute (the Isaacs condition
+        holds by structure)."""
+        return self.running_cost.bilinear == 0.0 and self.drift.bound_scale is None
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -591,7 +598,15 @@ def _matrix(value, path: str) -> tuple[tuple[float, ...], ...]:
 
 
 def _points(value, path: str) -> list[tuple[float, ...]]:
-    return [_numbers(p, f"{path}[{i}]") for i, p in enumerate(_expect(value, list, path))]
+    """Actions, each a number or a list of one number: the dynamics read one
+    action coordinate."""
+    points = []
+    for i, doc in enumerate(_expect(value, list, path)):
+        point = _numbers(doc, f"{path}[{i}]")
+        if len(point) > 1:
+            raise ConfigError(f"{path}[{i}]", f"an action is one number, not {len(point)}")
+        points.append(point)
+    return points
 
 
 def _stat_weights(value, path: str) -> tuple[tuple[str, float], ...]:

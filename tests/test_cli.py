@@ -188,6 +188,13 @@ def test_blocked_validation_exits_2_unless_overridden(capsys, tmp_path):
     ("linear-quadratic", "actions", {"points": [[0.0], [1.0]], "lo": -1.0}, "actions"),
     ("separated-game", "actions_v", {"lo": 1.0, "hi": -1.0, "count": 3}, "actions_v"),
     ("linear-quadratic", "statistics", {"mean": {"kind": "tanh", "scale": 0}}, "statistics.mean"),
+    # the dynamics read one action coordinate: a longer point is refused, not
+    # priced as its first coordinate
+    ("linear-quadratic", "actions", {"points": [[-1, 0], [-1, 9], [0, 0], [0, 9], [1, 3]]},
+     "actions.points[0]"),
+    ("linear-quadratic", "actions", {"points": [-1, [0.0], [1.0, 2.0]]}, "actions.points[2]"),
+    ("separated-game", "actions_u", {"points": [[0.0], [0.5, 0.5]]}, "actions_u.points[1]"),
+    ("separated-game", "actions_v", {"points": [[-1.0, 1.0]]}, "actions_v.points[0]"),
 ])
 def test_malformed_config_exits_2_without_traceback(capsys, tmp_path, base, key, value, path):
     doc = builtin_config(base)
@@ -388,6 +395,9 @@ def test_evaluate_bad_control_spec_exits_2(capsys):
     ("separated-game", ["constant:0"], "an object with u and v"),
     ("linear-quadratic", ["constant:0", 1], "a string or an object"),
     ("linear-quadratic", [{"kind": "constant"}], "'value'"),
+    ("linear-quadratic", [{"kind": "constant", "value": [0.5, 0.2]}], "takes one number"),
+    ("linear-quadratic", ["constant:0", {"kind": "constant", "value": [[0.5], [0.2]]}],
+     "takes one number"),
 ])
 def test_evaluate_malformed_controls_file_entry_exits_2(capsys, tmp_path, scenario,
                                                         entries, message):
@@ -400,6 +410,15 @@ def test_evaluate_malformed_controls_file_entry_exits_2(capsys, tmp_path, scenar
     index = len(entries) - 1
     assert f"configuration error: controls-file[{index}]: " in err
     assert message in err
+
+
+def test_multi_value_constant_control_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["evaluate", "--scenario", "linear-quadratic", *FAST,
+                                      "--control", "constant:0.5,0.2"])
+    assert code == 2
+    assert out == ""
+    assert "configuration error: control: a constant control takes one number" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ Closed forms used as oracles (unit diffusion, initial state 0, T = 1):
 import numpy as np
 import pytest
 
+import mfcontrol.game as game_mod
 from mfcontrol import (
     IsaacsError,
     constant_control,
@@ -31,6 +32,7 @@ from mfcontrol import (
     solve_game,
     verify_saddle,
 )
+from mfcontrol.bsde import _hamiltonian_values
 from mfcontrol.game import envelope_extremes
 
 
@@ -205,6 +207,99 @@ def test_envelope_extremes_equal_separate_min_and_argmin_passes():
     np.testing.assert_array_equal(env.lower, min_u[np.argmax(min_u, axis=0), cols])
     max_v = np.max(hams, axis=1)
     np.testing.assert_array_equal(env.upper, max_v[np.argmin(max_v, axis=0), cols])
+
+
+def full_envelopes(scenario, t, state, sup, stats_row, z):
+    """envelope_extremes of the full (nu, nv, particles) Hamiltonian array."""
+    u_arr, v_arr = scenario.actions_u.array(), scenario.actions_v.array()
+    hams = _hamiltonian_values(scenario, t, state, sup, stats_row, z,
+                               [u_arr[:, 0][:, None, None], v_arr[:, 0][None, :, None]])
+    return envelope_extremes(hams, u_arr, v_arr)
+
+
+def assert_split_matches_full(env, full):
+    for key in ("upper_u_index", "lower_v_index", "lower", "upper"):
+        np.testing.assert_array_equal(getattr(env, key), getattr(full, key), err_msg=key)
+
+
+def checking_envelopes(monkeypatch):
+    """Patch game.envelopes to compare each call against the full array;
+    returns the list of checked calls."""
+    checked = []
+    original = game_mod.envelopes
+
+    def checked_envelopes(*args):
+        env = original(*args)
+        assert_split_matches_full(env, full_envelopes(*args))
+        checked.append(1)
+        return env
+
+    monkeypatch.setattr(game_mod, "envelopes", checked_envelopes)
+    return checked
+
+
+def test_builtin_separability(separated_game, bilinear_game):
+    assert separated_game.separable
+    assert not bilinear_game.separable
+    assert all(game.separable for game in mirrored_games())
+
+
+def test_split_envelopes_match_full_array_at_every_solve_step(separated_game, paths4k,
+                                                             monkeypatch):
+    checked = checking_envelopes(monkeypatch)
+    solve_game(separated_game, paths4k)
+    assert len(checked) >= paths4k.grid.steps
+
+
+@pytest.mark.parametrize("game", mirrored_games(), ids=lambda g: g.name)
+def test_split_envelopes_match_full_array_on_mirrored_games(game, paths4k, monkeypatch):
+    checked = checking_envelopes(monkeypatch)
+    assert solve_game(game, paths4k).converged
+    assert len(checked) >= paths4k.grid.steps
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_split_envelopes_match_full_array_on_random_separable_games(seed):
+    rng = np.random.default_rng(seed)
+    coeff = lambda: float(rng.choice([0.0, 1.0, -0.5, rng.normal()]))  # noqa: E731
+    game = _game_config(
+        drift={"state": coeff(), "stats": {"mean": coeff()},
+               "control_u": coeff(), "control_v": coeff(), "const": coeff()},
+        running_cost={"quad_u": coeff(), "quad_v": coeff(), "lin_u": coeff(),
+                      "lin_v": coeff(), "const": coeff()},
+        actions_u={"lo": -1.0, "hi": 1.0, "count": int(rng.integers(1, 12))},
+        actions_v={"lo": -2.0, "hi": 0.5, "count": int(rng.integers(1, 12))},
+    )
+    assert game.separable
+    m = 400
+    x = rng.normal(size=m)
+    z = rng.choice([0.0, 1.0, -1.0, 0.5], size=m) * rng.choice([1.0, rng.normal()], size=m)
+    z[: m // 4] = 0.0        # ties: at z = 0 only the costs separate the actions
+    stats_row = {"mean": float(rng.normal())}
+    env = envelopes(game, 0.3, x, np.abs(x), stats_row, z)
+    assert_split_matches_full(env, full_envelopes(game, 0.3, x, np.abs(x), stats_row, z))
+    np.testing.assert_array_equal(env.gap, np.zeros(m))
+
+
+@pytest.mark.parametrize("change", [{"running_cost": {"quad_u": 1.0, "bilinear": 0.25}},
+                                    {"drift": {"control_u": 1.0, "bound_scale": 0.5}}],
+                         ids=["bilinear", "bound_scale"])
+def test_non_separable_games_take_the_full_array(change, monkeypatch):
+    game = _game_config(**change)
+    assert not game.separable
+    shapes = []
+    original = game_mod.envelope_extremes
+
+    def recorded(hams, *grids):
+        shapes.append(hams.shape)
+        return original(hams, *grids)
+
+    monkeypatch.setattr(game_mod, "envelope_extremes", recorded)
+    x = np.linspace(-1.0, 1.0, 7)
+    z = np.linspace(-2.0, 2.0, 7)
+    env = envelopes(game, 0.0, x, np.abs(x), {"mean": 0.0}, z)
+    assert shapes == [(21, 21, 7)]
+    assert_split_matches_full(env, full_envelopes(game, 0.0, x, np.abs(x), {"mean": 0.0}, z))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ are then Monte Carlo facts with explicit standard errors.
 
 Fixed-point iteration counts are structural: a drift that never reads the
 flow moves the weights once (one productive update, then a sub-tolerance
-verification pass), and a zero drift never moves them at all.
+verification pass), and a zero drift never moves them at all.  The
+verification pass of a drift whose statistic series repeat is recorded, not
+run; tests/reference.py's picard_every_application runs it, and the two
+agree bit for bit.
 """
 
 import tracemalloc
@@ -16,6 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mfcontrol.girsanov as girsanov_mod
 from mfcontrol import (
     DiffusionSpec,
     DriftEvaluator,
@@ -25,10 +29,12 @@ from mfcontrol import (
     contraction_report,
     density_process,
     fixpoint_measure_flow,
+    get_builtin,
     mean_stderr,
     simulate_for_scenario,
     weighted_statistic,
 )
+from reference import picard_every_application
 
 SIGMA = DiffusionSpec()
 
@@ -207,6 +213,67 @@ def test_fixpoint_determinism(mean_field):
         result = fixpoint_measure_flow(mean_field, control, paths)
         runs.append(result.flow.weights)
     np.testing.assert_array_equal(runs[0], runs[1])
+
+
+def density_calls(monkeypatch):
+    calls = []
+    original = girsanov_mod.density_process
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(girsanov_mod, "density_process", counted)
+    return calls
+
+
+def assert_same_fixpoint(result, reference):
+    got, want = result.diagnostics, reference.diagnostics
+    # tobytes tells 0.0 from -0.0
+    assert np.array(got.distances).tobytes() == np.array(want.distances).tobytes()
+    assert np.array(got.stderrs).tobytes() == np.array(want.stderrs).tobytes()
+    assert got.to_dict() == want.to_dict()
+    assert result.flow.weights.tobytes() == reference.flow.weights.tobytes()
+
+
+def test_repeated_input_skips_the_verification_application(lq, paths4k, monkeypatch):
+    control = constant_control(0.5, lq.actions)
+    reference = picard_every_application(lq, control, paths4k)
+    calls = density_calls(monkeypatch)
+    result = fixpoint_measure_flow(lq, control, paths4k)
+    assert len(calls) == 1
+    assert reference.diagnostics.applications == 2
+    assert result.diagnostics.distances[-1] == 0.0
+    assert_same_fixpoint(result, reference)
+
+
+@pytest.mark.parametrize("name", ["zero-drift", "linear-quadratic", "variance",
+                                  "separated-game", "mean-field-mean-reversion"])
+def test_fixpoint_equals_the_every_application_loop(name, paths1k, monkeypatch):
+    scenario = get_builtin(name)
+    controls = tuple(constant_control(1.0, grid) for grid in scenario.grids)
+    control = controls if scenario.kind == "game" else controls[0]
+    reference = picard_every_application(scenario, control, paths1k)
+    calls = density_calls(monkeypatch)
+    result = fixpoint_measure_flow(scenario, control, paths1k)
+    # the diagnostics carry criterion 3's iteration counts
+    assert_same_fixpoint(result, reference)
+    # a measure-dependent drift applies the map as often as before, any
+    # other drift once
+    want = reference.diagnostics.applications if scenario.drift.stat_names() else 1
+    assert len(calls) == want
+
+
+def test_one_allowed_application_still_fails_with_its_distance(lq, paths1k, monkeypatch):
+    control = constant_control(0.5, lq.actions)
+    calls = density_calls(monkeypatch)
+    with pytest.raises(FixpointConvergenceError) as err:
+        fixpoint_measure_flow(lq, control, paths1k, max_iter=1)
+    diag = err.value.diagnostics
+    assert len(calls) == 1
+    assert len(diag.distances) == len(diag.stderrs) == 1
+    assert diag.distances[0] >= diag.tol
+    assert not diag.converged
 
 
 # ---------------------------------------------------------------------------
