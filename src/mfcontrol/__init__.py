@@ -81,14 +81,11 @@ from .control import (
     Control,
     OptimizationReport,
     PayoffResult,
-    SearchReport,
     constant_control,
-    ekeland_distance,
     envelope_bsde,
     evaluate_payoff,
     hamiltonian,
     minimized_hamiltonian,
-    near_optimal_search,
     parametric_control,
     parse_control,
     policy_iteration,
@@ -137,9 +134,9 @@ __all__ = [
     "solve_linear_family", "terminal_values",
     # control
     "BsdeFeedbackControl", "ComparisonReport", "Control",
-    "OptimizationReport", "PayoffResult", "SearchReport", "constant_control",
-    "ekeland_distance", "envelope_bsde", "evaluate_payoff", "hamiltonian",
-    "minimized_hamiltonian", "near_optimal_search", "parametric_control",
+    "OptimizationReport", "PayoffResult", "constant_control",
+    "envelope_bsde", "evaluate_payoff", "hamiltonian",
+    "minimized_hamiltonian", "parametric_control",
     "parse_control", "policy_iteration", "table_control", "verify_comparison",
     # games
     "EnvelopeValues", "IsaacsError", "IsaacsReport", "PairFeedbackControl",

@@ -46,38 +46,32 @@ from .scenario import ActionGrid, GameScenario, Scenario
 
 @dataclass(frozen=True)
 class Control:
-    """Deterministic control rule on the ensemble.
+    """Deterministic control rule on the ensemble; an action is a real number.
 
     kinds:
       constant    a fixed action,
-      parametric  u(t, x) = clip(a + b x + c sup, box), scalar actions,
+      parametric  u(t, x) = clip(a + b x + c sup, box),
       table       u(t_k, x) from a per-step lookup over state bins.
 
-    Values are clamped into the closed box hull of the admissible grid, so a
-    control never acts outside the action set.
+    Values are clamped into [box_lo, box_hi], the hull of the admissible
+    grid, so a control never acts outside the action set.
     """
 
     kind: str
-    value: tuple[float, ...] = ()
+    value: float = 0.0
     coeffs: tuple[float, float, float] = (0.0, 0.0, 0.0)
     table_edges: tuple[float, ...] = ()
     table_values: tuple[tuple[float, ...], ...] = ()
-    box_lo: tuple[float, ...] = ()
-    box_hi: tuple[float, ...] = ()
+    box_lo: float | None = None
+    box_hi: float | None = None
     label: str = ""
 
-    @property
-    def dim(self) -> int:
-        if self.kind == "constant":
-            return len(self.value)
-        return 1
-
     def actions_over(self, paths: PathEnsemble, rows: slice, steps: slice) -> np.ndarray:
-        """Fresh (rows, steps, dim) actions on a block of particles and grid
-        times (slices of the ensemble's axes)."""
+        """Fresh (rows, steps) actions on a block of particles and grid times
+        (slices of the ensemble's axes)."""
         x0 = paths.values[rows, steps, 0]
         if self.kind == "constant":
-            return np.full((*x0.shape, len(self.value)), self.value)
+            return np.full(x0.shape, self.value)
         if self.kind == "parametric":
             a, b, c = self.coeffs
             raw = a + b * x0 + c * paths.running_sup[rows, steps]
@@ -90,31 +84,30 @@ class Control:
             raw = row[np.arange(len(t_index)), idx]
         else:
             raise ValueError(f"unknown control kind {self.kind!r}")
-        if self.box_lo:
-            raw = np.clip(raw, self.box_lo[0], self.box_hi[0])
-        return raw[..., None]
+        if self.box_lo is not None:
+            raw = np.clip(raw, self.box_lo, self.box_hi)
+        return raw
 
     def actions(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
-        """Fresh (particles, dim) actions at one grid time."""
+        """Fresh (particles,) actions at one grid time."""
         return self.actions_over(paths, slice(None), slice(t_index, t_index + 1))[:, 0]
 
 
-def _grid_box(grid: ActionGrid | None) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    if grid is None:
-        return (), ()
-    lo, hi = grid.bounds()
-    return tuple(float(v) for v in lo), tuple(float(v) for v in hi)
+def _grid_box(grid: ActionGrid | None) -> tuple[float | None, float | None]:
+    return (None, None) if grid is None else (grid.points[0], grid.points[-1])
 
 
 def constant_control(value, grid: ActionGrid | None = None, label: str = "") -> Control:
-    value = tuple(float(v) for v in np.atleast_1d(value))
-    if not value:
-        raise ValueError("a constant control needs at least one value")
+    """The fixed action value: one number (a list of one number is read as
+    its number), clamped into the grid's hull."""
+    if np.size(value) != 1:
+        raise ValueError(f"a constant control takes one number, not {np.size(value)}")
+    value = float(np.ravel(value)[0])
     lo, hi = _grid_box(grid)
-    if lo:
-        value = tuple(float(np.clip(v, l, h)) for v, l, h in zip(value, lo, hi))
+    if lo is not None:
+        value = float(np.clip(value, lo, hi))
     return Control(kind="constant", value=value, box_lo=lo, box_hi=hi,
-                   label=label or f"const[{', '.join(f'{v:g}' for v in value)}]")
+                   label=label or f"const[{value:g}]")
 
 
 def parametric_control(a: float, b: float, c: float, grid: ActionGrid | None = None,
@@ -126,22 +119,27 @@ def parametric_control(a: float, b: float, c: float, grid: ActionGrid | None = N
 
 
 def table_control(edges, values, grid: ActionGrid | None = None, label: str = "") -> Control:
+    """Per-step actions over the state bins that the non-decreasing edges
+    cut; the last row serves every later step."""
     lo, hi = _grid_box(grid)
     values = tuple(tuple(float(v) for v in row) for row in values)
     if not values or not values[0] or len({len(row) for row in values}) != 1:
         raise ValueError("a table control needs equal, non-empty rows of values")
-    return Control(kind="table",
-                   table_edges=tuple(float(e) for e in edges),
-                   table_values=values,
+    edges = tuple(float(e) for e in edges)
+    # not >= also rejects NaN
+    if not np.all(np.diff(edges) >= 0):
+        raise ValueError(f"a table control needs non-decreasing edges, got {list(edges)}")
+    return Control(kind="table", table_edges=edges, table_values=values,
                    box_lo=lo, box_hi=hi, label=label or "table")
 
 
-def _one_constant(value, grid: ActionGrid, label: str = "") -> Control:
-    """A config constant: one number (or a list of one), since the dynamics
-    read one action coordinate."""
-    if np.size(value) != 1:
-        raise ValueError(f"a constant control takes one number, not {np.size(value)}")
-    return constant_control(value, grid, label=label)
+def _finite(values):
+    """values (numbers or number strings) as a float array, refusing NaN and
+    infinities as a scenario document does."""
+    out = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"control numbers must be finite, got {values!r}")
+    return out
 
 
 def parse_control(spec: dict | str, grid: ActionGrid) -> Control:
@@ -149,9 +147,9 @@ def parse_control(spec: dict | str, grid: ActionGrid) -> Control:
     if isinstance(spec, str):
         kind, _, rest = spec.partition(":")
         if kind == "constant":
-            return _one_constant([float(v) for v in rest.split(",")], grid)
+            return constant_control(_finite(rest.split(",")), grid)
         if kind == "parametric":
-            vals = [float(v) for v in rest.split(",")]
+            vals = _finite(rest.split(","))
             if len(vals) != 3:
                 raise ValueError("parametric control needs three coefficients a,b,c")
             return parametric_control(*vals, grid=grid)
@@ -161,13 +159,13 @@ def parse_control(spec: dict | str, grid: ActionGrid) -> Control:
     kind = spec.get("kind")
     try:
         if kind == "constant":
-            return _one_constant(spec["value"], grid, label=spec.get("label", ""))
+            return constant_control(_finite(spec["value"]), grid, label=spec.get("label", ""))
         if kind == "parametric":
-            a, b, c = spec["coeffs"]
+            a, b, c = _finite(spec["coeffs"])
             return parametric_control(a, b, c, grid, label=spec.get("label", ""))
         if kind == "table":
-            return table_control(spec["edges"], spec["values"], grid,
-                                 label=spec.get("label", ""))
+            return table_control(_finite(spec["edges"]), [_finite(row) for row in spec["values"]],
+                                 grid, label=spec.get("label", ""))
     except KeyError as exc:
         raise ValueError(f"{kind} control needs a {exc.args[0]!r} entry") from exc
     except TypeError as exc:
@@ -179,43 +177,40 @@ def parse_control(spec: dict | str, grid: ActionGrid) -> Control:
 # hamiltonian
 
 
-def _particle_column(arr) -> np.ndarray:
-    """Coerce (m,) or (m, d) input to the scalar column read by the registry."""
-    out = np.asarray(arr, dtype=float)
-    return out[:, 0] if out.ndim == 2 else out
-
-
 def hamiltonian(scenario: Scenario | GameScenario, t: float, state, sup, stats_row: dict,
                 z, *actions) -> np.ndarray:
     """Per-particle H = h + z . sigma^{-1} f, one value per particle.
 
-    actions is u for a single-controller scenario and u, v for a game.
-    state and z come as (m, d) arrays, or as (m,) when d = 1; each action may
-    come as an (m, d_u) array, of which the registry reads coordinate 0.
-    stats_row maps statistic names to their values at time t under the
-    measure flow being priced.
+    actions is u for a single-controller scenario and u, v for a game, each
+    an (m,) array of real actions.  state and z come as (m, d) arrays, or as
+    (m,) when d = 1.  stats_row maps statistic names to their values at
+    time t under the measure flow being priced.
     """
     if len(actions) != len(scenario.grids):
         raise TypeError("a two-player game takes actions u and v" if len(scenario.grids) == 2
                         else "actions u and v need a two-player scenario")
-    return _hamiltonian_values(scenario, t, state, sup, stats_row, z,
-                               [_particle_column(a) for a in actions])
+    actions = [np.asarray(a, dtype=float) for a in actions]
+    # an (m, 1) column would broadcast against the particles into (m, m)
+    if any(a.ndim > 1 for a in actions):
+        raise ValueError("an action is a real number: pass (m,) action arrays")
+    return _hamiltonian_values(scenario, t, state, sup, stats_row, z, actions)
 
 
 def minimized_hamiltonian(scenario: Scenario, t: float, state, sup,
                           stats_row: dict, z, grid: ActionGrid,
                           indices: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(min_u H, argmin actions) over the admissible grid, vectorized.
+    """(min_u H, argmin actions), each (m,), over the admissible grid,
+    vectorized.
 
-    Ties resolve to the lexicographically smallest action because the grid is
-    sorted and argmin takes the first minimizer.  With indices=True the second
-    item is the argmin's row in grid.array() instead of the action.
+    Ties resolve to the smallest action because the grid is sorted and
+    argmin takes the first minimizer.  With indices=True the second item is
+    the argmin's row in grid.array() instead of the action.
     """
     if scenario.kind == "game":
         raise TypeError("use game envelopes for two-player scenarios")
-    arr = grid.array()  # (n, d_u), sorted; dynamics and costs read coordinate 0
+    arr = grid.array()
     hams = _hamiltonian_values(scenario, t, state, sup, stats_row, z,
-                               [arr[:, 0][:, None]])  # (n, particles)
+                               [arr[:, None]])  # (n, particles)
     idx = np.argmin(hams, axis=0)
     values = hams[idx, np.arange(hams.shape[1])]
     return values, (idx if indices else arr[idx])
@@ -263,8 +258,8 @@ class _GridFeedback:
         return {name: float(series[t_index]) for name, series in self.stat_series.items()}
 
     def _gather(self, paths: PathEnsemble, rows: slice, steps: slice) -> tuple[np.ndarray, ...]:
-        """Fresh (rows, steps, d) actions on each grid, gathered from the
-        held grid rows of each step."""
+        """Fresh (rows, steps) actions on each grid, gathered from the held
+        grid rows of each step."""
         held = self._rows.setdefault(paths, {})
         per_step = []
         for k in range(paths.grid.steps + 1)[steps]:
@@ -295,7 +290,7 @@ class BsdeFeedbackControl(_GridFeedback):
         return _argmin_extremes(self.scenario, self.grid, t, state, sup, stats_row, z)
 
     def actions_over(self, paths: PathEnsemble, rows: slice, steps: slice) -> np.ndarray:
-        """Fresh (rows, steps, d_u) actions on a block of particles and grid
+        """Fresh (rows, steps) actions on a block of particles and grid
         times."""
         return self._gather(paths, rows, steps)[0]
 
@@ -522,7 +517,7 @@ def _argmin_residual(scenario: Scenario, control, sol: BsdeSolution,
         state = paths.values[idx, k]
         sup = paths.running_sup[idx, k]
         z = sol.z_at(paths, k)[idx]
-        acts = control.actions(paths, k)[idx, 0]
+        acts = control.actions(paths, k)[idx]
         h_at = hamiltonian(scenario, t, state, sup, row, z, acts)
         h_min, _ = minimized_hamiltonian(scenario, t, state, sup, row, z, grid)
         worst = max(worst, float(np.max(h_at - h_min)))
@@ -530,78 +525,7 @@ def _argmin_residual(scenario: Scenario, control, sol: BsdeSolution,
 
 
 # ---------------------------------------------------------------------------
-# search and verification
-
-
-@dataclass(frozen=True)
-class SearchReport:
-    rows: tuple[tuple[str, float, float], ...]
-    best_index: int
-    best_value: float
-    best_stderr: float
-    y0: float
-    y0_stderr: float
-    eps_target: float
-
-    @property
-    def eps_hat(self) -> float:
-        return self.best_value - self.y0
-
-    @property
-    def eps_stderr(self) -> float:
-        return float(np.hypot(self.best_stderr, self.y0_stderr))
-
-    @property
-    def achieved(self) -> bool:
-        return self.eps_hat <= self.eps_target + 3.0 * self.eps_stderr
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [{"label": l, "value": v, "stderr": s} for l, v, s in self.rows],
-            "best_index": self.best_index,
-            "best_value": self.best_value,
-            "best_stderr": self.best_stderr,
-            "y0": self.y0, "y0_stderr": self.y0_stderr,
-            "eps_hat": self.eps_hat, "eps_stderr": self.eps_stderr,
-            "eps_target": self.eps_target, "achieved": self.achieved,
-        }
-
-
-def near_optimal_search(scenario: Scenario, paths: PathEnsemble, family,
-                        eps_target: float, baseline: OptimizationReport | None = None,
-                        basis: BasisSpec | None = None) -> SearchReport:
-    """Score a finite control family against the policy-iteration value.
-
-    eps_hat = best payoff - baseline y0; achieved when within eps_target up
-    to noise.  The baseline policy iteration runs on demand when not
-    supplied; every member is priced at the baseline's tolerance.
-    """
-    if baseline is None:
-        baseline = policy_iteration(scenario, paths, basis=basis)
-    rows = []
-    best_idx, best_val, best_se = 0, np.inf, 0.0
-    for i, c in enumerate(family):
-        res = evaluate_payoff(scenario, c, paths, tol=baseline.tol)
-        label = getattr(c, "label", f"control-{i}")
-        rows.append((label, res.value, res.stderr))
-        if res.value < best_val:
-            best_idx, best_val, best_se = i, res.value, res.stderr
-    return SearchReport(rows=tuple(rows), best_index=best_idx, best_value=best_val,
-                        best_stderr=best_se, y0=baseline.y0,
-                        y0_stderr=baseline.y0_stderr, eps_target=eps_target)
-
-
-def ekeland_distance(a, b, paths: PathEnsemble) -> float:
-    """Product-measure distance between two controls along the ensemble:
-    the time mass (out of the horizon) on which their actions differ,
-    averaged over particles.  A metric with values in [0, horizon]."""
-    n = paths.grid.steps
-    ua = a.actions_over(paths, slice(None), slice(0, n))
-    ub = b.actions_over(paths, slice(None), slice(0, n))
-    width = max(ua.shape[2], ub.shape[2])
-    pad = lambda u: np.pad(u, ((0, 0), (0, 0), (0, width - u.shape[2])))
-    total = int(np.count_nonzero(np.linalg.norm(pad(ua) - pad(ub), axis=2) > 0))
-    return paths.grid.dt * total / paths.particles
+# envelope and verification
 
 
 def envelope_bsde(scenario: Scenario, controls, flows,

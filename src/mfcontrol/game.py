@@ -46,7 +46,7 @@ class IsaacsError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnvelopeValues:
-    """Pointwise envelopes and their achieving actions, one row per particle.
+    """Pointwise envelopes and their achieving actions, each (particles,).
 
     lower_u / lower_v achieve max_v min_u (v's choice with u's best reply);
     upper_u / upper_v achieve min_u max_v.  The candidate saddle pair is
@@ -72,7 +72,7 @@ def envelopes(scenario: GameScenario, t: float, state, sup, stats_row: dict,
               z) -> EnvelopeValues:
     """max_v min_u and min_u max_v of H over the two grids, vectorized.
 
-    Ties resolve to the lexicographically smallest action on both axes (the
+    Ties resolve to the smallest action on both axes (the
     grids are sorted and argmin / argmax take the first extremizer).
 
     A separable game reads three (n, particles) arrays instead of the full
@@ -87,17 +87,16 @@ def envelopes(scenario: GameScenario, t: float, state, sup, stats_row: dict,
     """
     u_arr = scenario.actions_u.array()
     v_arr = scenario.actions_v.array()
-    u_col, v_col = u_arr[:, 0], v_arr[:, 0]
 
     def ham(u, v):
         return _hamiltonian_values(scenario, t, state, sup, stats_row, z, [u, v])
 
     if not scenario.separable:
-        return envelope_extremes(ham(u_col[:, None, None], v_col[None, :, None]),
+        return envelope_extremes(ham(u_arr[:, None, None], v_arr[None, :, None]),
                                  u_arr, v_arr)
-    jv = np.argmax(ham(u_col[0], v_col[:, None]), axis=0)              # (m,)
-    iu = np.argmin(ham(u_col[:, None], v_col[jv]), axis=0)
-    against_u = ham(u_col[iu], v_col[:, None])                         # (nv, m)
+    jv = np.argmax(ham(u_arr[0], v_arr[:, None]), axis=0)              # (m,)
+    iu = np.argmin(ham(u_arr[:, None], v_arr[jv]), axis=0)
+    against_u = ham(u_arr[iu], v_arr[:, None])                         # (nv, m)
     jv = np.argmax(against_u, axis=0)
     value = np.take_along_axis(against_u, jv[None], axis=0)[0]
     u, v = u_arr[iu], v_arr[jv]
@@ -244,7 +243,7 @@ class PairFeedbackControl(_GridFeedback):
 
     def actions_pair_over(self, paths: PathEnsemble, rows: slice,
                           steps: slice) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh (rows, steps, d) u and v actions on a block of particles and
+        """Fresh (rows, steps) u and v actions on a block of particles and
         grid times."""
         return self._gather(paths, rows, steps)
 

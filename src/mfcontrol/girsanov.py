@@ -45,18 +45,16 @@ class FixpointConvergenceError(RuntimeError):
 
 def control_actions(control, paths: PathEnsemble, rows: slice,
                     steps: slice) -> tuple[np.ndarray, ...]:
-    """Coordinate 0 of the actions on the particles `rows` at the grid times
-    `steps`, each shaped (rows, steps): (u,) for a single control, (u, v) for
-    a game pair given as a (u, v) tuple of controls or an object with
+    """The actions on the particles `rows` at the grid times `steps`, each
+    shaped (rows, steps): (u,) for a single control, (u, v) for a game pair
+    given as a (u, v) tuple of controls or an object with
     actions_pair_over.  The drift and cost registries take them as trailing
     arguments."""
     if hasattr(control, "actions_pair_over"):
-        sides = control.actions_pair_over(paths, rows, steps)
-    elif isinstance(control, (tuple, list)):
-        sides = [c.actions_over(paths, rows, steps) for c in control]
-    else:
-        sides = [control.actions_over(paths, rows, steps)]
-    return tuple(a[..., 0] for a in sides)
+        return control.actions_pair_over(paths, rows, steps)
+    if isinstance(control, (tuple, list)):
+        return tuple(c.actions_over(paths, rows, steps) for c in control)
+    return (control.actions_over(paths, rows, steps),)
 
 
 class DriftEvaluator:

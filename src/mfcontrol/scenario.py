@@ -398,10 +398,10 @@ class TerminalSpec:
 
 @dataclass(frozen=True)
 class ActionGrid:
-    """Finite admissible action set, kept sorted so argmin ties resolve to the
-    lexicographically smallest action."""
+    """Finite admissible action set of real actions, kept sorted so argmin
+    ties resolve to the smallest action."""
 
-    points: tuple[tuple[float, ...], ...]
+    points: tuple[float, ...]
     lo: float | None = None
     hi: float | None = None
     count: int | None = None
@@ -409,30 +409,22 @@ class ActionGrid:
     def __post_init__(self):
         if len(self.points) == 0:
             raise ConfigError("actions", "action grid is empty")
-        dims = {len(p) for p in self.points}
-        if len(dims) != 1 or 0 in dims:
-            raise ConfigError("actions", "action points need one common dimension >= 1")
-        if tuple(sorted(self.points)) != self.points:
-            raise ConfigError("actions", "action points must be lexicographically sorted")
+        # not >= also rejects NaN
+        if np.ndim(self.points) != 1 or not np.all(np.diff(self.points) >= 0):
+            raise ConfigError("actions", "action points must be sorted numbers")
 
     @classmethod
     def box(cls, lo: float, hi: float, count: int) -> "ActionGrid":
         if count < 1 or hi < lo:
             raise ConfigError("actions", "box grid needs count >= 1 and hi >= lo")
         if count == 1:
-            pts = (((lo + hi) / 2.0),)
-            return cls(points=((pts[0],),), lo=lo, hi=hi, count=1)
+            return cls(points=((lo + hi) / 2.0,), lo=lo, hi=hi, count=1)
         vals = np.linspace(lo, hi, count)
-        return cls(points=tuple((float(v),) for v in vals), lo=lo, hi=hi, count=count)
+        return cls(points=tuple(float(v) for v in vals), lo=lo, hi=hi, count=count)
 
     @classmethod
     def explicit(cls, pts) -> "ActionGrid":
-        points = tuple(sorted(tuple(float(c) for c in np.atleast_1d(p)) for p in pts))
-        return cls(points=points)
-
-    @property
-    def dim(self) -> int:
-        return len(self.points[0])
+        return cls(points=tuple(sorted(float(p) for p in pts)))
 
     @property
     def size(self) -> int:
@@ -441,19 +433,11 @@ class ActionGrid:
     def array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=float)
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        arr = self.array()
-        return arr.min(axis=0), arr.max(axis=0)
-
     @property
     def resolution(self) -> float:
-        """Largest gap between consecutive grid values (coordinate-wise max)."""
-        arr = self.array()
-        gaps = []
-        for j in range(arr.shape[1]):
-            vals = np.unique(arr[:, j])
-            gaps.append(0.0 if len(vals) < 2 else float(np.max(np.diff(vals))))
-        return max(gaps)
+        """Largest gap between consecutive grid values."""
+        vals = np.unique(self.array())
+        return 0.0 if len(vals) < 2 else float(np.max(np.diff(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -597,15 +581,14 @@ def _matrix(value, path: str) -> tuple[tuple[float, ...], ...]:
                  for row in _expect(value, list, path))
 
 
-def _points(value, path: str) -> list[tuple[float, ...]]:
-    """Actions, each a number or a list of one number: the dynamics read one
-    action coordinate."""
+def _points(value, path: str) -> list[float]:
+    """Actions, each a number or a list of one number: an action is real."""
     points = []
     for i, doc in enumerate(_expect(value, list, path)):
         point = _numbers(doc, f"{path}[{i}]")
-        if len(point) > 1:
+        if len(point) != 1:
             raise ConfigError(f"{path}[{i}]", f"an action is one number, not {len(point)}")
-        points.append(point)
+        points.append(point[0])
     return points
 
 
@@ -773,7 +756,7 @@ def serialize_scenario(s: Scenario | GameScenario) -> dict:
         doc["running_cost"]["stat"] = list(cost.stat)
     for key, grid in zip(_GRIDS[s.kind], s.grids):
         doc[key] = (_emit(grid, _ACTION_KEYS, omit=("points",)) if grid.lo is not None
-                    else {"points": [list(p) for p in grid.points]})
+                    else {"points": list(grid.points)})
     return doc
 
 
@@ -986,8 +969,8 @@ _BUILTINS: dict[str, dict] = {
         "drift": {},
         "running_cost": {"bilinear": 1.0},
         "terminal_cost": {"kind": "linear", "coeff": 1.0},
-        "actions_u": {"points": [[-1.0], [1.0]]},
-        "actions_v": {"points": [[-1.0], [1.0]]},
+        "actions_u": {"points": [-1.0, 1.0]},
+        "actions_v": {"points": [-1.0, 1.0]},
     },
 }
 

@@ -107,11 +107,11 @@ def _family(scenario, count: int = 5):
         for i, j in dict.fromkeys(zip(iu, iv)):
             cu = constant_control(pu[i], scenario.actions_u)
             cv = constant_control(pv[j], scenario.actions_v)
-            out.append((f"pair[{pu[i][0]:g},{pv[j][0]:g}]", (cu, cv)))
+            out.append((f"pair[{pu[i]:g},{pv[j]:g}]", (cu, cv)))
         return out
     pts = scenario.actions.points
     idx = np.unique(np.round(np.linspace(0, len(pts) - 1, count)).astype(int))
-    return [(f"const[{pts[i][0]:g}]", constant_control(pts[i], scenario.actions))
+    return [(f"const[{pts[i]:g}]", constant_control(pts[i], scenario.actions))
             for i in idx]
 
 
@@ -175,7 +175,7 @@ def check_fixed_point(ctx: AcceptanceContext) -> CheckResult:
     counts = {}
     for name, want in expected.items():
         scen = ctx.scenarios[name]
-        control = constant_control([1.0], scen.actions)
+        control = constant_control(1.0, scen.actions)
         fix = ctx.fixpoint(scen, control, "const[1]")
         counts[name] = {"iterations": fix.diagnostics.iterations, "expected": want,
                         "ok": bool(fix.diagnostics.iterations == want)}
@@ -192,7 +192,7 @@ def check_fixed_point(ctx: AcceptanceContext) -> CheckResult:
                             for a, b in zip(d.distances, d.distances[1:])))
         final_ok = bool(d.final_distance < d.tol + 4.0 * d.stderrs[-1])
         within = bool(d.applications <= 20)
-        u = float(control.value[0])
+        u = control.value
         times = paths.grid.times
         target = scen.initial[0] + u * times
         dev_max, margin_ok = 0.0, True
@@ -217,11 +217,11 @@ def check_hellinger(ctx: AcceptanceContext) -> CheckResult:
     paths = ctx.paths_for(scen)
     grid = paths.grid
     n = grid.steps
-    points = [p[0] for p in scen.actions.points]
+    points = scen.actions.points
     flows = {}
     drifts = {}
     for u in points:
-        control = constant_control([u], scen.actions)
+        control = constant_control(u, scen.actions)
         fix = ctx.fixpoint(scen, control, f"const[{u:g}]")
         flows[u] = fix.flow
         drifts[u] = DriftEvaluator(scen, fix.flow, control)
@@ -300,7 +300,7 @@ def check_lq_optimum(ctx: AcceptanceContext) -> CheckResult:
     feedback_ok = True
     for k in sorted({0, ctx.steps // 2, ctx.steps - 1, ctx.steps}):
         acts = report.control.actions(paths, k)
-        dev = np.abs(acts[:, 0] + 1.0)
+        dev = np.abs(acts + 1.0)
         allow = 3.0 * report.solution.z_stderr(paths, k)[:, 0] + res + 1e-12
         dev_max = max(dev_max, float(np.max(dev)))
         excess_max = max(excess_max, float(np.max(dev - allow)))
@@ -310,7 +310,7 @@ def check_lq_optimum(ctx: AcceptanceContext) -> CheckResult:
     value_dev = abs(report.y0 - target)
     value_ok = bool(value_dev <= 3.0 * report.y0_stderr + res)
 
-    analytic = constant_control([-1.0], scen.actions, label="analytic-optimum")
+    analytic = constant_control(-1.0, scen.actions, label="analytic-optimum")
     pay = evaluate_payoff(scen, analytic, paths, tol=ctx.tol)
     eps = pay.value - report.y0
     eps_se = float(np.hypot(pay.stderr, report.y0_stderr))

@@ -180,7 +180,7 @@ def test_pair_sides_share_one_envelope_call_per_step(pair, ensembles, monkeypatc
 @pytest.mark.parametrize("count,dtype", [(1, np.uint8), (11, np.uint8), (256, np.uint8),
                                          (257, np.uint16), (70000, np.uint32)])
 def test_grid_index_dtype_is_the_smallest_unsigned_fit(count, dtype):
-    grid = ActionGrid(points=tuple((float(i),) for i in range(count)))
+    grid = ActionGrid(points=tuple(float(i) for i in range(count)))
     assert grid_index_dtype(grid) == dtype
 
 

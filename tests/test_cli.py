@@ -167,7 +167,7 @@ def test_blocked_validation_exits_2_unless_overridden(capsys, tmp_path):
     ("linear-quadratic", "initial", [float("nan")], "initial"),
     ("linear-quadratic", "actions", {"lo": float("nan"), "hi": 1.0, "count": 3}, "actions.lo"),
     ("linear-quadratic", "running_cost", {"quad": float("nan")}, "running_cost.quad"),
-    ("linear-quadratic", "actions", {"points": [[]]}, "actions"),
+    ("linear-quadratic", "actions", {"points": [[]]}, "actions.points[0]"),
     ("linear-quadratic", "diffusion", {"kind": "constant", "matrix": 3}, "diffusion.matrix"),
     ("variance", "terminal_cost", {"kind": "variance", "stat": [1]}, "terminal_cost.stat"),
     ("linear-quadratic", "name", float("nan"), "name"),
@@ -398,6 +398,17 @@ def test_evaluate_bad_control_spec_exits_2(capsys):
     ("linear-quadratic", [{"kind": "constant", "value": [0.5, 0.2]}], "takes one number"),
     ("linear-quadratic", ["constant:0", {"kind": "constant", "value": [[0.5], [0.2]]}],
      "takes one number"),
+    # searchsorted bins only sorted edges, and a non-finite number prices nothing
+    ("linear-quadratic", [{"kind": "table", "edges": [0.5, -0.5], "values": [[-1, 0, 1]]}],
+     "non-decreasing edges"),
+    ("linear-quadratic", [{"kind": "table", "edges": [float("nan")], "values": [[-1, 1]]}],
+     "must be finite"),
+    ("linear-quadratic", [{"kind": "table", "edges": [0.0], "values": [[-1, float("inf")]]}],
+     "must be finite"),
+    ("linear-quadratic", [{"kind": "constant", "value": float("nan")}], "must be finite"),
+    ("linear-quadratic", ["constant:0", "constant:inf"], "must be finite"),
+    ("linear-quadratic", [{"kind": "parametric", "coeffs": [0, float("-inf"), 0]}],
+     "must be finite"),
 ])
 def test_evaluate_malformed_controls_file_entry_exits_2(capsys, tmp_path, scenario,
                                                         entries, message):
@@ -410,6 +421,17 @@ def test_evaluate_malformed_controls_file_entry_exits_2(capsys, tmp_path, scenar
     index = len(entries) - 1
     assert f"configuration error: controls-file[{index}]: " in err
     assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["constant:nan", "parametric:nan,0,0"])
+def test_non_finite_control_spec_exits_2(capsys, spec):
+    code, out, err = run_cli(capsys, ["evaluate", "--scenario", "linear-quadratic", *FAST,
+                                      "--control", spec])
+    assert code == 2
+    assert out == ""
+    assert "configuration error: control: control numbers must be finite" in err
+    assert "Traceback" not in err
 
 
 def test_multi_value_constant_control_exits_2(capsys):

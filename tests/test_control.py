@@ -12,10 +12,6 @@ Closed forms used as oracles, all for unit diffusion and initial state 0:
     while the constant +1 control pays h(1) T = 3T/2, an eps gap of 2.
   * with zero drift the density weights are identically one, so payoffs
     reduce to plain sample means and constant terminal costs are exact.
-
-The product-measure control distance counts left grid endpoints where the
-actions differ, so two controls disagreeing everywhere sit at distance T
-and a pure time-table disagreeing on half the steps sits at T/2 exactly.
 """
 
 import numpy as np
@@ -28,14 +24,12 @@ from mfcontrol import (
     Control,
     DiffusionSpec,
     constant_control,
-    ekeland_distance,
     envelope_bsde,
     evaluate_payoff,
     fixpoint_measure_flow,
     hamiltonian,
     make_time_grid,
     minimized_hamiltonian,
-    near_optimal_search,
     parametric_control,
     parse_control,
     parse_scenario,
@@ -96,23 +90,40 @@ def flat_scenario():
 
 def test_constant_control_tiles_value():
     paths = line_ensemble()
-    c = constant_control([0.25, -0.75])
+    c = constant_control(0.25)
     acts = c.actions(paths, 1)
-    assert acts.shape == (4, 2)
-    np.testing.assert_array_equal(acts, np.tile([0.25, -0.75], (4, 1)))
-    assert c.dim == 2
+    assert acts.shape == (4,)
+    np.testing.assert_array_equal(acts, np.full(4, 0.25))
+    assert c.value == 0.25 and c.label == "const[0.25]"
+    assert c.actions_over(paths, slice(1, 3), slice(0, 3)).shape == (2, 3)
+
+
+def test_constant_control_refuses_more_than_one_number():
+    # an action is one number: a second value is an error, not a dropped coordinate
+    with pytest.raises(ValueError, match="takes one number, not 2"):
+        constant_control([0.25, -0.75])
+    with pytest.raises(ValueError, match="takes one number, not 0"):
+        constant_control([])
+    assert constant_control([0.25]) == constant_control(0.25)
+
+
+def test_table_control_refuses_unsorted_edges():
+    with pytest.raises(ValueError, match="non-decreasing edges"):
+        table_control(edges=(0.5, -0.5), values=[[-1.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="non-decreasing edges"):
+        table_control(edges=(0.0, float("nan")), values=[[-1.0, 0.0, 1.0]])
 
 
 def test_constant_control_clamps_into_grid_box(lq):
     c = constant_control(5.0, lq.actions)
-    assert c.value == (1.0,)
-    assert constant_control(-5.0, lq.actions).value == (-1.0,)
+    assert c.value == 1.0
+    assert constant_control(-5.0, lq.actions).value == -1.0
 
 
 def test_parametric_control_affine_in_state_with_clamp(lq):
     paths = line_ensemble()
     c = parametric_control(0.5, 2.0, 0.0, grid=lq.actions)
-    acts = c.actions(paths, 1)[:, 0]
+    acts = c.actions(paths, 1)
     # raw 0.5 + 2x at x = (-2, -0.5, 0.5, 2), clipped to [-1, 1]
     np.testing.assert_allclose(acts, [-1.0, -0.5, 1.0, 1.0])
 
@@ -121,16 +132,16 @@ def test_parametric_control_reads_running_sup():
     paths = line_ensemble()
     c = parametric_control(0.0, 0.0, 1.0)
     # running sup of |x| equals |x| after one step from the origin
-    np.testing.assert_allclose(c.actions(paths, 1)[:, 0], [2.0, 0.5, 0.5, 2.0])
+    np.testing.assert_allclose(c.actions(paths, 1), [2.0, 0.5, 0.5, 2.0])
 
 
 def test_table_control_bins_states():
     paths = line_ensemble()
     c = table_control(edges=(-10.0, 0.0), values=[[-1.0, 1.0], [-1.0, 1.0]])
-    np.testing.assert_array_equal(c.actions(paths, 1)[:, 0], [-1.0, -1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(c.actions(paths, 1), [-1.0, -1.0, 1.0, 1.0])
     # below the first edge falls into the first bin
     low = table_control(edges=(0.0, 1.0), values=[[-1.0, 1.0]])
-    np.testing.assert_array_equal(low.actions(paths, 1)[:, 0], [-1.0, -1.0, -1.0, 1.0])
+    np.testing.assert_array_equal(low.actions(paths, 1), [-1.0, -1.0, -1.0, 1.0])
 
 
 def test_unknown_control_kind_raises():
@@ -141,8 +152,8 @@ def test_unknown_control_kind_raises():
 
 def test_parse_control_string_forms(lq):
     c = parse_control("constant:-0.5", lq.actions)
-    assert c.kind == "constant" and c.value == (-0.5,)
-    assert c.box_lo == (-1.0,) and c.box_hi == (1.0,)
+    assert c.kind == "constant" and c.value == -0.5
+    assert c.box_lo == -1.0 and c.box_hi == 1.0
     p = parse_control("parametric:0.1,-0.2,0", lq.actions)
     assert p.kind == "parametric" and p.coeffs == (0.1, -0.2, 0.0)
     with pytest.raises(ValueError, match="three coefficients"):
@@ -153,7 +164,7 @@ def test_parse_control_string_forms(lq):
 
 def test_parse_control_mapping_forms(lq):
     c = parse_control({"kind": "constant", "value": [0.5], "label": "half"}, lq.actions)
-    assert c.value == (0.5,) and c.label == "half"
+    assert c.value == 0.5 and c.label == "half"
     t = parse_control({"kind": "table", "edges": [0.0], "values": [[1.0]]}, lq.actions)
     assert t.kind == "table" and t.table_edges == (0.0,)
     with pytest.raises(ValueError, match="unknown control kind"):
@@ -187,6 +198,13 @@ def test_hamiltonian_reads_statistic_row(mean_field):
                     np.ones(2), np.zeros(2))
     # f = -0.5 x + 0.5 m + u = 1 at x = 0, u = 0, m = 2; h(0) = 0
     np.testing.assert_allclose(h, [1.0, 1.0], rtol=1e-15)
+
+
+def test_hamiltonian_refuses_action_columns(lq):
+    # an (m, 1) action would broadcast against the particles into (m, m)
+    x = np.zeros(3)
+    with pytest.raises(ValueError, match="action is a real number"):
+        hamiltonian(lq, 0.0, x, x, {"mean": 0.0}, np.ones(3), np.ones((3, 1)))
 
 
 def test_hamiltonian_rejects_game_scenarios(separated_game):
@@ -299,8 +317,8 @@ def test_hamiltonian_matches_sigma_inverse_of_the_simulated_drift(mean_field, se
     for k in range(paths.grid.steps):
         t, state, sup = paths.grid.times[k], paths.state(k), paths.sup(k)
         row = {name: flow.statistic_series(name)[k] for name in scen.statistic_map}
-        acts = [np.asarray(c.actions(paths, k)).reshape(paths.particles, -1) for c in controls]
-        h = scen.running_cost.evaluate(state[:, 0], row, *(a[:, 0] for a in acts))
+        acts = [c.actions(paths, k) for c in controls]
+        h = scen.running_cost.evaluate(state[:, 0], row, *acts)
         expected = h + np.sum(z * scen.sigma.inv_apply(t, state, sup, drift_at(k)), axis=1)
         np.testing.assert_allclose(hamiltonian(scen, t, state, sup, row, z, *acts), expected,
                                    rtol=1e-13, atol=1e-13)
@@ -309,7 +327,7 @@ def test_hamiltonian_matches_sigma_inverse_of_the_simulated_drift(mean_field, se
 
 def _lq_grid_minimum(grid, z):
     # independent enumeration of min_u (u^2/2 + z u) over the action grid
-    cands = [0.5 * u * u + z * u for u in grid.array()[:, 0]]
+    cands = [0.5 * u * u + z * u for u in grid.points]
     return min(cands)
 
 
@@ -319,15 +337,15 @@ def test_minimized_hamiltonian_matches_enumeration(lq):
         z = np.full(3, z0)
         values, acts = minimized_hamiltonian(lq, 0.0, x, np.abs(x),
                                              {"mean": 0.0}, z, lq.actions)
-        assert acts.shape == (3, 1)
+        assert acts.shape == (3,)
         expected = _lq_grid_minimum(lq.actions, z0)
         np.testing.assert_allclose(values, expected, rtol=1e-12)
         # the reported action attains the reported value
-        attained = 0.5 * acts[:, 0] ** 2 + z * acts[:, 0]
+        attained = 0.5 * acts ** 2 + z * acts
         np.testing.assert_allclose(attained, values, rtol=1e-12)
         # and sits within half a grid spacing of the continuous argmin
         cont = np.clip(-z0, -1.0, 1.0)
-        assert np.all(np.abs(acts[:, 0] - cont) <= 0.05 + 1e-9)
+        assert np.all(np.abs(acts - cont) <= 0.05 + 1e-9)
 
 
 def test_minimized_hamiltonian_breaks_ties_toward_first_point(zero_drift):
@@ -337,8 +355,8 @@ def test_minimized_hamiltonian_breaks_ties_toward_first_point(zero_drift):
                                          {"mean": 0.0}, np.ones(2),
                                          zero_drift.actions)
     np.testing.assert_array_equal(values, np.zeros(2))
-    first = zero_drift.actions.array()[0]
-    np.testing.assert_array_equal(acts, np.tile(first, (2, 1)))
+    first = zero_drift.actions.points[0]
+    np.testing.assert_array_equal(acts, np.full(2, first))
 
 
 @settings(max_examples=25, deadline=None)
@@ -398,38 +416,6 @@ def test_precomputed_fixpoint_shortcuts_the_picard_loop(zero_drift, paths1k):
 
 
 # ---------------------------------------------------------------------------
-# control distance
-
-
-def test_ekeland_distance_axioms(paths1k):
-    a = constant_control(0.5)
-    b = constant_control(-0.5)
-    assert ekeland_distance(a, a, paths1k) == 0.0
-    # different constants differ at every left endpoint: distance is T
-    assert ekeland_distance(a, b, paths1k) == 1.0
-    assert ekeland_distance(a, b, paths1k) == ekeland_distance(b, a, paths1k)
-
-
-def test_ekeland_distance_counts_disagreeing_steps(paths1k):
-    # pure time table: disagree on the last 8 of 16 steps
-    rows = [[0.5]] * 8 + [[-0.5]] * 8
-    t = table_control(edges=(), values=rows)
-    assert ekeland_distance(constant_control(0.5), t, paths1k) == 0.5
-
-
-@settings(max_examples=20, deadline=None)
-@given(coeffs=st.tuples(*(st.floats(-1, 1, allow_nan=False) for _ in range(6))))
-def test_ekeland_distance_triangle_inequality(paths1k, coeffs):
-    a = parametric_control(coeffs[0], coeffs[1], 0.0)
-    b = parametric_control(coeffs[2], coeffs[3], 0.0)
-    c = parametric_control(coeffs[4], coeffs[5], 0.0)
-    dab = ekeland_distance(a, b, paths1k)
-    dbc = ekeland_distance(b, c, paths1k)
-    dac = ekeland_distance(a, c, paths1k)
-    assert dac <= dab + dbc + 1e-12
-
-
-# ---------------------------------------------------------------------------
 # synthesis
 
 
@@ -454,11 +440,11 @@ def test_policy_iteration_feedback_sits_near_the_optimal_action(lq, paths4k):
     control = report.control
     assert control.kind == "bsde-feedback"
     acts = control.actions(paths4k, paths4k.grid.steps // 2)
-    assert acts.shape == (4000, 1)
+    assert acts.shape == (4000,)
     # continuous optimum is -1 (clipped); regression noise rounds to nearby
     # grid points, so the bulk must sit at or just above the boundary
-    assert np.mean(acts[:, 0]) < -0.7
-    assert np.all(acts[:, 0] >= -1.0) and np.all(acts[:, 0] <= 1.0)
+    assert np.mean(acts) < -0.7
+    assert np.all(acts >= -1.0) and np.all(acts <= 1.0)
 
 
 def test_policy_iteration_converges_immediately_without_drift(paths1k):
@@ -488,28 +474,7 @@ def test_optimization_report_serializes(lq, paths1k):
 
 
 # ---------------------------------------------------------------------------
-# search and verification
-
-
-def test_near_optimal_search_separates_good_from_bad(paths1k):
-    scenario = pointwise_scenario()
-    baseline = policy_iteration(scenario, paths1k)
-    good = constant_control(-1.0, scenario.actions)
-    bad = constant_control(1.0, scenario.actions)
-
-    hit = near_optimal_search(scenario, paths1k, [bad, good], eps_target=0.1,
-                              baseline=baseline)
-    assert hit.best_index == 1
-    assert hit.rows[0][0] == "const[1]" and hit.rows[1][0] == "const[-1]"
-    assert abs(hit.best_value + 0.5) <= 4.0 * hit.best_stderr + 0.01
-    assert hit.achieved
-
-    miss = near_optimal_search(scenario, paths1k, [bad], eps_target=0.1,
-                               baseline=baseline)
-    # J(+1) - Y*_0 = 3/2 - (-1/2) = 2, far beyond the target
-    assert abs(miss.eps_hat - 2.0) <= 4.0 * miss.eps_stderr + 0.05
-    assert not miss.achieved
-    assert miss.to_dict()["achieved"] is False
+# comparison and envelopes
 
 
 def test_verify_comparison_accepts_admissible_controls(lq, paths4k):

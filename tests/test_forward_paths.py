@@ -1,7 +1,7 @@
 """Whole-path forward pricing against the step-by-step recursion.
 
-Densities, measure fixed points, payoffs, Hellinger integrands and control
-distances are computed a block of particles at a time over all grid times.
+Densities, measure fixed points, payoffs and Hellinger integrands are
+computed a block of particles at a time over all grid times.
 The reference here is the plain recursion, one grid time per iteration, with
 every action recomputed from its formula (the feedbacks by an uncached
 minimization).  The block computation adds in the recursion's order, so every
@@ -25,7 +25,6 @@ from mfcontrol import (
     builtin_config,
     constant_control,
     density_process,
-    ekeland_distance,
     envelopes,
     evaluate_payoff,
     fixpoint_measure_flow,
@@ -93,7 +92,7 @@ def setting(request):
 def formula_actions(control: Control, paths, k):
     m = paths.particles
     if control.kind == "constant":
-        return np.tile(np.asarray(control.value, dtype=float), (m, 1))
+        return np.full(m, control.value)
     x0 = paths.values[:, k, 0]
     if control.kind == "parametric":
         a, b, c = control.coeffs
@@ -104,9 +103,9 @@ def formula_actions(control: Control, paths, k):
         idx = np.clip(np.searchsorted(control.table_edges, x0, side="right") - 1,
                       0, len(row) - 1)
         raw = row[idx]
-    if control.box_lo:
-        raw = np.clip(raw, control.box_lo[0], control.box_hi[0])
-    return raw[:, None]
+    if control.box_lo is not None:
+        raw = np.clip(raw, control.box_lo, control.box_hi)
+    return raw
 
 
 def uncached_feedback(control: BsdeFeedbackControl, paths, k):
@@ -130,7 +129,7 @@ def solution(basis, seed):
 
 def controls_for(scenario):
     """(label, control, reference) cases; reference(paths, k) returns the
-    (particles, d) action arrays of each player, each recomputed in full."""
+    (particles,) action arrays of each player, each recomputed in full."""
     stats = {"mean": np.linspace(0.0, 0.3, STEPS + 1)}
     if scenario.kind == "game":
         gu, gv = scenario.actions_u, scenario.actions_v
@@ -169,7 +168,7 @@ def reference_drift(scenario, flow, reference):
 
     def drift_at(k):
         row = {name: s[k] for name, s in series.items()}
-        acts = [a[:, 0] for a in reference(paths, k)]
+        acts = reference(paths, k)
         out = np.zeros((paths.particles, paths.dim))
         out[:, 0] = scenario.drift.evaluate(paths.values[:, k, 0], row, *acts)
         return out
@@ -217,7 +216,7 @@ def reference_payoff(scenario, flow, reference):
     h_mat = np.empty((paths.particles, n + 1))
     for k in range(n + 1):
         row = {name: series[name][k] for name in names}
-        acts = [a[:, 0] for a in reference(paths, k)]
+        acts = reference(paths, k)
         h_mat[:, k] = scenario.running_cost.evaluate(paths.values[:, k, 0], row, *acts)
     running = np.trapezoid(flow.weights * h_mat, dx=paths.grid.dt, axis=1)
     return running + flow.weights[:, n] * terminal_values(scenario, flow)
@@ -267,19 +266,6 @@ def test_hellinger_integrand_matches_step_recursion(setting, blocks):
     weighted = flow.weights[:, n] * np.trapezoid(integrand, dx=paths.grid.dt, axis=1) / 8.0
     assert gamma[0] == max(float(np.mean(weighted)), 0.0)
     assert gamma[2] == float(np.std(weighted) / np.sqrt(paths.particles))
-
-
-@pytest.mark.parametrize("name", [name for name in SCENARIOS if name != "separated-game"])
-def test_ekeland_distance_matches_step_count(name):
-    scenario = SCENARIOS[name]()
-    paths = simulate_for_scenario(scenario, particles=PARTICLES, steps=STEPS, seed=33)
-    cases = controls_for(scenario)
-    n = paths.grid.steps
-    for (la, a, ra), (lb, b, rb) in zip(cases, cases[1:] + cases[:1]):
-        count = sum(int(np.count_nonzero(np.linalg.norm(ra(paths, k)[0] - rb(paths, k)[0],
-                                                        axis=1) > 0))
-                    for k in range(n))
-        assert ekeland_distance(a, b, paths) == paths.grid.dt * count / paths.particles, (la, lb)
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,8 @@ def test_envelopes_coincide_for_separated_game(separated_game):
     env = envelopes(separated_game, 0.0, x, np.abs(x), {"mean": 0.0}, z)
     # separable H: the same saddle cell is picked from both sides
     np.testing.assert_array_equal(env.gap, np.zeros(3))
-    np.testing.assert_array_equal(env.upper_u[:, 0], [-1.0, -1.0, -1.0])
-    np.testing.assert_array_equal(env.lower_v[:, 0], [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(env.upper_u, [-1.0, -1.0, -1.0])
+    np.testing.assert_array_equal(env.lower_v, [1.0, 1.0, 1.0])
     np.testing.assert_allclose(env.lower, np.zeros(3), atol=1e-15)
 
 
@@ -128,8 +128,8 @@ def test_envelopes_single_point_grids_are_trivial():
     env = envelopes(game, 0.0, x, x, {"mean": 0.0}, np.zeros(2))
     np.testing.assert_array_equal(env.gap, np.zeros(2))
     np.testing.assert_allclose(env.lower, np.full(2, 0.5 * -0.25), rtol=1e-15)
-    np.testing.assert_array_equal(env.upper_u[:, 0], [0.5, 0.5])
-    np.testing.assert_array_equal(env.lower_v[:, 0], [-0.25, -0.25])
+    np.testing.assert_array_equal(env.upper_u, [0.5, 0.5])
+    np.testing.assert_array_equal(env.lower_v, [-0.25, -0.25])
 
 
 def test_envelope_gap_ignores_action_free_cost_terms(bilinear_game):
@@ -182,8 +182,8 @@ def test_envelope_extremes_match_brute_force_with_ties(shape, levels):
     # few distinct levels force ties on both axes; the float offset keeps
     # the values non-integer so no exact-arithmetic shortcut applies
     hams = rng.integers(0, levels, size=shape) * 0.37 - 0.11
-    u_arr = np.linspace(-1.0, 1.0, shape[0])[:, None]
-    v_arr = np.linspace(-2.0, 2.0, shape[1])[:, None]
+    u_arr = np.linspace(-1.0, 1.0, shape[0])
+    v_arr = np.linspace(-2.0, 2.0, shape[1])
     env = envelope_extremes(hams, u_arr, v_arr)
     ref = brute_force_envelopes(hams)
     np.testing.assert_array_equal(env.lower, ref["lower"])
@@ -200,7 +200,7 @@ def test_envelope_extremes_match_brute_force_with_ties(shape, levels):
 def test_envelope_extremes_equal_separate_min_and_argmin_passes():
     rng = np.random.default_rng(3)
     hams = rng.integers(0, 4, size=(11, 11, 500)) * 0.1 + rng.normal(size=(1, 1, 500))
-    arr = np.linspace(-1.0, 1.0, 11)[:, None]
+    arr = np.linspace(-1.0, 1.0, 11)
     env = envelope_extremes(hams, arr, arr)
     cols = np.arange(500)
     min_u = np.min(hams, axis=0)
@@ -213,7 +213,7 @@ def full_envelopes(scenario, t, state, sup, stats_row, z):
     """envelope_extremes of the full (nu, nv, particles) Hamiltonian array."""
     u_arr, v_arr = scenario.actions_u.array(), scenario.actions_v.array()
     hams = _hamiltonian_values(scenario, t, state, sup, stats_row, z,
-                               [u_arr[:, 0][:, None, None], v_arr[:, 0][None, :, None]])
+                               [u_arr[:, None, None], v_arr[None, :, None]])
     return envelope_extremes(hams, u_arr, v_arr)
 
 
@@ -352,10 +352,10 @@ def test_solve_game_saddle_actions_at_start(separated_game, paths4k):
     report = solve_game(separated_game, paths4k)
     u, v = report.pair.actions_pair(paths4k, 0)
     # all particles share the initial state, hence one action per side
-    assert np.all(u[:, 0] == u[0, 0])
-    assert np.all(v[:, 0] == v[0, 0])
-    assert u[0, 0] == -1.0
-    assert v[0, 0] == 1.0
+    assert np.all(u == u[0])
+    assert np.all(v == v[0])
+    assert u[0] == -1.0
+    assert v[0] == 1.0
     assert report.pair.u_control.label.endswith("|u")
 
 
@@ -382,7 +382,7 @@ def test_v_singleton_game_reduces_to_control_problem(paths4k):
     # v is pinned at 0, leaving min_u (u^2/2 + zu): the single-player value
     assert abs(report.value + 0.5) <= 3.0 * report.value_stderr + 0.05
     _, v = report.pair.actions_pair(paths4k, 0)
-    np.testing.assert_array_equal(v[:, 0], np.zeros(paths4k.particles))
+    np.testing.assert_array_equal(v, np.zeros(paths4k.particles))
 
 
 def test_mirrored_games_have_opposite_values(paths4k):
@@ -407,8 +407,8 @@ def test_mirrored_games_have_opposite_values(paths4k):
 
     ua, va = ra.pair.actions_pair(paths4k, 0)
     ub, vb = rb.pair.actions_pair(paths4k, 0)
-    assert (ua[0, 0], va[0, 0]) == (-1.0, 0.5)
-    assert (ub[0, 0], vb[0, 0]) == (0.5, -1.0)
+    assert (ua[0], va[0]) == (-1.0, 0.5)
+    assert (ub[0], vb[0]) == (0.5, -1.0)
 
 
 def test_saddle_report_serializes(separated_game, paths1k):

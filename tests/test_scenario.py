@@ -135,40 +135,58 @@ def test_matrix_requires_constant_kind():
 def test_box_grid_layout():
     grid = ActionGrid.box(-1.0, 1.0, 21)
     assert grid.size == 21
-    assert grid.dim == 1
-    assert grid.points[0] == (-1.0,)
-    assert grid.points[-1] == (1.0,)
+    assert grid.points[0] == -1.0
+    assert grid.points[-1] == 1.0
+    assert all(type(p) is float for p in grid.points)
     assert grid.resolution == pytest.approx(0.1)
-    lo, hi = grid.bounds()
-    np.testing.assert_array_equal(lo, [-1.0])
-    np.testing.assert_array_equal(hi, [1.0])
 
 
 def test_singleton_box_is_midpoint():
     grid = ActionGrid.box(-1.0, 3.0, 1)
-    assert grid.points == ((1.0,),)
+    assert grid.points == (1.0,)
     assert grid.resolution == 0.0
 
 
 def test_explicit_grid_sorts_points():
-    grid = ActionGrid.explicit([[1.0, 0.0], [-1.0, 2.0], [1.0, -1.0]])
-    assert grid.points == ((-1.0, 2.0), (1.0, -1.0), (1.0, 0.0))
-    assert grid.dim == 2
-    # per-coordinate largest gap: u-coords {-1, 1} gap 2, v-coords {-1, 0, 2} gap 2
-    assert grid.resolution == pytest.approx(2.0)
+    grid = ActionGrid.explicit([1.0, -1.0, 0.5, 2.0])
+    assert grid.points == (-1.0, 0.5, 1.0, 2.0)
+    # largest gap between consecutive values: 0.5 -> 1.0 and 1.0 -> 2.0
+    assert grid.resolution == pytest.approx(1.5)
 
 
 def test_action_grid_rejects_malformed_sets():
     with pytest.raises(ConfigError):
         ActionGrid.explicit([])
     with pytest.raises(ConfigError):
-        ActionGrid(points=((1.0,), (0.0,)))  # unsorted
+        ActionGrid(points=(1.0, 0.0))  # unsorted
     with pytest.raises(ConfigError):
-        ActionGrid(points=((0.0,), (0.0, 1.0)))  # mixed dims
+        ActionGrid(points=(0.0, float("nan")))  # NaN has no place in the order
+    with pytest.raises(ConfigError):
+        ActionGrid(points=((0.0,), (1.0,)))  # an action is a number, not a tuple
     with pytest.raises(ConfigError):
         ActionGrid.box(1.0, 0.0, 5)
     with pytest.raises(ConfigError):
         ActionGrid.box(0.0, 1.0, 0)
+
+
+def test_explicit_points_read_numbers_and_one_number_lists_alike(lq):
+    doc = serialize_scenario(lq)
+    doc["actions"] = {"points": [0.5, -1.0, 0.0]}
+    numbers = parse_scenario(doc)
+    doc["actions"] = {"points": [[0.5], -1.0, [0.0]]}
+    assert parse_scenario(doc) == numbers
+    assert numbers.actions.points == (-1.0, 0.0, 0.5)
+
+
+def test_serialize_writes_explicit_points_as_numbers(lq, bilinear_game):
+    doc = serialize_scenario(bilinear_game)
+    assert doc["actions_u"] == {"points": [-1.0, 1.0]}
+    assert parse_scenario(doc) == bilinear_game
+    explicit = serialize_scenario(lq)
+    explicit["actions"] = {"points": [[0.25], [-0.5]]}
+    written = serialize_scenario(parse_scenario(explicit))
+    assert written["actions"] == {"points": [-0.5, 0.25]}
+    assert parse_scenario(written) == parse_scenario(explicit)
 
 
 # ---------------------------------------------------------------------------
