@@ -18,7 +18,9 @@ between successive weight columns at the horizon.  Because consecutive
 iterates share paths, the distance estimate is pathwise coupled and decays to
 zero with no Monte Carlo floor; an iterate whose drift statistics repeat bit
 for bit is a fixed point already, and its zero distance is recorded without
-another application.
+another application.  The flow enters f only through its statistic terms, so
+a fixed point reads the control's actions once, into drift_base, and holds
+one weight matrix at a time.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PathEnsemble
-from .measure import MeasureFlow, drift_block, drift_rows, reference_flow, tv_pathspace
+from .core import PathEnsemble, particle_blocks
+from .measure import MeasureFlow, drift_block, drift_rows, reference_flow, tv_columns
 from .scenario import GameScenario, Scenario, SingularDiffusionError
 
 
@@ -57,34 +59,49 @@ def control_actions(control, paths: PathEnsemble, rows: slice,
     return (control.actions_over(paths, rows, steps),)
 
 
+def drift_base(scenario: Scenario | GameScenario, control, paths: PathEnsemble) -> np.ndarray:
+    """Read-only (particles, steps + 1) DriftSpec.base of the control along
+    the ensemble, filled a block of particles at a time."""
+    steps = slice(0, paths.grid.steps + 1)
+    base = np.empty(paths.values.shape[:2])
+    for rows in particle_blocks(*base.shape):
+        base[rows] = scenario.drift.base(paths.values[rows, :, 0],
+                                         *control_actions(control, paths, rows, steps))
+    base.flags.writeable = False
+    return base
+
+
 class DriftEvaluator:
     """Drift values of a control (or pair) along the flow's ensemble.
 
     control is a single control for a Scenario and a pair for a GameScenario
     (see control_actions).  evaluator(t_index) gives the (particles, dim)
     drift at one grid time and evaluator.over(rows, steps) the
-    (rows, steps, dim) drift on a block of particles and grid times, from one
-    registry call with each statistic series broadcast along time.  Only the
-    statistic series, read off the flow once, are held; nothing the size of
-    the ensemble is kept between calls.
+    (rows, steps, dim) drift on a block of particles and grid times:
+    DriftSpec.with_stats of the block's base, each statistic series (read off
+    the flow once) broadcast along time.  The base is a slice of the given
+    drift_base, or else formed from the block's actions.
     """
 
-    def __init__(self, scenario: Scenario | GameScenario, flow: MeasureFlow, control):
+    def __init__(self, scenario: Scenario | GameScenario, flow: MeasureFlow, control,
+                 base: np.ndarray | None = None):
         self.scenario = scenario
         self.paths = flow.paths
         self.control = control
+        self.base = base
         self.series = {name: flow.statistic_series(name)
                        for name in scenario.drift.stat_names()}
 
     def over(self, rows: slice, steps: slice) -> np.ndarray:
         paths = self.paths
-        x0 = paths.values[rows, steps, 0]
-        row = {name: series[steps] for name, series in self.series.items()}
-        f0 = self.scenario.drift.evaluate(x0, row,
-                                          *control_actions(self.control, paths, rows, steps))
+        drift = self.scenario.drift
+        base = (drift.base(paths.values[rows, steps, 0],
+                           *control_actions(self.control, paths, rows, steps))
+                if self.base is None else self.base[rows, steps])
+        f0 = drift.with_stats(base, {name: s[steps] for name, s in self.series.items()})
         if paths.dim == 1:
-            return f0.reshape(*x0.shape, 1)
-        out = np.zeros((*x0.shape, paths.dim))
+            return f0.reshape(*f0.shape, 1)
+        out = np.zeros((*f0.shape, paths.dim))
         out[..., 0] = f0
         return out
 
@@ -221,22 +238,24 @@ def fixpoint_measure_flow(scenario: Scenario | GameScenario, control,
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
     stats = scenario.statistic_map
+    base = drift_base(scenario, control, paths)
     flow = reference_flow(paths, stats)
-    drift_at = DriftEvaluator(scenario, flow, control)
+    drift_at = DriftEvaluator(scenario, flow, control, base)
     distances: list[float] = []
     stderrs: list[float] = []
     while True:
-        new_flow = MeasureFlow(paths, density_process(paths, drift_at, scenario.sigma), stats)
-        est = tv_pathspace(flow, new_flow, paths.grid.steps)
+        horizon = flow.weights[:, -1].copy()   # all the distance reads of it
+        del flow   # before density_process allocates the next weights
+        flow = MeasureFlow(paths, density_process(paths, drift_at, scenario.sigma), stats)
+        est = tv_columns(horizon, flow.weights[:, -1])
         distances.append(est.value)
         stderrs.append(est.stderr)
-        flow = new_flow
         if est.value < tol:
             break
         if len(distances) == max_iter:
             raise FixpointConvergenceError(
                 FixpointDiagnostics(tuple(distances), tuple(stderrs), tol, False))
-        next_at = DriftEvaluator(scenario, flow, control)
+        next_at = DriftEvaluator(scenario, flow, control, base)
         if _same_series(next_at.series, drift_at.series):
             # the next application would rebuild these weights bit for bit
             distances.append(0.0)

@@ -72,14 +72,21 @@ class MeasureFlow:
         return self.paths.grid
 
     def statistic_series(self, name: str) -> np.ndarray:
-        """(steps + 1,) trajectory of a registered statistic under the flow."""
+        """(steps + 1,) trajectory of a registered statistic under the flow:
+        w * psi by blocks of particles, summed in row order with the running
+        sum carried into each block's first row, as np.mean's axis-0 sum."""
         if name not in self.statistics:
             raise KeyError(f"statistic {name!r} is not registered with this flow")
         if name not in self._stat_cache:
             spec = self.statistics[name]
-            vals = spec.evaluate(self.paths.values.reshape(-1, self.paths.dim))
-            vals = vals.reshape(self.paths.particles, -1)
-            self._stat_cache[name] = np.mean(self.weights * vals, axis=0)
+            m, cols = self.weights.shape
+            total = None
+            for rows in particle_blocks(m, cols):
+                prod = self.weights[rows] * spec.evaluate(self.paths.values[rows])
+                if total is not None:
+                    prod[0] += total
+                total = prod.sum(axis=0)
+            self._stat_cache[name] = total / m
         return self._stat_cache[name]
 
     def normalization(self, column: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -102,8 +109,8 @@ def mean_stderr(samples: np.ndarray) -> tuple[float, float]:
 
 
 def reference_flow(paths: PathEnsemble, statistics=()) -> MeasureFlow:
-    """The reference law itself: weights identically one."""
-    w = np.ones((paths.particles, paths.grid.steps + 1))
+    """The reference law itself: read-only weights, one broadcast 1.0."""
+    w = np.broadcast_to(1.0, (paths.particles, paths.grid.steps + 1))
     return MeasureFlow(paths, w, statistics)
 
 
@@ -129,7 +136,12 @@ def _check_common_ensemble(a: MeasureFlow, b: MeasureFlow):
 def tv_pathspace(a: MeasureFlow, b: MeasureFlow, t_index: int) -> TVEstimate:
     """Exact-on-the-ensemble total variation up to t_k (factor-2 convention)."""
     _check_common_ensemble(a, b)
-    value, stderr = mean_stderr(np.abs(a.weights[:, t_index] - b.weights[:, t_index]))
+    return tv_columns(a.weights[:, t_index], b.weights[:, t_index])
+
+
+def tv_columns(wa: np.ndarray, wb: np.ndarray) -> TVEstimate:
+    """tv_pathspace from two weight columns on a common ensemble."""
+    value, stderr = mean_stderr(np.abs(wa - wb))
     return TVEstimate(value=min(value, 2.0), stderr=stderr, kind="pathspace")
 
 

@@ -241,7 +241,8 @@ class DriftSpec:
     of that statistic.  A control problem has no maximizer v, so control_v is
     read only when a v is passed.  bound_scale, when set, clips the affine
     form through scale * tanh(raw / scale), preserving Lipschitz constants
-    while making f bounded.
+    while making f bounded.  evaluate is with_stats(base(...)), and only
+    with_stats reads the flow.
     """
 
     state: float = 0.0
@@ -270,10 +271,18 @@ class DriftSpec:
 
     def evaluate(self, x0, stats_row, u, v=None):
         """Scalar drift (coordinate 0), broadcasting over any leading shape."""
+        return self.with_stats(self.base(x0, u, v), stats_row)
+
+    def base(self, x0, u, v=None):
+        """The terms that read no statistic: A x + C u + Cv v + c0."""
         out = self.state * x0 + self.control * u
         if v is not None:
             out = out + self.control_v * v
-        out = out + self.const
+        return out + self.const
+
+    def with_stats(self, base, stats_row):
+        """base plus the statistic terms in order, then the bound_scale clip."""
+        out = base
         for name, coeff in self.stats:
             if coeff != 0.0:
                 out = out + coeff * stats_row[name]

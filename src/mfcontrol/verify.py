@@ -348,7 +348,7 @@ def _comparison_row(ctx: AcceptanceContext, sname: str) -> dict:
         b = float(rng.uniform(-0.5, 0.5))
         c = float(rng.uniform(-0.3, 0.3))
         sampled.append(parametric_control(a, b, c, scen.actions))
-    sampled_flows = [evaluate_payoff(scen, control, paths, tol=ctx.tol).flow
+    sampled_flows = [fixpoint_measure_flow(scen, control, paths, tol=ctx.tol).flow
                      for control in sampled]
     sols = solve_linear_family(scen, sampled, sampled_flows, ctx.basis)
 

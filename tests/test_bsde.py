@@ -53,7 +53,7 @@ from mfcontrol import (
     table_control,
     terminal_values,
 )
-from mfcontrol.bsde import build_features, features_at
+from mfcontrol.bsde import features_at
 from reference import linear_driver
 
 

@@ -21,19 +21,26 @@ import pytest
 
 import mfcontrol.girsanov as girsanov_mod
 from mfcontrol import (
+    Control,
     DiffusionSpec,
     DriftEvaluator,
     FixpointConvergenceError,
     MeasureFlow,
+    builtin_config,
     constant_control,
     contraction_report,
     density_process,
+    evaluate_payoff,
     fixpoint_measure_flow,
     get_builtin,
     mean_stderr,
+    parametric_control,
+    parse_scenario,
     simulate_for_scenario,
     weighted_statistic,
 )
+from mfcontrol.core import particle_blocks
+from mfcontrol.girsanov import drift_base
 from reference import picard_every_application
 
 SIGMA = DiffusionSpec()
@@ -187,6 +194,24 @@ def test_fixed_point_holds_one_weight_matrix(mean_field):
     assert held < 1.5 * matrix, held / matrix
 
 
+def test_mean_field_payoff_peaks_near_two_weight_matrices(mean_field):
+    # the fixed point holds the statistic-free drift and the newest weights,
+    # never two flows at once, and the statistic series form no product the
+    # size of the weights
+    paths = simulate_for_scenario(mean_field, particles=10_000, steps=50, seed=11)
+    control = parametric_control(0.2, -0.3, 0.1, mean_field.actions)
+    evaluate_payoff(mean_field, control, paths)
+    tracemalloc.start()
+    try:
+        payoff = evaluate_payoff(mean_field, control, paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix = paths.particles * (paths.grid.steps + 1) * 8
+    assert payoff.diagnostics.iterations >= 2
+    assert peak <= 2.3 * matrix, peak / matrix
+
+
 def test_unattainable_tolerance_raises_with_diagnostics(mean_field, paths1k):
     control = constant_control([1.0], mean_field.actions)
     with pytest.raises(FixpointConvergenceError) as err:
@@ -274,6 +299,104 @@ def test_one_allowed_application_still_fails_with_its_distance(lq, paths1k, monk
     assert len(diag.distances) == len(diag.stderrs) == 1
     assert diag.distances[0] >= diag.tol
     assert not diag.converged
+
+
+# ---------------------------------------------------------------------------
+# the drift split: the statistic-free part once per fixed point
+
+
+def drift_scenario(name):
+    """Drifts that exercise every term of DriftSpec: statistic coefficients
+    zero and nonzero, two statistics, bound_scale, a game's control_v, and a
+    d = 2 sigma matrix (whose drift registry must be zero)."""
+    if name == "d2-matrix":
+        return parse_scenario({
+            "kind": "control", "dimension": 2, "initial": [0.0, 0.0], "horizon": 1.0,
+            "diffusion": {"kind": "constant", "matrix": [[1.0, 0.3], [0.0, 0.8]]},
+            "statistics": {"mean": {"kind": "identity"}}, "drift": {},
+            "running_cost": {"quad": 1.0}, "terminal_cost": {"kind": "linear", "coeff": 1.0},
+            "actions": {"lo": -1.0, "hi": 1.0, "count": 5}})
+    if name == "game":
+        cfg = builtin_config("separated-game")
+        cfg["drift"] = {"state": -0.3, "stats": {"mean": 0.4}, "control_u": 1.0,
+                        "control_v": 0.7, "const": -0.1}
+        return parse_scenario(cfg)
+    cfg = builtin_config("mean-field-mean-reversion")
+    cfg["statistics"]["second"] = {"kind": "square"}
+    cfg["drift"] = {"state": -0.5, "stats": {"mean": 0.5}, "control": 1.0, "const": 0.2}
+    if name == "zero-coefficient":
+        cfg["drift"]["stats"] = {"mean": 0.0}
+    elif name == "two-statistics":
+        cfg["drift"]["stats"] = {"mean": 0.5, "second": -0.3}
+    elif name == "bound-scale":
+        cfg["drift"]["bound_scale"] = 0.7
+    return parse_scenario(cfg)
+
+
+DRIFT_CASES = ["zero-coefficient", "nonzero-coefficient", "two-statistics", "bound-scale",
+               "game", "d2-matrix"]
+
+
+def drift_control(scenario):
+    if scenario.kind == "game":
+        gu, gv = scenario.grids
+        return (parametric_control(0.2, -0.3, 0.1, gu), constant_control(-0.5, gv))
+    return parametric_control(0.2, -0.3, 0.1, scenario.actions)
+
+
+@pytest.mark.parametrize("name", DRIFT_CASES)
+def test_drift_is_its_base_plus_the_statistic_terms(name):
+    drift = drift_scenario(name).drift
+    rng = np.random.default_rng(8)
+    x0, u, v = rng.normal(size=(3, 40, 7))
+    v = v if name == "game" else None
+    row = {stat: rng.normal(size=7) for stat in drift.stat_names()}
+    # the formula before the split, in its order of operations
+    want = drift.state * x0 + drift.control * u
+    if v is not None:
+        want = want + drift.control_v * v
+    want = want + drift.const
+    for stat, coeff in drift.stats:
+        if coeff != 0.0:
+            want = want + coeff * row[stat]
+    if drift.bound_scale is not None:
+        want = drift.bound_scale * np.tanh(want / drift.bound_scale)
+    split = drift.with_stats(drift.base(x0, u, v), row)
+    assert drift.evaluate(x0, row, u, v).tobytes() == split.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", DRIFT_CASES)
+def test_evaluator_on_a_held_base_equals_one_without(name):
+    scenario = drift_scenario(name)
+    paths = simulate_for_scenario(scenario, particles=300, steps=12, seed=3)
+    control = drift_control(scenario)
+    flow = fixpoint_measure_flow(scenario, control, paths).flow
+    held = DriftEvaluator(scenario, flow, control, drift_base(scenario, control, paths))
+    fresh = DriftEvaluator(scenario, flow, control)
+    for rows in (slice(0, 300), slice(7, 31)):
+        for steps in (slice(0, 13), slice(4, 5)):
+            assert held.over(rows, steps).tobytes() == fresh.over(rows, steps).tobytes()
+    assert held(12).tobytes() == fresh(12).tobytes()
+    assert (density_process(paths, held, scenario.sigma).tobytes()
+            == density_process(paths, fresh, scenario.sigma).tobytes())
+
+
+def test_fixed_point_reads_actions_once_per_block(mean_field, monkeypatch):
+    paths = simulate_for_scenario(mean_field, particles=2000, steps=20, seed=4)
+    control = parametric_control(0.2, -0.3, 0.1, mean_field.actions)
+    reads = []
+    original = Control.actions_over
+
+    def counted(self, paths, rows, steps):
+        reads.append((rows, steps))
+        return original(self, paths, rows, steps)
+
+    monkeypatch.setattr(Control, "actions_over", counted)
+    result = fixpoint_measure_flow(mean_field, control, paths)
+    blocks = particle_blocks(paths.particles, paths.grid.steps + 1)
+    assert result.diagnostics.applications >= 3
+    assert len(blocks) >= 2
+    assert reads == [(rows, slice(0, paths.grid.steps + 1)) for rows in blocks]
 
 
 # ---------------------------------------------------------------------------

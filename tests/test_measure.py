@@ -27,17 +27,19 @@ from mfcontrol import (
     EnsembleMismatchError,
     MeasureFlow,
     StatisticSpec,
-    DriftEvaluator,
     density_process,
+    get_builtin,
     hellinger_bound,
     make_time_grid,
     mean_stderr,
     reference_flow,
+    simulate_for_scenario,
     simulate_reference,
     tv_marginal,
     tv_pathspace,
     weighted_statistic,
 )
+from mfcontrol.core import particle_blocks
 
 STATS = {"mean": StatisticSpec("identity")}
 
@@ -100,6 +102,35 @@ def test_unregistered_statistic_raises(paths4k):
         weighted_statistic(flow, 0, "skew")
     with pytest.raises(KeyError):
         flow.statistic_series("skew")
+
+
+KINDS = {"identity": StatisticSpec("identity"), "square": StatisticSpec("square"),
+         "tanh": StatisticSpec("tanh", scale=0.7),
+         "indicator_bin": StatisticSpec("indicator_bin", lo=-0.5, hi=0.5)}
+
+
+@pytest.mark.parametrize("particles", [1, 7, 643, 10_000])
+def test_blocked_statistic_series_keeps_the_mean_bits(particles):
+    # 50 steps take 642 particles a block, so 643 and 10^4 end on a ragged block
+    paths = simulate_for_scenario(get_builtin("linear-quadratic"), particles=particles,
+                                  steps=50, seed=13)
+    blocks = particle_blocks(particles, 51)
+    assert particles < 643 or blocks[-1].stop - blocks[-1].start < blocks[0].stop
+    states = paths.values.reshape(-1, 1)
+    drifted = np.random.default_rng(3).lognormal(sigma=2.0, size=(particles, 51))
+    for flow in (MeasureFlow(paths, drifted, KINDS), reference_flow(paths, KINDS)):
+        for name, spec in KINDS.items():
+            psi = spec.evaluate(states).reshape(particles, -1)
+            want = np.mean(flow.weights * psi, axis=0)
+            assert flow.statistic_series(name).tobytes() == want.tobytes(), name
+
+
+def test_reference_flow_is_one_read_only_number(paths4k):
+    flow = reference_flow(paths4k, STATS)
+    assert flow.weights.shape == (paths4k.particles, paths4k.grid.steps + 1)
+    assert flow.weights.strides == (0, 0)
+    assert not flow.weights.flags.writeable
+    assert np.all(flow.weights == 1.0)
 
 
 def test_measure_flow_rejects_bad_weights(paths4k):
