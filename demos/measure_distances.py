@@ -35,7 +35,7 @@ sigma = DiffusionSpec()
 
 
 def drifted_flow(u: float) -> MeasureFlow:
-    return MeasureFlow(paths, density_process(paths, lambda k: np.full((M, 1), u), sigma))
+    return MeasureFlow(paths, density_process(paths, lambda k: np.full(M, u), sigma))
 
 
 print(f"ensemble: {M} particles, {N} steps, seed {SEED}")
@@ -48,8 +48,8 @@ for u, v in ((0.0, 0.25), (0.0, 0.5), (-0.5, 0.5), (0.0, 2.0)):
     marg = tv_marginal(a, b, N)
     exact = 2.0 * math.erf(abs(u - v) * math.sqrt(T) / (2.0 * math.sqrt(2.0)))
     z = (path.value - exact) / path.stderr
-    fa = lambda k: np.full((M, 1), u)
-    fb = lambda k: np.full((M, 1), v)
+    fa = lambda k: np.full(M, u)
+    fb = lambda k: np.full(M, v)
     gam, bound, _ = hellinger_bound(a, fa, fb, sigma, paths.grid)
     print(f"{u:>5.2f} {v:>5.2f}  {path.value:>9.4f}  {exact:>7.4f}  {z:>6.2f}"
           f"  {marg.value:>11.4f}  {bound:>13.4f}")
@@ -57,8 +57,8 @@ for u, v in ((0.0, 0.25), (0.0, 0.5), (-0.5, 0.5), (0.0, 2.0)):
 print("\ngamma check at (u, v) = (0, 0.5): exact T (u-v)^2 / 8 ="
       f" {T * 0.25 / 8:.5f}")
 a = drifted_flow(0.0)
-gam, bound, se = hellinger_bound(a, lambda k: np.zeros((M, 1)),
-                                 lambda k: np.full((M, 1), 0.5), sigma, paths.grid)
+gam, bound, se = hellinger_bound(a, lambda k: np.zeros(M),
+                                 lambda k: np.full(M, 0.5), sigma, paths.grid)
 print(f"estimated gamma = {gam:.5f} +/- {se:.5f}, TV bound {bound:.4f}")
 print("\nordering holds on every row: marginal <= path-space <= Hellinger bound"
       " (the last is loose for far-apart laws, where TV saturates at 2)")

@@ -22,10 +22,11 @@ print(f"ensemble: {M} particles, {N} steps, horizon {T:g}, seed {SEED}")
 print(f"dt = {paths.grid.dt:g}, state shape {paths.values.shape}")
 
 moments = ensemble_moments(paths)
-mean = float(np.mean(paths.values[:, -1, 0]))
-se1 = np.std(paths.values[:, -1, 0]) / np.sqrt(M)
-se2 = np.std(paths.values[:, -1, 0] ** 2) / np.sqrt(M)
-se4 = np.std(paths.values[:, -1, 0] ** 4) / np.sqrt(M)
+x_t = paths.values[:, -1]   # the state is a real number: one column per grid time
+mean = float(np.mean(x_t))
+se1 = np.std(x_t) / np.sqrt(M)
+se2 = np.std(x_t ** 2) / np.sqrt(M)
+se4 = np.std(x_t ** 4) / np.sqrt(M)
 print("\nterminal moments vs N(0, T):")
 print(f"  E[X_T]   = {mean:+.4f}   (exact 0, stderr {se1:.4f})")
 print(f"  E[X_T^2] = {moments[2]:.4f}   (exact {T:g}, stderr {se2:.4f})")

@@ -77,7 +77,6 @@ from .bsde import (
 )
 from .control import (
     BsdeFeedbackControl,
-    ComparisonReport,
     Control,
     OptimizationReport,
     PayoffResult,
@@ -90,7 +89,6 @@ from .control import (
     parse_control,
     policy_iteration,
     table_control,
-    verify_comparison,
 )
 from .game import (
     EnvelopeValues,
@@ -133,11 +131,10 @@ __all__ = [
     "regress_conditional", "solve_driver_bsde", "solve_linear_bsde",
     "solve_linear_family", "terminal_values",
     # control
-    "BsdeFeedbackControl", "ComparisonReport", "Control",
-    "OptimizationReport", "PayoffResult", "constant_control",
-    "envelope_bsde", "evaluate_payoff", "hamiltonian",
+    "BsdeFeedbackControl", "Control", "OptimizationReport", "PayoffResult",
+    "constant_control", "envelope_bsde", "evaluate_payoff", "hamiltonian",
     "minimized_hamiltonian", "parametric_control",
-    "parse_control", "policy_iteration", "table_control", "verify_comparison",
+    "parse_control", "policy_iteration", "table_control",
     # games
     "EnvelopeValues", "IsaacsError", "IsaacsReport", "PairFeedbackControl",
     "SaddleCheckReport", "SaddleReport", "envelopes", "isaacs_gap",

@@ -61,8 +61,8 @@ class RankDeficientError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Regression basis: all monomials in (state coords, running sup) of total
-    degree <= degree, optionally a tanh(x0 / tanh_scale) feature, ridge >= 0.
+    """Regression basis: all monomials in (state, running sup) of total
+    degree <= degree, optionally a tanh(x / tanh_scale) feature, ridge >= 0.
 
     The constant feature is always present.  The tanh scale is a fixed basis
     parameter rather than a data-driven standardization so that a synthesized
@@ -81,21 +81,15 @@ class BasisSpec:
         if self.tanh_scale is not None and self.tanh_scale <= 0:
             raise ValueError("tanh_scale must be positive")
 
-    def width(self, dim: int) -> int:
-        from math import comb
-        q = comb(dim + 1 + self.degree, self.degree)
+    def width(self) -> int:
+        q = (self.degree + 1) * (self.degree + 2) // 2
         return q + (1 if self.tanh_scale is not None else 0)
 
 
-def build_features(coords: np.ndarray, sup: np.ndarray, spec: BasisSpec) -> np.ndarray:
-    """Design matrix, shape (particles, width).
-
-    coords has shape (particles, dim); sup is the running supremum column.
-    """
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    if coords.shape[0] == 1 and np.ndim(sup) == 1 and len(sup) > 1:
-        coords = coords.T
-    variables = [coords[:, j] for j in range(coords.shape[1])] + [np.asarray(sup, dtype=float)]
+def build_features(x: np.ndarray, sup: np.ndarray, spec: BasisSpec) -> np.ndarray:
+    """Design matrix, shape (particles, width), of the states x and their
+    running suprema sup, each (particles,)."""
+    variables = [np.asarray(x, dtype=float), np.asarray(sup, dtype=float)]
     m = variables[0].shape[0]
     cols = [np.ones(m)]
     for deg in range(1, spec.degree + 1):
@@ -192,18 +186,18 @@ class BsdeSolution:
 
     def z_at(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
         """The regressed z at the ensemble's time-t_index states, shape
-        (particles, dim); the horizon reads the last step's coefficients."""
+        (particles,); the horizon reads the last step's coefficients."""
         k = min(t_index, self.z_coefficients.shape[0] - 1)
         return features_at(paths, t_index, self.basis) @ self.z_coefficients[k]
 
     def z_stderr(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
         """Prediction standard error of the regressed z at the ensemble's
-        time-t_index states, shape (particles, dim): s_d sqrt(phi' G phi)
-        with G = (X'X + ridge I)^{-1} = S S', so phi' G phi = |S' phi|^2."""
+        time-t_index states, shape (particles,): s sqrt(phi' G phi) with
+        G = (X'X + ridge I)^{-1} = S S', so phi' G phi = |S' phi|^2."""
         k = min(t_index, self.z_coefficients.shape[0] - 1)
         feats = features_at(paths, t_index, self.basis)
         lev = np.sqrt(np.sum((feats @ self.z_gram_factors[k]) ** 2, axis=1))
-        return lev[:, None] * self.z_resid_rms[k][None, :]
+        return lev * self.z_resid_rms[k]
 
 
 # ensemble -> {(basis, step): the factor S of that step's design}.  Weakly
@@ -215,21 +209,20 @@ def _backward(paths: PathEnsemble, terminal: np.ndarray, driver_at,
               basis: BasisSpec) -> list[BsdeSolution]:
     """K backward solves in one sweep, one member per column of terminal (M, K).
 
-    driver_at(k, z) takes each member's z as an (M, K, d) array and returns
+    driver_at(k, z) takes each member's z as an (M, K) array and returns
     the (M, K) driver values.  Each step builds the features once, looks up
     one factor and projects all K members in one right-hand side per
     regression; every per-member reduction runs over that member's particles
     alone, in the order a solo solve uses.
     """
     dw = paths.driver.increments
-    m, n, d = dw.shape
+    n = paths.grid.steps
     members = terminal.shape[1]
     dt = paths.grid.dt
     ridge = basis.ridge
-    q = basis.width(paths.dim)
-    z_coef = np.empty((members, n, q, d))
+    z_coef = np.empty((members, n, basis.width()))
     z_factors = [None] * n
-    z_rms = np.empty((n, members, d))
+    z_rms = np.empty((n, members))
     resid = np.empty((n, members))
     held = _GRAM_FACTORS.setdefault(paths, {})
     y = terminal  # the current column Y_{k+1}, (M, K)
@@ -245,18 +238,17 @@ def _backward(paths: PathEnsemble, terminal: np.ndarray, driver_at,
         dev = y - fitted
         # one contiguous row per member: each mean sums like a solo solve's
         resid[k] = np.sqrt(np.mean(np.square(dev.T, order="C"), axis=1))
-        rhs = (dev[:, :, None] * dw[:, k, None, :] / dt).reshape(m, members * d)
+        rhs = dev * dw[:, k, None] / dt
         coef = _project(feats, rhs, factor, ridge)
         # z_at's expression, so a driver's extremizers are the feedback's own
         zk = feats @ coef
-        z_rms[k] = np.sqrt(np.mean((rhs - zk) ** 2, axis=0)).reshape(members, d)
-        zk = zk.reshape(m, members, d)
-        z_coef[:, k] = coef.reshape(q, members, d).transpose(1, 0, 2)
+        z_rms[k] = np.sqrt(np.mean((rhs - zk) ** 2, axis=0))
+        z_coef[:, k] = coef.T
         hvals = np.asarray(driver_at(k, zk), dtype=float)
         if not np.all(np.isfinite(hvals)):
             raise FloatingPointError(f"non-finite driver value at t_index {k}")
         y = fitted + hvals * dt
-        value_paths += (hvals * dt - np.sum(zk * dw[:, k, None, :], axis=2)).T
+        value_paths += (hvals * dt - zk * dw[:, k, None]).T
     factors = tuple(z_factors)
     return [BsdeSolution(y0=float(np.mean(y[:, j])), y0_stderr=mean_stderr(value_paths[j])[1],
                          y_residuals=resid[:, j], z_coefficients=z_coef[j],
@@ -268,7 +260,7 @@ def solve_driver_bsde(paths: PathEnsemble, terminal: np.ndarray, driver_at,
                       basis: BasisSpec | None = None) -> BsdeSolution:
     """Backward solve with an explicit driver callable (t_index, z) -> values.
 
-    z is passed with shape (particles, dim); the driver must return one value
+    z is passed with shape (particles,); the driver must return one value
     per particle and is evaluated once per step, after the Z regression.
     """
     if basis is None:
@@ -287,27 +279,18 @@ def _stat_series(scenario: Scenario | GameScenario, flow: MeasureFlow) -> dict[s
     return {name: flow.statistic_series(name) for name in names}
 
 
-def _particle_rows(arr) -> np.ndarray:
-    """Coerce (m,) or (m, d) input to (m, d) rows; (m,) is d = 1."""
-    out = np.asarray(arr, dtype=float)
-    return out[:, None] if out.ndim == 1 else out
-
-
 def _hamiltonian_values(scenario: Scenario | GameScenario, t: float, state, sup,
                         stats_row: dict, z, actions) -> np.ndarray:
-    """H = h + z . sigma^{-1} f at each particle, the last axis.  The actions
-    (u, or u and v) and the statistic values are particle columns or axes
-    that broadcast against the particles.  z is (m, d), or (K, m, d) with one
-    z per member of a family.  The registry drift f moves coordinate 0 only,
-    so z . sigma^{-1} f = (z . sigma^{-1} e_0) f."""
-    state, z = _particle_rows(state), _particle_rows(z)
-    x0 = state[:, 0]
-    f = scenario.drift.evaluate(x0, stats_row, *actions)
-    e0 = np.zeros_like(state)
-    e0[:, 0] = 1.0
-    c = scenario.sigma.inv_apply(t, state, np.asarray(sup, dtype=float), e0)
-    h = scenario.running_cost.evaluate(x0, stats_row, *actions)
-    return h + np.sum(z * c, axis=-1) * f
+    """H = h + z sigma^{-1} f at each particle, the last axis.  state and sup
+    are (m,); the actions (u, or u and v) and the statistic values are
+    particle columns or axes that broadcast against the particles.  z is
+    (m,), or (K, m) with one z per member of a family.  The z term is
+    formed as (z sigma^{-1}(1)) f."""
+    x = np.asarray(state, dtype=float)
+    f = scenario.drift.evaluate(x, stats_row, *actions)
+    c = scenario.sigma.inv_apply(t, x, np.asarray(sup, dtype=float), np.ones_like(x))
+    h = scenario.running_cost.evaluate(x, stats_row, *actions)
+    return h + (np.asarray(z, dtype=float) * c) * f
 
 
 def _family_hamiltonian(scenario: Scenario | GameScenario, paths: PathEnsemble,
@@ -315,7 +298,7 @@ def _family_hamiltonian(scenario: Scenario | GameScenario, paths: PathEnsemble,
     """(t_index, z) -> (K, M) values of H for K fixed controls (or pairs), the
     i-th read under its own flow flows[i].  Each step reads every member's
     actions as a (K, M) array and its statistic rows as (K, 1), then makes
-    one registry call.  z is (M, d), shared by the members, or (K, M, d)."""
+    one registry call.  z is (M,), shared by the members, or (K, M)."""
     if any(f.paths is not paths for f in flows):
         raise EnsembleMismatchError("every member's flow must live on the solve's ensemble")
     per_flow = [_stat_series(scenario, f) for f in flows]
@@ -359,8 +342,7 @@ def solve_linear_family(scenario: Scenario | GameScenario, controls, flows,
     paths = flows[0].paths
     hamiltonian_at = _family_hamiltonian(scenario, paths, controls, flows)
     terminal = np.stack([terminal_values(scenario, f) for f in flows], axis=1)
-    return _backward(paths, terminal, lambda k, z: hamiltonian_at(k, z.transpose(1, 0, 2)).T,
-                     basis)
+    return _backward(paths, terminal, lambda k, z: hamiltonian_at(k, z.T).T, basis)
 
 
 def solve_linear_bsde(scenario: Scenario | GameScenario, control, flow: MeasureFlow,

@@ -174,9 +174,9 @@ def _pair_label(entry) -> str:
 
 def _run_simulate(args, scen):
     paths = simulate_for_scenario(scen, args.particles, args.steps, args.seed)
-    x0 = paths.values[:, :, 0]
+    x = paths.values
     times = paths.grid.times
-    rows = [(float(times[k]), float(np.mean(x0[:, k])), float(np.std(x0[:, k])),
+    rows = [(float(times[k]), float(np.mean(x[:, k])), float(np.std(x[:, k])),
              float(np.mean(paths.running_sup[:, k])))
             for k in range(args.steps + 1)]
     results = {
@@ -314,7 +314,7 @@ def _run_verify(args):
 def _run_list() -> int:
     for name in builtin_scenarios():
         scen = parse_scenario(builtin_config(name))
-        print(f"{name:28s} {scen.kind:8s} dim {scen.dim}  horizon {scen.horizon:g}")
+        print(f"{name:28s} {scen.kind:8s} horizon {scen.horizon:g}")
     return 0
 
 

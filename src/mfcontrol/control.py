@@ -7,7 +7,7 @@ under every candidate law; comparing controls never requires resimulation.
 
 The candidate optimum comes from pointwise minimization of the Hamiltonian
 
-    H(t, x, mu, z, u) = h(t, x, mu, u) + z . sigma^{-1}(t, x) f(t, x, mu, u)
+    H(t, x, mu, z, u) = h(t, x, mu, u) + z sigma^{-1}(t, x) f(t, x, mu, u)
 
 over the finite action grid inside a backward equation, alternating with a
 measure fixed point for the synthesized feedback (policy iteration).  The
@@ -31,8 +31,7 @@ from functools import partial
 import numpy as np
 
 from .bsde import (BasisSpec, BsdeSolution, _family_hamiltonian, _hamiltonian_values,
-                   _stat_series, solve_driver_bsde, solve_linear_family,
-                   terminal_values)
+                   _stat_series, solve_driver_bsde, terminal_values)
 from .core import PathEnsemble, particle_blocks
 from .girsanov import (FixpointDiagnostics, FixpointResult, control_actions,
                        fixpoint_measure_flow)
@@ -69,17 +68,17 @@ class Control:
     def actions_over(self, paths: PathEnsemble, rows: slice, steps: slice) -> np.ndarray:
         """Fresh (rows, steps) actions on a block of particles and grid times
         (slices of the ensemble's axes)."""
-        x0 = paths.values[rows, steps, 0]
+        x = paths.values[rows, steps]
         if self.kind == "constant":
-            return np.full(x0.shape, self.value)
+            return np.full(x.shape, self.value)
         if self.kind == "parametric":
             a, b, c = self.coeffs
-            raw = a + b * x0 + c * paths.running_sup[rows, steps]
+            raw = a + b * x + c * paths.running_sup[rows, steps]
         elif self.kind == "table":
             vals = np.asarray(self.table_values, dtype=float)
             t_index = np.arange(paths.grid.steps + 1)[steps]
             row = vals[np.minimum(t_index, vals.shape[0] - 1)]
-            idx = np.clip(np.searchsorted(self.table_edges, x0, side="right") - 1,
+            idx = np.clip(np.searchsorted(self.table_edges, x, side="right") - 1,
                           0, row.shape[1] - 1)
             raw = row[np.arange(len(t_index)), idx]
         else:
@@ -179,12 +178,12 @@ def parse_control(spec: dict | str, grid: ActionGrid) -> Control:
 
 def hamiltonian(scenario: Scenario | GameScenario, t: float, state, sup, stats_row: dict,
                 z, *actions) -> np.ndarray:
-    """Per-particle H = h + z . sigma^{-1} f, one value per particle.
+    """Per-particle H = h + z sigma^{-1} f, one value per particle.
 
-    actions is u for a single-controller scenario and u, v for a game, each
-    an (m,) array of real actions.  state and z come as (m, d) arrays, or as
-    (m,) when d = 1.  stats_row maps statistic names to their values at
-    time t under the measure flow being priced.
+    state, sup and z are (m,) arrays, and actions is u for a
+    single-controller scenario and u, v for a game, each an (m,) array of
+    real actions.  stats_row maps statistic names to their values at time t
+    under the measure flow being priced.
     """
     if len(actions) != len(scenario.grids):
         raise TypeError("a two-player game takes actions u and v" if len(scenario.grids) == 2
@@ -193,6 +192,8 @@ def hamiltonian(scenario: Scenario | GameScenario, t: float, state, sup, stats_r
     # an (m, 1) column would broadcast against the particles into (m, m)
     if any(a.ndim > 1 for a in actions):
         raise ValueError("an action is a real number: pass (m,) action arrays")
+    if any(np.ndim(a) > 1 for a in (state, sup, z)):
+        raise ValueError("a state is a real number: pass (m,) state, sup and z arrays")
     return _hamiltonian_values(scenario, t, state, sup, stats_row, z, actions)
 
 
@@ -338,7 +339,7 @@ def evaluate_payoff(scenario: Scenario | GameScenario, control, paths: PathEnsem
     steps = slice(0, n + 1)
     for rows in particle_blocks(paths.particles, n + 1):
         h = scenario.running_cost.evaluate(
-            paths.values[rows, :, 0], series, *control_actions(control, paths, rows, steps))
+            paths.values[rows], series, *control_actions(control, paths, rows, steps))
         running[rows] = np.trapezoid(flow.weights[rows] * h, dx=paths.grid.dt, axis=1)
     terminal = flow.weights[:, n] * terminal_values(scenario, flow)
     per_particle = running + terminal
@@ -536,7 +537,7 @@ def envelope_bsde(scenario: Scenario, controls, flows,
     member read together with its own matched flow:
 
         g*(x)     = min_i g(x_T, mu^i_T),
-        H*(t,x,z) = min_i [h(t, x, mu^i_t, u_i) + z . sigma^{-1} f(t, x, mu^i_t, u_i)],
+        H*(t,x,z) = min_i [h(t, x, mu^i_t, u_i) + z sigma^{-1} f(t, x, mu^i_t, u_i)],
 
     so Y*_0 sits below every member's Y^u_0 up to Monte Carlo and regression
     noise.  The law argument moves with the candidate instead of staying
@@ -559,49 +560,3 @@ def envelope_bsde(scenario: Scenario, controls, flows,
     return solve_driver_bsde(paths, terminal,
                              lambda k, z: np.min(candidates_at(k, z), axis=0), basis)
 
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    rows: tuple[dict, ...]
-    y_star: float
-    y_star_stderr: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {"rows": list(self.rows), "y_star": self.y_star,
-                "y_star_stderr": self.y_star_stderr, "passed": self.passed}
-
-
-def verify_comparison(scenario: Scenario, paths: PathEnsemble, controls,
-                      basis: BasisSpec | None = None) -> ComparisonReport:
-    """Payoff identity and lower-bound comparison over a control family.
-
-    For each control: |Y^u_0 - J(u)| within 3 combined stderr, and
-    Y*_0 <= Y^u_0 + 3 combined stderr, where Y*_0 is the family's
-    lower-envelope backward value.
-    """
-    controls = list(controls)
-    payoffs = [evaluate_payoff(scenario, c, paths) for c in controls]
-    flows = [p.flow for p in payoffs]
-    sols = solve_linear_family(scenario, controls, flows, basis)
-    env = envelope_bsde(scenario, controls, flows, basis)
-    rows = []
-    ok = True
-    for i, (c, payoff, sol) in enumerate(zip(controls, payoffs, sols)):
-        gap = sol.y0 - payoff.value
-        gap_tol = 3.0 * float(np.hypot(sol.y0_stderr, payoff.stderr))
-        slack = sol.y0 - env.y0
-        slack_tol = 3.0 * float(np.hypot(sol.y0_stderr, env.y0_stderr))
-        row = {
-            "label": getattr(c, "label", f"control-{i}"),
-            "y_u0": sol.y0, "y_u0_stderr": sol.y0_stderr,
-            "payoff": payoff.value, "payoff_stderr": payoff.stderr,
-            "identity_gap": gap, "identity_tol": gap_tol,
-            "identity_ok": bool(abs(gap) <= gap_tol),
-            "slack": slack, "slack_tol": slack_tol,
-            "slack_ok": bool(slack >= -slack_tol),
-        }
-        ok = ok and row["identity_ok"] and row["slack_ok"]
-        rows.append(row)
-    return ComparisonReport(rows=tuple(rows), y_star=env.y0,
-                            y_star_stderr=env.y0_stderr, passed=ok)

@@ -49,7 +49,7 @@ def make_time_grid(horizon: float, steps: int) -> TimeGrid:
 
 @dataclass(frozen=True)
 class BrownianEnsemble:
-    """Increments dW with shape (particles, steps, dim), reproducible from seed."""
+    """Increments dW with shape (particles, steps), reproducible from seed."""
 
     grid: TimeGrid
     increments: np.ndarray
@@ -59,17 +59,13 @@ class BrownianEnsemble:
     def particles(self) -> int:
         return self.increments.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.increments.shape[2]
 
-
-def sample_brownian(grid: TimeGrid, particles: int, dim: int, seed: int) -> BrownianEnsemble:
+def sample_brownian(grid: TimeGrid, particles: int, seed: int) -> BrownianEnsemble:
     """Draw iid N(0, dt) increments from a PCG64 stream."""
-    if particles < 1 or dim < 1:
-        raise ValueError("particles and dim must be positive")
+    if particles < 1:
+        raise ValueError("particles must be positive")
     rng = np.random.default_rng(seed)
-    dw = rng.standard_normal((particles, grid.steps, dim)) * np.sqrt(grid.dt)
+    dw = rng.standard_normal((particles, grid.steps)) * np.sqrt(grid.dt)
     return BrownianEnsemble(grid=grid, increments=dw, seed=seed)
 
 
@@ -77,8 +73,8 @@ def sample_brownian(grid: TimeGrid, particles: int, dim: int, seed: int) -> Brow
 class PathEnsemble:
     """Simulated reference paths.
 
-    values has shape (particles, steps + 1, dim).  running_sup[i, k] is the
-    running supremum of |x_i| (Euclidean norm) up to t_k; it is the one path
+    The state is a real number: values has shape (particles, steps + 1), and
+    running_sup[i, k] is the running supremum of |x_i| up to t_k, the one path
     functional the coefficient registries may read besides the current state.
 
     An ensemble compares and hashes by identity, so results that depend only
@@ -88,7 +84,7 @@ class PathEnsemble:
 
     grid: TimeGrid
     values: np.ndarray
-    initial: np.ndarray
+    initial: float
     running_sup: np.ndarray
     driver: BrownianEnsemble = field(repr=False, default=None)
 
@@ -96,20 +92,17 @@ class PathEnsemble:
     def particles(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[2]
-
     def state(self, t_index: int) -> np.ndarray:
-        return self.values[:, t_index, :]
+        return self.values[:, t_index]
 
     def sup(self, t_index: int) -> np.ndarray:
         return self.running_sup[:, t_index]
 
 
 def simulate_reference(grid: TimeGrid, brownian: BrownianEnsemble,
-                       sigma: DiffusionSpec, initial) -> PathEnsemble:
-    """Euler scheme for the driftless reference dynamics.
+                       sigma: DiffusionSpec, initial: float) -> PathEnsemble:
+    """Euler scheme for the driftless reference dynamics from the initial
+    state.
 
     sigma is evaluated at the left endpoint of each interval.  A singular
     sigma value at any evaluation point aborts (SingularDiffusionError); the
@@ -117,19 +110,18 @@ def simulate_reference(grid: TimeGrid, brownian: BrownianEnsemble,
     """
     if brownian.grid != grid:
         raise ValueError("brownian increments were sampled on a different grid")
-    m, n, d = brownian.increments.shape
-    xi = np.broadcast_to(np.asarray(initial, dtype=float).reshape(-1), (d,))
-    x = np.empty((m, n + 1, d))
+    m, n = brownian.increments.shape
+    xi = float(initial)
+    x = np.empty((m, n + 1))
     sup = np.empty((m, n + 1))
-    x[:, 0, :] = xi
-    sup[:, 0] = np.linalg.norm(xi)
+    x[:, 0] = xi
+    sup[:, 0] = abs(xi)
     times = grid.times
     for k in range(n):
-        step = sigma.apply(times[k], x[:, k, :], sup[:, k], brownian.increments[:, k, :])
-        x[:, k + 1, :] = x[:, k, :] + step
-        sup[:, k + 1] = np.maximum(sup[:, k], np.linalg.norm(x[:, k + 1, :], axis=1))
-    return PathEnsemble(grid=grid, values=x, initial=xi.copy(), running_sup=sup,
-                        driver=brownian)
+        step = sigma.apply(times[k], x[:, k], sup[:, k], brownian.increments[:, k])
+        x[:, k + 1] = x[:, k] + step
+        sup[:, k + 1] = np.maximum(sup[:, k], np.abs(x[:, k + 1]))
+    return PathEnsemble(grid=grid, values=x, initial=xi, running_sup=sup, driver=brownian)
 
 
 def simulate_for_scenario(scenario: Scenario | GameScenario, particles: int,
@@ -137,8 +129,8 @@ def simulate_for_scenario(scenario: Scenario | GameScenario, particles: int,
     """Grid + increments + reference paths in one call, horizon and initial
     state taken from the scenario."""
     grid = make_time_grid(scenario.horizon, steps)
-    brownian = sample_brownian(grid, particles, scenario.dim, seed)
-    return simulate_reference(grid, brownian, scenario.sigma, scenario.initial_array)
+    brownian = sample_brownian(grid, particles, seed)
+    return simulate_reference(grid, brownian, scenario.sigma, scenario.initial)
 
 
 # Whole-path passes walk the ensemble in blocks of particles, each block over
@@ -157,5 +149,5 @@ def particle_blocks(particles: int, steps: int) -> list[slice]:
 
 def ensemble_moments(paths: PathEnsemble, orders=(1, 2, 4)) -> dict[int, float]:
     """Empirical E[|x_T|^p] at the horizon, a cheap stability diagnostic."""
-    norms = np.linalg.norm(paths.values[:, -1, :], axis=1)
+    norms = np.abs(paths.values[:, -1])
     return {int(p): float(np.mean(norms ** p)) for p in orders}

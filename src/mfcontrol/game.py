@@ -173,9 +173,7 @@ def isaacs_gap(scenario: GameScenario, z_points=None, x_points=None,
     """Sample upper - lower over a (state, z) grid.
 
     Defaults: z on [-3, 3], states around the initial point at the diffusive
-    scale, statistics at their initial-condition values.  x and z points
-    move coordinate 0; the other coordinates of the state stay at the
-    initial point and those of z at 0.  The gap is always
+    scale, statistics at their initial-condition values.  The gap is always
     >= 0; a positive max beyond tol means min and max do not commute for this
     Hamiltonian and no saddle certificate is possible on these grids.
     """
@@ -184,20 +182,17 @@ def isaacs_gap(scenario: GameScenario, z_points=None, x_points=None,
     z_points = np.asarray(z_points, dtype=float)
     if x_points is None:
         spread = np.sqrt(scenario.horizon)
-        x_points = scenario.initial_array[0] + spread * np.linspace(-3.0, 3.0, 13)
+        x_points = scenario.initial + spread * np.linspace(-3.0, 3.0, 13)
     x_points = np.asarray(x_points, dtype=float)
     if stats_row is None:
-        init = scenario.initial_array[None, :]
-        stats_row = {name: float(spec.evaluate(init)[0])
+        init = np.asarray(scenario.initial, dtype=float)
+        stats_row = {name: float(spec.evaluate(init))
                      for name, spec in scenario.statistic_map.items()}
-    state = np.tile(scenario.initial_array, (len(x_points), 1))
-    state[:, 0] = x_points
     sup = np.abs(x_points)
     gaps = []
     for zv in z_points:
-        z = np.zeros_like(state)
-        z[:, 0] = zv
-        env = envelopes(scenario, t, state, sup, stats_row, z)
+        z = np.full_like(x_points, zv)
+        env = envelopes(scenario, t, x_points, sup, stats_row, z)
         gaps.append(float(np.max(env.gap)))
     max_gap = max(gaps)
     return IsaacsReport(max_gap=max_gap, tol=tol,

@@ -3,7 +3,7 @@
 A controlled law never gets its own simulation.  Instead its density against
 the reference law is accumulated in log space along each path,
 
-    l[i, k+1] = l[i, k] + theta_k[i] . dW[i, k] - 0.5 |theta_k[i]|^2 dt,
+    l[i, k+1] = l[i, k] + theta_k[i] dW[i, k] - 0.5 theta_k[i]^2 dt,
     theta_k[i] = sigma^{-1}(t_k, path_i) f(t_k, path_i, mu_k, actions),
 
 with everything evaluated at the left endpoint.  exp(l) is the discrete
@@ -63,9 +63,9 @@ def drift_base(scenario: Scenario | GameScenario, control, paths: PathEnsemble) 
     """Read-only (particles, steps + 1) DriftSpec.base of the control along
     the ensemble, filled a block of particles at a time."""
     steps = slice(0, paths.grid.steps + 1)
-    base = np.empty(paths.values.shape[:2])
+    base = np.empty(paths.values.shape)
     for rows in particle_blocks(*base.shape):
-        base[rows] = scenario.drift.base(paths.values[rows, :, 0],
+        base[rows] = scenario.drift.base(paths.values[rows],
                                          *control_actions(control, paths, rows, steps))
     base.flags.writeable = False
     return base
@@ -75,9 +75,9 @@ class DriftEvaluator:
     """Drift values of a control (or pair) along the flow's ensemble.
 
     control is a single control for a Scenario and a pair for a GameScenario
-    (see control_actions).  evaluator(t_index) gives the (particles, dim)
-    drift at one grid time and evaluator.over(rows, steps) the
-    (rows, steps, dim) drift on a block of particles and grid times:
+    (see control_actions).  evaluator(t_index) gives the (particles,) drift
+    at one grid time and evaluator.over(rows, steps) the (rows, steps)
+    drift on a block of particles and grid times:
     DriftSpec.with_stats of the block's base, each statistic series (read off
     the flow once) broadcast along time.  The base is a slice of the given
     drift_base, or else formed from the block's actions.
@@ -95,15 +95,10 @@ class DriftEvaluator:
     def over(self, rows: slice, steps: slice) -> np.ndarray:
         paths = self.paths
         drift = self.scenario.drift
-        base = (drift.base(paths.values[rows, steps, 0],
+        base = (drift.base(paths.values[rows, steps],
                            *control_actions(self.control, paths, rows, steps))
                 if self.base is None else self.base[rows, steps])
-        f0 = drift.with_stats(base, {name: s[steps] for name, s in self.series.items()})
-        if paths.dim == 1:
-            return f0.reshape(*f0.shape, 1)
-        out = np.zeros((*f0.shape, paths.dim))
-        out[..., 0] = f0
-        return out
+        return drift.with_stats(base, {name: s[steps] for name, s in self.series.items()})
 
     def __call__(self, t_index: int) -> np.ndarray:
         return self.over(slice(None), slice(t_index, t_index + 1))[:, 0]
@@ -114,7 +109,7 @@ def density_process(paths: PathEnsemble, drift_at, sigma) -> np.ndarray:
     reweighting against the increments the ensemble was simulated from;
     column 0 is one.
 
-    drift_at: callable t_index -> (particles, dim); a DriftEvaluator is read
+    drift_at: callable t_index -> (particles,); a DriftEvaluator is read
     a block of particles at a time (see drift_rows).  theta and the log
     increments of a block are formed for all its steps at once and written
     into the output, which is then accumulated column by column in step
@@ -125,7 +120,7 @@ def density_process(paths: PathEnsemble, drift_at, sigma) -> np.ndarray:
     if paths.driver is None:
         raise ValueError("no Brownian increments attached to the ensemble")
     dw = paths.driver.increments
-    m, n, d = dw.shape
+    m, n = dw.shape
     if paths.values.shape[0] != m or paths.grid.steps != n:
         raise ValueError("paths and increments disagree on ensemble shape")
     dt = paths.grid.dt
@@ -134,18 +129,12 @@ def density_process(paths: PathEnsemble, drift_at, sigma) -> np.ndarray:
     def increments(rows: slice, steps: slice, out: np.ndarray | None = None) -> np.ndarray:
         theta = sigma.inv_apply(times[steps], paths.values[rows, steps],
                                 paths.running_sup[rows, steps],
-                                drift_block(drift_at, rows, steps))
+                                drift_block(drift_at, rows, steps, m))
         if not np.all(np.isfinite(theta)):
-            bad = int(np.argmin(np.all(np.isfinite(theta), axis=(0, 2))))
+            bad = int(np.argmin(np.all(np.isfinite(theta), axis=0)))
             raise FloatingPointError(f"non-finite drift-to-noise ratio at t_index "
                                      f"{steps.start + bad}")
-        step_dw = dw[rows, steps]
-        if d == 1:
-            theta, step_dw = theta[..., 0], step_dw[..., 0]
-            drive, square = theta * step_dw, theta * theta
-        else:
-            drive = np.sum(theta * step_dw, axis=2)
-            square = np.sum(theta * theta, axis=2)
+        drive, square = theta * dw[rows, steps], theta * theta
         square *= 0.5 * dt
         return np.subtract(drive, square, out=out)
 

@@ -56,7 +56,8 @@ class MeasureFlow:
         expected = (paths.particles, paths.grid.steps + 1)
         if weights.shape != expected:
             raise ValueError(f"weights must have shape {expected}, got {weights.shape}")
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        # not >= also rejects NaN
+        if not (weights.min() >= 0 and weights.max() < np.inf):
             raise ValueError("weights must be finite and nonnegative")
         self.paths = paths
         self.weights = weights
@@ -146,18 +147,16 @@ def tv_columns(wa: np.ndarray, wb: np.ndarray) -> TVEstimate:
 
 
 def tv_marginal(a: MeasureFlow, b: MeasureFlow, t_index: int, bins: int = 64) -> TVEstimate:
-    """Binned total variation between the time-t marginals (d = 1 only).
+    """Binned total variation between the time-t marginals.
 
     The flows may live on different ensembles; each side is histogrammed with
     its own weights on the pooled range.  Coarsening can only lower TV, so
     this estimator is dominated by tv_pathspace on a common ensemble.
     """
-    if a.paths.dim != 1 or b.paths.dim != 1:
-        raise ValueError("binned marginal TV is defined for dim 1 only")
     if bins < 2:
         raise ValueError("need at least 2 bins")
-    xa = a.paths.values[:, t_index, 0]
-    xb = b.paths.values[:, t_index, 0]
+    xa = a.paths.values[:, t_index]
+    xb = b.paths.values[:, t_index]
     lo = min(xa.min(), xb.min())
     hi = max(xa.max(), xb.max())
     if hi <= lo:
@@ -190,32 +189,39 @@ def drift_rows(particles: int, steps: int, *drifts) -> list[slice]:
     return [slice(None)]
 
 
-def drift_block(drift_at, rows: slice, steps: slice) -> np.ndarray:
-    """(rows, steps, dim) drift values on a block of particles and grid times.
+def drift_block(drift_at, rows: slice, steps: slice, particles: int) -> np.ndarray:
+    """(rows, steps) drift values on a block of the ensemble's particles and
+    grid times.
 
     steps is a slice with explicit start and stop.  Reads
     drift_at.over(rows, steps) when the callable has that block form (a
-    DriftEvaluator does); otherwise calls it step by step.  A (particles,)
-    step value counts as dimension one.
+    DriftEvaluator does); otherwise calls it step by step, and each step
+    value must be one drift per particle, (particles,): a column or a
+    shorter array would broadcast against the particles without an error.
     """
     over = getattr(drift_at, "over", None)
     if over is not None:
         return np.asarray(over(rows, steps), dtype=float)
-    f = np.stack([np.asarray(drift_at(k), dtype=float)[rows]
-                  for k in range(steps.start, steps.stop)], axis=1)
-    return f[..., None] if f.ndim == 2 else f
+    values = []
+    for k in range(steps.start, steps.stop):
+        value = np.asarray(drift_at(k), dtype=float)
+        if value.shape != (particles,):
+            raise ValueError(f"a drift at t_index {k} is one value per particle, shape "
+                             f"({particles},), got {value.shape}")
+        values.append(value[rows])
+    return np.stack(values, axis=1)
 
 
 def hellinger_bound(flow_a: MeasureFlow, drift_a, drift_b,
                     sigma: DiffusionSpec, grid: TimeGrid) -> tuple[float, float, float]:
     """Hellinger-process bound on the path-space TV between two reweightings.
 
-    drift_a / drift_b are callables t_index -> (particles, dim) drift values
+    drift_a / drift_b are callables t_index -> (particles,) drift values
     along the common ensemble, read a block of particles at a time (see
     drift_block).  Returns (gamma_hat, bound, stderr_of_gamma) where
     gamma_hat is the weighted trapezoid estimate of
 
-        E_A[ (1/8) int_0^T (bA - bB)^T (sigma sigma^T)^{-1} (bA - bB) dt ]
+        E_A[ (1/8) int_0^T ((bA - bB) / sigma)^2 dt ]
 
     and bound = 8 sqrt(gamma_hat) dominates the TV distance.
     """
@@ -224,7 +230,8 @@ def hellinger_bound(flow_a: MeasureFlow, drift_a, drift_b,
     steps = slice(0, n + 1)
     gamma_paths = np.empty(paths.particles)
     for rows in drift_rows(paths.particles, n + 1, drift_a, drift_b):
-        diff = drift_block(drift_a, rows, steps) - drift_block(drift_b, rows, steps)
+        diff = (drift_block(drift_a, rows, steps, paths.particles)
+                - drift_block(drift_b, rows, steps, paths.particles))
         integrand = sigma.inv_quadform(grid.times, paths.values[rows],
                                        paths.running_sup[rows], diff)
         gamma_paths[rows] = np.trapezoid(integrand, dx=grid.dt, axis=1) / 8.0

@@ -8,9 +8,9 @@ registries instead of accepting user callables, so a scenario can be parsed
 from a config document, validated, serialized back out, and hashed into a
 reproducible report.
 
-Registered functional forms (d = 1 unless stated otherwise):
+The state x is a real number.  Registered functional forms:
 
-    diffusion   constant s0 (any d, optionally a full matrix),
+    diffusion   constant s0,
                 affine_state  s0 + s1 * x,
                 sup_modulated s0 + s1 * sup_{r<=t} |x_r|
     drift       A * x + sum_j B_j * m_j(t) + C * u [+ Cv * v] + c0,
@@ -67,7 +67,7 @@ class ValidationBlockedError(RuntimeError):
 
 @dataclass(frozen=True)
 class StatisticSpec:
-    """Scalar statistic psi(x) of the current state (coordinate 0)."""
+    """Scalar statistic psi(x) of the current state."""
 
     kind: str
     scale: float = 1.0
@@ -87,8 +87,8 @@ class StatisticSpec:
         return self.kind in ("tanh", "indicator_bin")
 
     def evaluate(self, state: np.ndarray) -> np.ndarray:
-        """state (M, d) -> (M,) values of psi."""
-        x = np.asarray(state)[..., 0]
+        """states of any shape -> values of psi, elementwise."""
+        x = np.asarray(state)
         if self.kind == "identity":
             return x
         if self.kind == "square":
@@ -111,8 +111,7 @@ _SIGMA_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class DiffusionSpec:
-    """Diffusion coefficient sigma(t, path).  Scalar registry for d = 1;
-    the constant kind also accepts a full d x d matrix.
+    """Diffusion coefficient sigma(t, path), a real number per path.
 
     alpha records the growth exponent claimed for |sigma^{-1}|; it is echoed
     in validation reports and never used numerically.
@@ -121,19 +120,11 @@ class DiffusionSpec:
     kind: str = "constant"
     base: float = 1.0
     slope: float = 0.0
-    matrix: tuple[tuple[float, ...], ...] | None = None
     alpha: float = 0.0
 
     def __post_init__(self):
         if self.kind not in _SIGMA_KINDS:
             raise ConfigError("diffusion.kind", f"unknown diffusion kind {self.kind!r}")
-        if self.matrix is not None and self.kind != "constant":
-            raise ConfigError("diffusion.matrix", "matrix form requires kind constant")
-
-    def matrix_array(self) -> np.ndarray | None:
-        if self.matrix is None:
-            return None
-        return np.asarray(self.matrix, dtype=float)
 
     @property
     def bounded(self) -> bool:
@@ -142,11 +133,6 @@ class DiffusionSpec:
     def invertibility(self) -> tuple[str, str]:
         """(status, reason) for the invertibility of sigma."""
         if self.kind == "constant":
-            m = self.matrix_array()
-            if m is not None:
-                if abs(float(np.linalg.det(m))) < _SIGMA_FLOOR:
-                    return VIOLATED, "constant matrix is singular"
-                return CERTIFIED, "constant invertible matrix"
             if abs(self.base) < _SIGMA_FLOOR:
                 return VIOLATED, "constant sigma is zero"
             return CERTIFIED, "constant nonzero scalar"
@@ -161,12 +147,12 @@ class DiffusionSpec:
             return CERTIFIED, "degenerate affine is a nonzero constant"
         return NOT_CERTIFIED, "affine sigma has a zero crossing; guarded at runtime"
 
-    def scalar_values(self, t: float, x0: np.ndarray, sup: np.ndarray) -> np.ndarray:
-        """Pointwise sigma values for d = 1 kinds, broadcast over particles."""
+    def scalar_values(self, t: float, state: np.ndarray, sup: np.ndarray) -> np.ndarray:
+        """Pointwise sigma values, broadcast over particles."""
         if self.kind == "constant":
-            return np.broadcast_to(np.asarray(self.base, dtype=float), np.shape(x0)).copy()
+            return np.broadcast_to(np.asarray(self.base, dtype=float), np.shape(state)).copy()
         if self.kind == "affine_state":
-            vals = self.base + self.slope * x0
+            vals = self.base + self.slope * state
         else:
             vals = self.base + self.slope * sup
         return np.asarray(vals, dtype=float)
@@ -186,47 +172,28 @@ class DiffusionSpec:
             )
 
     def apply(self, t: float, state: np.ndarray, sup: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """sigma(t, path) @ vec, vec shaped (M, d)."""
-        m = self.matrix_array()
-        if m is not None:
-            if abs(float(np.linalg.det(m))) < _SIGMA_FLOOR:
-                raise SingularDiffusionError("constant sigma matrix is singular")
-            return vec @ m.T
-        if state.shape[-1] == 1:
-            vals = self.scalar_values(t, state[..., 0], sup)
-            self._guard(vals, t)
-            return vals[..., None] * vec
-        # constant scalar times identity in d > 1
-        self._guard(np.asarray([self.base]), t)
-        return self.base * vec
+        """sigma(t, path) vec at one grid time, state, sup and vec shaped (M,)."""
+        vals = self.scalar_values(t, state, sup)
+        self._guard(vals, t)
+        return vals * vec
 
     def inv_apply(self, t, state: np.ndarray, sup: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """sigma^{-1}(t, path) @ vec.
+        """sigma^{-1}(t, path) vec.
 
-        One grid time with state (M, d), sup (M,), vec (M, d), or a block of
-        steps: t (B,), state (M, B, d), sup (M, B), vec (M, B, d)."""
-        m = self.matrix_array()
-        if m is not None:
-            if abs(float(np.linalg.det(m))) < _SIGMA_FLOOR:
-                raise SingularDiffusionError("constant sigma matrix is singular")
-            flat = vec.reshape(-1, vec.shape[-1])
-            return np.linalg.solve(m, flat.T).T.reshape(vec.shape)
-        if state.shape[-1] == 1:
-            if self.kind == "constant":
-                if abs(self.base) < _SIGMA_FLOOR:
-                    self._guard(self.scalar_values(t, state[..., 0], sup), t)
-                return (1.0 / self.base) * vec
-            vals = self.scalar_values(t, state[..., 0], sup)
-            self._guard(vals, t)
-            return (1.0 / vals)[..., None] * vec
-        self._guard(np.asarray([self.base]), np.ravel(t)[0])
-        return vec / self.base
+        One grid time with state, sup and vec shaped (M,), or a block of
+        steps: t (B,), state, sup and vec (M, B)."""
+        if self.kind == "constant":
+            if abs(self.base) < _SIGMA_FLOOR:
+                self._guard(self.scalar_values(t, state, sup), t)
+            return (1.0 / self.base) * vec
+        vals = self.scalar_values(t, state, sup)
+        self._guard(vals, t)
+        return (1.0 / vals) * vec
 
     def inv_quadform(self, t, state: np.ndarray, sup: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """vec^T (sigma sigma^T)^{-1} vec = |sigma^{-1} vec|^2 per particle, for
-        the Hellinger integrand; one grid time or a block of steps, as in
+        """(sigma^{-1} vec)^2 per particle, for the Hellinger integrand; one grid time or a block of steps, as in
         inv_apply, whose singularity checks it shares."""
-        return np.sum(self.inv_apply(t, state, sup, vec) ** 2, axis=-1)
+        return self.inv_apply(t, state, sup, vec) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -259,23 +226,13 @@ class DriftSpec:
     def stat_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.stats)
 
-    @property
-    def trivially_zero(self) -> bool:
-        return (
-            self.state == 0.0
-            and self.control == 0.0
-            and self.control_v == 0.0
-            and self.const == 0.0
-            and all(c == 0.0 for _, c in self.stats)
-        )
+    def evaluate(self, x, stats_row, u, v=None):
+        """The drift, elementwise over broadcasting states and actions."""
+        return self.with_stats(self.base(x, u, v), stats_row)
 
-    def evaluate(self, x0, stats_row, u, v=None):
-        """Scalar drift (coordinate 0), broadcasting over any leading shape."""
-        return self.with_stats(self.base(x0, u, v), stats_row)
-
-    def base(self, x0, u, v=None):
+    def base(self, x, u, v=None):
         """The terms that read no statistic: A x + C u + Cv v + c0."""
-        out = self.state * x0 + self.control * u
+        out = self.state * x + self.control * u
         if v is not None:
             out = out + self.control_v * v
         return out + self.const
@@ -297,7 +254,7 @@ class DriftSpec:
 
 @dataclass(frozen=True)
 class StateTermSpec:
-    """Bounded-or-flagged state contribution to a cost: coeff * phi(x0)."""
+    """Bounded-or-flagged state contribution to a cost: coeff * phi(x)."""
 
     kind: str = "none"  # none | identity | tanh
     coeff: float = 0.0
@@ -313,12 +270,12 @@ class StateTermSpec:
     def bounded(self) -> bool:
         return self.kind != "identity" or self.coeff == 0.0
 
-    def evaluate(self, x0):
+    def evaluate(self, x):
         if self.kind == "none" or self.coeff == 0.0:
             return 0.0
         if self.kind == "identity":
-            return self.coeff * x0
-        return self.coeff * np.tanh(x0 / self.scale)
+            return self.coeff * x
+        return self.coeff * np.tanh(x / self.scale)
 
 
 @dataclass(frozen=True)
@@ -339,21 +296,21 @@ class CostSpec:
     def stat_names(self) -> tuple[str, ...]:
         return (self.stat[0],) if self.stat is not None else ()
 
-    def evaluate(self, x0, stats_row, u, v=None):
+    def evaluate(self, x, stats_row, u, v=None):
         out = 0.5 * self.quad * u * u
         if v is not None:
             out = out + 0.5 * self.quad_v * v * v + self.bilinear * u * v
         out = out + self.lin * u
         if v is not None:
             out = out + self.lin_v * v
-        out = out + self.const + self.state_term.evaluate(x0)
+        out = out + self.const + self.state_term.evaluate(x)
         if self.stat is not None and self.stat[1] != 0.0:
             out = out + self.stat[1] * stats_row[self.stat[0]]
         out = np.asarray(out, dtype=float)
         if out.ndim == 0:
             # all coefficients vanished; keep per-particle shape for reductions
             out = np.broadcast_to(out, np.broadcast_shapes(
-                *(np.shape(a) for a in (x0, u, v) if a is not None)))
+                *(np.shape(a) for a in (x, u, v) if a is not None)))
         return out
 
 
@@ -392,11 +349,11 @@ class TerminalSpec:
 
     def evaluate(self, state: np.ndarray, stats_row: dict[str, float],
                  statistics: dict[str, StatisticSpec]) -> np.ndarray:
-        x0 = np.asarray(state)[..., 0]
+        x = np.asarray(state)
         if self.kind == "linear":
-            return self.coeff * x0 + self.const
+            return self.coeff * x + self.const
         if self.kind == "tanh":
-            return self.coeff * np.tanh(x0 / self.scale) + self.const
+            return self.coeff * np.tanh(x / self.scale) + self.const
         phi = statistics[self.stat].evaluate(state)
         return phi * phi - stats_row[self.stat] ** 2
 
@@ -457,10 +414,6 @@ class _ScenarioViews:
     """Views shared by the single-controller and the two-player scenario."""
 
     @property
-    def initial_array(self) -> np.ndarray:
-        return np.asarray(self.initial, dtype=float)
-
-    @property
     def statistic_map(self) -> dict[str, StatisticSpec]:
         return dict(self.statistics)
 
@@ -474,8 +427,7 @@ class Scenario(_ScenarioViews):
     """Immutable single-controller problem description."""
 
     name: str = "custom"
-    dim: int = 1
-    initial: tuple[float, ...]
+    initial: float
     horizon: float
     sigma: DiffusionSpec = DiffusionSpec()
     drift: DriftSpec = DriftSpec()
@@ -497,8 +449,7 @@ class GameScenario(_ScenarioViews):
     the payoff, player v maximizes."""
 
     name: str = "custom"
-    dim: int = 1
-    initial: tuple[float, ...]
+    initial: float
     horizon: float
     sigma: DiffusionSpec = DiffusionSpec()
     drift: DriftSpec = DriftSpec()
@@ -580,25 +531,26 @@ def _string(value, path: str) -> str:
     return _expect(value, str, path)
 
 
-def _numbers(value, path: str) -> tuple[float, ...]:
-    """A number or a list of numbers."""
-    return tuple(_as_float(v, path) for v in (value if isinstance(value, list) else [value]))
+def _number(what: str):
+    """Reader of a real number, written as a number or a list of one number."""
+    def read(value, path: str) -> float:
+        numbers = value if isinstance(value, list) else [value]
+        if len(numbers) != 1:
+            raise ConfigError(path, f"{what} is one number, not {len(numbers)}")
+        return _as_float(numbers[0], path)
+    return read
 
 
-def _matrix(value, path: str) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(_as_float(v, path) for v in _expect(row, list, path))
-                 for row in _expect(value, list, path))
+def _dimension(value, path: str) -> int:
+    if _positive_int(value, path) != 1:
+        raise ConfigError(path, f"the state is one number: dimension must be 1, got {value!r}")
+    return value
 
 
 def _points(value, path: str) -> list[float]:
     """Actions, each a number or a list of one number: an action is real."""
-    points = []
-    for i, doc in enumerate(_expect(value, list, path)):
-        point = _numbers(doc, f"{path}[{i}]")
-        if len(point) != 1:
-            raise ConfigError(f"{path}[{i}]", f"an action is one number, not {len(point)}")
-        points.append(point[0])
-    return points
+    read = _number("an action")
+    return [read(doc, f"{path}[{i}]") for i, doc in enumerate(_expect(value, list, path))]
 
 
 def _stat_weights(value, path: str) -> tuple[tuple[str, float], ...]:
@@ -665,8 +617,7 @@ def _action_grid(value, path: str) -> ActionGrid:
 _STATISTIC_KEYS = {"kind": ("kind", _one_of(_STAT_KINDS, "statistic")),
                    **_numeric("scale", "lo", "hi")}
 _DIFFUSION_KEYS = {"kind": ("kind", _string),
-                   **_numeric("base", "slope", "alpha"),
-                   "matrix": ("matrix", _optional(_matrix))}
+                   **_numeric("base", "slope", "alpha")}
 _DRIFT_KEYS = {kind: {**_numeric("state"), "stats": ("stats", _stat_weights),
                       **_numeric(*controls, "const"),
                       "bound_scale": ("bound_scale", _optional(_as_float))}
@@ -687,7 +638,8 @@ _GRIDS = {"control": ("actions",), "game": ("actions_u", "actions_v")}
 _SCENARIO_KIND = _one_of(tuple(_GRIDS), "scenario")
 # parse_scenario checks the kind before it picks the table, so its entry only passes it on
 _SCENARIO_KEYS = {kind: {"kind": ("kind", _string), "name": ("name", _string),
-                         "dimension": ("dim", _positive_int), "initial": ("initial", _numbers),
+                         "dimension": ("dimension", _dimension),
+                         "initial": ("initial", _number("the initial state")),
                          "horizon": ("horizon", _as_float),
                          "diffusion": ("sigma", _spec(DiffusionSpec, _DIFFUSION_KEYS)),
                          "statistics": ("statistics", _statistics),
@@ -712,22 +664,17 @@ def parse_scenario(text: str | dict) -> Scenario | GameScenario:
     else:
         doc = text
     kind = _SCENARIO_KIND(_expect(doc, dict, "").get("kind", Scenario.kind), "kind")
+    # checked first: a document of dimension d lists d initial coordinates
+    _dimension(doc.get("dimension", 1), "dimension")
     fields = _fields(doc, "", _SCENARIO_KEYS[kind])
-    fields.pop("kind", None)   # a class attribute of the scenario, not a field
+    # a class attribute of the scenario and a checked constant, not fields
+    fields.pop("kind", None)
+    fields.pop("dimension", None)
     _require(fields, "", ("initial", "horizon", *_GRIDS[kind]))
     s = (Scenario if kind == "control" else GameScenario)(**fields)
 
-    if len(s.initial) != s.dim:
-        raise ConfigError("initial", f"initial state must list {s.dim} coordinate(s)")
     if s.horizon <= 0:
         raise ConfigError("horizon", "horizon must be positive")
-    if s.sigma.kind != "constant" and s.dim != 1:
-        raise ConfigError("diffusion.kind", "state-dependent sigma requires dimension 1")
-    if s.sigma.matrix is not None and (len(s.sigma.matrix) != s.dim
-                                       or any(len(r) != s.dim for r in s.sigma.matrix)):
-        raise ConfigError("diffusion.matrix", f"matrix must be {s.dim} x {s.dim}")
-    if s.dim > 1 and not s.drift.trivially_zero:
-        raise ConfigError("drift", "nonzero drift registry requires dimension 1")
     for path, spec in (("drift.stats.{}", s.drift), ("running_cost.stat", s.running_cost),
                        ("terminal_cost.stat", s.terminal_cost)):
         for name in spec.stat_names():
@@ -746,18 +693,15 @@ def serialize_scenario(s: Scenario | GameScenario) -> dict:
     doc: dict[str, Any] = {
         "kind": s.kind,
         "name": s.name,
-        "dimension": s.dim,
-        "initial": list(s.initial),
+        "initial": s.initial,
         "horizon": s.horizon,
-        "diffusion": _emit(s.sigma, _DIFFUSION_KEYS, omit=("matrix",)),
+        "diffusion": _emit(s.sigma, _DIFFUSION_KEYS),
         "statistics": {name: _emit(spec, _STATISTIC_KEYS) for name, spec in s.statistics},
         "terminal_cost": _emit(s.terminal_cost, _TERMINAL_KEYS,
                                omit=() if s.terminal_cost.kind == "variance" else ("stat",)),
         "drift": {**_emit(s.drift, _DRIFT_KEYS[s.kind]), "stats": dict(s.drift.stats)},
         "running_cost": _emit(s.running_cost, _COST_KEYS[s.kind], omit=("state", "stat")),
     }
-    if s.sigma.matrix is not None:
-        doc["diffusion"]["matrix"] = [list(row) for row in s.sigma.matrix]
     cost = s.running_cost
     if cost.state_term.kind != "none":
         doc["running_cost"]["state"] = _emit(cost.state_term, _STATE_KEYS)
@@ -904,8 +848,7 @@ _BUILTINS: dict[str, dict] = {
     "zero-drift": {
         "kind": "control",
         "name": "zero-drift",
-        "dimension": 1,
-        "initial": [0.0],
+        "initial": 0.0,
         "horizon": 1.0,
         "diffusion": {"kind": "constant", "base": 1.0},
         "statistics": {"mean": {"kind": "identity"}},
@@ -917,8 +860,7 @@ _BUILTINS: dict[str, dict] = {
     "linear-quadratic": {
         "kind": "control",
         "name": "linear-quadratic",
-        "dimension": 1,
-        "initial": [0.0],
+        "initial": 0.0,
         "horizon": 1.0,
         "diffusion": {"kind": "constant", "base": 1.0},
         "statistics": {"mean": {"kind": "identity"}},
@@ -930,8 +872,7 @@ _BUILTINS: dict[str, dict] = {
     "mean-field-mean-reversion": {
         "kind": "control",
         "name": "mean-field-mean-reversion",
-        "dimension": 1,
-        "initial": [0.0],
+        "initial": 0.0,
         "horizon": 1.0,
         "diffusion": {"kind": "constant", "base": 1.0},
         "statistics": {"mean": {"kind": "identity"}},
@@ -943,8 +884,7 @@ _BUILTINS: dict[str, dict] = {
     "variance": {
         "kind": "control",
         "name": "variance",
-        "dimension": 1,
-        "initial": [0.0],
+        "initial": 0.0,
         "horizon": 1.0,
         "diffusion": {"kind": "constant", "base": 1.0},
         "statistics": {"mean": {"kind": "identity"}},
@@ -956,8 +896,7 @@ _BUILTINS: dict[str, dict] = {
     "separated-game": {
         "kind": "game",
         "name": "separated-game",
-        "dimension": 1,
-        "initial": [0.0],
+        "initial": 0.0,
         "horizon": 1.0,
         "diffusion": {"kind": "constant", "base": 1.0},
         "statistics": {"mean": {"kind": "identity"}},
@@ -970,8 +909,7 @@ _BUILTINS: dict[str, dict] = {
     "bilinear-game": {
         "kind": "game",
         "name": "bilinear-game",
-        "dimension": 1,
-        "initial": [0.0],
+        "initial": 0.0,
         "horizon": 1.0,
         "diffusion": {"kind": "constant", "base": 1.0},
         "statistics": {"mean": {"kind": "identity"}},
@@ -999,7 +937,7 @@ def get_builtin(name: str, initial: float | None = None,
                 horizon: float | None = None) -> Scenario | GameScenario:
     cfg = builtin_config(name)
     if initial is not None:
-        cfg["initial"] = [float(initial)] * cfg["dimension"]
+        cfg["initial"] = float(initial)
     if horizon is not None:
         cfg["horizon"] = float(horizon)
     return parse_scenario(cfg)

@@ -81,7 +81,7 @@ class AcceptanceContext:
         self._fix = {}
 
     def paths_for(self, scenario):
-        key = (scenario.dim, scenario.initial, scenario.horizon, scenario.sigma)
+        key = (scenario.initial, scenario.horizon, scenario.sigma)
         if key not in self._paths:
             self._paths[key] = simulate_for_scenario(
                 scenario, self.particles, self.steps, self.seed)
@@ -194,7 +194,7 @@ def check_fixed_point(ctx: AcceptanceContext) -> CheckResult:
         within = bool(d.applications <= 20)
         u = control.value
         times = paths.grid.times
-        target = scen.initial[0] + u * times
+        target = scen.initial + u * times
         dev_max, margin_ok = 0.0, True
         for k in range(ctx.steps + 1):
             est, se = weighted_statistic(fix.flow, k, "mean")
@@ -301,12 +301,12 @@ def check_lq_optimum(ctx: AcceptanceContext) -> CheckResult:
     for k in sorted({0, ctx.steps // 2, ctx.steps - 1, ctx.steps}):
         acts = report.control.actions(paths, k)
         dev = np.abs(acts + 1.0)
-        allow = 3.0 * report.solution.z_stderr(paths, k)[:, 0] + res + 1e-12
+        allow = 3.0 * report.solution.z_stderr(paths, k) + res + 1e-12
         dev_max = max(dev_max, float(np.max(dev)))
         excess_max = max(excess_max, float(np.max(dev - allow)))
         feedback_ok = feedback_ok and bool(np.all(dev <= allow))
 
-    target = scen.initial[0] - scen.horizon / 2.0
+    target = scen.initial - scen.horizon / 2.0
     value_dev = abs(report.y0 - target)
     value_ok = bool(value_dev <= 3.0 * report.y0_stderr + res)
 
@@ -424,7 +424,7 @@ def check_game(ctx: AcceptanceContext) -> CheckResult:
     res_u = scen.actions_u.resolution
     res_v = scen.actions_v.resolution
     grid_term = scen.horizon * (res_u ** 2 + res_v ** 2) / 8.0
-    value_dev = abs(report.value - scen.initial[0])
+    value_dev = abs(report.value - scen.initial)
     value_ok = bool(value_dev <= 3.0 * report.value_stderr + grid_term)
     checks = verify_saddle(scen, paths, report)
     details["separated"] = {

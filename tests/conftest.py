@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-Every builtin scenario uses dim 1, initial state 0, horizon 1 and unit
+Every builtin scenario uses initial state 0, horizon 1 and unit
 constant diffusion, so one reference ensemble serves all scenario-driven
 unit tests (the same sharing the acceptance battery relies on).  Unit
 tests run at a few thousand particles; the desk-scale run lives in

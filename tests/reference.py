@@ -18,19 +18,19 @@ from mfcontrol.bsde import _family_hamiltonian
 
 
 def linear_driver(scenario, flow, control):
-    """Driver (t_index, z) -> H = h + z . sigma^{-1} f per particle for one
-    fixed control (or pair) at the flow, z of shape (particles, dim)."""
+    """Driver (t_index, z) -> H = h + z sigma^{-1} f per particle for one
+    fixed control (or pair) at the flow, z of shape (particles,)."""
     hamiltonian_at = _family_hamiltonian(scenario, flow.paths, [control], [flow])
     return lambda k, z: hamiltonian_at(k, z)[0]
 
 
 def coefficient_solution(basis, z_coefficients):
-    """A BsdeSolution with the given (steps, width, dim) z coefficients and
-    zero values, residuals and noise scales."""
-    steps, _, dim = z_coefficients.shape
+    """A BsdeSolution with the given (steps, width) z coefficients and zero
+    values, residuals and noise scales."""
+    steps = z_coefficients.shape[0]
     return BsdeSolution(y0=0.0, y0_stderr=0.0, y_residuals=np.zeros(steps),
                         z_coefficients=z_coefficients, z_gram_factors=(),
-                        z_resid_rms=np.zeros((steps, dim)), basis=basis)
+                        z_resid_rms=np.zeros(steps), basis=basis)
 
 
 def picard_every_application(scenario, control, paths, tol=1e-3, max_iter=50):

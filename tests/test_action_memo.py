@@ -37,7 +37,7 @@ STEPS = 8
 
 def _solution(basis, seed):
     rng = np.random.default_rng(seed)
-    return coefficient_solution(basis, rng.normal(scale=1.5, size=(STEPS, basis.width(1), 1)))
+    return coefficient_solution(basis, rng.normal(scale=1.5, size=(STEPS, basis.width())))
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +65,14 @@ def uncached_actions(control, paths, k):
     z = control.solution.z_at(paths, k)
     _, acts = minimized_hamiltonian(control.scenario, paths.grid.times[k],
                                     paths.state(k), paths.sup(k),
-                                    control.stats_at(k), z[:, 0], control.grid)
+                                    control.stats_at(k), z, control.grid)
     return acts
 
 
 def uncached_pair(pair, paths, k):
     z = pair.solution.z_at(paths, k)
     env = envelopes(pair.scenario, paths.grid.times[k], paths.state(k),
-                    paths.sup(k), pair.stats_at(k), z[:, 0])
+                    paths.sup(k), pair.stats_at(k), z)
     return env.upper_u, env.lower_v
 
 

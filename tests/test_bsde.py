@@ -43,7 +43,6 @@ from mfcontrol import (
     hamiltonian,
     minimized_hamiltonian,
     parametric_control,
-    parse_scenario,
     reference_flow,
     regress_conditional,
     simulate_for_scenario,
@@ -67,11 +66,10 @@ def zero_driver(k, z):
 
 def test_basis_width_arithmetic():
     # monomials in (x, sup) of total degree <= 2: 1, x, s, x^2, xs, s^2
-    assert BasisSpec(degree=2).width(1) == 6
-    assert BasisSpec(degree=1).width(1) == 3
-    assert BasisSpec(degree=0).width(1) == 1
-    assert BasisSpec(degree=2, tanh_scale=1.0).width(1) == 7
-    assert BasisSpec(degree=2).width(2) == 10
+    assert BasisSpec(degree=2).width() == 6
+    assert BasisSpec(degree=1).width() == 3
+    assert BasisSpec(degree=0).width() == 1
+    assert BasisSpec(degree=2, tanh_scale=1.0).width() == 7
 
 
 def test_basis_spec_validation():
@@ -87,7 +85,7 @@ def test_build_features_shape_and_content(paths1k):
     spec = BasisSpec(degree=2)
     feats = features_at(paths1k, 3, spec)
     assert feats.shape == (paths1k.particles, 6)
-    x = paths1k.state(3)[:, 0]
+    x = paths1k.state(3)
     s = paths1k.sup(3)
     np.testing.assert_array_equal(feats[:, 0], np.ones(paths1k.particles))
     # the x column and the x^2 column appear among the monomials
@@ -129,8 +127,8 @@ def test_conditional_moment_ladder(paths4k):
     k = paths4k.grid.steps // 2
     t = paths4k.grid.times[k]
     horizon = paths4k.grid.horizon
-    target = paths4k.values[:, -1, 0] ** 2
-    analytic = paths4k.values[:, k, 0] ** 2 + (horizon - t)
+    target = paths4k.values[:, -1] ** 2
+    analytic = paths4k.values[:, k] ** 2 + (horizon - t)
     errs = {}
     for degree in (1, 2, 3):
         feats = features_at(paths4k, k, BasisSpec(degree=degree))
@@ -169,7 +167,7 @@ def test_unridged_solve_hits_collinear_sup_column(paths4k):
 def test_martingale_case_y_tracks_state(paths4k):
     # driver 0, g = x_T: Y_k = E[x_T | F_k] = x_k and Z = 1, so projecting
     # Y_{k+1} = x_{k+1} on F_k leaves the increment dW_k, rms sqrt(dt)
-    terminal = paths4k.values[:, -1, 0]
+    terminal = paths4k.values[:, -1]
     sol = solve_driver_bsde(paths4k, terminal, zero_driver)
     np.testing.assert_allclose(sol.y_residuals, np.sqrt(paths4k.grid.dt), rtol=0.1)
     for k in range(paths4k.grid.steps + 1):
@@ -273,16 +271,16 @@ def test_y0_stderr_scales_with_particles(lq):
 
 
 def test_z_stderr_pointwise_shape(paths4k):
-    terminal = paths4k.values[:, -1, 0]
+    terminal = paths4k.values[:, -1]
     sol = solve_driver_bsde(paths4k, terminal, zero_driver)
     se = sol.z_stderr(paths4k, paths4k.grid.steps // 2)
-    assert se.shape == (paths4k.particles, 1)
+    assert se.shape == (paths4k.particles,)
     assert np.all(se >= 0)
     # prediction noise is larger at the edge of the design than at its center
     k = paths4k.grid.steps // 2
-    x = paths4k.values[:, k, 0]
+    x = paths4k.values[:, k]
     edge = int(np.argmax(np.abs(x)))
-    assert se[edge, 0] >= np.median(se[:, 0])
+    assert se[edge] >= np.median(se)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +294,11 @@ def lstsq_backward(paths, terminal, driver_at, basis):
     projections, z on the ensemble, y0, y0_stderr, the inverse Gram matrices
     and the residual scales of z."""
     dw = paths.driver.increments
-    m, n, d = dw.shape
+    m, n = dw.shape
     dt = paths.grid.dt
-    q = basis.width(paths.dim)
+    q = basis.width()
     y = np.empty((m, n + 1))
-    z = np.empty((m, n, d))
+    z = np.empty((m, n))
     resid, gram_inv, rms = np.empty(n), [None] * n, [None] * n
     y[:, n] = terminal
     value_paths = y[:, n].copy()
@@ -314,15 +312,15 @@ def lstsq_backward(paths, terminal, driver_at, basis):
 
         fitted = (feats @ solve(y[:, k + 1, None]))[:, 0]
         resid[k] = np.sqrt(np.mean((y[:, k + 1] - fitted) ** 2))
-        rhs = (y[:, k + 1] - fitted)[:, None] * dw[:, k, :] / dt
-        zk = feats @ solve(rhs)
+        rhs = (y[:, k + 1] - fitted) * dw[:, k] / dt
+        zk = (feats @ solve(rhs[:, None]))[:, 0]
         _, sv, vt = np.linalg.svd(aug, full_matrices=False)
         gram_inv[k] = (vt.T / sv ** 2) @ vt
-        rms[k] = np.sqrt(np.mean((rhs - zk) ** 2, axis=0))
-        z[:, k, :] = zk
+        rms[k] = np.sqrt(np.mean((rhs - zk) ** 2))
+        z[:, k] = zk
         h = driver_at(k, zk)
         y[:, k] = fitted + h * dt
-        value_paths += h * dt - np.sum(zk * dw[:, k, :], axis=1)
+        value_paths += h * dt - zk * dw[:, k]
     return (resid, z, float(np.mean(y[:, 0])), float(np.std(value_paths) / np.sqrt(m)),
             gram_inv, rms)
 
@@ -358,7 +356,7 @@ def test_factored_solve_matches_lstsq_reference(name, particles, basis):
     for t_index in range(n + 1):
         k = min(t_index, n - 1)
         feats = features_at(paths, t_index, sol.basis)
-        ref = np.sqrt(np.einsum("mq,qr,mr->m", feats, gram_inv[k], feats))[:, None] * rms[k]
+        ref = np.sqrt(np.einsum("mq,qr,mr->m", feats, gram_inv[k], feats)) * rms[k]
         # at t_1 the running sup gives sup^2 = x^2 exactly: G weights that null
         # direction by 1/ridge = 1e8, and any two factorizations of the design
         # (the SVD here, QR, an explicit inverse) agree only to about 1e-8
@@ -368,7 +366,7 @@ def test_factored_solve_matches_lstsq_reference(name, particles, basis):
 def solve_uncached(monkeypatch, paths, basis):
     """The solve with an empty factor holder: every factor is a miss."""
     monkeypatch.setattr(bsde_mod, "_GRAM_FACTORS", weakref.WeakKeyDictionary())
-    sol = solve_driver_bsde(paths, paths.values[:, -1, 0] ** 2, zero_driver, basis=basis)
+    sol = solve_driver_bsde(paths, paths.values[:, -1] ** 2, zero_driver, basis=basis)
     monkeypatch.undo()
     return sol
 
@@ -393,15 +391,15 @@ def test_cached_factors_give_the_uncached_bits(lq, monkeypatch):
     assert ref[id(a), wide].y0 != ref[id(a), narrow].y0
     for paths, basis in [(a, wide), (b, wide), (a, wide), (twin, wide), (a, wide),
                          (a, narrow), (a, wide), (a, narrow), (b, narrow)]:
-        sol = solve_driver_bsde(paths, paths.values[:, -1, 0] ** 2, zero_driver, basis=basis)
+        sol = solve_driver_bsde(paths, paths.values[:, -1] ** 2, zero_driver, basis=basis)
         assert_same_solution(sol, ref[id(paths), basis])
 
 
 def test_factor_holder_keeps_no_particle_axis_nor_a_dead_ensemble(lq):
     paths = simulate_for_scenario(lq, particles=500, steps=5, seed=33)
     basis = BasisSpec()
-    sol = solve_driver_bsde(paths, paths.values[:, -1, 0], zero_driver, basis=basis)
-    q = basis.width(paths.dim)
+    sol = solve_driver_bsde(paths, paths.values[:, -1], zero_driver, basis=basis)
+    q = basis.width()
     held = list(bsde_mod._GRAM_FACTORS[paths].values())
     assert len(held) == paths.grid.steps
     for factor in held:
@@ -436,7 +434,7 @@ def test_each_ensemble_keeps_its_factors_across_switches(lq, monkeypatch):
     monkeypatch.setattr(bsde_mod, "_gram_factor",
                         lambda *args: calls.append(1) or factor(*args))
     for paths in (a, b, a):
-        solve_driver_bsde(paths, paths.values[:, -1, 0], zero_driver, basis=BasisSpec())
+        solve_driver_bsde(paths, paths.values[:, -1], zero_driver, basis=BasisSpec())
     assert len(calls) == 2 * a.grid.steps
 
 
@@ -447,16 +445,7 @@ def test_each_ensemble_keeps_its_factors_across_switches(lq, monkeypatch):
 def family_case(name):
     """A scenario and a family of its controls: constant, parametric and table
     controls, or (u, v) pairs of them for the game."""
-    if name == "d2-matrix":
-        scen = parse_scenario({
-            "kind": "control", "dimension": 2, "initial": [0.0, 0.0], "horizon": 1.0,
-            "diffusion": {"kind": "constant", "matrix": [[1.0, 0.3], [0.0, 0.8]]},
-            "drift": {}, "running_cost": {"quad": 1.0, "lin": 0.3,
-                                          "state": {"kind": "tanh", "coeff": 0.5}},
-            "terminal_cost": {"kind": "linear", "coeff": 1.0},
-            "actions": {"lo": -1.0, "hi": 1.0, "count": 5}})
-    else:
-        scen = get_builtin(name)
+    scen = get_builtin(name)
     table = ([-0.5, 0.0, 0.5], [[-1.0, -0.5, 0.5, 1.0], [1.0, 0.5, -0.5, -1.0]])
     if scen.kind == "game":
         gu, gv = scen.grids
@@ -468,7 +457,7 @@ def family_case(name):
 
 
 @pytest.fixture(scope="module", params=["linear-quadratic", "mean-field-mean-reversion",
-                                        "separated-game", "d2-matrix"])
+                                        "separated-game"])
 def family(request):
     scen, controls = family_case(request.param)
     paths = simulate_for_scenario(scen, particles=2000, steps=20, seed=3)

@@ -195,10 +195,13 @@ def test_blocked_validation_exits_2_unless_overridden(capsys, tmp_path):
     ("linear-quadratic", "actions", {"points": [-1, [0.0], [1.0, 2.0]]}, "actions.points[2]"),
     ("separated-game", "actions_u", {"points": [[0.0], [0.5, 0.5]]}, "actions_u.points[1]"),
     ("separated-game", "actions_v", {"points": [[-1.0, 1.0]]}, "actions_v.points[0]"),
+    # the state is one number: a second coordinate and a sigma matrix are refused
+    ("zero-drift", None, {"dimension": 2, "initial": [0, 0]}, "dimension"),
+    ("linear-quadratic", "diffusion", {"kind": "constant", "matrix": [[2.0]]}, "diffusion.matrix"),
 ])
 def test_malformed_config_exits_2_without_traceback(capsys, tmp_path, base, key, value, path):
     doc = builtin_config(base)
-    doc[key] = value
+    doc.update({key: value} if key else value)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))   # non-finite floats become Infinity / NaN
     code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg), *FAST])

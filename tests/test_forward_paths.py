@@ -93,7 +93,7 @@ def formula_actions(control: Control, paths, k):
     m = paths.particles
     if control.kind == "constant":
         return np.full(m, control.value)
-    x0 = paths.values[:, k, 0]
+    x0 = paths.values[:, k]
     if control.kind == "parametric":
         a, b, c = control.coeffs
         raw = a + b * x0 + c * paths.running_sup[:, k]
@@ -111,20 +111,20 @@ def formula_actions(control: Control, paths, k):
 def uncached_feedback(control: BsdeFeedbackControl, paths, k):
     z = control.solution.z_at(paths, k)
     _, acts = minimized_hamiltonian(control.scenario, paths.grid.times[k], paths.state(k),
-                                    paths.sup(k), control.stats_at(k), z[:, 0], control.grid)
+                                    paths.sup(k), control.stats_at(k), z, control.grid)
     return acts
 
 
 def uncached_pair(pair: PairFeedbackControl, paths, k):
     z = pair.solution.z_at(paths, k)
     env = envelopes(pair.scenario, paths.grid.times[k], paths.state(k), paths.sup(k),
-                    pair.stats_at(k), z[:, 0])
+                    pair.stats_at(k), z)
     return env.upper_u, env.lower_v
 
 
 def solution(basis, seed):
     rng = np.random.default_rng(seed)
-    return coefficient_solution(basis, rng.normal(scale=1.5, size=(STEPS, basis.width(1), 1)))
+    return coefficient_solution(basis, rng.normal(scale=1.5, size=(STEPS, basis.width())))
 
 
 def controls_for(scenario):
@@ -169,25 +169,23 @@ def reference_drift(scenario, flow, reference):
     def drift_at(k):
         row = {name: s[k] for name, s in series.items()}
         acts = reference(paths, k)
-        out = np.zeros((paths.particles, paths.dim))
-        out[:, 0] = scenario.drift.evaluate(paths.values[:, k, 0], row, *acts)
-        return out
+        return scenario.drift.evaluate(paths.values[:, k], row, *acts)
 
     return drift_at
 
 
 def reference_log_weights(paths, drift_at, sigma):
     dw = paths.driver.increments
-    m, n, _ = dw.shape
+    m, n = dw.shape
     dt = paths.grid.dt
     log_w = np.zeros((m, n + 1))
     for k in range(n):
         f = drift_at(k)
-        inv = 1.0 / sigma.scalar_values(paths.grid.times[k], paths.values[:, k, 0], paths.sup(k))
-        theta = inv[:, None] * f
+        inv = 1.0 / sigma.scalar_values(paths.grid.times[k], paths.values[:, k], paths.sup(k))
+        theta = inv * f
         if not np.all(np.isfinite(theta)):
             raise FloatingPointError(f"non-finite drift-to-noise ratio at t_index {k}")
-        incr = np.sum(theta * dw[:, k, :], axis=1) - 0.5 * dt * np.sum(theta * theta, axis=1)
+        incr = theta * dw[:, k] - 0.5 * dt * (theta * theta)
         log_w[:, k + 1] = log_w[:, k] + incr
     return log_w
 
@@ -217,7 +215,7 @@ def reference_payoff(scenario, flow, reference):
     for k in range(n + 1):
         row = {name: series[name][k] for name in names}
         acts = reference(paths, k)
-        h_mat[:, k] = scenario.running_cost.evaluate(paths.values[:, k, 0], row, *acts)
+        h_mat[:, k] = scenario.running_cost.evaluate(paths.values[:, k], row, *acts)
     running = np.trapezoid(flow.weights * h_mat, dx=paths.grid.dt, axis=1)
     return running + flow.weights[:, n] * terminal_values(scenario, flow)
 
@@ -260,9 +258,9 @@ def test_hellinger_integrand_matches_step_recursion(setting, blocks):
     n = paths.grid.steps
     integrand = np.empty((paths.particles, n + 1))
     for k in range(n + 1):
-        inv = 1.0 / scenario.sigma.scalar_values(paths.grid.times[k], paths.values[:, k, 0],
+        inv = 1.0 / scenario.sigma.scalar_values(paths.grid.times[k], paths.values[:, k],
                                                  paths.sup(k))
-        integrand[:, k] = ((fa(k) - fb(k))[:, 0] * inv) ** 2
+        integrand[:, k] = ((fa(k) - fb(k)) * inv) ** 2
     weighted = flow.weights[:, n] * np.trapezoid(integrand, dx=paths.grid.dt, axis=1) / 8.0
     assert gamma[0] == max(float(np.mean(weighted)), 0.0)
     assert gamma[2] == float(np.std(weighted) / np.sqrt(paths.particles))
@@ -339,10 +337,10 @@ class BadDrift:
         self.points = points
 
     def __call__(self, k):
-        out = np.zeros((self.paths.particles, 1))
+        out = np.zeros(self.paths.particles)
         for i, j in self.points:
             if j == k:
-                out[i, 0] = np.inf
+                out[i] = np.inf
         return out
 
     def over(self, rows, steps):
@@ -360,7 +358,7 @@ def test_infinite_drift_names_the_first_bad_step(paths4k, blocks, form):
 
 def singular_at(paths, particle, k):
     """Affine sigma that vanishes exactly at one (particle, step) point."""
-    return DiffusionSpec(kind="affine_state", base=-float(paths.values[particle, k, 0]),
+    return DiffusionSpec(kind="affine_state", base=-float(paths.values[particle, k]),
                          slope=1.0)
 
 
@@ -369,7 +367,7 @@ def test_singular_affine_sigma_raises(paths4k, blocks):
     sigma = singular_at(paths4k, paths4k.particles - 3, k)
     with pytest.raises(SingularDiffusionError,
                        match=rf"at t={paths4k.grid.times[k]:g} for 1 particle\(s\)"):
-        density_process(paths4k, lambda j: np.full((paths4k.particles, 1), 0.3), sigma)
+        density_process(paths4k, lambda j: np.full(paths4k.particles, 0.3), sigma)
 
 
 def test_earlier_infinite_drift_wins_over_later_singular_sigma(paths4k, blocks):

@@ -451,7 +451,7 @@ def test_trivial_game_payoffs_are_sample_means(paths1k):
     game = _game_config(terminal_cost={"kind": "linear", "coeff": 1.0})
     report = solve_game(game, paths1k)
     # no drift, no running cost: every payoff is the plain mean of x_T
-    assert report.j_hat == float(np.mean(paths1k.values[:, -1, 0]))
+    assert report.j_hat == float(np.mean(paths1k.values[:, -1]))
     assert len(report.trace) == 1
     assert report.outer_iterations == 0
     pair = (constant_control(-1.0, game.actions_u),

@@ -48,7 +48,7 @@ SIGMA = DiffusionSpec()
 
 def constant_drift(paths, u):
     def drift_at(k):
-        return np.full((paths.particles, 1), u)
+        return np.full(paths.particles, u)
 
     return drift_at
 
@@ -68,7 +68,7 @@ def test_constant_drift_log_weight_closed_form(paths4k):
     # -u^2/2 * dt summed over N steps and the linear term telescopes
     u = 0.7
     weights = density_process(paths4k, constant_drift(paths4k, u), SIGMA)
-    w_t = np.cumsum(paths4k.driver.increments[:, :, 0], axis=1)
+    w_t = np.cumsum(paths4k.driver.increments, axis=1)
     times = paths4k.grid.times[1:]
     expected = u * w_t - 0.5 * u * u * times
     np.testing.assert_allclose(np.log(weights[:, 1:]), expected,
@@ -100,15 +100,15 @@ def test_density_moments_stable_across_seeds(lq):
 def test_reweighted_mean_shifts_by_drift(paths4k):
     u = 0.5
     weights = density_process(paths4k, constant_drift(paths4k, u), SIGMA)
-    x_t = paths4k.values[:, -1, 0]
+    x_t = paths4k.values[:, -1]
     est, se = mean_stderr(weights[:, -1] * x_t)
     assert abs(est - u * paths4k.grid.horizon) <= 3.0 * se
 
 
 def test_non_finite_drift_ratio_aborts(paths1k):
     def bad(k):
-        out = np.zeros((paths1k.particles, 1))
-        out[0, 0] = np.inf
+        out = np.zeros(paths1k.particles)
+        out[0] = np.inf
         return out
 
     with pytest.raises(FloatingPointError):
@@ -307,15 +307,7 @@ def test_one_allowed_application_still_fails_with_its_distance(lq, paths1k, monk
 
 def drift_scenario(name):
     """Drifts that exercise every term of DriftSpec: statistic coefficients
-    zero and nonzero, two statistics, bound_scale, a game's control_v, and a
-    d = 2 sigma matrix (whose drift registry must be zero)."""
-    if name == "d2-matrix":
-        return parse_scenario({
-            "kind": "control", "dimension": 2, "initial": [0.0, 0.0], "horizon": 1.0,
-            "diffusion": {"kind": "constant", "matrix": [[1.0, 0.3], [0.0, 0.8]]},
-            "statistics": {"mean": {"kind": "identity"}}, "drift": {},
-            "running_cost": {"quad": 1.0}, "terminal_cost": {"kind": "linear", "coeff": 1.0},
-            "actions": {"lo": -1.0, "hi": 1.0, "count": 5}})
+    zero and nonzero, two statistics, bound_scale and a game's control_v."""
     if name == "game":
         cfg = builtin_config("separated-game")
         cfg["drift"] = {"state": -0.3, "stats": {"mean": 0.4}, "control_u": 1.0,
@@ -334,7 +326,7 @@ def drift_scenario(name):
 
 
 DRIFT_CASES = ["zero-coefficient", "nonzero-coefficient", "two-statistics", "bound-scale",
-               "game", "d2-matrix"]
+               "game"]
 
 
 def drift_control(scenario):

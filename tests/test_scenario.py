@@ -33,7 +33,7 @@ from mfcontrol import (
 
 
 def test_statistic_kinds_by_hand():
-    state = np.array([[-0.5], [0.25], [1.0]])
+    state = np.array([-0.5, 0.25, 1.0])
     np.testing.assert_array_equal(
         StatisticSpec("identity").evaluate(state), [-0.5, 0.25, 1.0])
     np.testing.assert_array_equal(
@@ -58,74 +58,29 @@ def test_statistic_spec_rejects_bad_parameters():
 
 def test_constant_diffusion_apply_and_inverse():
     sigma = DiffusionSpec(kind="constant", base=2.0)
-    state = np.zeros((4, 1))
+    state = np.zeros(4)
     sup = np.zeros(4)
-    vec = np.arange(4.0).reshape(4, 1)
+    vec = np.arange(4.0)
     np.testing.assert_array_equal(sigma.apply(0.0, state, sup, vec), 2.0 * vec)
     np.testing.assert_array_equal(sigma.inv_apply(0.0, state, sup, vec), vec / 2.0)
     np.testing.assert_array_equal(
-        sigma.inv_quadform(0.0, state, sup, vec), (vec[:, 0] / 2.0) ** 2)
+        sigma.inv_quadform(0.0, state, sup, vec), (vec / 2.0) ** 2)
 
 
 def test_affine_diffusion_guards_zero_crossing():
     # sigma(x) = 0.5 + x vanishes at x = -0.5; the guard must refuse to invert
     sigma = DiffusionSpec(kind="affine_state", base=0.5, slope=1.0)
-    state = np.array([[0.5], [-0.5]])
-    sup = np.abs(state[:, 0])
-    vec = np.ones((2, 1))
+    state = np.array([0.5, -0.5])
+    sup = np.abs(state)
+    vec = np.ones(2)
     with pytest.raises(SingularDiffusionError):
         sigma.inv_apply(0.0, state, sup, vec)
     with pytest.raises(SingularDiffusionError):
         sigma.apply(0.0, state, sup, vec)
     # away from the crossing the same registry works
-    good = np.array([[0.5], [1.0]])
-    out = sigma.apply(0.0, good, np.abs(good[:, 0]), vec)
-    np.testing.assert_allclose(out[:, 0], [1.0, 1.5])
-
-
-def test_matrix_diffusion_round_trip():
-    m = ((2.0, 0.0), (1.0, 3.0))
-    sigma = DiffusionSpec(kind="constant", matrix=m)
-    state = np.zeros((3, 2))
-    sup = np.zeros(3)
-    vec = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, -1.0]])
-    forward = sigma.apply(0.0, state, sup, vec)
-    np.testing.assert_allclose(forward, vec @ np.asarray(m).T)
-    back = sigma.inv_apply(0.0, state, sup, forward)
-    np.testing.assert_allclose(back, vec, atol=1e-12)
-
-    singular = DiffusionSpec(kind="constant", matrix=((1.0, 1.0), (1.0, 1.0)))
-    assert singular.invertibility()[0] == "violated"
-    with pytest.raises(SingularDiffusionError):
-        singular.apply(0.0, state, sup, vec)
-
-
-def test_matrix_diffusion_quadform_is_the_squared_inverse():
-    m = np.array([[2.0, 0.0], [1.0, 3.0]])
-    sigma = DiffusionSpec(kind="constant", matrix=tuple(map(tuple, m)))
-    vec = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, -1.0]])
-    state, sup = np.zeros((3, 2)), np.zeros(3)
-    # v' (sigma sigma')^{-1} v from the definition, and |sigma^{-1} v|^2 with
-    # the lower-triangular inverse written out
-    by_definition = np.einsum("ij,jk,ik->i", vec, np.linalg.inv(m @ m.T), vec)
-    by_inverse = (vec[:, 0] / 2.0) ** 2 + ((vec[:, 1] - vec[:, 0] / 2.0) / 3.0) ** 2
-    got = sigma.inv_quadform(0.0, state, sup, vec)
-    np.testing.assert_allclose(got, by_definition, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got, by_inverse, rtol=0, atol=1e-12)
-    # a block of steps: (M, B, d) in, (M, B) out
-    block = np.stack([vec, 2.0 * vec], axis=1)
-    np.testing.assert_allclose(
-        sigma.inv_quadform(np.array([0.0, 0.5]), np.zeros((3, 2, 2)), np.zeros((3, 2)), block),
-        np.stack([by_inverse, 4.0 * by_inverse], axis=1), rtol=0, atol=1e-12)
-
-    for singular in (((1.0, 1.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, 1.0 + 1e-13))):
-        with pytest.raises(SingularDiffusionError):
-            DiffusionSpec(kind="constant", matrix=singular).inv_quadform(0.0, state, sup, vec)
-
-
-def test_matrix_requires_constant_kind():
-    with pytest.raises(ConfigError):
-        DiffusionSpec(kind="affine_state", matrix=((1.0,),))
+    good = np.array([0.5, 1.0])
+    out = sigma.apply(0.0, good, np.abs(good), vec)
+    np.testing.assert_allclose(out, [1.0, 1.5])
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +167,7 @@ def test_parse_minimal_control_config(lq):
     assert s.running_cost == lq.running_cost
     assert s.terminal_cost == lq.terminal_cost
     assert s.actions == lq.actions
-    assert s.initial == (0.0,)
+    assert s.initial == 0.0
     assert s.horizon == 1.0
 
 
@@ -276,34 +231,6 @@ def test_game_config_requires_both_action_grids():
     assert s.kind == "game"
 
 
-def test_multidimensional_state_needs_trivial_drift():
-    doc = {
-        "initial": [0.0, 0.0],
-        "dimension": 2,
-        "horizon": 1.0,
-        "actions": {"points": [[0.0]]},
-    }
-    s = parse_scenario(doc)  # zero drift in d = 2 is allowed
-    assert s.dim == 2
-    doc["drift"] = {"control": 1.0}
-    with pytest.raises(ConfigError) as err:
-        parse_scenario(doc)
-    assert "drift" in str(err.value)
-
-
-def test_state_dependent_sigma_needs_dim_one():
-    doc = {
-        "initial": [0.0, 0.0],
-        "dimension": 2,
-        "horizon": 1.0,
-        "diffusion": {"kind": "affine_state", "base": 1.0, "slope": 0.5},
-        "actions": {"points": [[0.0]]},
-    }
-    with pytest.raises(ConfigError) as err:
-        parse_scenario(doc)
-    assert "diffusion" in str(err.value)
-
-
 def test_invalid_json_and_non_mapping_inputs():
     with pytest.raises(ConfigError):
         parse_scenario("{not json")
@@ -328,7 +255,6 @@ def test_builtin_listing_and_lookup():
     for name in names:
         s = get_builtin(name)
         assert s.name == name
-        assert s.dim == 1
         assert s.horizon == 1.0
         # no builtin violates a standing assumption
         assert not validate_scenario(s).blocked
@@ -349,7 +275,7 @@ def test_builtin_config_returns_a_fresh_copy():
 
 def test_get_builtin_overrides(lq):
     s = get_builtin("linear-quadratic", initial=2.0, horizon=0.5)
-    assert s.initial == (2.0,)
+    assert s.initial == 2.0
     assert s.horizon == 0.5
     assert s.drift == lq.drift
 
