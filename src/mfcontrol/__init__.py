@@ -67,7 +67,6 @@ from .girsanov import (
 from .bsde import (
     BasisSpec,
     BsdeSolution,
-    RankDeficientError,
     build_features,
     regress_conditional,
     solve_driver_bsde,
@@ -127,7 +126,7 @@ __all__ = [
     "FixpointDiagnostics", "FixpointResult", "contraction_report",
     "density_process", "fixpoint_measure_flow",
     # backward solver
-    "BasisSpec", "BsdeSolution", "RankDeficientError", "build_features",
+    "BasisSpec", "BsdeSolution", "build_features",
     "regress_conditional", "solve_driver_bsde", "solve_linear_bsde",
     "solve_linear_family", "terminal_values",
     # control

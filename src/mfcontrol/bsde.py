@@ -6,10 +6,14 @@ The terminal condition and driver are rolled back step by step:
     Z_k = E[(Y_{k+1} - E[Y_{k+1}|F_k]) dW_k | F_k] / dt   (regression),
     Y_k = E[Y_{k+1}|F_k] + driver(t_k, Z_k) dt,
 
-with conditional expectations replaced by ridge-regularized projections on a
-polynomial basis in (x_t, running sup |x|).  Centering the increment before
-the Z regression removes the 1/dt variance blowup of the plain estimator
-without changing the estimand (the projection of E[Y|F_k] dW vanishes).
+with conditional expectations replaced by ridge-regularized projections on
+the monomials in (x_t, running sup |x|) up to a degree.  A basis is its
+degree alone (BasisSpec), and the ridge is the fixed _RIDGE = 1e-8, so every
+augmented design has full rank, even where the plain one has not (at t_0 and
+t_1 the degree-2 design is exactly rank-deficient).  Centering the
+increment before the Z regression removes the 1/dt variance blowup of the
+plain estimator without changing the estimand (the projection of E[Y|F_k]
+dW vanishes).
 
 Each step's design F_k depends only on (ensemble, basis, step), so its
 factorization is taken once per ensemble: the R factor of the
@@ -55,35 +59,26 @@ from .measure import EnsembleMismatchError, MeasureFlow, mean_stderr
 from .scenario import GameScenario, Scenario
 
 
-class RankDeficientError(np.linalg.LinAlgError):
-    """Unregularized regression on a rank-deficient design."""
+# The ridge of every projection.
+_RIDGE = 1e-8
 
 
 @dataclass(frozen=True)
 class BasisSpec:
     """Regression basis: all monomials in (state, running sup) of total
-    degree <= degree, optionally a tanh(x / tanh_scale) feature, ridge >= 0.
-
-    The constant feature is always present.  The tanh scale is a fixed basis
-    parameter rather than a data-driven standardization so that a synthesized
-    feedback can rebuild identical features anywhere.
+    degree <= degree, the constant feature included.  The features are fixed
+    functions of the state, not a data-driven standardization, so that a
+    synthesized feedback can rebuild identical features anywhere.
     """
 
     degree: int = 2
-    tanh_scale: float | None = None
-    ridge: float = 1e-8
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
-        if self.tanh_scale is not None and self.tanh_scale <= 0:
-            raise ValueError("tanh_scale must be positive")
 
     def width(self) -> int:
-        q = (self.degree + 1) * (self.degree + 2) // 2
-        return q + (1 if self.tanh_scale is not None else 0)
+        return (self.degree + 1) * (self.degree + 2) // 2
 
 
 def build_features(x: np.ndarray, sup: np.ndarray, spec: BasisSpec) -> np.ndarray:
@@ -98,8 +93,6 @@ def build_features(x: np.ndarray, sup: np.ndarray, spec: BasisSpec) -> np.ndarra
             for idx in combo:
                 col = col * variables[idx]
             cols.append(col)
-    if spec.tanh_scale is not None:
-        cols.append(np.tanh(variables[0] / spec.tanh_scale))
     return np.column_stack(cols)
 
 
@@ -107,52 +100,37 @@ def features_at(paths: PathEnsemble, t_index: int, spec: BasisSpec) -> np.ndarra
     return build_features(paths.state(t_index), paths.sup(t_index), spec)
 
 
-def _gram_factor(features: np.ndarray, ridge: float) -> np.ndarray:
+def _gram_factor(features: np.ndarray) -> np.ndarray:
     """S = R^{-1}, read-only, with R the triangular factor of the
     ridge-augmented design [F; sqrt(ridge) I], so that
-    (F'F + ridge I)^{-1} = S S'.
-
-    With ridge == 0 a design whose rank, counted from R's singular values
-    with lstsq's default cutoff (eps * max(M, q) times the largest), falls
-    short of q raises RankDeficientError; with ridge > 0 the augmented
-    design always has full rank.
-    """
-    m, q = features.shape
-    r = np.linalg.qr(np.vstack([features, np.sqrt(ridge) * np.eye(q)]), mode="r")
-    if ridge == 0.0:
-        sv = np.linalg.svd(r, compute_uv=False)
-        rank = int(np.count_nonzero(sv > np.finfo(float).eps * max(m, q) * sv[0]))
-        if rank < q:
-            raise RankDeficientError(
-                f"design matrix has rank {rank} < {q}; set ridge > 0 to regularize")
+    (F'F + ridge I)^{-1} = S S'."""
+    q = features.shape[1]
+    r = np.linalg.qr(np.vstack([features, np.sqrt(_RIDGE) * np.eye(q)]), mode="r")
     factor = np.linalg.solve(r, np.eye(q))
     factor.flags.writeable = False
     return factor
 
 
-def _project(features: np.ndarray, values: np.ndarray, factor: np.ndarray,
-             ridge: float) -> np.ndarray:
+def _project(features: np.ndarray, values: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Ridge coefficients (q, p) of the columns of values (M, p): c = G F'y,
     then one refinement c += G (F'(y - F c) - ridge c), with G = S S'."""
     coef = factor @ (factor.T @ (features.T @ values))
-    coef += factor @ (factor.T @ (features.T @ (values - features @ coef) - ridge * coef))
+    coef += factor @ (factor.T @ (features.T @ (values - features @ coef) - _RIDGE * coef))
     return coef
 
 
-def regress_conditional(values: np.ndarray, features: np.ndarray,
-                        ridge: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Least-squares projection of values on the feature columns.
+def regress_conditional(values: np.ndarray,
+                        features: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Ridge least-squares projection of values on the feature columns.
 
-    Returns (coefficients, fitted values, rms residual).  With ridge == 0 a
-    rank-deficient design raises RankDeficientError telling the caller to set
-    ridge > 0; with ridge > 0 the augmented system is always full rank.
+    Returns (coefficients, fitted values, rms residual).
     """
     values = np.asarray(values, dtype=float)
     features = np.asarray(features, dtype=float)
     squeeze = values.ndim == 1
     if squeeze:
         values = values[:, None]
-    coef = _project(features, values, _gram_factor(features, ridge), ridge)
+    coef = _project(features, values, _gram_factor(features))
     fitted = features @ coef
     resid = float(np.sqrt(np.mean((values - fitted) ** 2)))
     if squeeze:
@@ -219,7 +197,6 @@ def _backward(paths: PathEnsemble, terminal: np.ndarray, driver_at,
     n = paths.grid.steps
     members = terminal.shape[1]
     dt = paths.grid.dt
-    ridge = basis.ridge
     z_coef = np.empty((members, n, basis.width()))
     z_factors = [None] * n
     z_rms = np.empty((n, members))
@@ -232,14 +209,14 @@ def _backward(paths: PathEnsemble, terminal: np.ndarray, driver_at,
         # a miss factors first and then projects like a hit, so both give the same bits
         factor = held.get((basis, k))
         if factor is None:
-            factor = held[basis, k] = _gram_factor(feats, ridge)
+            factor = held[basis, k] = _gram_factor(feats)
         z_factors[k] = factor
-        fitted = feats @ _project(feats, y, factor, ridge)
+        fitted = feats @ _project(feats, y, factor)
         dev = y - fitted
         # one contiguous row per member: each mean sums like a solo solve's
         resid[k] = np.sqrt(np.mean(np.square(dev.T, order="C"), axis=1))
         rhs = dev * dw[:, k, None] / dt
-        coef = _project(feats, rhs, factor, ridge)
+        coef = _project(feats, rhs, factor)
         # z_at's expression, so a driver's extremizers are the feedback's own
         zk = feats @ coef
         z_rms[k] = np.sqrt(np.mean((rhs - zk) ** 2, axis=0))

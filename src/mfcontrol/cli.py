@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -95,19 +96,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_run_config(args) -> None:
+    if args.seed < 0:
+        raise ConfigError("seed", "seed must be >= 0")
     if args.particles < 100:
         raise ConfigError("particles", "at least 100 particles required")
     if args.steps < 1:
         raise ConfigError("steps", "at least one time step required")
-    if args.tol <= 0:
-        raise ConfigError("tol", "tolerance must be positive")
+    if not 0 < args.tol < math.inf:   # NaN fails too
+        raise ConfigError("tol", "tolerance must be positive and finite")
     if args.basis_degree < 1:
         raise ConfigError("basis-degree", "basis degree must be >= 1")
+    if args.out:
+        out = Path(args.out)
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError("out", f"{existing} exists and is not a directory")
+
+
+def _read_file(path: str, key: str) -> str:
+    """The UTF-8 text of the file option key names, else a ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(key, f"cannot read {path} ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(key, f"{path} is not UTF-8 text") from exc
 
 
 def _load_scenario(args):
     if args.config:
-        scen = parse_scenario(Path(args.config).read_text())
+        scen = parse_scenario(_read_file(args.config, "config"))
     else:
         scen = parse_scenario(builtin_config(args.scenario))
     return scen
@@ -230,7 +248,8 @@ def _run_fixpoint(args, scen):
 def _run_evaluate(args, scen):
     controls = _parse_controls(scen, list(args.control or []))
     if args.controls_file:
-        controls += _file_controls(scen, json.loads(Path(args.controls_file).read_text()))
+        controls += _file_controls(scen, json.loads(_read_file(args.controls_file,
+                                                               "controls-file")))
     if not controls:
         raise ConfigError("control", "evaluate needs --control or --controls-file")
     paths = simulate_for_scenario(scen, args.particles, args.steps, args.seed)
@@ -360,9 +379,6 @@ def main(argv=None) -> int:
             raise ConfigError("command", f"unknown command {args.command!r}")
     except (ConfigError, ValidationBlockedError) as exc:
         stderr_note(f"configuration error: {exc}")
-        return 2
-    except FileNotFoundError as exc:
-        stderr_note(f"configuration error: cannot read {exc.filename}")
         return 2
     except json.JSONDecodeError as exc:
         stderr_note(f"configuration error: invalid JSON ({exc})")

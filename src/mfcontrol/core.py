@@ -147,7 +147,11 @@ def particle_blocks(particles: int, steps: int) -> list[slice]:
     return [slice(i, min(i + width, particles)) for i in range(0, particles, width)]
 
 
-def ensemble_moments(paths: PathEnsemble, orders=(1, 2, 4)) -> dict[int, float]:
-    """Empirical E[|x_T|^p] at the horizon, a cheap stability diagnostic."""
+# The orders p of ensemble_moments.
+_MOMENT_ORDERS = (1, 2, 4)
+
+
+def ensemble_moments(paths: PathEnsemble) -> dict[int, float]:
+    """Empirical E[|x_T|^p] at the horizon, p in _MOMENT_ORDERS: a stability check."""
     norms = np.abs(paths.values[:, -1])
-    return {int(p): float(np.mean(norms ** p)) for p in orders}
+    return {p: float(np.mean(norms ** p)) for p in _MOMENT_ORDERS}

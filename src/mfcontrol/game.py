@@ -30,7 +30,7 @@ from .control import (_GridFeedback, _synthesize, constant_control, evaluate_pay
                       grid_index_dtype)
 from .core import PathEnsemble
 from .measure import MeasureFlow
-from .scenario import ActionGrid, GameScenario
+from .scenario import GameScenario
 
 
 class IsaacsError(RuntimeError):
@@ -165,38 +165,32 @@ class IsaacsReport:
 
 # The envelope gap beyond which solve_game refuses to certify a value.
 _ISAACS_TOL = 1e-9
+# The z values isaacs_gap samples.
+_ISAACS_Z_POINTS = np.linspace(-3.0, 3.0, 25)
 
 
-def isaacs_gap(scenario: GameScenario, z_points=None, x_points=None,
-               stats_row: dict | None = None, t: float = 0.0,
-               tol: float = _ISAACS_TOL) -> IsaacsReport:
-    """Sample upper - lower over a (state, z) grid.
+def isaacs_gap(scenario: GameScenario) -> IsaacsReport:
+    """Sample upper - lower over a (state, z) grid at t = 0.
 
-    Defaults: z on [-3, 3], states around the initial point at the diffusive
-    scale, statistics at their initial-condition values.  The gap is always
-    >= 0; a positive max beyond tol means min and max do not commute for this
-    Hamiltonian and no saddle certificate is possible on these grids.
+    z runs over _ISAACS_Z_POINTS on [-3, 3], the states around the initial
+    point at the diffusive scale, and the statistics take their
+    initial-condition values.  The gap is always >= 0; a positive max beyond
+    _ISAACS_TOL means min and max do not commute for this Hamiltonian and no
+    saddle certificate is possible on these grids.
     """
-    if z_points is None:
-        z_points = np.linspace(-3.0, 3.0, 25)
-    z_points = np.asarray(z_points, dtype=float)
-    if x_points is None:
-        spread = np.sqrt(scenario.horizon)
-        x_points = scenario.initial + spread * np.linspace(-3.0, 3.0, 13)
-    x_points = np.asarray(x_points, dtype=float)
-    if stats_row is None:
-        init = np.asarray(scenario.initial, dtype=float)
-        stats_row = {name: float(spec.evaluate(init))
-                     for name, spec in scenario.statistic_map.items()}
+    x_points = scenario.initial + np.sqrt(scenario.horizon) * np.linspace(-3.0, 3.0, 13)
+    init = np.asarray(scenario.initial, dtype=float)
+    stats_row = {name: float(spec.evaluate(init))
+                 for name, spec in scenario.statistic_map.items()}
     sup = np.abs(x_points)
     gaps = []
-    for zv in z_points:
+    for zv in _ISAACS_Z_POINTS:
         z = np.full_like(x_points, zv)
-        env = envelopes(scenario, t, x_points, sup, stats_row, z)
+        env = envelopes(scenario, 0.0, x_points, sup, stats_row, z)
         gaps.append(float(np.max(env.gap)))
     max_gap = max(gaps)
-    return IsaacsReport(max_gap=max_gap, tol=tol,
-                        z_points=tuple(float(z) for z in z_points),
+    return IsaacsReport(max_gap=max_gap, tol=_ISAACS_TOL,
+                        z_points=tuple(float(z) for z in _ISAACS_Z_POINTS),
                         gap_by_z=tuple(gaps))
 
 
@@ -363,29 +357,21 @@ class SaddleCheckReport:
                 "passed": self.passed}
 
 
-def _grid_constants(grid: ActionGrid):
-    return [constant_control(p, grid) for p in grid.points]
-
-
 def verify_saddle(scenario: GameScenario, paths: PathEnsemble,
-                  report: SaddleReport, u_deviations=None, v_deviations=None) -> SaddleCheckReport:
+                  report: SaddleReport) -> SaddleCheckReport:
     """Price unilateral deviations against the synthesized pair.
 
-    Defaults to every constant control on each grid.  Each deviation fixes
-    the opponent's feedback side and replaces one side only; all payoffs are
-    reweightings of the same ensemble, each matched at the report's tol, the
-    tolerance the pair itself was priced at.
+    The deviations are every constant control on each grid.  Each deviation
+    fixes the opponent's feedback side and replaces one side only; all
+    payoffs are reweightings of the same ensemble, each matched at the
+    report's tol, the tolerance the pair itself was priced at.
     """
-    if u_deviations is None:
-        u_deviations = _grid_constants(scenario.actions_u)
-    if v_deviations is None:
-        v_deviations = _grid_constants(scenario.actions_v)
     pair = report.pair
     j0, se0 = report.j_hat, report.j_stderr
     rows = {"u": [], "v": []}
     passed = True
-    for side, deviations in (("u", u_deviations), ("v", v_deviations)):
-        for c in deviations:
+    for side, grid in (("u", scenario.actions_u), ("v", scenario.actions_v)):
+        for c in (constant_control(p, grid) for p in grid.points):
             played = (c, pair.v_control) if side == "u" else (pair.u_control, c)
             res = evaluate_payoff(scenario, played, paths, tol=report.tol)
             slack = res.value - j0 if side == "u" else j0 - res.value

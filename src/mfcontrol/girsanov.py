@@ -10,6 +10,9 @@ with everything evaluated at the left endpoint.  exp(l) is the discrete
 Doleans exponential of the reweighting, and density_process returns it as the
 weight matrix of the reweighted law; its expectation stays at one up to Monte
 Carlo error, which MeasureFlow.normalization records at every grid time.
+The ensemble, its increments and sigma are fixed and a control changes only
+the drift, so density_process takes the drift alone, a DriftEvaluator, and
+reads the ensemble and sigma off it.
 
 The measure flow entering f is itself the unknown of a fixed-point problem:
 flow -> density -> reweighted flow.  fixpoint_measure_flow iterates that map
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PathEnsemble, particle_blocks
-from .measure import MeasureFlow, drift_block, drift_rows, reference_flow, tv_columns
+from .measure import MeasureFlow, reference_flow, tv_columns
 from .scenario import GameScenario, Scenario, SingularDiffusionError
 
 
@@ -75,12 +78,13 @@ class DriftEvaluator:
     """Drift values of a control (or pair) along the flow's ensemble.
 
     control is a single control for a Scenario and a pair for a GameScenario
-    (see control_actions).  evaluator(t_index) gives the (particles,) drift
-    at one grid time and evaluator.over(rows, steps) the (rows, steps)
-    drift on a block of particles and grid times:
+    (see control_actions).  evaluator.over(rows, steps) gives the (rows,
+    steps) drift on a block of particles and grid times:
     DriftSpec.with_stats of the block's base, each statistic series (read off
     the flow once) broadcast along time.  The base is a slice of the given
-    drift_base, or else formed from the block's actions.
+    drift_base, or else formed from the block's actions.  The ensemble
+    (evaluator.paths) and sigma (evaluator.scenario.sigma) are the ones the
+    reweighting reads.
     """
 
     def __init__(self, scenario: Scenario | GameScenario, flow: MeasureFlow, control,
@@ -100,23 +104,20 @@ class DriftEvaluator:
                 if self.base is None else self.base[rows, steps])
         return drift.with_stats(base, {name: s[steps] for name, s in self.series.items()})
 
-    def __call__(self, t_index: int) -> np.ndarray:
-        return self.over(slice(None), slice(t_index, t_index + 1))[:, 0]
 
+def density_process(drift: DriftEvaluator) -> np.ndarray:
+    """Read-only (particles, steps + 1) weights L_t of the drift's
+    reweighting of its ensemble, against the increments the ensemble was
+    simulated from and with its scenario's sigma; column 0 is one.
 
-def density_process(paths: PathEnsemble, drift_at, sigma) -> np.ndarray:
-    """Read-only (particles, steps + 1) weights L_t of the drift_at
-    reweighting against the increments the ensemble was simulated from;
-    column 0 is one.
-
-    drift_at: callable t_index -> (particles,); a DriftEvaluator is read
-    a block of particles at a time (see drift_rows).  theta and the log
+    The drift is read a block of particles at a time.  theta and the log
     increments of a block are formed for all its steps at once and written
     into the output, which is then accumulated column by column in step
     order, the order of the step-by-step recursion, and exponentiated in
     place.  A non-finite theta or a singular sigma raises for the first bad
     step, as that recursion does.
     """
+    paths, sigma = drift.paths, drift.scenario.sigma
     if paths.driver is None:
         raise ValueError("no Brownian increments attached to the ensemble")
     dw = paths.driver.increments
@@ -128,8 +129,7 @@ def density_process(paths: PathEnsemble, drift_at, sigma) -> np.ndarray:
 
     def increments(rows: slice, steps: slice, out: np.ndarray | None = None) -> np.ndarray:
         theta = sigma.inv_apply(times[steps], paths.values[rows, steps],
-                                paths.running_sup[rows, steps],
-                                drift_block(drift_at, rows, steps, m))
+                                paths.running_sup[rows, steps], drift.over(rows, steps))
         if not np.all(np.isfinite(theta)):
             bad = int(np.argmin(np.all(np.isfinite(theta), axis=0)))
             raise FloatingPointError(f"non-finite drift-to-noise ratio at t_index "
@@ -140,7 +140,7 @@ def density_process(paths: PathEnsemble, drift_at, sigma) -> np.ndarray:
 
     log_w = np.zeros((m, n + 1))
     try:
-        for rows in drift_rows(m, n + 1, drift_at):
+        for rows in particle_blocks(m, n + 1):
             increments(rows, slice(0, n), out=log_w[rows, 1:])
     except (FloatingPointError, SingularDiffusionError):
         for k in range(n):   # the first failing step raises its own error
@@ -235,7 +235,7 @@ def fixpoint_measure_flow(scenario: Scenario | GameScenario, control,
     while True:
         horizon = flow.weights[:, -1].copy()   # all the distance reads of it
         del flow   # before density_process allocates the next weights
-        flow = MeasureFlow(paths, density_process(paths, drift_at, scenario.sigma), stats)
+        flow = MeasureFlow(paths, density_process(drift_at), stats)
         est = tv_columns(horizon, flow.weights[:, -1])
         distances.append(est.value)
         stderrs.append(est.stderr)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PathEnsemble, TimeGrid, particle_blocks
-from .scenario import DiffusionSpec, StatisticSpec
+from .scenario import StatisticSpec
 
 
 class EnsembleMismatchError(ValueError):
@@ -146,22 +146,25 @@ def tv_columns(wa: np.ndarray, wb: np.ndarray) -> TVEstimate:
     return TVEstimate(value=min(value, 2.0), stderr=stderr, kind="pathspace")
 
 
-def tv_marginal(a: MeasureFlow, b: MeasureFlow, t_index: int, bins: int = 64) -> TVEstimate:
+# Equal-width bins of tv_marginal's histograms.
+_TV_BINS = 64
+
+
+def tv_marginal(a: MeasureFlow, b: MeasureFlow, t_index: int) -> TVEstimate:
     """Binned total variation between the time-t marginals.
 
     The flows may live on different ensembles; each side is histogrammed with
-    its own weights on the pooled range.  Coarsening can only lower TV, so
-    this estimator is dominated by tv_pathspace on a common ensemble.
+    its own weights, in _TV_BINS bins on the pooled range.  Coarsening can
+    only lower TV, so this estimator is dominated by tv_pathspace on a common
+    ensemble.
     """
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
     xa = a.paths.values[:, t_index]
     xb = b.paths.values[:, t_index]
     lo = min(xa.min(), xb.min())
     hi = max(xa.max(), xb.max())
     if hi <= lo:
         lo, hi = lo - 0.5, lo + 0.5
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, _TV_BINS + 1)
     width = float(edges[1] - edges[0])
     wa = a.weights[:, t_index]
     wb = b.weights[:, t_index]
@@ -172,66 +175,37 @@ def tv_marginal(a: MeasureFlow, b: MeasureFlow, t_index: int, bins: int = 64) ->
     # delta-method stderr: TV = sum_b s_b (pa_b - pb_b) with fixed signs, so it
     # linearizes into means of per-particle contributions on each side
     signs = np.sign(pa - pb)
-    ia = np.clip(np.searchsorted(edges, xa, side="right") - 1, 0, bins - 1)
-    ib = np.clip(np.searchsorted(edges, xb, side="right") - 1, 0, bins - 1)
+    ia = np.clip(np.searchsorted(edges, xa, side="right") - 1, 0, _TV_BINS - 1)
+    ib = np.clip(np.searchsorted(edges, xb, side="right") - 1, 0, _TV_BINS - 1)
     ga = signs[ia] * wa
     gb = signs[ib] * wb
     stderr = float(np.sqrt(np.var(ga) / a.particles + np.var(gb) / b.particles))
     return TVEstimate(value=min(value, 2.0), stderr=stderr, kind="marginal", bin_width=width)
 
 
-def drift_rows(particles: int, steps: int, *drifts) -> list[slice]:
-    """Particle blocks to read the drifts in: the ensemble's blocks when every
-    drift has the block form, otherwise all particles at once, so a plain
-    callable is called once per step."""
-    if all(hasattr(f, "over") for f in drifts):
-        return particle_blocks(particles, steps)
-    return [slice(None)]
-
-
-def drift_block(drift_at, rows: slice, steps: slice, particles: int) -> np.ndarray:
-    """(rows, steps) drift values on a block of the ensemble's particles and
-    grid times.
-
-    steps is a slice with explicit start and stop.  Reads
-    drift_at.over(rows, steps) when the callable has that block form (a
-    DriftEvaluator does); otherwise calls it step by step, and each step
-    value must be one drift per particle, (particles,): a column or a
-    shorter array would broadcast against the particles without an error.
-    """
-    over = getattr(drift_at, "over", None)
-    if over is not None:
-        return np.asarray(over(rows, steps), dtype=float)
-    values = []
-    for k in range(steps.start, steps.stop):
-        value = np.asarray(drift_at(k), dtype=float)
-        if value.shape != (particles,):
-            raise ValueError(f"a drift at t_index {k} is one value per particle, shape "
-                             f"({particles},), got {value.shape}")
-        values.append(value[rows])
-    return np.stack(values, axis=1)
-
-
-def hellinger_bound(flow_a: MeasureFlow, drift_a, drift_b,
-                    sigma: DiffusionSpec, grid: TimeGrid) -> tuple[float, float, float]:
+def hellinger_bound(flow_a: MeasureFlow, drift_a, drift_b) -> tuple[float, float, float]:
     """Hellinger-process bound on the path-space TV between two reweightings.
 
-    drift_a / drift_b are callables t_index -> (particles,) drift values
-    along the common ensemble, read a block of particles at a time (see
-    drift_block).  Returns (gamma_hat, bound, stderr_of_gamma) where
-    gamma_hat is the weighted trapezoid estimate of
+    drift_a / drift_b are DriftEvaluators on flow_a's ensemble, read a block
+    of particles at a time; a drift on another ensemble raises
+    EnsembleMismatchError.  sigma is drift_a's scenario's and the grid
+    flow_a's.  Returns (gamma_hat, bound, stderr_of_gamma) where gamma_hat
+    is the weighted trapezoid estimate of
 
         E_A[ (1/8) int_0^T ((bA - bB) / sigma)^2 dt ]
 
     and bound = 8 sqrt(gamma_hat) dominates the TV distance.
     """
     paths = flow_a.paths
+    if drift_a.paths is not paths or drift_b.paths is not paths:
+        raise EnsembleMismatchError("both drifts must live on flow_a's ensemble")
+    sigma = drift_a.scenario.sigma
+    grid = paths.grid
     n = grid.steps
     steps = slice(0, n + 1)
     gamma_paths = np.empty(paths.particles)
-    for rows in drift_rows(paths.particles, n + 1, drift_a, drift_b):
-        diff = (drift_block(drift_a, rows, steps, paths.particles)
-                - drift_block(drift_b, rows, steps, paths.particles))
+    for rows in particle_blocks(paths.particles, n + 1):
+        diff = drift_a.over(rows, steps) - drift_b.over(rows, steps)
         integrand = sigma.inv_quadform(grid.times, paths.values[rows],
                                        paths.running_sup[rows], diff)
         gamma_paths[rows] = np.trapezoid(integrand, dx=grid.dt, axis=1) / 8.0

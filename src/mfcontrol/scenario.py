@@ -933,11 +933,5 @@ def builtin_config(name: str) -> dict:
     return json.loads(json.dumps(_BUILTINS[name]))
 
 
-def get_builtin(name: str, initial: float | None = None,
-                horizon: float | None = None) -> Scenario | GameScenario:
-    cfg = builtin_config(name)
-    if initial is not None:
-        cfg["initial"] = float(initial)
-    if horizon is not None:
-        cfg["horizon"] = float(horizon)
-    return parse_scenario(cfg)
+def get_builtin(name: str) -> Scenario | GameScenario:
+    return parse_scenario(builtin_config(name))

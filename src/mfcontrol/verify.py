@@ -214,9 +214,7 @@ def check_fixed_point(ctx: AcceptanceContext) -> CheckResult:
 @_criterion(4, "Hellinger domination over constant-control pairs")
 def check_hellinger(ctx: AcceptanceContext) -> CheckResult:
     scen = ctx.scenarios["linear-quadratic"]
-    paths = ctx.paths_for(scen)
-    grid = paths.grid
-    n = grid.steps
+    n = ctx.paths_for(scen).grid.steps
     points = scen.actions.points
     flows = {}
     drifts = {}
@@ -235,8 +233,7 @@ def check_hellinger(ctx: AcceptanceContext) -> CheckResult:
         for v in points[i + 1:]:
             pairs += 1
             est = tv_pathspace(flows[u], flows[v], n)
-            gam, bound, gse = hellinger_bound(flows[u], drifts[u], drifts[v],
-                                              scen.sigma, grid)
+            gam, bound, gse = hellinger_bound(flows[u], drifts[u], drifts[v])
             slack = bound + 5.0 * est.stderr - est.value
             if worst_bound is None or slack < worst_bound["slack"]:
                 worst_bound = {"u": u, "v": v, "tv": est.value, "bound": bound,

@@ -4,16 +4,17 @@ linear_driver is the payoff equation's driver in the per-particle form
 solve_driver_bsde takes, so a family member can be checked against a solo
 driver solve and the H kernel against the driver.  coefficient_solution
 wraps bare z coefficients in a BsdeSolution, which is all a synthesized
-feedback reads.  picard_every_application is the measure fixed point that
-applies the Picard map until an update falls below tol, with no shortcut for
-a repeated input.
+feedback reads.  constant_drift is the drift of a constant control, a
+DriftEvaluator on the reference flow.  picard_every_application is the
+measure fixed point that applies the Picard map until an update falls below
+tol, with no shortcut for a repeated input.
 """
 
 import numpy as np
 
 from mfcontrol import (BsdeSolution, DriftEvaluator, FixpointConvergenceError,
-                       FixpointDiagnostics, FixpointResult, MeasureFlow, density_process,
-                       reference_flow, tv_pathspace)
+                       FixpointDiagnostics, FixpointResult, MeasureFlow, constant_control,
+                       density_process, get_builtin, reference_flow, tv_pathspace)
 from mfcontrol.bsde import _family_hamiltonian
 
 
@@ -33,6 +34,14 @@ def coefficient_solution(basis, z_coefficients):
                         z_resid_rms=np.zeros(steps), basis=basis)
 
 
+def constant_drift(paths, u, scenario=None, base=None):
+    """The drift of the constant control u along the ensemble, read under
+    scenario (linear-quadratic by default, whose drift 0.0 x + u + 0.0 has
+    the bits of u at every particle), or a held base in its place."""
+    scenario = get_builtin("linear-quadratic") if scenario is None else scenario
+    return DriftEvaluator(scenario, reference_flow(paths), constant_control(u), base)
+
+
 def picard_every_application(scenario, control, paths, tol=1e-3, max_iter=50):
     """FixpointResult of flow -> reweighted flow from the reference flow,
     applying the map (and measuring its horizon TV update) until an update
@@ -42,7 +51,7 @@ def picard_every_application(scenario, control, paths, tol=1e-3, max_iter=50):
     distances, stderrs = [], []
     for _ in range(max_iter):
         drift_at = DriftEvaluator(scenario, flow, control)
-        new_flow = MeasureFlow(paths, density_process(paths, drift_at, scenario.sigma), stats)
+        new_flow = MeasureFlow(paths, density_process(drift_at), stats)
         est = tv_pathspace(flow, new_flow, paths.grid.steps)
         distances.append(est.value)
         stderrs.append(est.stderr)

@@ -35,7 +35,6 @@ import mfcontrol.bsde as bsde_mod
 from mfcontrol import (
     BasisSpec,
     EnsembleMismatchError,
-    RankDeficientError,
     constant_control,
     envelope_bsde,
     fixpoint_measure_flow,
@@ -69,16 +68,11 @@ def test_basis_width_arithmetic():
     assert BasisSpec(degree=2).width() == 6
     assert BasisSpec(degree=1).width() == 3
     assert BasisSpec(degree=0).width() == 1
-    assert BasisSpec(degree=2, tanh_scale=1.0).width() == 7
 
 
 def test_basis_spec_validation():
     with pytest.raises(ValueError):
         BasisSpec(degree=-1)
-    with pytest.raises(ValueError):
-        BasisSpec(ridge=-1e-9)
-    with pytest.raises(ValueError):
-        BasisSpec(tanh_scale=0.0)
 
 
 def test_build_features_shape_and_content(paths1k):
@@ -100,24 +94,13 @@ def test_regression_recovers_functions_in_span():
     x = rng.normal(size=400)
     feats = np.column_stack([np.ones(400), x, x * x])
     target = 2.0 - x + 3.0 * x * x
-    coef, fitted, rms = regress_conditional(target, feats, 0.0)
+    coef, fitted, rms = regress_conditional(target, feats)
     np.testing.assert_allclose(coef, [2.0, -1.0, 3.0], atol=1e-10)
     np.testing.assert_allclose(fitted, target, atol=1e-10)
     assert rms < 1e-10
 
-    const, fitted, rms = regress_conditional(np.full(400, 7.0), feats, 0.0)
+    const, fitted, rms = regress_conditional(np.full(400, 7.0), feats)
     np.testing.assert_allclose(fitted, 7.0, atol=1e-12)
-
-
-def test_rank_deficient_design_raises_without_ridge():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=100)
-    feats = np.column_stack([np.ones(100), x, x])  # duplicated column
-    with pytest.raises(RankDeficientError):
-        regress_conditional(x, feats, 0.0)
-    # ridge regularizes the same design
-    coef, fitted, _ = regress_conditional(x, feats, 1e-8)
-    np.testing.assert_allclose(fitted, x, atol=1e-6)
 
 
 def test_conditional_moment_ladder(paths4k):
@@ -132,7 +115,7 @@ def test_conditional_moment_ladder(paths4k):
     errs = {}
     for degree in (1, 2, 3):
         feats = features_at(paths4k, k, BasisSpec(degree=degree))
-        _, fitted, _ = regress_conditional(target, feats, 1e-8)
+        _, fitted, _ = regress_conditional(target, feats)
         errs[degree] = float(np.sqrt(np.mean((fitted - analytic) ** 2)))
     assert errs[2] < errs[1]
     assert errs[3] < errs[1]
@@ -152,16 +135,6 @@ def test_constant_terminal_constant_solution(paths4k):
         np.testing.assert_allclose(sol.z_at(paths4k, k), 0.0, atol=1e-8)
     assert sol.y0 == pytest.approx(c, abs=1e-8)
     assert sol.y0_stderr == pytest.approx(0.0, abs=1e-6)
-
-
-def test_unridged_solve_hits_collinear_sup_column(paths4k):
-    # after one step the running sup equals |x|, so sup^2 duplicates x^2 and
-    # the unregularized degree-2 design is singular; the default ridge exists
-    # precisely for this
-    terminal = np.full(paths4k.particles, 1.0)
-    with pytest.raises(RankDeficientError):
-        solve_driver_bsde(paths4k, terminal, zero_driver,
-                          basis=BasisSpec(ridge=0.0))
 
 
 def test_martingale_case_y_tracks_state(paths4k):
@@ -304,7 +277,7 @@ def lstsq_backward(paths, terminal, driver_at, basis):
     value_paths = y[:, n].copy()
     for k in range(n - 1, -1, -1):
         feats = features_at(paths, k, basis)
-        aug = np.vstack([feats, np.sqrt(basis.ridge) * np.eye(q)])
+        aug = np.vstack([feats, np.sqrt(bsde_mod._RIDGE) * np.eye(q)])
 
         def solve(v):
             return np.linalg.lstsq(aug, np.vstack([v, np.zeros((q, v.shape[1]))]),
@@ -331,7 +304,7 @@ def assert_relative(actual, reference, rel):
     assert float(np.max(np.abs(actual - reference))) <= rel * scale
 
 
-@pytest.mark.parametrize("basis", [BasisSpec(), BasisSpec(degree=3, tanh_scale=0.5)])
+@pytest.mark.parametrize("basis", [BasisSpec(), BasisSpec(degree=3)])
 @pytest.mark.parametrize("particles", [2000, 10_000])
 @pytest.mark.parametrize("name", ["linear-quadratic", "mean-field-mean-reversion"])
 def test_factored_solve_matches_lstsq_reference(name, particles, basis):
@@ -383,7 +356,7 @@ def test_cached_factors_give_the_uncached_bits(lq, monkeypatch):
     a = simulate_for_scenario(lq, particles=600, steps=6, seed=31)
     b = simulate_for_scenario(lq, particles=600, steps=6, seed=32)
     twin = dataclasses.replace(a)
-    wide, narrow = BasisSpec(), BasisSpec(degree=1, tanh_scale=0.5)
+    wide, narrow = BasisSpec(), BasisSpec(degree=1)
     ref = {(id(p), basis): solve_uncached(monkeypatch, p, basis)
            for p in (a, b, twin) for basis in (wide, narrow)}
     # the two ensembles and the two bases must give different solutions

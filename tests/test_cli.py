@@ -103,11 +103,38 @@ def test_module_entry_points_exit_2_on_bad_flag(module):
     ("--particles", "50"),
     ("--steps", "0"),
     ("--tol", "0"),
+    ("--tol", "nan"),
+    ("--tol", "inf"),
     ("--basis-degree", "0"),
+    ("--seed", "-1"),
 ])
 def test_invalid_run_parameters_exit_2(capsys, flag, value):
     assert main(["simulate", "--scenario", "zero-drift", "--seed", "1",
                  flag, value]) == 2
+
+
+@pytest.mark.parametrize("case", ["config-directory", "config-not-utf8",
+                                  "controls-file-directory", "out-existing-file",
+                                  "out-under-a-file"])
+def test_unusable_paths_exit_2(capsys, tmp_path, case):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps(builtin_config("zero-drift")).encode() + b" \xe9")
+    existing = tmp_path / "existing"
+    existing.write_text("")
+    argv = {
+        "config-directory": ["simulate", "--config", str(tmp_path)],
+        "config-not-utf8": ["simulate", "--config", str(latin1)],
+        "controls-file-directory": ["evaluate", "--scenario", "linear-quadratic",
+                                    "--controls-file", str(tmp_path)],
+        "out-existing-file": ["simulate", "--scenario", "zero-drift", "--out", str(existing)],
+        "out-under-a-file": ["simulate", "--scenario", "zero-drift",
+                             "--out", str(existing / "out")],
+    }[case]
+    code, out, err = run_cli(capsys, [*argv, *FAST])
+    assert code == 2
+    assert err.startswith("configuration error: ")
+    assert out == ""
+    assert not list(tmp_path.rglob("report.json"))
 
 
 def test_unknown_builtin_exits_2(capsys):

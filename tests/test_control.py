@@ -273,7 +273,8 @@ def test_hamiltonian_matches_sigma_inverse_of_the_simulated_drift(mean_field, se
         row = {name: flow.statistic_series(name)[k] for name in scen.statistic_map}
         acts = [c.actions(paths, k) for c in controls]
         h = scen.running_cost.evaluate(state, row, *acts)
-        expected = h + z * scen.sigma.inv_apply(t, state, sup, drift_at(k))
+        f = drift_at.over(slice(None), slice(k, k + 1))[:, 0]
+        expected = h + z * scen.sigma.inv_apply(t, state, sup, f)
         np.testing.assert_allclose(hamiltonian(scen, t, state, sup, row, z, *acts), expected,
                                    rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(driver(k, z), expected, rtol=1e-13, atol=1e-13)

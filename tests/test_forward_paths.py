@@ -17,7 +17,6 @@ from mfcontrol import (
     BasisSpec,
     BsdeFeedbackControl,
     Control,
-    DiffusionSpec,
     DriftEvaluator,
     MeasureFlow,
     PairFeedbackControl,
@@ -39,7 +38,7 @@ from mfcontrol import (
     terminal_values,
     tv_pathspace,
 )
-from reference import coefficient_solution
+from reference import coefficient_solution, constant_drift
 
 STEPS = 12
 PARTICLES = 601
@@ -229,8 +228,7 @@ def test_density_matches_step_recursion(setting, blocks):
     # a reweighted flow, so the drift's statistic series vary along time
     start = fixpoint_measure_flow(scenario, controls_for(scenario)[0][1], paths).flow
     for label, control, reference in controls_for(scenario):
-        weights = density_process(paths, DriftEvaluator(scenario, start, control),
-                                  scenario.sigma)
+        weights = density_process(DriftEvaluator(scenario, start, control))
         expected = reference_log_weights(paths, reference_drift(scenario, start, reference),
                                          scenario.sigma)
         np.testing.assert_array_equal(weights, np.exp(expected), err_msg=label)
@@ -253,7 +251,7 @@ def test_hellinger_integrand_matches_step_recursion(setting, blocks):
     flow = fixpoint_measure_flow(scenario, controls_for(scenario)[0][1], paths).flow
     (_, ca, ra), (_, cb, rb) = controls_for(scenario)[1:3]
     gamma = hellinger_bound(flow, DriftEvaluator(scenario, flow, ca),
-                            DriftEvaluator(scenario, flow, cb), scenario.sigma, paths.grid)
+                            DriftEvaluator(scenario, flow, cb))
     fa, fb = reference_drift(scenario, flow, ra), reference_drift(scenario, flow, rb)
     n = paths.grid.steps
     integrand = np.empty((paths.particles, n + 1))
@@ -297,8 +295,7 @@ def test_ensembles_a_b_a_never_serve_stale_arrays(setting, blocks):
             for got, want in zip(action_blocks(control, paths), acts):
                 np.testing.assert_array_equal(got, want, err_msg=label)
             flow = reference_flow(paths, scenario.statistic_map)
-            weights = density_process(paths, DriftEvaluator(scenario, flow, control),
-                                      scenario.sigma)
+            weights = density_process(DriftEvaluator(scenario, flow, control))
             np.testing.assert_array_equal(weights, np.exp(log_w), err_msg=label)
 
 
@@ -328,50 +325,41 @@ def test_writing_into_returned_actions_changes_nothing(setting):
 # failures name the first bad step
 
 
-class BadDrift:
-    """Zero drift with an infinite value at (particle, step) points, in both
-    the one-step and the block form."""
-
-    def __init__(self, paths, points):
-        self.paths = paths
-        self.points = points
-
-    def __call__(self, k):
-        out = np.zeros(self.paths.particles)
-        for i, j in self.points:
-            if j == k:
-                out[i] = np.inf
-        return out
-
-    def over(self, rows, steps):
-        return np.stack([self(k)[rows] for k in range(steps.start, steps.stop)], axis=1)
+def bad_drift(paths, points, scenario=None):
+    """Zero drift, on a held base, with an infinite value at (particle, step)
+    points."""
+    base = np.zeros(paths.values.shape)
+    for i, j in points:
+        base[i, j] = np.inf
+    return constant_drift(paths, 0.0, scenario, base)
 
 
-@pytest.mark.parametrize("form", ["callable", "block"])
-def test_infinite_drift_names_the_first_bad_step(paths4k, blocks, form):
+def test_infinite_drift_names_the_first_bad_step(paths4k, blocks):
     # the later step sits in an earlier block of particles
-    drift = BadDrift(paths4k, [(2, 9), (paths4k.particles - 1, 5)])
-    drift_at = drift if form == "block" else drift.__call__
+    drift = bad_drift(paths4k, [(2, 9), (paths4k.particles - 1, 5)])
     with pytest.raises(FloatingPointError, match=r"at t_index 5$"):
-        density_process(paths4k, drift_at, DiffusionSpec())
+        density_process(drift)
 
 
 def singular_at(paths, particle, k):
-    """Affine sigma that vanishes exactly at one (particle, step) point."""
-    return DiffusionSpec(kind="affine_state", base=-float(paths.values[particle, k]),
-                         slope=1.0)
+    """The linear-quadratic scenario with an affine sigma that vanishes
+    exactly at one (particle, step) point."""
+    cfg = builtin_config("linear-quadratic")
+    cfg["diffusion"] = {"kind": "affine_state", "base": -float(paths.values[particle, k]),
+                        "slope": 1.0}
+    return parse_scenario(cfg)
 
 
 def test_singular_affine_sigma_raises(paths4k, blocks):
     k = 7
-    sigma = singular_at(paths4k, paths4k.particles - 3, k)
+    scenario = singular_at(paths4k, paths4k.particles - 3, k)
     with pytest.raises(SingularDiffusionError,
                        match=rf"at t={paths4k.grid.times[k]:g} for 1 particle\(s\)"):
-        density_process(paths4k, lambda j: np.full(paths4k.particles, 0.3), sigma)
+        density_process(constant_drift(paths4k, 0.3, scenario))
 
 
 def test_earlier_infinite_drift_wins_over_later_singular_sigma(paths4k, blocks):
-    sigma = singular_at(paths4k, 0, 8)
-    drift = BadDrift(paths4k, [(paths4k.particles - 1, 3)])
+    scenario = singular_at(paths4k, 0, 8)
+    drift = bad_drift(paths4k, [(paths4k.particles - 1, 3)], scenario)
     with pytest.raises(FloatingPointError, match=r"at t_index 3$"):
-        density_process(paths4k, drift, sigma)
+        density_process(drift)

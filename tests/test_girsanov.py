@@ -22,7 +22,6 @@ import pytest
 import mfcontrol.girsanov as girsanov_mod
 from mfcontrol import (
     Control,
-    DiffusionSpec,
     DriftEvaluator,
     FixpointConvergenceError,
     MeasureFlow,
@@ -41,16 +40,7 @@ from mfcontrol import (
 )
 from mfcontrol.core import particle_blocks
 from mfcontrol.girsanov import drift_base
-from reference import picard_every_application
-
-SIGMA = DiffusionSpec()
-
-
-def constant_drift(paths, u):
-    def drift_at(k):
-        return np.full(paths.particles, u)
-
-    return drift_at
+from reference import constant_drift, picard_every_application
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +48,7 @@ def constant_drift(paths, u):
 
 
 def test_zero_drift_gives_unit_weights(paths1k):
-    weights = density_process(paths1k, constant_drift(paths1k, 0.0), SIGMA)
+    weights = density_process(constant_drift(paths1k, 0.0))
     np.testing.assert_array_equal(weights, np.ones_like(weights))
     assert not weights.flags.writeable
 
@@ -67,7 +57,7 @@ def test_constant_drift_log_weight_closed_form(paths4k):
     # log L_T = u W_T - u^2 T / 2 exactly: the quadratic term is
     # -u^2/2 * dt summed over N steps and the linear term telescopes
     u = 0.7
-    weights = density_process(paths4k, constant_drift(paths4k, u), SIGMA)
+    weights = density_process(constant_drift(paths4k, u))
     w_t = np.cumsum(paths4k.driver.increments, axis=1)
     times = paths4k.grid.times[1:]
     expected = u * w_t - 0.5 * u * u * times
@@ -77,7 +67,7 @@ def test_constant_drift_log_weight_closed_form(paths4k):
 
 
 def test_density_is_a_positive_martingale(paths4k):
-    weights = density_process(paths4k, constant_drift(paths4k, 1.0), SIGMA)
+    weights = density_process(constant_drift(paths4k, 1.0))
     assert np.all(weights > 0)
     mean, se = MeasureFlow(paths4k, weights).normalization()
     assert mean.shape == (paths4k.grid.steps + 1,)
@@ -90,7 +80,7 @@ def test_density_moments_stable_across_seeds(lq):
     vals = []
     for seed in (3, 4):
         paths = simulate_for_scenario(lq, particles=10_000, steps=20, seed=seed)
-        weights = density_process(paths, constant_drift(paths, 1.0), SIGMA)
+        weights = density_process(constant_drift(paths, 1.0))
         vals.append(np.mean(weights[:, -1] ** 2))
     # E[L_T^2] = exp(u^2 T); two seeds agree within 20%
     assert abs(vals[0] - vals[1]) <= 0.2 * max(vals)
@@ -99,20 +89,17 @@ def test_density_moments_stable_across_seeds(lq):
 
 def test_reweighted_mean_shifts_by_drift(paths4k):
     u = 0.5
-    weights = density_process(paths4k, constant_drift(paths4k, u), SIGMA)
+    weights = density_process(constant_drift(paths4k, u))
     x_t = paths4k.values[:, -1]
     est, se = mean_stderr(weights[:, -1] * x_t)
     assert abs(est - u * paths4k.grid.horizon) <= 3.0 * se
 
 
 def test_non_finite_drift_ratio_aborts(paths1k):
-    def bad(k):
-        out = np.zeros(paths1k.particles)
-        out[0] = np.inf
-        return out
-
+    bad = np.zeros(paths1k.values.shape)
+    bad[0] = np.inf
     with pytest.raises(FloatingPointError):
-        density_process(paths1k, bad, SIGMA)
+        density_process(constant_drift(paths1k, 0.0, base=bad))
 
 
 def test_density_needs_attached_increments(paths1k):
@@ -122,7 +109,7 @@ def test_density_needs_attached_increments(paths1k):
                           initial=paths1k.initial,
                           running_sup=paths1k.running_sup, driver=None)
     with pytest.raises(ValueError):
-        density_process(orphan, constant_drift(paths1k, 1.0), SIGMA)
+        density_process(constant_drift(orphan, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +125,7 @@ def test_measure_independent_drift_converges_in_one_iteration(lq, paths4k):
     assert diag.applications == 2
     assert diag.final_distance < diag.tol
     # the converged weights are the plain constant-drift reweighting
-    direct = density_process(paths4k, constant_drift(paths4k, 1.0), SIGMA)
+    direct = density_process(constant_drift(paths4k, 1.0))
     np.testing.assert_allclose(result.flow.weights, direct, rtol=1e-12)
 
 
@@ -172,7 +159,7 @@ def test_fixed_point_is_self_consistent(mean_field, paths4k):
     result = fixpoint_measure_flow(mean_field, control, paths4k)
     # one more application of the Picard map must not move the weights
     drift_at = DriftEvaluator(mean_field, result.flow, control)
-    weights = density_process(paths4k, drift_at, SIGMA)
+    weights = density_process(drift_at)
     moved = np.mean(np.abs(weights[:, -1] - result.flow.weights[:, -1]))
     assert moved < result.diagnostics.tol
 
@@ -368,9 +355,7 @@ def test_evaluator_on_a_held_base_equals_one_without(name):
     for rows in (slice(0, 300), slice(7, 31)):
         for steps in (slice(0, 13), slice(4, 5)):
             assert held.over(rows, steps).tobytes() == fresh.over(rows, steps).tobytes()
-    assert held(12).tobytes() == fresh(12).tobytes()
-    assert (density_process(paths, held, scenario.sigma).tobytes()
-            == density_process(paths, fresh, scenario.sigma).tobytes())
+    assert density_process(held).tobytes() == density_process(fresh).tobytes()
 
 
 def test_fixed_point_reads_actions_once_per_block(mean_field, monkeypatch):

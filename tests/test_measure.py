@@ -27,11 +27,13 @@ from mfcontrol import (
     EnsembleMismatchError,
     MeasureFlow,
     StatisticSpec,
+    builtin_config,
     density_process,
     get_builtin,
     hellinger_bound,
     make_time_grid,
     mean_stderr,
+    parse_scenario,
     reference_flow,
     simulate_for_scenario,
     simulate_reference,
@@ -40,6 +42,7 @@ from mfcontrol import (
     weighted_statistic,
 )
 from mfcontrol.core import particle_blocks
+from reference import constant_drift
 
 STATS = {"mean": StatisticSpec("identity")}
 
@@ -59,10 +62,7 @@ def two_particle_ensemble():
 
 def drifted_flow(paths, u: float):
     """Constant-drift reweighting of the reference ensemble."""
-    def drift_at(k):
-        return np.full(paths.particles, u)
-
-    return MeasureFlow(paths, density_process(paths, drift_at, DiffusionSpec()), STATS)
+    return MeasureFlow(paths, density_process(constant_drift(paths, u)), STATS)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +211,10 @@ def test_tv_marginal_identical_flows_is_zero(paths4k):
 
 
 def test_tv_marginal_disjoint_supports(lq):
-    from mfcontrol import simulate_for_scenario
-
-    from mfcontrol import get_builtin
-
     near = simulate_for_scenario(lq, particles=500, steps=4, seed=21)
-    far_scenario = get_builtin("linear-quadratic", initial=100.0)
+    cfg = builtin_config("linear-quadratic")
+    cfg["initial"] = 100.0
+    far_scenario = parse_scenario(cfg)
     far = simulate_for_scenario(far_scenario, particles=500, steps=4, seed=22)
     est = tv_marginal(reference_flow(near), reference_flow(far), 4)
     assert est.value == pytest.approx(2.0, abs=1e-12)
@@ -225,7 +223,7 @@ def test_tv_marginal_disjoint_supports(lq):
 def test_tv_marginal_matches_gaussian_oracle(paths4k, lq):
     ref = reference_flow(paths4k, STATS)
     flow = drifted_flow(paths4k, 1.0)
-    est = tv_marginal(ref, flow, paths4k.grid.steps, bins=64)
+    est = tv_marginal(ref, flow, paths4k.grid.steps)
     oracle = gaussian_tv(1.0, lq.horizon)
     assert abs(est.value - oracle) <= 3.0 * est.stderr + est.bin_width
 
@@ -241,21 +239,14 @@ def test_tv_marginal_dominated_by_pathspace(paths4k):
         assert marg.value <= path.value + 1e-12
 
 
-def test_tv_marginal_rejects_bad_requests(paths4k):
-    flow = reference_flow(paths4k, STATS)
-    with pytest.raises(ValueError):
-        tv_marginal(flow, flow, 0, bins=1)
-
-
 # ---------------------------------------------------------------------------
 # Hellinger bound
 
 
 def test_hellinger_equal_drifts_vanish(paths4k):
     flow = reference_flow(paths4k, STATS)
-    drift = lambda k: np.zeros(paths4k.particles)
-    gam, bound, se = hellinger_bound(flow, drift, drift, DiffusionSpec(),
-                                     paths4k.grid)
+    drift = constant_drift(paths4k, 0.0)
+    gam, bound, se = hellinger_bound(flow, drift, drift)
     assert gam == 0.0 and bound == 0.0 and se == 0.0
 
 
@@ -264,9 +255,8 @@ def test_hellinger_constant_drifts_reference_weights(paths4k):
     # exact: Gamma = T (u - v)^2 / 8
     flow = reference_flow(paths4k, STATS)
     u, v = 1.0, -0.5
-    fa = lambda k: np.full(paths4k.particles, u)
-    fb = lambda k: np.full(paths4k.particles, v)
-    gam, bound, se = hellinger_bound(flow, fa, fb, DiffusionSpec(), paths4k.grid)
+    fa, fb = constant_drift(paths4k, u), constant_drift(paths4k, v)
+    gam, bound, se = hellinger_bound(flow, fa, fb)
     analytic = paths4k.grid.horizon / 8.0 * (u - v) ** 2
     assert gam == pytest.approx(analytic, rel=1e-12)
     assert bound == pytest.approx(8.0 * math.sqrt(analytic), rel=1e-12)
@@ -278,9 +268,8 @@ def test_hellinger_constant_drifts_controlled_weights(paths4k):
     # recovered up to the Monte Carlo error of E[L_T] = 1
     u, v = 1.0, 0.0
     flow = drifted_flow(paths4k, u)
-    fa = lambda k: np.full(paths4k.particles, u)
-    fb = lambda k: np.full(paths4k.particles, v)
-    gam, bound, se = hellinger_bound(flow, fa, fb, DiffusionSpec(), paths4k.grid)
+    fa, fb = constant_drift(paths4k, u), constant_drift(paths4k, v)
+    gam, bound, se = hellinger_bound(flow, fa, fb)
     analytic = paths4k.grid.horizon / 8.0 * (u - v) ** 2
     assert abs(gam - analytic) <= 3.0 * se + 1e-12
 
@@ -290,20 +279,18 @@ def test_hellinger_dominates_tv(paths4k):
     u = 0.5
     flow = drifted_flow(paths4k, u)
     tv = tv_pathspace(ref, flow, paths4k.grid.steps)
-    fa = lambda k: np.zeros(paths4k.particles)
-    fb = lambda k: np.full(paths4k.particles, u)
-    _, bound, _ = hellinger_bound(ref, fa, fb, DiffusionSpec(), paths4k.grid)
+    fa, fb = constant_drift(paths4k, 0.0), constant_drift(paths4k, u)
+    _, bound, _ = hellinger_bound(ref, fa, fb)
     assert tv.value <= bound + 5.0 * tv.stderr
 
 
-@pytest.mark.parametrize("shape", [(4000, 1), (1,), ()])
-def test_plain_drift_is_one_value_per_particle(paths4k, shape):
-    # a column, or one value for all, would broadcast against the particles
-    # without an error; the block form of a plain callable refuses it
-    wrong = lambda k: np.full(shape, 0.5)
-    right = lambda k: np.full(paths4k.particles, 0.5)
-    with pytest.raises(ValueError, match=r"one value per particle, shape \(4000,\)"):
-        density_process(paths4k, wrong, DiffusionSpec())
-    with pytest.raises(ValueError, match="one value per particle"):
-        hellinger_bound(reference_flow(paths4k, STATS), right, wrong, DiffusionSpec(),
-                        paths4k.grid)
+@pytest.mark.parametrize("side", ["drift_a", "drift_b"])
+def test_hellinger_demands_drifts_on_the_flow_ensemble(paths4k, lq, side):
+    # a drift evaluator reads its own ensemble's paths, which flow_a's weights
+    # do not belong to, so it is refused even when the two shapes agree
+    other = simulate_for_scenario(lq, particles=4000, steps=20, seed=12)
+    flow = reference_flow(paths4k, STATS)
+    right, wrong = constant_drift(paths4k, 0.5), constant_drift(other, 0.5)
+    drifts = (wrong, right) if side == "drift_a" else (right, wrong)
+    with pytest.raises(EnsembleMismatchError, match="flow_a's ensemble"):
+        hellinger_bound(flow, *drifts)

@@ -274,7 +274,10 @@ def test_builtin_config_returns_a_fresh_copy():
 
 
 def test_get_builtin_overrides(lq):
-    s = get_builtin("linear-quadratic", initial=2.0, horizon=0.5)
+    # a built-in with other values is its config, edited and parsed
+    cfg = builtin_config("linear-quadratic")
+    cfg["initial"], cfg["horizon"] = 2.0, 0.5
+    s = parse_scenario(cfg)
     assert s.initial == 2.0
     assert s.horizon == 0.5
     assert s.drift == lq.drift
