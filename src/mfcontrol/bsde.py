@@ -251,9 +251,10 @@ def solve_driver_bsde(paths: PathEnsemble, terminal: np.ndarray, driver_at,
 
 
 def _stat_series(scenario: Scenario | GameScenario, flow: MeasureFlow) -> dict[str, np.ndarray]:
-    """The flow's series of every statistic the running cost or the drift reads."""
-    names = dict.fromkeys((*scenario.running_cost.stat_names(), *scenario.drift.stat_names()))
-    return {name: flow.statistic_series(name) for name in names}
+    """The flow's series of every statistic the scenario references (drift,
+    running cost and terminal cost): all that a backward solve reads off a
+    flow besides its ensemble."""
+    return {name: flow.statistic_series(name) for name in scenario.referenced_statistics()}
 
 
 def _hamiltonian_values(scenario: Scenario | GameScenario, t: float, state, sup,

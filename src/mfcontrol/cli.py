@@ -6,7 +6,8 @@ emits a canonical JSON report, either to stdout or, with --out, to
 <dir>/report.json next to CSV tables.  Reports are byte-identical for
 identical (config, seed, version); wall time goes to stderr only.
 
-Exit codes: 0 success, 1 check or convergence failure, 2 configuration error.
+Exit codes: 0 success, 1 check, convergence or computation failure (a
+non-finite number in the report included), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -396,15 +397,20 @@ def main(argv=None) -> int:
         "version": f"mfcontrol {__version__}",
         "wall_time_seconds": None,
     }
+    try:
+        if args.out:
+            outdir = Path(args.out)
+            outdir.mkdir(parents=True, exist_ok=True)
+            write_json(doc, outdir / "report.json")
+        else:
+            sys.stdout.write(canonical_json(doc))
+    except ValueError as exc:   # the report holds a non-finite number
+        stderr_note(f"computation failed: {exc}")
+        return 1
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_json(doc, outdir / "report.json")
         for fname, (header, rows) in tables.items():
             write_csv(outdir / fname, header, rows)
         stderr_note(f"report written to {outdir / 'report.json'}")
-    else:
-        sys.stdout.write(canonical_json(doc))
     stderr_note(f"wall time: {time.perf_counter() - start:.2f}s")
     return code
 

@@ -33,7 +33,7 @@ import numpy as np
 from .bsde import (BasisSpec, BsdeSolution, _family_hamiltonian, _hamiltonian_values,
                    _stat_series, solve_driver_bsde, terminal_values)
 from .core import PathEnsemble, particle_blocks
-from .girsanov import (FixpointDiagnostics, FixpointResult, control_actions,
+from .girsanov import (FixpointDiagnostics, FixpointResult, _same_series, control_actions,
                        fixpoint_measure_flow)
 from .measure import MeasureFlow, mean_stderr, reference_flow, tv_pathspace
 from .scenario import ActionGrid, GameScenario, Scenario
@@ -446,15 +446,28 @@ def _synthesize(scenario: Scenario | GameScenario, paths: PathEnsemble, basis: B
     feedback is handed the rows the solve's driver found at every step it
     visited: the driver's z is the solution's z_at, the feedback's own z,
     so they are the rows the feedback would compute.  The backward value is
-    then solved again on the matched flow and the feedback priced there.  Returns
-    (feedback, fixpoint result, final solution, payoff, trace, converged).
+    then solved again on the matched flow and the feedback priced there.
+
+    A pass reads the flow only through the series of the statistics the
+    scenario references (_stat_series), and the fixed point starts from the
+    reference flow.  So a pass whose series equal bit for bit those the
+    last solve read would rebuild that solve's feedback and flow: it is
+    recorded as distance 0.0 with stderr 0.0, what it would measure, without
+    being run, and the loop stops.  The final solve likewise reuses the last
+    solution when its series repeat.  Returns (feedback, fixpoint result,
+    final solution, payoff, trace, converged).
     """
     flow = reference_flow(paths, scenario.statistic_map)
     trace: list[tuple[int, float, float]] = []
+    read = None   # the series the last solve read
     for it in range(1, _MAX_OUTER + 1):
+        series = _stat_series(scenario, flow)
+        if read is not None and _same_series(series, read):
+            trace.append((it, 0.0, 0.0))
+            break
         sol, found = _extremal_solve(scenario, flow, extremes, basis)
-        control = feedback(sol, {name: s.copy()
-                                 for name, s in _stat_series(scenario, flow).items()})
+        read = series
+        control = feedback(sol, {name: s.copy() for name, s in series.items()})
         control._rows[paths] = found
         fixres = fixpoint_measure_flow(scenario, control, paths, tol=tol)
         est = tv_pathspace(flow, fixres.flow, paths.grid.steps)
@@ -463,9 +476,10 @@ def _synthesize(scenario: Scenario | GameScenario, paths: PathEnsemble, basis: B
         if est.value < tol:
             break
 
-    final_sol, _ = _extremal_solve(scenario, flow, extremes, basis)
+    if not _same_series(_stat_series(scenario, flow), read):
+        sol, _ = _extremal_solve(scenario, flow, extremes, basis)
     payoff = evaluate_payoff(scenario, control, paths, fixpoint=fixres)
-    return control, fixres, final_sol, payoff, tuple(trace), trace[-1][1] < tol
+    return control, fixres, sol, payoff, tuple(trace), trace[-1][1] < tol
 
 
 def policy_iteration(scenario: Scenario, paths: PathEnsemble, basis: BasisSpec | None = None,

@@ -115,7 +115,8 @@ def density_process(drift: DriftEvaluator) -> np.ndarray:
     into the output, which is then accumulated column by column in step
     order, the order of the step-by-step recursion, and exponentiated in
     place.  A non-finite theta or a singular sigma raises for the first bad
-    step, as that recursion does.
+    step, as that recursion does, and a horizon column of zeros (every
+    density underflowed, while E[L_T] = 1) raises FloatingPointError.
     """
     paths, sigma = drift.paths, drift.scenario.sigma
     if paths.driver is None:
@@ -151,6 +152,9 @@ def density_process(drift: DriftEvaluator) -> np.ndarray:
     for k in range(1, n + 1):
         np.add(log_w[:, k - 1], log_w[:, k], out=log_w[:, k])
     weights = np.exp(log_w, out=log_w)
+    if not weights[:, n].any():
+        raise FloatingPointError("every horizon weight underflowed to 0: the "
+                                 "reweighting collapsed")
     weights.flags.writeable = False
     return weights
 

@@ -7,15 +7,18 @@ wraps bare z coefficients in a BsdeSolution, which is all a synthesized
 feedback reads.  constant_drift is the drift of a constant control, a
 DriftEvaluator on the reference flow.  picard_every_application is the
 measure fixed point that applies the Picard map until an update falls below
-tol, with no shortcut for a repeated input.
+tol, with no shortcut for a repeated input, and synthesize_every_pass is the
+synthesis loop without that shortcut at the outer level.
 """
 
 import numpy as np
 
 from mfcontrol import (BsdeSolution, DriftEvaluator, FixpointConvergenceError,
                        FixpointDiagnostics, FixpointResult, MeasureFlow, constant_control,
-                       density_process, get_builtin, reference_flow, tv_pathspace)
-from mfcontrol.bsde import _family_hamiltonian
+                       density_process, evaluate_payoff, fixpoint_measure_flow, get_builtin,
+                       reference_flow, tv_pathspace)
+from mfcontrol.bsde import _family_hamiltonian, _stat_series
+from mfcontrol.control import _MAX_OUTER, _extremal_solve
 
 
 def linear_driver(scenario, flow, control):
@@ -61,3 +64,25 @@ def picard_every_application(scenario, control, paths, tol=1e-3, max_iter=50):
             return FixpointResult(flow=flow, diagnostics=diag)
     raise FixpointConvergenceError(FixpointDiagnostics(tuple(distances), tuple(stderrs),
                                                        tol, False))
+
+
+def synthesize_every_pass(scenario, paths, basis, extremes, feedback, tol):
+    """control._synthesize with no shortcut for a repeated input: every outer
+    pass solves, synthesizes and rematches until the horizon TV between
+    successive flows falls below tol, and the final solve always runs."""
+    flow = reference_flow(paths, scenario.statistic_map)
+    trace = []
+    for it in range(1, _MAX_OUTER + 1):
+        sol, found = _extremal_solve(scenario, flow, extremes, basis)
+        control = feedback(sol, {name: s.copy()
+                                 for name, s in _stat_series(scenario, flow).items()})
+        control._rows[paths] = found
+        fixres = fixpoint_measure_flow(scenario, control, paths, tol=tol)
+        est = tv_pathspace(flow, fixres.flow, paths.grid.steps)
+        trace.append((it, est.value, est.stderr))
+        flow = fixres.flow
+        if est.value < tol:
+            break
+    final_sol, _ = _extremal_solve(scenario, flow, extremes, basis)
+    payoff = evaluate_payoff(scenario, control, paths, fixpoint=fixres)
+    return control, fixres, final_sol, payoff, tuple(trace), trace[-1][1] < tol

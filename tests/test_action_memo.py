@@ -246,8 +246,13 @@ def test_each_outer_iteration_saves_one_minimization_per_step(name, scenarios, m
     scen = scenarios[name]
     paths = simulate_for_scenario(scen, particles=1000, steps=STEPS, seed=43)
     calls = counting(monkeypatch, control_mod, "minimized_hamiltonian")
+    fixpoints = counting(monkeypatch, control_mod, "fixpoint_measure_flow")
     seeded = policy_iteration(scen, paths)
     seeded_calls = len(calls)
+    # a pass whose input repeats (linear-quadratic's second) runs no solve
+    # and no feedback; every other pass runs one of each
+    solved = len(seeded.trace) - (name == "linear-quadratic")
+    assert len(fixpoints) == solved
     # the same loop with the seeding switched off: every feedback computes
     # all of its extremizers itself
     solve = control_mod._extremal_solve
@@ -256,4 +261,4 @@ def test_each_outer_iteration_saves_one_minimization_per_step(name, scenarios, m
     unseeded = policy_iteration(scen, paths)
     assert seeded.y0 == unseeded.y0 and seeded.j_hat == unseeded.j_hat
     # the backward driver visits steps 0..N-1; step N is the feedback's own
-    assert len(calls) - seeded_calls == len(seeded.trace) * STEPS
+    assert len(calls) - seeded_calls == solved * STEPS

@@ -473,6 +473,34 @@ def test_multi_value_constant_control_exits_2(capsys):
     assert "Traceback" not in err
 
 
+# the overflows a run meets are warnings on its stderr, not errors
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("base,key,value,argv,message", [
+    ("zero-drift", "initial", 1e308, ["fixpoint", "--control", "constant:0"],
+     "non-finite value inf in report"),
+    ("zero-drift", "initial", -1e308, ["fixpoint", "--control", "constant:0"],
+     "non-finite value -inf in report"),
+    ("separated-game", "drift", {"control_u": 1e308, "control_v": 1.0}, ["game"],
+     "non-finite value nan in report"),
+    # every horizon weight underflows to 0, while E[L_T] = 1
+    ("linear-quadratic", "drift", {"control": 1e308}, ["fixpoint", "--control", "constant:1"],
+     "every horizon weight underflowed to 0"),
+])
+def test_non_finite_results_exit_1_without_traceback(capsys, tmp_path, base, key, value,
+                                                     argv, message):
+    doc = builtin_config(base)
+    doc[key] = value
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, [argv[0], "--config", str(cfg), *argv[1:], "--seed", "1",
+                                      "--particles", "100", "--steps", "5",
+                                      "--override-validation"])
+    assert code == 1
+    assert out == ""
+    assert f"computation failed: {message}" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # optimize and game
 

@@ -102,6 +102,14 @@ def test_non_finite_drift_ratio_aborts(paths1k):
         density_process(constant_drift(paths1k, 0.0, base=bad))
 
 
+def test_collapsed_reweighting_aborts(paths1k):
+    # theta^2 dt / 2 is about 1e306: every log weight is finite and every
+    # horizon weight underflows to 0
+    with pytest.raises(FloatingPointError, match="every horizon weight underflowed"):
+        density_process(constant_drift(paths1k, 1e154))
+    assert density_process(constant_drift(paths1k, 30.0))[:, -1].any()
+
+
 def test_density_needs_attached_increments(paths1k):
     from mfcontrol import PathEnsemble
 
