@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PathEnsemble
-from .girsanov import control_actions
+from .girsanov import _family_actions
 from .measure import EnsembleMismatchError, MeasureFlow, mean_stderr
 from .scenario import GameScenario, Scenario
 
@@ -274,9 +274,12 @@ def _hamiltonian_values(scenario: Scenario | GameScenario, t: float, state, sup,
 def _family_hamiltonian(scenario: Scenario | GameScenario, paths: PathEnsemble,
                         controls, flows):
     """(t_index, z) -> (K, M) values of H for K fixed controls (or pairs), the
-    i-th read under its own flow flows[i].  Each step reads every member's
-    actions as a (K, M) array and its statistic rows as (K, 1), then makes
-    one registry call.  z is (M,), shared by the members, or (K, M)."""
+    i-th read under its own flow flows[i].  Each step reads the members'
+    actions once per control kind (girsanov._family_actions: constants as
+    one (K, 1) column, parametric members as one broadcast affine rule, the
+    others one by one) and their statistic rows as (K, 1), then makes one
+    registry call.  The values are the per-member ones bit for bit.  z is
+    (M,), shared by the members, or (K, M)."""
     if any(f.paths is not paths for f in flows):
         raise EnsembleMismatchError("every member's flow must live on the solve's ensemble")
     per_flow = [_stat_series(scenario, f) for f in flows]
@@ -285,9 +288,8 @@ def _family_hamiltonian(scenario: Scenario | GameScenario, paths: PathEnsemble,
 
     def hamiltonian_at(k: int, z: np.ndarray) -> np.ndarray:
         row = {name: s[:, k, None] for name, s in series.items()}
-        sides = zip(*(control_actions(c, paths, slice(None), slice(k, k + 1)) for c in controls))
-        acts = [np.stack([a[:, 0] for a in side]) for side in sides]
-        return _hamiltonian_values(scenario, times[k], paths.state(k), paths.sup(k), row, z, acts)
+        return _hamiltonian_values(scenario, times[k], paths.state(k), paths.sup(k), row, z,
+                                   _family_actions(controls, paths, k))
 
     return hamiltonian_at
 

@@ -33,8 +33,8 @@ import numpy as np
 from .bsde import (BasisSpec, BsdeSolution, _family_hamiltonian, _hamiltonian_values,
                    _stat_series, solve_driver_bsde, terminal_values)
 from .core import PathEnsemble, particle_blocks
-from .girsanov import (FixpointDiagnostics, FixpointResult, _same_series, control_actions,
-                       fixpoint_measure_flow)
+from .girsanov import (FixpointDiagnostics, FixpointResult, _affine_actions, _same_series,
+                       control_actions, fixpoint_measure_flow)
 from .measure import MeasureFlow, mean_stderr, reference_flow, tv_pathspace
 from .scenario import ActionGrid, GameScenario, Scenario
 
@@ -72,20 +72,17 @@ class Control:
         if self.kind == "constant":
             return np.full(x.shape, self.value)
         if self.kind == "parametric":
-            a, b, c = self.coeffs
-            raw = a + b * x + c * paths.running_sup[rows, steps]
-        elif self.kind == "table":
-            vals = np.asarray(self.table_values, dtype=float)
-            t_index = np.arange(paths.grid.steps + 1)[steps]
-            row = vals[np.minimum(t_index, vals.shape[0] - 1)]
-            idx = np.clip(np.searchsorted(self.table_edges, x, side="right") - 1,
-                          0, row.shape[1] - 1)
-            raw = row[np.arange(len(t_index)), idx]
-        else:
+            return _affine_actions(self.coeffs, (self.box_lo, self.box_hi), x,
+                                   paths.running_sup[rows, steps])
+        if self.kind != "table":
             raise ValueError(f"unknown control kind {self.kind!r}")
-        if self.box_lo is not None:
-            raw = np.clip(raw, self.box_lo, self.box_hi)
-        return raw
+        vals = np.asarray(self.table_values, dtype=float)
+        t_index = np.arange(paths.grid.steps + 1)[steps]
+        row = vals[np.minimum(t_index, vals.shape[0] - 1)]
+        idx = np.clip(np.searchsorted(self.table_edges, x, side="right") - 1,
+                      0, row.shape[1] - 1)
+        raw = row[np.arange(len(t_index)), idx]
+        return raw if self.box_lo is None else np.clip(raw, self.box_lo, self.box_hi)
 
     def actions(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
         """Fresh (particles,) actions at one grid time."""
@@ -231,6 +228,23 @@ def _argmin_extremes(scenario: Scenario, grid: ActionGrid, t: float, state, sup,
     return values, (idx.astype(grid_index_dtype(grid)),)
 
 
+class _HeldRows:
+    """Extremizer grid rows of a feedback on one ensemble: one (particles,
+    steps + 1) matrix per grid, in grid_index_dtype, filled a step at a time;
+    filled[k] marks the steps written."""
+
+    def __init__(self, paths: PathEnsemble, grids: tuple[ActionGrid, ...]):
+        self.rows = tuple(np.empty(paths.values.shape, dtype=grid_index_dtype(grid))
+                          for grid in grids)
+        self.filled = np.zeros(paths.grid.steps + 1, dtype=bool)
+
+    def put(self, t_index: int, rows: tuple[np.ndarray, ...]):
+        """Write one step's rows, one (particles,) array per grid."""
+        for held, step in zip(self.rows, rows):
+            held[:, t_index] = step
+        self.filled[t_index] = True
+
+
 class _GridFeedback:
     """Feedback synthesized from a backward solution.
 
@@ -239,11 +253,13 @@ class _GridFeedback:
     the statistic trajectories are frozen at synthesis time, so the rule is
     a plain deterministic function of (t, current state, running sup).
     Each step's extremizers are therefore computed once per ensemble and
-    kept as grid row indices, weakly keyed by the ensemble so they go with
-    it; every call returns fresh action arrays.  A subclass
-    names its grids and its per-step extremes, _extremes(t, state, sup,
-    stats_row, z) -> (extremal H, one index array per grid), the same
-    function that drives the backward solve it comes from.
+    kept as grid row indices in one _HeldRows matrix per grid, weakly keyed
+    by the ensemble so they go with it; a block read fills the steps it
+    lacks and is then one fancy index per grid it reads, which returns fresh
+    action arrays.  A subclass names its grids and its per-step extremes,
+    _extremes(t, state, sup, stats_row, z) -> (extremal H, one index array
+    per grid), the same function that drives the backward solve it comes
+    from.
     """
 
     def __init__(self, scenario: Scenario | GameScenario, grids: tuple[ActionGrid, ...],
@@ -253,22 +269,22 @@ class _GridFeedback:
         self.stat_series = {k: np.asarray(v, dtype=float) for k, v in stat_series.items()}
         self.label = label
         self._grids = grids
-        self._rows = weakref.WeakKeyDictionary()  # ensemble -> {step: grid rows}
+        self._rows = weakref.WeakKeyDictionary()  # ensemble -> _HeldRows
 
     def stats_at(self, t_index: int) -> dict[str, float]:
         return {name: float(series[t_index]) for name, series in self.stat_series.items()}
 
-    def _gather(self, paths: PathEnsemble, rows: slice, steps: slice) -> tuple[np.ndarray, ...]:
-        """Fresh (rows, steps) actions on each grid, gathered from the held
-        grid rows of each step."""
-        held = self._rows.setdefault(paths, {})
-        per_step = []
-        for k in range(paths.grid.steps + 1)[steps]:
-            if k not in held:
-                held[k] = self._step_rows(paths, k)
-            per_step.append(held[k])
-        return tuple(grid.array()[np.stack([step[i][rows] for step in per_step], axis=1)]
-                     for i, grid in enumerate(self._grids))
+    def _gather(self, paths: PathEnsemble, rows: slice, steps: slice,
+                sides: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """Fresh (rows, steps) actions on each grid in sides, read off the
+        held grid rows."""
+        held = self._rows.get(paths)
+        if held is None:
+            held = self._rows[paths] = _HeldRows(paths, self._grids)
+        step_indices = np.arange(paths.grid.steps + 1)[steps]
+        for k in step_indices[~held.filled[steps]]:
+            held.put(k, self._step_rows(paths, int(k)))
+        return tuple(self._grids[i].array()[held.rows[i][rows, steps]] for i in sides)
 
     def _step_rows(self, paths: PathEnsemble, t_index: int) -> tuple[np.ndarray, ...]:
         z = self.solution.z_at(paths, t_index)
@@ -293,7 +309,7 @@ class BsdeFeedbackControl(_GridFeedback):
     def actions_over(self, paths: PathEnsemble, rows: slice, steps: slice) -> np.ndarray:
         """Fresh (rows, steps) actions on a block of particles and grid
         times."""
-        return self._gather(paths, rows, steps)[0]
+        return self._gather(paths, rows, steps, (0,))[0]
 
     def actions(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
         return self.actions_over(paths, slice(None), slice(t_index, t_index + 1))[:, 0]
@@ -407,22 +423,24 @@ class OptimizationReport:
 
 
 def _extremal_solve(scenario: Scenario | GameScenario, flow: MeasureFlow, extremes,
-                    basis: BasisSpec) -> tuple[BsdeSolution, dict[int, tuple]]:
+                    basis: BasisSpec) -> tuple[BsdeSolution, _HeldRows]:
     """Backward solve at the flow whose driver is the extremal Hamiltonian
     extremes(t, state, sup, stats_row, z) -> (one value per particle,
-    extremizer rows).  Returns the solution and each step's rows."""
+    extremizer rows on each of the scenario's grids).  Returns the solution
+    and the rows of every step the driver visited."""
     paths = flow.paths
     terminal = terminal_values(scenario, flow)
     series = _stat_series(scenario, flow)
     times = paths.grid.times
-    rows = {}
+    found = _HeldRows(paths, scenario.grids)
 
     def driver_at(k: int, z: np.ndarray) -> np.ndarray:
         row = {name: s[k] for name, s in series.items()}
-        values, rows[k] = extremes(times[k], paths.state(k), paths.sup(k), row, z)
+        values, rows = extremes(times[k], paths.state(k), paths.sup(k), row, z)
+        found.put(k, rows)
         return values
 
-    return solve_driver_bsde(paths, terminal, driver_at, basis), rows
+    return solve_driver_bsde(paths, terminal, driver_at, basis), found
 
 
 # Outer synthesis passes before a run is reported as not converged.

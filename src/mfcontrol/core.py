@@ -15,6 +15,7 @@ a given numpy version.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,9 +39,12 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.steps
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
+        """The read-only grid times, formed once per grid."""
+        times = np.linspace(0.0, self.horizon, self.steps + 1)
+        times.flags.writeable = False
+        return times
 
 
 def make_time_grid(horizon: float, steps: int) -> TimeGrid:

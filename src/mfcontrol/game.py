@@ -176,7 +176,9 @@ def isaacs_gap(scenario: GameScenario) -> IsaacsReport:
     point at the diffusive scale, and the statistics take their
     initial-condition values.  The gap is always >= 0; a positive max beyond
     _ISAACS_TOL means min and max do not commute for this Hamiltonian and no
-    saddle certificate is possible on these grids.
+    saddle certificate is possible on these grids.  A non-finite sampled
+    envelope (an overflowing Hamiltonian) says nothing about their order and
+    raises FloatingPointError.
     """
     x_points = scenario.initial + np.sqrt(scenario.horizon) * np.linspace(-3.0, 3.0, 13)
     init = np.asarray(scenario.initial, dtype=float)
@@ -187,6 +189,9 @@ def isaacs_gap(scenario: GameScenario) -> IsaacsReport:
     for zv in _ISAACS_Z_POINTS:
         z = np.full_like(x_points, zv)
         env = envelopes(scenario, 0.0, x_points, sup, stats_row, z)
+        if not (np.all(np.isfinite(env.lower)) and np.all(np.isfinite(env.upper))):
+            raise FloatingPointError(f"non-finite Hamiltonian envelope at z = {zv:g} "
+                                     f"on the Isaacs sample grid")
         gaps.append(float(np.max(env.gap)))
     max_gap = max(gaps)
     return IsaacsReport(max_gap=max_gap, tol=_ISAACS_TOL,
@@ -207,10 +212,11 @@ class PairSideControl:
         self.label = label
 
     def actions_over(self, paths: PathEnsemble, rows: slice, steps: slice) -> np.ndarray:
-        return self._pair.actions_pair_over(paths, rows, steps)[self._side]
+        """Fresh (rows, steps) actions of this side alone."""
+        return self._pair._gather(paths, rows, steps, (self._side,))[0]
 
     def actions(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
-        return self._pair.actions_pair(paths, t_index)[self._side]
+        return self.actions_over(paths, slice(None), slice(t_index, t_index + 1))[:, 0]
 
 
 class PairFeedbackControl(_GridFeedback):
@@ -234,7 +240,7 @@ class PairFeedbackControl(_GridFeedback):
                           steps: slice) -> tuple[np.ndarray, np.ndarray]:
         """Fresh (rows, steps) u and v actions on a block of particles and
         grid times."""
-        return self._gather(paths, rows, steps)
+        return self._gather(paths, rows, steps, (0, 1))
 
     def actions_pair(self, paths: PathEnsemble, t_index: int) -> tuple[np.ndarray, np.ndarray]:
         u, v = self.actions_pair_over(paths, slice(None), slice(t_index, t_index + 1))

@@ -62,6 +62,57 @@ def control_actions(control, paths: PathEnsemble, rows: slice,
     return (control.actions_over(paths, rows, steps),)
 
 
+def _affine_actions(coeffs, box, x, sup) -> np.ndarray:
+    """clip(a + b x + c sup, box): the actions of the parametric rule with
+    coefficients coeffs = (a, b, c) and bounds box = (lo, hi), all of which
+    broadcast against the states x and running suprema sup; lo None leaves
+    the raw values unclipped."""
+    a, b, c = coeffs
+    raw = a + b * x + c * sup
+    lo, hi = box
+    return raw if lo is None else np.clip(raw, lo, hi)
+
+
+def _side_actions(members, paths: PathEnsemble, k: int) -> np.ndarray:
+    """One side's actions of a family at grid time k, in member order: a
+    (K, 1) column when every member is a constant, else (K, M).  Constants
+    are one column and parametric members one broadcast _affine_actions;
+    every other member is its own actions_over, or the (M, 1) array already
+    read for it."""
+    kinds = [getattr(m, "kind", None) for m in members]
+    constants = [j for j, kind in enumerate(kinds) if kind == "constant"]
+    column = np.array([members[j].value for j in constants])[:, None]
+    if len(constants) == len(members):
+        return column
+    out = np.empty((len(members), paths.particles))
+    out[constants] = column
+    affine = [j for j, kind in enumerate(kinds) if kind == "parametric"]
+    if affine:
+        rules = [members[j] for j in affine]
+        coeffs = np.array([m.coeffs for m in rules]).T[:, :, None]
+        box = (np.array([[-np.inf if m.box_lo is None else m.box_lo] for m in rules]),
+               np.array([[np.inf if m.box_hi is None else m.box_hi] for m in rules]))
+        out[affine] = _affine_actions(coeffs, box, paths.state(k), paths.sup(k))
+    for j, kind in enumerate(kinds):
+        if kind not in ("constant", "parametric"):
+            read = members[j]
+            if not isinstance(read, np.ndarray):
+                read = read.actions_over(paths, slice(None), slice(k, k + 1))
+            out[j] = read[:, 0]
+    return out
+
+
+def _family_actions(controls, paths: PathEnsemble, k: int) -> list[np.ndarray]:
+    """The actions of K controls (or pairs) at grid time k, one array per
+    side ((u,) or (u, v)), each (K, M) in member order or (K, 1) when that
+    side's members are all constants (see _side_actions).  A pair that reads
+    both sides at once (actions_pair_over) is read once."""
+    steps = slice(k, k + 1)
+    sides = [control_actions(c, paths, slice(None), steps) if hasattr(c, "actions_pair_over")
+             else tuple(c) if isinstance(c, (tuple, list)) else (c,) for c in controls]
+    return [_side_actions([s[i] for s in sides], paths, k) for i in range(len(sides[0]))]
+
+
 def drift_base(scenario: Scenario | GameScenario, control, paths: PathEnsemble) -> np.ndarray:
     """Read-only (particles, steps + 1) DriftSpec.base of the control along
     the ensemble, filled a block of particles at a time."""

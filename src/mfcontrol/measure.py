@@ -148,35 +148,67 @@ def tv_columns(wa: np.ndarray, wb: np.ndarray) -> TVEstimate:
 
 # Equal-width bins of tv_marginal's histograms.
 _TV_BINS = 64
+# Rows sorted at a time by _cut_sums, as np.histogram sorts weighted samples.
+_HIST_BLOCK = 65536
+
+
+def _cut_sums(x: np.ndarray, weights, edges: np.ndarray) -> list[np.ndarray]:
+    """Running weight sums at the bin edges of the states x, one array per
+    weight column in weights: np.histogram's rule for weighted samples with
+    explicit edges, in its bits.  Each block of _HIST_BLOCK rows is sorted
+    once, each weight's sorted running sum is read at the edge cuts (the last
+    edge inclusive), and the blocks' readings add up in order."""
+    sums = [np.zeros(edges.shape) for _ in weights]
+    for i in range(0, len(x), _HIST_BLOCK):
+        block = x[i:i + _HIST_BLOCK]
+        order = np.argsort(block)
+        ordered = block[order]
+        cuts = np.concatenate((ordered.searchsorted(edges[:-1], "left"),
+                               ordered.searchsorted(edges[-1:], "right")))
+        for total, w in zip(sums, weights):
+            running = np.concatenate((np.zeros(1), w[i:i + _HIST_BLOCK][order].cumsum()))
+            total += running[cuts]
+    return sums
 
 
 def tv_marginal(a: MeasureFlow, b: MeasureFlow, t_index: int) -> TVEstimate:
     """Binned total variation between the time-t marginals.
 
     The flows may live on different ensembles; each side is histogrammed with
-    its own weights, in _TV_BINS bins on the pooled range.  Coarsening can
-    only lower TV, so this estimator is dominated by tv_pathspace on a common
-    ensemble.
+    its own weights, in _TV_BINS bins on the pooled range, np.histogram's
+    bins and bits (_cut_sums).  On a common ensemble the states are sorted,
+    cut and binned once for both weight columns.  Coarsening can only lower
+    TV, so this estimator is dominated by tv_pathspace on a common ensemble.
     """
+    common = a.paths is b.paths
     xa = a.paths.values[:, t_index]
     xb = b.paths.values[:, t_index]
-    lo = min(xa.min(), xb.min())
-    hi = max(xa.max(), xb.max())
+    lo, hi = xa.min(), xa.max()
+    if not common:
+        lo, hi = min(lo, xb.min()), max(hi, xb.max())
     if hi <= lo:
         lo, hi = lo - 0.5, lo + 0.5
     edges = np.linspace(lo, hi, _TV_BINS + 1)
     width = float(edges[1] - edges[0])
     wa = a.weights[:, t_index]
     wb = b.weights[:, t_index]
-    pa = np.histogram(xa, bins=edges, weights=wa)[0] / a.particles
-    pb = np.histogram(xb, bins=edges, weights=wb)[0] / b.particles
+    if common:
+        ca, cb = _cut_sums(xa, (wa, wb), edges)
+    else:
+        (ca,), (cb,) = _cut_sums(xa, (wa,), edges), _cut_sums(xb, (wb,), edges)
+    pa = np.diff(ca) / a.particles
+    pb = np.diff(cb) / b.particles
     value = float(np.sum(np.abs(pa - pb)))
 
     # delta-method stderr: TV = sum_b s_b (pa_b - pb_b) with fixed signs, so it
     # linearizes into means of per-particle contributions on each side
     signs = np.sign(pa - pb)
-    ia = np.clip(np.searchsorted(edges, xa, side="right") - 1, 0, _TV_BINS - 1)
-    ib = np.clip(np.searchsorted(edges, xb, side="right") - 1, 0, _TV_BINS - 1)
+
+    def bins(x):
+        return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, _TV_BINS - 1)
+
+    ia = bins(xa)
+    ib = ia if common else bins(xb)
     ga = signs[ia] * wa
     gb = signs[ib] * wb
     stderr = float(np.sqrt(np.var(ga) / a.particles + np.var(gb) / b.particles))
@@ -188,9 +220,12 @@ def hellinger_bound(flow_a: MeasureFlow, drift_a, drift_b) -> tuple[float, float
 
     drift_a / drift_b are DriftEvaluators on flow_a's ensemble, read a block
     of particles at a time; a drift on another ensemble raises
-    EnsembleMismatchError.  sigma is drift_a's scenario's and the grid
-    flow_a's.  Returns (gamma_hat, bound, stderr_of_gamma) where gamma_hat
-    is the weighted trapezoid estimate of
+    EnsembleMismatchError.  A drift without a held base re-forms its
+    statistic-free part from the control's actions on every block, so a
+    caller pricing many pairs of the same drifts gives each evaluator its
+    girsanov.drift_base once; the result is the same bit for bit.  sigma is
+    drift_a's scenario's and the grid flow_a's.  Returns (gamma_hat, bound,
+    stderr_of_gamma) where gamma_hat is the weighted trapezoid estimate of
 
         E_A[ (1/8) int_0^T ((bA - bB) / sigma)^2 dt ]
 

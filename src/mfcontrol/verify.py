@@ -27,7 +27,7 @@ from .control import (constant_control, envelope_bsde, evaluate_payoff,
                       parametric_control, policy_iteration)
 from .core import simulate_for_scenario
 from .game import isaacs_gap, solve_game, verify_saddle
-from .girsanov import DriftEvaluator, fixpoint_measure_flow
+from .girsanov import DriftEvaluator, drift_base, fixpoint_measure_flow
 from .measure import (hellinger_bound, mean_stderr, reference_flow, tv_marginal, tv_pathspace,
                       weighted_statistic)
 from .scenario import GameScenario, builtin_scenarios, get_builtin
@@ -214,15 +214,17 @@ def check_fixed_point(ctx: AcceptanceContext) -> CheckResult:
 @_criterion(4, "Hellinger domination over constant-control pairs")
 def check_hellinger(ctx: AcceptanceContext) -> CheckResult:
     scen = ctx.scenarios["linear-quadratic"]
-    n = ctx.paths_for(scen).grid.steps
+    paths = ctx.paths_for(scen)
+    n = paths.grid.steps
     points = scen.actions.points
     flows = {}
+    # each constant's statistic-free drift is formed once, not once per pair
     drifts = {}
     for u in points:
         control = constant_control(u, scen.actions)
         fix = ctx.fixpoint(scen, control, f"const[{u:g}]")
         flows[u] = fix.flow
-        drifts[u] = DriftEvaluator(scen, fix.flow, control)
+        drifts[u] = DriftEvaluator(scen, fix.flow, control, drift_base(scen, control, paths))
     horizon = scen.horizon
     worst_bound = None
     worst_gamma = None

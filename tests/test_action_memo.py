@@ -29,7 +29,7 @@ from mfcontrol import (
     simulate_for_scenario,
     solve_game,
 )
-from mfcontrol.control import grid_index_dtype
+from mfcontrol.control import _HeldRows, grid_index_dtype
 from reference import coefficient_solution
 
 STEPS = 8
@@ -153,8 +153,8 @@ def test_feedback_rows_go_with_their_ensemble(feedback, mean_field):
     paths = simulate_for_scenario(mean_field, particles=200, steps=STEPS, seed=3)
     for k in range(STEPS + 1):
         feedback.actions(paths, k)
-    rows = [weakref.ref(step[0]) for step in feedback._rows[paths].values()]
-    assert len(rows) == STEPS + 1
+    assert feedback._rows[paths].filled.all()
+    rows = [weakref.ref(matrix) for matrix in feedback._rows[paths].rows]
     alive = weakref.ref(paths)
     del paths
     gc.collect()
@@ -218,8 +218,8 @@ def test_seeded_rows_are_the_feedbacks_own(name, scenarios):
 
     held = control._rows[paths]
     for k in range(STEPS + 1):
-        assert k in held, "step missing from the held rows"
-        seeded = held[k]
+        assert held.filled[k], "step missing from the held rows"
+        seeded = [matrix[:, k] for matrix in held.rows]
         own = fresh._step_rows(paths, k)
         assert len(seeded) == len(own) == len(control._grids)
         for rows, expected, grid in zip(seeded, own, control._grids):
@@ -256,7 +256,9 @@ def test_each_outer_iteration_saves_one_minimization_per_step(name, scenarios, m
     # the same loop with the seeding switched off: every feedback computes
     # all of its extremizers itself
     solve = control_mod._extremal_solve
-    monkeypatch.setattr(control_mod, "_extremal_solve", lambda *args: (solve(*args)[0], {}))
+    monkeypatch.setattr(control_mod, "_extremal_solve",
+                        lambda scen, flow, *rest: (solve(scen, flow, *rest)[0],
+                                                   _HeldRows(flow.paths, scen.grids)))
     calls.clear()
     unseeded = policy_iteration(scen, paths)
     assert seeded.y0 == unseeded.y0 and seeded.j_hat == unseeded.j_hat

@@ -33,6 +33,17 @@ def test_time_grid_arithmetic():
     np.testing.assert_allclose(single.times, [0.0, 0.5])
 
 
+def test_time_grid_times_are_formed_once_and_read_only():
+    grid = make_time_grid(1.0, 50)
+    times = grid.times
+    assert times.tobytes() == np.linspace(0.0, 1.0, 51).tobytes()
+    assert grid.times is times
+    with pytest.raises(ValueError):
+        times[0] = 1.0
+    # the held times are no field: equal grids stay equal and hash alike
+    assert grid == make_time_grid(1.0, 50) and hash(grid) == hash(make_time_grid(1.0, 50))
+
+
 def test_time_grid_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
         make_time_grid(0.0, 10)

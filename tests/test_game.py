@@ -17,6 +17,8 @@ Closed forms used as oracles (unit diffusion, initial state 0, T = 1):
     mean of g, so deviation slacks vanish identically.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,15 @@ def test_isaacs_gap_flags_bilinear_game(bilinear_game):
     assert report.max_gap == 2.0
     assert not report.holds
     assert all(g == 2.0 for g in report.gap_by_z)
+
+
+# the overflow is a warning on the way to the error under test
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_isaacs_gap_refuses_a_non_finite_hamiltonian(separated_game):
+    overflowing = dataclasses.replace(
+        separated_game, drift=dataclasses.replace(separated_game.drift, control=1e308))
+    with pytest.raises(FloatingPointError, match="non-finite Hamiltonian envelope"):
+        isaacs_gap(overflowing)
 
 
 # ---------------------------------------------------------------------------
