@@ -48,6 +48,7 @@ from .measure import (
     MeasureFlow,
     TVEstimate,
     hellinger_bound,
+    hellinger_pairs,
     mean_stderr,
     reference_flow,
     tv_marginal,
@@ -119,7 +120,7 @@ __all__ = [
     "serialize_scenario", "validate_scenario",
     # measures
     "EnsembleMismatchError", "MeasureFlow", "TVEstimate", "hellinger_bound",
-    "mean_stderr", "reference_flow", "tv_marginal", "tv_pathspace",
+    "hellinger_pairs", "mean_stderr", "reference_flow", "tv_marginal", "tv_pathspace",
     "weighted_statistic",
     # densities and fixed points
     "ContractionReport", "DriftEvaluator", "FixpointConvergenceError",

@@ -12,6 +12,16 @@ which uses the factor-2 convention d(mu, nu) = 2 sup_B |mu(B) - nu(B)| and
 therefore lives in [0, 2].  The binned marginal estimator coarsens by the
 histogram partition, so marginal TV <= path-space TV holds pathwise, not just
 in expectation.
+
+The Hellinger bound on that distance integrates (theta_a - theta_b)^2 along
+each path, theta = sigma^{-1} f.  For K drifts, hellinger_pairs reads all
+K(K-1)/2 pairs in one pass over the ensemble in the Gram form
+
+    sum_k c_k (theta_a - theta_b)^2 = A_a - 2 B_ab + A_b,
+    B = theta diag(c) theta',  A_a = sum_k c_k theta_a^2,
+
+with c the trapezoid weights: each block of particles forms every member's
+theta once, and no drift or weight matrix is held per member.
 """
 
 from __future__ import annotations
@@ -75,18 +85,26 @@ class MeasureFlow:
     def statistic_series(self, name: str) -> np.ndarray:
         """(steps + 1,) trajectory of a registered statistic under the flow:
         w * psi by blocks of particles, summed in row order with the running
-        sum carried into each block's first row, as np.mean's axis-0 sum."""
+        sum carried into each block's first row, as np.mean's axis-0 sum.  A
+        sum that overflows or is not finite raises FloatingPointError naming
+        the statistic and its first such grid index."""
         if name not in self.statistics:
             raise KeyError(f"statistic {name!r} is not registered with this flow")
         if name not in self._stat_cache:
             spec = self.statistics[name]
             m, cols = self.weights.shape
             total = None
-            for rows in particle_blocks(m, cols):
-                prod = self.weights[rows] * spec.evaluate(self.paths.values[rows])
-                if total is not None:
-                    prod[0] += total
-                total = prod.sum(axis=0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for rows in particle_blocks(m, cols):
+                    prod = self.weights[rows] * spec.evaluate(self.paths.values[rows])
+                    if total is not None:
+                        prod[0] += total
+                    total = prod.sum(axis=0)
+            finite = np.isfinite(total)
+            if not finite.all():
+                raise FloatingPointError(
+                    f"non-finite statistic {name!r} at t_index {int(np.argmin(finite))}: "
+                    "its weighted sum over the particles overflowed or is not finite")
             self._stat_cache[name] = total / m
         return self._stat_cache[name]
 
@@ -105,8 +123,15 @@ class MeasureFlow:
 
 def mean_stderr(samples: np.ndarray) -> tuple[float, float]:
     """(mean, stderr of the mean) of one sample per particle: the sample
-    mean and the population sd over sqrt(count)."""
-    return float(np.mean(samples)), float(np.std(samples) / np.sqrt(len(samples)))
+    mean and the population sd over sqrt(count).  A mean or sd that
+    overflows or is not finite raises FloatingPointError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd = float(np.mean(samples)), float(np.std(samples))
+    if not (np.isfinite(mean) and np.isfinite(sd)):
+        raise FloatingPointError(f"non-finite sample mean {mean} or sd {sd} over "
+                                 f"{len(samples)} particles: the per-particle values "
+                                 "overflowed or are not finite")
+    return mean, float(sd / np.sqrt(len(samples)))
 
 
 def reference_flow(paths: PathEnsemble, statistics=()) -> MeasureFlow:
@@ -215,35 +240,76 @@ def tv_marginal(a: MeasureFlow, b: MeasureFlow, t_index: int) -> TVEstimate:
     return TVEstimate(value=min(value, 2.0), stderr=stderr, kind="marginal", bin_width=width)
 
 
+def hellinger_pairs(drifts, horizons) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hellinger-process bounds between every pair of K reweightings of one
+    ensemble, in one pass over it.
+
+    drifts are K DriftEvaluators on one ensemble (another ensemble raises
+    EnsembleMismatchError); horizons is (K, particles), row a the horizon
+    weights of member a's flow.  Returns (gamma, bound, stderr), each with
+    one entry per pair a < b in itertools.combinations order: hellinger_bound
+    of drift a against drift b under member a's weights.  Each block of
+    particles forms every member's theta = sigma^{-1} f once and centres the
+    thetas on their mean over the members at each (particle, time), which
+    leaves every difference theta_a - theta_b as it was.  Each pair's
+    trapezoid integral sum_k c_k (theta_a - theta_b)^2 is then read as
+    A_a - 2 B_ab + A_b from one batched Gram product B = theta diag(c)
+    theta' and each member's own trapezoid A_a of theta_a^2, so a pair whose
+    centred theta_a is 0 has its own trapezoid's bits, and two equal drifts
+    alone (K = 2, both centred thetas 0) give exactly 0.  The weighted
+    integrals, one per particle per pair, are held as one (pairs, particles)
+    array and reduced by mean_stderr, as a pair's own pass reduces them.
+    """
+    drifts = list(drifts)
+    paths = drifts[0].paths
+    if any(drift.paths is not paths for drift in drifts):
+        raise EnsembleMismatchError("every drift must live on one ensemble")
+    sigma = drifts[0].scenario.sigma
+    grid = paths.grid
+    m, n, k = paths.particles, grid.steps, len(drifts)
+    steps = slice(0, n + 1)
+    trapezoid = np.full(n + 1, grid.dt)
+    trapezoid[[0, n]] = grid.dt / 2.0
+    first, second = np.triu_indices(k, 1)
+    weighted = np.empty((len(first), m))
+    # a block holds all K members, so it is cut for K times the steps
+    for rows in particle_blocks(m, k * (n + 1)):
+        drift = np.empty((rows.stop - rows.start, k, n + 1))
+        for j, member in enumerate(drifts):
+            drift[:, j] = member.over(rows, steps)
+        theta = sigma.inv_apply(grid.times, paths.values[rows, None],
+                                paths.running_sup[rows, None], drift)
+        del drift   # before the Gram product's temporaries
+        theta -= theta.mean(axis=1, keepdims=True)
+        cross = (theta * trapezoid) @ theta.transpose(0, 2, 1)
+        own = np.trapezoid(theta * theta, dx=grid.dt, axis=-1)
+        gamma = own[:, first] - 2.0 * cross[:, first, second]
+        gamma += own[:, second]
+        gamma *= horizons[first, rows].T / 8.0
+        weighted[:, rows] = gamma.T
+    estimates = np.array([mean_stderr(row) for row in weighted]).reshape(-1, 2)
+    gamma_hat = np.maximum(estimates[:, 0], 0.0)
+    return gamma_hat, 8.0 * np.sqrt(gamma_hat), estimates[:, 1]
+
+
 def hellinger_bound(flow_a: MeasureFlow, drift_a, drift_b) -> tuple[float, float, float]:
     """Hellinger-process bound on the path-space TV between two reweightings.
 
-    drift_a / drift_b are DriftEvaluators on flow_a's ensemble, read a block
-    of particles at a time; a drift on another ensemble raises
-    EnsembleMismatchError.  A drift without a held base re-forms its
-    statistic-free part from the control's actions on every block, so a
-    caller pricing many pairs of the same drifts gives each evaluator its
-    girsanov.drift_base once; the result is the same bit for bit.  sigma is
-    drift_a's scenario's and the grid flow_a's.  Returns (gamma_hat, bound,
+    drift_a / drift_b are DriftEvaluators on flow_a's ensemble; a drift on
+    another ensemble raises EnsembleMismatchError.  sigma is drift_a's
+    scenario's and the grid flow_a's.  Returns (gamma_hat, bound,
     stderr_of_gamma) where gamma_hat is the weighted trapezoid estimate of
 
         E_A[ (1/8) int_0^T ((bA - bB) / sigma)^2 dt ]
 
-    and bound = 8 sqrt(gamma_hat) dominates the TV distance.
+    and bound = 8 sqrt(gamma_hat) dominates the TV distance.  This is the
+    K = 2 call of hellinger_pairs, under flow_a's horizon weights; equal
+    drifts give exactly 0.0 for all three.
     """
     paths = flow_a.paths
     if drift_a.paths is not paths or drift_b.paths is not paths:
         raise EnsembleMismatchError("both drifts must live on flow_a's ensemble")
-    sigma = drift_a.scenario.sigma
-    grid = paths.grid
-    n = grid.steps
-    steps = slice(0, n + 1)
-    gamma_paths = np.empty(paths.particles)
-    for rows in particle_blocks(paths.particles, n + 1):
-        diff = drift_a.over(rows, steps) - drift_b.over(rows, steps)
-        integrand = sigma.inv_quadform(grid.times, paths.values[rows],
-                                       paths.running_sup[rows], diff)
-        gamma_paths[rows] = np.trapezoid(integrand, dx=grid.dt, axis=1) / 8.0
-    gamma_hat, stderr = mean_stderr(flow_a.weights[:, n] * gamma_paths)
-    gamma_hat = max(gamma_hat, 0.0)
-    return gamma_hat, 8.0 * np.sqrt(gamma_hat), stderr
+    horizon = flow_a.weights[:, paths.grid.steps]
+    gamma, bound, stderr = hellinger_pairs((drift_a, drift_b),
+                                           np.broadcast_to(horizon, (2, paths.particles)))
+    return float(gamma[0]), float(bound[0]), float(stderr[0])

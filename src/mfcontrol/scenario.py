@@ -181,7 +181,8 @@ class DiffusionSpec:
         """sigma^{-1}(t, path) vec.
 
         One grid time with state, sup and vec shaped (M,), or a block of
-        steps: t (B,), state, sup and vec (M, B)."""
+        steps: t (B,), state, sup and vec (M, B), or state and sup (M, 1, B)
+        against the vecs (M, K, B) of K drifts."""
         if self.kind == "constant":
             if abs(self.base) < _SIGMA_FLOOR:
                 self._guard(self.scalar_values(t, state, sup), t)
@@ -189,11 +190,6 @@ class DiffusionSpec:
         vals = self.scalar_values(t, state, sup)
         self._guard(vals, t)
         return (1.0 / vals) * vec
-
-    def inv_quadform(self, t, state: np.ndarray, sup: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """(sigma^{-1} vec)^2 per particle, for the Hellinger integrand; one grid time or a block of steps, as in
-        inv_apply, whose singularity checks it shares."""
-        return self.inv_apply(t, state, sup, vec) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ solve_driver_bsde takes, so a family member can be checked against a solo
 driver solve and the H kernel against the driver.  coefficient_solution
 wraps bare z coefficients in a BsdeSolution, which is all a synthesized
 feedback reads.  constant_drift is the drift of a constant control, a
-DriftEvaluator on the reference flow.  picard_every_application is the
-measure fixed point that applies the Picard map until an update falls below
-tol, with no shortcut for a repeated input, and synthesize_every_pass is the
-synthesis loop without that shortcut at the outer level.
+DriftEvaluator on the reference flow.  hellinger_pairwise is
+hellinger_bound as one pair's own pass: the trapezoid of ((bA - bB) /
+sigma)^2 along each path, under flow_a's horizon weights.
+picard_every_application is the measure fixed point that applies the Picard
+map until an update falls below tol, with no shortcut for a repeated input,
+and synthesize_every_pass is the synthesis loop without that shortcut at the
+outer level.
 """
 
 import numpy as np
@@ -16,7 +19,8 @@ import numpy as np
 from mfcontrol import (BsdeSolution, DriftEvaluator, FixpointConvergenceError,
                        FixpointDiagnostics, FixpointResult, MeasureFlow, constant_control,
                        density_process, evaluate_payoff, fixpoint_measure_flow, get_builtin,
-                       reference_flow, tv_pathspace)
+                       mean_stderr, reference_flow, tv_pathspace)
+from mfcontrol.core import particle_blocks
 from mfcontrol.bsde import _family_hamiltonian, _stat_series
 from mfcontrol.control import _MAX_OUTER, _extremal_solve
 
@@ -43,6 +47,25 @@ def constant_drift(paths, u, scenario=None, base=None):
     the bits of u at every particle), or a held base in its place."""
     scenario = get_builtin("linear-quadratic") if scenario is None else scenario
     return DriftEvaluator(scenario, reference_flow(paths), constant_control(u), base)
+
+
+def hellinger_pairwise(flow_a, drift_a, drift_b):
+    """(gamma_hat, bound, stderr) of hellinger_bound from the pair's own
+    difference of drifts, a block of particles at a time."""
+    paths = flow_a.paths
+    sigma = drift_a.scenario.sigma
+    grid = paths.grid
+    n = grid.steps
+    steps = slice(0, n + 1)
+    gamma_paths = np.empty(paths.particles)
+    for rows in particle_blocks(paths.particles, n + 1):
+        diff = drift_a.over(rows, steps) - drift_b.over(rows, steps)
+        integrand = sigma.inv_apply(grid.times, paths.values[rows],
+                                    paths.running_sup[rows], diff) ** 2
+        gamma_paths[rows] = np.trapezoid(integrand, dx=grid.dt, axis=1) / 8.0
+    gamma_hat, stderr = mean_stderr(flow_a.weights[:, n] * gamma_paths)
+    gamma_hat = max(gamma_hat, 0.0)
+    return gamma_hat, 8.0 * np.sqrt(gamma_hat), stderr
 
 
 def picard_every_application(scenario, control, paths, tol=1e-3, max_iter=50):

@@ -74,12 +74,12 @@ def test_list_scenarios(capsys):
     assert any("game" in line for line in lines)
 
 
-def run_module(*argv):
+def run_module(*argv, flags=()):
     src = str(Path(mfcontrol.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", *argv], env=env, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, *flags, "-m", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("module", ["mfcontrol", "mfcontrol.cli"])
@@ -476,10 +476,11 @@ def test_multi_value_constant_control_exits_2(capsys):
 # the overflows a run meets are warnings on its stderr, not errors
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("base,key,value,argv,message", [
+    # the statistic's weighted sum overflows although every state is finite
     ("zero-drift", "initial", 1e308, ["fixpoint", "--control", "constant:0"],
-     "non-finite value inf in report"),
+     "non-finite statistic 'mean' at t_index 0"),
     ("zero-drift", "initial", -1e308, ["fixpoint", "--control", "constant:0"],
-     "non-finite value -inf in report"),
+     "non-finite statistic 'mean' at t_index 0"),
     # the Hamiltonian overflows before any order of min and max can be judged
     ("separated-game", "drift", {"control_u": 1e308, "control_v": 1.0}, ["game"],
      "non-finite Hamiltonian envelope at z = -3 on the Isaacs sample grid"),
@@ -501,6 +502,24 @@ def test_non_finite_results_exit_1_without_traceback(capsys, tmp_path, base, key
     assert f"computation failed: {message}" in err
     assert err.count("computation failed:") == 1 and "aborted" not in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fixpoint", "evaluate"])
+def test_overflowing_means_exit_1_under_warnings_as_errors(tmp_path, command):
+    # the overflow is checked, not warned about, so -W error leaves the
+    # message and no traceback
+    doc = builtin_config("zero-drift")
+    doc["initial"] = 1e308
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps(doc))
+    proc = run_module("mfcontrol", command, "--config", str(cfg), "--control", "constant:0",
+                      "--seed", "1", "--particles", "100", "--steps", "5",
+                      "--override-validation", flags=("-W", "error"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    failed = [line for line in proc.stderr.splitlines() if "computation failed:" in line]
+    assert len(failed) == 1 and "mean" in failed[0]
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Readers that take what a family's members share once give the members' bits.
 
 A family's actions are read once per step per control kind, a Hellinger pair
-reads the drifts' held bases, a synthesized feedback holds one grid-row
-matrix per grid, and tv_marginal sorts a common ensemble's states once.  Each
-test pins one of these readers, bit for bit, against the per-member (or
-np.histogram) computation it replaces.
+reads the drifts' held bases, criterion 4 forms each constant's drift once per
+block of particles, a synthesized feedback holds one grid-row matrix per
+grid, and tv_marginal sorts a common ensemble's states once.  Each test pins
+one of these readers, bit for bit, against the per-member (or np.histogram)
+computation it replaces, or pins what it reads and holds.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,38 +175,71 @@ def test_hellinger_with_held_bases_equals_fresh(mean_field):
 
 
 def test_hellinger_check_forms_each_base_once(monkeypatch):
+    # criterion 4 holds no drift base: each constant's DriftSpec.base is
+    # formed once per block of particles in its one density application and
+    # once per block in the Gram pass, whose blocks every constant shares
     ctx = AcceptanceContext(seed=7, particles=300, steps=10)
-    inside = []      # the drift_base calls under way
-    checked = []     # verify's own drift_base calls
-    outside = []     # DriftSpec.base calls made outside every drift_base
+    held = []        # drift_base calls
+    applying = []    # the density applications under way
+    applied = []     # rows of the DriftSpec.base calls inside one
+    reads = {}       # drift -> the row blocks it is read on outside one
+    outside = []     # DriftSpec.base calls outside every density application
 
-    def tracked(original, record=None):
-        def wrapper(*args, **kwargs):
-            if record is not None:
-                record.append(1)
-            inside.append(1)
-            try:
-                return original(*args, **kwargs)
-            finally:
-                inside.pop()
-        return wrapper
+    def no_base(*args, **kwargs):
+        held.append(1)
+
+    def density(drift):
+        applying.append(1)
+        try:
+            return girsanov_mod.density_process(drift)
+        finally:
+            applying.pop()
+
+    over = DriftEvaluator.over
+
+    def read(self, rows, steps):
+        if not applying:
+            reads.setdefault(self, []).append((rows.start, rows.stop))
+        return over(self, rows, steps)
 
     base = DriftSpec.base
 
-    def counted_base(self, *args, **kwargs):
-        if not inside:
-            outside.append(1)
-        return base(self, *args, **kwargs)
+    def counted_base(self, x, *args, **kwargs):
+        (applied if applying else outside).append(len(x))
+        return base(self, x, *args, **kwargs)
 
-    monkeypatch.setattr(girsanov_mod, "drift_base", tracked(girsanov_mod.drift_base))
-    monkeypatch.setattr(verify_mod, "drift_base", tracked(verify_mod.drift_base, checked))
+    monkeypatch.setattr(girsanov_mod, "drift_base", no_base)
+    monkeypatch.setattr(verify_mod, "density_process", density)
+    monkeypatch.setattr(DriftEvaluator, "over", read)
     monkeypatch.setattr(DriftSpec, "base", counted_base)
     result = verify_mod.check_hellinger(ctx)
     points = ctx.scenarios["linear-quadratic"].actions.points
     assert len(points) == 21
     assert result.details["pairs"] == 210
-    assert len(checked) == len(points)
-    assert outside == []
+    assert held == [] and ctx._fix == {}
+    assert sum(applied) == len(points) * 300
+    assert len(reads) == len(points)
+    blocks = next(iter(reads.values()))
+    assert all(seen == blocks for seen in reads.values())
+    cuts = [0, *(stop for _, stop in blocks)]
+    assert blocks == list(zip(cuts[:-1], cuts[1:])) and cuts[-1] == 300
+    assert sorted(outside) == sorted([stop - start for start, stop in blocks] * len(points))
+
+
+def test_hellinger_check_holds_no_flow():
+    # criterion 4 keeps each constant's horizon column and drift, not its flow
+    # or a drift base: at 2000 x 50 its allocation peak, the ensemble's
+    # simulation included, was 38.6 MB while it held them and is 8.0 MB now
+    ctx = AcceptanceContext(seed=7, particles=2000, steps=50)
+    tracemalloc.start()
+    try:
+        result = verify_mod.check_hellinger(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.details["pairs"] == 210 and result.details["bound_violations"] == 0
+    assert ctx._fix == {}
+    assert peak < 12e6
 
 
 @pytest.mark.parametrize("rows,steps", [(slice(None), slice(None)), (slice(5, 130), slice(2, 7)),

@@ -14,6 +14,7 @@ checks both estimators.  The Hellinger exponent for two constant drifts u, v
 with sigma = 1 is Gamma = (T / 8) (u - v)^2, deterministic along every path.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -27,12 +28,17 @@ from mfcontrol import (
     EnsembleMismatchError,
     MeasureFlow,
     StatisticSpec,
+    DriftEvaluator,
     builtin_config,
+    constant_control,
     density_process,
+    fixpoint_measure_flow,
     get_builtin,
     hellinger_bound,
+    hellinger_pairs,
     make_time_grid,
     mean_stderr,
+    parametric_control,
     parse_scenario,
     reference_flow,
     simulate_for_scenario,
@@ -42,7 +48,7 @@ from mfcontrol import (
     weighted_statistic,
 )
 from mfcontrol.core import particle_blocks
-from reference import constant_drift
+from reference import constant_drift, hellinger_pairwise
 
 STATS = {"mean": StatisticSpec("identity")}
 
@@ -294,3 +300,55 @@ def test_hellinger_demands_drifts_on_the_flow_ensemble(paths4k, lq, side):
     drifts = (wrong, right) if side == "drift_a" else (right, wrong)
     with pytest.raises(EnsembleMismatchError, match="flow_a's ensemble"):
         hellinger_bound(flow, *drifts)
+
+
+def affine_sigma_mean_field():
+    cfg = builtin_config("mean-field-mean-reversion")
+    cfg["diffusion"] = {"kind": "affine_state", "base": 1.0, "slope": 0.2}
+    return parse_scenario(cfg)
+
+
+# (scenario, controls) whose drifts hellinger_pairs reads at once: constants;
+# affine rules whose drift reads the flow's mean; the same under a sigma that
+# moves with the state
+HELLINGER_FAMILIES = {
+    "linear-quadratic": lambda: (get_builtin("linear-quadratic"),
+                                 [constant_control(u) for u in (-1.0, -0.9, 0.0, 0.35, 1.0)]),
+    "mean-field": lambda: (get_builtin("mean-field-mean-reversion"),
+                           [parametric_control(a, b, c) for a, b, c in
+                            ((0.3, -0.5, 0.1), (-0.4, 0.2, 0.0), (0.0, 0.0, 0.0),
+                             (0.8, -0.1, -0.2))]),
+    "affine-sigma": lambda: (affine_sigma_mean_field(),
+                             [parametric_control(a, b, c) for a, b, c in
+                              ((0.3, -0.5, 0.1), (-0.4, 0.2, 0.0), (0.6, 0.3, -0.1))]),
+}
+
+
+@pytest.mark.parametrize("family", list(HELLINGER_FAMILIES))
+def test_hellinger_pairs_agree_with_pairwise_reference(family):
+    # the Gram form sums in another order than each pair's own trapezoid:
+    # gamma and the bound agree to 1e-13 relative, the stderr to 1e-13
+    # relative or 1e-15 absolute, and equal drifts give exactly 0
+    scenario, controls = HELLINGER_FAMILIES[family]()
+    paths = simulate_for_scenario(scenario, particles=1500, steps=20, seed=41)
+    flows = [fixpoint_measure_flow(scenario, c, paths).flow for c in controls]
+    drifts = [DriftEvaluator(scenario, f, c) for f, c in zip(flows, controls)]
+    gamma, bound, stderr = hellinger_pairs(drifts, np.array([f.weights[:, -1] for f in flows]))
+    pairs = list(itertools.combinations(range(len(drifts)), 2))
+    assert len(gamma) == len(bound) == len(stderr) == len(pairs)
+    for (a, b), *family_got in zip(pairs, gamma, bound, stderr):
+        want = hellinger_pairwise(flows[a], drifts[a], drifts[b])
+        for got in (family_got, hellinger_bound(flows[a], drifts[a], drifts[b])):
+            assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
+            assert got[1] == pytest.approx(want[1], rel=1e-13, abs=0.0)
+            assert got[2] == pytest.approx(want[2], rel=1e-13, abs=1e-15)
+    for flow, drift, control in zip(flows, drifts, controls):
+        twin = DriftEvaluator(scenario, flow, control)
+        assert hellinger_bound(flow, drift, twin) == (0.0, 0.0, 0.0)
+
+
+def test_hellinger_pairs_demand_one_ensemble(paths4k, lq):
+    other = simulate_for_scenario(lq, particles=4000, steps=20, seed=12)
+    drifts = [constant_drift(paths4k, 0.5), constant_drift(other, 0.5)]
+    with pytest.raises(EnsembleMismatchError, match="one ensemble"):
+        hellinger_pairs(drifts, np.ones((2, 4000)))

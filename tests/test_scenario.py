@@ -63,8 +63,6 @@ def test_constant_diffusion_apply_and_inverse():
     vec = np.arange(4.0)
     np.testing.assert_array_equal(sigma.apply(0.0, state, sup, vec), 2.0 * vec)
     np.testing.assert_array_equal(sigma.inv_apply(0.0, state, sup, vec), vec / 2.0)
-    np.testing.assert_array_equal(
-        sigma.inv_quadform(0.0, state, sup, vec), (vec / 2.0) ** 2)
 
 
 def test_affine_diffusion_guards_zero_crossing():
