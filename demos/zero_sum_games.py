@@ -43,8 +43,8 @@ allow = 3.0 * report.value_stderr + grid_term
 print(f"  saddle value y0 = {report.value:+.5f} +/- {report.value_stderr:.5f}"
       f"   (exact 0, allowance {allow:.5f} = 3 sigma + grid resolution)")
 print(f"  pair payoff   J = {report.j_hat:+.5f} +/- {report.j_stderr:.5f}")
-acts_u = report.pair.u_control.actions(paths, N // 2)
-acts_v = report.pair.v_control.actions(paths, N // 2)
+u, v = report.pair
+acts_u, acts_v = u.actions(paths, N // 2), v.actions(paths, N // 2)
 print(f"  feedbacks at t = 0.5: u mean {np.mean(acts_u):+.3f},"
       f" v mean {np.mean(acts_v):+.3f}   (exact -1 and +1)")
 

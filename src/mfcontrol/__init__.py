@@ -71,7 +71,6 @@ from .bsde import (
     build_features,
     regress_conditional,
     solve_driver_bsde,
-    solve_linear_bsde,
     solve_linear_family,
     terminal_values,
 )
@@ -128,8 +127,8 @@ __all__ = [
     "density_process", "fixpoint_measure_flow",
     # backward solver
     "BasisSpec", "BsdeSolution", "build_features",
-    "regress_conditional", "solve_driver_bsde", "solve_linear_bsde",
-    "solve_linear_family", "terminal_values",
+    "regress_conditional", "solve_driver_bsde", "solve_linear_family",
+    "terminal_values",
     # control
     "BsdeFeedbackControl", "Control", "OptimizationReport", "PayoffResult",
     "constant_control", "envelope_bsde", "evaluate_payoff", "hamiltonian",

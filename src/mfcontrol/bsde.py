@@ -311,8 +311,9 @@ def solve_linear_family(scenario: Scenario | GameScenario, controls, flows,
     flows[i] supplies every law argument of member i (drift statistics, cost
     statistics, terminal marginal); all flows live on one ensemble.  The
     members share each step's features, factor and projection, so a member
-    agrees with its solo solve_linear_bsde to rounding (about 1e-15 relative)
-    and is that solve, bit for bit, when K = 1.
+    agrees with its one-member family to rounding (about 1e-15 relative).
+    With a flow matched to its control, a member's Y_0 is the reweighted
+    payoff J(control) up to Monte Carlo and regression error.
     """
     controls, flows = list(controls), list(flows)
     if not controls or len(flows) != len(controls):
@@ -323,15 +324,3 @@ def solve_linear_family(scenario: Scenario | GameScenario, controls, flows,
     hamiltonian_at = _family_hamiltonian(scenario, paths, controls, flows)
     terminal = np.stack([terminal_values(scenario, f) for f in flows], axis=1)
     return _backward(paths, terminal, lambda k, z: hamiltonian_at(k, z.T).T, basis)
-
-
-def solve_linear_bsde(scenario: Scenario | GameScenario, control, flow: MeasureFlow,
-                      basis: BasisSpec | None = None) -> BsdeSolution:
-    """Backward solve of the payoff equation for a fixed control.
-
-    The measure flow supplies every law argument (drift statistics, cost
-    statistics, terminal marginal).  With the flow matched to the control this
-    yields Y_0 equal to the reweighted payoff J(control) up to Monte Carlo
-    and regression error.  It is the one-member solve_linear_family.
-    """
-    return solve_linear_family(scenario, [control], [flow], basis)[0]

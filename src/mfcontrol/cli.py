@@ -184,7 +184,7 @@ def _file_controls(scen, doc) -> list:
 def _pair_label(entry) -> str:
     if isinstance(entry, tuple):
         return f"({entry[0].label}, {entry[1].label})"
-    return getattr(entry, "label", "control")
+    return entry.label
 
 
 # ---------------------------------------------------------------------------

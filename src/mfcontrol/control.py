@@ -43,14 +43,24 @@ from .scenario import ActionGrid, GameScenario, Scenario
 # control representations
 
 
+class Player:
+    """One side's control.  actions_over(paths, rows, steps) gives fresh
+    (rows, steps) actions on a block of particles and grid times (slices of
+    the ensemble's axes); actions(paths, t_index) is its one grid time."""
+
+    def actions(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
+        """Fresh (particles,) actions at one grid time."""
+        return self.actions_over(paths, slice(None), slice(t_index, t_index + 1))[:, 0]
+
+
 @dataclass(frozen=True)
-class Control:
+class Control(Player):
     """Deterministic control rule on the ensemble; an action is a real number.
 
     kinds:
       constant    a fixed action,
       parametric  u(t, x) = clip(a + b x + c sup, box),
-      table       u(t_k, x) from a per-step lookup over state bins.
+      table       u(t_k, x) from a per-step row of one value per state bin.
 
     Values are clamped into [box_lo, box_hi], the hull of the admissible
     grid, so a control never acts outside the action set.
@@ -79,14 +89,8 @@ class Control:
         vals = np.asarray(self.table_values, dtype=float)
         t_index = np.arange(paths.grid.steps + 1)[steps]
         row = vals[np.minimum(t_index, vals.shape[0] - 1)]
-        idx = np.clip(np.searchsorted(self.table_edges, x, side="right") - 1,
-                      0, row.shape[1] - 1)
-        raw = row[np.arange(len(t_index)), idx]
+        raw = row[np.arange(len(t_index)), np.searchsorted(self.table_edges, x, side="right")]
         return raw if self.box_lo is None else np.clip(raw, self.box_lo, self.box_hi)
-
-    def actions(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
-        """Fresh (particles,) actions at one grid time."""
-        return self.actions_over(paths, slice(None), slice(t_index, t_index + 1))[:, 0]
 
 
 def _grid_box(grid: ActionGrid | None) -> tuple[float | None, float | None]:
@@ -115,13 +119,16 @@ def parametric_control(a: float, b: float, c: float, grid: ActionGrid | None = N
 
 
 def table_control(edges, values, grid: ActionGrid | None = None, label: str = "") -> Control:
-    """Per-step actions over the state bins that the non-decreasing edges
-    cut; the last row serves every later step."""
+    """Per-step actions over the len(edges) + 1 state bins that the
+    non-decreasing edges cut: value j of a row acts on the j-th bin, x below
+    edges[0] on the first and x at or above edges[-1] on the last.  The last
+    row serves every later step."""
     lo, hi = _grid_box(grid)
     values = tuple(tuple(float(v) for v in row) for row in values)
-    if not values or not values[0] or len({len(row) for row in values}) != 1:
-        raise ValueError("a table control needs equal, non-empty rows of values")
     edges = tuple(float(e) for e in edges)
+    if not values or any(len(row) != len(edges) + 1 for row in values):
+        raise ValueError(f"a table control with {len(edges)} edges needs rows of "
+                         f"{len(edges) + 1} values, got {[len(row) for row in values]}")
     # not >= also rejects NaN
     if not np.all(np.diff(edges) >= 0):
         raise ValueError(f"a table control needs non-decreasing edges, got {list(edges)}")
@@ -292,7 +299,7 @@ class _GridFeedback:
                               paths.sup(t_index), self.stats_at(t_index), z)[1]
 
 
-class BsdeFeedbackControl(_GridFeedback):
+class BsdeFeedbackControl(_GridFeedback, Player):
     """Feedback of the control problem: the pointwise Hamiltonian minimizer
     over its action grid."""
 
@@ -310,9 +317,6 @@ class BsdeFeedbackControl(_GridFeedback):
         """Fresh (rows, steps) actions on a block of particles and grid
         times."""
         return self._gather(paths, rows, steps, (0,))[0]
-
-    def actions(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
-        return self.actions_over(paths, slice(None), slice(t_index, t_index + 1))[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +342,9 @@ def evaluate_payoff(scenario: Scenario | GameScenario, control, paths: PathEnsem
 
     J = E[ int_0^T L_t h(t) dt + L_T g ], the time integral by the trapezoid
     rule with the density at time t weighting the cost at time t.  For a
-    GameScenario pass a (u, v) pair or a pair feedback.  The flow is matched
-    to tol; a precomputed FixpointResult skips the Picard loop (it must
-    belong to this control).
+    GameScenario pass a game control, an iterable of two players.  The
+    flow is matched to tol; a precomputed FixpointResult skips the Picard
+    loop (it must belong to this control).
     """
     if fixpoint is None:
         fixpoint = fixpoint_measure_flow(scenario, control, paths, tol=tol)
@@ -369,7 +373,37 @@ def evaluate_payoff(scenario: Scenario | GameScenario, control, paths: PathEnsem
 
 
 @dataclass(frozen=True)
-class OptimizationReport:
+class SynthesisReport:
+    """What the control problem's and the game's synthesis loops share: the
+    matched flow, the payoff j_hat of the synthesized control on it, the
+    outer trace of (iteration, distance, stderr) rows with its last distance
+    (matching_residual) and tol, and the final backward solution."""
+
+    flow: MeasureFlow
+    j_hat: float
+    j_stderr: float
+    matching_residual: float
+    trace: tuple[tuple[int, float, float], ...]
+    tol: float
+    converged: bool
+    solution: BsdeSolution
+
+    @property
+    def outer_iterations(self) -> int:
+        return sum(1 for _, d, _ in self.trace if d >= self.tol)
+
+    def to_dict(self) -> dict:
+        return {
+            "j_hat": self.j_hat, "j_stderr": self.j_stderr,
+            "matching_residual": self.matching_residual,
+            "outer_iterations": self.outer_iterations,
+            "converged": self.converged,
+            "trace": [{"iteration": i, "distance": d, "stderr": s} for i, d, s in self.trace],
+        }
+
+
+@dataclass(frozen=True)
+class OptimizationReport(SynthesisReport):
     """Outcome of the policy iteration.
 
     eps_hat = j_hat - y0 is the optimality certificate: the payoff of the
@@ -380,17 +414,9 @@ class OptimizationReport:
     """
 
     control: BsdeFeedbackControl
-    flow: MeasureFlow
     y0: float
     y0_stderr: float
-    j_hat: float
-    j_stderr: float
-    matching_residual: float
     h_residual: float
-    trace: tuple[tuple[int, float, float], ...]
-    tol: float
-    converged: bool
-    solution: BsdeSolution
 
     @property
     def eps_hat(self) -> float:
@@ -404,21 +430,13 @@ class OptimizationReport:
     def flagged_negative(self) -> bool:
         return self.eps_hat < -3.0 * self.eps_stderr
 
-    @property
-    def outer_iterations(self) -> int:
-        return sum(1 for _, d, _ in self.trace if d >= self.tol)
-
     def to_dict(self) -> dict:
         return {
+            **super().to_dict(),
             "y0": self.y0, "y0_stderr": self.y0_stderr,
-            "j_hat": self.j_hat, "j_stderr": self.j_stderr,
             "eps_hat": self.eps_hat, "eps_stderr": self.eps_stderr,
-            "matching_residual": self.matching_residual,
             "h_residual": self.h_residual,
-            "outer_iterations": self.outer_iterations,
-            "converged": self.converged,
             "flagged_negative": self.flagged_negative,
-            "trace": [{"iteration": i, "distance": d, "stderr": s} for i, d, s in self.trace],
         }
 
 

@@ -26,10 +26,9 @@ from functools import partial
 import numpy as np
 
 from .bsde import BasisSpec, BsdeSolution, _hamiltonian_values
-from .control import (_GridFeedback, _synthesize, constant_control, evaluate_payoff,
-                      grid_index_dtype)
+from .control import (Player, SynthesisReport, _GridFeedback, _synthesize, constant_control,
+                      evaluate_payoff, grid_index_dtype)
 from .core import PathEnsemble
-from .measure import MeasureFlow
 from .scenario import GameScenario
 
 
@@ -46,20 +45,15 @@ class IsaacsError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnvelopeValues:
-    """Pointwise envelopes and their achieving actions, each (particles,).
+    """Pointwise envelopes and the candidate saddle pair, each (particles,).
 
-    lower_u / lower_v achieve max_v min_u (v's choice with u's best reply);
-    upper_u / upper_v achieve min_u max_v.  The candidate saddle pair is
-    (upper_u, lower_v): each side plays its own guaranteed-value strategy.
-    upper_u_index / lower_v_index are the pair's rows in the grid arrays.
+    upper_u_index is u's row in the u grid array achieving min_u max_v, and
+    lower_v_index v's row in the v grid array achieving max_v min_u: each
+    side plays its own guaranteed-value strategy.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    lower_u: np.ndarray
-    lower_v: np.ndarray
-    upper_u: np.ndarray
-    upper_v: np.ndarray
     upper_u_index: np.ndarray
     lower_v_index: np.ndarray
 
@@ -82,8 +76,8 @@ def envelopes(scenario: GameScenario, t: float, state, sup, stats_row: dict,
     on one axis (the continuous extremizer at a grid midpoint) is broken by
     rounding that depends on the opponent's action; the full array breaks it
     at the opponent's saddle row, and so does this order, as long as the two
-    axes do not tie at once.  lower_u = upper_u, lower_v = upper_v, and
-    lower = upper is H at that pair.
+    axes do not tie at once.  Each envelope's extremizers are that pair,
+    and lower = upper is H at it.
     """
     u_arr = scenario.actions_u.array()
     v_arr = scenario.actions_v.array()
@@ -92,20 +86,16 @@ def envelopes(scenario: GameScenario, t: float, state, sup, stats_row: dict,
         return _hamiltonian_values(scenario, t, state, sup, stats_row, z, [u, v])
 
     if not scenario.separable:
-        return envelope_extremes(ham(u_arr[:, None, None], v_arr[None, :, None]),
-                                 u_arr, v_arr)
+        return envelope_extremes(ham(u_arr[:, None, None], v_arr[None, :, None]))
     jv = np.argmax(ham(u_arr[0], v_arr[:, None]), axis=0)              # (m,)
     iu = np.argmin(ham(u_arr[:, None], v_arr[jv]), axis=0)
     against_u = ham(u_arr[iu], v_arr[:, None])                         # (nv, m)
     jv = np.argmax(against_u, axis=0)
     value = np.take_along_axis(against_u, jv[None], axis=0)[0]
-    u, v = u_arr[iu], v_arr[jv]
-    return EnvelopeValues(lower=value, upper=value, lower_u=u, lower_v=v,
-                          upper_u=u, upper_v=v, upper_u_index=iu, lower_v_index=jv)
+    return EnvelopeValues(lower=value, upper=value, upper_u_index=iu, lower_v_index=jv)
 
 
-def envelope_extremes(hams: np.ndarray, u_arr: np.ndarray,
-                      v_arr: np.ndarray) -> EnvelopeValues:
+def envelope_extremes(hams: np.ndarray) -> EnvelopeValues:
     """Envelopes of a (nu, nv, particles) Hamiltonian array over its grids.
 
     Each argmin / argmax is taken once and its extreme read back with
@@ -124,15 +114,13 @@ def envelope_extremes(hams: np.ndarray, u_arr: np.ndarray,
 
     return EnvelopeValues(
         lower=min_u[idx_v_lower, cols], upper=max_v[idx_u_upper, cols],
-        lower_u=u_arr[argmin_u[idx_v_lower, cols]], lower_v=v_arr[idx_v_lower],
-        upper_u=u_arr[idx_u_upper], upper_v=v_arr[argmax_v[idx_u_upper, cols]],
         upper_u_index=idx_u_upper, lower_v_index=idx_v_lower)
 
 
 def _saddle_extremes(scenario: GameScenario, t: float, state, sup, stats_row: dict,
                      z) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """(lower envelope, (upper_u rows, lower_v rows)): the game's extremal
-    driver and its pair feedback's extremizers, rows in grid_index_dtype."""
+    """(lower envelope, (u rows, v rows)): the game's extremal driver and
+    its pair feedback's extremizers, rows in grid_index_dtype."""
     env = envelopes(scenario, t, state, sup, stats_row, z)
     return env.lower, (env.upper_u_index.astype(grid_index_dtype(scenario.actions_u)),
                        env.lower_v_index.astype(grid_index_dtype(scenario.actions_v)))
@@ -203,8 +191,8 @@ def isaacs_gap(scenario: GameScenario) -> IsaacsReport:
 # saddle feedback
 
 
-class PairSideControl:
-    """One side of a feedback pair, usable wherever a single control is."""
+class PairSideControl(Player):
+    """One side of a feedback pair, a player like any single control."""
 
     def __init__(self, pair: "PairFeedbackControl", side: int, label: str):
         self._pair = pair
@@ -215,12 +203,11 @@ class PairSideControl:
         """Fresh (rows, steps) actions of this side alone."""
         return self._pair._gather(paths, rows, steps, (self._side,))[0]
 
-    def actions(self, paths: PathEnsemble, t_index: int) -> np.ndarray:
-        return self.actions_over(paths, slice(None), slice(t_index, t_index + 1))[:, 0]
-
 
 class PairFeedbackControl(_GridFeedback):
-    """Saddle candidate synthesized from a backward solution.
+    """Saddle candidate synthesized from a backward solution: a game
+    control, which iterates as its two players, labelled <label>|u and
+    <label>|v.
 
     u plays the upper-envelope minimizer, v the lower-envelope maximizer, both
     read at the regression estimate z(t, x); one envelope evaluation per step
@@ -232,27 +219,18 @@ class PairFeedbackControl(_GridFeedback):
     def __init__(self, scenario: GameScenario, solution: BsdeSolution,
                  stat_series: dict[str, np.ndarray], label: str = "saddle-feedback"):
         super().__init__(scenario, scenario.grids, solution, stat_series, label)
+        self._players = (PairSideControl(self, 0, f"{label}|u"),
+                         PairSideControl(self, 1, f"{label}|v"))
+
+    def __iter__(self):
+        return iter(self._players)
 
     def _extremes(self, t, state, sup, stats_row, z):
         return _saddle_extremes(self.scenario, t, state, sup, stats_row, z)
 
-    def actions_pair_over(self, paths: PathEnsemble, rows: slice,
-                          steps: slice) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh (rows, steps) u and v actions on a block of particles and
-        grid times."""
-        return self._gather(paths, rows, steps, (0, 1))
-
     def actions_pair(self, paths: PathEnsemble, t_index: int) -> tuple[np.ndarray, np.ndarray]:
-        u, v = self.actions_pair_over(paths, slice(None), slice(t_index, t_index + 1))
-        return u[:, 0], v[:, 0]
-
-    @property
-    def u_control(self) -> PairSideControl:
-        return PairSideControl(self, 0, f"{self.label}|u")
-
-    @property
-    def v_control(self) -> PairSideControl:
-        return PairSideControl(self, 1, f"{self.label}|v")
+        u, v = self
+        return u.actions(paths, t_index), v.actions(paths, t_index)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +238,7 @@ class PairFeedbackControl(_GridFeedback):
 
 
 @dataclass(frozen=True)
-class SaddleReport:
+class SaddleReport(SynthesisReport):
     """Outcome of the game synthesis loop.
 
     value is the backward envelope value at the matched flow; j_hat the
@@ -269,17 +247,9 @@ class SaddleReport:
     """
 
     pair: PairFeedbackControl
-    flow: MeasureFlow
     value: float
     value_stderr: float
-    j_hat: float
-    j_stderr: float
-    matching_residual: float
     isaacs: IsaacsReport
-    trace: tuple[tuple[int, float, float], ...]
-    tol: float
-    converged: bool
-    solution: BsdeSolution
 
     @property
     def value_gap(self) -> float:
@@ -289,20 +259,12 @@ class SaddleReport:
     def value_gap_stderr(self) -> float:
         return float(np.hypot(self.j_stderr, self.value_stderr))
 
-    @property
-    def outer_iterations(self) -> int:
-        return sum(1 for _, d, _ in self.trace if d >= self.tol)
-
     def to_dict(self) -> dict:
         return {
+            **super().to_dict(),
             "value": self.value, "value_stderr": self.value_stderr,
-            "j_hat": self.j_hat, "j_stderr": self.j_stderr,
             "value_gap": self.value_gap, "value_gap_stderr": self.value_gap_stderr,
-            "matching_residual": self.matching_residual,
             "isaacs_max_gap": self.isaacs.max_gap,
-            "outer_iterations": self.outer_iterations,
-            "converged": self.converged,
-            "trace": [{"iteration": i, "distance": d, "stderr": s} for i, d, s in self.trace],
         }
 
 
@@ -372,19 +334,19 @@ def verify_saddle(scenario: GameScenario, paths: PathEnsemble,
     payoffs are reweightings of the same ensemble, each matched at the
     report's tol, the tolerance the pair itself was priced at.
     """
-    pair = report.pair
+    u, v = report.pair
     j0, se0 = report.j_hat, report.j_stderr
     rows = {"u": [], "v": []}
     passed = True
     for side, grid in (("u", scenario.actions_u), ("v", scenario.actions_v)):
         for c in (constant_control(p, grid) for p in grid.points):
-            played = (c, pair.v_control) if side == "u" else (pair.u_control, c)
+            played = (c, v) if side == "u" else (u, c)
             res = evaluate_payoff(scenario, played, paths, tol=report.tol)
             slack = res.value - j0 if side == "u" else j0 - res.value
             tol3 = 3.0 * float(np.hypot(res.stderr, se0))
             ok = bool(slack >= -tol3)
             passed = passed and ok
-            rows[side].append({"label": getattr(c, "label", f"{side}-dev"), "payoff": res.value,
+            rows[side].append({"label": c.label, "payoff": res.value,
                                "stderr": res.stderr, "slack": slack, "tol": tol3, "ok": ok})
     return SaddleCheckReport(u_rows=tuple(rows["u"]), v_rows=tuple(rows["v"]),
                              j_pair=j0, j_pair_stderr=se0, passed=passed)

@@ -38,7 +38,7 @@ from .scenario import GameScenario, Scenario, SingularDiffusionError
 
 
 class FixpointConvergenceError(RuntimeError):
-    """Picard iteration failed to reach tolerance within max_iter updates."""
+    """Picard iteration failed to reach tolerance in _PICARD_MAX_ITER applications."""
 
     def __init__(self, diagnostics: "FixpointDiagnostics"):
         self.diagnostics = diagnostics
@@ -50,16 +50,17 @@ class FixpointConvergenceError(RuntimeError):
 
 def control_actions(control, paths: PathEnsemble, rows: slice,
                     steps: slice) -> tuple[np.ndarray, ...]:
-    """The actions on the particles `rows` at the grid times `steps`, each
-    shaped (rows, steps): (u,) for a single control, (u, v) for a game pair
-    given as a (u, v) tuple of controls or an object with
-    actions_pair_over.  The drift and cost registries take them as trailing
-    arguments."""
-    if hasattr(control, "actions_pair_over"):
-        return control.actions_pair_over(paths, rows, steps)
-    if isinstance(control, (tuple, list)):
-        return tuple(c.actions_over(paths, rows, steps) for c in control)
-    return (control.actions_over(paths, rows, steps),)
+    """The actions on the particles `rows` at the grid times `steps`, one
+    (rows, steps) array per player: (u,) for a player (a control that
+    answers actions_over) and (u, v) for a game control, an iterable of two
+    players such as a (u, v) tuple or a pair feedback.  The drift and cost
+    registries take them as trailing arguments."""
+    return tuple(p.actions_over(paths, rows, steps) for p in _players(control))
+
+
+def _players(control) -> tuple:
+    """(control,) for a player, else the game control's two players."""
+    return (control,) if hasattr(control, "actions_over") else tuple(control)
 
 
 def _affine_actions(coeffs, box, x, sup) -> np.ndarray:
@@ -77,8 +78,7 @@ def _side_actions(members, paths: PathEnsemble, k: int) -> np.ndarray:
     """One side's actions of a family at grid time k, in member order: a
     (K, 1) column when every member is a constant, else (K, M).  Constants
     are one column and parametric members one broadcast _affine_actions;
-    every other member is its own actions_over, or the (M, 1) array already
-    read for it."""
+    every other member is its own actions_over."""
     kinds = [getattr(m, "kind", None) for m in members]
     constants = [j for j, kind in enumerate(kinds) if kind == "constant"]
     column = np.array([members[j].value for j in constants])[:, None]
@@ -95,27 +95,21 @@ def _side_actions(members, paths: PathEnsemble, k: int) -> np.ndarray:
         out[affine] = _affine_actions(coeffs, box, paths.state(k), paths.sup(k))
     for j, kind in enumerate(kinds):
         if kind not in ("constant", "parametric"):
-            read = members[j]
-            if not isinstance(read, np.ndarray):
-                read = read.actions_over(paths, slice(None), slice(k, k + 1))
-            out[j] = read[:, 0]
+            out[j] = members[j].actions_over(paths, slice(None), slice(k, k + 1))[:, 0]
     return out
 
 
 def _family_actions(controls, paths: PathEnsemble, k: int) -> list[np.ndarray]:
-    """The actions of K controls (or pairs) at grid time k, one array per
-    side ((u,) or (u, v)), each (K, M) in member order or (K, 1) when that
-    side's members are all constants (see _side_actions).  A pair that reads
-    both sides at once (actions_pair_over) is read once."""
-    steps = slice(k, k + 1)
-    sides = [control_actions(c, paths, slice(None), steps) if hasattr(c, "actions_pair_over")
-             else tuple(c) if isinstance(c, (tuple, list)) else (c,) for c in controls]
-    return [_side_actions([s[i] for s in sides], paths, k) for i in range(len(sides[0]))]
+    """The actions of K controls (or game controls) at grid time k, one
+    array per player ((u,) or (u, v)), each (K, M) in member order or (K, 1)
+    when that player's members are all constants (see _side_actions)."""
+    return [_side_actions(side, paths, k) for side in zip(*map(_players, controls))]
 
 
 def drift_base(scenario: Scenario | GameScenario, control, paths: PathEnsemble) -> np.ndarray:
-    """Read-only (particles, steps + 1) DriftSpec.base of the control along
-    the ensemble, filled a block of particles at a time."""
+    """Read-only (particles, steps + 1) DriftSpec.base of the control (a
+    player, or a game control of two) along the ensemble, filled a block of
+    particles at a time."""
     steps = slice(0, paths.grid.steps + 1)
     base = np.empty(paths.values.shape)
     for rows in particle_blocks(*base.shape):
@@ -126,9 +120,9 @@ def drift_base(scenario: Scenario | GameScenario, control, paths: PathEnsemble) 
 
 
 class DriftEvaluator:
-    """Drift values of a control (or pair) along the flow's ensemble.
+    """Drift values of a control along the flow's ensemble.
 
-    control is a single control for a Scenario and a pair for a GameScenario
+    control is a player for a Scenario and a game control for a GameScenario
     (see control_actions).  evaluator.over(rows, steps) gives the (rows,
     steps) drift on a block of particles and grid times:
     DriftSpec.with_stats of the block's base, each statistic series (read off
@@ -263,8 +257,7 @@ _PICARD_MAX_ITER = 50
 
 
 def fixpoint_measure_flow(scenario: Scenario | GameScenario, control,
-                          paths: PathEnsemble, tol: float = 1e-3,
-                          max_iter: int = _PICARD_MAX_ITER) -> FixpointResult:
+                          paths: PathEnsemble, tol: float = 1e-3) -> FixpointResult:
     """Iterate flow -> reweighted flow until the weights stop moving.
 
     Starts from the reference flow (weights one).  The map reads a flow only
@@ -273,14 +266,14 @@ def fixpoint_measure_flow(scenario: Scenario | GameScenario, control,
     application would rebuild the same weights: it is skipped and recorded as
     distance 0.0 with stderr 0.0, which is what it would measure.  A drift
     that reads no statistic therefore takes one density application.  The
-    skip needs room for one more application, so max_iter still bounds the
-    recorded distances.  Raises FixpointConvergenceError with full
-    diagnostics if max_iter applications do not bring the horizon TV update
-    below tol; partial results are on the exception's diagnostics for
+    skip needs room for one more application, so _PICARD_MAX_ITER still
+    bounds the recorded distances.  Raises FixpointConvergenceError with full
+    diagnostics if _PICARD_MAX_ITER applications do not bring the horizon TV
+    update below tol; partial results are on the exception's diagnostics for
     inspection.
     """
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter >= 1")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     stats = scenario.statistic_map
     base = drift_base(scenario, control, paths)
     flow = reference_flow(paths, stats)
@@ -296,7 +289,7 @@ def fixpoint_measure_flow(scenario: Scenario | GameScenario, control,
         stderrs.append(est.stderr)
         if est.value < tol:
             break
-        if len(distances) == max_iter:
+        if len(distances) == _PICARD_MAX_ITER:
             raise FixpointConvergenceError(
                 FixpointDiagnostics(tuple(distances), tuple(stderrs), tol, False))
         next_at = DriftEvaluator(scenario, flow, control, base)

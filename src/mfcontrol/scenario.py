@@ -728,12 +728,6 @@ class ValidationReport:
     alpha: float
     entries: tuple[AssumptionStatus, ...]
 
-    def status_of(self, code: str) -> AssumptionStatus:
-        for e in self.entries:
-            if e.code == code:
-                return e
-        raise KeyError(code)
-
     @property
     def violated(self) -> tuple[AssumptionStatus, ...]:
         return tuple(e for e in self.entries if e.status == VIOLATED)

@@ -73,7 +73,8 @@ def uncached_pair(pair, paths, k):
     z = pair.solution.z_at(paths, k)
     env = envelopes(pair.scenario, paths.grid.times[k], paths.state(k),
                     paths.sup(k), pair.stats_at(k), z)
-    return env.upper_u, env.lower_v
+    return (pair.scenario.actions_u.array()[env.upper_u_index],
+            pair.scenario.actions_v.array()[env.lower_v_index])
 
 
 def counting(monkeypatch, module, name):
@@ -104,17 +105,19 @@ def test_pair_actions_match_uncached_across_ensemble_switches(pair, ensembles):
     a, b = ensembles
     ref = {id(p): [uncached_pair(pair, p, k) for k in range(STEPS + 1)] for p in (a, b)}
     assert len(np.unique(np.concatenate([u for u, _ in ref[id(a)]]))) > 2
+    u_side, v_side = pair
     for paths in (a, b, a, a, b):
         for k in range(STEPS + 1):
             u, v = pair.actions_pair(paths, k)
             np.testing.assert_array_equal(u, ref[id(paths)][k][0])
             np.testing.assert_array_equal(v, ref[id(paths)][k][1])
-            np.testing.assert_array_equal(pair.u_control.actions(paths, k), u)
-            np.testing.assert_array_equal(pair.v_control.actions(paths, k), v)
+            np.testing.assert_array_equal(u_side.actions(paths, k), u)
+            np.testing.assert_array_equal(v_side.actions(paths, k), v)
 
 
 def test_returned_arrays_do_not_alias_the_memo(feedback, pair, ensembles):
     a, _ = ensembles
+    u_side, v_side = pair
     for k in range(STEPS + 1):
         expected = uncached_actions(feedback, a, k)
         feedback.actions(a, k)[:] = 1e9
@@ -124,8 +127,8 @@ def test_returned_arrays_do_not_alias_the_memo(feedback, pair, ensembles):
         u, v = pair.actions_pair(a, k)
         u[:] = 1e9
         v[:] = -1e9
-        pair.u_control.actions(a, k)[:] = 1e9
-        pair.v_control.actions(a, k)[:] = -1e9
+        u_side.actions(a, k)[:] = 1e9
+        v_side.actions(a, k)[:] = -1e9
         u, v = pair.actions_pair(a, k)
         np.testing.assert_array_equal(u, eu)
         np.testing.assert_array_equal(v, ev)
@@ -165,7 +168,7 @@ def test_feedback_rows_go_with_their_ensemble(feedback, mean_field):
 def test_pair_sides_share_one_envelope_call_per_step(pair, ensembles, monkeypatch):
     a, b = ensembles
     calls = counting(monkeypatch, game_mod, "envelopes")
-    u_side, v_side = pair.u_control, pair.v_control
+    u_side, v_side = pair
     for k in range(STEPS + 1):
         u_side.actions(a, k)
         v_side.actions(a, k)

@@ -46,7 +46,6 @@ from mfcontrol import (
     regress_conditional,
     simulate_for_scenario,
     solve_driver_bsde,
-    solve_linear_bsde,
     solve_linear_family,
     table_control,
     terminal_values,
@@ -175,7 +174,7 @@ def test_lq_payoff_equation_closed_form(lq, paths4k):
     for u in (-1.0, 0.0, 1.0):
         control = constant_control([u], lq.actions)
         fix = fixpoint_measure_flow(lq, control, paths4k)
-        sol = solve_linear_bsde(lq, control, fix.flow)
+        sol = solve_linear_family(lq, [control], [fix.flow])[0]
         analytic = u * lq.horizon + 0.5 * u * u * lq.horizon
         # the additive term covers basis-projection drift, which the
         # martingale-representation stderr does not see
@@ -187,7 +186,7 @@ def test_two_code_paths_agree_exactly(lq, paths4k):
     # arithmetic, identical arrays
     control = constant_control([0.5], lq.actions)
     flow = fixpoint_measure_flow(lq, control, paths4k).flow
-    a = solve_linear_bsde(lq, control, flow)
+    a = solve_linear_family(lq, [control], [flow])[0]
     b = solve_driver_bsde(paths4k, terminal_values(lq, flow),
                           linear_driver(lq, flow, control))
     assert_same_solution(a, b)
@@ -198,13 +197,13 @@ def test_solution_is_linear_in_costs(lq, paths4k):
 
     control = constant_control([1.0], lq.actions)
     flow = fixpoint_measure_flow(lq, control, paths4k).flow
-    base = solve_linear_bsde(lq, control, flow)
+    base = solve_linear_family(lq, [control], [flow])[0]
 
     doc = serialize_scenario(lq)
     doc["running_cost"]["quad"] = 2.0
     doc["terminal_cost"]["coeff"] = 2.0
     doubled_scenario = parse_scenario(doc)
-    doubled = solve_linear_bsde(doubled_scenario, control, flow)
+    doubled = solve_linear_family(doubled_scenario, [control], [flow])[0]
     assert doubled.y0 == pytest.approx(2.0 * base.y0, rel=1e-9)
     np.testing.assert_allclose(doubled.y_residuals, 2.0 * base.y_residuals, rtol=1e-9)
     for k in range(paths4k.grid.steps + 1):
@@ -236,7 +235,7 @@ def test_y0_stderr_scales_with_particles(lq):
         paths = simulate_for_scenario(lq, particles=m, steps=16, seed=13)
         control = constant_control([1.0], lq.actions)
         flow = fixpoint_measure_flow(lq, control, paths).flow
-        ses[m] = solve_linear_bsde(lq, control, flow).y0_stderr
+        ses[m] = solve_linear_family(lq, [control], [flow])[0].y0_stderr
     assert ses[1000] > 0 and ses[4000] > 0
     # more particles help twice: 1/sqrt(M) averaging and a tighter Z control
     # variate, so the stderr must drop by at least the averaging factor
@@ -314,7 +313,7 @@ def test_factored_solve_matches_lstsq_reference(name, particles, basis):
     paths = simulate_for_scenario(scen, particles=particles, steps=20, seed=2)
     control = parametric_control(0.3, -0.4, 0.2, scen.actions)
     flow = fixpoint_measure_flow(scen, control, paths).flow
-    sol = solve_linear_bsde(scen, control, flow, basis)
+    sol = solve_linear_family(scen, [control], [flow], basis)[0]
     resid, z, y0, y0_se, gram_inv, rms = lstsq_backward(
         paths, terminal_values(scen, flow), linear_driver(scen, flow, control), sol.basis)
 
@@ -443,7 +442,7 @@ def test_family_members_match_their_solo_solves(family):
     members = solve_linear_family(scen, controls, flows)
     assert len(members) == len(controls)
     for control, flow, member in zip(controls, flows, members):
-        solo = solve_linear_bsde(scen, control, flow)
+        solo = solve_linear_family(scen, [control], [flow])[0]
         assert abs(member.y0 - solo.y0) <= 1e-12 * max(1.0, abs(solo.y0))
         assert abs(member.y0_stderr - solo.y0_stderr) <= 1e-12 * max(1.0, solo.y0_stderr)
         assert_relative(member.y_residuals, solo.y_residuals, 1e-12)
@@ -470,7 +469,7 @@ def test_members_keep_their_own_statistic_rows(mean_field):
     control = constant_control(0.0, mean_field.actions)
     flows = [fixpoint_measure_flow(mean_field, constant_control(u, mean_field.actions),
                                    paths).flow for u in (-1.0, 1.0)]
-    solos = [solve_linear_bsde(mean_field, control, flow) for flow in flows]
+    solos = [solve_linear_family(mean_field, [control], [flow])[0] for flow in flows]
     assert abs(solos[0].y0 - solos[1].y0) > 0.1
     for member, solo in zip(solve_linear_family(mean_field, [control, control], flows), solos):
         assert abs(member.y0 - solo.y0) <= 1e-12 * max(1.0, abs(solo.y0))

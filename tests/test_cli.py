@@ -439,6 +439,16 @@ def test_evaluate_bad_control_spec_exits_2(capsys):
     ("linear-quadratic", ["constant:0", "constant:inf"], "must be finite"),
     ("linear-quadratic", [{"kind": "parametric", "coeffs": [0, float("-inf"), 0]}],
      "must be finite"),
+    # a row holds one value per bin: len(edges) + 1 of them, no fewer and no more
+    ("linear-quadratic",
+     ["constant:0", {"kind": "table", "edges": [0.0], "values": [[-1, -1, 5]]}],
+     "with 1 edges needs rows of 2 values, got [3]"),
+    ("linear-quadratic", [{"kind": "table", "edges": [0.0], "values": [[-1]]}],
+     "with 1 edges needs rows of 2 values, got [1]"),
+    ("linear-quadratic", [{"kind": "table", "edges": [0.0, 1.0], "values": [[-1, 1, 0], [1]]}],
+     "with 2 edges needs rows of 3 values, got [3, 1]"),
+    ("linear-quadratic", [{"kind": "table", "edges": [0.0], "values": []}],
+     "with 1 edges needs rows of 2 values, got []"),
 ])
 def test_evaluate_malformed_controls_file_entry_exits_2(capsys, tmp_path, scenario,
                                                         entries, message):

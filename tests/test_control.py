@@ -35,7 +35,7 @@ from mfcontrol import (
     parse_scenario,
     policy_iteration,
     simulate_reference,
-    solve_linear_bsde,
+    solve_linear_family,
     table_control,
 )
 
@@ -135,11 +135,16 @@ def test_parametric_control_reads_running_sup():
 
 def test_table_control_bins_states():
     paths = line_ensemble()
-    c = table_control(edges=(-10.0, 0.0), values=[[-1.0, 1.0], [-1.0, 1.0]])
-    np.testing.assert_array_equal(c.actions(paths, 1), [-1.0, -1.0, 1.0, 1.0])
-    # below the first edge falls into the first bin
-    low = table_control(edges=(0.0, 1.0), values=[[-1.0, 1.0]])
-    np.testing.assert_array_equal(low.actions(paths, 1), [-1.0, -1.0, -1.0, 1.0])
+    # one edge cuts two bins: -1 below 0, +1 at and above it
+    sign = table_control(edges=(0.0,), values=[[-1.0, 1.0]])
+    np.testing.assert_array_equal(sign.actions(paths, 1), [-1.0, -1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(sign.actions(paths, 0), np.ones(4))
+    # value j acts on the j-th of (-inf, -1), [-1, 0.5), [0.5, inf); the last
+    # row serves every later step
+    c = table_control(edges=(-1.0, 0.5), values=[[-1.0, 0.0, 1.0], [5.0, 6.0, 7.0]])
+    np.testing.assert_array_equal(c.actions(paths, 0), np.zeros(4))
+    np.testing.assert_array_equal(c.actions(paths, 1), [5.0, 6.0, 7.0, 7.0])
+    np.testing.assert_array_equal(c.actions(paths, 2), [5.0, 6.0, 7.0, 7.0])
 
 
 def test_unknown_control_kind_raises():
@@ -163,7 +168,7 @@ def test_parse_control_string_forms(lq):
 def test_parse_control_mapping_forms(lq):
     c = parse_control({"kind": "constant", "value": [0.5], "label": "half"}, lq.actions)
     assert c.value == 0.5 and c.label == "half"
-    t = parse_control({"kind": "table", "edges": [0.0], "values": [[1.0]]}, lq.actions)
+    t = parse_control({"kind": "table", "edges": [0.0], "values": [[1.0, -1.0]]}, lq.actions)
     assert t.kind == "table" and t.table_edges == (0.0,)
     with pytest.raises(ValueError, match="unknown control kind"):
         parse_control({"kind": "spline"}, lq.actions)
@@ -445,7 +450,7 @@ def test_envelope_of_single_control_matches_linear_solve(lq, paths4k):
     control = constant_control(-1.0, lq.actions)
     pay = evaluate_payoff(lq, control, paths4k)
     env = envelope_bsde(lq, [control], [pay.flow])
-    lin = solve_linear_bsde(lq, control, pay.flow)
+    lin = solve_linear_family(lq, [control], [pay.flow])[0]
     assert env.y0 == pytest.approx(lin.y0, rel=1e-9, abs=1e-9)
     assert env.y0_stderr == pytest.approx(lin.y0_stderr, rel=1e-6, abs=1e-9)
 
@@ -459,7 +464,7 @@ def test_envelope_lower_bounds_members_under_law_coupling(mean_field, paths4k):
     payoffs = [evaluate_payoff(mean_field, c, paths4k) for c in controls]
     env = envelope_bsde(mean_field, controls, [p.flow for p in payoffs])
     for c, pay in zip(controls, payoffs):
-        sol = solve_linear_bsde(mean_field, c, pay.flow)
+        sol = solve_linear_family(mean_field, [c], [pay.flow])[0]
         slack = sol.y0 - env.y0
         assert slack >= -3.0 * float(np.hypot(sol.y0_stderr, env.y0_stderr)), c.label
 

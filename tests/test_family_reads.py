@@ -87,10 +87,11 @@ def game(separated_game):
     gu, gv = separated_game.actions_u, separated_game.actions_v
     pair = PairFeedbackControl(separated_game, _solution(BasisSpec(), 34),
                                {"mean": np.zeros(STEPS + 1)})
+    pair_u, pair_v = pair
     family = [(constant_control(0.5, gu), constant_control(-0.5, gv)), pair,
-              (constant_control(-1.0, gu), pair.v_control),
+              (constant_control(-1.0, gu), pair_v),
               (parametric_control(0.1, -1.0, 0.3, gu), constant_control(0.25, gv)),
-              (pair.u_control, constant_control(1.0, gv))]
+              (pair_u, constant_control(1.0, gv))]
     return separated_game, paths, family
 
 
@@ -250,28 +251,48 @@ def test_held_rows_block_reads_equal_step_gathers(single, game, rows, steps):
     feedback = next(c for c in controls if isinstance(c, BsdeFeedbackControl))
     _, game_paths, pairs = game
     pair = next(c for c in pairs if isinstance(c, PairFeedbackControl))
+    # a pair is a game control: exactly two players, built once, and no
+    # actions_over of its own
+    assert not hasattr(pair, "actions_over")
+    players = list(pair)
+    assert len(players) == 2 and all(hasattr(p, "actions_over") for p in players)
+    assert [p.label for p in players] == [f"{pair.label}|u", f"{pair.label}|v"]
+    assert all(a is b for a, b in zip(pair, players))
+    ks = range(STEPS + 1)[steps]
+
+    def fresh(control):
+        # a fresh feedback holds nothing: each read fills its own steps
+        if isinstance(control, BsdeFeedbackControl):
+            return BsdeFeedbackControl(control.scenario, control.grid, control.solution,
+                                       control.stat_series)
+        return PairFeedbackControl(control.scenario, control.solution, control.stat_series)
+
+    def block_read(form, ens):
+        return control_actions(form, ens, rows, steps)
+
+    def family_read(form, ens):
+        per_step = [_family_actions([form], ens, k) for k in ks]
+        return [np.stack([read[i][0] for read in per_step], axis=1)[rows]
+                for i in range(len(per_step[0]))]
+
     for control, ens in ((feedback, paths), (pair, game_paths)):
-        # a fresh feedback holds nothing: the block read fills its own steps
-        fresh = (BsdeFeedbackControl(control.scenario, control.grid, control.solution,
-                                     control.stat_series)
-                 if control is feedback else
-                 PairFeedbackControl(control.scenario, control.solution, control.stat_series))
-        ks = range(STEPS + 1)[steps]
         want = [grid.array()[np.stack([control._step_rows(ens, k)[i][rows] for k in ks],
                                       axis=1)]
                 for i, grid in enumerate(control._grids)]
-        for held in (fresh, control):
-            if isinstance(held, BsdeFeedbackControl):
-                got = [held.actions_over(ens, rows, steps)]
-            else:
-                got = list(held.actions_pair_over(ens, rows, steps))
-                sides = [held.u_control.actions_over(ens, rows, steps),
-                         held.v_control.actions_over(ens, rows, steps)]
-                for side, w in zip(sides, want):
-                    assert side.tobytes() == w.tobytes()
-            for g, w in zip(got, want):
-                assert g.shape == w.shape
-                assert g.tobytes() == w.tobytes()
+        filled = fresh(control)
+        control_actions(filled, ens, slice(None), slice(None))
+        assert all(held.filled.all() for held in filled._rows.values())
+        forms = [lambda: fresh(control), lambda: filled]
+        if control is pair:
+            # tuple(pair) and a fresh pair's players read what the pair reads
+            forms += [lambda: tuple(fresh(control)), lambda: tuple(filled)]
+        for form in forms:
+            for read in (block_read, family_read):
+                got = read(form(), ens)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert g.tobytes() == w.tobytes()
 
 
 def _histogram_tv(a, b, t_index):

@@ -40,6 +40,7 @@ from mfcontrol import (
     terminal_values,
     tv_pathspace,
 )
+from mfcontrol.girsanov import _players, control_actions
 from reference import coefficient_solution, constant_drift
 
 STEPS = 12
@@ -101,9 +102,7 @@ def formula_actions(control: Control, paths, k):
     else:
         vals = np.asarray(control.table_values, dtype=float)
         row = vals[min(k, vals.shape[0] - 1)]
-        idx = np.clip(np.searchsorted(control.table_edges, x0, side="right") - 1,
-                      0, len(row) - 1)
-        raw = row[idx]
+        raw = row[np.searchsorted(control.table_edges, x0, side="right")]
     if control.box_lo is not None:
         raw = np.clip(raw, control.box_lo, control.box_hi)
     return raw
@@ -120,7 +119,8 @@ def uncached_pair(pair: PairFeedbackControl, paths, k):
     z = pair.solution.z_at(paths, k)
     env = envelopes(pair.scenario, paths.grid.times[k], paths.state(k), paths.sup(k),
                     pair.stats_at(k), z)
-    return env.upper_u, env.lower_v
+    return (pair.scenario.actions_u.array()[env.upper_u_index],
+            pair.scenario.actions_v.array()[env.lower_v_index])
 
 
 def solution(basis, seed):
@@ -139,13 +139,14 @@ def controls_for(scenario):
         pu = parametric_control(0.1, -0.8, 0.4, gu)
         tv = table_control([-0.5, 0.0, 0.5], [[-1.0, -0.2, 0.2, 1.0], [0.5, 0.0, -0.5, 0.3]], gv)
         pair = PairFeedbackControl(scenario, solution(BasisSpec(), 5), stats)
+        _, pair_v = pair
         return [
             ("constants", (cu, cv),
              lambda p, k: (formula_actions(cu, p, k), formula_actions(cv, p, k))),
             ("parametric-table", (pu, tv),
              lambda p, k: (formula_actions(pu, p, k), formula_actions(tv, p, k))),
             ("pair-feedback", pair, lambda p, k: uncached_pair(pair, p, k)),
-            ("u-deviation", (cu, pair.v_control),
+            ("u-deviation", (cu, pair_v),
              lambda p, k: (formula_actions(cu, p, k), uncached_pair(pair, p, k)[1])),
         ]
     grid = scenario.actions
@@ -273,12 +274,7 @@ def test_hellinger_integrand_matches_step_recursion(setting, blocks):
 
 
 def action_blocks(control, paths):
-    everything = (slice(None), slice(0, paths.grid.steps + 1))
-    if hasattr(control, "actions_pair_over"):
-        return control.actions_pair_over(paths, *everything)
-    if isinstance(control, tuple):
-        return tuple(c.actions_over(paths, *everything) for c in control)
-    return (control.actions_over(paths, *everything),)
+    return control_actions(control, paths, slice(None), slice(0, paths.grid.steps + 1))
 
 
 def reference_blocks(reference, paths):
@@ -315,10 +311,8 @@ def test_writing_into_returned_actions_changes_nothing(setting):
         for k in (0, n // 2, n):
             if hasattr(control, "actions_pair"):
                 one_step = control.actions_pair(paths, k)
-            elif isinstance(control, tuple):
-                one_step = tuple(c.actions(paths, k) for c in control)
             else:
-                one_step = (control.actions(paths, k),)
+                one_step = tuple(c.actions(paths, k) for c in _players(control))
             for arr in one_step:
                 arr[...] = -1e9
             for got, want in zip(action_blocks(control, paths), expected):

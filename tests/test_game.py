@@ -105,8 +105,9 @@ def test_envelopes_coincide_for_separated_game(separated_game):
     env = envelopes(separated_game, 0.0, x, np.abs(x), {"mean": 0.0}, z)
     # separable H: the same saddle cell is picked from both sides
     np.testing.assert_array_equal(env.gap, np.zeros(3))
-    np.testing.assert_array_equal(env.upper_u, [-1.0, -1.0, -1.0])
-    np.testing.assert_array_equal(env.lower_v, [1.0, 1.0, 1.0])
+    u_arr, v_arr = separated_game.actions_u.array(), separated_game.actions_v.array()
+    np.testing.assert_array_equal(u_arr[env.upper_u_index], [-1.0, -1.0, -1.0])
+    np.testing.assert_array_equal(v_arr[env.lower_v_index], [1.0, 1.0, 1.0])
     np.testing.assert_allclose(env.lower, np.zeros(3), atol=1e-15)
 
 
@@ -130,8 +131,8 @@ def test_envelopes_single_point_grids_are_trivial():
     env = envelopes(game, 0.0, x, x, {"mean": 0.0}, np.zeros(2))
     np.testing.assert_array_equal(env.gap, np.zeros(2))
     np.testing.assert_allclose(env.lower, np.full(2, 0.5 * -0.25), rtol=1e-15)
-    np.testing.assert_array_equal(env.upper_u, [0.5, 0.5])
-    np.testing.assert_array_equal(env.lower_v, [-0.25, -0.25])
+    np.testing.assert_array_equal(game.actions_u.array()[env.upper_u_index], [0.5, 0.5])
+    np.testing.assert_array_equal(game.actions_v.array()[env.lower_v_index], [-0.25, -0.25])
 
 
 def test_envelope_gap_ignores_action_free_cost_terms(bilinear_game):
@@ -153,26 +154,26 @@ def brute_force_envelopes(hams):
     winning every tie (strict comparisons in grid order)."""
     nu, nv, m = hams.shape
     out = {key: np.empty(m, dtype=hams.dtype) for key in ("lower", "upper")}
-    out.update({key: np.empty(m, dtype=int) for key in ("lu", "lv", "uu", "uv")})
+    out.update({key: np.empty(m, dtype=int) for key in ("lv", "uu")})
     for i in range(m):
-        best_v, best_u, best = 0, 0, None
+        best_v, best = 0, None
         for j in range(nv):
             ju = 0
             for a in range(1, nu):
                 if hams[a, j, i] < hams[ju, j, i]:
                     ju = a
             if best is None or hams[ju, j, i] > best:
-                best, best_v, best_u = hams[ju, j, i], j, ju
-        out["lower"][i], out["lv"][i], out["lu"][i] = best, best_v, best_u
-        best_u, best_v, best = 0, 0, None
+                best, best_v = hams[ju, j, i], j
+        out["lower"][i], out["lv"][i] = best, best_v
+        best_u, best = 0, None
         for a in range(nu):
             av = 0
             for j in range(1, nv):
                 if hams[a, j, i] > hams[a, av, i]:
                     av = j
             if best is None or hams[a, av, i] < best:
-                best, best_u, best_v = hams[a, av, i], a, av
-        out["upper"][i], out["uu"][i], out["uv"][i] = best, best_u, best_v
+                best, best_u = hams[a, av, i], a
+        out["upper"][i], out["uu"][i] = best, best_u
     return out
 
 
@@ -184,26 +185,19 @@ def test_envelope_extremes_match_brute_force_with_ties(shape, levels):
     # few distinct levels force ties on both axes; the float offset keeps
     # the values non-integer so no exact-arithmetic shortcut applies
     hams = rng.integers(0, levels, size=shape) * 0.37 - 0.11
-    u_arr = np.linspace(-1.0, 1.0, shape[0])
-    v_arr = np.linspace(-2.0, 2.0, shape[1])
-    env = envelope_extremes(hams, u_arr, v_arr)
+    env = envelope_extremes(hams)
     ref = brute_force_envelopes(hams)
     np.testing.assert_array_equal(env.lower, ref["lower"])
     np.testing.assert_array_equal(env.upper, ref["upper"])
     np.testing.assert_array_equal(env.upper_u_index, ref["uu"])
     np.testing.assert_array_equal(env.lower_v_index, ref["lv"])
-    np.testing.assert_array_equal(env.lower_u, u_arr[ref["lu"]])
-    np.testing.assert_array_equal(env.lower_v, v_arr[ref["lv"]])
-    np.testing.assert_array_equal(env.upper_u, u_arr[ref["uu"]])
-    np.testing.assert_array_equal(env.upper_v, v_arr[ref["uv"]])
     assert np.all(env.gap >= 0.0)
 
 
 def test_envelope_extremes_equal_separate_min_and_argmin_passes():
     rng = np.random.default_rng(3)
     hams = rng.integers(0, 4, size=(11, 11, 500)) * 0.1 + rng.normal(size=(1, 1, 500))
-    arr = np.linspace(-1.0, 1.0, 11)
-    env = envelope_extremes(hams, arr, arr)
+    env = envelope_extremes(hams)
     cols = np.arange(500)
     min_u = np.min(hams, axis=0)
     np.testing.assert_array_equal(env.lower, min_u[np.argmax(min_u, axis=0), cols])
@@ -216,7 +210,7 @@ def full_envelopes(scenario, t, state, sup, stats_row, z):
     u_arr, v_arr = scenario.actions_u.array(), scenario.actions_v.array()
     hams = _hamiltonian_values(scenario, t, state, sup, stats_row, z,
                                [u_arr[:, None, None], v_arr[None, :, None]])
-    return envelope_extremes(hams, u_arr, v_arr)
+    return envelope_extremes(hams)
 
 
 def assert_split_matches_full(env, full):
@@ -292,9 +286,9 @@ def test_non_separable_games_take_the_full_array(change, monkeypatch):
     shapes = []
     original = game_mod.envelope_extremes
 
-    def recorded(hams, *grids):
+    def recorded(hams):
         shapes.append(hams.shape)
-        return original(hams, *grids)
+        return original(hams)
 
     monkeypatch.setattr(game_mod, "envelope_extremes", recorded)
     x = np.linspace(-1.0, 1.0, 7)
@@ -359,7 +353,8 @@ def test_solve_game_saddle_actions_at_start(separated_game, paths4k):
     assert np.all(v == v[0])
     assert u[0] == -1.0
     assert v[0] == 1.0
-    assert report.pair.u_control.label.endswith("|u")
+    u_side, v_side = report.pair
+    assert (u_side.label, v_side.label) == ("saddle-feedback|u", "saddle-feedback|v")
 
 
 def test_solve_game_refuses_bilinear(bilinear_game, paths1k):
@@ -444,8 +439,7 @@ def test_verify_saddle_self_deviation_has_zero_slack(separated_game, paths4k):
     pair = report.pair
     # replacing a side by itself reprices the identical pair, priced as each
     # deviation is (at the report's tol), so its slack against j_hat is zero
-    res = evaluate_payoff(separated_game, (pair.u_control, pair.v_control), paths4k,
-                          tol=report.tol)
+    res = evaluate_payoff(separated_game, tuple(pair), paths4k, tol=report.tol)
     assert res.value == report.j_hat
 
 
@@ -471,7 +465,7 @@ def test_game_running_cost_stat_is_priced(separated_game, paths1k):
     priced = parse_scenario(doc)
     assert priced.running_cost.stat == ("mean", c)
     assert parse_scenario(serialize_scenario(priced)) == priced
-    c2 = validate_scenario(priced).status_of("C2")
+    c2 = {e.code: e for e in validate_scenario(priced).entries}["C2"]
     assert c2.status == "not-certified" and "mean" in c2.reason
     # the pair (0, 0) moves nothing: every weight is exactly 1
     pair = tuple(constant_control(0.0, grid) for grid in separated_game.grids)

@@ -207,10 +207,11 @@ def test_mean_field_payoff_peaks_near_two_weight_matrices(mean_field):
     assert peak <= 2.3 * matrix, peak / matrix
 
 
-def test_unattainable_tolerance_raises_with_diagnostics(mean_field, paths1k):
+def test_unattainable_tolerance_raises_with_diagnostics(mean_field, paths1k, monkeypatch):
     control = constant_control([1.0], mean_field.actions)
+    monkeypatch.setattr(girsanov_mod, "_PICARD_MAX_ITER", 3)
     with pytest.raises(FixpointConvergenceError) as err:
-        fixpoint_measure_flow(mean_field, control, paths1k, tol=1e-15, max_iter=3)
+        fixpoint_measure_flow(mean_field, control, paths1k, tol=1e-15)
     diag = err.value.diagnostics
     assert diag.applications == 3
     assert not diag.converged
@@ -221,8 +222,6 @@ def test_fixpoint_rejects_bad_parameters(lq, paths1k):
     control = constant_control([1.0], lq.actions)
     with pytest.raises(ValueError):
         fixpoint_measure_flow(lq, control, paths1k, tol=0.0)
-    with pytest.raises(ValueError):
-        fixpoint_measure_flow(lq, control, paths1k, max_iter=0)
 
 
 def test_fixpoint_determinism(mean_field):
@@ -287,8 +286,9 @@ def test_fixpoint_equals_the_every_application_loop(name, paths1k, monkeypatch):
 def test_one_allowed_application_still_fails_with_its_distance(lq, paths1k, monkeypatch):
     control = constant_control(0.5, lq.actions)
     calls = density_calls(monkeypatch)
+    monkeypatch.setattr(girsanov_mod, "_PICARD_MAX_ITER", 1)
     with pytest.raises(FixpointConvergenceError) as err:
-        fixpoint_measure_flow(lq, control, paths1k, max_iter=1)
+        fixpoint_measure_flow(lq, control, paths1k)
     diag = err.value.diagnostics
     assert len(calls) == 1
     assert len(diag.distances) == len(diag.stderrs) == 1
