@@ -10,8 +10,6 @@ The trace below shows geometric decay of the Picard distances, and the
 converged weighted mean tracks u t across the grid.
 """
 
-import numpy as np
-
 from mfcontrol import (
     constant_control,
     contraction_report,

@@ -10,8 +10,6 @@ driftless ensemble via exponential reweighting; no control is resimulated.
 The density normalization E[L_T] should straddle one for each control.
 """
 
-import numpy as np
-
 from mfcontrol import constant_control, evaluate_payoff, get_builtin, simulate_for_scenario
 
 M, N, SEED = 4000, 25, 7

@@ -37,7 +37,7 @@ report = solve_game(game, paths)
 print(f"  converged: {report.converged} with {report.outer_iterations} productive"
       " flow updates (the saddle drift u + v vanishes, so the matched flow is"
       " the reference)")
-grid_term = game.horizon * (game.actions_u.resolution ** 2
+grid_term = game.horizon * (game.actions.resolution ** 2
                             + game.actions_v.resolution ** 2) / 8.0
 allow = 3.0 * report.value_stderr + grid_term
 print(f"  saddle value y0 = {report.value:+.5f} +/- {report.value_stderr:.5f}"

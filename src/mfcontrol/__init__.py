@@ -26,7 +26,6 @@ from .scenario import (
     CostSpec,
     DiffusionSpec,
     DriftSpec,
-    GameScenario,
     Scenario,
     SingularDiffusionError,
     StatisticSpec,
@@ -111,7 +110,7 @@ __all__ = [
     "simulate_for_scenario", "simulate_reference",
     # scenario registry
     "ActionGrid", "AssumptionStatus", "ConfigError", "CostSpec",
-    "DiffusionSpec", "DriftSpec", "GameScenario", "Scenario",
+    "DiffusionSpec", "DriftSpec", "Scenario",
     "SingularDiffusionError", "StatisticSpec",
     "StateTermSpec", "TerminalSpec", "UnknownScenarioError",
     "ValidationBlockedError", "ValidationReport", "assert_runnable",

@@ -56,7 +56,7 @@ import numpy as np
 from .core import PathEnsemble
 from .girsanov import _family_actions
 from .measure import EnsembleMismatchError, MeasureFlow, mean_stderr
-from .scenario import GameScenario, Scenario
+from .scenario import Scenario
 
 
 # The ridge of every projection.
@@ -250,14 +250,14 @@ def solve_driver_bsde(paths: PathEnsemble, terminal: np.ndarray, driver_at,
                      basis)[0]
 
 
-def _stat_series(scenario: Scenario | GameScenario, flow: MeasureFlow) -> dict[str, np.ndarray]:
+def _stat_series(scenario: Scenario, flow: MeasureFlow) -> dict[str, np.ndarray]:
     """The flow's series of every statistic the scenario references (drift,
     running cost and terminal cost): all that a backward solve reads off a
     flow besides its ensemble."""
     return {name: flow.statistic_series(name) for name in scenario.referenced_statistics()}
 
 
-def _hamiltonian_values(scenario: Scenario | GameScenario, t: float, state, sup,
+def _hamiltonian_values(scenario: Scenario, t: float, state, sup,
                         stats_row: dict, z, actions) -> np.ndarray:
     """H = h + z sigma^{-1} f at each particle, the last axis.  state and sup
     are (m,); the actions (u, or u and v) and the statistic values are
@@ -271,7 +271,7 @@ def _hamiltonian_values(scenario: Scenario | GameScenario, t: float, state, sup,
     return h + (np.asarray(z, dtype=float) * c) * f
 
 
-def _family_hamiltonian(scenario: Scenario | GameScenario, paths: PathEnsemble,
+def _family_hamiltonian(scenario: Scenario, paths: PathEnsemble,
                         controls, flows):
     """(t_index, z) -> (K, M) values of H for K fixed controls (or pairs), the
     i-th read under its own flow flows[i].  Each step reads the members'
@@ -294,7 +294,7 @@ def _family_hamiltonian(scenario: Scenario | GameScenario, paths: PathEnsemble,
     return hamiltonian_at
 
 
-def terminal_values(scenario: Scenario | GameScenario, flow: MeasureFlow) -> np.ndarray:
+def terminal_values(scenario: Scenario, flow: MeasureFlow) -> np.ndarray:
     """g(x_T, mu_T) per particle, with the law argument read off the flow."""
     paths = flow.paths
     n = paths.grid.steps
@@ -303,7 +303,7 @@ def terminal_values(scenario: Scenario | GameScenario, flow: MeasureFlow) -> np.
     return scenario.terminal_cost.evaluate(paths.state(n), row, scenario.statistic_map)
 
 
-def solve_linear_family(scenario: Scenario | GameScenario, controls, flows,
+def solve_linear_family(scenario: Scenario, controls, flows,
                         basis: BasisSpec | None = None) -> list[BsdeSolution]:
     """Backward solves of the payoff equations of K fixed controls (or pairs),
     one BsdeSolution per member, in one backward sweep.

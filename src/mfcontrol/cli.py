@@ -385,7 +385,7 @@ def main(argv=None) -> int:
         stderr_note(f"configuration error: invalid JSON ({exc})")
         return 2
     except (FloatingPointError, np.linalg.LinAlgError, SingularDiffusionError,
-            FixpointConvergenceError) as exc:
+            FixpointConvergenceError, MemoryError) as exc:
         stderr_note(f"computation failed: {exc}")
         return 1
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .core import PathEnsemble, particle_blocks
 from .girsanov import (FixpointDiagnostics, FixpointResult, _affine_actions, _same_series,
                        control_actions, fixpoint_measure_flow)
 from .measure import MeasureFlow, mean_stderr, reference_flow, tv_pathspace
-from .scenario import ActionGrid, GameScenario, Scenario
+from .scenario import ActionGrid, Scenario
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +179,7 @@ def parse_control(spec: dict | str, grid: ActionGrid) -> Control:
 # hamiltonian
 
 
-def hamiltonian(scenario: Scenario | GameScenario, t: float, state, sup, stats_row: dict,
+def hamiltonian(scenario: Scenario, t: float, state, sup, stats_row: dict,
                 z, *actions) -> np.ndarray:
     """Per-particle H = h + z sigma^{-1} f, one value per particle.
 
@@ -226,10 +225,11 @@ def grid_index_dtype(grid: ActionGrid) -> np.dtype:
     return np.min_scalar_type(grid.size - 1)
 
 
-def _argmin_extremes(scenario: Scenario, grid: ActionGrid, t: float, state, sup,
+def _argmin_extremes(scenario: Scenario, t: float, state, sup,
                      stats_row: dict, z) -> tuple[np.ndarray, tuple[np.ndarray]]:
     """(min_u H, (argmin rows,)): the control problem's extremal driver and
     its feedback's extremizer, rows stored in grid_index_dtype."""
+    grid = scenario.actions
     values, idx = minimized_hamiltonian(scenario, t, state, sup, stats_row, z, grid,
                                         indices=True)
     return values, (idx.astype(grid_index_dtype(grid)),)
@@ -263,19 +263,17 @@ class _GridFeedback:
     kept as grid row indices in one _HeldRows matrix per grid, weakly keyed
     by the ensemble so they go with it; a block read fills the steps it
     lacks and is then one fancy index per grid it reads, which returns fresh
-    action arrays.  A subclass names its grids and its per-step extremes,
-    _extremes(t, state, sup, stats_row, z) -> (extremal H, one index array
-    per grid), the same function that drives the backward solve it comes
-    from.
+    action arrays.  The grids are the scenario's; a subclass names its label
+    and its per-step extremes(scenario, t, state, sup, stats_row, z) ->
+    (extremal H, one index array per grid), a class attribute that
+    _synthesize also makes the driver of the solve the feedback comes from.
     """
 
-    def __init__(self, scenario: Scenario | GameScenario, grids: tuple[ActionGrid, ...],
-                 solution: BsdeSolution, stat_series: dict[str, np.ndarray], label: str):
+    def __init__(self, scenario: Scenario, solution: BsdeSolution,
+                 stat_series: dict[str, np.ndarray]):
         self.scenario = scenario
         self.solution = solution
         self.stat_series = {k: np.asarray(v, dtype=float) for k, v in stat_series.items()}
-        self.label = label
-        self._grids = grids
         self._rows = weakref.WeakKeyDictionary()  # ensemble -> _HeldRows
 
     def stats_at(self, t_index: int) -> dict[str, float]:
@@ -285,18 +283,19 @@ class _GridFeedback:
                 sides: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         """Fresh (rows, steps) actions on each grid in sides, read off the
         held grid rows."""
+        grids = self.scenario.grids
         held = self._rows.get(paths)
         if held is None:
-            held = self._rows[paths] = _HeldRows(paths, self._grids)
+            held = self._rows[paths] = _HeldRows(paths, grids)
         step_indices = np.arange(paths.grid.steps + 1)[steps]
         for k in step_indices[~held.filled[steps]]:
             held.put(k, self._step_rows(paths, int(k)))
-        return tuple(self._grids[i].array()[held.rows[i][rows, steps]] for i in sides)
+        return tuple(grids[i].array()[held.rows[i][rows, steps]] for i in sides)
 
     def _step_rows(self, paths: PathEnsemble, t_index: int) -> tuple[np.ndarray, ...]:
         z = self.solution.z_at(paths, t_index)
-        return self._extremes(paths.grid.times[t_index], paths.state(t_index),
-                              paths.sup(t_index), self.stats_at(t_index), z)[1]
+        return self.extremes(self.scenario, paths.grid.times[t_index], paths.state(t_index),
+                             paths.sup(t_index), self.stats_at(t_index), z)[1]
 
 
 class BsdeFeedbackControl(_GridFeedback, Player):
@@ -304,14 +303,8 @@ class BsdeFeedbackControl(_GridFeedback, Player):
     over its action grid."""
 
     kind = "bsde-feedback"
-
-    def __init__(self, scenario: Scenario, grid: ActionGrid, solution: BsdeSolution,
-                 stat_series: dict[str, np.ndarray], label: str = "bsde-feedback"):
-        super().__init__(scenario, (grid,), solution, stat_series, label)
-        self.grid = grid
-
-    def _extremes(self, t, state, sup, stats_row, z):
-        return _argmin_extremes(self.scenario, self.grid, t, state, sup, stats_row, z)
+    label = "bsde-feedback"
+    extremes = staticmethod(_argmin_extremes)
 
     def actions_over(self, paths: PathEnsemble, rows: slice, steps: slice) -> np.ndarray:
         """Fresh (rows, steps) actions on a block of particles and grid
@@ -336,13 +329,13 @@ class PayoffResult:
                 "fixpoint_iterations": self.diagnostics.iterations}
 
 
-def evaluate_payoff(scenario: Scenario | GameScenario, control, paths: PathEnsemble,
+def evaluate_payoff(scenario: Scenario, control, paths: PathEnsemble,
                     tol: float = 1e-3, fixpoint: FixpointResult | None = None) -> PayoffResult:
     """Reweighted payoff J(control) on the control's matched measure flow.
 
     J = E[ int_0^T L_t h(t) dt + L_T g ], the time integral by the trapezoid
     rule with the density at time t weighting the cost at time t.  For a
-    GameScenario pass a game control, an iterable of two players.  The
+    game pass a game control, an iterable of two players.  The
     flow is matched to tol; a precomputed FixpointResult skips the Picard
     loop (it must belong to this control).
     """
@@ -440,10 +433,10 @@ class OptimizationReport(SynthesisReport):
         }
 
 
-def _extremal_solve(scenario: Scenario | GameScenario, flow: MeasureFlow, extremes,
+def _extremal_solve(scenario: Scenario, flow: MeasureFlow, extremes,
                     basis: BasisSpec) -> tuple[BsdeSolution, _HeldRows]:
     """Backward solve at the flow whose driver is the extremal Hamiltonian
-    extremes(t, state, sup, stats_row, z) -> (one value per particle,
+    extremes(scenario, t, state, sup, stats_row, z) -> (one value per particle,
     extremizer rows on each of the scenario's grids).  Returns the solution
     and the rows of every step the driver visited."""
     paths = flow.paths
@@ -454,7 +447,7 @@ def _extremal_solve(scenario: Scenario | GameScenario, flow: MeasureFlow, extrem
 
     def driver_at(k: int, z: np.ndarray) -> np.ndarray:
         row = {name: s[k] for name, s in series.items()}
-        values, rows = extremes(times[k], paths.state(k), paths.sup(k), row, z)
+        values, rows = extremes(scenario, times[k], paths.state(k), paths.sup(k), row, z)
         found.put(k, rows)
         return values
 
@@ -469,14 +462,14 @@ _RESIDUAL_SAMPLES = 200
 _RESIDUAL_SEED = 7
 
 
-def _synthesize(scenario: Scenario | GameScenario, paths: PathEnsemble, basis: BasisSpec,
-                extremes, feedback, tol: float):
+def _synthesize(scenario: Scenario, paths: PathEnsemble, basis: BasisSpec, feedback,
+                tol: float):
     """The synthesis loop of the control problem and of the game.
 
     Starting from the reference flow: solve the backward equation driven by
-    extremes (min over u of H, or its lower envelope, with the extremizer
-    rows) on the current flow, synthesize feedback(solution, frozen
-    statistic series) from it, rematch the flow to that feedback (a measure
+    the feedback class's extremes (min over u of H, or its lower envelope,
+    with the extremizer rows) on the current flow, synthesize the feedback
+    from it and the frozen statistic series, rematch the flow to it (a measure
     fixed point to tol), and stop once the horizon TV between successive
     flows drops below tol, or after _MAX_OUTER passes.  The
     feedback is handed the rows the solve's driver found at every step it
@@ -501,9 +494,9 @@ def _synthesize(scenario: Scenario | GameScenario, paths: PathEnsemble, basis: B
         if read is not None and _same_series(series, read):
             trace.append((it, 0.0, 0.0))
             break
-        sol, found = _extremal_solve(scenario, flow, extremes, basis)
+        sol, found = _extremal_solve(scenario, flow, feedback.extremes, basis)
         read = series
-        control = feedback(sol, {name: s.copy() for name, s in series.items()})
+        control = feedback(scenario, sol, {name: s.copy() for name, s in series.items()})
         control._rows[paths] = found
         fixres = fixpoint_measure_flow(scenario, control, paths, tol=tol)
         est = tv_pathspace(flow, fixres.flow, paths.grid.steps)
@@ -513,7 +506,7 @@ def _synthesize(scenario: Scenario | GameScenario, paths: PathEnsemble, basis: B
             break
 
     if not _same_series(_stat_series(scenario, flow), read):
-        sol, _ = _extremal_solve(scenario, flow, extremes, basis)
+        sol, _ = _extremal_solve(scenario, flow, feedback.extremes, basis)
     payoff = evaluate_payoff(scenario, control, paths, fixpoint=fixres)
     return control, fixres, sol, payoff, tuple(trace), trace[-1][1] < tol
 
@@ -534,14 +527,10 @@ def policy_iteration(scenario: Scenario, paths: PathEnsemble, basis: BasisSpec |
         raise TypeError("policy_iteration takes a single-controller scenario")
     if basis is None:
         basis = BasisSpec()
-    grid = scenario.actions
 
     control, fixres, final_sol, payoff, trace, converged = _synthesize(
-        scenario, paths, basis,
-        partial(_argmin_extremes, scenario, grid),
-        lambda sol, stats: BsdeFeedbackControl(scenario, grid, sol, stats),
-        tol)
-    h_res = _argmin_residual(scenario, control, final_sol, fixres.flow, grid)
+        scenario, paths, basis, BsdeFeedbackControl, tol)
+    h_res = _argmin_residual(scenario, control, final_sol, fixres.flow)
     return OptimizationReport(
         control=control, flow=fixres.flow,
         y0=final_sol.y0, y0_stderr=final_sol.y0_stderr,
@@ -551,7 +540,7 @@ def policy_iteration(scenario: Scenario, paths: PathEnsemble, basis: BasisSpec |
 
 
 def _argmin_residual(scenario: Scenario, control, sol: BsdeSolution,
-                     flow: MeasureFlow, grid: ActionGrid) -> float:
+                     flow: MeasureFlow) -> float:
     """max over a sampled (t, particle) set of H(., u_hat) - min_u H at the
     matched flow; zero means the feedback is pointwise optimal there."""
     paths = flow.paths
@@ -570,7 +559,7 @@ def _argmin_residual(scenario: Scenario, control, sol: BsdeSolution,
         z = sol.z_at(paths, k)[idx]
         acts = control.actions(paths, k)[idx]
         h_at = hamiltonian(scenario, t, state, sup, row, z, acts)
-        h_min, _ = minimized_hamiltonian(scenario, t, state, sup, row, z, grid)
+        h_min, _ = minimized_hamiltonian(scenario, t, state, sup, row, z, scenario.actions)
         worst = max(worst, float(np.max(h_at - h_min)))
     return worst
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .scenario import DiffusionSpec, Scenario, GameScenario
+from .scenario import DiffusionSpec, Scenario
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def simulate_reference(grid: TimeGrid, brownian: BrownianEnsemble,
     return PathEnsemble(grid=grid, values=x, initial=xi, running_sup=sup, driver=brownian)
 
 
-def simulate_for_scenario(scenario: Scenario | GameScenario, particles: int,
+def simulate_for_scenario(scenario: Scenario, particles: int,
                           steps: int, seed: int) -> PathEnsemble:
     """Grid + increments + reference paths in one call, horizon and initial
     state taken from the scenario."""

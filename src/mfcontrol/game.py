@@ -11,7 +11,7 @@ game has a value and the backward equation driven by the envelope yields it;
 when they disagree beyond tolerance the solver refuses to certify a value
 rather than returning a number that means nothing.
 
-A separable game (GameScenario.separable: no u v cost term and an unclipped
+A separable game (Scenario.separable: no u v cost term and an unclipped
 affine drift) has H(u, v) = A(u) + B(v) + C, so min and max commute by
 structure (Isaacs 1965): the saddle rows are argmin_u A and argmax_v B, found
 in nu + 2 nv evaluations instead of nu nv (see envelopes), and both envelopes
@@ -21,7 +21,6 @@ are H at that pair.  Every other game evaluates the full array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .bsde import BasisSpec, BsdeSolution, _hamiltonian_values
 from .control import (Player, SynthesisReport, _GridFeedback, _synthesize, constant_control,
                       evaluate_payoff, grid_index_dtype)
 from .core import PathEnsemble
-from .scenario import GameScenario
+from .scenario import Scenario
 
 
 class IsaacsError(RuntimeError):
@@ -62,7 +61,7 @@ class EnvelopeValues:
         return self.upper - self.lower
 
 
-def envelopes(scenario: GameScenario, t: float, state, sup, stats_row: dict,
+def envelopes(scenario: Scenario, t: float, state, sup, stats_row: dict,
               z) -> EnvelopeValues:
     """max_v min_u and min_u max_v of H over the two grids, vectorized.
 
@@ -79,7 +78,7 @@ def envelopes(scenario: GameScenario, t: float, state, sup, stats_row: dict,
     axes do not tie at once.  Each envelope's extremizers are that pair,
     and lower = upper is H at it.
     """
-    u_arr = scenario.actions_u.array()
+    u_arr = scenario.actions.array()
     v_arr = scenario.actions_v.array()
 
     def ham(u, v):
@@ -117,12 +116,12 @@ def envelope_extremes(hams: np.ndarray) -> EnvelopeValues:
         upper_u_index=idx_u_upper, lower_v_index=idx_v_lower)
 
 
-def _saddle_extremes(scenario: GameScenario, t: float, state, sup, stats_row: dict,
+def _saddle_extremes(scenario: Scenario, t: float, state, sup, stats_row: dict,
                      z) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """(lower envelope, (u rows, v rows)): the game's extremal driver and
     its pair feedback's extremizers, rows in grid_index_dtype."""
     env = envelopes(scenario, t, state, sup, stats_row, z)
-    return env.lower, (env.upper_u_index.astype(grid_index_dtype(scenario.actions_u)),
+    return env.lower, (env.upper_u_index.astype(grid_index_dtype(scenario.actions)),
                        env.lower_v_index.astype(grid_index_dtype(scenario.actions_v)))
 
 
@@ -157,7 +156,7 @@ _ISAACS_TOL = 1e-9
 _ISAACS_Z_POINTS = np.linspace(-3.0, 3.0, 25)
 
 
-def isaacs_gap(scenario: GameScenario) -> IsaacsReport:
+def isaacs_gap(scenario: Scenario) -> IsaacsReport:
     """Sample upper - lower over a (state, z) grid at t = 0.
 
     z runs over _ISAACS_Z_POINTS on [-3, 3], the states around the initial
@@ -194,10 +193,10 @@ def isaacs_gap(scenario: GameScenario) -> IsaacsReport:
 class PairSideControl(Player):
     """One side of a feedback pair, a player like any single control."""
 
-    def __init__(self, pair: "PairFeedbackControl", side: int, label: str):
+    def __init__(self, pair: "PairFeedbackControl", side: int):
         self._pair = pair
         self._side = side
-        self.label = label
+        self.label = f"{pair.label}|{'uv'[side]}"
 
     def actions_over(self, paths: PathEnsemble, rows: slice, steps: slice) -> np.ndarray:
         """Fresh (rows, steps) actions of this side alone."""
@@ -215,18 +214,16 @@ class PairFeedbackControl(_GridFeedback):
     """
 
     kind = "pair-feedback"
+    label = "saddle-feedback"
+    extremes = staticmethod(_saddle_extremes)
 
-    def __init__(self, scenario: GameScenario, solution: BsdeSolution,
-                 stat_series: dict[str, np.ndarray], label: str = "saddle-feedback"):
-        super().__init__(scenario, scenario.grids, solution, stat_series, label)
-        self._players = (PairSideControl(self, 0, f"{label}|u"),
-                         PairSideControl(self, 1, f"{label}|v"))
+    def __init__(self, scenario: Scenario, solution: BsdeSolution,
+                 stat_series: dict[str, np.ndarray]):
+        super().__init__(scenario, solution, stat_series)
+        self._players = (PairSideControl(self, 0), PairSideControl(self, 1))
 
     def __iter__(self):
         return iter(self._players)
-
-    def _extremes(self, t, state, sup, stats_row, z):
-        return _saddle_extremes(self.scenario, t, state, sup, stats_row, z)
 
     def actions_pair(self, paths: PathEnsemble, t_index: int) -> tuple[np.ndarray, np.ndarray]:
         u, v = self
@@ -268,7 +265,7 @@ class SaddleReport(SynthesisReport):
         }
 
 
-def solve_game(scenario: GameScenario, paths: PathEnsemble,
+def solve_game(scenario: Scenario, paths: PathEnsemble,
                basis: BasisSpec | None = None, tol: float = 1e-3) -> SaddleReport:
     """Synthesize a saddle candidate and certify the game value.
 
@@ -288,10 +285,7 @@ def solve_game(scenario: GameScenario, paths: PathEnsemble,
         raise IsaacsError(isaacs)
 
     pair, fixres, final_sol, payoff, trace, converged = _synthesize(
-        scenario, paths, basis,
-        partial(_saddle_extremes, scenario),
-        lambda sol, stats: PairFeedbackControl(scenario, sol, stats),
-        tol)
+        scenario, paths, basis, PairFeedbackControl, tol)
     return SaddleReport(
         pair=pair, flow=fixres.flow,
         value=final_sol.y0, value_stderr=final_sol.y0_stderr,
@@ -325,7 +319,7 @@ class SaddleCheckReport:
                 "passed": self.passed}
 
 
-def verify_saddle(scenario: GameScenario, paths: PathEnsemble,
+def verify_saddle(scenario: Scenario, paths: PathEnsemble,
                   report: SaddleReport) -> SaddleCheckReport:
     """Price unilateral deviations against the synthesized pair.
 
@@ -338,7 +332,7 @@ def verify_saddle(scenario: GameScenario, paths: PathEnsemble,
     j0, se0 = report.j_hat, report.j_stderr
     rows = {"u": [], "v": []}
     passed = True
-    for side, grid in (("u", scenario.actions_u), ("v", scenario.actions_v)):
+    for side, grid in zip("uv", scenario.grids):
         for c in (constant_control(p, grid) for p in grid.points):
             played = (c, v) if side == "u" else (u, c)
             res = evaluate_payoff(scenario, played, paths, tol=report.tol)

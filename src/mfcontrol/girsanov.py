@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import PathEnsemble, particle_blocks
 from .measure import MeasureFlow, reference_flow, tv_columns
-from .scenario import GameScenario, Scenario, SingularDiffusionError
+from .scenario import Scenario, SingularDiffusionError
 
 
 class FixpointConvergenceError(RuntimeError):
@@ -106,7 +106,7 @@ def _family_actions(controls, paths: PathEnsemble, k: int) -> list[np.ndarray]:
     return [_side_actions(side, paths, k) for side in zip(*map(_players, controls))]
 
 
-def drift_base(scenario: Scenario | GameScenario, control, paths: PathEnsemble) -> np.ndarray:
+def drift_base(scenario: Scenario, control, paths: PathEnsemble) -> np.ndarray:
     """Read-only (particles, steps + 1) DriftSpec.base of the control (a
     player, or a game control of two) along the ensemble, filled a block of
     particles at a time."""
@@ -122,7 +122,7 @@ def drift_base(scenario: Scenario | GameScenario, control, paths: PathEnsemble) 
 class DriftEvaluator:
     """Drift values of a control along the flow's ensemble.
 
-    control is a player for a Scenario and a game control for a GameScenario
+    control is a player for a control problem and a game control for a game
     (see control_actions).  evaluator.over(rows, steps) gives the (rows,
     steps) drift on a block of particles and grid times:
     DriftSpec.with_stats of the block's base, each statistic series (read off
@@ -132,7 +132,7 @@ class DriftEvaluator:
     reweighting reads.
     """
 
-    def __init__(self, scenario: Scenario | GameScenario, flow: MeasureFlow, control,
+    def __init__(self, scenario: Scenario, flow: MeasureFlow, control,
                  base: np.ndarray | None = None):
         self.scenario = scenario
         self.paths = flow.paths
@@ -256,7 +256,7 @@ class FixpointResult:
 _PICARD_MAX_ITER = 50
 
 
-def fixpoint_measure_flow(scenario: Scenario | GameScenario, control,
+def fixpoint_measure_flow(scenario: Scenario, control,
                           paths: PathEnsemble, tol: float = 1e-3) -> FixpointResult:
     """Iterate flow -> reweighted flow until the weights stop moving.
 

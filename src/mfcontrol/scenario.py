@@ -20,8 +20,9 @@ The state x is a real number.  Registered functional forms:
     terminal    linear | tanh | variance  (variance: phi(x)^2 - mean(phi)^2)
     statistic   identity | square | tanh | indicator_bin
 
-A game carries a second action grid for its maximizer v, which alone reads
-the bracketed terms: a control problem is the game without a maximizer.
+A game carries a second action grid, actions_v, for its maximizer v, which
+alone reads the bracketed terms: a control problem is the game without a
+maximizer, one Scenario whose actions_v is None.
 """
 
 from __future__ import annotations
@@ -406,21 +407,11 @@ class ActionGrid:
 # scenarios
 
 
-class _ScenarioViews:
-    """Views shared by the single-controller and the two-player scenario."""
-
-    @property
-    def statistic_map(self) -> dict[str, StatisticSpec]:
-        return dict(self.statistics)
-
-    def referenced_statistics(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys((*self.drift.stat_names(), *self.running_cost.stat_names(),
-                                    *self.terminal_cost.stat_names())))
-
-
 @dataclass(frozen=True, kw_only=True)
-class Scenario(_ScenarioViews):
-    """Immutable single-controller problem description."""
+class Scenario:
+    """Immutable problem description.  Player u minimizes the payoff over
+    actions; a zero-sum game adds a maximizer v over actions_v, which is
+    None for a control problem."""
 
     name: str = "custom"
     initial: float
@@ -431,35 +422,23 @@ class Scenario(_ScenarioViews):
     terminal_cost: TerminalSpec = TerminalSpec()
     statistics: tuple[tuple[str, StatisticSpec], ...] = ()
     actions: ActionGrid
-
-    kind = "control"
-
-    @property
-    def grids(self) -> tuple[ActionGrid]:
-        return (self.actions,)
-
-
-@dataclass(frozen=True, kw_only=True)
-class GameScenario(_ScenarioViews):
-    """Immutable zero-sum two-player problem description.  Player u minimizes
-    the payoff, player v maximizes."""
-
-    name: str = "custom"
-    initial: float
-    horizon: float
-    sigma: DiffusionSpec = DiffusionSpec()
-    drift: DriftSpec = DriftSpec()
-    running_cost: CostSpec = CostSpec()
-    terminal_cost: TerminalSpec = TerminalSpec()
-    statistics: tuple[tuple[str, StatisticSpec], ...] = ()
-    actions_u: ActionGrid
-    actions_v: ActionGrid
-
-    kind = "game"
+    actions_v: ActionGrid | None = None
 
     @property
-    def grids(self) -> tuple[ActionGrid, ActionGrid]:
-        return (self.actions_u, self.actions_v)
+    def kind(self) -> str:
+        return "control" if self.actions_v is None else "game"
+
+    @property
+    def grids(self) -> tuple[ActionGrid, ...]:
+        return (self.actions,) if self.actions_v is None else (self.actions, self.actions_v)
+
+    @property
+    def statistic_map(self) -> dict[str, StatisticSpec]:
+        return dict(self.statistics)
+
+    def referenced_statistics(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys((*self.drift.stat_names(), *self.running_cost.stat_names(),
+                                    *self.terminal_cost.stat_names())))
 
     @property
     def separable(self) -> bool:
@@ -642,11 +621,11 @@ _SCENARIO_KEYS = {kind: {"kind": ("kind", _string), "name": ("name", _string),
                          "drift": ("drift", _spec(DriftSpec, _DRIFT_KEYS[kind])),
                          "running_cost": ("running_cost", _spec(CostSpec, _COST_KEYS[kind])),
                          "terminal_cost": ("terminal_cost", _spec(TerminalSpec, _TERMINAL_KEYS)),
-                         **{key: (key, _action_grid) for key in grids}}
+                         **{key: (key.removesuffix("_u"), _action_grid) for key in grids}}
                   for kind, grids in _GRIDS.items()}
 
 
-def parse_scenario(text: str | dict) -> Scenario | GameScenario:
+def parse_scenario(text: str | dict) -> Scenario:
     """Parse a config document (JSON text or an already-decoded mapping).
 
     Raises ConfigError with a dotted path into the document on the first
@@ -659,15 +638,16 @@ def parse_scenario(text: str | dict) -> Scenario | GameScenario:
             raise ConfigError("<document>", f"invalid JSON: {exc}") from exc
     else:
         doc = text
-    kind = _SCENARIO_KIND(_expect(doc, dict, "").get("kind", Scenario.kind), "kind")
+    kind = _SCENARIO_KIND(_expect(doc, dict, "").get("kind", "control"), "kind")
     # checked first: a document of dimension d lists d initial coordinates
     _dimension(doc.get("dimension", 1), "dimension")
     fields = _fields(doc, "", _SCENARIO_KEYS[kind])
-    # a class attribute of the scenario and a checked constant, not fields
+    # read off the scenario's grids and a checked constant, not fields
     fields.pop("kind", None)
     fields.pop("dimension", None)
-    _require(fields, "", ("initial", "horizon", *_GRIDS[kind]))
-    s = (Scenario if kind == "control" else GameScenario)(**fields)
+    # by document key: a game's actions_u fills the field actions
+    _require(doc, "", ("initial", "horizon", *_GRIDS[kind]))
+    s = Scenario(**fields)
 
     if s.horizon <= 0:
         raise ConfigError("horizon", "horizon must be positive")
@@ -684,7 +664,7 @@ def _emit(spec, table: dict, omit: tuple[str, ...] = ()) -> dict:
     return {key: getattr(spec, field) for key, (field, _) in table.items() if key not in omit}
 
 
-def serialize_scenario(s: Scenario | GameScenario) -> dict:
+def serialize_scenario(s: Scenario) -> dict:
     """Inverse of parse_scenario, up to field defaults."""
     doc: dict[str, Any] = {
         "kind": s.kind,
@@ -749,7 +729,7 @@ class ValidationReport:
         }
 
 
-def validate_scenario(s: Scenario | GameScenario) -> ValidationReport:
+def validate_scenario(s: Scenario) -> ValidationReport:
     """Static certification of the standing assumptions.
 
     Statuses are certified / not-certified / violated.  Only violated entries
@@ -923,5 +903,5 @@ def builtin_config(name: str) -> dict:
     return json.loads(json.dumps(_BUILTINS[name]))
 
 
-def get_builtin(name: str) -> Scenario | GameScenario:
+def get_builtin(name: str) -> Scenario:
     return parse_scenario(builtin_config(name))

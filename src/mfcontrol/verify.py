@@ -30,7 +30,7 @@ from .game import isaacs_gap, solve_game, verify_saddle
 from .girsanov import DriftEvaluator, density_process, fixpoint_measure_flow
 from .measure import (hellinger_pairs, mean_stderr, reference_flow, tv_columns, tv_marginal,
                       tv_pathspace, weighted_statistic)
-from .scenario import GameScenario, builtin_scenarios, get_builtin
+from .scenario import builtin_scenarios, get_builtin
 
 _CRITERIA = {}
 
@@ -69,7 +69,7 @@ class AcceptanceContext:
     measure fixed point's tolerance and basis every backward solve's basis.
     """
 
-    def __init__(self, seed: int = 7, particles: int = 10_000, steps: int = 50,
+    def __init__(self, seed: int, particles: int, steps: int,
                  tol: float = 1e-3, basis: BasisSpec | None = None):
         self.seed = int(seed)
         self.particles = int(particles)
@@ -95,22 +95,26 @@ class AcceptanceContext:
         return self._fix[key]
 
 
-def _family(scenario, count: int = 5):
+# Members of each scenario's test family, before duplicate indices merge.
+_FAMILY_COUNT = 5
+
+
+def _family(scenario):
     """(label, control-or-pair) test family: evenly indexed grid constants,
     reversed-index pairs for games so both players move."""
     if scenario.kind == "game":
-        pu = scenario.actions_u.points
+        pu = scenario.actions.points
         pv = scenario.actions_v.points
-        iu = np.round(np.linspace(0, len(pu) - 1, count)).astype(int)
-        iv = np.round(np.linspace(len(pv) - 1, 0, count)).astype(int)
+        iu = np.round(np.linspace(0, len(pu) - 1, _FAMILY_COUNT)).astype(int)
+        iv = np.round(np.linspace(len(pv) - 1, 0, _FAMILY_COUNT)).astype(int)
         out = []
         for i, j in dict.fromkeys(zip(iu, iv)):
-            cu = constant_control(pu[i], scenario.actions_u)
+            cu = constant_control(pu[i], scenario.actions)
             cv = constant_control(pv[j], scenario.actions_v)
             out.append((f"pair[{pu[i]:g},{pv[j]:g}]", (cu, cv)))
         return out
     pts = scenario.actions.points
-    idx = np.unique(np.round(np.linspace(0, len(pts) - 1, count)).astype(int))
+    idx = np.unique(np.round(np.linspace(0, len(pts) - 1, _FAMILY_COUNT)).astype(int))
     return [(f"const[{pts[i]:g}]", constant_control(pts[i], scenario.actions))
             for i in idx]
 
@@ -419,11 +423,10 @@ def check_variance(ctx: AcceptanceContext) -> CheckResult:
 def check_game(ctx: AcceptanceContext) -> CheckResult:
     details: dict = {}
     scen = ctx.scenarios["separated-game"]
-    assert isinstance(scen, GameScenario)
     paths = ctx.paths_for(scen)
     report = solve_game(scen, paths, basis=ctx.basis, tol=ctx.tol)
     gap_zero = bool(report.isaacs.max_gap == 0.0)
-    res_u = scen.actions_u.resolution
+    res_u = scen.actions.resolution
     res_v = scen.actions_v.resolution
     grid_term = scen.horizon * (res_u ** 2 + res_v ** 2) / 8.0
     value_dev = abs(report.value - scen.initial)
@@ -476,7 +479,7 @@ def check_determinism(ctx: AcceptanceContext) -> CheckResult:
 # battery driver
 
 
-def run_battery(seed: int = 7, particles: int = 10_000, steps: int = 50,
+def run_battery(seed: int, particles: int, steps: int,
                 tol: float = 1e-3, basis: BasisSpec | None = None,
                 indices=None) -> list[CheckResult]:
     """Run the acceptance criteria in order, one CheckResult each, on one

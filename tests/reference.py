@@ -89,16 +89,17 @@ def picard_every_application(scenario, control, paths, tol=1e-3, max_iter=50):
                                                        tol, False))
 
 
-def synthesize_every_pass(scenario, paths, basis, extremes, feedback, tol):
+def synthesize_every_pass(scenario, paths, basis, feedback, tol):
     """control._synthesize with no shortcut for a repeated input: every outer
     pass solves, synthesizes and rematches until the horizon TV between
     successive flows falls below tol, and the final solve always runs."""
+    extremes = feedback.extremes
     flow = reference_flow(paths, scenario.statistic_map)
     trace = []
     for it in range(1, _MAX_OUTER + 1):
         sol, found = _extremal_solve(scenario, flow, extremes, basis)
-        control = feedback(sol, {name: s.copy()
-                                 for name, s in _stat_series(scenario, flow).items()})
+        control = feedback(scenario, sol, {name: s.copy()
+                                           for name, s in _stat_series(scenario, flow).items()})
         control._rows[paths] = found
         fixres = fixpoint_measure_flow(scenario, control, paths, tol=tol)
         est = tv_pathspace(flow, fixres.flow, paths.grid.steps)

@@ -51,7 +51,7 @@ def ensembles(mean_field):
 def feedback(mean_field):
     basis = BasisSpec()
     stats = {"mean": np.linspace(0.0, 0.4, STEPS + 1)}
-    return BsdeFeedbackControl(mean_field, mean_field.actions, _solution(basis, 21), stats)
+    return BsdeFeedbackControl(mean_field, _solution(basis, 21), stats)
 
 
 @pytest.fixture
@@ -65,7 +65,7 @@ def uncached_actions(control, paths, k):
     z = control.solution.z_at(paths, k)
     _, acts = minimized_hamiltonian(control.scenario, paths.grid.times[k],
                                     paths.state(k), paths.sup(k),
-                                    control.stats_at(k), z, control.grid)
+                                    control.stats_at(k), z, control.scenario.actions)
     return acts
 
 
@@ -73,7 +73,7 @@ def uncached_pair(pair, paths, k):
     z = pair.solution.z_at(paths, k)
     env = envelopes(pair.scenario, paths.grid.times[k], paths.state(k),
                     paths.sup(k), pair.stats_at(k), z)
-    return (pair.scenario.actions_u.array()[env.upper_u_index],
+    return (pair.scenario.actions.array()[env.upper_u_index],
             pair.scenario.actions_v.array()[env.lower_v_index])
 
 
@@ -195,8 +195,7 @@ def fresh_feedback(control):
     """A feedback with the same solution and statistics and no held rows."""
     if isinstance(control, PairFeedbackControl):
         return PairFeedbackControl(control.scenario, control.solution, control.stat_series)
-    return BsdeFeedbackControl(control.scenario, control.grid, control.solution,
-                               control.stat_series)
+    return BsdeFeedbackControl(control.scenario, control.solution, control.stat_series)
 
 
 def synthesize(name, paths, scenarios):
@@ -224,8 +223,8 @@ def test_seeded_rows_are_the_feedbacks_own(name, scenarios):
         assert held.filled[k], "step missing from the held rows"
         seeded = [matrix[:, k] for matrix in held.rows]
         own = fresh._step_rows(paths, k)
-        assert len(seeded) == len(own) == len(control._grids)
-        for rows, expected, grid in zip(seeded, own, control._grids):
+        assert len(seeded) == len(own) == len(control.scenario.grids)
+        for rows, expected, grid in zip(seeded, own, control.scenario.grids):
             assert rows.dtype == grid_index_dtype(grid)
             np.testing.assert_array_equal(rows, expected)
 

@@ -181,17 +181,6 @@ def test_lq_payoff_equation_closed_form(lq, paths4k):
         assert abs(sol.y0 - analytic) <= 3.0 * sol.y0_stderr + 0.05, u
 
 
-def test_two_code_paths_agree_exactly(lq, paths4k):
-    # the payoff solve is the driver solve with the linear driver; same
-    # arithmetic, identical arrays
-    control = constant_control([0.5], lq.actions)
-    flow = fixpoint_measure_flow(lq, control, paths4k).flow
-    a = solve_linear_family(lq, [control], [flow])[0]
-    b = solve_driver_bsde(paths4k, terminal_values(lq, flow),
-                          linear_driver(lq, flow, control))
-    assert_same_solution(a, b)
-
-
 def test_solution_is_linear_in_costs(lq, paths4k):
     from mfcontrol import parse_scenario, serialize_scenario
 

@@ -225,6 +225,11 @@ def test_blocked_validation_exits_2_unless_overridden(capsys, tmp_path):
     # the state is one number: a second coordinate and a sigma matrix are refused
     ("zero-drift", None, {"dimension": 2, "initial": [0, 0]}, "dimension"),
     ("linear-quadratic", "diffusion", {"kind": "constant", "matrix": [[2.0]]}, "diffusion.matrix"),
+    # a control document reads no maximizer key, and a game spells u's grid actions_u
+    ("linear-quadratic", "actions_v", {"lo": -1.0, "hi": 1.0, "count": 3}, "actions_v"),
+    ("linear-quadratic", "drift", {"control_v": 1.0}, "drift.control_v"),
+    ("linear-quadratic", "running_cost", {"quad_v": 1.0}, "running_cost.quad_v"),
+    ("separated-game", "actions", {"lo": -1.0, "hi": 1.0, "count": 3}, "actions"),
 ])
 def test_malformed_config_exits_2_without_traceback(capsys, tmp_path, base, key, value, path):
     doc = builtin_config(base)
@@ -529,6 +534,26 @@ def test_overflowing_means_exit_1_under_warnings_as_errors(tmp_path, command):
     assert proc.stdout == ""
     failed = [line for line in proc.stderr.splitlines() if "computation failed:" in line]
     assert len(failed) == 1 and "mean" in failed[0]
+    assert "Traceback" not in proc.stderr
+
+
+# each size needs petabytes, so numpy refuses the array before touching a page
+@pytest.mark.parametrize("argv,grid", [
+    (["--particles", "1000000000000000", "--steps", "10"], None),
+    (["--particles", "100", "--steps", "1000000000000000"], None),
+    (["--particles", "100", "--steps", "5"], {"lo": -1.0, "hi": 1.0, "count": 10 ** 15}),
+], ids=["particles", "steps", "grid-count"])
+def test_oversized_runs_exit_1_without_traceback(tmp_path, argv, grid):
+    doc = builtin_config("linear-quadratic")
+    if grid is not None:
+        doc["actions"] = grid
+    cfg = tmp_path / "oversized.json"
+    cfg.write_text(json.dumps(doc))
+    proc = run_module("mfcontrol", "simulate", "--config", str(cfg), "--seed", "7", *argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    failed = [line for line in proc.stderr.splitlines() if "computation failed:" in line]
+    assert len(failed) == 1 and "Unable to allocate" in failed[0]
     assert "Traceback" not in proc.stderr
 
 

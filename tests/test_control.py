@@ -222,7 +222,7 @@ def test_hamiltonian_rejects_game_scenarios(separated_game):
         hamiltonian(separated_game, 0.0, x, x, {}, x, x)
     with pytest.raises(TypeError, match="game"):
         minimized_hamiltonian(separated_game, 0.0, x, x, {}, x,
-                              separated_game.actions_u)
+                              separated_game.actions)
 
 
 @pytest.mark.parametrize("diffusion", [
@@ -359,7 +359,7 @@ def test_variance_payoff_under_zero_control(variance_scenario, paths4k):
 
 
 def test_game_payoff_accepts_control_pairs(separated_game, paths4k):
-    pair = (constant_control(-1.0, separated_game.actions_u),
+    pair = (constant_control(-1.0, separated_game.actions),
             constant_control(1.0, separated_game.actions_v))
     res = evaluate_payoff(separated_game, pair, paths4k)
     # h(-1, 1) = 0 and the drifts cancel, so J = E[x_T] = 0

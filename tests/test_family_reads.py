@@ -61,7 +61,7 @@ def single(mean_field):
     paths = simulate_for_scenario(mean_field, particles=400, steps=STEPS, seed=31)
     grid = mean_field.actions
     stats = {"mean": np.linspace(0.0, 0.4, STEPS + 1)}
-    feedback = BsdeFeedbackControl(mean_field, grid, _solution(BasisSpec(), 32), stats)
+    feedback = BsdeFeedbackControl(mean_field, _solution(BasisSpec(), 32), stats)
     family = [constant_control(-0.5, grid), parametric_control(0.3, -2.0, 0.5, grid),
               table_control((-0.5, 0.5), [[-1.0, 0.0, 1.0], [0.5, -0.5, 0.2]], grid),
               feedback, parametric_control(-0.1, 1.5, -0.4), constant_control(0.7, grid),
@@ -84,7 +84,7 @@ def game(separated_game):
     """Game pairs: constants, a pair feedback, one of its sides against a
     constant, and an affine rule against a constant."""
     paths = simulate_for_scenario(separated_game, particles=400, steps=STEPS, seed=33)
-    gu, gv = separated_game.actions_u, separated_game.actions_v
+    gu, gv = separated_game.actions, separated_game.actions_v
     pair = PairFeedbackControl(separated_game, _solution(BasisSpec(), 34),
                                {"mean": np.zeros(STEPS + 1)})
     pair_u, pair_v = pair
@@ -263,8 +263,7 @@ def test_held_rows_block_reads_equal_step_gathers(single, game, rows, steps):
     def fresh(control):
         # a fresh feedback holds nothing: each read fills its own steps
         if isinstance(control, BsdeFeedbackControl):
-            return BsdeFeedbackControl(control.scenario, control.grid, control.solution,
-                                       control.stat_series)
+            return BsdeFeedbackControl(control.scenario, control.solution, control.stat_series)
         return PairFeedbackControl(control.scenario, control.solution, control.stat_series)
 
     def block_read(form, ens):
@@ -278,7 +277,7 @@ def test_held_rows_block_reads_equal_step_gathers(single, game, rows, steps):
     for control, ens in ((feedback, paths), (pair, game_paths)):
         want = [grid.array()[np.stack([control._step_rows(ens, k)[i][rows] for k in ks],
                                       axis=1)]
-                for i, grid in enumerate(control._grids)]
+                for i, grid in enumerate(control.scenario.grids)]
         filled = fresh(control)
         control_actions(filled, ens, slice(None), slice(None))
         assert all(held.filled.all() for held in filled._rows.values())

@@ -111,7 +111,8 @@ def formula_actions(control: Control, paths, k):
 def uncached_feedback(control: BsdeFeedbackControl, paths, k):
     z = control.solution.z_at(paths, k)
     _, acts = minimized_hamiltonian(control.scenario, paths.grid.times[k], paths.state(k),
-                                    paths.sup(k), control.stats_at(k), z, control.grid)
+                                    paths.sup(k), control.stats_at(k), z,
+                                    control.scenario.actions)
     return acts
 
 
@@ -119,7 +120,7 @@ def uncached_pair(pair: PairFeedbackControl, paths, k):
     z = pair.solution.z_at(paths, k)
     env = envelopes(pair.scenario, paths.grid.times[k], paths.state(k), paths.sup(k),
                     pair.stats_at(k), z)
-    return (pair.scenario.actions_u.array()[env.upper_u_index],
+    return (pair.scenario.actions.array()[env.upper_u_index],
             pair.scenario.actions_v.array()[env.lower_v_index])
 
 
@@ -133,7 +134,7 @@ def controls_for(scenario):
     (particles,) action arrays of each player, each recomputed in full."""
     stats = {"mean": np.linspace(0.0, 0.3, STEPS + 1)}
     if scenario.kind == "game":
-        gu, gv = scenario.actions_u, scenario.actions_v
+        gu, gv = scenario.actions, scenario.actions_v
         cu = constant_control(-0.4, gu)
         cv = constant_control(0.6, gv)
         pu = parametric_control(0.1, -0.8, 0.4, gu)
@@ -155,7 +156,7 @@ def controls_for(scenario):
     table = table_control([-0.5, 0.0, 0.5],
                           [[-1.0, -0.3, 0.3, 1.0], [0.8, 0.1, -0.1, -0.8], [0.0, 0.5, 0.5, 0.0]],
                           grid)
-    feedback = BsdeFeedbackControl(scenario, grid, solution(BasisSpec(), 4), stats)
+    feedback = BsdeFeedbackControl(scenario, solution(BasisSpec(), 4), stats)
     return [
         ("constant", const, lambda p, k: (formula_actions(const, p, k),)),
         ("parametric", param, lambda p, k: (formula_actions(param, p, k),)),

@@ -105,7 +105,7 @@ def test_envelopes_coincide_for_separated_game(separated_game):
     env = envelopes(separated_game, 0.0, x, np.abs(x), {"mean": 0.0}, z)
     # separable H: the same saddle cell is picked from both sides
     np.testing.assert_array_equal(env.gap, np.zeros(3))
-    u_arr, v_arr = separated_game.actions_u.array(), separated_game.actions_v.array()
+    u_arr, v_arr = separated_game.actions.array(), separated_game.actions_v.array()
     np.testing.assert_array_equal(u_arr[env.upper_u_index], [-1.0, -1.0, -1.0])
     np.testing.assert_array_equal(v_arr[env.lower_v_index], [1.0, 1.0, 1.0])
     np.testing.assert_allclose(env.lower, np.zeros(3), atol=1e-15)
@@ -131,7 +131,7 @@ def test_envelopes_single_point_grids_are_trivial():
     env = envelopes(game, 0.0, x, x, {"mean": 0.0}, np.zeros(2))
     np.testing.assert_array_equal(env.gap, np.zeros(2))
     np.testing.assert_allclose(env.lower, np.full(2, 0.5 * -0.25), rtol=1e-15)
-    np.testing.assert_array_equal(game.actions_u.array()[env.upper_u_index], [0.5, 0.5])
+    np.testing.assert_array_equal(game.actions.array()[env.upper_u_index], [0.5, 0.5])
     np.testing.assert_array_equal(game.actions_v.array()[env.lower_v_index], [-0.25, -0.25])
 
 
@@ -207,7 +207,7 @@ def test_envelope_extremes_equal_separate_min_and_argmin_passes():
 
 def full_envelopes(scenario, t, state, sup, stats_row, z):
     """envelope_extremes of the full (nu, nv, particles) Hamiltonian array."""
-    u_arr, v_arr = scenario.actions_u.array(), scenario.actions_v.array()
+    u_arr, v_arr = scenario.actions.array(), scenario.actions_v.array()
     hams = _hamiltonian_values(scenario, t, state, sup, stats_row, z,
                                [u_arr[:, None, None], v_arr[None, :, None]])
     return envelope_extremes(hams)
@@ -450,7 +450,7 @@ def test_trivial_game_payoffs_are_sample_means(paths1k):
     assert report.j_hat == float(np.mean(paths1k.values[:, -1]))
     assert len(report.trace) == 1
     assert report.outer_iterations == 0
-    pair = (constant_control(-1.0, game.actions_u),
+    pair = (constant_control(-1.0, game.actions),
             constant_control(1.0, game.actions_v))
     res = evaluate_payoff(game, pair, paths1k)
     assert res.value == report.j_hat

@@ -5,6 +5,8 @@ definitions (evaluated by hand on two or three points) or a structural
 parsing/validation contract, so no Monte Carlo tolerances appear.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from mfcontrol import (
     ActionGrid,
     ConfigError,
     DiffusionSpec,
-    GameScenario,
     Scenario,
     SingularDiffusionError,
     StatisticSpec,
@@ -23,7 +24,9 @@ from mfcontrol import (
     builtin_scenarios,
     get_builtin,
     parse_scenario,
+    policy_iteration,
     serialize_scenario,
+    simulate_for_scenario,
     validate_scenario,
 )
 
@@ -225,8 +228,40 @@ def test_game_config_requires_both_action_grids():
     assert "actions_v" in str(err.value)
     doc["actions_v"] = {"lo": -1.0, "hi": 1.0, "count": 5}
     s = parse_scenario(doc)
-    assert isinstance(s, GameScenario)
     assert s.kind == "game"
+    assert s.grids == (s.actions, s.actions_v) and s.actions_v.size == 5
+    # u's grid is the field actions, and a game document still names it actions_u
+    del doc["actions_u"]
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc)
+    assert (err.value.path, err.value.message) == ("actions_u", "missing required field")
+
+
+@pytest.mark.parametrize("name", builtin_scenarios())
+def test_one_scenario_type_reads_its_kind_off_the_maximizer_grid(name):
+    doc = builtin_config(name)
+    s = get_builtin(name)
+    assert type(s) is Scenario
+    assert s.kind == doc["kind"]
+    game = doc["kind"] == "game"
+    assert len(s.grids) == (2 if game else 1)
+    assert (s.actions_v is None) == (not game)
+    if game:
+        u = doc["actions_u"]
+        assert s.actions == (ActionGrid.explicit(u["points"]) if "points" in u
+                             else ActionGrid.box(u["lo"], u["hi"], u["count"]))
+    written = serialize_scenario(s)
+    for key in (("actions_u", "actions_v") if game else ("actions",)):
+        assert written[key] == doc[key]
+    assert ("actions_v" in written) == game and ("actions_u" in written) == game
+
+
+def test_a_control_problem_given_a_maximizer_grid_is_a_game(lq):
+    game = dataclasses.replace(lq, actions_v=ActionGrid.box(-1.0, 1.0, 3))
+    assert game.kind == "game" and game.grids == (lq.actions, game.actions_v)
+    paths = simulate_for_scenario(game, particles=50, steps=4, seed=1)
+    with pytest.raises(TypeError, match="single-controller"):
+        policy_iteration(game, paths)
 
 
 def test_invalid_json_and_non_mapping_inputs():
