@@ -25,6 +25,7 @@ from mfcontrol import (
     parametric_control,
     policy_iteration,
     simulate_for_scenario,
+    stat_series,
 )
 
 M, N, SEED = 4000, 25, 7
@@ -55,7 +56,7 @@ family = [
     constant_control(0.0),
 ]
 payoffs = [evaluate_payoff(mf, c, paths) for c in family]
-env = envelope_bsde(mf, family, [p.flow for p in payoffs])
+env = envelope_bsde(mf, paths, family, [stat_series(mf, p.flow) for p in payoffs])
 
 print("\nmean-field mean-reversion (running cost reads the population mean):")
 print(f"  frozen-flow equilibrium value: {frozen.y0:+.5f} +/- {frozen.y0_stderr:.5f}")

@@ -51,6 +51,7 @@ from .measure import (
     mean_stderr,
     reference_flow,
     tv_marginal,
+    tv_marginals,
     tv_pathspace,
     weighted_statistic,
 )
@@ -71,6 +72,7 @@ from .bsde import (
     regress_conditional,
     solve_driver_bsde,
     solve_linear_family,
+    stat_series,
     terminal_values,
 )
 from .control import (
@@ -118,7 +120,8 @@ __all__ = [
     "serialize_scenario", "validate_scenario",
     # measures
     "EnsembleMismatchError", "MeasureFlow", "TVEstimate", "hellinger_bound",
-    "hellinger_pairs", "mean_stderr", "reference_flow", "tv_marginal", "tv_pathspace",
+    "hellinger_pairs", "mean_stderr", "reference_flow", "tv_marginal", "tv_marginals",
+    "tv_pathspace",
     "weighted_statistic",
     # densities and fixed points
     "ContractionReport", "DriftEvaluator", "FixpointConvergenceError",
@@ -127,7 +130,7 @@ __all__ = [
     # backward solver
     "BasisSpec", "BsdeSolution", "build_features",
     "regress_conditional", "solve_driver_bsde", "solve_linear_family",
-    "terminal_values",
+    "stat_series", "terminal_values",
     # control
     "BsdeFeedbackControl", "Control", "OptimizationReport", "PayoffResult",
     "constant_control", "envelope_bsde", "evaluate_payoff", "hamiltonian",

@@ -34,6 +34,11 @@ the factor once for all members and projects their K columns as one
 right-hand side; only the drivers differ, and one registry call evaluates
 them all.  A single solve is the K = 1 sweep.
 
+The law enters the drift and the costs only through the statistic series
+m_psi(t), so a solve takes each member's law as those series,
+{name: (steps + 1,) array} (stat_series of its flow), and never a flow's
+weights: a caller may drop a flow as soon as its series are read.
+
 The reported Y_0 stderr comes from the pathwise representation
 Y_0 = E[g + sum_k driver dt - sum_k Z dW]: the Z increments act as a
 martingale control variate, so the stderr is comparable to (and correlated
@@ -55,7 +60,7 @@ import numpy as np
 
 from .core import PathEnsemble
 from .girsanov import _family_actions
-from .measure import EnsembleMismatchError, MeasureFlow, mean_stderr
+from .measure import MeasureFlow, mean_stderr
 from .scenario import Scenario
 
 
@@ -250,11 +255,25 @@ def solve_driver_bsde(paths: PathEnsemble, terminal: np.ndarray, driver_at,
                      basis)[0]
 
 
-def _stat_series(scenario: Scenario, flow: MeasureFlow) -> dict[str, np.ndarray]:
-    """The flow's series of every statistic the scenario references (drift,
-    running cost and terminal cost): all that a backward solve reads off a
-    flow besides its ensemble."""
+def stat_series(scenario: Scenario, flow: MeasureFlow) -> dict[str, np.ndarray]:
+    """The flow's (steps + 1,) series of every statistic the scenario
+    references (drift, running cost and terminal cost): the law as every
+    backward solve takes it."""
     return {name: flow.statistic_series(name) for name in scenario.referenced_statistics()}
+
+
+def _check_series(scenario: Scenario, paths: PathEnsemble, members):
+    """Check that each member's series hold a (steps + 1,) series of every
+    statistic the scenario references; a missing or misshapen one raises
+    ValueError naming the member and the statistic."""
+    want = (paths.grid.steps + 1,)
+    for i, series in enumerate(members):
+        for name in scenario.referenced_statistics():
+            if name not in series:
+                raise ValueError(f"member {i}'s series lacks statistic {name!r}")
+            if np.shape(series[name]) != want:
+                raise ValueError(f"member {i}'s series of statistic {name!r} has shape "
+                                 f"{np.shape(series[name])}, not (steps + 1,) = {want}")
 
 
 def _hamiltonian_values(scenario: Scenario, t: float, state, sup,
@@ -271,56 +290,54 @@ def _hamiltonian_values(scenario: Scenario, t: float, state, sup,
     return h + (np.asarray(z, dtype=float) * c) * f
 
 
-def _family_hamiltonian(scenario: Scenario, paths: PathEnsemble,
-                        controls, flows):
+def _family_hamiltonian(scenario: Scenario, paths: PathEnsemble, controls, series):
     """(t_index, z) -> (K, M) values of H for K fixed controls (or pairs), the
-    i-th read under its own flow flows[i].  Each step reads the members'
-    actions once per control kind (girsanov._family_actions: constants as
-    one (K, 1) column, parametric members as one broadcast affine rule, the
-    others one by one) and their statistic rows as (K, 1), then makes one
-    registry call.  The values are the per-member ones bit for bit.  z is
-    (M,), shared by the members, or (K, M)."""
-    if any(f.paths is not paths for f in flows):
-        raise EnsembleMismatchError("every member's flow must live on the solve's ensemble")
-    per_flow = [_stat_series(scenario, f) for f in flows]
-    series = {name: np.stack([s[name] for s in per_flow]) for name in per_flow[0]}
+    i-th read under its own statistic series series[i].  Each step reads the
+    members' actions once per control kind (girsanov._family_actions:
+    constants as one (K, 1) column, parametric members as one broadcast
+    affine rule, the others one by one) and their statistic rows as (K, 1),
+    then makes one registry call.  The values are the per-member ones bit for
+    bit.  z is (M,), shared by the members, or (K, M)."""
+    _check_series(scenario, paths, series)
+    stacked = {name: np.stack([s[name] for s in series])
+               for name in scenario.referenced_statistics()}
     times = paths.grid.times
 
     def hamiltonian_at(k: int, z: np.ndarray) -> np.ndarray:
-        row = {name: s[:, k, None] for name, s in series.items()}
+        row = {name: s[:, k, None] for name, s in stacked.items()}
         return _hamiltonian_values(scenario, times[k], paths.state(k), paths.sup(k), row, z,
                                    _family_actions(controls, paths, k))
 
     return hamiltonian_at
 
 
-def terminal_values(scenario: Scenario, flow: MeasureFlow) -> np.ndarray:
-    """g(x_T, mu_T) per particle, with the law argument read off the flow."""
-    paths = flow.paths
+def terminal_values(scenario: Scenario, paths: PathEnsemble,
+                    series: dict[str, np.ndarray]) -> np.ndarray:
+    """g(x_T, mu_T) per particle, the law argument read off the statistic
+    series (the terminal cost's statistics at the horizon)."""
     n = paths.grid.steps
-    names = scenario.terminal_cost.stat_names()
-    row = {name: float(flow.statistic_series(name)[n]) for name in names}
+    row = {name: float(series[name][n]) for name in scenario.terminal_cost.stat_names()}
     return scenario.terminal_cost.evaluate(paths.state(n), row, scenario.statistic_map)
 
 
-def solve_linear_family(scenario: Scenario, controls, flows,
+def solve_linear_family(scenario: Scenario, paths: PathEnsemble, controls, series,
                         basis: BasisSpec | None = None) -> list[BsdeSolution]:
-    """Backward solves of the payoff equations of K fixed controls (or pairs),
-    one BsdeSolution per member, in one backward sweep.
+    """Backward solves of the payoff equations of K fixed controls (or pairs)
+    on the ensemble, one BsdeSolution per member, in one backward sweep.
 
-    flows[i] supplies every law argument of member i (drift statistics, cost
-    statistics, terminal marginal); all flows live on one ensemble.  The
-    members share each step's features, factor and projection, so a member
-    agrees with its one-member family to rounding (about 1e-15 relative).
-    With a flow matched to its control, a member's Y_0 is the reweighted
+    series[i] is member i's law: its (steps + 1,) series of every statistic
+    the scenario references (stat_series of its flow), which supply the
+    drift statistics, cost statistics and terminal marginal.  The members
+    share each step's features, factor and projection, so a member agrees
+    with its one-member family to rounding (about 1e-15 relative).  With the
+    series of a flow matched to its control, a member's Y_0 is the reweighted
     payoff J(control) up to Monte Carlo and regression error.
     """
-    controls, flows = list(controls), list(flows)
-    if not controls or len(flows) != len(controls):
-        raise ValueError("a family needs at least one control and one flow per control")
+    controls, series = list(controls), list(series)
+    if not controls or len(series) != len(controls):
+        raise ValueError("a family needs at least one control and one series per control")
     if basis is None:
         basis = BasisSpec()
-    paths = flows[0].paths
-    hamiltonian_at = _family_hamiltonian(scenario, paths, controls, flows)
-    terminal = np.stack([terminal_values(scenario, f) for f in flows], axis=1)
+    hamiltonian_at = _family_hamiltonian(scenario, paths, controls, series)
+    terminal = np.stack([terminal_values(scenario, paths, s) for s in series], axis=1)
     return _backward(paths, terminal, lambda k, z: hamiltonian_at(k, z.T).T, basis)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import (BasisSpec, BsdeSolution, _family_hamiltonian, _hamiltonian_values,
-                   _stat_series, solve_driver_bsde, terminal_values)
+                   solve_driver_bsde, stat_series, terminal_values)
 from .core import PathEnsemble, particle_blocks
 from .girsanov import (FixpointDiagnostics, FixpointResult, _affine_actions, _same_series,
                        control_actions, fixpoint_measure_flow)
@@ -201,18 +201,18 @@ def hamiltonian(scenario: Scenario, t: float, state, sup, stats_row: dict,
 
 
 def minimized_hamiltonian(scenario: Scenario, t: float, state, sup,
-                          stats_row: dict, z, grid: ActionGrid,
+                          stats_row: dict, z,
                           indices: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(min_u H, argmin actions), each (m,), over the admissible grid,
+    """(min_u H, argmin actions), each (m,), over the scenario's action grid,
     vectorized.
 
     Ties resolve to the smallest action because the grid is sorted and
     argmin takes the first minimizer.  With indices=True the second item is
-    the argmin's row in grid.array() instead of the action.
+    the argmin's row in scenario.actions.array() instead of the action.
     """
     if scenario.kind == "game":
         raise TypeError("use game envelopes for two-player scenarios")
-    arr = grid.array()
+    arr = scenario.actions.array()
     hams = _hamiltonian_values(scenario, t, state, sup, stats_row, z,
                                [arr[:, None]])  # (n, particles)
     idx = np.argmin(hams, axis=0)
@@ -229,10 +229,8 @@ def _argmin_extremes(scenario: Scenario, t: float, state, sup,
                      stats_row: dict, z) -> tuple[np.ndarray, tuple[np.ndarray]]:
     """(min_u H, (argmin rows,)): the control problem's extremal driver and
     its feedback's extremizer, rows stored in grid_index_dtype."""
-    grid = scenario.actions
-    values, idx = minimized_hamiltonian(scenario, t, state, sup, stats_row, z, grid,
-                                        indices=True)
-    return values, (idx.astype(grid_index_dtype(grid)),)
+    values, idx = minimized_hamiltonian(scenario, t, state, sup, stats_row, z, indices=True)
+    return values, (idx.astype(grid_index_dtype(scenario.actions)),)
 
 
 class _HeldRows:
@@ -343,8 +341,9 @@ def evaluate_payoff(scenario: Scenario, control, paths: PathEnsemble,
         fixpoint = fixpoint_measure_flow(scenario, control, paths, tol=tol)
     flow = fixpoint.flow
     n = paths.grid.steps
-    series = {name: flow.statistic_series(name)
-              for name in scenario.running_cost.stat_names()}
+    names = dict.fromkeys((*scenario.running_cost.stat_names(),
+                           *scenario.terminal_cost.stat_names()))
+    series = {name: flow.statistic_series(name) for name in names}
 
     # each block's weighted running costs are integrated in place; the rows of
     # a block sum exactly as the rows of the whole matrix would
@@ -354,7 +353,7 @@ def evaluate_payoff(scenario: Scenario, control, paths: PathEnsemble,
         h = scenario.running_cost.evaluate(
             paths.values[rows], series, *control_actions(control, paths, rows, steps))
         running[rows] = np.trapezoid(flow.weights[rows] * h, dx=paths.grid.dt, axis=1)
-    terminal = flow.weights[:, n] * terminal_values(scenario, flow)
+    terminal = flow.weights[:, n] * terminal_values(scenario, paths, series)
     per_particle = running + terminal
     value, stderr = mean_stderr(per_particle)
     return PayoffResult(value=value, stderr=stderr, flow=flow,
@@ -433,15 +432,14 @@ class OptimizationReport(SynthesisReport):
         }
 
 
-def _extremal_solve(scenario: Scenario, flow: MeasureFlow, extremes,
-                    basis: BasisSpec) -> tuple[BsdeSolution, _HeldRows]:
-    """Backward solve at the flow whose driver is the extremal Hamiltonian
+def _extremal_solve(scenario: Scenario, paths: PathEnsemble, series: dict[str, np.ndarray],
+                    extremes, basis: BasisSpec) -> tuple[BsdeSolution, _HeldRows]:
+    """Backward solve on the ensemble at the law given by its statistic
+    series (stat_series of a flow) whose driver is the extremal Hamiltonian
     extremes(scenario, t, state, sup, stats_row, z) -> (one value per particle,
     extremizer rows on each of the scenario's grids).  Returns the solution
     and the rows of every step the driver visited."""
-    paths = flow.paths
-    terminal = terminal_values(scenario, flow)
-    series = _stat_series(scenario, flow)
+    terminal = terminal_values(scenario, paths, series)
     times = paths.grid.times
     found = _HeldRows(paths, scenario.grids)
 
@@ -478,7 +476,7 @@ def _synthesize(scenario: Scenario, paths: PathEnsemble, basis: BasisSpec, feedb
     then solved again on the matched flow and the feedback priced there.
 
     A pass reads the flow only through the series of the statistics the
-    scenario references (_stat_series), and the fixed point starts from the
+    scenario references (stat_series), and the fixed point starts from the
     reference flow.  So a pass whose series equal bit for bit those the
     last solve read would rebuild that solve's feedback and flow: it is
     recorded as distance 0.0 with stderr 0.0, what it would measure, without
@@ -490,11 +488,11 @@ def _synthesize(scenario: Scenario, paths: PathEnsemble, basis: BasisSpec, feedb
     trace: list[tuple[int, float, float]] = []
     read = None   # the series the last solve read
     for it in range(1, _MAX_OUTER + 1):
-        series = _stat_series(scenario, flow)
+        series = stat_series(scenario, flow)
         if read is not None and _same_series(series, read):
             trace.append((it, 0.0, 0.0))
             break
-        sol, found = _extremal_solve(scenario, flow, feedback.extremes, basis)
+        sol, found = _extremal_solve(scenario, paths, series, feedback.extremes, basis)
         read = series
         control = feedback(scenario, sol, {name: s.copy() for name, s in series.items()})
         control._rows[paths] = found
@@ -505,8 +503,9 @@ def _synthesize(scenario: Scenario, paths: PathEnsemble, basis: BasisSpec, feedb
         if est.value < tol:
             break
 
-    if not _same_series(_stat_series(scenario, flow), read):
-        sol, _ = _extremal_solve(scenario, flow, feedback.extremes, basis)
+    series = stat_series(scenario, flow)
+    if not _same_series(series, read):
+        sol, _ = _extremal_solve(scenario, paths, series, feedback.extremes, basis)
     payoff = evaluate_payoff(scenario, control, paths, fixpoint=fixres)
     return control, fixres, sol, payoff, tuple(trace), trace[-1][1] < tol
 
@@ -530,7 +529,8 @@ def policy_iteration(scenario: Scenario, paths: PathEnsemble, basis: BasisSpec |
 
     control, fixres, final_sol, payoff, trace, converged = _synthesize(
         scenario, paths, basis, BsdeFeedbackControl, tol)
-    h_res = _argmin_residual(scenario, control, final_sol, fixres.flow)
+    h_res = _argmin_residual(scenario, control, final_sol, paths,
+                             stat_series(scenario, fixres.flow))
     return OptimizationReport(
         control=control, flow=fixres.flow,
         y0=final_sol.y0, y0_stderr=final_sol.y0_stderr,
@@ -539,16 +539,15 @@ def policy_iteration(scenario: Scenario, paths: PathEnsemble, basis: BasisSpec |
         trace=trace, tol=tol, converged=converged, solution=final_sol)
 
 
-def _argmin_residual(scenario: Scenario, control, sol: BsdeSolution,
-                     flow: MeasureFlow) -> float:
+def _argmin_residual(scenario: Scenario, control, sol: BsdeSolution, paths: PathEnsemble,
+                     series: dict[str, np.ndarray]) -> float:
     """max over a sampled (t, particle) set of H(., u_hat) - min_u H at the
-    matched flow; zero means the feedback is pointwise optimal there."""
-    paths = flow.paths
+    matched law, given by its statistic series; zero means the feedback is
+    pointwise optimal there."""
     n = paths.grid.steps
     rng = np.random.default_rng(_RESIDUAL_SEED)
     m = paths.particles
     take = min(_RESIDUAL_SAMPLES, m)
-    series = _stat_series(scenario, flow)
     worst = 0.0
     for k in sorted({0, n // 4, n // 2, (3 * n) // 4, n - 1}):
         idx = rng.choice(m, size=take, replace=False)
@@ -559,7 +558,7 @@ def _argmin_residual(scenario: Scenario, control, sol: BsdeSolution,
         z = sol.z_at(paths, k)[idx]
         acts = control.actions(paths, k)[idx]
         h_at = hamiltonian(scenario, t, state, sup, row, z, acts)
-        h_min, _ = minimized_hamiltonian(scenario, t, state, sup, row, z, scenario.actions)
+        h_min, _ = minimized_hamiltonian(scenario, t, state, sup, row, z)
         worst = max(worst, float(np.max(h_at - h_min)))
     return worst
 
@@ -568,12 +567,12 @@ def _argmin_residual(scenario: Scenario, control, sol: BsdeSolution,
 # envelope and verification
 
 
-def envelope_bsde(scenario: Scenario, controls, flows,
+def envelope_bsde(scenario: Scenario, paths: PathEnsemble, controls, series,
                   basis: BasisSpec | None = None) -> BsdeSolution:
     """Backward solve of the lower-envelope equation of a control family.
 
     Terminal and driver are the pointwise minima over the family, each
-    member read together with its own matched flow:
+    member read together with its own matched law:
 
         g*(x)     = min_i g(x_T, mu^i_T),
         H*(t,x,z) = min_i [h(t, x, mu^i_t, u_i) + z sigma^{-1} f(t, x, mu^i_t, u_i)],
@@ -582,20 +581,19 @@ def envelope_bsde(scenario: Scenario, controls, flows,
     noise.  The law argument moves with the candidate instead of staying
     frozen at one flow, which is what makes the value a lower bound even when
     costs or dynamics read the law.  Enlarging the family can only lower the
-    value.  flows are the members' matched MeasureFlows, ordered like
-    controls, and the solve runs on their ensemble, as in
-    solve_linear_family.
+    value.  series are the statistic series of the members' matched flows
+    (stat_series), ordered like controls, and the solve runs on the
+    ensemble, as in solve_linear_family.
     """
     if scenario.kind == "game":
         raise TypeError("envelope_bsde takes a single-controller scenario")
-    controls, flows = list(controls), list(flows)
-    if not controls or len(flows) != len(controls):
-        raise ValueError("an envelope needs at least one control and one flow per control")
-    paths = flows[0].paths
+    controls, series = list(controls), list(series)
+    if not controls or len(series) != len(controls):
+        raise ValueError("an envelope needs at least one control and one series per control")
 
-    terminal = np.min([terminal_values(scenario, f) for f in flows], axis=0)
     # every candidate's H in one (K, M) array per step; the minimum is exact
-    candidates_at = _family_hamiltonian(scenario, paths, controls, flows)
+    candidates_at = _family_hamiltonian(scenario, paths, controls, series)
+    terminal = np.min([terminal_values(scenario, paths, s) for s in series], axis=0)
     return solve_driver_bsde(paths, terminal,
                              lambda k, z: np.min(candidates_at(k, z), axis=0), basis)
 

@@ -204,10 +204,24 @@ def tv_marginal(a: MeasureFlow, b: MeasureFlow, t_index: int) -> TVEstimate:
     bins and bits (_cut_sums).  On a common ensemble the states are sorted,
     cut and binned once for both weight columns.  Coarsening can only lower
     TV, so this estimator is dominated by tv_pathspace on a common ensemble.
+    This is the K = 1 call of tv_marginals.
     """
-    common = a.paths is b.paths
-    xa = a.paths.values[:, t_index]
-    xb = b.paths.values[:, t_index]
+    return tv_marginals((a,), b, t_index)[0]
+
+
+def tv_marginals(flows, other: MeasureFlow, t_index: int) -> list[TVEstimate]:
+    """tv_marginal(a, other, t_index) for each of K flows a on one ensemble
+    (another ensemble raises EnsembleMismatchError), in their order and with
+    their bits.  The flows' time-t states are sorted, cut at the bin edges
+    and binned once for all K weight columns (and other's, when it shares
+    the ensemble), and other's histogram is read once."""
+    flows = list(flows)
+    paths = flows[0].paths
+    if any(f.paths is not paths for f in flows):
+        raise EnsembleMismatchError("every flow must live on one ensemble")
+    common = other.paths is paths
+    xa = paths.values[:, t_index]
+    xb = other.paths.values[:, t_index]
     lo, hi = xa.min(), xa.max()
     if not common:
         lo, hi = min(lo, xb.min()), max(hi, xb.max())
@@ -215,29 +229,32 @@ def tv_marginal(a: MeasureFlow, b: MeasureFlow, t_index: int) -> TVEstimate:
         lo, hi = lo - 0.5, lo + 0.5
     edges = np.linspace(lo, hi, _TV_BINS + 1)
     width = float(edges[1] - edges[0])
-    wa = a.weights[:, t_index]
-    wb = b.weights[:, t_index]
+    columns = [f.weights[:, t_index] for f in flows]
+    wb = other.weights[:, t_index]
     if common:
-        ca, cb = _cut_sums(xa, (wa, wb), edges)
+        *cuts, cb = _cut_sums(xa, (*columns, wb), edges)
     else:
-        (ca,), (cb,) = _cut_sums(xa, (wa,), edges), _cut_sums(xb, (wb,), edges)
-    pa = np.diff(ca) / a.particles
-    pb = np.diff(cb) / b.particles
-    value = float(np.sum(np.abs(pa - pb)))
-
-    # delta-method stderr: TV = sum_b s_b (pa_b - pb_b) with fixed signs, so it
-    # linearizes into means of per-particle contributions on each side
-    signs = np.sign(pa - pb)
+        cuts, (cb,) = _cut_sums(xa, columns, edges), _cut_sums(xb, (wb,), edges)
+    pb = np.diff(cb) / other.particles
 
     def bins(x):
         return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, _TV_BINS - 1)
 
     ia = bins(xa)
     ib = ia if common else bins(xb)
-    ga = signs[ia] * wa
-    gb = signs[ib] * wb
-    stderr = float(np.sqrt(np.var(ga) / a.particles + np.var(gb) / b.particles))
-    return TVEstimate(value=min(value, 2.0), stderr=stderr, kind="marginal", bin_width=width)
+    out = []
+    for ca, wa in zip(cuts, columns):
+        pa = np.diff(ca) / paths.particles
+        value = float(np.sum(np.abs(pa - pb)))
+        # delta-method stderr: TV = sum_b s_b (pa_b - pb_b) with fixed signs, so
+        # it linearizes into means of per-particle contributions on each side
+        signs = np.sign(pa - pb)
+        ga = signs[ia] * wa
+        gb = signs[ib] * wb
+        stderr = float(np.sqrt(np.var(ga) / paths.particles + np.var(gb) / other.particles))
+        out.append(TVEstimate(value=min(value, 2.0), stderr=stderr, kind="marginal",
+                              bin_width=width))
+    return out
 
 
 def hellinger_pairs(drifts, horizons) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

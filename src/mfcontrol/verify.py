@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import BasisSpec, solve_linear_family
+from .bsde import BasisSpec, solve_linear_family, stat_series
 from .control import (constant_control, envelope_bsde, evaluate_payoff,
                       parametric_control, policy_iteration)
 from .core import simulate_for_scenario
 from .game import isaacs_gap, solve_game, verify_saddle
 from .girsanov import DriftEvaluator, density_process, fixpoint_measure_flow
-from .measure import (hellinger_pairs, mean_stderr, reference_flow, tv_columns, tv_marginal,
+from .measure import (hellinger_pairs, mean_stderr, reference_flow, tv_columns, tv_marginals,
                       tv_pathspace, weighted_statistic)
 from .scenario import builtin_scenarios, get_builtin
 
@@ -132,8 +132,8 @@ def check_payoff_identity(ctx: AcceptanceContext) -> CheckResult:
         paths = ctx.paths_for(scen)
         family = _family(scen)
         fixes = [ctx.fixpoint(scen, control, label) for label, control in family]
-        sols = solve_linear_family(scen, [control for _, control in family],
-                                   [fix.flow for fix in fixes], ctx.basis)
+        sols = solve_linear_family(scen, paths, [control for _, control in family],
+                                   [stat_series(scen, fix.flow) for fix in fixes], ctx.basis)
         for (label, control), fix, sol in zip(family, fixes, sols):
             pay = evaluate_payoff(scen, control, paths, fixpoint=fix)
             gap = sol.y0 - pay.value
@@ -266,18 +266,28 @@ def check_hellinger(ctx: AcceptanceContext) -> CheckResult:
 
 @_criterion(5, "marginal TV dominated by path-space TV at every time")
 def check_marginal_domination(ctx: AcceptanceContext) -> CheckResult:
+    picked = {}   # scenario -> (label, matched flow of its first family member)
+    sharing = {}  # ensemble -> the scenarios whose flows live on it
+    for name, scen in ctx.scenarios.items():
+        label, control = _family(scen)[0]
+        picked[name] = (label, ctx.fixpoint(scen, control, label).flow)
+        sharing.setdefault(ctx.paths_for(scen), []).append(name)
+    # the scenarios on one ensemble share each column's sort, cuts and bins
+    marginals = {}  # scenario -> (reference flow, tv_marginal at each step)
+    for paths, names in sharing.items():
+        ref = reference_flow(paths)
+        per_step = [tv_marginals([picked[name][1] for name in names], ref, k)
+                    for k in range(ctx.steps + 1)]
+        for i, name in enumerate(names):
+            marginals[name] = (ref, [est[i] for est in per_step])
     rows = []
     passed = True
-    for name, scen in ctx.scenarios.items():
-        paths = ctx.paths_for(scen)
-        label, control = _family(scen)[0]
-        fix = ctx.fixpoint(scen, control, label)
-        ref = reference_flow(paths, scen.statistic_map)
+    for name, (label, flow) in picked.items():
+        ref, margs = marginals[name]
         worst = None
         ok_all = True
-        for k in range(ctx.steps + 1):
-            marg = tv_marginal(fix.flow, ref, k)
-            path = tv_pathspace(fix.flow, ref, k)
+        for k, marg in enumerate(margs):
+            path = tv_pathspace(flow, ref, k)
             se = float(np.hypot(marg.stderr, path.stderr))
             slack = path.value + 5.0 * se + marg.bin_width - marg.value
             ok = bool(slack >= 0)
@@ -354,17 +364,21 @@ def _comparison_row(ctx: AcceptanceContext, sname: str) -> dict:
         b = float(rng.uniform(-0.5, 0.5))
         c = float(rng.uniform(-0.3, 0.3))
         sampled.append(parametric_control(a, b, c, scen.actions))
-    sampled_flows = [fixpoint_measure_flow(scen, control, paths, tol=ctx.tol).flow
-                     for control in sampled]
-    sols = solve_linear_family(scen, sampled, sampled_flows, ctx.basis)
+    # a backward solve reads a law only through its statistic series, so each
+    # sampled flow is dropped as soon as its series are read
+    sampled_series = [stat_series(scen, fixpoint_measure_flow(scen, control, paths,
+                                                              tol=ctx.tol).flow)
+                      for control in sampled]
+    sols = solve_linear_family(scen, paths, sampled, sampled_series, ctx.basis)
 
     # Y* is the lower-envelope backward value: each candidate enters the
-    # driver and terminal minima under its own matched flow.  The cached
+    # driver and terminal minima under its own matched law.  The cached
     # grid constants widen the family beyond the compared controls.
     extras = _family(scen)
     candidates = sampled + [c for _, c in extras]
-    flows = sampled_flows + [ctx.fixpoint(scen, c, label).flow for label, c in extras]
-    star = envelope_bsde(scen, candidates, flows, ctx.basis)
+    series = sampled_series + [stat_series(scen, ctx.fixpoint(scen, c, label).flow)
+                               for label, c in extras]
+    star = envelope_bsde(scen, paths, candidates, series, ctx.basis)
 
     worst = None
     ok_all = True

@@ -19,16 +19,17 @@ import numpy as np
 from mfcontrol import (BsdeSolution, DriftEvaluator, FixpointConvergenceError,
                        FixpointDiagnostics, FixpointResult, MeasureFlow, constant_control,
                        density_process, evaluate_payoff, fixpoint_measure_flow, get_builtin,
-                       mean_stderr, reference_flow, tv_pathspace)
+                       mean_stderr, reference_flow, stat_series, tv_pathspace)
 from mfcontrol.core import particle_blocks
-from mfcontrol.bsde import _family_hamiltonian, _stat_series
+from mfcontrol.bsde import _family_hamiltonian
 from mfcontrol.control import _MAX_OUTER, _extremal_solve
 
 
-def linear_driver(scenario, flow, control):
+def linear_driver(scenario, paths, series, control):
     """Driver (t_index, z) -> H = h + z sigma^{-1} f per particle for one
-    fixed control (or pair) at the flow, z of shape (particles,)."""
-    hamiltonian_at = _family_hamiltonian(scenario, flow.paths, [control], [flow])
+    fixed control (or pair) at the law given by its statistic series, z of
+    shape (particles,)."""
+    hamiltonian_at = _family_hamiltonian(scenario, paths, [control], [series])
     return lambda k, z: hamiltonian_at(k, z)[0]
 
 
@@ -97,9 +98,9 @@ def synthesize_every_pass(scenario, paths, basis, feedback, tol):
     flow = reference_flow(paths, scenario.statistic_map)
     trace = []
     for it in range(1, _MAX_OUTER + 1):
-        sol, found = _extremal_solve(scenario, flow, extremes, basis)
-        control = feedback(scenario, sol, {name: s.copy()
-                                           for name, s in _stat_series(scenario, flow).items()})
+        series = stat_series(scenario, flow)
+        sol, found = _extremal_solve(scenario, paths, series, extremes, basis)
+        control = feedback(scenario, sol, {name: s.copy() for name, s in series.items()})
         control._rows[paths] = found
         fixres = fixpoint_measure_flow(scenario, control, paths, tol=tol)
         est = tv_pathspace(flow, fixres.flow, paths.grid.steps)
@@ -107,6 +108,7 @@ def synthesize_every_pass(scenario, paths, basis, feedback, tol):
         flow = fixres.flow
         if est.value < tol:
             break
-    final_sol, _ = _extremal_solve(scenario, flow, extremes, basis)
+    final_sol, _ = _extremal_solve(scenario, paths, stat_series(scenario, flow), extremes,
+                                   basis)
     payoff = evaluate_payoff(scenario, control, paths, fixpoint=fixres)
     return control, fixres, final_sol, payoff, tuple(trace), trace[-1][1] < tol

@@ -64,8 +64,7 @@ def pair(separated_game):
 def uncached_actions(control, paths, k):
     z = control.solution.z_at(paths, k)
     _, acts = minimized_hamiltonian(control.scenario, paths.grid.times[k],
-                                    paths.state(k), paths.sup(k),
-                                    control.stats_at(k), z, control.scenario.actions)
+                                    paths.state(k), paths.sup(k), control.stats_at(k), z)
     return acts
 
 
@@ -259,8 +258,8 @@ def test_each_outer_iteration_saves_one_minimization_per_step(name, scenarios, m
     # all of its extremizers itself
     solve = control_mod._extremal_solve
     monkeypatch.setattr(control_mod, "_extremal_solve",
-                        lambda scen, flow, *rest: (solve(scen, flow, *rest)[0],
-                                                   _HeldRows(flow.paths, scen.grids)))
+                        lambda scen, paths, *rest: (solve(scen, paths, *rest)[0],
+                                                    _HeldRows(paths, scen.grids)))
     calls.clear()
     unseeded = policy_iteration(scen, paths)
     assert seeded.y0 == unseeded.y0 and seeded.j_hat == unseeded.j_hat

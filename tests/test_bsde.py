@@ -34,7 +34,6 @@ import pytest
 import mfcontrol.bsde as bsde_mod
 from mfcontrol import (
     BasisSpec,
-    EnsembleMismatchError,
     constant_control,
     envelope_bsde,
     fixpoint_measure_flow,
@@ -47,6 +46,7 @@ from mfcontrol import (
     simulate_for_scenario,
     solve_driver_bsde,
     solve_linear_family,
+    stat_series,
     table_control,
     terminal_values,
 )
@@ -174,7 +174,7 @@ def test_lq_payoff_equation_closed_form(lq, paths4k):
     for u in (-1.0, 0.0, 1.0):
         control = constant_control([u], lq.actions)
         fix = fixpoint_measure_flow(lq, control, paths4k)
-        sol = solve_linear_family(lq, [control], [fix.flow])[0]
+        sol = solve_linear_family(lq, paths4k, [control], [stat_series(lq, fix.flow)])[0]
         analytic = u * lq.horizon + 0.5 * u * u * lq.horizon
         # the additive term covers basis-projection drift, which the
         # martingale-representation stderr does not see
@@ -185,14 +185,14 @@ def test_solution_is_linear_in_costs(lq, paths4k):
     from mfcontrol import parse_scenario, serialize_scenario
 
     control = constant_control([1.0], lq.actions)
-    flow = fixpoint_measure_flow(lq, control, paths4k).flow
-    base = solve_linear_family(lq, [control], [flow])[0]
+    series = stat_series(lq, fixpoint_measure_flow(lq, control, paths4k).flow)
+    base = solve_linear_family(lq, paths4k, [control], [series])[0]
 
     doc = serialize_scenario(lq)
     doc["running_cost"]["quad"] = 2.0
     doc["terminal_cost"]["coeff"] = 2.0
     doubled_scenario = parse_scenario(doc)
-    doubled = solve_linear_family(doubled_scenario, [control], [flow])[0]
+    doubled = solve_linear_family(doubled_scenario, paths4k, [control], [series])[0]
     assert doubled.y0 == pytest.approx(2.0 * base.y0, rel=1e-9)
     np.testing.assert_allclose(doubled.y_residuals, 2.0 * base.y_residuals, rtol=1e-9)
     for k in range(paths4k.grid.steps + 1):
@@ -209,10 +209,10 @@ def test_minimized_driver_reaches_optimal_value(lq, paths4k):
     def driver(k, z):
         row = {name: stats[name][k] for name in stats}
         values, _ = minimized_hamiltonian(lq, times[k], paths4k.state(k),
-                                          paths4k.sup(k), row, z, lq.actions)
+                                          paths4k.sup(k), row, z)
         return values
 
-    terminal = terminal_values(lq, flow)
+    terminal = terminal_values(lq, paths4k, stats)
     sol = solve_driver_bsde(paths4k, terminal, driver)
     analytic = -0.5 * lq.horizon  # xi - T/2 with xi = 0
     assert abs(sol.y0 - analytic) <= 3.0 * sol.y0_stderr + 0.05
@@ -223,8 +223,8 @@ def test_y0_stderr_scales_with_particles(lq):
     for m in (1000, 4000):
         paths = simulate_for_scenario(lq, particles=m, steps=16, seed=13)
         control = constant_control([1.0], lq.actions)
-        flow = fixpoint_measure_flow(lq, control, paths).flow
-        ses[m] = solve_linear_family(lq, [control], [flow])[0].y0_stderr
+        series = stat_series(lq, fixpoint_measure_flow(lq, control, paths).flow)
+        ses[m] = solve_linear_family(lq, paths, [control], [series])[0].y0_stderr
     assert ses[1000] > 0 and ses[4000] > 0
     # more particles help twice: 1/sqrt(M) averaging and a tighter Z control
     # variate, so the stderr must drop by at least the averaging factor
@@ -301,10 +301,11 @@ def test_factored_solve_matches_lstsq_reference(name, particles, basis):
     scen = get_builtin(name)
     paths = simulate_for_scenario(scen, particles=particles, steps=20, seed=2)
     control = parametric_control(0.3, -0.4, 0.2, scen.actions)
-    flow = fixpoint_measure_flow(scen, control, paths).flow
-    sol = solve_linear_family(scen, [control], [flow], basis)[0]
+    series = stat_series(scen, fixpoint_measure_flow(scen, control, paths).flow)
+    sol = solve_linear_family(scen, paths, [control], [series], basis)[0]
     resid, z, y0, y0_se, gram_inv, rms = lstsq_backward(
-        paths, terminal_values(scen, flow), linear_driver(scen, flow, control), sol.basis)
+        paths, terminal_values(scen, paths, series), linear_driver(scen, paths, series, control),
+        sol.basis)
 
     assert_relative(sol.y_residuals, resid, 1e-12)
     assert abs(sol.y0 - y0) <= 1e-12 * max(1.0, abs(y0))
@@ -422,16 +423,16 @@ def family_case(name):
 def family(request):
     scen, controls = family_case(request.param)
     paths = simulate_for_scenario(scen, particles=2000, steps=20, seed=3)
-    flows = [fixpoint_measure_flow(scen, c, paths).flow for c in controls]
-    return scen, paths, controls, flows
+    series = [stat_series(scen, fixpoint_measure_flow(scen, c, paths).flow) for c in controls]
+    return scen, paths, controls, series
 
 
 def test_family_members_match_their_solo_solves(family):
-    scen, paths, controls, flows = family
-    members = solve_linear_family(scen, controls, flows)
+    scen, paths, controls, laws = family
+    members = solve_linear_family(scen, paths, controls, laws)
     assert len(members) == len(controls)
-    for control, flow, member in zip(controls, flows, members):
-        solo = solve_linear_family(scen, [control], [flow])[0]
+    for control, series, member in zip(controls, laws, members):
+        solo = solve_linear_family(scen, paths, [control], [series])[0]
         assert abs(member.y0 - solo.y0) <= 1e-12 * max(1.0, abs(solo.y0))
         assert abs(member.y0_stderr - solo.y0_stderr) <= 1e-12 * max(1.0, solo.y0_stderr)
         assert_relative(member.y_residuals, solo.y_residuals, 1e-12)
@@ -443,11 +444,11 @@ def test_family_members_match_their_solo_solves(family):
 
 
 def test_one_member_family_gives_the_solo_bits(family):
-    scen, paths, controls, flows = family
-    for control, flow in zip(controls, flows):
-        [member] = solve_linear_family(scen, [control], [flow])
-        solo = solve_driver_bsde(paths, terminal_values(scen, flow),
-                                 linear_driver(scen, flow, control))
+    scen, paths, controls, laws = family
+    for control, series in zip(controls, laws):
+        [member] = solve_linear_family(scen, paths, [control], [series])
+        solo = solve_driver_bsde(paths, terminal_values(scen, paths, series),
+                                 linear_driver(scen, paths, series, control))
         assert_same_solution(member, solo)
 
 
@@ -456,11 +457,12 @@ def test_members_keep_their_own_statistic_rows(mean_field):
     # must read flow i in its drift, running cost and terminal law
     paths = simulate_for_scenario(mean_field, particles=2000, steps=20, seed=3)
     control = constant_control(0.0, mean_field.actions)
-    flows = [fixpoint_measure_flow(mean_field, constant_control(u, mean_field.actions),
-                                   paths).flow for u in (-1.0, 1.0)]
-    solos = [solve_linear_family(mean_field, [control], [flow])[0] for flow in flows]
+    laws = [stat_series(mean_field, fixpoint_measure_flow(
+        mean_field, constant_control(u, mean_field.actions), paths).flow) for u in (-1.0, 1.0)]
+    solos = [solve_linear_family(mean_field, paths, [control], [series])[0] for series in laws]
     assert abs(solos[0].y0 - solos[1].y0) > 0.1
-    for member, solo in zip(solve_linear_family(mean_field, [control, control], flows), solos):
+    for member, solo in zip(solve_linear_family(mean_field, paths, [control, control], laws),
+                            solos):
         assert abs(member.y0 - solo.y0) <= 1e-12 * max(1.0, abs(solo.y0))
         assert_relative(member.y_residuals, solo.y_residuals, 1e-12)
         for k in range(paths.grid.steps + 1):
@@ -476,11 +478,11 @@ def test_family_solve_holds_no_particle_paths(lq):
     rng = np.random.default_rng(38)
     controls = [parametric_control(rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5),
                                    rng.uniform(-0.3, 0.3), lq.actions) for _ in range(20)]
-    flows = [fixpoint_measure_flow(lq, c, paths).flow for c in controls]
-    solve_linear_family(lq, controls[:1], flows[:1])  # the factors are held from here on
+    laws = [stat_series(lq, fixpoint_measure_flow(lq, c, paths).flow) for c in controls]
+    solve_linear_family(lq, paths, controls[:1], laws[:1])  # the factors are held from here on
     tracemalloc.start()
     try:
-        sols = solve_linear_family(lq, controls, flows)
+        sols = solve_linear_family(lq, paths, controls, laws)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -491,16 +493,30 @@ def test_family_solve_holds_no_particle_paths(lq):
 
 def test_family_arguments_are_checked(lq, paths1k):
     control = constant_control(0.0, lq.actions)
-    flow = reference_flow(paths1k, lq.statistic_map)
-    other = simulate_for_scenario(lq, particles=paths1k.particles, steps=paths1k.grid.steps,
-                                  seed=6)
+    series = stat_series(lq, reference_flow(paths1k, lq.statistic_map))
     with pytest.raises(ValueError):
-        solve_linear_family(lq, [], [])
+        solve_linear_family(lq, paths1k, [], [])
     with pytest.raises(ValueError):
-        solve_linear_family(lq, [control, control], [flow])
-    with pytest.raises(EnsembleMismatchError):
-        solve_linear_family(lq, [control, control],
-                            [flow, reference_flow(other, lq.statistic_map)])
+        solve_linear_family(lq, paths1k, [control, control], [series])
+
+
+@pytest.mark.parametrize("solve", [solve_linear_family, envelope_bsde])
+def test_family_series_are_checked(mean_field, paths1k, solve):
+    # a member's law is its series of every statistic the scenario references,
+    # one value per grid time; the error names the member and the statistic
+    controls = [constant_control(u, mean_field.actions) for u in (-0.5, 0.5)]
+    series = stat_series(mean_field, reference_flow(paths1k, mean_field.statistic_map))
+    assert set(series) == {"mean"}
+    solve(mean_field, paths1k, controls, [series, series])
+    with pytest.raises(ValueError, match="member 1's series lacks statistic 'mean'"):
+        solve(mean_field, paths1k, controls, [series, {}])
+    short = {"mean": series["mean"][:-1]}
+    with pytest.raises(ValueError, match=r"member 0's series of statistic 'mean' has shape "
+                                         r"\(16,\), not \(steps \+ 1,\) = \(17,\)"):
+        solve(mean_field, paths1k, controls, [short, series])
+    stacked = {"mean": np.stack([series["mean"]] * 2)}
+    with pytest.raises(ValueError, match="member 1's series of statistic 'mean'"):
+        solve(mean_field, paths1k, controls, [series, stacked])
 
 
 def test_envelope_is_the_candidate_minimum_bit_for_bit(mean_field):
@@ -510,7 +526,7 @@ def test_envelope_is_the_candidate_minimum_bit_for_bit(mean_field):
                 parametric_control(-0.8, 0.6, 0.0, grid), parametric_control(-0.8, -0.6, 0.0, grid),
                 parametric_control(-1.0, 0.0, 0.4, grid), table_control([0.0], [[-0.6, -1.0]], grid)]
     flows = [fixpoint_measure_flow(mean_field, c, paths).flow for c in controls]
-    env = envelope_bsde(mean_field, controls, flows)
+    env = envelope_bsde(mean_field, paths, controls, [stat_series(mean_field, f) for f in flows])
 
     # the envelope's driver as a loop over candidates, one H call each
     series = [{name: f.statistic_series(name) for name in f.statistics} for f in flows]
@@ -531,7 +547,7 @@ def test_envelope_is_the_candidate_minimum_bit_for_bit(mean_field):
         strict_wins[:] += np.bincount(np.argmin(hams, axis=0)[strict], minlength=len(controls))
         return values
 
-    terminal = np.min([terminal_values(mean_field, f) for f in flows], axis=0)
+    terminal = np.min([terminal_values(mean_field, paths, s) for s in series], axis=0)
     assert_same_solution(env, solve_driver_bsde(paths, terminal, driver))
     # every candidate is the strict minimum somewhere, so each one is checked
     assert np.all(strict_wins > 0)

@@ -36,6 +36,7 @@ from mfcontrol import (
     policy_iteration,
     simulate_reference,
     solve_linear_family,
+    stat_series,
     table_control,
 )
 
@@ -221,8 +222,7 @@ def test_hamiltonian_rejects_game_scenarios(separated_game):
     with pytest.raises(TypeError, match="game"):
         hamiltonian(separated_game, 0.0, x, x, {}, x, x)
     with pytest.raises(TypeError, match="game"):
-        minimized_hamiltonian(separated_game, 0.0, x, x, {}, x,
-                              separated_game.actions)
+        minimized_hamiltonian(separated_game, 0.0, x, x, {}, x)
 
 
 @pytest.mark.parametrize("diffusion", [
@@ -240,7 +240,7 @@ def test_hamiltonian_matches_the_linear_driver_for_every_scalar_sigma(mean_field
     paths = simulate_for_scenario(scen, particles=300, steps=6, seed=17)
     control = parametric_control(0.2, -0.5, 0.3, scen.actions)
     flow = fixpoint_measure_flow(scen, control, paths).flow
-    driver = linear_driver(scen, flow, control)
+    driver = linear_driver(scen, paths, stat_series(scen, flow), control)
     z = np.random.default_rng(3).normal(size=paths.particles)
     for k in range(paths.grid.steps):
         row = {name: flow.statistic_series(name)[k] for name in scen.statistic_map}
@@ -271,7 +271,7 @@ def test_hamiltonian_matches_sigma_inverse_of_the_simulated_drift(mean_field, se
     played = controls[0] if kind == "control" else controls
     flow = fixpoint_measure_flow(scen, played, paths).flow
     drift_at = DriftEvaluator(scen, flow, played)
-    driver = linear_driver(scen, flow, played)
+    driver = linear_driver(scen, paths, stat_series(scen, flow), played)
     z = np.random.default_rng(3).normal(size=paths.particles)
     for k in range(paths.grid.steps):
         t, state, sup = paths.grid.times[k], paths.state(k), paths.sup(k)
@@ -295,8 +295,7 @@ def test_minimized_hamiltonian_matches_enumeration(lq):
     x = np.array([0.0, 0.5, -0.5])
     for z0 in (-2.0, -0.37, 0.0, 0.41, 3.0):
         z = np.full(3, z0)
-        values, acts = minimized_hamiltonian(lq, 0.0, x, np.abs(x),
-                                             {"mean": 0.0}, z, lq.actions)
+        values, acts = minimized_hamiltonian(lq, 0.0, x, np.abs(x), {"mean": 0.0}, z)
         assert acts.shape == (3,)
         expected = _lq_grid_minimum(lq.actions, z0)
         np.testing.assert_allclose(values, expected, rtol=1e-12)
@@ -312,8 +311,7 @@ def test_minimized_hamiltonian_breaks_ties_toward_first_point(zero_drift):
     # H is identically zero, so every action ties; argmin takes the grid head
     x = np.array([0.3, -0.7])
     values, acts = minimized_hamiltonian(zero_drift, 0.0, x, np.abs(x),
-                                         {"mean": 0.0}, np.ones(2),
-                                         zero_drift.actions)
+                                         {"mean": 0.0}, np.ones(2))
     np.testing.assert_array_equal(values, np.zeros(2))
     first = zero_drift.actions.points[0]
     np.testing.assert_array_equal(acts, np.full(2, first))
@@ -323,8 +321,7 @@ def test_minimized_hamiltonian_breaks_ties_toward_first_point(zero_drift):
 @given(z0=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
 def test_minimized_hamiltonian_is_grid_minimum(lq, z0):
     x = np.array([0.25])
-    values, acts = minimized_hamiltonian(lq, 0.0, x, x, {"mean": 0.0},
-                                         np.array([z0]), lq.actions)
+    values, acts = minimized_hamiltonian(lq, 0.0, x, x, {"mean": 0.0}, np.array([z0]))
     expected = _lq_grid_minimum(lq.actions, z0)
     np.testing.assert_allclose(values[0], expected, rtol=1e-12, atol=1e-15)
 
@@ -439,8 +436,8 @@ def test_optimization_report_serializes(lq, paths1k):
 
 def test_envelope_follows_best_member_value(lq, paths4k):
     controls = [constant_control(u, lq.actions) for u in (0.0, 1.0, -1.0)]
-    flows = [fixpoint_measure_flow(lq, c, paths4k).flow for c in controls]
-    env = envelope_bsde(lq, controls, flows)
+    series = [stat_series(lq, fixpoint_measure_flow(lq, c, paths4k).flow) for c in controls]
+    env = envelope_bsde(lq, paths4k, controls, series)
     # J(u) = u T + u^2 T / 2 is smallest at u = -1 and the regressed z stays
     # near 1, where the -1 member minimizes the driver pointwise
     assert abs(env.y0 + 0.5) <= 3.0 * env.y0_stderr + 0.05
@@ -449,8 +446,9 @@ def test_envelope_follows_best_member_value(lq, paths4k):
 def test_envelope_of_single_control_matches_linear_solve(lq, paths4k):
     control = constant_control(-1.0, lq.actions)
     pay = evaluate_payoff(lq, control, paths4k)
-    env = envelope_bsde(lq, [control], [pay.flow])
-    lin = solve_linear_family(lq, [control], [pay.flow])[0]
+    series = stat_series(lq, pay.flow)
+    env = envelope_bsde(lq, paths4k, [control], [series])
+    lin = solve_linear_family(lq, paths4k, [control], [series])[0]
     assert env.y0 == pytest.approx(lin.y0, rel=1e-9, abs=1e-9)
     assert env.y0_stderr == pytest.approx(lin.y0_stderr, rel=1e-6, abs=1e-9)
 
@@ -462,18 +460,19 @@ def test_envelope_lower_bounds_members_under_law_coupling(mean_field, paths4k):
                 parametric_control(-0.74, 0.14, -0.3, mean_field.actions),
                 constant_control(0.5, mean_field.actions)]
     payoffs = [evaluate_payoff(mean_field, c, paths4k) for c in controls]
-    env = envelope_bsde(mean_field, controls, [p.flow for p in payoffs])
+    env = envelope_bsde(mean_field, paths4k, controls,
+                        [stat_series(mean_field, p.flow) for p in payoffs])
     for c, pay in zip(controls, payoffs):
-        sol = solve_linear_family(mean_field, [c], [pay.flow])[0]
+        sol = solve_linear_family(mean_field, paths4k, [c], [stat_series(mean_field, pay.flow)])[0]
         slack = sol.y0 - env.y0
         assert slack >= -3.0 * float(np.hypot(sol.y0_stderr, env.y0_stderr)), c.label
 
 
-def test_envelope_rejects_games_and_empty_families(lq, separated_game):
+def test_envelope_rejects_games_and_empty_families(lq, separated_game, paths1k):
     with pytest.raises(TypeError):
-        envelope_bsde(separated_game, [], [])
+        envelope_bsde(separated_game, paths1k, [], [])
     with pytest.raises(ValueError):
-        envelope_bsde(lq, [], [])
+        envelope_bsde(lq, paths1k, [], [])
     control = constant_control(0.0, lq.actions)
     with pytest.raises(ValueError):
-        envelope_bsde(lq, [control], [])
+        envelope_bsde(lq, paths1k, [control], [])

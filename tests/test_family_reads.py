@@ -3,17 +3,21 @@
 A family's actions are read once per step per control kind, a Hellinger pair
 reads the drifts' held bases, criterion 4 forms each constant's drift once per
 block of particles, a synthesized feedback holds one grid-row matrix per
-grid, and tv_marginal sorts a common ensemble's states once.  Each test pins
+grid, and tv_marginals sorts a common ensemble's states once for all its
+flows.  Each test pins
 one of these readers, bit for bit, against the per-member (or np.histogram)
 computation it replaces, or pins what it reads and holds.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import mfcontrol.girsanov as girsanov_mod
+import mfcontrol.measure as measure_mod
 import mfcontrol.verify as verify_mod
 from mfcontrol import (
     AcceptanceContext,
@@ -22,6 +26,7 @@ from mfcontrol import (
     BsdeFeedbackControl,
     DriftEvaluator,
     DriftSpec,
+    EnsembleMismatchError,
     MeasureFlow,
     PairFeedbackControl,
     constant_control,
@@ -30,10 +35,12 @@ from mfcontrol import (
     hellinger_bound,
     parametric_control,
     simulate_for_scenario,
+    stat_series,
     table_control,
     tv_marginal,
+    tv_marginals,
 )
-from mfcontrol.bsde import _family_hamiltonian, _stat_series
+from mfcontrol.bsde import _family_hamiltonian
 from mfcontrol.girsanov import _family_actions, control_actions, drift_base
 from mfcontrol.measure import _TV_BINS, _cut_sums
 from reference import coefficient_solution
@@ -145,15 +152,16 @@ def test_boxes_differing_in_the_sign_of_zero_clip_apart(lq):
 
 def test_family_hamiltonian_equals_member_hamiltonians(family):
     scenario, paths, controls = family
-    flows = _flows(scenario, paths, len(controls), seed=35)
-    hamiltonian_at = _family_hamiltonian(scenario, paths, controls, flows)
+    laws = [stat_series(scenario, flow)
+            for flow in _flows(scenario, paths, len(controls), seed=35)]
+    hamiltonian_at = _family_hamiltonian(scenario, paths, controls, laws)
     rng = np.random.default_rng(36)
     for k in range(STEPS):
         z = rng.normal(size=paths.particles)
         zs = rng.normal(size=(len(controls), paths.particles))
         shared, own = hamiltonian_at(k, z), hamiltonian_at(k, zs)
-        for i, (control, flow) in enumerate(zip(controls, flows)):
-            row = {name: float(s[k]) for name, s in _stat_series(scenario, flow).items()}
+        for i, (control, series) in enumerate(zip(controls, laws)):
+            row = {name: float(s[k]) for name, s in series.items()}
             acts = [a[:, 0] for a in control_actions(control, paths, slice(None),
                                                      slice(k, k + 1))]
             args = (scenario, paths.grid.times[k], paths.state(k), paths.sup(k), row)
@@ -241,6 +249,50 @@ def test_hellinger_check_holds_no_flow():
     assert result.details["pairs"] == 210 and result.details["bound_violations"] == 0
     assert ctx._fix == {}
     assert peak < 12e6
+
+
+def test_comparison_check_holds_no_flow(monkeypatch):
+    # criterion 7 keeps only its sampled controls' statistic series: each
+    # sampled flow is gone before the family solve and the envelope run, and
+    # only the grid constants' flows enter ctx's cache.  At 2000 x 50 its
+    # allocation peak, after the ensemble's simulation, was 27.7 MB while it
+    # held the 20 sampled flows and is 11.4 MB now
+    ctx = AcceptanceContext(seed=7, particles=2000, steps=50)
+    sampled = []   # weak references to the sampled controls' flows
+    alive = []     # sampled flows alive at each backward solve
+
+    def fixpoint(scenario, control, paths, tol):
+        result = fixpoint_measure_flow(scenario, control, paths, tol=tol)
+        if control.kind == "parametric":
+            sampled.append(weakref.ref(result.flow))
+        return result
+
+    def counted(solve):
+        def run(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in sampled))
+            return solve(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(verify_mod, "fixpoint_measure_flow", fixpoint)
+    monkeypatch.setattr(verify_mod, "solve_linear_family",
+                        counted(verify_mod.solve_linear_family))
+    monkeypatch.setattr(verify_mod, "envelope_bsde", counted(verify_mod.envelope_bsde))
+    ctx.paths_for(ctx.scenarios["linear-quadratic"])
+    tracemalloc.start()
+    try:
+        result = verify_mod.check_comparison(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert len(sampled) == 40 and alive == [0, 0, 0, 0]
+    gc.collect()
+    assert all(ref() is None for ref in sampled)
+    extras = {(name, label) for name in ("linear-quadratic", "mean-field-mean-reversion")
+              for label, _ in verify_mod._family(ctx.scenarios[name])}
+    assert len(extras) == 10 and set(ctx._fix) == extras
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("rows,steps", [(slice(None), slice(None)), (slice(5, 130), slice(2, 7)),
@@ -342,3 +394,40 @@ def test_tv_marginal_is_np_histogram_tv(lq, particles):
         for k in range(3):   # t_index 0 is one repeated state
             est = tv_marginal(a, b, k)
             assert (est.value, est.stderr, est.bin_width) == _histogram_tv(a, b, k)
+
+
+@pytest.mark.parametrize("particles", [2000, 70_000])
+def test_tv_marginals_are_member_tv_marginals(lq, particles):
+    paths = simulate_for_scenario(lq, particles=particles, steps=2, seed=44)
+    other = simulate_for_scenario(lq, particles=particles // 2 + 7, steps=2, seed=45)
+    rng = np.random.default_rng(46)
+    flows = [MeasureFlow(paths, np.exp(rng.normal(scale=0.4, size=paths.values.shape)))
+             for _ in range(4)]
+    elsewhere = MeasureFlow(other, np.exp(rng.normal(scale=0.4, size=other.values.shape)))
+    for against in (flows[1], elsewhere):
+        for k in range(3):
+            family = tv_marginals(flows, against, k)
+            assert len(family) == len(flows)
+            for flow, est in zip(flows, family):
+                assert (est.value, est.stderr, est.bin_width) == _histogram_tv(flow, against, k)
+                assert est == tv_marginal(flow, against, k)
+    with pytest.raises(EnsembleMismatchError, match="one ensemble"):
+        tv_marginals([flows[0], elsewhere], flows[1], 2)
+
+
+def test_marginal_domination_cuts_each_column_once(monkeypatch):
+    # every built-in rides one ensemble, so criterion 5 sorts and cuts each
+    # grid column once, for the six scenarios' weights and the reference's
+    ctx = AcceptanceContext(seed=7, particles=300, steps=10)
+    widths = []
+    cut_sums = measure_mod._cut_sums
+
+    def counted(x, weights, edges):
+        widths.append(len(weights))
+        return cut_sums(x, weights, edges)
+
+    monkeypatch.setattr(measure_mod, "_cut_sums", counted)
+    result = verify_mod.check_marginal_domination(ctx)
+    assert len(ctx.scenarios) == 6 and len(ctx._paths) == 1
+    assert len(result.details["rows"]) == 6
+    assert widths == [7] * 11

@@ -111,8 +111,7 @@ def formula_actions(control: Control, paths, k):
 def uncached_feedback(control: BsdeFeedbackControl, paths, k):
     z = control.solution.z_at(paths, k)
     _, acts = minimized_hamiltonian(control.scenario, paths.grid.times[k], paths.state(k),
-                                    paths.sup(k), control.stats_at(k), z,
-                                    control.scenario.actions)
+                                    paths.sup(k), control.stats_at(k), z)
     return acts
 
 
@@ -220,7 +219,7 @@ def reference_payoff(scenario, flow, reference):
         acts = reference(paths, k)
         h_mat[:, k] = scenario.running_cost.evaluate(paths.values[:, k], row, *acts)
     running = np.trapezoid(flow.weights * h_mat, dx=paths.grid.dt, axis=1)
-    return running + flow.weights[:, n] * terminal_values(scenario, flow)
+    return running + flow.weights[:, n] * terminal_values(scenario, paths, series)
 
 
 # ---------------------------------------------------------------------------
