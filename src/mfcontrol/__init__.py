@@ -15,6 +15,7 @@ from .core import (
     TimeGrid,
     ensemble_moments,
     make_time_grid,
+    member_map,
     sample_brownian,
     simulate_for_scenario,
     simulate_reference,
@@ -108,7 +109,7 @@ __all__ = [
     "__version__",
     # core
     "BrownianEnsemble", "PathEnsemble", "TimeGrid", "ensemble_moments",
-    "make_time_grid", "sample_brownian",
+    "make_time_grid", "member_map", "sample_brownian",
     "simulate_for_scenario", "simulate_reference",
     # scenario registry
     "ActionGrid", "AssumptionStatus", "ConfigError", "CostSpec",

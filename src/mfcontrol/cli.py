@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .bsde import BasisSpec
 from .control import evaluate_payoff, parse_control, policy_iteration
-from .core import ensemble_moments, simulate_for_scenario
+from .core import ensemble_moments, member_map, simulate_for_scenario
 from .game import IsaacsError, solve_game, verify_saddle
 from .girsanov import FixpointConvergenceError, contraction_report, fixpoint_measure_flow
 from .report import canonical_json, stderr_note, write_csv, write_json
@@ -254,17 +254,20 @@ def _run_evaluate(args, scen):
     if not controls:
         raise ConfigError("control", "evaluate needs --control or --controls-file")
     paths = simulate_for_scenario(scen, args.particles, args.steps, args.seed)
-    rows = []
-    for entry in controls:
+
+    def price(entry) -> dict:
+        # the row's scalars only: each member's flow dies with this call
         res = evaluate_payoff(scen, entry, paths, tol=args.tol)
         norm, norm_se = map(float, res.flow.normalization(args.steps))
-        rows.append({
+        return {
             "label": _pair_label(entry),
             "payoff": res.value, "stderr": res.stderr,
             "fixpoint_iterations": res.diagnostics.iterations,
             "normalization_horizon": norm,
             "normalization_stderr": norm_se,
-        })
+        }
+
+    rows = member_map(price, controls)
     results = {"controls": rows}
     table_rows = [(r["label"], r["payoff"], r["stderr"],
                    r["fixpoint_iterations"]) for r in rows]

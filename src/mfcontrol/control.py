@@ -24,6 +24,7 @@ under its own matched flow.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -261,10 +262,12 @@ class _GridFeedback:
     kept as grid row indices in one _HeldRows matrix per grid, weakly keyed
     by the ensemble so they go with it; a block read fills the steps it
     lacks and is then one fancy index per grid it reads, which returns fresh
-    action arrays.  The grids are the scenario's; a subclass names its label
-    and its per-step extremes(scenario, t, state, sup, stats_row, z) ->
-    (extremal H, one index array per grid), a class attribute that
-    _synthesize also makes the driver of the solve the feedback comes from.
+    action arrays.  A lock guards the lookup and the fill, so members priced
+    on different workers (member_map) may share one feedback.  The grids
+    are the scenario's; a subclass names its label and its per-step
+    extremes(scenario, t, state, sup, stats_row, z) -> (extremal H, one
+    index array per grid), a class attribute that _synthesize also makes
+    the driver of the solve the feedback comes from.
     """
 
     def __init__(self, scenario: Scenario, solution: BsdeSolution,
@@ -273,6 +276,7 @@ class _GridFeedback:
         self.solution = solution
         self.stat_series = {k: np.asarray(v, dtype=float) for k, v in stat_series.items()}
         self._rows = weakref.WeakKeyDictionary()  # ensemble -> _HeldRows
+        self._lock = threading.Lock()   # guards _rows and each held fill
 
     def stats_at(self, t_index: int) -> dict[str, float]:
         return {name: float(series[t_index]) for name, series in self.stat_series.items()}
@@ -282,12 +286,14 @@ class _GridFeedback:
         """Fresh (rows, steps) actions on each grid in sides, read off the
         held grid rows."""
         grids = self.scenario.grids
-        held = self._rows.get(paths)
-        if held is None:
-            held = self._rows[paths] = _HeldRows(paths, grids)
-        step_indices = np.arange(paths.grid.steps + 1)[steps]
-        for k in step_indices[~held.filled[steps]]:
-            held.put(k, self._step_rows(paths, int(k)))
+        with self._lock:
+            held = self._rows.get(paths)
+            if held is None:
+                held = self._rows[paths] = _HeldRows(paths, grids)
+            step_indices = np.arange(paths.grid.steps + 1)[steps]
+            for k in step_indices[~held.filled[steps]]:
+                held.put(k, self._step_rows(paths, int(k)))
+        # a filled step is never written again, so it is read unlocked
         return tuple(grids[i].array()[held.rows[i][rows, steps]] for i in sides)
 
     def _step_rows(self, paths: PathEnsemble, t_index: int) -> tuple[np.ndarray, ...]:

@@ -33,13 +33,17 @@ from .measure import (hellinger_pairs, mean_stderr, reference_flow, tv_columns, 
 from .scenario import builtin_scenarios, get_builtin
 
 _CRITERIA = {}
+# the indices of the criteria that read AcceptanceContext's matched flows
+_FLOW_READERS = set()
 
 
-def _criterion(index: int, name: str):
+def _criterion(index: int, name: str, reads_flows: bool = False):
     def wrap(fn):
         fn.index = index
         fn.name = name
         _CRITERIA[index] = fn
+        if reads_flows:
+            _FLOW_READERS.add(index)
         return fn
     return wrap
 
@@ -65,7 +69,8 @@ class AcceptanceContext:
 
     All built-in scenarios ride the same reference ensemble (they share the
     diffusion, initial point, and horizon), so fixpoint results are cached by
-    (scenario, control label) and reused across criteria.  tol is every
+    (scenario, control label) and reused across criteria; run_battery drops
+    them once the last criterion that reads them has run.  tol is every
     measure fixed point's tolerance and basis every backward solve's basis.
     """
 
@@ -123,7 +128,7 @@ def _family(scenario):
 # criteria
 
 
-@_criterion(1, "payoff identity Y^u_0 = J(u) on every built-in")
+@_criterion(1, "payoff identity Y^u_0 = J(u) on every built-in", reads_flows=True)
 def check_payoff_identity(ctx: AcceptanceContext) -> CheckResult:
     start = time.perf_counter()
     rows = []
@@ -149,7 +154,7 @@ def check_payoff_identity(ctx: AcceptanceContext) -> CheckResult:
                        {"rows": rows, "runtime_ok": runtime_ok})
 
 
-@_criterion(2, "martingale normalization E[L_t] = 1 at every grid time")
+@_criterion(2, "martingale normalization E[L_t] = 1 at every grid time", reads_flows=True)
 def check_normalization(ctx: AcceptanceContext) -> CheckResult:
     rows = []
     passed = True
@@ -168,7 +173,7 @@ def check_normalization(ctx: AcceptanceContext) -> CheckResult:
     return CheckResult(2, check_normalization.name, passed, {"rows": rows})
 
 
-@_criterion(3, "fixed point: iteration counts, contraction, mean ODE")
+@_criterion(3, "fixed point: iteration counts, contraction, mean ODE", reads_flows=True)
 def check_fixed_point(ctx: AcceptanceContext) -> CheckResult:
     details: dict = {}
     passed = True
@@ -264,7 +269,7 @@ def check_hellinger(ctx: AcceptanceContext) -> CheckResult:
                         "worst_bound": worst_bound, "worst_gamma": worst_gamma})
 
 
-@_criterion(5, "marginal TV dominated by path-space TV at every time")
+@_criterion(5, "marginal TV dominated by path-space TV at every time", reads_flows=True)
 def check_marginal_domination(ctx: AcceptanceContext) -> CheckResult:
     picked = {}   # scenario -> (label, matched flow of its first family member)
     sharing = {}  # ensemble -> the scenarios whose flows live on it
@@ -344,7 +349,7 @@ def check_lq_optimum(ctx: AcceptanceContext) -> CheckResult:
     })
 
 
-@_criterion(7, "comparison Y*_0 <= Y^u_0 over sampled feedback controls")
+@_criterion(7, "comparison Y*_0 <= Y^u_0 over sampled feedback controls", reads_flows=True)
 def check_comparison(ctx: AcceptanceContext) -> CheckResult:
     rows = [_comparison_row(ctx, sname)
             for sname in ("linear-quadratic", "mean-field-mean-reversion")]
@@ -396,7 +401,7 @@ def _comparison_row(ctx: AcceptanceContext, sname: str) -> dict:
             "ok": ok_all, "worst": worst}
 
 
-@_criterion(8, "variance payoff equals weighted variance and stays flat")
+@_criterion(8, "variance payoff equals weighted variance and stays flat", reads_flows=True)
 def check_variance(ctx: AcceptanceContext) -> CheckResult:
     scen = ctx.scenarios["variance"]
     paths = ctx.paths_for(scen)
@@ -497,8 +502,16 @@ def run_battery(seed: int, particles: int, steps: int,
                 tol: float = 1e-3, basis: BasisSpec | None = None,
                 indices=None) -> list[CheckResult]:
     """Run the acceptance criteria in order, one CheckResult each, on one
-    AcceptanceContext; indices selects a subset (default all)."""
+    AcceptanceContext; indices selects a subset (default all).  The
+    context's matched flows go once the last criterion that reads them has
+    run."""
     ctx = AcceptanceContext(seed=seed, particles=particles, steps=steps, tol=tol, basis=basis)
     if indices is None:
         indices = sorted(_CRITERIA)
-    return [_CRITERIA[i](ctx) for i in indices]
+    last = max((pos for pos, i in enumerate(indices) if i in _FLOW_READERS), default=-1)
+    results = []
+    for pos, i in enumerate(indices):
+        results.append(_CRITERIA[i](ctx))
+        if pos == last:
+            ctx._fix.clear()
+    return results

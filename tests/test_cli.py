@@ -406,6 +406,55 @@ def test_evaluate_reads_controls_file(capsys, tmp_path):
                  "--controls-file", str(bad)]) == 2
 
 
+def test_evaluate_writes_the_same_bytes_on_any_worker_count(capsys, tmp_path, monkeypatch):
+    # the members are priced concurrently, each with the arithmetic of the
+    # plain loop
+    listing = tmp_path / "controls.json"
+    listing.write_text(json.dumps([
+        "constant:0.5", "parametric:0.3,-0.4,0.1", "parametric:-0.2,0.5,-0.1",
+        {"kind": "table", "edges": [0.0], "values": [[-0.5, 0.5]]},
+        "constant:-1", "parametric:0.1,0.2,0.3"]))
+    written = {}
+    for count in (1, 4):
+        monkeypatch.setattr(mfcontrol.core, "available_cores", lambda: count)
+        monkeypatch.setattr(mfcontrol.core, "MEMBER_WORKERS", count)
+        out = tmp_path / f"workers{count}"
+        assert main(["evaluate", "--scenario", "mean-field-mean-reversion", "--seed", "3",
+                     "--particles", "500", "--steps", "10", "--controls-file", str(listing),
+                     "--out", str(out)]) == 0
+        written[count] = [(out / name).read_bytes() for name in ("report.json", "controls.csv")]
+    capsys.readouterr()
+    assert written[1] == written[4]
+    assert len(json.loads(written[1][0])["results"]["controls"]) == 6
+
+
+# the collapsing member's overflows are warnings on its stderr, not errors
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_evaluate_collapsing_member_fails_alike_on_any_worker_count(capsys, tmp_path,
+                                                                   monkeypatch):
+    doc = builtin_config("linear-quadratic")
+    doc["drift"] = {"control": 1e308}
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps(doc))
+    listing = tmp_path / "controls.json"
+    # u = 0 has no drift; u = 1 underflows every horizon weight
+    listing.write_text(json.dumps(["constant:0", "constant:1", "constant:0", "constant:0"]))
+    errs = {}
+    for count in (1, 4):
+        monkeypatch.setattr(mfcontrol.core, "available_cores", lambda: count)
+        monkeypatch.setattr(mfcontrol.core, "MEMBER_WORKERS", count)
+        code, out, err = run_cli(capsys, ["evaluate", "--config", str(cfg), "--seed", "1",
+                                          "--particles", "500", "--steps", "10",
+                                          "--controls-file", str(listing),
+                                          "--override-validation"])
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        errs[count] = [line for line in err.splitlines() if "computation failed:" in line]
+        assert errs[count] == ["computation failed: every horizon weight underflowed to 0: "
+                               "the reweighting collapsed"]
+    assert errs[1] == errs[4]
+
+
 def test_evaluate_game_pairs_from_file(capsys, tmp_path):
     listing = tmp_path / "pairs.json"
     listing.write_text(json.dumps([{"u": "constant:-1", "v": "constant:1"}]))

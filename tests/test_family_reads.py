@@ -3,8 +3,9 @@
 A family's actions are read once per step per control kind, a Hellinger pair
 reads the drifts' held bases, criterion 4 forms each constant's drift once per
 block of particles, a synthesized feedback holds one grid-row matrix per
-grid, and tv_marginals sorts a common ensemble's states once for all its
-flows.  Each test pins
+grid, tv_marginals sorts a common ensemble's states once for all its
+flows, and the battery drops its matched flows after their last reader.
+Each test pins
 one of these readers, bit for bit, against the per-member (or np.histogram)
 computation it replaces, or pins what it reads and holds.
 """
@@ -293,6 +294,61 @@ def test_comparison_check_holds_no_flow(monkeypatch):
               for label, _ in verify_mod._family(ctx.scenarios[name])}
     assert len(extras) == 10 and set(ctx._fix) == extras
     assert peak < 16e6
+
+
+def test_battery_drops_the_matched_flows_after_their_last_reader(monkeypatch):
+    # criterion 2 fills the context's cache with 28 matched flows; no later
+    # criterion reads them, so criterion 10's reruns start without them.  At
+    # 2000 x 50 its allocation peak was 33.2 MB while the battery held them
+    # and is 10.3 MB now
+    seen = {}
+    determinism = verify_mod._CRITERIA[10]
+
+    def traced(ctx):
+        seen["held"] = len(ctx._fix)
+        tracemalloc.reset_peak()
+        result = determinism(ctx)
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        return result
+
+    monkeypatch.setitem(verify_mod._CRITERIA, 10, traced)
+    tracemalloc.start()
+    try:
+        results = verify_mod.run_battery(seed=7, particles=2000, steps=50, indices=(2, 10))
+    finally:
+        tracemalloc.stop()
+    assert [r.passed for r in results] == [True, True]
+    assert seen["held"] == 0
+    assert seen["peak"] < 16e6
+
+
+def test_the_flow_readers_are_the_criteria_that_read_the_cache(monkeypatch):
+    # run_battery drops the cache after the last criterion tagged reads_flows,
+    # so the tags must name every criterion that asks the battery's context
+    # for a flow (criterion 10's reruns ask their own contexts)
+    running = []   # (index, ctx) of the criteria under way, outermost first
+    readers = set()
+    fixpoint = AcceptanceContext.fixpoint
+
+    def recorded(self, *args):
+        if self is running[0][1]:
+            readers.add(running[-1][0])
+        return fixpoint(self, *args)
+
+    def tracked(index, fn):
+        def run(ctx):
+            running.append((index, ctx))
+            try:
+                return fn(ctx)
+            finally:
+                running.pop()
+        return run
+
+    monkeypatch.setattr(AcceptanceContext, "fixpoint", recorded)
+    for index, fn in list(verify_mod._CRITERIA.items()):
+        monkeypatch.setitem(verify_mod._CRITERIA, index, tracked(index, fn))
+    verify_mod.run_battery(seed=7, particles=300, steps=10)
+    assert readers == verify_mod._FLOW_READERS == {1, 2, 3, 5, 7, 8}
 
 
 @pytest.mark.parametrize("rows,steps", [(slice(None), slice(None)), (slice(5, 130), slice(2, 7)),
