@@ -40,7 +40,6 @@ from .scenario import (
     builtin_scenarios,
     get_builtin,
     parse_scenario,
-    serialize_scenario,
     validate_scenario,
 )
 from .measure import (
@@ -118,7 +117,7 @@ __all__ = [
     "StateTermSpec", "TerminalSpec", "UnknownScenarioError",
     "ValidationBlockedError", "ValidationReport", "assert_runnable",
     "builtin_config", "builtin_scenarios", "get_builtin", "parse_scenario",
-    "serialize_scenario", "validate_scenario",
+    "validate_scenario",
     # measures
     "EnsembleMismatchError", "MeasureFlow", "TVEstimate", "hellinger_bound",
     "hellinger_pairs", "mean_stderr", "reference_flow", "tv_marginal", "tv_marginals",

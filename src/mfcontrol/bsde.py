@@ -239,14 +239,12 @@ def _backward(paths: PathEnsemble, terminal: np.ndarray, driver_at,
 
 
 def solve_driver_bsde(paths: PathEnsemble, terminal: np.ndarray, driver_at,
-                      basis: BasisSpec | None = None) -> BsdeSolution:
+                      basis: BasisSpec = BasisSpec()) -> BsdeSolution:
     """Backward solve with an explicit driver callable (t_index, z) -> values.
 
     z is passed with shape (particles,); the driver must return one value
     per particle and is evaluated once per step, after the Z regression.
     """
-    if basis is None:
-        basis = BasisSpec()
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (paths.particles,):
         raise ValueError("terminal values must be one scalar per particle")
@@ -321,7 +319,7 @@ def terminal_values(scenario: Scenario, paths: PathEnsemble,
 
 
 def solve_linear_family(scenario: Scenario, paths: PathEnsemble, controls, series,
-                        basis: BasisSpec | None = None) -> list[BsdeSolution]:
+                        basis: BasisSpec = BasisSpec()) -> list[BsdeSolution]:
     """Backward solves of the payoff equations of K fixed controls (or pairs)
     on the ensemble, one BsdeSolution per member, in one backward sweep.
 
@@ -336,8 +334,6 @@ def solve_linear_family(scenario: Scenario, paths: PathEnsemble, controls, serie
     controls, series = list(controls), list(series)
     if not controls or len(series) != len(controls):
         raise ValueError("a family needs at least one control and one series per control")
-    if basis is None:
-        basis = BasisSpec()
     hamiltonian_at = _family_hamiltonian(scenario, paths, controls, series)
     terminal = np.stack([terminal_values(scenario, paths, s) for s in series], axis=1)
     return _backward(paths, terminal, lambda k, z: hamiltonian_at(k, z.T).T, basis)

@@ -132,7 +132,7 @@ def _load_scenario(args):
     return scen
 
 
-def _config_echo(args, extra: dict | None = None) -> dict:
+def _config_echo(args) -> dict:
     echo = {
         "scenario": getattr(args, "scenario", None),
         "config_path": getattr(args, "config", None),
@@ -143,8 +143,10 @@ def _config_echo(args, extra: dict | None = None) -> dict:
         "basis_degree": args.basis_degree,
         "override_validation": args.override_validation,
     }
-    if extra:
-        echo.update(extra)
+    if getattr(args, "control", None):
+        echo["controls"] = list(args.control)
+    if getattr(args, "controls_file", None):
+        echo["controls_file"] = args.controls_file
     return echo
 
 
@@ -377,10 +379,8 @@ def main(argv=None) -> int:
             code, results, tables = _run_optimize(args, scen)
         elif args.command == "game":
             code, results, tables = _run_game(args, scen)
-        elif args.command == "verify":
+        else:  # verify: argparse restricts the choices
             code, results, tables = _run_verify(args)
-        else:  # pragma: no cover - argparse restricts the choices
-            raise ConfigError("command", f"unknown command {args.command!r}")
     except (ConfigError, ValidationBlockedError) as exc:
         stderr_note(f"configuration error: {exc}")
         return 2
@@ -394,7 +394,7 @@ def main(argv=None) -> int:
 
     doc = {
         "command": args.command,
-        "config": _config_echo(args, _command_extras(args)),
+        "config": _config_echo(args),
         "validation": validation.to_dict() if validation is not None else None,
         "results": results,
         "version": f"mfcontrol {__version__}",
@@ -416,15 +416,6 @@ def main(argv=None) -> int:
         stderr_note(f"report written to {outdir / 'report.json'}")
     stderr_note(f"wall time: {time.perf_counter() - start:.2f}s")
     return code
-
-
-def _command_extras(args) -> dict:
-    extra = {}
-    if hasattr(args, "control") and args.control:
-        extra["controls"] = list(args.control)
-    if getattr(args, "controls_file", None):
-        extra["controls_file"] = args.controls_file
-    return extra
 
 
 def console_entry() -> None:

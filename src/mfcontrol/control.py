@@ -516,7 +516,7 @@ def _synthesize(scenario: Scenario, paths: PathEnsemble, basis: BasisSpec, feedb
     return control, fixres, sol, payoff, tuple(trace), trace[-1][1] < tol
 
 
-def policy_iteration(scenario: Scenario, paths: PathEnsemble, basis: BasisSpec | None = None,
+def policy_iteration(scenario: Scenario, paths: PathEnsemble, basis: BasisSpec = BasisSpec(),
                      tol: float = 1e-3) -> OptimizationReport:
     """Alternate minimized-Hamiltonian backward solves with measure matching.
 
@@ -530,8 +530,6 @@ def policy_iteration(scenario: Scenario, paths: PathEnsemble, basis: BasisSpec |
     """
     if scenario.kind == "game":
         raise TypeError("policy_iteration takes a single-controller scenario")
-    if basis is None:
-        basis = BasisSpec()
 
     control, fixres, final_sol, payoff, trace, converged = _synthesize(
         scenario, paths, basis, BsdeFeedbackControl, tol)
@@ -574,7 +572,7 @@ def _argmin_residual(scenario: Scenario, control, sol: BsdeSolution, paths: Path
 
 
 def envelope_bsde(scenario: Scenario, paths: PathEnsemble, controls, series,
-                  basis: BasisSpec | None = None) -> BsdeSolution:
+                  basis: BasisSpec = BasisSpec()) -> BsdeSolution:
     """Backward solve of the lower-envelope equation of a control family.
 
     Terminal and driver are the pointwise minima over the family, each

@@ -18,7 +18,7 @@ import contextvars
 import itertools
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -57,15 +57,10 @@ def make_time_grid(horizon: float, steps: int) -> TimeGrid:
 
 @dataclass(frozen=True)
 class BrownianEnsemble:
-    """Increments dW with shape (particles, steps), reproducible from seed."""
+    """Increments dW on the grid, with shape (particles, steps)."""
 
     grid: TimeGrid
     increments: np.ndarray
-    seed: int | None = None
-
-    @property
-    def particles(self) -> int:
-        return self.increments.shape[0]
 
 
 def sample_brownian(grid: TimeGrid, particles: int, seed: int) -> BrownianEnsemble:
@@ -74,7 +69,7 @@ def sample_brownian(grid: TimeGrid, particles: int, seed: int) -> BrownianEnsemb
         raise ValueError("particles must be positive")
     rng = np.random.default_rng(seed)
     dw = rng.standard_normal((particles, grid.steps)) * np.sqrt(grid.dt)
-    return BrownianEnsemble(grid=grid, increments=dw, seed=seed)
+    return BrownianEnsemble(grid=grid, increments=dw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,11 +85,14 @@ class PathEnsemble:
     but distinct ensemble is another key, and a dead one drops its entries.
     """
 
-    grid: TimeGrid
     values: np.ndarray
-    initial: float
     running_sup: np.ndarray
-    driver: BrownianEnsemble = field(repr=False, default=None)
+    driver: BrownianEnsemble
+
+    @property
+    def grid(self) -> TimeGrid:
+        """The grid of the increments the paths were simulated from."""
+        return self.driver.grid
 
     @property
     def particles(self) -> int:
@@ -107,29 +105,27 @@ class PathEnsemble:
         return self.running_sup[:, t_index]
 
 
-def simulate_reference(grid: TimeGrid, brownian: BrownianEnsemble,
-                       sigma: DiffusionSpec, initial: float) -> PathEnsemble:
+def simulate_reference(brownian: BrownianEnsemble, sigma: DiffusionSpec,
+                       initial: float) -> PathEnsemble:
     """Euler scheme for the driftless reference dynamics from the initial
-    state.
+    state, on the increments' grid.
 
     sigma is evaluated at the left endpoint of each interval.  A singular
     sigma value at any evaluation point aborts (SingularDiffusionError); the
     density process later needs sigma^{-1} along every path.
     """
-    if brownian.grid != grid:
-        raise ValueError("brownian increments were sampled on a different grid")
     m, n = brownian.increments.shape
     xi = float(initial)
     x = np.empty((m, n + 1))
     sup = np.empty((m, n + 1))
     x[:, 0] = xi
     sup[:, 0] = abs(xi)
-    times = grid.times
+    times = brownian.grid.times
     for k in range(n):
         step = sigma.apply(times[k], x[:, k], sup[:, k], brownian.increments[:, k])
         x[:, k + 1] = x[:, k] + step
         sup[:, k + 1] = np.maximum(sup[:, k], np.abs(x[:, k + 1]))
-    return PathEnsemble(grid=grid, values=x, initial=xi, running_sup=sup, driver=brownian)
+    return PathEnsemble(values=x, running_sup=sup, driver=brownian)
 
 
 def simulate_for_scenario(scenario: Scenario, particles: int,
@@ -138,7 +134,7 @@ def simulate_for_scenario(scenario: Scenario, particles: int,
     state taken from the scenario."""
     grid = make_time_grid(scenario.horizon, steps)
     brownian = sample_brownian(grid, particles, seed)
-    return simulate_reference(grid, brownian, scenario.sigma, scenario.initial)
+    return simulate_reference(brownian, scenario.sigma, scenario.initial)
 
 
 # Whole-path passes walk the ensemble in blocks of particles, each block over

@@ -266,7 +266,7 @@ class SaddleReport(SynthesisReport):
 
 
 def solve_game(scenario: Scenario, paths: PathEnsemble,
-               basis: BasisSpec | None = None, tol: float = 1e-3) -> SaddleReport:
+               basis: BasisSpec = BasisSpec(), tol: float = 1e-3) -> SaddleReport:
     """Synthesize a saddle candidate and certify the game value.
 
     Aborts with IsaacsError before any heavy work when the sampled envelope
@@ -277,8 +277,6 @@ def solve_game(scenario: Scenario, paths: PathEnsemble,
     """
     if scenario.kind != "game":
         raise TypeError("solve_game needs a two-player scenario")
-    if basis is None:
-        basis = BasisSpec()
 
     isaacs = isaacs_gap(scenario)
     if not isaacs.holds:

@@ -164,8 +164,6 @@ def density_process(drift: DriftEvaluator) -> np.ndarray:
     density underflowed, while E[L_T] = 1) raises FloatingPointError.
     """
     paths, sigma = drift.paths, drift.scenario.sigma
-    if paths.driver is None:
-        raise ValueError("no Brownian increments attached to the ensemble")
     dw = paths.driver.increments
     m, n = dw.shape
     if paths.values.shape[0] != m or paths.grid.steps != n:

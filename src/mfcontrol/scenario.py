@@ -5,8 +5,7 @@ diffusion coefficient, drift family, running and terminal costs, the
 statistics through which the law enters the coefficients, and the admissible
 action grid(s).  All of it is data.  Coefficients are picked from small closed
 registries instead of accepting user callables, so a scenario can be parsed
-from a config document, validated, serialized back out, and hashed into a
-reproducible report.
+from a config document, validated, and hashed into a reproducible report.
 
 The state x is a real number.  Registered functional forms:
 
@@ -31,7 +30,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -365,9 +363,6 @@ class ActionGrid:
     ties resolve to the smallest action."""
 
     points: tuple[float, ...]
-    lo: float | None = None
-    hi: float | None = None
-    count: int | None = None
 
     def __post_init__(self):
         if len(self.points) == 0:
@@ -381,9 +376,9 @@ class ActionGrid:
         if count < 1 or hi < lo:
             raise ConfigError("actions", "box grid needs count >= 1 and hi >= lo")
         if count == 1:
-            return cls(points=((lo + hi) / 2.0,), lo=lo, hi=hi, count=1)
+            return cls(points=((lo + hi) / 2.0,))
         vals = np.linspace(lo, hi, count)
-        return cls(points=tuple(float(v) for v in vals), lo=lo, hi=hi, count=count)
+        return cls(points=tuple(float(v) for v in vals))
 
     @classmethod
     def explicit(cls, pts) -> "ActionGrid":
@@ -657,36 +652,6 @@ def parse_scenario(text: str | dict) -> Scenario:
             if name not in s.statistic_map:
                 raise ConfigError(path.format(name), f"statistic {name!r} is not registered")
     return s
-
-
-def _emit(spec, table: dict, omit: tuple[str, ...] = ()) -> dict:
-    """Document key -> spec's registry field, for each key of table."""
-    return {key: getattr(spec, field) for key, (field, _) in table.items() if key not in omit}
-
-
-def serialize_scenario(s: Scenario) -> dict:
-    """Inverse of parse_scenario, up to field defaults."""
-    doc: dict[str, Any] = {
-        "kind": s.kind,
-        "name": s.name,
-        "initial": s.initial,
-        "horizon": s.horizon,
-        "diffusion": _emit(s.sigma, _DIFFUSION_KEYS),
-        "statistics": {name: _emit(spec, _STATISTIC_KEYS) for name, spec in s.statistics},
-        "terminal_cost": _emit(s.terminal_cost, _TERMINAL_KEYS,
-                               omit=() if s.terminal_cost.kind == "variance" else ("stat",)),
-        "drift": {**_emit(s.drift, _DRIFT_KEYS[s.kind]), "stats": dict(s.drift.stats)},
-        "running_cost": _emit(s.running_cost, _COST_KEYS[s.kind], omit=("state", "stat")),
-    }
-    cost = s.running_cost
-    if cost.state_term.kind != "none":
-        doc["running_cost"]["state"] = _emit(cost.state_term, _STATE_KEYS)
-    if cost.stat is not None:
-        doc["running_cost"]["stat"] = list(cost.stat)
-    for key, grid in zip(_GRIDS[s.kind], s.grids):
-        doc[key] = (_emit(grid, _ACTION_KEYS, omit=("points",)) if grid.lo is not None
-                    else {"points": list(grid.points)})
-    return doc
 
 
 # ---------------------------------------------------------------------------

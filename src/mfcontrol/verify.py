@@ -19,6 +19,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,38 +66,43 @@ class CheckResult:
 
 
 class AcceptanceContext:
-    """Shared ensembles, matched flows and settings for one battery run.
+    """The shared ensemble, matched flows and settings for one battery run.
 
-    All built-in scenarios ride the same reference ensemble (they share the
-    diffusion, initial point, and horizon), so fixpoint results are cached by
+    All built-in scenarios ride one reference ensemble (they share the
+    diffusion, initial point and horizon), so fixpoint results are cached by
     (scenario, control label) and reused across criteria; run_battery drops
     them once the last criterion that reads them has run.  tol is every
     measure fixed point's tolerance and basis every backward solve's basis.
     """
 
     def __init__(self, seed: int, particles: int, steps: int,
-                 tol: float = 1e-3, basis: BasisSpec | None = None):
+                 tol: float = 1e-3, basis: BasisSpec = BasisSpec()):
         self.seed = int(seed)
         self.particles = int(particles)
         self.steps = int(steps)
         self.tol = float(tol)
-        self.basis = BasisSpec() if basis is None else basis
+        self.basis = basis
         self.scenarios = {name: get_builtin(name) for name in builtin_scenarios()}
-        self._paths = {}
         self._fix = {}
 
-    def paths_for(self, scenario):
-        key = (scenario.initial, scenario.horizon, scenario.sigma)
-        if key not in self._paths:
-            self._paths[key] = simulate_for_scenario(
-                scenario, self.particles, self.steps, self.seed)
-        return self._paths[key]
+    @cached_property
+    def paths(self):
+        """The reference ensemble, simulated on first use; a built-in that
+        does not share the others' (initial, horizon, sigma) raises
+        ValueError before anything is simulated."""
+        first, *rest = self.scenarios.values()
+        for scen in rest:
+            if (scen.initial, scen.horizon, scen.sigma) != \
+                    (first.initial, first.horizon, first.sigma):
+                raise ValueError(f"built-in {scen.name!r} does not share {first.name!r}'s "
+                                 "initial state, horizon and diffusion")
+        return simulate_for_scenario(first, self.particles, self.steps, self.seed)
 
     def fixpoint(self, scenario, control, label: str):
         key = (scenario.name, label)
         if key not in self._fix:
             self._fix[key] = fixpoint_measure_flow(
-                scenario, control, self.paths_for(scenario), tol=self.tol)
+                scenario, control, self.paths, tol=self.tol)
         return self._fix[key]
 
 
@@ -134,7 +140,7 @@ def check_payoff_identity(ctx: AcceptanceContext) -> CheckResult:
     rows = []
     passed = True
     for name, scen in ctx.scenarios.items():
-        paths = ctx.paths_for(scen)
+        paths = ctx.paths
         family = _family(scen)
         fixes = [ctx.fixpoint(scen, control, label) for label, control in family]
         sols = solve_linear_family(scen, paths, [control for _, control in family],
@@ -192,7 +198,7 @@ def check_fixed_point(ctx: AcceptanceContext) -> CheckResult:
     details["iteration_counts"] = counts
 
     scen = ctx.scenarios["mean-field-mean-reversion"]
-    paths = ctx.paths_for(scen)
+    paths = ctx.paths
     mf_rows = []
     for label, control in _family(scen):
         fix = ctx.fixpoint(scen, control, label)
@@ -223,7 +229,7 @@ def check_fixed_point(ctx: AcceptanceContext) -> CheckResult:
 @_criterion(4, "Hellinger domination over constant-control pairs")
 def check_hellinger(ctx: AcceptanceContext) -> CheckResult:
     scen = ctx.scenarios["linear-quadratic"]
-    paths = ctx.paths_for(scen)
+    paths = ctx.paths
     n = paths.grid.steps
     points = scen.actions.points
     # the drift reads no statistic, so one density application from the
@@ -272,26 +278,20 @@ def check_hellinger(ctx: AcceptanceContext) -> CheckResult:
 @_criterion(5, "marginal TV dominated by path-space TV at every time", reads_flows=True)
 def check_marginal_domination(ctx: AcceptanceContext) -> CheckResult:
     picked = {}   # scenario -> (label, matched flow of its first family member)
-    sharing = {}  # ensemble -> the scenarios whose flows live on it
     for name, scen in ctx.scenarios.items():
         label, control = _family(scen)[0]
         picked[name] = (label, ctx.fixpoint(scen, control, label).flow)
-        sharing.setdefault(ctx.paths_for(scen), []).append(name)
-    # the scenarios on one ensemble share each column's sort, cuts and bins
-    marginals = {}  # scenario -> (reference flow, tv_marginal at each step)
-    for paths, names in sharing.items():
-        ref = reference_flow(paths)
-        per_step = [tv_marginals([picked[name][1] for name in names], ref, k)
-                    for k in range(ctx.steps + 1)]
-        for i, name in enumerate(names):
-            marginals[name] = (ref, [est[i] for est in per_step])
+    # the scenarios share each column's sort, cuts and bins
+    ref = reference_flow(ctx.paths)
+    per_step = [tv_marginals([flow for _, flow in picked.values()], ref, k)
+                for k in range(ctx.steps + 1)]
     rows = []
     passed = True
-    for name, (label, flow) in picked.items():
-        ref, margs = marginals[name]
+    for i, (name, (label, flow)) in enumerate(picked.items()):
         worst = None
         ok_all = True
-        for k, marg in enumerate(margs):
+        for k, est in enumerate(per_step):
+            marg = est[i]
             path = tv_pathspace(flow, ref, k)
             se = float(np.hypot(marg.stderr, path.stderr))
             slack = path.value + 5.0 * se + marg.bin_width - marg.value
@@ -309,7 +309,7 @@ def check_marginal_domination(ctx: AcceptanceContext) -> CheckResult:
 @_criterion(6, "linear-quadratic optimum: feedback, value, certificate")
 def check_lq_optimum(ctx: AcceptanceContext) -> CheckResult:
     scen = ctx.scenarios["linear-quadratic"]
-    paths = ctx.paths_for(scen)
+    paths = ctx.paths
     report = policy_iteration(scen, paths, basis=ctx.basis, tol=ctx.tol)
     res = scen.actions.resolution
 
@@ -361,7 +361,7 @@ def _comparison_row(ctx: AcceptanceContext, sname: str) -> dict:
     """Criterion 7 on one scenario: its 20 sampled controls' backward values
     against the lower-envelope value Y*_0."""
     scen = ctx.scenarios[sname]
-    paths = ctx.paths_for(scen)
+    paths = ctx.paths
     rng = np.random.default_rng(ctx.seed + 701)
     sampled = []
     for _ in range(20):
@@ -404,7 +404,7 @@ def _comparison_row(ctx: AcceptanceContext, sname: str) -> dict:
 @_criterion(8, "variance payoff equals weighted variance and stays flat", reads_flows=True)
 def check_variance(ctx: AcceptanceContext) -> CheckResult:
     scen = ctx.scenarios["variance"]
-    paths = ctx.paths_for(scen)
+    paths = ctx.paths
     n = ctx.steps
     horizon = scen.horizon
     phi = scen.statistic_map["mean"]
@@ -442,7 +442,7 @@ def check_variance(ctx: AcceptanceContext) -> CheckResult:
 def check_game(ctx: AcceptanceContext) -> CheckResult:
     details: dict = {}
     scen = ctx.scenarios["separated-game"]
-    paths = ctx.paths_for(scen)
+    paths = ctx.paths
     report = solve_game(scen, paths, basis=ctx.basis, tol=ctx.tol)
     gap_zero = bool(report.isaacs.max_gap == 0.0)
     res_u = scen.actions.resolution
@@ -499,7 +499,7 @@ def check_determinism(ctx: AcceptanceContext) -> CheckResult:
 
 
 def run_battery(seed: int, particles: int, steps: int,
-                tol: float = 1e-3, basis: BasisSpec | None = None,
+                tol: float = 1e-3, basis: BasisSpec = BasisSpec(),
                 indices=None) -> list[CheckResult]:
     """Run the acceptance criteria in order, one CheckResult each, on one
     AcceptanceContext; indices selects a subset (default all).  The

@@ -182,13 +182,13 @@ def test_lq_payoff_equation_closed_form(lq, paths4k):
 
 
 def test_solution_is_linear_in_costs(lq, paths4k):
-    from mfcontrol import parse_scenario, serialize_scenario
+    from mfcontrol import builtin_config, parse_scenario
 
     control = constant_control([1.0], lq.actions)
     series = stat_series(lq, fixpoint_measure_flow(lq, control, paths4k).flow)
     base = solve_linear_family(lq, paths4k, [control], [series])[0]
 
-    doc = serialize_scenario(lq)
+    doc = builtin_config("linear-quadratic")
     doc["running_cost"]["quad"] = 2.0
     doc["terminal_cost"]["coeff"] = 2.0
     doubled_scenario = parse_scenario(doc)

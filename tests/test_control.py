@@ -46,7 +46,7 @@ def line_ensemble():
     grid = make_time_grid(1.0, 2)
     inc = np.array([[-2.0, 0.0], [-0.5, 0.0], [0.5, 0.0], [2.0, 0.0]])
     brownian = BrownianEnsemble(grid=grid, increments=inc)
-    return simulate_reference(grid, brownian, DiffusionSpec(), 0.0)
+    return simulate_reference(brownian, DiffusionSpec(), 0.0)
 
 
 def pointwise_scenario():
@@ -230,11 +230,11 @@ def test_hamiltonian_rejects_game_scenarios(separated_game):
     {"kind": "affine_state", "base": 1.0, "slope": 0.2},
     {"kind": "sup_modulated", "base": 1.0, "slope": 0.5},
 ])
-def test_hamiltonian_matches_the_linear_driver_for_every_scalar_sigma(mean_field, diffusion):
-    from mfcontrol import serialize_scenario, simulate_for_scenario
+def test_hamiltonian_matches_the_linear_driver_for_every_scalar_sigma(diffusion):
+    from mfcontrol import builtin_config, simulate_for_scenario
     from reference import linear_driver
 
-    doc = serialize_scenario(mean_field)
+    doc = builtin_config("mean-field-mean-reversion")
     doc["diffusion"] = diffusion
     scen = parse_scenario(doc)
     paths = simulate_for_scenario(scen, particles=300, steps=6, seed=17)
@@ -255,15 +255,14 @@ def test_hamiltonian_matches_the_linear_driver_for_every_scalar_sigma(mean_field
     ("control", {"kind": "sup_modulated", "base": 1.0, "slope": 0.5}),
     ("game", {"kind": "sup_modulated", "base": 1.0, "slope": 0.5}),
 ])
-def test_hamiltonian_matches_sigma_inverse_of_the_simulated_drift(mean_field, separated_game,
-                                                                 kind, diffusion):
-    from mfcontrol import serialize_scenario, simulate_for_scenario
+def test_hamiltonian_matches_sigma_inverse_of_the_simulated_drift(kind, diffusion):
+    from mfcontrol import builtin_config, simulate_for_scenario
     from reference import linear_driver
     from mfcontrol.girsanov import DriftEvaluator
 
     # the reference h + z sigma^{-1} b is formed here from the drift b the
     # simulation uses, not through the kernel hamiltonian and linear_driver share
-    doc = serialize_scenario(mean_field if kind == "control" else separated_game)
+    doc = builtin_config("mean-field-mean-reversion" if kind == "control" else "separated-game")
     doc["diffusion"] = diffusion
     scen = parse_scenario(doc)
     paths = simulate_for_scenario(scen, particles=300, steps=6, seed=17)

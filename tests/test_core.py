@@ -59,7 +59,6 @@ def test_brownian_shapes_and_determinism():
     b = sample_brownian(grid, 64, seed=123)
     c = sample_brownian(grid, 64, seed=124)
     assert a.increments.shape == (64, 8)
-    assert a.particles == 64
     np.testing.assert_array_equal(a.increments, b.increments)
     assert not np.array_equal(a.increments, c.increments)
 
@@ -88,11 +87,11 @@ def test_identity_diffusion_paths_are_cumulative_sums():
     sigma = DiffusionSpec(kind="constant", base=1.0)
     # from a zero initial state the Euler recursion is the same left fold as
     # np.cumsum, so the paths match bit for bit
-    paths = simulate_reference(grid, brownian, sigma, 0.0)
+    paths = simulate_reference(brownian, sigma, 0.0)
     np.testing.assert_array_equal(paths.values[:, 1:],
                                   np.cumsum(brownian.increments, axis=1))
     # a nonzero initial state only shifts the fold, up to rounding
-    shifted = simulate_reference(grid, brownian, sigma, 0.5)
+    shifted = simulate_reference(brownian, sigma, 0.5)
     np.testing.assert_allclose(
         shifted.values[:, 1:], np.cumsum(brownian.increments, axis=1) + 0.5,
         rtol=0, atol=1e-12)
@@ -103,7 +102,7 @@ def test_zero_noise_path_is_constant():
     grid = make_time_grid(1.0, 5)
     zero = BrownianEnsemble(grid=grid, increments=np.zeros((3, 5)))
     sigma = DiffusionSpec(kind="constant", base=1.0)
-    paths = simulate_reference(grid, zero, sigma, 2.0)
+    paths = simulate_reference(zero, sigma, 2.0)
     np.testing.assert_array_equal(paths.values, np.full((3, 6), 2.0))
     np.testing.assert_array_equal(paths.running_sup, np.full((3, 6), 2.0))
 
@@ -116,13 +115,12 @@ def test_terminal_variance_matches_horizon(lq):
     assert abs(var - lq.horizon) <= 0.05 * lq.horizon
 
 
-def test_grid_mismatch_rejected():
+def test_an_ensemble_grid_is_its_driver_grid():
     grid = make_time_grid(1.0, 4)
-    other = make_time_grid(1.0, 5)
-    brownian = sample_brownian(other, 8, seed=0)
-    sigma = DiffusionSpec(kind="constant", base=1.0)
-    with pytest.raises(ValueError):
-        simulate_reference(grid, brownian, sigma, 0.0)
+    brownian = sample_brownian(grid, 8, seed=0)
+    paths = simulate_reference(brownian, DiffusionSpec(kind="constant", base=1.0), 0.0)
+    assert paths.driver is brownian and paths.grid is brownian.grid
+    assert paths.values.shape == (8, grid.steps + 1)
 
 
 def test_running_sup_by_inspection():
@@ -131,7 +129,7 @@ def test_running_sup_by_inspection():
     inc = np.array([[3.0, -8.0]])
     brownian = BrownianEnsemble(grid=grid, increments=inc)
     sigma = DiffusionSpec(kind="constant", base=1.0)
-    paths = simulate_reference(grid, brownian, sigma, 0.0)
+    paths = simulate_reference(brownian, sigma, 0.0)
     np.testing.assert_array_equal(paths.values[0], [0.0, 3.0, -5.0])
     np.testing.assert_array_equal(paths.running_sup[0], [0.0, 3.0, 5.0])
 
@@ -161,7 +159,7 @@ def test_simulate_for_scenario_wires_geometry(lq):
     assert paths.grid.horizon == lq.horizon
     assert paths.grid.steps == 6
     assert paths.values.shape == (32, 7)
-    assert paths.initial == lq.initial
+    assert np.all(paths.values[:, 0] == lq.initial)
 
 
 def test_every_public_name_resolves_on_the_package():

@@ -4,12 +4,14 @@ A family's actions are read once per step per control kind, a Hellinger pair
 reads the drifts' held bases, criterion 4 forms each constant's drift once per
 block of particles, a synthesized feedback holds one grid-row matrix per
 grid, tv_marginals sorts a common ensemble's states once for all its
-flows, and the battery drops its matched flows after their last reader.
+flows, and the battery simulates one ensemble for every built-in and drops
+its matched flows after their last reader.
 Each test pins
 one of these readers, bit for bit, against the per-member (or np.histogram)
 computation it replaces, or pins what it reads and holds.
 """
 
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -25,6 +27,7 @@ from mfcontrol import (
     ActionGrid,
     BasisSpec,
     BsdeFeedbackControl,
+    DiffusionSpec,
     DriftEvaluator,
     DriftSpec,
     EnsembleMismatchError,
@@ -279,7 +282,7 @@ def test_comparison_check_holds_no_flow(monkeypatch):
     monkeypatch.setattr(verify_mod, "solve_linear_family",
                         counted(verify_mod.solve_linear_family))
     monkeypatch.setattr(verify_mod, "envelope_bsde", counted(verify_mod.envelope_bsde))
-    ctx.paths_for(ctx.scenarios["linear-quadratic"])
+    ctx.paths
     tracemalloc.start()
     try:
         result = verify_mod.check_comparison(ctx)
@@ -484,6 +487,32 @@ def test_marginal_domination_cuts_each_column_once(monkeypatch):
 
     monkeypatch.setattr(measure_mod, "_cut_sums", counted)
     result = verify_mod.check_marginal_domination(ctx)
-    assert len(ctx.scenarios) == 6 and len(ctx._paths) == 1
-    assert len(result.details["rows"]) == 6
+    assert len(ctx.scenarios) == len(result.details["rows"]) == 6
     assert widths == [7] * 11
+
+
+def test_battery_simulates_one_ensemble_for_every_builtin(monkeypatch):
+    ctx = AcceptanceContext(seed=7, particles=300, steps=10)
+    simulated = []
+
+    def counted(*args):
+        simulated.append(args)
+        return simulate_for_scenario(*args)
+
+    monkeypatch.setattr(verify_mod, "simulate_for_scenario", counted)
+    assert ctx.paths is ctx.paths
+    assert len(simulated) == 1
+    assert ctx.paths.grid.steps == 10 and ctx.paths.particles == 300
+
+
+def test_battery_refuses_a_builtin_off_the_shared_ensemble(monkeypatch):
+    ctx = AcceptanceContext(seed=7, particles=300, steps=10)
+    variance = ctx.scenarios["variance"]
+    monkeypatch.setitem(ctx.scenarios, "variance",
+                        dataclasses.replace(variance, sigma=DiffusionSpec(base=2.0)))
+    simulated = []
+    monkeypatch.setattr(verify_mod, "simulate_for_scenario",
+                        lambda *args: simulated.append(args))
+    with pytest.raises(ValueError, match="'variance'"):
+        ctx.paths
+    assert simulated == []

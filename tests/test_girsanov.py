@@ -110,16 +110,6 @@ def test_collapsed_reweighting_aborts(paths1k):
     assert density_process(constant_drift(paths1k, 30.0))[:, -1].any()
 
 
-def test_density_needs_attached_increments(paths1k):
-    from mfcontrol import PathEnsemble
-
-    orphan = PathEnsemble(grid=paths1k.grid, values=paths1k.values,
-                          initial=paths1k.initial,
-                          running_sup=paths1k.running_sup, driver=None)
-    with pytest.raises(ValueError):
-        density_process(constant_drift(orphan, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # fixed point
 

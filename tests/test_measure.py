@@ -63,7 +63,7 @@ def two_particle_ensemble():
     inc = np.array([[0.0], [2.0]])
     brownian = BrownianEnsemble(grid=grid, increments=inc)
     sigma = DiffusionSpec(kind="constant", base=1.0)
-    return simulate_reference(grid, brownian, sigma, 0.0)
+    return simulate_reference(brownian, sigma, 0.0)
 
 
 def drifted_flow(paths, u: float):

@@ -25,7 +25,6 @@ from mfcontrol import (
     get_builtin,
     parse_scenario,
     policy_iteration,
-    serialize_scenario,
     simulate_for_scenario,
     validate_scenario,
 )
@@ -95,6 +94,8 @@ def test_box_grid_layout():
     assert grid.points[-1] == 1.0
     assert all(type(p) is float for p in grid.points)
     assert grid.resolution == pytest.approx(0.1)
+    # a grid is its points, however they were given
+    assert grid == ActionGrid.explicit(grid.points)
 
 
 def test_singleton_box_is_midpoint():
@@ -125,24 +126,13 @@ def test_action_grid_rejects_malformed_sets():
         ActionGrid.box(0.0, 1.0, 0)
 
 
-def test_explicit_points_read_numbers_and_one_number_lists_alike(lq):
-    doc = serialize_scenario(lq)
+def test_explicit_points_read_numbers_and_one_number_lists_alike():
+    doc = builtin_config("linear-quadratic")
     doc["actions"] = {"points": [0.5, -1.0, 0.0]}
     numbers = parse_scenario(doc)
     doc["actions"] = {"points": [[0.5], -1.0, [0.0]]}
     assert parse_scenario(doc) == numbers
     assert numbers.actions.points == (-1.0, 0.0, 0.5)
-
-
-def test_serialize_writes_explicit_points_as_numbers(lq, bilinear_game):
-    doc = serialize_scenario(bilinear_game)
-    assert doc["actions_u"] == {"points": [-1.0, 1.0]}
-    assert parse_scenario(doc) == bilinear_game
-    explicit = serialize_scenario(lq)
-    explicit["actions"] = {"points": [[0.25], [-0.5]]}
-    written = serialize_scenario(parse_scenario(explicit))
-    assert written["actions"] == {"points": [-0.5, 0.25]}
-    assert parse_scenario(written) == parse_scenario(explicit)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +240,6 @@ def test_one_scenario_type_reads_its_kind_off_the_maximizer_grid(name):
         u = doc["actions_u"]
         assert s.actions == (ActionGrid.explicit(u["points"]) if "points" in u
                              else ActionGrid.box(u["lo"], u["hi"], u["count"]))
-    written = serialize_scenario(s)
-    for key in (("actions_u", "actions_v") if game else ("actions",)):
-        assert written[key] == doc[key]
-    assert ("actions_v" in written) == game and ("actions_u" in written) == game
 
 
 def test_a_control_problem_given_a_maximizer_grid_is_a_game(lq):
@@ -269,12 +255,6 @@ def test_invalid_json_and_non_mapping_inputs():
         parse_scenario("{not json")
     with pytest.raises(ConfigError):
         parse_scenario("[1, 2, 3]")
-
-
-def test_serialize_parse_round_trip_on_builtins():
-    for name in builtin_scenarios():
-        s = get_builtin(name)
-        assert parse_scenario(serialize_scenario(s)) == s
 
 
 # ---------------------------------------------------------------------------
