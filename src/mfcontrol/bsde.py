@@ -283,7 +283,7 @@ def _hamiltonian_values(scenario: Scenario, t: float, state, sup,
     formed as (z sigma^{-1}(1)) f."""
     x = np.asarray(state, dtype=float)
     f = scenario.drift.evaluate(x, stats_row, *actions)
-    c = scenario.sigma.inv_apply(t, x, np.asarray(sup, dtype=float), np.ones_like(x))
+    c = scenario.sigma.inv_apply(t, x, np.asarray(sup, dtype=float), np.ones_like(x), None)
     h = scenario.running_cost.evaluate(x, stats_row, *actions)
     return h + (np.asarray(z, dtype=float) * c) * f
 

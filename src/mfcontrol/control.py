@@ -351,14 +351,24 @@ def evaluate_payoff(scenario: Scenario, control, paths: PathEnsemble,
                            *scenario.terminal_cost.stat_names()))
     series = {name: flow.statistic_series(name) for name in names}
 
-    # each block's weighted running costs are integrated in place; the rows of
-    # a block sum exactly as the rows of the whole matrix would
+    # each block's weighted running costs y are integrated by np.trapezoid's
+    # own expression, (dx * (y[:, 1:] + y[:, :-1]) / 2.0).sum(axis=1), in
+    # scratch made once per call; the rows of a block sum exactly as the rows
+    # of the whole matrix would
     running = np.empty(paths.particles)
     steps = slice(0, n + 1)
-    for rows in particle_blocks(paths.particles, n + 1):
+    blocks = particle_blocks(paths.particles, n + 1)
+    weighted = np.empty((blocks[0].stop, n + 1))
+    pairs = np.empty((blocks[0].stop, n))
+    for rows in blocks:
+        size = rows.stop - rows.start
         h = scenario.running_cost.evaluate(
             paths.values[rows], series, *control_actions(control, paths, rows, steps))
-        running[rows] = np.trapezoid(flow.weights[rows] * h, dx=paths.grid.dt, axis=1)
+        y = np.multiply(flow.weights[rows], h, out=weighted[:size])
+        mid = np.add(y[:, 1:], y[:, :-1], out=pairs[:size])
+        np.multiply(paths.grid.dt, mid, out=mid)
+        mid /= 2.0
+        running[rows] = mid.sum(axis=1)
     terminal = flow.weights[:, n] * terminal_values(scenario, paths, series)
     per_particle = running + terminal
     value, stderr = mean_stderr(per_particle)

@@ -160,9 +160,11 @@ def available_cores() -> int:
 
 
 # member_map runs at most this many workers.  Each member in flight holds its
-# own flow, weights and block temporaries, and each extra thread its own malloc
-# arena, so the cap bounds the memory of a family's pricing as well as its
-# threads.  Wall time and peak RSS were measured with two workers only.
+# own flow, weights and block scratch, each worker's fixed points keep one
+# pooled drift base per ensemble alive (girsanov's free list), and each extra
+# thread has its own malloc arena, so the cap bounds the memory of a family's
+# pricing as well as its threads.  Wall time and peak RSS were measured with
+# two workers only.
 MEMBER_WORKERS = 2
 
 

@@ -23,11 +23,16 @@ zero with no Monte Carlo floor; an iterate whose drift statistics repeat bit
 for bit is a fixed point already, and its zero distance is recorded without
 another application.  The flow enters f only through its statistic terms, so
 a fixed point reads the control's actions once, into drift_base, and holds
-one weight matrix at a time.
+one weight matrix at a time.  Every control is a reweighting of the same
+ensemble, so every fixed point on it needs a drift base of one shape: the
+buffer comes from a free list kept per ensemble and goes back to it when
+the fixed point returns.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,30 +111,54 @@ def _family_actions(controls, paths: PathEnsemble, k: int) -> list[np.ndarray]:
     return [_side_actions(side, paths, k) for side in zip(*map(_players, controls))]
 
 
-def drift_base(scenario: Scenario, control, paths: PathEnsemble) -> np.ndarray:
-    """Read-only (particles, steps + 1) DriftSpec.base of the control (a
-    player, or a game control of two) along the ensemble, filled a block of
-    particles at a time."""
+def drift_base(scenario: Scenario, control, paths: PathEnsemble,
+               out: np.ndarray) -> np.ndarray:
+    """DriftSpec.base of the control (a player, or a game control of two)
+    along the ensemble, filled a block of particles at a time into out, a
+    (particles, steps + 1) array; returned as a read-only view of out."""
     steps = slice(0, paths.grid.steps + 1)
-    base = np.empty(paths.values.shape)
-    for rows in particle_blocks(*base.shape):
-        base[rows] = scenario.drift.base(paths.values[rows],
-                                         *control_actions(control, paths, rows, steps))
+    for rows in particle_blocks(*out.shape):
+        out[rows] = scenario.drift.base(paths.values[rows],
+                                        *control_actions(control, paths, rows, steps))
+    base = out.view()
     base.flags.writeable = False
     return base
+
+
+# ensemble -> the drift-base buffers that no fixed point is using.  A fixed
+# point takes one (or makes one) and gives it back when it returns, so the
+# list holds at most one buffer per fixed point that was in flight on the
+# ensemble at once.  Weakly keyed, so the buffers die with their ensemble.
+_BASE_BUFFERS = weakref.WeakKeyDictionary()
+_BASE_BUFFERS_LOCK = threading.Lock()   # member_map runs fixed points at once
+
+
+def _take_base_buffer(paths: PathEnsemble) -> np.ndarray:
+    """A free (particles, steps + 1) drift-base buffer of the ensemble."""
+    with _BASE_BUFFERS_LOCK:
+        free = _BASE_BUFFERS.get(paths)
+        if free:
+            return free.pop()
+    return np.empty(paths.values.shape)
+
+
+def _give_back_base_buffer(paths: PathEnsemble, buffer: np.ndarray):
+    """Put a drift-base buffer on the ensemble's free list."""
+    with _BASE_BUFFERS_LOCK:
+        _BASE_BUFFERS.setdefault(paths, []).append(buffer)
 
 
 class DriftEvaluator:
     """Drift values of a control along the flow's ensemble.
 
     control is a player for a control problem and a game control for a game
-    (see control_actions).  evaluator.over(rows, steps) gives the (rows,
-    steps) drift on a block of particles and grid times:
+    (see control_actions).  evaluator.over(rows, steps, out) gives the
+    (rows, steps) drift on a block of particles and grid times:
     DriftSpec.with_stats of the block's base, each statistic series (read off
-    the flow once) broadcast along time.  The base is a slice of the given
-    drift_base, or else formed from the block's actions.  The ensemble
-    (evaluator.paths) and sigma (evaluator.scenario.sigma) are the ones the
-    reweighting reads.
+    the flow once) broadcast along time, written into out as with_stats
+    writes.  The base is a slice of the given drift_base, or else formed
+    from the block's actions.  The ensemble (evaluator.paths) and sigma
+    (evaluator.scenario.sigma) are the ones the reweighting reads.
     """
 
     def __init__(self, scenario: Scenario, flow: MeasureFlow, control,
@@ -141,13 +170,14 @@ class DriftEvaluator:
         self.series = {name: flow.statistic_series(name)
                        for name in scenario.drift.stat_names()}
 
-    def over(self, rows: slice, steps: slice) -> np.ndarray:
+    def over(self, rows: slice, steps: slice, out: np.ndarray | None) -> np.ndarray:
         paths = self.paths
         drift = self.scenario.drift
         base = (drift.base(paths.values[rows, steps],
                            *control_actions(self.control, paths, rows, steps))
                 if self.base is None else self.base[rows, steps])
-        return drift.with_stats(base, {name: s[steps] for name, s in self.series.items()})
+        return drift.with_stats(base, {name: s[steps] for name, s in self.series.items()},
+                                out)
 
 
 def density_process(drift: DriftEvaluator) -> np.ndarray:
@@ -156,12 +186,14 @@ def density_process(drift: DriftEvaluator) -> np.ndarray:
     simulated from and with its scenario's sigma; column 0 is one.
 
     The drift is read a block of particles at a time.  theta and the log
-    increments of a block are formed for all its steps at once and written
-    into the output, which is then accumulated column by column in step
-    order, the order of the step-by-step recursion, and exponentiated in
-    place.  A non-finite theta or a singular sigma raises for the first bad
-    step, as that recursion does, and a horizon column of zeros (every
-    density underflowed, while E[L_T] = 1) raises FloatingPointError.
+    increments of a block are formed for all its steps at once, in two
+    block-sized scratch arrays made once per call (the drift, then theta dW;
+    theta, then its square), and written straight into the output, which is
+    then accumulated column by column in step order, the order of the
+    step-by-step recursion, and exponentiated in place.  A non-finite theta
+    or a singular sigma raises for the first bad step, as that recursion
+    does, and a horizon column of zeros (every density underflowed, while
+    E[L_T] = 1) raises FloatingPointError.
     """
     paths, sigma = drift.paths, drift.scenario.sigma
     dw = paths.driver.increments
@@ -170,21 +202,29 @@ def density_process(drift: DriftEvaluator) -> np.ndarray:
         raise ValueError("paths and increments disagree on ensemble shape")
     dt = paths.grid.dt
     times = paths.grid.times
+    blocks = particle_blocks(m, n + 1)
+    scratch = np.empty((2, blocks[0].stop, n))   # for one block's steps
 
     def increments(rows: slice, steps: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """The log increments of the particles rows at the grid times steps,
+        formed in the scratch and written into out, or in fresh arrays when
+        out is None."""
+        held = (None, None) if out is None else scratch[:, :out.shape[0]]
         theta = sigma.inv_apply(times[steps], paths.values[rows, steps],
-                                paths.running_sup[rows, steps], drift.over(rows, steps))
+                                paths.running_sup[rows, steps],
+                                drift.over(rows, steps, held[0]), held[1])
         if not np.all(np.isfinite(theta)):
             bad = int(np.argmin(np.all(np.isfinite(theta), axis=0)))
             raise FloatingPointError(f"non-finite drift-to-noise ratio at t_index "
                                      f"{steps.start + bad}")
-        drive, square = theta * dw[rows, steps], theta * theta
+        drive = np.multiply(theta, dw[rows, steps], out=held[0])
+        square = np.multiply(theta, theta, out=theta)
         square *= 0.5 * dt
         return np.subtract(drive, square, out=out)
 
     log_w = np.zeros((m, n + 1))
     try:
-        for rows in particle_blocks(m, n + 1):
+        for rows in blocks:
             increments(rows, slice(0, n), out=log_w[rows, 1:])
     except (FloatingPointError, SingularDiffusionError):
         for k in range(n):   # the first failing step raises its own error
@@ -268,12 +308,14 @@ def fixpoint_measure_flow(scenario: Scenario, control,
     bounds the recorded distances.  Raises FixpointConvergenceError with full
     diagnostics if _PICARD_MAX_ITER applications do not bring the horizon TV
     update below tol; partial results are on the exception's diagnostics for
-    inspection.
+    inspection.  The drift base is written into a buffer taken from the
+    ensemble's free list and given back on return; nothing returned reads it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     stats = scenario.statistic_map
-    base = drift_base(scenario, control, paths)
+    buffer = _take_base_buffer(paths)
+    base = drift_base(scenario, control, paths, buffer)
     flow = reference_flow(paths, stats)
     drift_at = DriftEvaluator(scenario, flow, control, base)
     distances: list[float] = []
@@ -297,6 +339,10 @@ def fixpoint_measure_flow(scenario: Scenario, control,
             stderrs.append(0.0)
             break
         drift_at = next_at
+    # only the evaluators above read the buffer, and they die on return; a
+    # fixed point that raises never gives its buffer back, since its
+    # evaluators live on in the traceback
+    _give_back_base_buffer(paths, buffer)
     diag = FixpointDiagnostics(tuple(distances), tuple(stderrs), tol, True)
     return FixpointResult(flow=flow, diagnostics=diag)
 

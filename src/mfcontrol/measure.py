@@ -84,19 +84,24 @@ class MeasureFlow:
 
     def statistic_series(self, name: str) -> np.ndarray:
         """(steps + 1,) trajectory of a registered statistic under the flow:
-        w * psi by blocks of particles, summed in row order with the running
-        sum carried into each block's first row, as np.mean's axis-0 sum.  A
-        sum that overflows or is not finite raises FloatingPointError naming
-        the statistic and its first such grid index."""
+        w * psi by blocks of particles, each formed in one scratch array,
+        summed in row order with the running sum carried into each block's
+        first row, as np.mean's axis-0 sum.  A sum that overflows or is not
+        finite raises FloatingPointError naming the statistic and its first
+        such grid index."""
         if name not in self.statistics:
             raise KeyError(f"statistic {name!r} is not registered with this flow")
         if name not in self._stat_cache:
             spec = self.statistics[name]
             m, cols = self.weights.shape
+            blocks = particle_blocks(m, cols)
+            scratch = np.empty((blocks[0].stop, cols))   # one block's products
             total = None
             with np.errstate(over="ignore", invalid="ignore"):
-                for rows in particle_blocks(m, cols):
-                    prod = self.weights[rows] * spec.evaluate(self.paths.values[rows])
+                for rows in blocks:
+                    prod = np.multiply(self.weights[rows],
+                                       spec.evaluate(self.paths.values[rows]),
+                                       out=scratch[:rows.stop - rows.start])
                     if total is not None:
                         prod[0] += total
                     total = prod.sum(axis=0)
@@ -293,9 +298,9 @@ def hellinger_pairs(drifts, horizons) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for rows in particle_blocks(m, k * (n + 1)):
         drift = np.empty((rows.stop - rows.start, k, n + 1))
         for j, member in enumerate(drifts):
-            drift[:, j] = member.over(rows, steps)
+            drift[:, j] = member.over(rows, steps, None)
         theta = sigma.inv_apply(grid.times, paths.values[rows, None],
-                                paths.running_sup[rows, None], drift)
+                                paths.running_sup[rows, None], drift, None)
         del drift   # before the Gram product's temporaries
         theta -= theta.mean(axis=1, keepdims=True)
         cross = (theta * trapezoid) @ theta.transpose(0, 2, 1)

@@ -5,7 +5,8 @@ diffusion coefficient, drift family, running and terminal costs, the
 statistics through which the law enters the coefficients, and the admissible
 action grid(s).  All of it is data.  Coefficients are picked from small closed
 registries instead of accepting user callables, so a scenario can be parsed
-from a config document, validated, and hashed into a reproducible report.
+from a config document and validated.  Nothing hashes a document: a report
+echoes only the CLI settings, the --config path and the scenario name.
 
 The state x is a real number.  Registered functional forms:
 
@@ -176,8 +177,10 @@ class DiffusionSpec:
         self._guard(vals, t)
         return vals * vec
 
-    def inv_apply(self, t, state: np.ndarray, sup: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """sigma^{-1}(t, path) vec.
+    def inv_apply(self, t, state: np.ndarray, sup: np.ndarray, vec: np.ndarray,
+                  out: np.ndarray | None) -> np.ndarray:
+        """sigma^{-1}(t, path) vec, written into out when it is an array of
+        the result's shape (and not vec), else into a fresh one.
 
         One grid time with state, sup and vec shaped (M,), or a block of
         steps: t (B,), state, sup and vec (M, B), or state and sup (M, 1, B)
@@ -185,10 +188,10 @@ class DiffusionSpec:
         if self.kind == "constant":
             if abs(self.base) < _SIGMA_FLOOR:
                 self._guard(self.scalar_values(t, state, sup), t)
-            return (1.0 / self.base) * vec
+            return np.multiply(1.0 / self.base, vec, out=out)
         vals = self.scalar_values(t, state, sup)
         self._guard(vals, t)
-        return (1.0 / vals) * vec
+        return np.multiply(np.divide(1.0, vals, out=vals), vec, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +226,7 @@ class DriftSpec:
 
     def evaluate(self, x, stats_row, u, v=None):
         """The drift, elementwise over broadcasting states and actions."""
-        return self.with_stats(self.base(x, u, v), stats_row)
+        return self.with_stats(self.base(x, u, v), stats_row, None)
 
     def base(self, x, u, v=None):
         """The terms that read no statistic: A x + C u + Cv v + c0."""
@@ -232,15 +235,18 @@ class DriftSpec:
             out = out + self.control_v * v
         return out + self.const
 
-    def with_stats(self, base, stats_row):
-        """base plus the statistic terms in order, then the bound_scale clip."""
-        out = base
+    def with_stats(self, base, stats_row, out):
+        """base plus the statistic terms in order, then the bound_scale clip.
+        Each step is written into out when it is an array of the result's
+        shape, else into a fresh one; with no term to add and no clip, base
+        itself."""
         for name, coeff in self.stats:
             if coeff != 0.0:
-                out = out + coeff * stats_row[name]
+                base = np.add(base, coeff * stats_row[name], out=out)
         if self.bound_scale is not None:
-            out = self.bound_scale * np.tanh(out / self.bound_scale)
-        return out
+            clipped = np.tanh(np.divide(base, self.bound_scale, out=out), out=out)
+            base = np.multiply(self.bound_scale, clipped, out=out)
+        return base
 
 
 # ---------------------------------------------------------------------------

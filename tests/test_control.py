@@ -277,8 +277,8 @@ def test_hamiltonian_matches_sigma_inverse_of_the_simulated_drift(kind, diffusio
         row = {name: flow.statistic_series(name)[k] for name in scen.statistic_map}
         acts = [c.actions(paths, k) for c in controls]
         h = scen.running_cost.evaluate(state, row, *acts)
-        f = drift_at.over(slice(None), slice(k, k + 1))[:, 0]
-        expected = h + z * scen.sigma.inv_apply(t, state, sup, f)
+        f = drift_at.over(slice(None), slice(k, k + 1), None)[:, 0]
+        expected = h + z * scen.sigma.inv_apply(t, state, sup, f, None)
         np.testing.assert_allclose(hamiltonian(scen, t, state, sup, row, z, *acts), expected,
                                    rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(driver(k, z), expected, rtol=1e-13, atol=1e-13)

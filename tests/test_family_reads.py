@@ -182,8 +182,10 @@ def test_hellinger_with_held_bases_equals_fresh(mean_field):
     fresh = hellinger_bound(fa, DriftEvaluator(mean_field, fa, ca),
                             DriftEvaluator(mean_field, fb, cb))
     held = hellinger_bound(
-        fa, DriftEvaluator(mean_field, fa, ca, drift_base(mean_field, ca, paths)),
-        DriftEvaluator(mean_field, fb, cb, drift_base(mean_field, cb, paths)))
+        fa, DriftEvaluator(mean_field, fa, ca,
+                           drift_base(mean_field, ca, paths, np.empty(paths.values.shape))),
+        DriftEvaluator(mean_field, fb, cb,
+                       drift_base(mean_field, cb, paths, np.empty(paths.values.shape))))
     assert held == fresh
 
 
@@ -210,10 +212,10 @@ def test_hellinger_check_forms_each_base_once(monkeypatch):
 
     over = DriftEvaluator.over
 
-    def read(self, rows, steps):
+    def read(self, rows, steps, out):
         if not applying:
             reads.setdefault(self, []).append((rows.start, rows.stop))
-        return over(self, rows, steps)
+        return over(self, rows, steps, out)
 
     base = DriftSpec.base
 

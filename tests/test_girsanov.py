@@ -338,7 +338,7 @@ def test_drift_is_its_base_plus_the_statistic_terms(name):
             want = want + coeff * row[stat]
     if drift.bound_scale is not None:
         want = drift.bound_scale * np.tanh(want / drift.bound_scale)
-    split = drift.with_stats(drift.base(x0, u, v), row)
+    split = drift.with_stats(drift.base(x0, u, v), row, None)
     assert drift.evaluate(x0, row, u, v).tobytes() == split.tobytes() == want.tobytes()
 
 
@@ -348,11 +348,13 @@ def test_evaluator_on_a_held_base_equals_one_without(name):
     paths = simulate_for_scenario(scenario, particles=300, steps=12, seed=3)
     control = drift_control(scenario)
     flow = fixpoint_measure_flow(scenario, control, paths).flow
-    held = DriftEvaluator(scenario, flow, control, drift_base(scenario, control, paths))
+    base = drift_base(scenario, control, paths, np.empty(paths.values.shape))
+    held = DriftEvaluator(scenario, flow, control, base)
     fresh = DriftEvaluator(scenario, flow, control)
     for rows in (slice(0, 300), slice(7, 31)):
         for steps in (slice(0, 13), slice(4, 5)):
-            assert held.over(rows, steps).tobytes() == fresh.over(rows, steps).tobytes()
+            assert (held.over(rows, steps, None).tobytes()
+                    == fresh.over(rows, steps, None).tobytes())
     assert density_process(held).tobytes() == density_process(fresh).tobytes()
 
 

@@ -64,7 +64,7 @@ def test_constant_diffusion_apply_and_inverse():
     sup = np.zeros(4)
     vec = np.arange(4.0)
     np.testing.assert_array_equal(sigma.apply(0.0, state, sup, vec), 2.0 * vec)
-    np.testing.assert_array_equal(sigma.inv_apply(0.0, state, sup, vec), vec / 2.0)
+    np.testing.assert_array_equal(sigma.inv_apply(0.0, state, sup, vec, None), vec / 2.0)
 
 
 def test_affine_diffusion_guards_zero_crossing():
@@ -74,7 +74,7 @@ def test_affine_diffusion_guards_zero_crossing():
     sup = np.abs(state)
     vec = np.ones(2)
     with pytest.raises(SingularDiffusionError):
-        sigma.inv_apply(0.0, state, sup, vec)
+        sigma.inv_apply(0.0, state, sup, vec, None)
     with pytest.raises(SingularDiffusionError):
         sigma.apply(0.0, state, sup, vec)
     # away from the crossing the same registry works
