@@ -10,15 +10,12 @@ paths.  Nothing is ever resimulated for a new control.
 __version__ = "0.1.0"
 
 from .core import (
-    BrownianEnsemble,
     PathEnsemble,
     TimeGrid,
     ensemble_moments,
-    make_time_grid,
     member_map,
     sample_brownian,
     simulate_for_scenario,
-    simulate_reference,
 )
 from .scenario import (
     ActionGrid,
@@ -107,9 +104,8 @@ from .verify import AcceptanceContext, CheckResult, run_battery
 __all__ = [
     "__version__",
     # core
-    "BrownianEnsemble", "PathEnsemble", "TimeGrid", "ensemble_moments",
-    "make_time_grid", "member_map", "sample_brownian",
-    "simulate_for_scenario", "simulate_reference",
+    "PathEnsemble", "TimeGrid", "ensemble_moments", "member_map",
+    "sample_brownian", "simulate_for_scenario",
     # scenario registry
     "ActionGrid", "AssumptionStatus", "ConfigError", "CostSpec",
     "DiffusionSpec", "DriftSpec", "Scenario",

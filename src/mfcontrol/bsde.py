@@ -198,7 +198,7 @@ def _backward(paths: PathEnsemble, terminal: np.ndarray, driver_at,
     regression; every per-member reduction runs over that member's particles
     alone, in the order a solo solve uses.
     """
-    dw = paths.driver.increments
+    dw = paths.increments
     n = paths.grid.steps
     members = terminal.shape[1]
     dt = paths.grid.dt

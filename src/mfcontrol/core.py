@@ -7,18 +7,22 @@ Everything downstream works on one driftless reference ensemble
 simulated once per (scenario, particles, steps, seed).  Controlled laws are
 obtained later by reweighting this ensemble, never by resimulating, so a
 single stored Brownian increment array serves every control and both game
-players.  All randomness flows through one seeded generator; reductions are
-plain numpy sums over fixed axis order, which keeps runs bit-reproducible for
-a given numpy version.
+players.  The ensemble is a function of that array: PathEnsemble is built
+from the grid, the increments, sigma and the initial state and simulates
+its own paths, so no ensemble pairs paths with increments they were not
+simulated from.  All randomness flows through one seeded generator;
+reductions are plain numpy sums over fixed axis order, which keeps runs
+bit-reproducible for a given numpy version.
 """
 
 from __future__ import annotations
 
 import contextvars
 import itertools
+import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,8 +38,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:   # NaN fails too
+            raise ValueError("horizon must be positive and finite")
         if self.steps < 1:
             raise ValueError("need at least one step")
 
@@ -51,48 +55,59 @@ class TimeGrid:
         return times
 
 
-def make_time_grid(horizon: float, steps: int) -> TimeGrid:
-    return TimeGrid(horizon=float(horizon), steps=int(steps))
-
-
-@dataclass(frozen=True)
-class BrownianEnsemble:
-    """Increments dW on the grid, with shape (particles, steps)."""
-
-    grid: TimeGrid
-    increments: np.ndarray
-
-
-def sample_brownian(grid: TimeGrid, particles: int, seed: int) -> BrownianEnsemble:
-    """Draw iid N(0, dt) increments from a PCG64 stream."""
+def sample_brownian(grid: TimeGrid, particles: int, seed: int) -> np.ndarray:
+    """Iid N(0, dt) increments from a PCG64 stream, shaped (particles, steps)."""
     if particles < 1:
         raise ValueError("particles must be positive")
     rng = np.random.default_rng(seed)
-    dw = rng.standard_normal((particles, grid.steps)) * np.sqrt(grid.dt)
-    return BrownianEnsemble(grid=grid, increments=dw)
+    return rng.standard_normal((particles, grid.steps)) * np.sqrt(grid.dt)
 
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """Simulated reference paths.
+    """Reference paths simulated from their increments.
 
-    The state is a real number: values has shape (particles, steps + 1), and
-    running_sup[i, k] is the running supremum of |x_i| up to t_k, the one path
-    functional the coefficient registries may read besides the current state.
+    The constructor runs the Euler scheme for the driftless reference
+    dynamics from the initial state, with sigma evaluated at the left
+    endpoint of each interval.  A singular sigma value at any evaluation
+    point aborts (SingularDiffusionError); the density process later needs
+    sigma^{-1} along every path.  The state is a real number: the read-only
+    values have shape (particles, steps + 1), and running_sup[i, k] is the
+    running supremum of |x_i| up to t_k, the one path functional the
+    coefficient registries may read besides the current state.  The
+    increments are held as a read-only view, so the paths stay those of the
+    increments.  A block of rows R is PathEnsemble(grid, increments[R],
+    sigma, initial), whose paths are the parent's rows R bit for bit.
 
     An ensemble compares and hashes by identity, so results that depend only
     on it are held in weakref.WeakKeyDictionary holders keyed by it: an equal
     but distinct ensemble is another key, and a dead one drops its entries.
     """
 
-    values: np.ndarray
-    running_sup: np.ndarray
-    driver: BrownianEnsemble
+    grid: TimeGrid
+    increments: np.ndarray
+    sigma: InitVar[DiffusionSpec]
+    initial: InitVar[float]
 
-    @property
-    def grid(self) -> TimeGrid:
-        """The grid of the increments the paths were simulated from."""
-        return self.driver.grid
+    def __post_init__(self, sigma: DiffusionSpec, initial: float):
+        dw = self.increments.view()
+        if dw.ndim != 2 or dw.shape[1] != self.grid.steps:
+            raise ValueError(f"increments shaped {dw.shape}, expected (particles, "
+                             f"{self.grid.steps}) on the grid")
+        m, n = dw.shape
+        xi = float(initial)
+        x = np.empty((m, n + 1))
+        sup = np.empty((m, n + 1))
+        x[:, 0] = xi
+        sup[:, 0] = abs(xi)
+        times = self.grid.times
+        for k in range(n):
+            step = sigma.apply(times[k], x[:, k], sup[:, k], dw[:, k])
+            x[:, k + 1] = x[:, k] + step
+            sup[:, k + 1] = np.maximum(sup[:, k], np.abs(x[:, k + 1]))
+        for name, held in (("increments", dw), ("values", x), ("running_sup", sup)):
+            held.flags.writeable = False
+            object.__setattr__(self, name, held)
 
     @property
     def particles(self) -> int:
@@ -105,36 +120,13 @@ class PathEnsemble:
         return self.running_sup[:, t_index]
 
 
-def simulate_reference(brownian: BrownianEnsemble, sigma: DiffusionSpec,
-                       initial: float) -> PathEnsemble:
-    """Euler scheme for the driftless reference dynamics from the initial
-    state, on the increments' grid.
-
-    sigma is evaluated at the left endpoint of each interval.  A singular
-    sigma value at any evaluation point aborts (SingularDiffusionError); the
-    density process later needs sigma^{-1} along every path.
-    """
-    m, n = brownian.increments.shape
-    xi = float(initial)
-    x = np.empty((m, n + 1))
-    sup = np.empty((m, n + 1))
-    x[:, 0] = xi
-    sup[:, 0] = abs(xi)
-    times = brownian.grid.times
-    for k in range(n):
-        step = sigma.apply(times[k], x[:, k], sup[:, k], brownian.increments[:, k])
-        x[:, k + 1] = x[:, k] + step
-        sup[:, k + 1] = np.maximum(sup[:, k], np.abs(x[:, k + 1]))
-    return PathEnsemble(values=x, running_sup=sup, driver=brownian)
-
-
 def simulate_for_scenario(scenario: Scenario, particles: int,
                           steps: int, seed: int) -> PathEnsemble:
     """Grid + increments + reference paths in one call, horizon and initial
     state taken from the scenario."""
-    grid = make_time_grid(scenario.horizon, steps)
-    brownian = sample_brownian(grid, particles, seed)
-    return simulate_reference(brownian, scenario.sigma, scenario.initial)
+    grid = TimeGrid(scenario.horizon, steps)
+    return PathEnsemble(grid, sample_brownian(grid, particles, seed),
+                        scenario.sigma, scenario.initial)
 
 
 # Whole-path passes walk the ensemble in blocks of particles, each block over

@@ -12,7 +12,8 @@ weight matrix of the reweighted law; its expectation stays at one up to Monte
 Carlo error, which MeasureFlow.normalization records at every grid time.
 The ensemble, its increments and sigma are fixed and a control changes only
 the drift, so density_process takes the drift alone, a DriftEvaluator, and
-reads the ensemble and sigma off it.
+reads the ensemble and sigma off it.  An ensemble holds the increments its
+paths were simulated from, so the weights are always those of the paths.
 
 The measure flow entering f is itself the unknown of a fixed-point problem:
 flow -> density -> reweighted flow.  fixpoint_measure_flow iterates that map
@@ -196,10 +197,8 @@ def density_process(drift: DriftEvaluator) -> np.ndarray:
     E[L_T] = 1) raises FloatingPointError.
     """
     paths, sigma = drift.paths, drift.scenario.sigma
-    dw = paths.driver.increments
+    dw = paths.increments
     m, n = dw.shape
-    if paths.values.shape[0] != m or paths.grid.steps != n:
-        raise ValueError("paths and increments disagree on ensemble shape")
     dt = paths.grid.dt
     times = paths.grid.times
     blocks = particle_blocks(m, n + 1)

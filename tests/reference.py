@@ -137,7 +137,7 @@ def fresh_density(drift):
     """density_process's weights with each block's theta = sigma^{-1} f,
     theta dW and theta^2 dt / 2 in fresh arrays."""
     paths, sigma = drift.paths, drift.scenario.sigma
-    dw = paths.driver.increments
+    dw = paths.increments
     m, n = dw.shape
     steps = slice(0, n)
     log_w = np.zeros((m, n + 1))

@@ -9,7 +9,6 @@ synthesis loop starts with the extremizer rows its backward solve found;
 those must be the rows it would compute itself.
 """
 
-import dataclasses
 import gc
 import weakref
 
@@ -23,6 +22,7 @@ from mfcontrol import (
     BasisSpec,
     BsdeFeedbackControl,
     PairFeedbackControl,
+    PathEnsemble,
     envelopes,
     minimized_hamiltonian,
     policy_iteration,
@@ -133,7 +133,8 @@ def test_returned_arrays_do_not_alias_the_memo(feedback, pair, ensembles):
         np.testing.assert_array_equal(v, ev)
 
 
-def test_feedback_minimizes_once_per_step_and_ensemble(feedback, ensembles, monkeypatch):
+def test_feedback_minimizes_once_per_step_and_ensemble(feedback, ensembles, mean_field,
+                                                        monkeypatch):
     a, _ = ensembles
     calls = counting(monkeypatch, control_mod, "minimized_hamiltonian")
     for _ in range(3):
@@ -141,7 +142,7 @@ def test_feedback_minimizes_once_per_step_and_ensemble(feedback, ensembles, monk
             feedback.actions(a, k)
     assert len(calls) == STEPS + 1
     # an equal but distinct ensemble is another key: identity, not equality
-    twin = dataclasses.replace(a)
+    twin = PathEnsemble(a.grid, a.increments, mean_field.sigma, mean_field.initial)
     assert twin is not a
     for k in range(STEPS + 1):
         np.testing.assert_array_equal(feedback.actions(twin, k), feedback.actions(a, k))

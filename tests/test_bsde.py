@@ -34,6 +34,7 @@ import pytest
 import mfcontrol.bsde as bsde_mod
 from mfcontrol import (
     BasisSpec,
+    PathEnsemble,
     constant_control,
     envelope_bsde,
     fixpoint_measure_flow,
@@ -254,7 +255,7 @@ def lstsq_backward(paths, terminal, driver_at, basis):
     factorization lstsq itself uses).  Returns the residuals of Y's
     projections, z on the ensemble, y0, y0_stderr, the inverse Gram matrices
     and the residual scales of z."""
-    dw = paths.driver.increments
+    dw = paths.increments
     m, n = dw.shape
     dt = paths.grid.dt
     q = basis.width()
@@ -344,7 +345,7 @@ def assert_same_solution(a, b):
 def test_cached_factors_give_the_uncached_bits(lq, monkeypatch):
     a = simulate_for_scenario(lq, particles=600, steps=6, seed=31)
     b = simulate_for_scenario(lq, particles=600, steps=6, seed=32)
-    twin = dataclasses.replace(a)
+    twin = PathEnsemble(a.grid, a.increments, lq.sigma, lq.initial)
     wide, narrow = BasisSpec(), BasisSpec(degree=1)
     ref = {(id(p), basis): solve_uncached(monkeypatch, p, basis)
            for p in (a, b, twin) for basis in (wide, narrow)}
@@ -380,10 +381,13 @@ def test_factor_holder_keeps_no_particle_axis_nor_a_dead_ensemble(lq):
 
 def test_ensembles_compare_and_hash_by_identity(lq):
     paths = simulate_for_scenario(lq, particles=50, steps=3, seed=34)
-    twin = dataclasses.replace(paths)
-    assert twin != paths and twin.values is paths.values
+    twin = PathEnsemble(paths.grid, paths.increments, lq.sigma, lq.initial)
+    assert twin != paths and twin.values.tobytes() == paths.values.tobytes()
     assert hash(paths) == hash(paths)
     assert len({paths, twin, paths}) == 2
+    for name in ("grid", "increments", "values", "running_sup"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(paths, name, getattr(twin, name))
 
 
 def test_each_ensemble_keeps_its_factors_across_switches(lq, monkeypatch):

@@ -20,21 +20,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcontrol import (
-    BrownianEnsemble,
     Control,
     DiffusionSpec,
+    PathEnsemble,
+    TimeGrid,
     constant_control,
     envelope_bsde,
     evaluate_payoff,
     fixpoint_measure_flow,
     hamiltonian,
-    make_time_grid,
     minimized_hamiltonian,
     parametric_control,
     parse_control,
     parse_scenario,
     policy_iteration,
-    simulate_reference,
     solve_linear_family,
     stat_series,
     table_control,
@@ -43,10 +42,8 @@ from mfcontrol import (
 
 def line_ensemble():
     # four two-step paths fanning out to -2, -0.5, 0.5, 2 after step one
-    grid = make_time_grid(1.0, 2)
     inc = np.array([[-2.0, 0.0], [-0.5, 0.0], [0.5, 0.0], [2.0, 0.0]])
-    brownian = BrownianEnsemble(grid=grid, increments=inc)
-    return simulate_reference(brownian, DiffusionSpec(), 0.0)
+    return PathEnsemble(TimeGrid(1.0, 2), inc, DiffusionSpec(), 0.0)
 
 
 def pointwise_scenario():

@@ -5,66 +5,77 @@ x_{k+1} = x_k + sigma dW_k: with unit constant sigma the path is the
 initial state plus a cumulative sum of the increments (exact in floating
 point, the scheme performs the identical additions), the terminal state is
 N(xi, T), and the running supremum of a hand-built path is computed by
-inspection.
+inspection.  An ensemble is built from its increments alone, so a block of
+rows is the ensemble of those rows' increments, and its paths and density
+weights are the parent's rows bit for bit.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from mfcontrol import (
-    BrownianEnsemble,
     DiffusionSpec,
+    DriftEvaluator,
+    PathEnsemble,
+    SingularDiffusionError,
+    TimeGrid,
+    builtin_config,
+    density_process,
     ensemble_moments,
-    make_time_grid,
+    parametric_control,
+    parse_scenario,
+    reference_flow,
     sample_brownian,
     simulate_for_scenario,
-    simulate_reference,
 )
 
 
 def test_time_grid_arithmetic():
-    grid = make_time_grid(1.0, 4)
+    grid = TimeGrid(1.0, 4)
     assert grid.dt == 0.25
     np.testing.assert_allclose(grid.times, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert grid.times.shape == (5,)
 
-    single = make_time_grid(0.5, 1)
+    single = TimeGrid(0.5, 1)
     assert single.dt == 0.5
     np.testing.assert_allclose(single.times, [0.0, 0.5])
 
 
 def test_time_grid_times_are_formed_once_and_read_only():
-    grid = make_time_grid(1.0, 50)
+    grid = TimeGrid(1.0, 50)
     times = grid.times
     assert times.tobytes() == np.linspace(0.0, 1.0, 51).tobytes()
     assert grid.times is times
     with pytest.raises(ValueError):
         times[0] = 1.0
     # the held times are no field: equal grids stay equal and hash alike
-    assert grid == make_time_grid(1.0, 50) and hash(grid) == hash(make_time_grid(1.0, 50))
+    assert grid == TimeGrid(1.0, 50) and hash(grid) == hash(TimeGrid(1.0, 50))
 
 
 def test_time_grid_rejects_degenerate_inputs():
+    # a NaN horizon gave all-NaN times and an infinite one dt = inf
+    for horizon in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^horizon must be positive and finite$"):
+            TimeGrid(horizon, 10)
     with pytest.raises(ValueError):
-        make_time_grid(0.0, 10)
-    with pytest.raises(ValueError):
-        make_time_grid(-1.0, 10)
-    with pytest.raises(ValueError):
-        make_time_grid(1.0, 0)
+        TimeGrid(1.0, 0)
 
 
 def test_brownian_shapes_and_determinism():
-    grid = make_time_grid(1.0, 8)
+    grid = TimeGrid(1.0, 8)
     a = sample_brownian(grid, 64, seed=123)
     b = sample_brownian(grid, 64, seed=123)
     c = sample_brownian(grid, 64, seed=124)
-    assert a.increments.shape == (64, 8)
-    np.testing.assert_array_equal(a.increments, b.increments)
-    assert not np.array_equal(a.increments, c.increments)
+    assert a.shape == (64, 8)
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_brownian_rejects_empty_ensembles():
-    grid = make_time_grid(1.0, 2)
+    grid = TimeGrid(1.0, 2)
     with pytest.raises(ValueError):
         sample_brownian(grid, 0, seed=0)
 
@@ -73,8 +84,8 @@ def test_brownian_moments():
     # pooled mean of M*N iid N(0, dt) draws has sd sqrt(dt/(M*N)); the
     # sample variance of 10^4 draws per step sits within 5% of dt with
     # ~3.5 sigma to spare.
-    grid = make_time_grid(1.0, 10)
-    dw = sample_brownian(grid, 10_000, seed=42).increments
+    grid = TimeGrid(1.0, 10)
+    dw = sample_brownian(grid, 10_000, seed=42)
     dt = grid.dt
     assert abs(dw.mean()) <= 4.0 * np.sqrt(dt / dw.size)
     var = dw.reshape(-1).var()
@@ -82,27 +93,23 @@ def test_brownian_moments():
 
 
 def test_identity_diffusion_paths_are_cumulative_sums():
-    grid = make_time_grid(1.0, 12)
-    brownian = sample_brownian(grid, 50, seed=7)
+    grid = TimeGrid(1.0, 12)
+    dw = sample_brownian(grid, 50, seed=7)
     sigma = DiffusionSpec(kind="constant", base=1.0)
     # from a zero initial state the Euler recursion is the same left fold as
     # np.cumsum, so the paths match bit for bit
-    paths = simulate_reference(brownian, sigma, 0.0)
-    np.testing.assert_array_equal(paths.values[:, 1:],
-                                  np.cumsum(brownian.increments, axis=1))
+    paths = PathEnsemble(grid, dw, sigma, 0.0)
+    np.testing.assert_array_equal(paths.values[:, 1:], np.cumsum(dw, axis=1))
     # a nonzero initial state only shifts the fold, up to rounding
-    shifted = simulate_reference(brownian, sigma, 0.5)
-    np.testing.assert_allclose(
-        shifted.values[:, 1:], np.cumsum(brownian.increments, axis=1) + 0.5,
-        rtol=0, atol=1e-12)
+    shifted = PathEnsemble(grid, dw, sigma, 0.5)
+    np.testing.assert_allclose(shifted.values[:, 1:], np.cumsum(dw, axis=1) + 0.5,
+                               rtol=0, atol=1e-12)
     np.testing.assert_array_equal(shifted.values[:, 0], np.full(50, 0.5))
 
 
 def test_zero_noise_path_is_constant():
-    grid = make_time_grid(1.0, 5)
-    zero = BrownianEnsemble(grid=grid, increments=np.zeros((3, 5)))
     sigma = DiffusionSpec(kind="constant", base=1.0)
-    paths = simulate_reference(zero, sigma, 2.0)
+    paths = PathEnsemble(TimeGrid(1.0, 5), np.zeros((3, 5)), sigma, 2.0)
     np.testing.assert_array_equal(paths.values, np.full((3, 6), 2.0))
     np.testing.assert_array_equal(paths.running_sup, np.full((3, 6), 2.0))
 
@@ -115,21 +122,77 @@ def test_terminal_variance_matches_horizon(lq):
     assert abs(var - lq.horizon) <= 0.05 * lq.horizon
 
 
-def test_an_ensemble_grid_is_its_driver_grid():
-    grid = make_time_grid(1.0, 4)
-    brownian = sample_brownian(grid, 8, seed=0)
-    paths = simulate_reference(brownian, DiffusionSpec(kind="constant", base=1.0), 0.0)
-    assert paths.driver is brownian and paths.grid is brownian.grid
-    assert paths.values.shape == (8, grid.steps + 1)
+def test_an_ensemble_holds_its_grid_and_increments_read_only():
+    grid = TimeGrid(1.0, 4)
+    dw = sample_brownian(grid, 8, seed=0)
+    paths = PathEnsemble(grid, dw, DiffusionSpec(kind="constant", base=1.0), 0.0)
+    assert paths.grid is grid
+    assert paths.increments.base is dw and paths.increments.tobytes() == dw.tobytes()
+    assert paths.values.shape == paths.running_sup.shape == (8, grid.steps + 1)
+    # the arrays cannot be written, nor the attributes reassigned, so the
+    # paths stay those of the increments
+    for name in ("increments", "values", "running_sup"):
+        with pytest.raises(ValueError):
+            getattr(paths, name)[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(paths, name, np.zeros((8, 5)))
+    assert dw.flags.writeable   # the caller's own array is left as it was
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 8, 4), (8, 3), (8, 5)])
+def test_increments_off_the_grid_are_rejected(shape):
+    with pytest.raises(ValueError, match=r"expected \(particles, 4\) on the grid"):
+        PathEnsemble(TimeGrid(1.0, 4), np.zeros(shape), DiffusionSpec(), 0.0)
+
+
+def test_a_singular_sigma_raises_at_construction():
+    # 0 -> -1 under sigma = 1 + x, which is zero there
+    affine = DiffusionSpec(kind="affine_state", base=1.0, slope=1.0)
+    with pytest.raises(SingularDiffusionError,
+                       match=r"^sigma is singular at t=0\.5 for 1 particle\(s\)$"):
+        PathEnsemble(TimeGrid(1.0, 2), np.array([[-1.0, 0.5], [0.5, 0.5]]), affine, 0.0)
+    with pytest.raises(SingularDiffusionError,
+                       match=r"^sigma is singular at t=0 for 2 particle\(s\)$"):
+        PathEnsemble(TimeGrid(1.0, 2), np.ones((2, 2)), DiffusionSpec(base=0.0), 0.0)
+
+
+SIGMAS = {
+    "constant": {"kind": "constant", "base": 1.0},
+    "affine_state": {"kind": "affine_state", "base": 1.0, "slope": 0.1},
+    "sup_modulated": {"kind": "sup_modulated", "base": 0.8, "slope": 0.3},
+}
+# 13 grid times give blocks of 2520 particles, so each row set below cuts
+# across the parent's particle blocks
+ROWS = {
+    "contiguous": slice(700, 2900),
+    "strided": slice(1, None, 3),
+    "fancy": np.random.default_rng(3).permutation(3000)[:1700],
+}
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_a_row_block_is_the_parents_rows_bit_for_bit(sigma, rows):
+    cfg = builtin_config("linear-quadratic")
+    cfg["diffusion"] = SIGMAS[sigma]
+    scenario = parse_scenario(cfg)
+    paths = simulate_for_scenario(scenario, particles=3000, steps=12, seed=7)
+    r = ROWS[rows]
+    block = PathEnsemble(paths.grid, paths.increments[r], scenario.sigma, scenario.initial)
+    assert block.values.tobytes() == paths.values[r].tobytes()
+    assert block.running_sup.tobytes() == paths.running_sup[r].tobytes()
+    control = parametric_control(0.3, -0.4, 0.1, scenario.actions)
+
+    def weights(ensemble):
+        return density_process(DriftEvaluator(scenario, reference_flow(ensemble), control))
+
+    assert weights(block).tobytes() == weights(paths)[r].tobytes()
 
 
 def test_running_sup_by_inspection():
     # hand-built path 0 -> 3 -> -5 has running sup (0, 3, 5)
-    grid = make_time_grid(1.0, 2)
     inc = np.array([[3.0, -8.0]])
-    brownian = BrownianEnsemble(grid=grid, increments=inc)
-    sigma = DiffusionSpec(kind="constant", base=1.0)
-    paths = simulate_reference(brownian, sigma, 0.0)
+    paths = PathEnsemble(TimeGrid(1.0, 2), inc, DiffusionSpec(kind="constant", base=1.0), 0.0)
     np.testing.assert_array_equal(paths.values[0], [0.0, 3.0, -5.0])
     np.testing.assert_array_equal(paths.running_sup[0], [0.0, 3.0, 5.0])
 

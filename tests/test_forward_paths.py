@@ -177,7 +177,7 @@ def reference_drift(scenario, flow, reference):
 
 
 def reference_log_weights(paths, drift_at, sigma):
-    dw = paths.driver.increments
+    dw = paths.increments
     m, n = dw.shape
     dt = paths.grid.dt
     log_w = np.zeros((m, n + 1))

@@ -58,7 +58,7 @@ def test_constant_drift_log_weight_closed_form(paths4k):
     # -u^2/2 * dt summed over N steps and the linear term telescopes
     u = 0.7
     weights = density_process(constant_drift(paths4k, u))
-    w_t = np.cumsum(paths4k.driver.increments, axis=1)
+    w_t = np.cumsum(paths4k.increments, axis=1)
     times = paths4k.grid.times[1:]
     expected = u * w_t - 0.5 * u * u * times
     np.testing.assert_allclose(np.log(weights[:, 1:]), expected,

@@ -23,12 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcontrol import (
-    BrownianEnsemble,
     DiffusionSpec,
     EnsembleMismatchError,
     MeasureFlow,
+    PathEnsemble,
     StatisticSpec,
     DriftEvaluator,
+    TimeGrid,
     builtin_config,
     constant_control,
     density_process,
@@ -36,13 +37,11 @@ from mfcontrol import (
     get_builtin,
     hellinger_bound,
     hellinger_pairs,
-    make_time_grid,
     mean_stderr,
     parametric_control,
     parse_scenario,
     reference_flow,
     simulate_for_scenario,
-    simulate_reference,
     tv_marginal,
     tv_pathspace,
     weighted_statistic,
@@ -59,11 +58,8 @@ def gaussian_tv(u: float, horizon: float) -> float:
 
 def two_particle_ensemble():
     # two one-step paths: 0 -> 0 and 0 -> 2
-    grid = make_time_grid(1.0, 1)
     inc = np.array([[0.0], [2.0]])
-    brownian = BrownianEnsemble(grid=grid, increments=inc)
-    sigma = DiffusionSpec(kind="constant", base=1.0)
-    return simulate_reference(brownian, sigma, 0.0)
+    return PathEnsemble(TimeGrid(1.0, 1), inc, DiffusionSpec(kind="constant", base=1.0), 0.0)
 
 
 def drifted_flow(paths, u: float):
