@@ -10,6 +10,7 @@ paths.  Nothing is ever resimulated for a new control.
 __version__ = "0.1.0"
 
 from .core import (
+    EnsembleMismatchError,
     PathEnsemble,
     TimeGrid,
     ensemble_moments,
@@ -40,7 +41,6 @@ from .scenario import (
     validate_scenario,
 )
 from .measure import (
-    EnsembleMismatchError,
     MeasureFlow,
     TVEstimate,
     hellinger_bound,
@@ -104,7 +104,7 @@ from .verify import AcceptanceContext, CheckResult, run_battery
 __all__ = [
     "__version__",
     # core
-    "PathEnsemble", "TimeGrid", "ensemble_moments", "member_map",
+    "EnsembleMismatchError", "PathEnsemble", "TimeGrid", "ensemble_moments", "member_map",
     "sample_brownian", "simulate_for_scenario",
     # scenario registry
     "ActionGrid", "AssumptionStatus", "ConfigError", "CostSpec",
@@ -115,7 +115,7 @@ __all__ = [
     "builtin_config", "builtin_scenarios", "get_builtin", "parse_scenario",
     "validate_scenario",
     # measures
-    "EnsembleMismatchError", "MeasureFlow", "TVEstimate", "hellinger_bound",
+    "MeasureFlow", "TVEstimate", "hellinger_bound",
     "hellinger_pairs", "mean_stderr", "reference_flow", "tv_marginal", "tv_marginals",
     "tv_pathspace",
     "weighted_statistic",

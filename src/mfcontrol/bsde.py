@@ -312,7 +312,9 @@ def _family_hamiltonian(scenario: Scenario, paths: PathEnsemble, controls, serie
 def terminal_values(scenario: Scenario, paths: PathEnsemble,
                     series: dict[str, np.ndarray]) -> np.ndarray:
     """g(x_T, mu_T) per particle, the law argument read off the statistic
-    series (the terminal cost's statistics at the horizon)."""
+    series (the terminal cost's statistics at the horizon).  Every solve and
+    payoff reads it, so it refuses a scenario of another reference law."""
+    paths.check_scenario(scenario)
     n = paths.grid.steps
     row = {name: float(series[name][n]) for name in scenario.terminal_cost.stat_names()}
     return scenario.terminal_cost.evaluate(paths.state(n), row, scenario.statistic_map)

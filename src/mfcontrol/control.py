@@ -32,7 +32,7 @@ import numpy as np
 
 from .bsde import (BasisSpec, BsdeSolution, _family_hamiltonian, _hamiltonian_values,
                    solve_driver_bsde, stat_series, terminal_values)
-from .core import PathEnsemble, particle_blocks
+from .core import EnsembleMismatchError, PathEnsemble, particle_blocks
 from .girsanov import (FixpointDiagnostics, FixpointResult, _affine_actions, _same_series,
                        control_actions, fixpoint_measure_flow)
 from .measure import MeasureFlow, mean_stderr, reference_flow, tv_pathspace
@@ -341,10 +341,13 @@ def evaluate_payoff(scenario: Scenario, control, paths: PathEnsemble,
     rule with the density at time t weighting the cost at time t.  For a
     game pass a game control, an iterable of two players.  The
     flow is matched to tol; a precomputed FixpointResult skips the Picard
-    loop (it must belong to this control).
+    loop (it must belong to this control, and its flow to these paths).
     """
     if fixpoint is None:
         fixpoint = fixpoint_measure_flow(scenario, control, paths, tol=tol)
+    elif fixpoint.flow.paths is not paths:
+        raise EnsembleMismatchError(f"scenario {scenario.name!r}: the fixed point's flow "
+                                    "lives on another ensemble")
     flow = fixpoint.flow
     n = paths.grid.steps
     names = dict.fromkeys((*scenario.running_cost.stat_names(),

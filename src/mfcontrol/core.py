@@ -10,9 +10,10 @@ single stored Brownian increment array serves every control and both game
 players.  The ensemble is a function of that array: PathEnsemble is built
 from the grid, the increments, sigma and the initial state and simulates
 its own paths, so no ensemble pairs paths with increments they were not
-simulated from.  All randomness flows through one seeded generator;
-reductions are plain numpy sums over fixed axis order, which keeps runs
-bit-reproducible for a given numpy version.
+simulated from; it keeps the sigma and initial state it was simulated
+under, for reweighting and check_scenario.  All randomness flows through
+one seeded generator; reductions are plain numpy sums over fixed axis
+order, which keeps runs bit-reproducible for a given numpy version.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 import math
 import os
 import threading
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,6 +56,10 @@ class TimeGrid:
         return times
 
 
+class EnsembleMismatchError(ValueError):
+    """Things priced together do not share one ensemble or its reference law."""
+
+
 def sample_brownian(grid: TimeGrid, particles: int, seed: int) -> np.ndarray:
     """Iid N(0, dt) increments from a PCG64 stream, shaped (particles, steps)."""
     if particles < 1:
@@ -71,13 +76,14 @@ class PathEnsemble:
     dynamics from the initial state, with sigma evaluated at the left
     endpoint of each interval.  A singular sigma value at any evaluation
     point aborts (SingularDiffusionError); the density process later needs
-    sigma^{-1} along every path.  The state is a real number: the read-only
-    values have shape (particles, steps + 1), and running_sup[i, k] is the
-    running supremum of |x_i| up to t_k, the one path functional the
+    sigma^{-1} at these same points.  The state is a real number: the
+    read-only values have shape (particles, steps + 1), and running_sup[i, k]
+    is the running supremum of |x_i| up to t_k, the one path functional the
     coefficient registries may read besides the current state.  The
     increments are held as a read-only view, so the paths stay those of the
-    increments.  A block of rows R is PathEnsemble(grid, increments[R],
-    sigma, initial), whose paths are the parent's rows R bit for bit.
+    increments and of the sigma and initial state kept beside them.  A block
+    of rows R is PathEnsemble(paths.grid, paths.increments[R], paths.sigma,
+    paths.initial), whose paths are the parent's rows R bit for bit.
 
     An ensemble compares and hashes by identity, so results that depend only
     on it are held in weakref.WeakKeyDictionary holders keyed by it: an equal
@@ -86,23 +92,23 @@ class PathEnsemble:
 
     grid: TimeGrid
     increments: np.ndarray
-    sigma: InitVar[DiffusionSpec]
-    initial: InitVar[float]
+    sigma: DiffusionSpec
+    initial: float
 
-    def __post_init__(self, sigma: DiffusionSpec, initial: float):
+    def __post_init__(self):
         dw = self.increments.view()
         if dw.ndim != 2 or dw.shape[1] != self.grid.steps:
             raise ValueError(f"increments shaped {dw.shape}, expected (particles, "
                              f"{self.grid.steps}) on the grid")
         m, n = dw.shape
-        xi = float(initial)
+        xi = float(self.initial)
         x = np.empty((m, n + 1))
         sup = np.empty((m, n + 1))
         x[:, 0] = xi
         sup[:, 0] = abs(xi)
         times = self.grid.times
         for k in range(n):
-            step = sigma.apply(times[k], x[:, k], sup[:, k], dw[:, k])
+            step = self.sigma.apply(times[k], x[:, k], sup[:, k], dw[:, k])
             x[:, k + 1] = x[:, k] + step
             sup[:, k + 1] = np.maximum(sup[:, k], np.abs(x[:, k + 1]))
         for name, held in (("increments", dw), ("values", x), ("running_sup", sup)):
@@ -118,6 +124,14 @@ class PathEnsemble:
 
     def sup(self, t_index: int) -> np.ndarray:
         return self.running_sup[:, t_index]
+
+    def check_scenario(self, scenario: Scenario):
+        """Raise EnsembleMismatchError naming the scenario unless its (initial,
+        horizon, sigma) are those the paths were simulated under."""
+        law = (self.initial, self.grid.horizon, self.sigma)
+        if (own := (scenario.initial, scenario.horizon, scenario.sigma)) != law:
+            raise EnsembleMismatchError(f"scenario {scenario.name!r} has (initial, horizon, "
+                                        f"sigma) {own}, not the ensemble's {law}")
 
 
 def simulate_for_scenario(scenario: Scenario, particles: int,

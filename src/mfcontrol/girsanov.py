@@ -12,8 +12,9 @@ weight matrix of the reweighted law; its expectation stays at one up to Monte
 Carlo error, which MeasureFlow.normalization records at every grid time.
 The ensemble, its increments and sigma are fixed and a control changes only
 the drift, so density_process takes the drift alone, a DriftEvaluator, and
-reads the ensemble and sigma off it.  An ensemble holds the increments its
-paths were simulated from, so the weights are always those of the paths.
+reads the ensemble off it, and the increments and sigma off the ensemble;
+a DriftEvaluator refuses a scenario of another reference law, so the
+weights are always those of the paths.
 
 The measure flow entering f is itself the unknown of a fixed-point problem:
 flow -> density -> reweighted flow.  fixpoint_measure_flow iterates that map
@@ -40,7 +41,7 @@ import numpy as np
 
 from .core import PathEnsemble, particle_blocks
 from .measure import MeasureFlow, reference_flow, tv_columns
-from .scenario import Scenario, SingularDiffusionError
+from .scenario import Scenario
 
 
 class FixpointConvergenceError(RuntimeError):
@@ -158,12 +159,13 @@ class DriftEvaluator:
     DriftSpec.with_stats of the block's base, each statistic series (read off
     the flow once) broadcast along time, written into out as with_stats
     writes.  The base is a slice of the given drift_base, or else formed
-    from the block's actions.  The ensemble (evaluator.paths) and sigma
-    (evaluator.scenario.sigma) are the ones the reweighting reads.
+    from the block's actions.  A scenario of another reference law than the
+    ensemble's (evaluator.paths) raises EnsembleMismatchError.
     """
 
     def __init__(self, scenario: Scenario, flow: MeasureFlow, control,
                  base: np.ndarray | None = None):
+        flow.paths.check_scenario(scenario)
         self.scenario = scenario
         self.paths = flow.paths
         self.control = control
@@ -183,8 +185,8 @@ class DriftEvaluator:
 
 def density_process(drift: DriftEvaluator) -> np.ndarray:
     """Read-only (particles, steps + 1) weights L_t of the drift's
-    reweighting of its ensemble, against the increments the ensemble was
-    simulated from and with its scenario's sigma; column 0 is one.
+    reweighting of its ensemble, against the increments and with the sigma
+    the ensemble was simulated with; column 0 is one.
 
     The drift is read a block of particles at a time.  theta and the log
     increments of a block are formed for all its steps at once, in two
@@ -192,11 +194,11 @@ def density_process(drift: DriftEvaluator) -> np.ndarray:
     theta, then its square), and written straight into the output, which is
     then accumulated column by column in step order, the order of the
     step-by-step recursion, and exponentiated in place.  A non-finite theta
-    or a singular sigma raises for the first bad step, as that recursion
-    does, and a horizon column of zeros (every density underflowed, while
-    E[L_T] = 1) raises FloatingPointError.
+    raises for the first bad step, as that recursion does, and a horizon
+    column of zeros (every density underflowed, while E[L_T] = 1) raises
+    FloatingPointError.
     """
-    paths, sigma = drift.paths, drift.scenario.sigma
+    paths, sigma = drift.paths, drift.paths.sigma
     dw = paths.increments
     m, n = dw.shape
     dt = paths.grid.dt
@@ -225,7 +227,7 @@ def density_process(drift: DriftEvaluator) -> np.ndarray:
     try:
         for rows in blocks:
             increments(rows, slice(0, n), out=log_w[rows, 1:])
-    except (FloatingPointError, SingularDiffusionError):
+    except FloatingPointError:
         for k in range(n):   # the first failing step raises its own error
             increments(slice(None), slice(k, k + 1))
         raise

@@ -30,12 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PathEnsemble, TimeGrid, particle_blocks
+from .core import EnsembleMismatchError, PathEnsemble, particle_blocks
 from .scenario import StatisticSpec
-
-
-class EnsembleMismatchError(ValueError):
-    """Path-space comparison needs both flows on one common ensemble."""
 
 
 @dataclass(frozen=True)
@@ -73,14 +69,6 @@ class MeasureFlow:
         self.weights = weights
         self.statistics = dict(statistics)
         self._stat_cache: dict[str, np.ndarray] = {}
-
-    @property
-    def particles(self) -> int:
-        return self.paths.particles
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.paths.grid
 
     def statistic_series(self, name: str) -> np.ndarray:
         """(steps + 1,) trajectory of a registered statistic under the flow:
@@ -157,16 +145,11 @@ def weighted_statistic(flow: MeasureFlow, t_index: int, name: str) -> tuple[floa
     return mean_stderr(flow.weights[:, t_index] * spec.evaluate(flow.paths.state(t_index)))
 
 
-def _check_common_ensemble(a: MeasureFlow, b: MeasureFlow):
-    if a.paths is not b.paths:
-        raise EnsembleMismatchError(
-            "flows live on different ensembles; path-space TV needs a common "
-            "dominating reference ensemble")
-
-
 def tv_pathspace(a: MeasureFlow, b: MeasureFlow, t_index: int) -> TVEstimate:
     """Exact-on-the-ensemble total variation up to t_k (factor-2 convention)."""
-    _check_common_ensemble(a, b)
+    if a.paths is not b.paths:
+        raise EnsembleMismatchError("flows live on different ensembles; path-space TV "
+                                    "needs a common dominating reference ensemble")
     return tv_columns(a.weights[:, t_index], b.weights[:, t_index])
 
 
@@ -240,7 +223,7 @@ def tv_marginals(flows, other: MeasureFlow, t_index: int) -> list[TVEstimate]:
         *cuts, cb = _cut_sums(xa, (*columns, wb), edges)
     else:
         cuts, (cb,) = _cut_sums(xa, columns, edges), _cut_sums(xb, (wb,), edges)
-    pb = np.diff(cb) / other.particles
+    pb = np.diff(cb) / len(wb)
 
     def bins(x):
         return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, _TV_BINS - 1)
@@ -256,7 +239,7 @@ def tv_marginals(flows, other: MeasureFlow, t_index: int) -> list[TVEstimate]:
         signs = np.sign(pa - pb)
         ga = signs[ia] * wa
         gb = signs[ib] * wb
-        stderr = float(np.sqrt(np.var(ga) / paths.particles + np.var(gb) / other.particles))
+        stderr = float(np.sqrt(np.var(ga) / paths.particles + np.var(gb) / len(gb)))
         out.append(TVEstimate(value=min(value, 2.0), stderr=stderr, kind="marginal",
                               bin_width=width))
     return out
@@ -286,7 +269,7 @@ def hellinger_pairs(drifts, horizons) -> tuple[np.ndarray, np.ndarray, np.ndarra
     paths = drifts[0].paths
     if any(drift.paths is not paths for drift in drifts):
         raise EnsembleMismatchError("every drift must live on one ensemble")
-    sigma = drifts[0].scenario.sigma
+    sigma = paths.sigma
     grid = paths.grid
     m, n, k = paths.particles, grid.steps, len(drifts)
     steps = slice(0, n + 1)
@@ -318,8 +301,8 @@ def hellinger_bound(flow_a: MeasureFlow, drift_a, drift_b) -> tuple[float, float
     """Hellinger-process bound on the path-space TV between two reweightings.
 
     drift_a / drift_b are DriftEvaluators on flow_a's ensemble; a drift on
-    another ensemble raises EnsembleMismatchError.  sigma is drift_a's
-    scenario's and the grid flow_a's.  Returns (gamma_hat, bound,
+    another ensemble raises EnsembleMismatchError.  sigma and the grid are
+    the ensemble's.  Returns (gamma_hat, bound,
     stderr_of_gamma) where gamma_hat is the weighted trapezoid estimate of
 
         E_A[ (1/8) int_0^T ((bA - bB) / sigma)^2 dt ]

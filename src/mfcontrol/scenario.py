@@ -773,12 +773,16 @@ def validate_scenario(s: Scenario) -> ValidationReport:
                             entries=tuple(entries))
 
 
+# the document key that starts the message of each assumption found violated
+_VIOLABLE_KEYS = {"A2b": "diffusion"}
+
+
 def assert_runnable(report: ValidationReport, override: bool = False):
     """Raise unless no assumption is violated (or the caller overrides)."""
     if report.blocked and not override:
         codes = ", ".join(f"{e.code} ({e.reason})" for e in report.violated)
-        raise ValidationBlockedError(
-            f"scenario {report.scenario!r} has violated assumptions: {codes}")
+        raise ValidationBlockedError(f"{_VIOLABLE_KEYS[report.violated[0].code]}: scenario "
+                                     f"{report.scenario!r} has violated assumptions: {codes}")
 
 
 # ---------------------------------------------------------------------------

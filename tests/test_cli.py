@@ -169,7 +169,11 @@ def test_blocked_validation_exits_2_unless_overridden(capsys, tmp_path):
         "terminal_cost": {"kind": "linear", "coeff": 1.0},
         "actions": {"lo": -1.0, "hi": 1.0, "count": 3},
     }))
-    assert main(["simulate", "--config", str(cfg), *FAST]) == 2
+    code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg), *FAST])
+    assert code == 2
+    # the message starts with the document key that decides the assumption
+    assert err.startswith("configuration error: diffusion: scenario 'no-noise' has violated "
+                          "assumptions: A2b (constant sigma is zero)")
     # the override admits the run, but the runtime singularity guard is not
     # waivable: sigma = 0 is a computation failure, not a config error
     code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg), *FAST,

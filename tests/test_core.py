@@ -125,17 +125,23 @@ def test_terminal_variance_matches_horizon(lq):
 def test_an_ensemble_holds_its_grid_and_increments_read_only():
     grid = TimeGrid(1.0, 4)
     dw = sample_brownian(grid, 8, seed=0)
-    paths = PathEnsemble(grid, dw, DiffusionSpec(kind="constant", base=1.0), 0.0)
+    sigma = DiffusionSpec(kind="constant", base=1.0)
+    paths = PathEnsemble(grid, dw, sigma, 0.5)
     assert paths.grid is grid
     assert paths.increments.base is dw and paths.increments.tobytes() == dw.tobytes()
     assert paths.values.shape == paths.running_sup.shape == (8, grid.steps + 1)
+    # the reference law the paths were simulated under is kept
+    assert paths.sigma is sigma and paths.initial == 0.5
     # the arrays cannot be written, nor the attributes reassigned, so the
-    # paths stay those of the increments
+    # paths stay those of the increments, the sigma and the initial state
     for name in ("increments", "values", "running_sup"):
         with pytest.raises(ValueError):
             getattr(paths, name)[0, 0] = 1.0
+    for name, other in (("increments", np.zeros((8, 4))), ("values", np.zeros((8, 5))),
+                        ("running_sup", np.zeros((8, 5))), ("grid", TimeGrid(2.0, 4)),
+                        ("sigma", DiffusionSpec(base=2.0)), ("initial", 1.0)):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(paths, name, np.zeros((8, 5)))
+            setattr(paths, name, other)
     assert dw.flags.writeable   # the caller's own array is left as it was
 
 
@@ -178,7 +184,7 @@ def test_a_row_block_is_the_parents_rows_bit_for_bit(sigma, rows):
     scenario = parse_scenario(cfg)
     paths = simulate_for_scenario(scenario, particles=3000, steps=12, seed=7)
     r = ROWS[rows]
-    block = PathEnsemble(paths.grid, paths.increments[r], scenario.sigma, scenario.initial)
+    block = PathEnsemble(paths.grid, paths.increments[r], paths.sigma, paths.initial)
     assert block.values.tobytes() == paths.values[r].tobytes()
     assert block.running_sup.tobytes() == paths.running_sup[r].tobytes()
     control = parametric_control(0.3, -0.4, 0.1, scenario.actions)

@@ -417,13 +417,13 @@ def _histogram_tv(a, b, t_index):
         lo, hi = lo - 0.5, lo + 0.5
     edges = np.linspace(lo, hi, _TV_BINS + 1)
     wa, wb = a.weights[:, t_index], b.weights[:, t_index]
-    pa = np.histogram(xa, bins=edges, weights=wa)[0] / a.particles
-    pb = np.histogram(xb, bins=edges, weights=wb)[0] / b.particles
+    pa = np.histogram(xa, bins=edges, weights=wa)[0] / a.paths.particles
+    pb = np.histogram(xb, bins=edges, weights=wb)[0] / b.paths.particles
     signs = np.sign(pa - pb)
     ia = np.clip(np.searchsorted(edges, xa, side="right") - 1, 0, _TV_BINS - 1)
     ib = np.clip(np.searchsorted(edges, xb, side="right") - 1, 0, _TV_BINS - 1)
-    stderr = float(np.sqrt(np.var(signs[ia] * wa) / a.particles
-                           + np.var(signs[ib] * wb) / b.particles))
+    stderr = float(np.sqrt(np.var(signs[ia] * wa) / a.paths.particles
+                           + np.var(signs[ib] * wb) / b.paths.particles))
     return min(float(np.sum(np.abs(pa - pb))), 2.0), stderr, float(edges[1] - edges[0])
 
 
@@ -508,13 +508,13 @@ def test_battery_simulates_one_ensemble_for_every_builtin(monkeypatch):
 
 
 def test_battery_refuses_a_builtin_off_the_shared_ensemble(monkeypatch):
+    # the ensemble is the first built-in's; a built-in of another reference
+    # law is refused when it is first priced on it, before any fixed point
     ctx = AcceptanceContext(seed=7, particles=300, steps=10)
     variance = ctx.scenarios["variance"]
     monkeypatch.setitem(ctx.scenarios, "variance",
                         dataclasses.replace(variance, sigma=DiffusionSpec(base=2.0)))
-    simulated = []
-    monkeypatch.setattr(verify_mod, "simulate_for_scenario",
-                        lambda *args: simulated.append(args))
-    with pytest.raises(ValueError, match="'variance'"):
-        ctx.paths
-    assert simulated == []
+    with pytest.raises(EnsembleMismatchError, match="^scenario 'variance' "):
+        verify_mod.check_variance(ctx)
+    assert ctx.paths.sigma == DiffusionSpec(base=1.0)
+    assert ctx._fix == {}

@@ -20,9 +20,9 @@ from mfcontrol import (
     BsdeFeedbackControl,
     Control,
     DriftEvaluator,
+    EnsembleMismatchError,
     MeasureFlow,
     PairFeedbackControl,
-    SingularDiffusionError,
     builtin_config,
     constant_control,
     density_process,
@@ -323,13 +323,13 @@ def test_writing_into_returned_actions_changes_nothing(setting):
 # failures name the first bad step
 
 
-def bad_drift(paths, points, scenario=None):
+def bad_drift(paths, points):
     """Zero drift, on a held base, with an infinite value at (particle, step)
     points."""
     base = np.zeros(paths.values.shape)
     for i, j in points:
         base[i, j] = np.inf
-    return constant_drift(paths, 0.0, scenario, base)
+    return constant_drift(paths, 0.0, None, base)
 
 
 def test_infinite_drift_names_the_first_bad_step(paths4k, blocks):
@@ -349,15 +349,10 @@ def singular_at(paths, particle, k):
 
 
 def test_singular_affine_sigma_raises(paths4k, blocks):
-    k = 7
-    scenario = singular_at(paths4k, paths4k.particles - 3, k)
-    with pytest.raises(SingularDiffusionError,
-                       match=rf"at t={paths4k.grid.times[k]:g} for 1 particle\(s\)"):
-        density_process(constant_drift(paths4k, 0.3, scenario))
-
-
-def test_earlier_infinite_drift_wins_over_later_singular_sigma(paths4k, blocks):
-    scenario = singular_at(paths4k, 0, 8)
-    drift = bad_drift(paths4k, [(paths4k.particles - 1, 3)], scenario)
-    with pytest.raises(FloatingPointError, match=r"at t_index 3$"):
-        density_process(drift)
+    # a sigma singular on the paths is not the sigma they were simulated
+    # under, so no drift reads it and the density never inverts it; a singular
+    # sigma of the ensemble's own raises at its construction
+    # (test_core.py::test_a_singular_sigma_raises_at_construction)
+    scenario = singular_at(paths4k, paths4k.particles - 3, 7)
+    with pytest.raises(EnsembleMismatchError, match="^scenario 'linear-quadratic' "):
+        constant_drift(paths4k, 0.3, scenario)
