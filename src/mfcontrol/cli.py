@@ -1,10 +1,12 @@
 """Command-line pipeline driver.
 
 Subcommands: simulate, fixpoint, evaluate, optimize, game, verify,
-list-scenarios.  Every run is seeded explicitly (no wall-clock seeding) and
-emits a canonical JSON report, either to stdout or, with --out, to
-<dir>/report.json next to CSV tables.  Reports are byte-identical for
-identical (config, seed, version); wall time goes to stderr only.
+list-scenarios.  Each takes only the options its handler reads, and its
+report's config echoes them, --out aside.  Every run is seeded explicitly
+(no wall-clock seeding) and emits a canonical JSON report, either to stdout
+or, with --out, to <dir>/report.json next to CSV tables.  Reports are
+byte-identical for identical (config, seed, version); wall time goes to
+stderr only.
 
 Exit codes: 0 success, 1 check, convergence or computation failure (a
 non-finite number in the report included), 2 configuration error.
@@ -43,50 +45,53 @@ def build_parser() -> argparse.ArgumentParser:
                      version=f"mfcontrol {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, scenario_required: bool = True):
-        g = p.add_mutually_exclusive_group(required=scenario_required)
+    def scenario(p: argparse.ArgumentParser):
+        g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--scenario", help="built-in scenario name")
         g.add_argument("--config", help="path to a scenario config file (JSON)")
+        p.add_argument("--override-validation", action="store_true",
+                       help="run even if a standing assumption is violated")
+
+    def ensemble(p: argparse.ArgumentParser):
         p.add_argument("--seed", type=int, required=True,
                        help="RNG seed (required; runs are never wall-clock seeded)")
         p.add_argument("--particles", type=int, default=10_000,
                        help="ensemble size M (default 10000, minimum 100)")
         p.add_argument("--steps", type=int, default=50,
                        help="time steps N (default 50)")
-        p.add_argument("--tol", type=float, default=1e-3,
-                       help="fixed-point and synthesis tolerance (default 1e-3)")
-        p.add_argument("--basis-degree", type=int, default=2,
-                       help="regression basis polynomial degree (default 2)")
-        p.add_argument("--override-validation", action="store_true",
-                       help="run even if a standing assumption is violated")
         p.add_argument("--out", help="output directory for report.json and CSV tables")
 
-    p = sub.add_parser("simulate", help="simulate the reference ensemble")
-    common(p)
+    def tol(p: argparse.ArgumentParser):
+        p.add_argument("--tol", type=float, default=1e-3,
+                       help="fixed-point and synthesis tolerance (default 1e-3)")
 
-    p = sub.add_parser("fixpoint", help="measure fixed point for one control")
-    common(p)
-    p.add_argument("--control", action="append",
-                   help="control spec like constant:0.5 or parametric:a,b,c "
-                        "(give twice for a game: u then v)")
+    def basis(p: argparse.ArgumentParser):
+        p.add_argument("--basis-degree", type=int, default=2,
+                       help="regression basis polynomial degree (default 2)")
 
-    p = sub.add_parser("evaluate", help="reweighted payoffs of given controls")
-    common(p)
-    p.add_argument("--control", action="append",
-                   help="control spec (repeatable; games take u,v pairs)")
-    p.add_argument("--controls-file",
-                   help="JSON file with a list of control specs "
-                        "(games: objects with u and v entries)")
-
-    p = sub.add_parser("optimize", help="policy iteration with certificate")
-    common(p)
-
-    p = sub.add_parser("game", help="saddle synthesis with Isaacs pre-check")
-    common(p)
-
-    p = sub.add_parser("verify",
-                       help="acceptance battery over every built-in scenario")
-    common(p, scenario_required=False)
+    # each command takes the options its handler reads; the battery of
+    # verify always spans the built-in scenarios
+    commands = {
+        "simulate": ("simulate the reference ensemble", (scenario, ensemble)),
+        "fixpoint": ("measure fixed point for one control", (scenario, ensemble, tol)),
+        "evaluate": ("reweighted payoffs of given controls", (scenario, ensemble, tol)),
+        "optimize": ("policy iteration with certificate", (scenario, ensemble, tol, basis)),
+        "game": ("saddle synthesis with Isaacs pre-check", (scenario, ensemble, tol, basis)),
+        "verify": ("acceptance battery over every built-in scenario", (ensemble, tol, basis)),
+    }
+    parsers = {}
+    for name, (summary, options) in commands.items():
+        parsers[name] = p = sub.add_parser(name, help=summary)
+        for add in options:
+            add(p)
+    parsers["fixpoint"].add_argument("--control", action="append",
+                                     help="control spec like constant:0.5 or parametric:a,b,c "
+                                          "(give twice for a game: u then v)")
+    parsers["evaluate"].add_argument("--control", action="append",
+                                     help="control spec (repeatable; games take u,v pairs)")
+    parsers["evaluate"].add_argument("--controls-file",
+                                     help="JSON file with a list of control specs "
+                                          "(games: objects with u and v entries)")
 
     sub.add_parser("list-scenarios", help="list built-in scenarios")
     return top
@@ -103,9 +108,9 @@ def _check_run_config(args) -> None:
         raise ConfigError("particles", "at least 100 particles required")
     if args.steps < 1:
         raise ConfigError("steps", "at least one time step required")
-    if not 0 < args.tol < math.inf:   # NaN fails too
+    if "tol" in args and not 0 < args.tol < math.inf:   # NaN fails too
         raise ConfigError("tol", "tolerance must be positive and finite")
-    if args.basis_degree < 1:
+    if "basis_degree" in args and args.basis_degree < 1:
         raise ConfigError("basis-degree", "basis degree must be >= 1")
     if args.out:
         out = Path(args.out)
@@ -125,29 +130,20 @@ def _read_file(path: str, key: str) -> str:
 
 
 def _load_scenario(args):
-    if args.config:
-        scen = parse_scenario(_read_file(args.config, "config"))
-    else:
-        scen = parse_scenario(builtin_config(args.scenario))
-    return scen
+    return parse_scenario(_read_file(args.config, "config") if args.config
+                          else builtin_config(args.scenario))
+
+
+# option -> its key in the config echo, where the two differ
+_ECHO_KEYS = {"config": "config_path", "control": "controls"}
 
 
 def _config_echo(args) -> dict:
-    echo = {
-        "scenario": getattr(args, "scenario", None),
-        "config_path": getattr(args, "config", None),
-        "seed": args.seed,
-        "particles": args.particles,
-        "steps": args.steps,
-        "tol": args.tol,
-        "basis_degree": args.basis_degree,
-        "override_validation": args.override_validation,
-    }
-    if getattr(args, "control", None):
-        echo["controls"] = list(args.control)
-    if getattr(args, "controls_file", None):
-        echo["controls_file"] = args.controls_file
-    return echo
+    """The options the command parsed, but --out (a report does not depend
+    on where it is written) and a --control or --controls-file not given."""
+    return {_ECHO_KEYS.get(option, option): value for option, value in vars(args).items()
+            if option not in ("command", "out")
+            and (value or option not in ("control", "controls_file"))}
 
 
 def _parse_controls(scen, specs: list, path: str = "control") -> list:
@@ -336,6 +332,11 @@ def _run_verify(args):
     return (0 if all_passed else 1), results, tables
 
 
+# the handlers of the commands that take a scenario
+_HANDLERS = {"simulate": _run_simulate, "fixpoint": _run_fixpoint, "evaluate": _run_evaluate,
+             "optimize": _run_optimize, "game": _run_game}
+
+
 def _run_list() -> int:
     for name in builtin_scenarios():
         scen = parse_scenario(builtin_config(name))
@@ -360,27 +361,14 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         _check_run_config(args)
-        # argparse requires a scenario for every command except verify, whose
-        # battery always spans the built-ins; a scenario there is only echoed
-        scen = None
-        validation = None
-        if args.scenario or args.config:
+        if args.command == "verify":   # the battery spans the built-ins
+            validation = None
+            code, results, tables = _run_verify(args)
+        else:
             scen = _load_scenario(args)
             validation = validate_scenario(scen)
             assert_runnable(validation, override=args.override_validation)
-
-        if args.command == "simulate":
-            code, results, tables = _run_simulate(args, scen)
-        elif args.command == "fixpoint":
-            code, results, tables = _run_fixpoint(args, scen)
-        elif args.command == "evaluate":
-            code, results, tables = _run_evaluate(args, scen)
-        elif args.command == "optimize":
-            code, results, tables = _run_optimize(args, scen)
-        elif args.command == "game":
-            code, results, tables = _run_game(args, scen)
-        else:  # verify: argparse restricts the choices
-            code, results, tables = _run_verify(args)
+            code, results, tables = _HANDLERS[args.command](args, scen)
     except (ConfigError, ValidationBlockedError) as exc:
         stderr_note(f"configuration error: {exc}")
         return 2
@@ -398,7 +386,6 @@ def main(argv=None) -> int:
         "validation": validation.to_dict() if validation is not None else None,
         "results": results,
         "version": f"mfcontrol {__version__}",
-        "wall_time_seconds": None,
     }
     try:
         if args.out:

@@ -386,11 +386,10 @@ def evaluate_payoff(scenario: Scenario, control, paths: PathEnsemble,
 @dataclass(frozen=True)
 class SynthesisReport:
     """What the control problem's and the game's synthesis loops share: the
-    matched flow, the payoff j_hat of the synthesized control on it, the
-    outer trace of (iteration, distance, stderr) rows with its last distance
+    payoff j_hat of the synthesized control on its matched flow, the outer
+    trace of (iteration, distance, stderr) rows with its last distance
     (matching_residual) and tol, and the final backward solution."""
 
-    flow: MeasureFlow
     j_hat: float
     j_stderr: float
     matching_residual: float
@@ -549,7 +548,7 @@ def policy_iteration(scenario: Scenario, paths: PathEnsemble, basis: BasisSpec =
     h_res = _argmin_residual(scenario, control, final_sol, paths,
                              stat_series(scenario, fixres.flow))
     return OptimizationReport(
-        control=control, flow=fixres.flow,
+        control=control,
         y0=final_sol.y0, y0_stderr=final_sol.y0_stderr,
         j_hat=payoff.value, j_stderr=payoff.stderr,
         matching_residual=trace[-1][1], h_residual=h_res,

@@ -127,9 +127,10 @@ class PathEnsemble:
 
     def check_scenario(self, scenario: Scenario):
         """Raise EnsembleMismatchError naming the scenario unless its (initial,
-        horizon, sigma) are those the paths were simulated under."""
-        law = (self.initial, self.grid.horizon, self.sigma)
-        if (own := (scenario.initial, scenario.horizon, scenario.sigma)) != law:
+        horizon, sigma) are those the paths were simulated under; sigmas
+        compare by the values they compute (DiffusionSpec.form)."""
+        law = (self.initial, self.grid.horizon, self.sigma.form)
+        if (own := (scenario.initial, scenario.horizon, scenario.sigma.form)) != law:
             raise EnsembleMismatchError(f"scenario {scenario.name!r} has (initial, horizon, "
                                         f"sigma) {own}, not the ensemble's {law}")
 

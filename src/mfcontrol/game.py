@@ -282,10 +282,10 @@ def solve_game(scenario: Scenario, paths: PathEnsemble,
     if not isaacs.holds:
         raise IsaacsError(isaacs)
 
-    pair, fixres, final_sol, payoff, trace, converged = _synthesize(
+    pair, _, final_sol, payoff, trace, converged = _synthesize(
         scenario, paths, basis, PairFeedbackControl, tol)
     return SaddleReport(
-        pair=pair, flow=fixres.flow,
+        pair=pair,
         value=final_sol.y0, value_stderr=final_sol.y0_stderr,
         j_hat=payoff.value, j_stderr=payoff.stderr,
         matching_residual=trace[-1][1], isaacs=isaacs,

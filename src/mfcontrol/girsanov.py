@@ -204,33 +204,29 @@ def density_process(drift: DriftEvaluator) -> np.ndarray:
     dt = paths.grid.dt
     times = paths.grid.times
     blocks = particle_blocks(m, n + 1)
+    steps = slice(0, n)
     scratch = np.empty((2, blocks[0].stop, n))   # for one block's steps
 
-    def increments(rows: slice, steps: slice, out: np.ndarray | None = None) -> np.ndarray:
-        """The log increments of the particles rows at the grid times steps,
-        formed in the scratch and written into out, or in fresh arrays when
-        out is None."""
-        held = (None, None) if out is None else scratch[:, :out.shape[0]]
+    def increments(rows: slice, out: np.ndarray) -> int:
+        """Write the log increments of the particles rows into out, formed in
+        the scratch, and return n; or return the first step whose theta is
+        not finite, writing nothing."""
+        held = scratch[:, :out.shape[0]]
         theta = sigma.inv_apply(times[steps], paths.values[rows, steps],
                                 paths.running_sup[rows, steps],
                                 drift.over(rows, steps, held[0]), held[1])
         if not np.all(np.isfinite(theta)):
-            bad = int(np.argmin(np.all(np.isfinite(theta), axis=0)))
-            raise FloatingPointError(f"non-finite drift-to-noise ratio at t_index "
-                                     f"{steps.start + bad}")
-        drive = np.multiply(theta, dw[rows, steps], out=held[0])
+            return int(np.argmin(np.all(np.isfinite(theta), axis=0)))
+        drive = np.multiply(theta, dw[rows], out=held[0])
         square = np.multiply(theta, theta, out=theta)
         square *= 0.5 * dt
-        return np.subtract(drive, square, out=out)
+        np.subtract(drive, square, out=out)
+        return n
 
     log_w = np.zeros((m, n + 1))
-    try:
-        for rows in blocks:
-            increments(rows, slice(0, n), out=log_w[rows, 1:])
-    except FloatingPointError:
-        for k in range(n):   # the first failing step raises its own error
-            increments(slice(None), slice(k, k + 1))
-        raise
+    bad = min(increments(rows, log_w[rows, 1:]) for rows in blocks)
+    if bad < n:   # the first bad step over every block
+        raise FloatingPointError(f"non-finite drift-to-noise ratio at t_index {bad}")
     # column by column: the sums of a cumsum along each row, in the same order,
     # without numpy's slower accumulate over the short rows of this layout
     for k in range(1, n + 1):
@@ -311,9 +307,11 @@ def fixpoint_measure_flow(scenario: Scenario, control,
     update below tol; partial results are on the exception's diagnostics for
     inspection.  The drift base is written into a buffer taken from the
     ensemble's free list and given back on return; nothing returned reads it.
+    A scenario of another reference law is refused before one is taken.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    paths.check_scenario(scenario)
     stats = scenario.statistic_map
     buffer = _take_base_buffer(paths)
     base = drift_base(scenario, control, paths, buffer)

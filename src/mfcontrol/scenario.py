@@ -130,6 +130,12 @@ class DiffusionSpec:
     def bounded(self) -> bool:
         return self.kind == "constant" or self.slope == 0.0
 
+    @property
+    def form(self) -> tuple:
+        """What apply and inv_apply compute with; a slope of 0 reads as the
+        constant of its base, and alpha is no part of it."""
+        return ("constant", self.base) if self.bounded else (self.kind, self.base, self.slope)
+
     def invertibility(self) -> tuple[str, str]:
         """(status, reason) for the invertibility of sigma."""
         if self.kind == "constant":

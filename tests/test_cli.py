@@ -99,18 +99,49 @@ def test_module_entry_points_exit_2_on_bad_flag(module):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--particles", "50"),
-    ("--steps", "0"),
-    ("--tol", "0"),
-    ("--tol", "nan"),
-    ("--tol", "inf"),
-    ("--basis-degree", "0"),
-    ("--seed", "-1"),
+def runnable(command: str) -> list[str]:
+    """The command with the scenario and the control it needs, if it takes them."""
+    scenario = [] if command == "verify" else ["--scenario", "linear-quadratic"]
+    control = ["--control", "constant:0"] if command in ("fixpoint", "evaluate") else []
+    return [command, *scenario, *control]
+
+
+# each on a command that reads the option; ids name the flag and its value
+@pytest.mark.parametrize("command,flag,value,key", [
+    pytest.param(*case, id=f"{case[1]}-{case[2]}") for case in [
+        ("simulate", "--particles", "50", "particles"),
+        ("simulate", "--steps", "0", "steps"),
+        ("simulate", "--seed", "-1", "seed"),
+        ("fixpoint", "--tol", "0", "tol"),
+        ("fixpoint", "--tol", "nan", "tol"),
+        ("evaluate", "--tol", "inf", "tol"),
+        ("optimize", "--basis-degree", "0", "basis-degree"),
+        ("verify", "--basis-degree", "-1", "basis-degree"),
+    ]])
+def test_invalid_run_parameters_exit_2(capsys, command, flag, value, key):
+    code, out, err = run_cli(capsys, [*runnable(command), "--seed", "1", flag, value])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"configuration error: {key}: ")
+
+
+# each command takes only the options its handler reads
+@pytest.mark.parametrize("command,option", [
+    ("simulate", ["--tol", "0.5"]),
+    ("simulate", ["--basis-degree", "9"]),
+    ("fixpoint", ["--basis-degree", "9"]),
+    ("evaluate", ["--basis-degree", "9"]),
+    ("verify", ["--scenario", "linear-quadratic"]),
+    ("verify", ["--config", "scenario.json"]),
+    ("verify", ["--override-validation"]),
 ])
-def test_invalid_run_parameters_exit_2(capsys, flag, value):
-    assert main(["simulate", "--scenario", "zero-drift", "--seed", "1",
-                 flag, value]) == 2
+def test_an_option_the_command_does_not_read_exits_2(capsys, tmp_path, command, option):
+    code, out, err = run_cli(capsys, [*runnable(command), *FAST, *option,
+                                      "--out", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {option[0]}" in err
+    assert not list(tmp_path.rglob("report.json"))
 
 
 @pytest.mark.parametrize("case", ["config-directory", "config-not-utf8",
@@ -277,7 +308,8 @@ def test_simulate_emits_canonical_report(capsys):
     assert doc["config"]["seed"] == 3
     assert doc["config"]["particles"] == 400
     assert doc["version"].startswith("mfcontrol ")
-    assert doc["wall_time_seconds"] is None
+    # the measured wall time goes to stderr only, so the report has no key for it
+    assert "wall_time_seconds" not in doc
     assert doc["validation"] is not None
     assert abs(doc["results"]["terminal_mean"]) < 0.2
     assert 0.8 < doc["results"]["terminal_std"] < 1.2

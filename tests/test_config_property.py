@@ -12,7 +12,9 @@ evaluate, and every run keeps the contract:
 - exit 0 reports only finite numbers.
 
 The search is derandomized with a fixed budget, so the suite stays
-deterministic.  Sizes (action counts) draw from a small range only.
+deterministic.  Sizes (action counts) draw from a small range only.  The
+documents of the faults an earlier sweep found (overflowing statistics,
+Hamiltonians and weights) run as explicit examples on every search.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ import math
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import mfcontrol.scenario as scen_mod
@@ -84,6 +86,16 @@ def documents(draw):
     return doc
 
 
+def edited(name: str, path: tuple, value) -> dict:
+    """The built-in's document with the key at path set to value."""
+    doc = builtin_config(name)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
 def run(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -112,6 +124,13 @@ DOTTED = re.compile(r"^[A-Za-z_][\w-]*(\.[\w-]+|\[\d+\])*: ")
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(doc=documents())
+# each once broke the contract (a traceback, an abort on a nan gap, an exit 0
+# on a collapsed reweighting): a statistic's weighted sum, the Hamiltonian
+# and the horizon weights overflow
+@example(doc=edited("zero-drift", ("initial",), 1e308))
+@example(doc=edited("zero-drift", ("initial",), -1e308))
+@example(doc=edited("separated-game", ("drift", "control_u"), 1e308))
+@example(doc=edited("linear-quadratic", ("drift", "control"), 1e308))
 def test_every_document_keeps_the_cli_contract(doc, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))   # non-finite floats become NaN / Infinity

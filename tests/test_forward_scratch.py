@@ -21,6 +21,7 @@ import mfcontrol.core as core_mod
 import mfcontrol.girsanov as girsanov_mod
 from mfcontrol import (
     DriftEvaluator,
+    EnsembleMismatchError,
     FixpointConvergenceError,
     MeasureFlow,
     builtin_config,
@@ -163,6 +164,20 @@ def test_the_free_list_dies_with_its_ensemble(mean_field):
     del buffer, paths, result
     gc.collect()
     assert dead() is None
+
+
+def test_a_refused_fixed_point_takes_no_buffer(lq, monkeypatch):
+    paths = simulate_for_scenario(lq, particles=1000, steps=10, seed=4)
+    fixpoint_measure_flow(lq, constant_control(0.5), paths)
+    (pooled,) = free_buffers(paths)
+    cfg = builtin_config("linear-quadratic")
+    cfg["diffusion"]["base"] = 2.0
+    calls = []
+    monkeypatch.setattr(girsanov_mod, "drift_base", lambda *args: calls.append(args))
+    with pytest.raises(EnsembleMismatchError):
+        fixpoint_measure_flow(parse_scenario(cfg), constant_control(0.5), paths)
+    assert calls == []
+    assert free_buffers(paths) == [pooled]
 
 
 def raised_buffer(err):

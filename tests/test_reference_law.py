@@ -179,11 +179,28 @@ def shares_the_law(cfg):
     return cfg
 
 
-@pytest.mark.parametrize("name", ["zero-drift", "mean-field-mean-reversion", "variance",
-                                  "separated-game", "same-law"])
-def test_a_scenario_of_the_same_reference_law_prices_on_a_shared_ensemble(name, paths):
+# linear-quadratic's sigma (the constant 1) written another way: sigmas
+# compare by the values apply and inv_apply compute, never by alpha
+SAME_SIGMA = {
+    "alpha": {"kind": "constant", "base": 1.0, "alpha": 0.5},
+    "sup-modulated-slope-0": {"kind": "sup_modulated", "base": 1.0, "slope": 0.0},
+    "affine-state-slope-0": {"kind": "affine_state", "base": 1.0, "slope": 0.0},
+}
+
+
+def same_law(name: str):
+    cfg = builtin_config("linear-quadratic")
     if name == "same-law":
-        scenario = parse_scenario(shares_the_law(builtin_config("linear-quadratic")))
+        return parse_scenario(shares_the_law(cfg))
+    cfg["diffusion"] = SAME_SIGMA[name]
+    return parse_scenario(cfg)
+
+
+@pytest.mark.parametrize("name", ["zero-drift", "mean-field-mean-reversion", "variance",
+                                  "separated-game", "same-law", *SAME_SIGMA])
+def test_a_scenario_of_the_same_reference_law_prices_on_a_shared_ensemble(name, paths):
+    if name == "same-law" or name in SAME_SIGMA:
+        scenario = same_law(name)
     else:
         scenario = get_builtin(name)
     control = pair(scenario) if scenario.kind == "game" else u_half(scenario)
@@ -193,6 +210,9 @@ def test_a_scenario_of_the_same_reference_law_prices_on_a_shared_ensemble(name, 
     assert np.isfinite(res.value) and np.isfinite(res.stderr)
     # same law, seed and sizes: the shared ensemble is the scenario's own
     assert res.value == own.value and res.stderr == own.stderr
+    if name in SAME_SIGMA:
+        lq = get_builtin("linear-quadratic")
+        assert res.value == evaluate_payoff(lq, u_half(lq), paths).value
     if scenario.kind != "game":
         sol, = solve_linear_family(scenario, paths, [control],
                                    [stat_series(scenario, res.flow)], BasisSpec())
